@@ -41,7 +41,8 @@ type recordedLine struct {
 // compilation: the optimized IR (read-only at execution time — runtime
 // trap state lives on Compiled, not on the Func), the captured profile
 // emissions and coverage regions, the bug IDs the compile triggered,
-// and the finished context for OnCompiled observers.
+// and the finished context for OnCompiled observers (minus its Env and
+// Log, which belong to the execution that compiled it).
 type cacheEntry struct {
 	fn    *Func
 	lines []recordedLine

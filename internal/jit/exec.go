@@ -21,6 +21,12 @@ type Compiled struct {
 
 	trapCount int
 	trapLimit int
+
+	// LIFO freelists (calls nest, so recursion through Env.Call takes a
+	// fresh entry while the caller's is still popped): binding tables
+	// for Invoke and argument buffers for NCall/NReflectCall.
+	tables  []*bindings
+	argBufs [][]vm.Value
 }
 
 // covSink is a tiny indirection so the executor can mark runtime
@@ -33,48 +39,140 @@ func (c *covSink) Hit(name string) {
 	}
 }
 
-// scopes is a lexical-scope stack of local variable bindings, stored as
-// a flat name/value stack with frame marks. Lookups scan from the top,
-// so shadowing resolves to the innermost binding; pushing a scope costs
-// one integer append instead of a map allocation (this is the compiled
-// executor's hottest structure).
-type scopes struct {
-	names []string
-	vals  []vm.Value
-	marks []int
-}
-
-func (s *scopes) push() { s.marks = append(s.marks, len(s.names)) }
-
-func (s *scopes) pop() {
-	m := s.marks[len(s.marks)-1]
-	s.marks = s.marks[:len(s.marks)-1]
-	s.names = s.names[:m]
-	s.vals = s.vals[:m]
-}
-
-func (s *scopes) declare(name string, v vm.Value) {
-	s.names = append(s.names, name)
-	s.vals = append(s.vals, v)
-}
-
-func (s *scopes) get(name string) (vm.Value, bool) {
-	for i := len(s.names) - 1; i >= 0; i-- {
-		if s.names[i] == name {
-			return s.vals[i], true
+// numberVars gives every distinct variable name in f a dense id: the
+// receiver and params first (argIDs), then each binding or reference
+// in the body. Compile numbers a Func once, after its last pass and
+// before it is cached; cached Funcs are shared read-only, so nothing
+// on the execution path may renumber them.
+func (f *Func) numberVars() {
+	ids := map[string]int32{}
+	id := func(name string) int32 {
+		v, ok := ids[name]
+		if !ok {
+			v = int32(len(ids))
+			ids[name] = v
 		}
+		return v
+	}
+	f.argIDs = make([]int32, 0, len(f.Params)+1)
+	if f.HasReceiver {
+		f.argIDs = append(f.argIDs, id("this"))
+	}
+	for _, p := range f.Params {
+		f.argIDs = append(f.argIDs, id(p.Name))
+	}
+	f.Body.Walk(func(n *Node) bool {
+		switch n.Kind {
+		case NDecl, NAssignVar, NVar, NFor, NTry:
+			n.vid = id(n.Name)
+		}
+		return true
+	})
+	f.nvars = len(ids)
+	f.numbered = true
+}
+
+// bindings is the executor's variable environment, a shallow-binding
+// table: a flat slot stack (ids, vals) with scope marks, plus cur
+// mapping each variable id to its innermost live slot. Lookups are one
+// index; declaring a variable logs the slot it shadows in prev, and
+// popping a scope restores those. The result is the lexical "innermost
+// binding wins" rule without scanning names.
+type bindings struct {
+	ids   []int32    // slot -> variable id
+	vals  []vm.Value // slot -> value
+	prev  []int32    // slot -> the slot it shadowed (undo log), or -1
+	marks []int      // first slot of each open scope
+	cur   []int32    // variable id -> innermost live slot, or -1
+}
+
+func (b *bindings) push() { b.marks = append(b.marks, len(b.ids)) }
+
+func (b *bindings) pop() {
+	m := b.marks[len(b.marks)-1]
+	b.marks = b.marks[:len(b.marks)-1]
+	for i := len(b.ids) - 1; i >= m; i-- {
+		b.cur[b.ids[i]] = b.prev[i]
+	}
+	clear(b.vals[m:])
+	b.ids = b.ids[:m]
+	b.vals = b.vals[:m]
+	b.prev = b.prev[:m]
+}
+
+func (b *bindings) declare(id int32, v vm.Value) {
+	b.prev = append(b.prev, b.cur[id])
+	b.cur[id] = int32(len(b.ids))
+	b.ids = append(b.ids, id)
+	b.vals = append(b.vals, v)
+}
+
+func (b *bindings) get(id int32) (vm.Value, bool) {
+	if s := b.cur[id]; s >= 0 {
+		return b.vals[s], true
 	}
 	return vm.Value{}, false
 }
 
-func (s *scopes) set(name string, v vm.Value) bool {
-	for i := len(s.names) - 1; i >= 0; i-- {
-		if s.names[i] == name {
-			s.vals[i] = v
-			return true
-		}
+func (b *bindings) set(id int32, v vm.Value) bool {
+	if s := b.cur[id]; s >= 0 {
+		b.vals[s] = v
+		return true
 	}
 	return false
+}
+
+// reset empties the table for reuse with nvars variables. Invoke's
+// outer scope is never popped, and an error can leave scopes open, so
+// every live slot is unbound here rather than trusted to have popped.
+func (b *bindings) reset(nvars int) {
+	for _, id := range b.ids {
+		b.cur[id] = -1
+	}
+	clear(b.vals)
+	b.ids, b.vals, b.prev, b.marks = b.ids[:0], b.vals[:0], b.prev[:0], b.marks[:0]
+	if len(b.cur) != nvars {
+		b.cur = make([]int32, nvars)
+		for i := range b.cur {
+			b.cur[i] = -1
+		}
+	}
+}
+
+// getTable pops a binding table from the freelist, or makes one.
+func (c *Compiled) getTable() *bindings {
+	if k := len(c.tables); k > 0 {
+		b := c.tables[k-1]
+		c.tables = c.tables[:k-1]
+		return b
+	}
+	b := &bindings{}
+	b.reset(c.F.nvars)
+	return b
+}
+
+func (c *Compiled) putTable(b *bindings) {
+	b.reset(c.F.nvars)
+	c.tables = append(c.tables, b)
+}
+
+// getArgs pops a call-argument buffer of length n from the freelist
+// (the vm.Machine.getArgs scheme: callees copy their arguments out, so
+// a buffer is free again once Env.Call returns).
+func (c *Compiled) getArgs(n int) []vm.Value {
+	if k := len(c.argBufs); k > 0 {
+		buf := c.argBufs[k-1]
+		c.argBufs = c.argBufs[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]vm.Value, n)
+}
+
+func (c *Compiled) putArgs(buf []vm.Value) {
+	clear(buf[:cap(buf)])
+	c.argBufs = append(c.argBufs, buf)
 }
 
 type ctrl int
@@ -86,17 +184,17 @@ const (
 
 // Invoke implements vm.CompiledMethod.
 func (c *Compiled) Invoke(args []vm.Value) (vm.Value, error) {
-	sc := &scopes{}
-	sc.push()
-	i := 0
-	if c.F.HasReceiver {
-		sc.declare("this", args[0])
-		i = 1
+	if !c.F.numbered {
+		// Hand-built Compiled values (tests, tools) skip Compile.
+		c.F.numberVars()
 	}
-	for j, p := range c.F.Params {
-		sc.declare(p.Name, args[i+j])
+	sc := c.getTable()
+	sc.push()
+	for j, id := range c.F.argIDs {
+		sc.declare(id, args[j])
 	}
 	k, v, err := c.execStmt(sc, c.F.Body)
+	c.putTable(sc)
 	if err != nil {
 		return vm.Value{}, err
 	}
@@ -106,7 +204,7 @@ func (c *Compiled) Invoke(args []vm.Value) (vm.Value, error) {
 	return vm.Value{}, nil
 }
 
-func (c *Compiled) execSeq(sc *scopes, n *Node) (ctrl, vm.Value, error) {
+func (c *Compiled) execSeq(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 	sc.push()
 	defer sc.pop()
 	for _, k := range n.Kids {
@@ -118,7 +216,7 @@ func (c *Compiled) execSeq(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	return ctrlNext, vm.Value{}, nil
 }
 
-func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
+func (c *Compiled) execStmt(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 	if err := c.Env.Step(); err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
@@ -132,18 +230,18 @@ func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		sc.declare(n.Name, v)
+		sc.declare(n.vid, v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignVar:
 		v, err := c.eval(sc, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		if !sc.set(n.Name, v) {
+		if !sc.set(n.vid, v) {
 			// A variable materialized by an optimization (e.g. scalar
 			// replacement) may not have an explicit declaration on every
 			// path; bind it in the innermost scope.
-			sc.declare(n.Name, v)
+			sc.declare(n.vid, v)
 		}
 		return ctrlNext, vm.Value{}, nil
 	case NAssignField:
@@ -238,7 +336,7 @@ func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 		k, v, err := c.execStmt(sc, n.Kids[0])
 		if thr, ok := err.(*vm.Thrown); ok {
 			sc.push()
-			sc.declare(n.Name, vm.IntVal(thr.Code))
+			sc.declare(n.vid, vm.IntVal(thr.Code))
 			k, v, err = c.execStmt(sc, n.Kids[1])
 			sc.pop()
 		}
@@ -271,14 +369,14 @@ func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	return ctrlNext, vm.Value{}, fmt.Errorf("jit: exec: bad statement kind %v", n.Kind)
 }
 
-func (c *Compiled) execFor(sc *scopes, n *Node) (ctrl, vm.Value, error) {
+func (c *Compiled) execFor(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 	from, err := c.eval(sc, n.Kids[0])
 	if err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
 	sc.push()
 	defer sc.pop()
-	sc.declare(n.Name, vm.IntVal(from.I))
+	sc.declare(n.vid, vm.IntVal(from.I))
 	slot := len(sc.vals) - 1 // the loop variable's stack slot is stable
 	for {
 		if err := c.Env.Step(); err != nil {
@@ -299,7 +397,7 @@ func (c *Compiled) execFor(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	}
 }
 
-func (c *Compiled) execSync(sc *scopes, n *Node) (ctrl, vm.Value, error) {
+func (c *Compiled) execSync(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 	mon, err := c.eval(sc, n.Kids[0])
 	if err != nil {
 		return ctrlNext, vm.Value{}, err
@@ -325,7 +423,7 @@ func (c *Compiled) execSync(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	return k, v, nil
 }
 
-func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
+func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 	if err := c.Env.Step(); err != nil {
 		return vm.Value{}, err
 	}
@@ -340,7 +438,7 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 	case NConstStr:
 		return vm.StrVal(n.SVal), nil
 	case NVar:
-		v, ok := sc.get(n.Name)
+		v, ok := sc.get(n.vid)
 		if !ok {
 			return vm.Value{}, fmt.Errorf("jit: exec: unbound variable %q in %s", n.Name, c.F.Key())
 		}
@@ -382,10 +480,11 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 				return vm.Value{}, err
 			}
 		}
-		args := make([]vm.Value, len(argNodes))
+		args := c.getArgs(len(argNodes))
 		for i, a := range argNodes {
 			v, err := c.eval(sc, a)
 			if err != nil {
+				c.putArgs(args)
 				return vm.Value{}, err
 			}
 			args[i] = v
@@ -395,11 +494,14 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 			c.Cov.Hit("runtime.reflection")
 			for i := 0; i < 8; i++ {
 				if err := c.Env.Step(); err != nil {
+					c.putArgs(args)
 					return vm.Value{}, err
 				}
 			}
 		}
-		return c.Env.Call(ref, recv, args)
+		ret, err := c.Env.Call(ref, recv, args)
+		c.putArgs(args)
+		return ret, err
 	case NReflectGet:
 		c.Cov.Hit("runtime.reflection")
 		if n.Static {
@@ -480,7 +582,7 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 	return vm.Value{}, fmt.Errorf("jit: exec: bad expression kind %v", n.Kind)
 }
 
-func (c *Compiled) evalBinary(sc *scopes, n *Node) (vm.Value, error) {
+func (c *Compiled) evalBinary(sc *bindings, n *Node) (vm.Value, error) {
 	op := n.BinOp
 	// Short-circuit logical operators must not evaluate the RHS eagerly.
 	if op == lang.OpLAnd || op == lang.OpLOr {

@@ -14,6 +14,11 @@ import (
 // (tests drive Compiled values by hand).
 func buildMachine(t *testing.T, src string) (*vm.Machine, *lang.Program) {
 	t.Helper()
+	return buildMachineCfg(t, src, vm.Config{})
+}
+
+func buildMachineCfg(t testing.TB, src string, cfg vm.Config) (*vm.Machine, *lang.Program) {
+	t.Helper()
 	p, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -25,10 +30,10 @@ func buildMachine(t *testing.T, src string) (*vm.Machine, *lang.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vm.NewMachine(img, vm.Config{}), p
+	return vm.NewMachine(img, cfg), p
 }
 
-func compileByHand(t *testing.T, m *vm.Machine, p *lang.Program, key string) *Compiled {
+func compileByHand(t testing.TB, m *vm.Machine, p *lang.Program, key string) *Compiled {
 	t.Helper()
 	f, err := LowerProgramFunc(p, key)
 	if err != nil {

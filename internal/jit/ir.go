@@ -169,6 +169,10 @@ type Node struct {
 	// monitor release — a seeded-miscompilation effect reproducing the
 	// Listing 1 hazard. Correct compilation never sets it.
 	NoExcCleanup bool
+
+	// vid is the variable's dense per-Func id on variable-binding kinds
+	// (NDecl, NAssignVar, NVar, NFor, NTry), assigned by Func.numberVars.
+	vid int32
 }
 
 // Seq builds a sequence node.
@@ -228,6 +232,13 @@ type Func struct {
 	Ret          lang.Type
 	Synchronized bool
 	Body         *Node // NSeq
+
+	// Variable numbering for the executor's binding table (numberVars):
+	// nvars distinct names, argIDs the ids of the receiver ("this", when
+	// HasReceiver) followed by the params, in Invoke's argument order.
+	numbered bool
+	nvars    int
+	argIDs   []int32
 }
 
 // Key returns "Class.Name".

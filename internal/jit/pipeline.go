@@ -138,13 +138,21 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 	}
 	ctx.Emitf(profile.FlagPrintAssembly, "  # {method} %s::%s tier=%s compiled", fn.Class, fn.Name, tier)
 
+	// Codegen: the IR is final, so number its variables for the
+	// executor's binding table before the Func can be shared.
+	f.numberVars()
 	if useCache {
 		var trig []string
 		if ch != nil {
 			ids := ch.TriggeredIDs()
 			trig = append([]string(nil), ids[trigBase:]...)
 		}
-		c.Cache.put(key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: ctx})
+		// The entry outlives this execution, so it must not pin the
+		// execution's machine (heap, compiled code and its freelists) or
+		// log; replay binds both afresh for each observer.
+		kept := *ctx
+		kept.Env, kept.Log = nil, nil
+		c.Cache.put(key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
 	}
 	return &Compiled{
 		F:   f,

@@ -604,11 +604,11 @@ func (s *Scheduler) settleRemote(j *Job, out RemoteOutcome) {
 	}
 	j.rec.State = state
 	j.cancel = nil
-	rec := j.rec
-	j.mu.Unlock()
-	if err := s.store.Save(&rec); err != nil {
+	// Persist before unlocking, as finishJob does.
+	if err := s.store.Save(&j.rec); err != nil {
 		s.logf("job %s: persist final state: %v", id, err)
 	}
+	j.mu.Unlock()
 	s.broker.Publish(id, Event{Type: "state", State: state})
 	s.logf("job %s: %s (worker %s)", id, state, out.Worker)
 }
@@ -897,11 +897,12 @@ func (s *Scheduler) finishJob(j *Job, res *core.CampaignResult, runErr error, st
 	}
 	j.rec.State = state
 	j.cancel = nil
-	rec := j.rec
-	j.mu.Unlock()
-	if err := s.store.Save(&rec); err != nil {
+	// Persist before unlocking: a reader that sees the terminal state
+	// must find it on disk too.
+	if err := s.store.Save(&j.rec); err != nil {
 		s.logf("job %s: persist final state: %v", id, err)
 	}
+	j.mu.Unlock()
 	s.broker.Publish(id, Event{Type: "state", State: state})
 	s.logf("job %s: %s", id, state)
 }

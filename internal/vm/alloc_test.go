@@ -73,6 +73,9 @@ func TestInterpreterAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short test shuffling")
 	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	img := compileForBench(t, callHeavySrc)
 	var out *Result
 	allocs := testing.AllocsPerRun(5, func() {

@@ -36,8 +36,8 @@ type Heap struct {
 	AllocCount int   // total allocations
 	Units      int64 // cumulative allocation units: objects + boxes + array elements
 	GCEvery    int   // allocations between collections (0 = never)
-	GCCycles   int // collections performed
-	Freed      int // cells reclaimed across all cycles
+	GCCycles   int   // collections performed
+	Freed      int   // cells reclaimed across all cycles
 	sinceGC    int
 	onGC       func(live, freed int)
 }
@@ -50,15 +50,19 @@ func NewHeap(gcEvery int) *Heap {
 // SetGCHook installs a callback invoked after each collection.
 func (h *Heap) SetGCHook(fn func(live, freed int)) { h.onGC = fn }
 
-// NewObject allocates an instance of class with zeroed fields.
-func (h *Heap) NewObject(class string, refFields map[string]bool) *Object {
-	o := &Object{Class: class, Fields: map[string]Value{}}
-	for name, isRef := range refFields {
-		if isRef {
-			o.Fields[name] = NullVal()
-		} else {
-			o.Fields[name] = IntVal(0)
-		}
+// FieldInit is one instance field of a class layout: its name and the
+// zero value a new object starts with (null for references, else 0).
+type FieldInit struct {
+	Name string
+	Zero Value
+}
+
+// NewObject allocates an instance of class with its layout's fields
+// zeroed. The layout is shared; each object gets its own Fields map.
+func (h *Heap) NewObject(class string, layout []FieldInit) *Object {
+	o := &Object{Class: class, Fields: make(map[string]Value, len(layout))}
+	for _, f := range layout {
+		o.Fields[f.Name] = f.Zero
 	}
 	h.objects = append(h.objects, o)
 	h.bump(1)
@@ -105,25 +109,27 @@ func (h *Heap) Collect(roots []Value) (live, freed int) {
 	for _, r := range roots {
 		markValue(r)
 	}
-	var objs []*Object
+	// Compact survivors in place, in allocation order, and clear the
+	// tail so the backing arrays do not pin dead cells.
+	objs := h.objects[:0]
 	for _, o := range h.objects {
 		if o.marked {
 			o.marked = false
 			objs = append(objs, o)
-		} else {
-			freed++
 		}
 	}
+	freed += len(h.objects) - len(objs)
+	clear(h.objects[len(objs):])
 	h.objects = objs
-	var arrs []*Array
+	arrs := h.arrays[:0]
 	for _, a := range h.arrays {
 		if a.marked {
 			a.marked = false
 			arrs = append(arrs, a)
-		} else {
-			freed++
 		}
 	}
+	freed += len(h.arrays) - len(arrs)
+	clear(h.arrays[len(arrs):])
 	h.arrays = arrs
 	h.Freed += freed
 	live = h.Live()

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/bytecode"
@@ -99,24 +100,25 @@ func (r *Result) Crashed() bool { return r.Crash != nil }
 // including the termination status, so differential testing sees
 // exceptions and leaks too.
 func (r *Result) OutputString() string {
-	s := ""
+	var b strings.Builder
 	for _, line := range r.Output {
-		s += line + "\n"
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
 	switch {
 	case r.Crash != nil:
-		s += fmt.Sprintf("<crash %s>", r.Crash.BugID)
+		fmt.Fprintf(&b, "<crash %s>", r.Crash.BugID)
 	case r.Exception != nil:
-		s += fmt.Sprintf("<uncaught %d>", r.Exception.Code)
+		fmt.Fprintf(&b, "<uncaught %d>", r.Exception.Code)
 	case r.TimedOut:
-		s += "<timeout>"
+		b.WriteString("<timeout>")
 	case r.HeapExhausted:
-		s += "<heap-exhausted>"
+		b.WriteString("<heap-exhausted>")
 	}
 	if r.MonitorLeaks > 0 {
-		s += fmt.Sprintf("<monitor-leak %d>", r.MonitorLeaks)
+		fmt.Fprintf(&b, "<monitor-leak %d>", r.MonitorLeaks)
 	}
-	return s
+	return b.String()
 }
 
 // Machine executes one program image. A Machine is single-use: create,
@@ -143,6 +145,8 @@ type Machine struct {
 
 	argBufs  [][]Value // LIFO freelist of call-argument buffers
 	rootsBuf []Value   // reused GC root scratch
+
+	layouts map[string][]FieldInit // per-class instance fields (fieldLayout)
 }
 
 type frame struct {
@@ -231,6 +235,7 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		compiled:  map[string]CompiledMethod{},
 		tiers:     map[string]Tier{},
 		deopts:    map[string]int{},
+		layouts:   map[string][]FieldInit{},
 	}
 	m.Heap.SetGCHook(cfg.OnGC)
 	for _, c := range img.Classes {
@@ -411,19 +416,35 @@ func (m *Machine) classMonitor(class string) *Object {
 
 // NewObject allocates a class instance with zeroed fields.
 func (m *Machine) NewObject(class string) Value {
-	refFields := map[string]bool{}
-	if cf := m.img.Class(class); cf != nil {
-		for _, f := range cf.Fields {
-			if !f.Static {
-				refFields[f.Name] = f.IsRef
-			}
-		}
-	}
-	v := ObjVal(m.Heap.NewObject(class, refFields))
+	v := ObjVal(m.Heap.NewObject(class, m.fieldLayout(class)))
 	m.trace("runtime.objects")
 	m.trace("gc.alloc.fast")
 	m.maybeGC()
 	return v
+}
+
+// fieldLayout returns class's instance-field layout, built from the
+// class file on the class's first allocation and reused after that.
+// Unknown classes get an empty layout.
+func (m *Machine) fieldLayout(class string) []FieldInit {
+	if l, ok := m.layouts[class]; ok {
+		return l
+	}
+	var l []FieldInit
+	if cf := m.img.Class(class); cf != nil {
+		for _, f := range cf.Fields {
+			if f.Static {
+				continue
+			}
+			zero := IntVal(0)
+			if f.IsRef {
+				zero = NullVal()
+			}
+			l = append(l, FieldInit{Name: f.Name, Zero: zero})
+		}
+	}
+	m.layouts[class] = l
+	return l
 }
 
 // NewBox allocates an Integer box.

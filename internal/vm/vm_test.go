@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -380,7 +381,7 @@ func TestValueHelpers(t *testing.T) {
 
 func TestHeapMarkSweep(t *testing.T) {
 	h := NewHeap(0)
-	a := h.NewObject("T", map[string]bool{"x": true})
+	a := h.NewObject("T", []FieldInit{{Name: "x", Zero: NullVal()}})
 	b := h.NewObject("T", nil)
 	a.Fields["x"] = ObjVal(b)
 	c := h.NewObject("T", nil) // garbage
@@ -392,6 +393,52 @@ func TestHeapMarkSweep(t *testing.T) {
 	}
 	if live != 3 {
 		t.Errorf("live = %d, want 3", live)
+	}
+	// Survivors are compacted in place in allocation order, and the
+	// vacated tail no longer references the dead object.
+	if len(h.objects) != 2 || h.objects[0] != a || h.objects[1] != b {
+		t.Errorf("survivors = %v, want [a b]", h.objects)
+	}
+	if tail := h.objects[:cap(h.objects)][2]; tail != nil {
+		t.Errorf("dead object still pinned in the survivor slice")
+	}
+}
+
+// TestNewObjectSharedLayout: objects of one class share the machine's
+// field layout but never a Fields map.
+func TestNewObjectSharedLayout(t *testing.T) {
+	img := compileForBench(t, `class T { int n; T next; static int s; static void main() { return; } }`)
+	m := NewMachine(img, Config{})
+	a, b := m.NewObject("T"), m.NewObject("T")
+	want := map[string]Value{"n": IntVal(0), "next": NullVal()}
+	if !reflect.DeepEqual(a.Obj.Fields, want) {
+		t.Fatalf("fields = %v, want %v", a.Obj.Fields, want)
+	}
+	a.Obj.Fields["n"] = IntVal(5)
+	if b.Obj.Fields["n"] != IntVal(0) {
+		t.Errorf("objects share a Fields map")
+	}
+	if u := m.NewObject("Unknown"); len(u.Obj.Fields) != 0 {
+		t.Errorf("unknown class got fields %v", u.Obj.Fields)
+	}
+}
+
+func TestOutputStringFormat(t *testing.T) {
+	cases := []struct {
+		r    Result
+		want string
+	}{
+		{Result{}, ""},
+		{Result{Output: []string{"1", "x"}}, "1\nx\n"},
+		{Result{Output: []string{"7"}, Crash: &Crash{BugID: "JDK-1"}, MonitorLeaks: 2}, "7\n<crash JDK-1><monitor-leak 2>"},
+		{Result{Exception: &Thrown{Code: -13}}, "<uncaught -13>"},
+		{Result{Output: []string{""}, TimedOut: true}, "\n<timeout>"},
+		{Result{HeapExhausted: true, MonitorLeaks: 1}, "<heap-exhausted><monitor-leak 1>"},
+	}
+	for _, c := range cases {
+		if got := c.r.OutputString(); got != c.want {
+			t.Errorf("OutputString = %q, want %q", got, c.want)
+		}
 	}
 }
 
