@@ -6,8 +6,10 @@
 package coverage
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Component is one of the JVM's four instrumented components.
@@ -33,15 +35,48 @@ type Region struct {
 
 // Tracker accumulates region hits across one or many executions. A hit
 // set only ever grows, so campaign-wide trackers can be shared by
-// parallel workers: the mutex makes each mark atomic, and the final
-// contents are order-independent.
+// parallel workers, and the final contents are order-independent.
+//
+// Catalog regions are marked in a bitset indexed like Catalog: a repeat
+// hit is one atomic load, and only the first hit of a region writes.
+// Names outside Catalog go to a mutex-guarded map.
 type Tracker struct {
-	mu   sync.Mutex
-	hits map[string]bool
+	marks []atomic.Uint64 // bit i%64 of word i/64 = Catalog[i] hit
+
+	mu    sync.Mutex
+	other map[string]bool // hit names not in Catalog
 }
 
+// catalogIndex maps each Catalog region name to its position. Built
+// once at package init and read-only after, so Hit reads it unlocked.
+var catalogIndex = func() map[string]int {
+	idx := make(map[string]int, len(Catalog))
+	for i, r := range Catalog {
+		idx[r.Name] = i
+	}
+	return idx
+}()
+
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker { return &Tracker{hits: map[string]bool{}} }
+func NewTracker() *Tracker {
+	return &Tracker{marks: make([]atomic.Uint64, (len(Catalog)+63)/64)}
+}
+
+// marked reports whether Catalog[i] was hit.
+func (t *Tracker) marked(i int) bool {
+	return t.marks[i/64].Load()&(1<<(i%64)) != 0
+}
+
+// setBits ors m into w. It writes only when m has a bit w lacks, so
+// repeat hits never contend on the cache line.
+func setBits(w *atomic.Uint64, m uint64) {
+	for {
+		old := w.Load()
+		if old|m == old || w.CompareAndSwap(old, old|m) {
+			return
+		}
+	}
+}
 
 // Hit marks a region as executed. Unknown names are tolerated (and
 // ignored by reports) so instrumentation sites never fail.
@@ -49,8 +84,15 @@ func (t *Tracker) Hit(name string) {
 	if t == nil {
 		return
 	}
+	if i, ok := catalogIndex[name]; ok {
+		setBits(&t.marks[i/64], 1<<(i%64))
+		return
+	}
 	t.mu.Lock()
-	t.hits[name] = true
+	if t.other == nil {
+		t.other = map[string]bool{}
+	}
+	t.other[name] = true
 	t.mu.Unlock()
 }
 
@@ -59,9 +101,13 @@ func (t *Tracker) Hits() int {
 	if t == nil {
 		return 0
 	}
+	n := 0
+	for i := range t.marks {
+		n += bits.OnesCount64(t.marks[i].Load())
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.hits)
+	return n + len(t.other)
 }
 
 // Names returns the hit region names in sorted order — the wire
@@ -71,13 +117,25 @@ func (t *Tracker) Names() []string {
 	if t == nil {
 		return nil
 	}
+	var out []string
+	for i, r := range Catalog {
+		if t.marked(i) {
+			out = append(out, r.Name)
+		}
+	}
+	out = append(out, t.otherNames()...)
+	sort.Strings(out)
+	return out
+}
+
+// otherNames returns the hit names outside Catalog, unsorted.
+func (t *Tracker) otherNames() []string {
 	t.mu.Lock()
-	out := make([]string, 0, len(t.hits))
-	for k := range t.hits {
+	defer t.mu.Unlock()
+	out := make([]string, 0, len(t.other))
+	for k := range t.other {
 		out = append(out, k)
 	}
-	t.mu.Unlock()
-	sort.Strings(out)
 	return out
 }
 
@@ -86,9 +144,12 @@ func (t *Tracker) Covered(name string) bool {
 	if t == nil {
 		return false
 	}
+	if i, ok := catalogIndex[name]; ok {
+		return t.marked(i)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.hits[name]
+	return t.other[name]
 }
 
 // Merge folds another tracker's hits into t.
@@ -96,31 +157,22 @@ func (t *Tracker) Merge(o *Tracker) {
 	if t == nil || o == nil {
 		return
 	}
-	o.mu.Lock()
-	keys := make([]string, 0, len(o.hits))
-	for k := range o.hits {
-		keys = append(keys, k)
+	for i := range o.marks {
+		setBits(&t.marks[i], o.marks[i].Load())
 	}
-	o.mu.Unlock()
-	t.mu.Lock()
-	for _, k := range keys {
-		t.hits[k] = true
+	for _, k := range o.otherNames() {
+		t.Hit(k)
 	}
-	t.mu.Unlock()
 }
 
 // Lines returns (covered, total) line counts for a component.
 func (t *Tracker) Lines(comp Component) (covered, total int) {
-	if t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
-	for _, r := range Catalog {
+	for i, r := range Catalog {
 		if r.Comp != comp {
 			continue
 		}
 		total += r.Lines
-		if t != nil && t.hits[r.Name] {
+		if t != nil && t.marked(i) {
 			covered += r.Lines
 		}
 	}

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -111,5 +113,105 @@ func TestFullCoverageIs100(t *testing.T) {
 	}
 	if tr.Summary() < 99.999 {
 		t.Errorf("Summary = %v", tr.Summary())
+	}
+}
+
+// TestTrackerConcurrentHits: goroutines sharing one tracker, mixing
+// catalog regions and unknown names, end with exactly the set a
+// sequential tracker records. Run under -race.
+func TestTrackerConcurrentHits(t *testing.T) {
+	names := []string{"made.up", "another.name"}
+	for i, r := range Catalog {
+		if i%3 != 0 {
+			names = append(names, r.Name)
+		}
+	}
+	seq, shared := NewTracker(), NewTracker()
+	for _, n := range names {
+		seq.Hit(n)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				for i := range names {
+					shared.Hit(names[(i+w*7)%len(names)])
+				}
+				_ = shared.Hits()
+				_ = shared.Covered(names[rep%len(names)])
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := shared.Names(), seq.Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("concurrent Names = %v\nwant %v", got, want)
+	}
+	if shared.Hits() != len(names) {
+		t.Errorf("Hits = %d, want %d", shared.Hits(), len(names))
+	}
+}
+
+// TestTrackerMergeAndLines: catalog and unknown names on both sides of
+// a Merge reach the merged tracker's Names, Covered, Lines and Summary.
+func TestTrackerMergeAndLines(t *testing.T) {
+	a, b := NewTracker(), NewTracker()
+	a.Hit("c2.parse")
+	a.Hit("only.a")
+	b.Hit("gc.mark")
+	b.Hit("c2.parse")
+	b.Hit("only.b")
+	a.Merge(b)
+	want := []string{"c2.parse", "gc.mark", "only.a", "only.b"}
+	if got := a.Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("merged Names = %v, want %v", got, want)
+	}
+	if a.Hits() != 4 || !a.Covered("only.b") || !a.Covered("gc.mark") {
+		t.Errorf("merged Hits = %d, Covered(only.b) = %v, Covered(gc.mark) = %v",
+			a.Hits(), a.Covered("only.b"), a.Covered("gc.mark"))
+	}
+	if c, tot := a.Lines(C2); c != 5000 || tot != 60000 {
+		t.Errorf("Lines(C2) = %d/%d, want 5000/60000", c, tot)
+	}
+	if c, _ := a.Lines(GC); c != 4000 {
+		t.Errorf("Lines(GC) covered = %d, want 4000", c)
+	}
+	wantPct := 100 * float64(5000+4000) / float64(TotalLines())
+	if got := a.Summary(); got < wantPct-0.01 || got > wantPct+0.01 {
+		t.Errorf("Summary = %v, want %v", got, wantPct)
+	}
+	// The source side is unchanged.
+	if got := b.Names(); !reflect.DeepEqual(got, []string{"c2.parse", "gc.mark", "only.b"}) {
+		t.Errorf("source Names = %v", got)
+	}
+}
+
+// TestTrackerHitAllocs: a repeat hit allocates nothing.
+func TestTrackerHitAllocs(t *testing.T) {
+	tr := NewTracker()
+	tr.Hit("runtime.objects")
+	tr.Hit("not.in.catalog")
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Hit("runtime.objects")
+		tr.Hit("not.in.catalog")
+	}); n != 0 {
+		t.Errorf("repeat Hit allocated %.0f times, want 0", n)
+	}
+}
+
+// BenchmarkTrackerHit measures the runtime's per-event cost: repeat
+// hits on regions already marked, as the interpreter makes them.
+func BenchmarkTrackerHit(b *testing.B) {
+	tr := NewTracker()
+	events := []string{"runtime.objects", "gc.alloc.fast", "runtime.statics", "gc.barriers"}
+	for _, e := range events {
+		tr.Hit(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Hit(events[i%len(events)])
 	}
 }

@@ -264,7 +264,7 @@ func (c *Compiled) execStmt(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return ctrlNext, vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		recv.Obj.Fields[n.Name] = v
+		recv.Obj.SetField(n.Name, v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignIndex:
 		arr, err := c.eval(sc, n.Kids[0])
@@ -454,7 +454,7 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Fields[n.Name], nil
+		return recv.Obj.Field(n.Name), nil
 	case NBinary:
 		return c.evalBinary(sc, n)
 	case NUnary:
@@ -514,7 +514,7 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Fields[n.Name], nil
+		return recv.Obj.Field(n.Name), nil
 	case NNew:
 		return c.Env.NewObject(n.Class), nil
 	case NNewArray:

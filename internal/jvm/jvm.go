@@ -338,16 +338,7 @@ func (d *Differential) FirstDivergence() *Divergence {
 	if !d.Inconsistent() {
 		return nil
 	}
-	counts := map[string]int{}
-	for _, r := range d.Results {
-		counts[r.Result.OutputString()]++
-	}
-	modal, best := "", -1
-	for _, r := range d.Results {
-		if out := r.Result.OutputString(); counts[out] > best {
-			best, modal = counts[out], out
-		}
-	}
+	modal := d.modal()
 	div := &Divergence{Index: -1}
 	for i, r := range d.Results {
 		if r.Result.OutputString() == modal {
@@ -361,6 +352,22 @@ func (d *Differential) FirstDivergence() *Divergence {
 		}
 	}
 	return div
+}
+
+// modal returns the most common output, ties broken by first
+// appearance in Results.
+func (d *Differential) modal() string {
+	counts := map[string]int{}
+	for _, r := range d.Results {
+		counts[r.Result.OutputString()]++
+	}
+	modal, best := "", -1
+	for _, r := range d.Results {
+		if out := r.Result.OutputString(); counts[out] > best {
+			best, modal = counts[out], out
+		}
+	}
+	return modal
 }
 
 // AnyCrash returns the first crashing result, or nil.
@@ -390,21 +397,15 @@ func (d *Differential) TriggeredBugs() []*buginject.Bug {
 
 // DivergentBugs attributes the inconsistency: it returns the
 // miscompilation bugs triggered on builds whose output differs from the
-// modal (most common) output. Bugs that fired on agreeing builds did not
-// cause the divergence and are excluded — differential testing only
-// ever reveals the defect that actually changed the output.
+// modal (most common) output, with ties broken as in FirstDivergence.
+// Bugs that fired on agreeing builds did not cause the divergence and
+// are excluded — differential testing only ever reveals the defect that
+// actually changed the output.
 func (d *Differential) DivergentBugs() []*buginject.Bug {
 	if !d.Inconsistent() {
 		return nil
 	}
-	modal := ""
-	best := -1
-	for out, specs := range d.Groups {
-		if len(specs) > best {
-			best = len(specs)
-			modal = out
-		}
-	}
+	modal := d.modal()
 	seen := map[string]bool{}
 	var out []*buginject.Bug
 	for _, r := range d.Results {

@@ -265,4 +265,15 @@ func TestFirstDivergenceModalTieBreak(t *testing.T) {
 	if div == nil || div.Modal != (Spec{buginject.HotSpot, 8}) || div.Index != 1 {
 		t.Errorf("tie-break divergence = %+v, want modal=openjdk-8 index=1", div)
 	}
+	// DivergentBugs breaks the tie the same way: only the second result's
+	// bug changed the output. Groups is a map, so repeat to catch a
+	// tie-break that depends on its iteration order.
+	bug := buginject.ByID("Issue-19301")
+	d.Results[0].Triggered = []*buginject.Bug{buginject.ByID("Issue-19401")}
+	d.Results[1].Triggered = []*buginject.Bug{bug}
+	for i := 0; i < 20; i++ {
+		if got := d.DivergentBugs(); len(got) != 1 || got[0] != bug {
+			t.Fatalf("tie-break divergent bugs = %v, want [%s]", got, bug.ID)
+		}
+	}
 }

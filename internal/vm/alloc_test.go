@@ -95,3 +95,37 @@ func TestInterpreterAllocBudget(t *testing.T) {
 		t.Errorf("interpreter run allocated %.0f times, budget %d — per-call allocations are back in the hot loop", allocs, budget)
 	}
 }
+
+// pairSrc declares the two-field class the object-allocation budget and
+// benchmark allocate.
+const pairSrc = `class P { int a; P next; static void main() { return; } }`
+
+// BenchmarkNewObject measures one instance allocation through the
+// machine: the object, its slots, and the amortized GC it drives.
+func BenchmarkNewObject(b *testing.B) {
+	m := NewMachine(compileForBench(b, pairSrc), Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkObj = m.NewObject("P")
+	}
+}
+
+var sinkObj Value
+
+// TestNewObjectAllocBudget pins the object representation's cost: an
+// instance of a two-field class is the Object plus one slot slice, with
+// no per-object map.
+func TestNewObjectAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := NewMachine(compileForBench(t, pairSrc), Config{})
+	m.NewObject("P") // build the layout
+	allocs := testing.AllocsPerRun(1000, func() {
+		sinkObj = m.NewObject("P")
+	})
+	if allocs > 2 {
+		t.Errorf("NewObject allocated %.0f times per object, budget 2", allocs)
+	}
+}

@@ -2,12 +2,61 @@ package vm
 
 // Object is a heap-allocated class instance. BoxVal holds the wrapped
 // int when the object is a java.lang.Integer box.
+//
+// Instance fields live in slots, indexed like the class's shared
+// Layout. A name the layout does not declare behaves as if the object
+// held a map: reads give the zero Value, writes land in extra (created
+// on first use). Well-typed programs never reach extra, and objects
+// without a layout (boxes, class and string monitors) keep only it.
 type Object struct {
 	Class  string
-	Fields map[string]Value
 	Mon    Monitor
 	BoxVal int64
+	layout *Layout
+	slots  []Value
+	extra  map[string]Value
 	marked bool
+}
+
+// Layout is a class's instance-field layout, shared by every object of
+// the class: field names in declaration order and the zero value each
+// starts with (null for references, else 0).
+type Layout struct {
+	Names []string
+	Zeros []Value
+}
+
+// index returns the slot of the named field, or -1 when l (possibly
+// nil) does not declare it.
+func (l *Layout) index(name string) int {
+	if l != nil {
+		for i, n := range l.Names {
+			if n == name {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// Field reads the named instance field.
+func (o *Object) Field(name string) Value {
+	if i := o.layout.index(name); i >= 0 {
+		return o.slots[i]
+	}
+	return o.extra[name]
+}
+
+// SetField writes the named instance field.
+func (o *Object) SetField(name string, v Value) {
+	if i := o.layout.index(name); i >= 0 {
+		o.slots[i] = v
+		return
+	}
+	if o.extra == nil {
+		o.extra = map[string]Value{}
+	}
+	o.extra[name] = v
 }
 
 // Array is a heap-allocated int array.
@@ -50,19 +99,13 @@ func NewHeap(gcEvery int) *Heap {
 // SetGCHook installs a callback invoked after each collection.
 func (h *Heap) SetGCHook(fn func(live, freed int)) { h.onGC = fn }
 
-// FieldInit is one instance field of a class layout: its name and the
-// zero value a new object starts with (null for references, else 0).
-type FieldInit struct {
-	Name string
-	Zero Value
-}
-
 // NewObject allocates an instance of class with its layout's fields
-// zeroed. The layout is shared; each object gets its own Fields map.
-func (h *Heap) NewObject(class string, layout []FieldInit) *Object {
-	o := &Object{Class: class, Fields: make(map[string]Value, len(layout))}
-	for _, f := range layout {
-		o.Fields[f.Name] = f.Zero
+// zeroed. The layout is shared; each object gets its own slots. A nil
+// layout declares no fields.
+func (h *Heap) NewObject(class string, layout *Layout) *Object {
+	o := &Object{Class: class, layout: layout}
+	if layout != nil && len(layout.Zeros) > 0 {
+		o.slots = append([]Value(nil), layout.Zeros...)
 	}
 	h.objects = append(h.objects, o)
 	h.bump(1)
@@ -155,7 +198,10 @@ func markObject(o *Object) {
 		return
 	}
 	o.marked = true
-	for _, f := range o.Fields {
+	for _, f := range o.slots {
+		markValue(f)
+	}
+	for _, f := range o.extra {
 		markValue(f)
 	}
 }

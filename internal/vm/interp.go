@@ -234,7 +234,7 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			if val.IsRef() {
 				m.trace("gc.barriers")
 			}
-			recv.Obj.Fields[fn.Fields[ins.A].Name] = val
+			recv.Obj.SetField(fn.Fields[ins.A].Name, val)
 		case bytecode.GetStatic:
 			ref := fn.Fields[ins.A]
 			push(m.GetStatic(ref.Class, ref.Name))
@@ -407,7 +407,7 @@ func getFieldOf(recv Value, name string) (Value, *Thrown) {
 	if recv.Kind != KObj || recv.Obj == nil {
 		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	return recv.Obj.Fields[name], nil
+	return recv.Obj.Field(name), nil
 }
 
 func arrayLoad(arr Value, idx int64) (Value, *Thrown) {

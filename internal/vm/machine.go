@@ -128,7 +128,7 @@ type Machine struct {
 	cfg  Config
 	Heap *Heap
 
-	statics   map[string]Value
+	statics   map[staticKey]Value
 	strMons   map[string]*Object
 	classMons map[string]*Object
 
@@ -146,8 +146,12 @@ type Machine struct {
 	argBufs  [][]Value // LIFO freelist of call-argument buffers
 	rootsBuf []Value   // reused GC root scratch
 
-	layouts map[string][]FieldInit // per-class instance fields (fieldLayout)
+	layouts map[string]*Layout // per-class instance fields (fieldLayout)
 }
+
+// staticKey names a static field. Statics are only ever looked up by
+// key or walked as GC roots, so map order never reaches a result.
+type staticKey struct{ class, field string }
 
 type frame struct {
 	fn     *bytecode.Function
@@ -228,23 +232,23 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		img:       img,
 		cfg:       cfg,
 		Heap:      NewHeap(cfg.GCEvery),
-		statics:   map[string]Value{},
+		statics:   map[staticKey]Value{},
 		strMons:   map[string]*Object{},
 		classMons: map[string]*Object{},
 		profiles:  map[string]*MethodProfile{},
 		compiled:  map[string]CompiledMethod{},
 		tiers:     map[string]Tier{},
 		deopts:    map[string]int{},
-		layouts:   map[string][]FieldInit{},
+		layouts:   map[string]*Layout{},
 	}
 	m.Heap.SetGCHook(cfg.OnGC)
 	for _, c := range img.Classes {
 		for _, f := range c.Fields {
 			if f.Static {
 				if f.IsRef {
-					m.statics[c.Name+"."+f.Name] = NullVal()
+					m.statics[staticKey{c.Name, f.Name}] = NullVal()
 				} else {
-					m.statics[c.Name+"."+f.Name] = IntVal(0)
+					m.statics[staticKey{c.Name, f.Name}] = IntVal(0)
 				}
 			}
 		}
@@ -425,12 +429,14 @@ func (m *Machine) NewObject(class string) Value {
 
 // fieldLayout returns class's instance-field layout, built from the
 // class file on the class's first allocation and reused after that.
-// Unknown classes get an empty layout.
-func (m *Machine) fieldLayout(class string) []FieldInit {
+// Unknown classes get an empty layout. A name declared twice gets one
+// slot whose zero is the last declaration's, as if each object's
+// fields were a map filled in declaration order.
+func (m *Machine) fieldLayout(class string) *Layout {
 	if l, ok := m.layouts[class]; ok {
 		return l
 	}
-	var l []FieldInit
+	l := &Layout{}
 	if cf := m.img.Class(class); cf != nil {
 		for _, f := range cf.Fields {
 			if f.Static {
@@ -440,7 +446,12 @@ func (m *Machine) fieldLayout(class string) []FieldInit {
 			if f.IsRef {
 				zero = NullVal()
 			}
-			l = append(l, FieldInit{Name: f.Name, Zero: zero})
+			if i := l.index(f.Name); i >= 0 {
+				l.Zeros[i] = zero
+				continue
+			}
+			l.Names = append(l.Names, f.Name)
+			l.Zeros = append(l.Zeros, zero)
 		}
 	}
 	m.layouts[class] = l
@@ -500,12 +511,12 @@ func (m *Machine) maybeGC() {
 // GetStatic reads a static field.
 func (m *Machine) GetStatic(class, field string) Value {
 	m.trace("runtime.statics")
-	return m.statics[class+"."+field]
+	return m.statics[staticKey{class, field}]
 }
 
 // SetStatic writes a static field.
 func (m *Machine) SetStatic(class, field string, v Value) {
-	m.statics[class+"."+field] = v
+	m.statics[staticKey{class, field}] = v
 }
 
 // StringMonitor interns the shared lock object for a string literal.

@@ -381,9 +381,9 @@ func TestValueHelpers(t *testing.T) {
 
 func TestHeapMarkSweep(t *testing.T) {
 	h := NewHeap(0)
-	a := h.NewObject("T", []FieldInit{{Name: "x", Zero: NullVal()}})
+	a := h.NewObject("T", &Layout{Names: []string{"x"}, Zeros: []Value{NullVal()}})
 	b := h.NewObject("T", nil)
-	a.Fields["x"] = ObjVal(b)
+	a.SetField("x", ObjVal(b))
 	c := h.NewObject("T", nil) // garbage
 	_ = c
 	arr := h.NewArray(3)
@@ -405,21 +405,70 @@ func TestHeapMarkSweep(t *testing.T) {
 }
 
 // TestNewObjectSharedLayout: objects of one class share the machine's
-// field layout but never a Fields map.
+// field layout but never their slots.
 func TestNewObjectSharedLayout(t *testing.T) {
 	img := compileForBench(t, `class T { int n; T next; static int s; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
 	a, b := m.NewObject("T"), m.NewObject("T")
-	want := map[string]Value{"n": IntVal(0), "next": NullVal()}
-	if !reflect.DeepEqual(a.Obj.Fields, want) {
-		t.Fatalf("fields = %v, want %v", a.Obj.Fields, want)
+	if a.Obj.layout != b.Obj.layout {
+		t.Errorf("objects of one class got different layouts")
 	}
-	a.Obj.Fields["n"] = IntVal(5)
-	if b.Obj.Fields["n"] != IntVal(0) {
-		t.Errorf("objects share a Fields map")
+	if got := a.Obj.layout.Names; !reflect.DeepEqual(got, []string{"n", "next"}) {
+		t.Fatalf("layout = %v, want [n next] (statics excluded)", got)
 	}
-	if u := m.NewObject("Unknown"); len(u.Obj.Fields) != 0 {
-		t.Errorf("unknown class got fields %v", u.Obj.Fields)
+	if a.Obj.Field("n") != IntVal(0) || a.Obj.Field("next") != NullVal() {
+		t.Fatalf("zero fields = %v, %v", a.Obj.Field("n"), a.Obj.Field("next"))
+	}
+	a.Obj.SetField("n", IntVal(5))
+	if a.Obj.Field("n") != IntVal(5) {
+		t.Errorf("write not readable: %v", a.Obj.Field("n"))
+	}
+	if b.Obj.Field("n") != IntVal(0) {
+		t.Errorf("objects share slots")
+	}
+	if u := m.NewObject("Unknown"); len(u.Obj.slots) != 0 || u.Obj.extra != nil {
+		t.Errorf("unknown class got fields %v %v", u.Obj.slots, u.Obj.extra)
+	}
+}
+
+// TestNewObjectDuplicateField: a name declared twice is one field whose
+// zero is the last declaration's, as with the old per-object map.
+func TestNewObjectDuplicateField(t *testing.T) {
+	img := compileForBench(t, `class T { int f; T f; static void main() { return; } }`)
+	o := NewMachine(img, Config{}).NewObject("T").Obj
+	if len(o.slots) != 1 || o.Field("f") != NullVal() {
+		t.Fatalf("slots = %v, want one null field", o.slots)
+	}
+}
+
+// TestObjectUndeclaredField: a name outside the layout behaves like a
+// map entry — zero until written, readable after, and traced by the
+// collector — for class instances and for layout-less monitor objects.
+func TestObjectUndeclaredField(t *testing.T) {
+	img := compileForBench(t, `class T { int n; static void main() { return; } }`)
+	m := NewMachine(img, Config{})
+	objs := map[string]*Object{
+		"instance":       m.NewObject("T").Obj,
+		"string monitor": m.StringMonitor("lock"),
+		"class monitor":  m.classMonitor("T"),
+	}
+	for name, o := range objs {
+		if got := o.Field("ghost"); got != (Value{}) {
+			t.Errorf("%s: undeclared read = %v, want Value{}", name, got)
+		}
+		h := NewHeap(0)
+		target := h.NewObject("T", nil)
+		h.NewObject("T", nil) // garbage
+		o.SetField("ghost", ObjVal(target))
+		if got := o.Field("ghost"); got.Obj != target {
+			t.Errorf("%s: undeclared write not readable: %v", name, got)
+		}
+		if _, freed := h.Collect([]Value{ObjVal(o)}); freed != 1 || len(h.objects) != 1 || h.objects[0] != target {
+			t.Errorf("%s: freed %d, survivors %v; want the referenced object to survive", name, freed, h.objects)
+		}
+	}
+	if n := objs["instance"].Field("n"); n != IntVal(0) {
+		t.Errorf("declared field disturbed by undeclared write: %v", n)
 	}
 }
 
