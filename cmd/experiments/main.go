@@ -31,9 +31,9 @@ func main() {
 	seedFlag := flag.Int64("seed", 1, "campaign random seed")
 	benchJSON := flag.String("bench-json", "", "measure campaign throughput (sequential vs parallel vs legacy OBV), the scaling matrix, and backend exec overhead; write the JSON report here")
 	benchWorkers := flag.Int("bench-workers", 4, "worker count for the parallel leg of -bench-json")
-	backend := flag.String("backend", "inprocess", "execution backend: inprocess, subprocess (one minijvm child per execution), or pool (warm children, batched protocol)")
-	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend subprocess/pool (default: $MINIJVM, then $PATH)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend subprocess/pool (0 = no watchdog)")
+	backend := flag.String("backend", "inprocess", "execution backend: inprocess, or pool (minijvm children, batched protocol; -pool-recycle-after 1 is one child per execution)")
+	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
+	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
 	poolChildren := flag.Int("pool-children", 0, "max warm children for -backend pool (0 = GOMAXPROCS)")
 	poolRecycle := flag.Int64("pool-recycle-after", 0, "recycle a pool child after this many executions (0 = default 512)")
 	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "recycle a pool child whose self-reported heap reaches this many MiB (0 = default 256)")

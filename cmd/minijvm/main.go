@@ -6,7 +6,6 @@
 //	minijvm -jvm openjdk-17 -flags PrintInlining,TraceLoopOpts prog.mj
 //	minijvm -jvm openj9-11 -xcomp -disasm prog.mj
 //	minijvm -interp prog.mj        # pure interpreter (reference output)
-//	minijvm -exec-json < req.json  # machine-readable one-shot execution
 //	minijvm -exec-serve            # persistent batched execution server
 //
 // Exit codes are distinct per failure domain so drivers can classify
@@ -18,14 +17,14 @@
 //	3  simulated JVM crash (the crash-oracle outcome)
 //	4  differential inconsistency (the miscompilation-oracle outcome)
 //
-// In -exec-json mode one execution request is read from stdin and the
-// outcome — including crashes, timeouts, and heap exhaustion — is
-// written to stdout as versioned JSON (see internal/exec); only an
-// unusable request exits non-zero. -exec-serve is the warm-pool
-// variant: it announces itself with a hello line, then answers NDJSON
-// batch requests (N executions per round trip) until stdin closes,
-// holding a compile cache across the whole stream and self-reporting
-// heap telemetry so the parent can recycle it.
+// -exec-serve is the machine-readable mode behind the pool backend (see
+// internal/exec): it announces itself with a hello line, then answers
+// NDJSON batch requests (N executions per round trip) until stdin
+// closes. Every outcome — including crashes, timeouts, and heap
+// exhaustion — is written to stdout as versioned JSON; only an unusable
+// frame exits non-zero. The child holds a compile cache across the
+// whole stream and self-reports heap telemetry so the parent can
+// recycle it.
 package main
 
 import (
@@ -44,7 +43,7 @@ import (
 )
 
 // Exit codes (see the package comment). exitUsage doubles as the Go
-// runtime's own uncaught-panic status; the exec-json parent
+// runtime's own uncaught-panic status; the -exec-serve parent
 // disambiguates via the "panic:" marker on stderr.
 const (
 	exitFatal        = 1
@@ -64,30 +63,19 @@ func main() {
 	showOBV := flag.Bool("obv", false, "print the extracted optimization behavior vector")
 	diff := flag.Bool("diff", false, "differential mode: run on every simulated build and compare outputs")
 	compileOnly := flag.String("compileonly", "", "JIT-compile only this method (Class.method)")
-	execJSON := flag.Bool("exec-json", false, "read one execution request (JSON) from stdin, write the outcome to stdout")
 	execServe := flag.Bool("exec-serve", false, "long-lived server mode: answer NDJSON execution batches on stdin until EOF (the warm-pool child)")
 	flag.Parse()
 
 	if *execServe {
-		// Warm-pool child: hello handshake, then batch frames until the
-		// parent closes stdin. Buffered stdout is flushed per frame by
-		// ServeStream; panics are NOT recovered (see -exec-json below).
+		// Pool child: hello handshake, then batch frames until the
+		// parent closes stdin; every other flag is ignored. Buffered
+		// stdout is flushed per frame by ServeStream. Substrate panics
+		// are NOT recovered — an escaped panic is exactly the signal the
+		// parent's process-level containment classifies.
 		out := bufio.NewWriter(os.Stdout)
 		err := exec.ServeStream(os.Stdin, out)
 		out.Flush()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "minijvm:", err)
-			os.Exit(exec.ExitRequestError)
-		}
-		return
-	}
-
-	if *execJSON {
-		// Machine-readable mode: the request carries spec, source, and
-		// options; every other flag is ignored. Substrate panics are NOT
-		// recovered — an escaped panic is exactly the signal the parent's
-		// process-level containment classifies.
-		if err := exec.Serve(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "minijvm:", err)
 			os.Exit(exec.ExitRequestError)
 		}

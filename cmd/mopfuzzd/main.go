@@ -40,9 +40,9 @@ func main() {
 	listen := flag.String("listen", ":8080", "HTTP listen address")
 	stateDir := flag.String("state-dir", "mopfuzzd-state", "persistent state directory (jobs, checkpoints, triage stores)")
 	runners := flag.Int("runners", 1, "max concurrently running campaigns")
-	backend := flag.String("backend", "inprocess", "default execution backend: inprocess, subprocess, or pool")
-	minijvm := flag.String("minijvm", "", "path to the minijvm binary (subprocess/pool backends)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "wall-clock timeout per subprocess execution")
+	backend := flag.String("backend", "inprocess", "default execution backend: inprocess or pool")
+	minijvm := flag.String("minijvm", "", "path to the minijvm binary (pool backend)")
+	childTimeout := flag.Duration("child-timeout", 10*time.Second, "wall-clock timeout per pool execution")
 	poolChildren := flag.Int("pool-children", 0, "pool backend: max warm children (0 = GOMAXPROCS)")
 	poolRecycleAfter := flag.Int64("pool-recycle-after", 0, "pool backend: recycle a child after this many executions (0 = default 512)")
 	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "pool backend: recycle a child whose self-reported heap reaches this many MiB (0 = default 256)")

@@ -9,11 +9,10 @@
 //	# reduce a bug-triggering case before reporting
 //	mopfuzzer -jdk openjdk-17 -case seed.mj -reduce
 //
-//	# run every execution in an isolated minijvm child process
-//	mopfuzzer -jdk openjdk-17 -backend subprocess -minijvm ./minijvm
-//
-//	# same isolation, but over a warm child pool with batched requests
+//	# run executions in isolated minijvm child processes: a warm child
+//	# pool with batched requests, or one fresh child per execution
 //	mopfuzzer -jdk openjdk-17 -backend pool -minijvm ./minijvm
+//	mopfuzzer -jdk openjdk-17 -backend pool -minijvm ./minijvm -pool-recycle-after 1
 //
 //	# profile a campaign (feed the next perf PR)
 //	mopfuzzer -jdk openjdk-17 -budget 2000 -cpuprofile cpu.out -memprofile mem.out
@@ -80,9 +79,9 @@ func main() {
 	schedule := flag.String("schedule", "off", "seed-budget policy: off (cursor order, byte-identical to prior releases) or power (energy-weighted (seed, plan-mode) arms)")
 	doDistill := flag.Bool("distill", false, "score the corpus, print the distillation report JSON, and exit without fuzzing")
 	scoreCache := flag.String("score-cache", "", "persist seed feature vectors to this JSON file (resumes and re-runs skip re-profiling)")
-	backend := flag.String("backend", "inprocess", "execution backend: inprocess (shared failure domain, fastest), subprocess (one minijvm child per execution), or pool (warm serve-mode children, batched)")
-	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend subprocess/pool (default: $MINIJVM, then $PATH)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend subprocess/pool (0 = no watchdog)")
+	backend := flag.String("backend", "inprocess", "execution backend: inprocess (shared failure domain, fastest) or pool (minijvm serve-mode children, batched; -pool-recycle-after 1 is one child per execution)")
+	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
+	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
 	poolChildren := flag.Int("pool-children", 0, "max warm children for -backend pool (0 = GOMAXPROCS)")
 	poolRecycle := flag.Int64("pool-recycle-after", 0, "recycle a pool child after this many executions (0 = default 512)")
 	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "recycle a pool child whose self-reported heap reaches this many MiB (0 = default 256)")

@@ -21,7 +21,7 @@ import (
 
 // ExecutorSetter is implemented by every baseline tool: the experiment
 // harness uses it to route all target executions through a configured
-// backend (in-process by default, subprocess under -backend).
+// backend (in-process by default, minijvm children under -backend pool).
 type ExecutorSetter interface {
 	SetExecutor(ex exec.Executor)
 }

@@ -34,8 +34,8 @@ type CampaignConfig struct {
 	Workers int
 	// Executor selects the execution backend for every fuzzing and
 	// differential run in the campaign. Nil keeps the in-process default
-	// (byte-identical results, pinned by the determinism tests); a
-	// subprocess executor gives each target execution its own process so
+	// (byte-identical results, pinned by the determinism tests); the
+	// pool executor runs target executions in child processes so
 	// substrate deaths become classified harness faults.
 	Executor exec.Executor
 	// OnFinding, when non-nil, observes every detected finding occurrence
@@ -706,10 +706,9 @@ func reportHeapExhaustion(sup *harness.Supervisor, seed corpus.Seed, taskKey str
 
 // campaignState is the campaign-owned slice of a checkpoint: everything
 // needed to continue a run with byte-identical results. The schedule
-// block (checkpoint v3) is present exactly when the campaign runs the
-// power schedule, and the generate block (checkpoint v4) exactly when
-// the generator subsystem is on, so off-mode checkpoints remain
-// byte-identical to older builds.
+// block is present exactly when the campaign runs the power schedule,
+// and the generate block exactly when the generator subsystem is on, so
+// a feature left off leaves no trace in the snapshot.
 type campaignState struct {
 	TaskCursor         int                           `json:"task_cursor"`
 	RoundProgressed    bool                          `json:"round_progressed"`
@@ -727,11 +726,10 @@ type campaignState struct {
 }
 
 // findingSnapshot is the JSON form of a Finding: bugs by catalog ID,
-// programs as source text, both re-resolved on restore. Checkpoint
-// format v2 added the provenance block (cursor, round, chain length),
-// the OBV, and the divergence site; plan provenance (plan_id and the
-// divergence's plan pair) is additive and omitted when empty, so
-// pre-plan checkpoints round-trip byte-identically.
+// programs as source text, both re-resolved on restore. It carries the
+// provenance block (cursor, round, chain length), the OBV, and the
+// divergence site; plan provenance (plan_id and the divergence's plan
+// pair) is omitted when empty.
 type findingSnapshot struct {
 	BugID         string                `json:"bug_id"`
 	Oracle        string                `json:"oracle"`
@@ -824,13 +822,6 @@ func saveCampaign(path string, sup *harness.Supervisor, res *CampaignResult,
 		Executions:  res.Executions,
 		Quarantined: sup.Q.IDs(),
 		State:       raw,
-	}
-	if st.Generate != nil {
-		// Generator-bearing snapshots stamp v4; schedule-only ones v3;
-		// plain ones keep v2 so off-mode checkpoints stay byte-identical.
-		ck.Version = harness.CheckpointVersionGenerate
-	} else if st.Schedule != nil {
-		ck.Version = harness.CheckpointVersionScheduled
 	}
 	return ck.Save(path)
 }

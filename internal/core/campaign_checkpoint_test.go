@@ -148,7 +148,7 @@ class T {
 }
 `
 
-// TestCheckpointFindingProvenanceRoundTrip: the v2 snapshot fields —
+// TestCheckpointFindingProvenanceRoundTrip: the finding provenance fields —
 // cursor, round, chain length, OBV, divergence — must survive a
 // save/resume cycle bit-for-bit.
 func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
@@ -202,7 +202,7 @@ func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointDivergenceRoundTrip: a differential finding's divergence
-// site is restored spec-for-spec from the v2 snapshot.
+// site is restored spec-for-spec from the snapshot.
 func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 	bug := buginject.Catalog[0]
 	st := campaignState{

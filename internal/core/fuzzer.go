@@ -55,10 +55,10 @@ type Config struct {
 	// targets). A cache hit is byte-equivalent to recompiling.
 	CompileCache *jit.Cache
 	// Executor selects the execution backend. Nil runs in-process
-	// (byte-identical to calling jvm.Run, the deterministic default); a
-	// subprocess executor isolates every target execution in a child
-	// process whose death is classified by the harness instead of
-	// killing the fuzzer.
+	// (byte-identical to calling jvm.Run, the deterministic default); the
+	// pool executor isolates every target execution in a child process
+	// whose death is classified by the harness instead of killing the
+	// fuzzer.
 	Executor exec.Executor
 	// PlanFuzz turns the compilation plan into a fuzz dimension (ROADMAP
 	// item 3). The zero value (and jit.PlanDefault) keeps every execution

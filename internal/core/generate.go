@@ -36,7 +36,7 @@ func mutatorFillers() []generate.StmtFiller {
 
 // genRuntime is the campaign-side generator subsystem state: the built
 // generator set plus the checkpointed emission counts and pool-slot
-// overlay (checkpoint v4).
+// overlay (the checkpoint's generate block).
 type genRuntime struct {
 	gens  []generate.Generator
 	st    *generate.State

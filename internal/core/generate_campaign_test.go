@@ -40,8 +40,8 @@ func generateBlockOf(t *testing.T, data []byte) *campaignState {
 
 // TestGeneratorsOffMatchesBaseline pins the acceptance criterion: a
 // campaign that names only the baseline generator is the subsystem-off
-// campaign — byte-identical results and checkpoint (v2 envelope, no
-// generate block) against a config that never heard of generators.
+// campaign — byte-identical results and checkpoint (no generate block)
+// against a config that never heard of generators.
 func TestGeneratorsOffMatchesBaseline(t *testing.T) {
 	base := CampaignConfig{
 		Seeds:   corpus.DefaultPool(3, 41),
@@ -59,15 +59,18 @@ func TestGeneratorsOffMatchesBaseline(t *testing.T) {
 	if s, o := normalizeCheckpoint(t, plainCkpt), normalizeCheckpoint(t, offCkpt); s != o {
 		t.Errorf("randprog-only checkpoint diverged from baseline:\nplain: %s\noff:   %s", s, o)
 	}
-	if v := checkpointVersionOf(t, offCkpt); v != 2 {
-		t.Errorf("randprog-only checkpoint version = %d, want 2 (no generate block)", v)
+	if v := checkpointVersionOf(t, offCkpt); v != harness.CheckpointVersion {
+		t.Errorf("randprog-only checkpoint version = %d, want %d", v, harness.CheckpointVersion)
+	}
+	if st := generateBlockOf(t, offCkpt); st.Generate != nil {
+		t.Error("randprog-only checkpoint carries a generate block")
 	}
 }
 
 // TestGeneratorCampaignDeterministic: generator emissions and the
 // round-boundary pool refresh are pure functions of the campaign seed
 // and emission counts, so two identical runs agree byte-for-byte —
-// and the final checkpoint carries the v4 generate block with the
+// and the final checkpoint carries the generate block with the
 // refreshed slot overlay.
 func TestGeneratorCampaignDeterministic(t *testing.T) {
 	ccfg := genCampaignCfg(42)
@@ -77,8 +80,8 @@ func TestGeneratorCampaignDeterministic(t *testing.T) {
 	if s, o := normalizeCheckpoint(t, aCkpt), normalizeCheckpoint(t, bCkpt); s != o {
 		t.Errorf("generator campaign not deterministic:\na: %s\nb: %s", s, o)
 	}
-	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersionGenerate {
-		t.Errorf("checkpoint version = %d, want %d", v, harness.CheckpointVersionGenerate)
+	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersion {
+		t.Errorf("checkpoint version = %d, want %d", v, harness.CheckpointVersion)
 	}
 	st := generateBlockOf(t, aCkpt)
 	if st.Generate == nil {
@@ -162,7 +165,7 @@ func TestGeneratorCheckpointResumeEquivalence(t *testing.T) {
 	assertCampaignsEqual(t, uninterrupted, resumed)
 }
 
-// TestGeneratorResumeConfigMismatch: a v4 checkpoint refuses to resume
+// TestGeneratorResumeConfigMismatch: a generator checkpoint refuses to resume
 // into a generator-free config (the pool overlay would be silently
 // dropped), and a generator config refuses a checkpoint without
 // generator state (the pool would silently diverge from the
@@ -177,7 +180,7 @@ func TestGeneratorResumeConfigMismatch(t *testing.T) {
 	offCfg := ccfg
 	offCfg.Generators, offCfg.Styles = nil, nil
 	if _, err := RunCampaignContext(context.Background(), offCfg, harness.Config{ResumePath: ckpt}); err == nil {
-		t.Fatal("generator-free resume of a v4 checkpoint succeeded; slot overlay was silently dropped")
+		t.Fatal("generator-free resume of a generator checkpoint succeeded; slot overlay was silently dropped")
 	}
 
 	plainCfg := offCfg

@@ -25,8 +25,8 @@ func checkpointVersionOf(t *testing.T, data []byte) int {
 
 // TestScheduleOffMatchesUnscheduled pins the satellite guarantee:
 // -schedule=off reproduces the pre-scheduling campaign byte-identically,
-// including the final checkpoint — same envelope version (v2, no
-// schedule block), same findings, same everything. A campaign config
+// including the final checkpoint — same envelope, no schedule block,
+// same findings, same everything. A campaign config
 // that never heard of scheduling and one that explicitly asks for off
 // must be indistinguishable.
 func TestScheduleOffMatchesUnscheduled(t *testing.T) {
@@ -46,15 +46,18 @@ func TestScheduleOffMatchesUnscheduled(t *testing.T) {
 	if s, o := normalizeCheckpoint(t, plainCkpt), normalizeCheckpoint(t, offCkpt); s != o {
 		t.Errorf("off-mode checkpoint diverged from unscheduled:\nplain: %s\noff:   %s", s, o)
 	}
-	if v := checkpointVersionOf(t, offCkpt); v != 2 {
-		t.Errorf("off-mode checkpoint version = %d, want 2 (no schedule block)", v)
+	if v := checkpointVersionOf(t, offCkpt); v != harness.CheckpointVersion {
+		t.Errorf("off-mode checkpoint version = %d, want %d", v, harness.CheckpointVersion)
+	}
+	if st := generateBlockOf(t, offCkpt); st.Schedule != nil {
+		t.Error("off-mode checkpoint carries a schedule block")
 	}
 }
 
 // TestPowerCampaignDeterministic: the power schedule is a pure function
 // of the campaign seed and the merged observation prefix, so two
 // identical runs must agree byte-for-byte — results and final
-// checkpoint, which now carries the v3 schedule block.
+// checkpoint, which carries the schedule block.
 func TestPowerCampaignDeterministic(t *testing.T) {
 	ccfg := CampaignConfig{
 		Seeds:        corpus.DefaultPool(3, 32),
@@ -70,8 +73,11 @@ func TestPowerCampaignDeterministic(t *testing.T) {
 	if s1, s2 := normalizeCheckpoint(t, aCkpt), normalizeCheckpoint(t, bCkpt); s1 != s2 {
 		t.Errorf("power campaign not deterministic:\nfirst:  %s\nsecond: %s", s1, s2)
 	}
-	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersionScheduled {
-		t.Errorf("power checkpoint version = %d, want %d", v, harness.CheckpointVersionScheduled)
+	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersion {
+		t.Errorf("power checkpoint version = %d, want %d", v, harness.CheckpointVersion)
+	}
+	if st := generateBlockOf(t, aCkpt); st.Schedule == nil {
+		t.Error("power checkpoint has no schedule block")
 	}
 }
 
@@ -144,7 +150,7 @@ func TestPowerCheckpointResumeEquivalence(t *testing.T) {
 	assertCampaignsEqual(t, uninterrupted, resumed)
 }
 
-// TestPowerResumeRequiresSchedule: a v3 checkpoint carrying schedule
+// TestPowerResumeRequiresSchedule: a checkpoint carrying schedule
 // state must refuse to resume into a schedule-free config instead of
 // silently dropping the arm statistics.
 func TestPowerResumeRequiresSchedule(t *testing.T) {

@@ -8,10 +8,11 @@
 //     zero-configuration default and is byte-identical to calling the
 //     jvm package, so every experiment table and determinism test pins
 //     it.
-//   - Subprocess shells each execution out to a `minijvm -exec-json`
-//     child, giving OS-level fault isolation: a panic, hang, or runaway
-//     allocation in the substrate kills only the child, and the exit
-//     status is classified into the harness.FaultClass taxonomy.
+//   - Pool sends executions to `minijvm -exec-serve` children in
+//     batches, giving OS-level fault isolation: a panic, hang, or
+//     runaway allocation in the substrate kills only the child, and the
+//     death is classified into the harness.FaultClass taxonomy. Children
+//     stay warm across batches; a recycle budget of 1 is spawn-per-exec.
 //
 // The split mirrors the paper's setup — MopFuzzer drives external JVM
 // processes whose deaths ARE the crash oracle — and is the seam for the
@@ -20,6 +21,12 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	osexec "os/exec"
+	"strings"
+	"time"
 
 	"repro/internal/jit"
 	"repro/internal/jvm"
@@ -70,22 +77,22 @@ func (InProcess) ExecutePlanDifferential(_ context.Context, p *lang.Program, spe
 }
 
 // Backends lists the recognized -backend names ("" is the in-process
-// default). Shared by every layer that validates a backend choice — the
-// CLI flags, the service JobSpec, and the fleet worker config.
-func Backends() []string { return []string{"inprocess", "subprocess", "pool"} }
+// default).
+func Backends() []string { return []string{"inprocess", "pool"} }
 
-// ValidBackend reports whether name selects a known backend ("" counts:
-// it inherits the caller's default).
-func ValidBackend(name string) bool {
-	if name == "" {
-		return true
+// CheckBackend validates a backend name ("" counts: it inherits the
+// caller's default). Shared by every layer that accepts a backend
+// choice — the CLI flags, the service JobSpec and distill request, and
+// the fleet worker config. The retired spawn-per-exec backend gets an
+// error naming its replacement.
+func CheckBackend(name string) error {
+	switch name {
+	case "", "inprocess", "pool":
+		return nil
+	case "subprocess":
+		return errors.New(`backend "subprocess" was removed: use "pool" with a recycle budget of 1 (-backend pool -pool-recycle-after 1) for one child per execution`)
 	}
-	for _, b := range Backends() {
-		if name == b {
-			return true
-		}
-	}
-	return false
+	return fmt.Errorf("unknown backend %q (want %s)", name, strings.Join(Backends(), " or "))
 }
 
 // Default is the executor used when none is configured.
@@ -108,4 +115,60 @@ func CloseExecutor(ex Executor) {
 	if c, ok := ex.(closer); ok {
 		c.Close()
 	}
+}
+
+// FindMinijvm resolves the minijvm binary: an explicit path wins, then
+// the MINIJVM environment variable, then $PATH lookup.
+func FindMinijvm(explicit string) (string, error) {
+	if explicit != "" {
+		if _, err := os.Stat(explicit); err != nil {
+			return "", fmt.Errorf("exec: minijvm binary: %w", err)
+		}
+		return explicit, nil
+	}
+	if p := os.Getenv("MINIJVM"); p != "" {
+		if _, err := os.Stat(p); err != nil {
+			return "", fmt.Errorf("exec: $MINIJVM: %w", err)
+		}
+		return p, nil
+	}
+	p, err := osexec.LookPath("minijvm")
+	if err != nil {
+		return "", fmt.Errorf("exec: minijvm not found (build it with `go build ./cmd/minijvm` and pass -minijvm or set $MINIJVM): %w", err)
+	}
+	return p, nil
+}
+
+// PoolTuning is the optional pool-shape subset of the CLI surface:
+// zero values keep PoolConfig defaults.
+type PoolTuning struct {
+	Children          int
+	RecycleAfter      int64
+	MaxChildHeapBytes uint64
+}
+
+// FromFlags resolves the shared -backend/-minijvm/-child-timeout CLI
+// surface: "" or "inprocess" selects the nil (in-process, byte-identical
+// default) executor; "pool" locates the minijvm binary and builds the
+// child pool, shaped by tuning (zero values keep the defaults). Callers
+// should CloseExecutor the result when done so pooled children don't
+// outlive the campaign.
+func FromFlags(backend, minijvmPath string, childTimeout time.Duration, tuning PoolTuning) (Executor, error) {
+	if err := CheckBackend(backend); err != nil {
+		return nil, err
+	}
+	if backend != "pool" {
+		return nil, nil
+	}
+	path, err := FindMinijvm(minijvmPath)
+	if err != nil {
+		return nil, err
+	}
+	return NewPool(PoolConfig{
+		Path:              path,
+		Timeout:           childTimeout,
+		Children:          tuning.Children,
+		RecycleAfter:      tuning.RecycleAfter,
+		MaxChildHeapBytes: tuning.MaxChildHeapBytes,
+	}), nil
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // TestPlanDifferentialBackendEquivalence: the plan-vs-plan oracle must
-// produce byte-identical differentials on all three backends — same
-// groups, same per-plan results, same PlanID provenance — so campaign
-// findings do not depend on how executions are dispatched.
+// produce byte-identical differentials in process, on the warm pool, and
+// on the spawn-per-exec pool (the "subprocess" cell) — same groups, same
+// per-plan results, same PlanID provenance — so campaign findings do not
+// depend on how executions are dispatched.
 func TestPlanDifferentialBackendEquivalence(t *testing.T) {
-	sub := subprocessBackend(t)
+	sub := spawnPerExec(t, exec.PoolConfig{})
 	pool := poolBackend(t, exec.PoolConfig{})
 
 	seed := corpus.DefaultPool(1, 9)[0]

@@ -10,6 +10,7 @@ import (
 	"io"
 	osexec "os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,9 @@ type PoolConfig struct {
 	// one warm child per worker the parallel engine can keep busy.
 	Children int
 	// RecycleAfter retires a child after it has served this many
-	// executions (fresh one spawned on demand). Zero means 512.
+	// executions (fresh one spawned on demand). Zero means 512; 1 is
+	// spawn-per-exec: every batch gets a fresh child, which exits after
+	// answering it.
 	RecycleAfter int64
 	// MaxChildHeapBytes retires a child whose self-reported Go heap
 	// (ChildTelemetry.HeapBytes) reaches this high-water mark. Zero
@@ -66,20 +69,20 @@ func (c *PoolConfig) maxHeap() uint64 {
 	return 256 << 20
 }
 
-// Pool is the warm-child execution backend: a bounded set of persistent
+// Pool is the child-process execution backend: a bounded set of
 // `minijvm -exec-serve` children, each handling NDJSON batches of
 // executions over its lifetime instead of one execution per spawn. A
 // differential rides a single batch (one request per spec, one round
-// trip) where the Subprocess backend paid one spawn per spec.
+// trip).
 //
 // Children are recycled after RecycleAfter executions or when their
 // self-reported heap crosses MaxChildHeapBytes, so a leaky substrate
 // cannot bloat the fleet. A child dying or hanging mid-batch is
-// classified through the same BackendFault taxonomy as the Subprocess
-// backend; marker-less deaths (the SIGKILL shape) are retried once on a
-// fresh child before faulting, and only the in-flight batch is
-// affected. Results are byte-identical to the inprocess and subprocess
-// backends — the warm child's compile cache is transparent.
+// classified into the BackendFault taxonomy; marker-less deaths (the
+// SIGKILL shape) are retried once on a fresh child before faulting, and
+// only the in-flight batch is affected. Results are byte-identical to
+// the inprocess backend, at any recycle budget — the warm child's
+// compile cache is transparent.
 //
 // Safe for concurrent use; children() batches proceed in parallel.
 type Pool struct {
@@ -117,6 +120,31 @@ func NewPool(cfg PoolConfig) *Pool {
 		p.slots <- nil
 	}
 	return p
+}
+
+// Stats is a snapshot of the pool's counters.
+type Stats struct {
+	Executions  int64 // executions performed through the backend
+	Faults      int64 // executions classified as backend faults
+	ChildMicros int64 // cumulative child-reported wall time
+
+	Spawns        int64 // child processes actually spawned
+	SpawnsAvoided int64 // executions served without a fresh spawn
+	Batches       int64 // serve-mode round trips
+
+	RecycledByCount int64 // children retired at the execution budget
+	RecycledByMem   int64 // children retired at the heap high-water mark
+	Killed          int64 // children force-killed (timeouts, failures, Close)
+	Retries         int64 // batches retried on a fresh child
+}
+
+// MeanBatch is the average executions per serve-mode round trip — the
+// amortization the bench report pins (>1 means batching is real).
+func (st Stats) MeanBatch() float64 {
+	if st.Batches == 0 {
+		return 0
+	}
+	return float64(st.Executions) / float64(st.Batches)
 }
 
 // Stats returns the counters accumulated so far.
@@ -178,86 +206,81 @@ func (p *Pool) Close() error {
 
 // Execute implements Executor: a batch of one.
 func (p *Pool) Execute(ctx context.Context, prog *lang.Program, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
-	req, err := NewRequest(prog, spec, opt)
+	res, err := p.executeBatch(ctx, prog, []jvm.Spec{spec}, []*jit.Plan{opt.Plan}, opt)
 	if err != nil {
 		return nil, err
 	}
-	req.Inject = p.cfg.InjectFault
-	resps, err := p.runBatch(ctx, []*Request{req})
-	if err != nil {
-		return nil, err
-	}
-	return handleResponse(resps[0], spec, opt)
+	return res[0], nil
 }
 
 // ExecuteDifferential implements Executor: the whole differential — one
-// request per spec — rides a single batch round trip on one warm child,
-// where the Subprocess backend spawned one child per spec.
+// request per spec — rides a single batch round trip on one child.
 func (p *Pool) ExecuteDifferential(ctx context.Context, prog *lang.Program, specs []jvm.Spec, opt jvm.Options) (*jvm.Differential, error) {
-	reqs := make([]*Request, 0, len(specs))
-	for _, spec := range specs {
-		req, err := NewRequest(prog, spec, opt)
-		if err != nil {
-			return nil, err
-		}
-		req.Inject = p.cfg.InjectFault
-		reqs = append(reqs, req)
+	plans := make([]*jit.Plan, len(specs))
+	for i := range plans {
+		plans[i] = opt.Plan
 	}
-	resps, err := p.runBatch(ctx, reqs)
+	res, err := p.executeBatch(ctx, prog, specs, plans, opt)
 	if err != nil {
 		return nil, err
 	}
-	d := &jvm.Differential{Groups: map[string][]jvm.Spec{}}
-	for i, spec := range specs {
-		r, err := handleResponse(resps[i], spec, opt)
-		if err != nil {
-			return nil, err
-		}
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], spec)
+	d := &jvm.Differential{}
+	for i, r := range res {
+		d.Add(specs[i], r)
 	}
 	return d, nil
 }
 
 // ExecutePlanDifferential implements Executor: one spec, one request per
-// plan, all riding a single batch round trip on one warm child. Grouping
-// matches jvm.RunPlanDifferential exactly.
+// plan, all riding a single batch round trip on one child.
 func (p *Pool) ExecutePlanDifferential(ctx context.Context, prog *lang.Program, spec jvm.Spec, plans []*jit.Plan, opt jvm.Options) (*jvm.Differential, error) {
-	reqs := make([]*Request, 0, len(plans))
-	for _, plan := range plans {
+	specs := make([]jvm.Spec, len(plans))
+	for i := range specs {
+		specs[i] = spec
+	}
+	res, err := p.executeBatch(ctx, prog, specs, plans, opt)
+	if err != nil {
+		return nil, err
+	}
+	d := &jvm.Differential{}
+	for i, r := range res {
+		r.PlanID = jit.PlanID(plans[i])
+		d.Add(spec, r)
+	}
+	return d, nil
+}
+
+// executeBatch runs prog once per (specs[i], plans[i]) pair in a single
+// batch and decodes the results in order.
+func (p *Pool) executeBatch(ctx context.Context, prog *lang.Program, specs []jvm.Spec, plans []*jit.Plan, opt jvm.Options) ([]*jvm.ExecResult, error) {
+	reqs := make([]*Request, len(specs))
+	for i, spec := range specs {
 		o := opt
-		o.Plan = plan
+		o.Plan = plans[i]
 		req, err := NewRequest(prog, spec, o)
 		if err != nil {
 			return nil, err
 		}
 		req.Inject = p.cfg.InjectFault
-		reqs = append(reqs, req)
+		reqs[i] = req
 	}
 	resps, err := p.runBatch(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
-	d := &jvm.Differential{Groups: map[string][]jvm.Spec{}}
-	for i, plan := range plans {
-		r, err := handleResponse(resps[i], spec, opt)
-		if err != nil {
+	out := make([]*jvm.ExecResult, len(resps))
+	for i, resp := range resps {
+		if out[i], err = handleResponse(resp, specs[i], opt); err != nil {
 			return nil, err
 		}
-		r.PlanID = jit.PlanID(plan)
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], spec)
 	}
-	return d, nil
+	return out, nil
 }
 
 // runBatch pushes one batch through a pooled child, retrying once on a
 // fresh child for marker-less deaths (SIGKILL shape, corrupt frames,
 // spawn races). Deterministic failures — deadline expiry, substrate
-// panics — are never retried, matching the Subprocess backend's
-// classification exactly.
+// panics — are never retried.
 func (p *Pool) runBatch(ctx context.Context, reqs []*Request) ([]*Response, error) {
 	for attempt := 0; ; attempt++ {
 		resps, retryable, err := p.tryBatch(ctx, reqs)
@@ -319,35 +342,22 @@ func (p *Pool) tryBatch(ctx context.Context, reqs []*Request) ([]*Response, bool
 		p.mu.Unlock()
 	}
 
-	if bf := planVersionFault(c.hello, reqs); bf != nil {
-		// The child is healthy, just too old for plans — restock it warm
-		// for plan-free traffic. Deterministic for this binary: never
-		// retried (tryBatch reports it non-retryable).
-		p.restock(c)
-		return nil, false, bf
-	}
-	v := negotiateVersion(c.hello, reqs)
-
 	deadline := time.Duration(0)
 	if p.cfg.Timeout > 0 {
 		deadline = p.cfg.Timeout * time.Duration(len(reqs))
 	}
-	resp, timedOut, err := c.roundTrip(ctx, deadline, &BatchRequest{Version: v, Requests: reqs})
+	resp, timedOut, err := c.roundTrip(ctx, deadline, &BatchRequest{Version: WireVersion, Requests: reqs})
 	if err != nil {
+		// Corrupt frames (including a wrong version, a null entry, or a
+		// response count that does not match) land here too: the child
+		// is killed and the failure is a marker-less, retryable
+		// FaultHarness.
 		p.retire(c, true)
 		p.slots <- nil
 		classified := classifyServeFailure(ctx, timedOut, deadline, c, err)
 		var bf *BackendFault
 		retryable := errors.As(classified, &bf) && bf.Class == harness.FaultHarness && !bf.panicked
 		return nil, retryable, classified
-	}
-	if len(resp.Responses) != len(reqs) {
-		p.retire(c, true)
-		p.slots <- nil
-		return nil, true, &BackendFault{
-			Class:   harness.FaultHarness,
-			Message: fmt.Sprintf("minijvm child answered %d of %d batched executions", len(resp.Responses), len(reqs)),
-		}
 	}
 
 	p.execs.Add(int64(len(reqs)))
@@ -419,7 +429,7 @@ type poolChild struct {
 }
 
 // spawnChild starts a serve-mode child and completes the hello
-// handshake, enforcing version-range overlap.
+// handshake, requiring the child to speak WireVersion.
 func spawnChild(path string) (*poolChild, error) {
 	cmd := osexec.Command(path, "-exec-serve")
 	stdin, err := cmd.StdinPipe()
@@ -444,10 +454,10 @@ func spawnChild(path string) (*poolChild, error) {
 		c.shutdown(true)
 		return nil, fmt.Errorf("exec: serve child hello: %w", err)
 	}
-	if !c.hello.Compatible() {
+	if c.hello.Version != WireVersion {
 		c.shutdown(true)
-		return nil, fmt.Errorf("exec: serve child speaks wire %d..%d, parent speaks %d..%d (rebuild the binary)",
-			c.hello.MinVersion, c.hello.Version, MinWireVersion, WireVersion)
+		return nil, fmt.Errorf("exec: serve child speaks wire version %d, parent speaks %d (rebuild the binary)",
+			c.hello.Version, WireVersion)
 	}
 	return c, nil
 }
@@ -478,16 +488,8 @@ func (c *poolChild) roundTrip(ctx context.Context, deadline time.Duration, batch
 			done <- outcome{err: fmt.Errorf("read batch response: %w", rerr)}
 			return
 		}
-		var br BatchResponse
-		if uerr := json.Unmarshal(line, &br); uerr != nil {
-			done <- outcome{err: fmt.Errorf("corrupt batch frame: %w", uerr)}
-			return
-		}
-		if br.Version < MinWireVersion || br.Version > WireVersion {
-			done <- outcome{err: fmt.Errorf("batch response wire version %d", br.Version)}
-			return
-		}
-		done <- outcome{resp: &br}
+		br, derr := decodeBatchResponse(line, len(batch.Requests))
+		done <- outcome{resp: br, err: derr}
 	}()
 
 	var timer <-chan time.Time
@@ -571,5 +573,118 @@ func readLineTimeout(r *bufio.Reader, d time.Duration) ([]byte, error) {
 		return x.line, x.err
 	case <-time.After(d):
 		return nil, errors.New("timed out")
+	}
+}
+
+// handleResponse turns one wire Response into the parent-side
+// ExecResult: a program rejection becomes the same error jvm.Run
+// returns, and coverage hits merge into the caller's tracker.
+func handleResponse(resp *Response, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
+	if resp.Error != "" {
+		// In-band program-level rejection: surface the exact jvm.Run
+		// error text so both backends report identical seed errors.
+		return nil, errors.New(resp.Error)
+	}
+	if resp.Result == nil {
+		return nil, fmt.Errorf("exec: minijvm child sent neither result nor error")
+	}
+	res, err := decodeRun(resp.Result, spec)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Coverage != nil {
+		for _, name := range resp.Result.CoverageHits {
+			opt.Coverage.Hit(name)
+		}
+	}
+	return res, nil
+}
+
+// panicFault classifies a dead child whose stderr carries a Go panic
+// marker, blaming the component from the child's stack. Returns nil for
+// marker-less deaths (signal kills, abrupt exits), which the pool treats
+// as retryable where a panic is deterministic and is not.
+func panicFault(stderr string, code int) *BackendFault {
+	for _, marker := range []string{"panic:", "fatal error:"} {
+		i := strings.Index(stderr, marker)
+		if i < 0 {
+			continue
+		}
+		msg := stderr[i:]
+		if nl := strings.IndexByte(msg, '\n'); nl >= 0 {
+			msg = msg[:nl]
+		}
+		return &BackendFault{
+			Class:     harness.FaultHarness,
+			Component: harness.ComponentFromStack(stderr),
+			Message:   strings.TrimSpace(msg),
+			ExitCode:  code,
+			Stderr:    stderr,
+			panicked:  true,
+		}
+	}
+	return nil
+}
+
+// classifyServeFailure maps a failed serve-mode round trip onto the
+// fault taxonomy. Precedence: caller cancellation is nobody's fault, a
+// deadline kill is FaultTimeout, a panic marker on stderr is
+// FaultHarness with component blame, and anything else — EOF, corrupt
+// frame, signal death — is a marker-less FaultHarness.
+func classifyServeFailure(ctx context.Context, timedOut bool, deadline time.Duration, c *poolChild, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	if timedOut {
+		return &BackendFault{
+			Class:   harness.FaultTimeout,
+			Message: fmt.Sprintf("minijvm serve child (pid %d) exceeded the %s batch deadline and was killed", c.hello.PID, deadline),
+			Stderr:  c.stderrText(),
+		}
+	}
+	stderr := c.stderrText()
+	if bf := panicFault(stderr, c.exitCode()); bf != nil {
+		bf.Message = fmt.Sprintf("minijvm serve child (pid %d) died: %s", c.hello.PID, bf.Message)
+		return bf
+	}
+	return &BackendFault{
+		Class:    harness.FaultHarness,
+		Message:  fmt.Sprintf("minijvm serve child (pid %d) failed mid-batch: %v", c.hello.PID, err),
+		ExitCode: c.exitCode(),
+		Stderr:   stderr,
+	}
+}
+
+// BackendFault is a child-process death classified into the harness
+// taxonomy. It implements harness.Faulter, so a supervised task
+// surfacing it is recorded as a first-class fault — process-level
+// containment composing with the supervisor's panic containment.
+type BackendFault struct {
+	Class     harness.FaultClass
+	Component string
+	Message   string
+	ExitCode  int
+	Stderr    string
+
+	// panicked marks a death with a Go panic marker on stderr — a
+	// deterministic substrate failure the pool must not retry (it would
+	// just panic again), unlike the SIGKILL-shaped deaths it retries
+	// once on a fresh child.
+	panicked bool
+}
+
+// Error implements error.
+func (f *BackendFault) Error() string {
+	return fmt.Sprintf("exec: %s: %s", f.Class, f.Message)
+}
+
+// HarnessFault implements harness.Faulter. The child's stderr (which
+// holds the goroutine stack for panics) travels as the fault's stack.
+func (f *BackendFault) HarnessFault() *harness.Fault {
+	return &harness.Fault{
+		Class:     f.Class,
+		Component: f.Component,
+		Message:   f.Message,
+		Stack:     f.Stderr,
 	}
 }

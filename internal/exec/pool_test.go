@@ -3,8 +3,11 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -34,11 +37,28 @@ func poolBackend(t *testing.T, cfg exec.PoolConfig) *exec.Pool {
 	return p
 }
 
+// spawnPerExec is the pool at a recycle budget of 1: every batch runs on
+// a fresh child, which exits after answering it — one child process per
+// execution (or per differential). The TestSubprocess* tests run the
+// pool behaviours on this shape.
+func spawnPerExec(t *testing.T, cfg exec.PoolConfig) *exec.Pool {
+	t.Helper()
+	cfg.RecycleAfter = 1
+	return poolBackend(t, cfg)
+}
+
 // TestPoolMatchesInProcess is the per-execution equivalence table: the
 // warm pool — compile cache and all — must reproduce the in-process
 // ExecResult exactly, across consecutive executions on the same child.
 func TestPoolMatchesInProcess(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+	testMatchesInProcess(t, poolBackend(t, exec.PoolConfig{}))
+}
+
+func TestSubprocessMatchesInProcess(t *testing.T) {
+	testMatchesInProcess(t, spawnPerExec(t, exec.PoolConfig{}))
+}
+
+func testMatchesInProcess(t *testing.T, pool *exec.Pool) {
 	seeds := corpus.DefaultPool(4, 3)
 	for _, tc := range []struct {
 		name string
@@ -77,10 +97,17 @@ func TestPoolMatchesInProcess(t *testing.T) {
 }
 
 // TestPoolDifferentialMatchesInProcess: a full differential must ride
-// one batch on one warm child and still group exactly like
+// one batch on one child and still group exactly like
 // jvm.RunDifferential.
 func TestPoolDifferentialMatchesInProcess(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+	testDifferentialMatchesInProcess(t, poolBackend(t, exec.PoolConfig{}))
+}
+
+func TestSubprocessDifferentialMatchesInProcess(t *testing.T) {
+	testDifferentialMatchesInProcess(t, spawnPerExec(t, exec.PoolConfig{}))
+}
+
+func testDifferentialMatchesInProcess(t *testing.T, pool *exec.Pool) {
 	seed := corpus.DefaultPool(1, 9)[0]
 	p, err := lang.Parse(seed.Source)
 	if err != nil {
@@ -150,20 +177,24 @@ func assertCampaignsIdentical(t *testing.T, label string, got, want *core.Campai
 	}
 }
 
-// TestPoolCampaignEquivalence is the three-backend byte-identity
-// acceptance test: inprocess ≡ subprocess ≡ pool on the same campaign,
+// TestPoolCampaignEquivalence is the backend byte-identity acceptance
+// test: inprocess ≡ pool ≡ spawn-per-exec pool on the same campaign,
 // with differentials enabled so batching is on the hot path.
 func TestPoolCampaignEquivalence(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
-	sub := subprocessBackend(t)
+	if minijvmPath == "" {
+		t.Skip("minijvm binary unavailable (-short or build failure)")
+	}
 	ctx := context.Background()
 	want := poolCampaign(t, nil, harness.Config{}, ctx)
-	gotSub := poolCampaign(t, sub, harness.Config{}, ctx)
-	gotPool := poolCampaign(t, pool, harness.Config{}, ctx)
-	assertCampaignsIdentical(t, "subprocess", gotSub, want)
-	assertCampaignsIdentical(t, "pool", gotPool, want)
-	if st := pool.Stats(); st.Executions == 0 {
-		t.Error("pool recorded no executions — campaign did not go through it")
+	for _, cell := range []struct {
+		name string
+		cfg  exec.PoolConfig
+	}{{"pool", exec.PoolConfig{}}, {"spawn-per-exec", exec.PoolConfig{RecycleAfter: 1}}} {
+		pool := poolBackend(t, cell.cfg)
+		assertCampaignsIdentical(t, cell.name, poolCampaign(t, pool, harness.Config{}, ctx), want)
+		if st := pool.Stats(); st.Executions == 0 {
+			t.Errorf("%s recorded no executions — campaign did not go through it", cell.name)
+		}
 	}
 }
 
@@ -282,7 +313,14 @@ func TestPoolRecycleOnMemHighWater(t *testing.T) {
 // deterministic failure — classified FaultHarness with the child's
 // stack, and NOT retried (it would just panic again).
 func TestPoolClassifiesChildPanic(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "panic"})
+	testClassifiesChildPanic(t, poolBackend(t, exec.PoolConfig{InjectFault: "panic"}))
+}
+
+func TestSubprocessClassifiesChildPanic(t *testing.T) {
+	testClassifiesChildPanic(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "panic"}))
+}
+
+func testClassifiesChildPanic(t *testing.T, pool *exec.Pool) {
 	_, err := pool.Execute(context.Background(), wireTestProg(t), hotspot17(), jvm.Options{})
 	var bf *exec.BackendFault
 	if !errors.As(err, &bf) {
@@ -306,7 +344,14 @@ func TestPoolClassifiesChildPanic(t *testing.T) {
 // TestPoolClassifiesChildHang: a hung child trips the batch deadline,
 // is killed, and classifies FaultTimeout — never retried.
 func TestPoolClassifiesChildHang(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond})
+	testClassifiesChildHang(t, poolBackend(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond}))
+}
+
+func TestSubprocessClassifiesChildHang(t *testing.T) {
+	testClassifiesChildHang(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond}))
+}
+
+func testClassifiesChildHang(t *testing.T, pool *exec.Pool) {
 	start := time.Now()
 	_, err := pool.Execute(context.Background(), wireTestProg(t), hotspot17(), jvm.Options{})
 	var bf *exec.BackendFault
@@ -324,10 +369,17 @@ func TestPoolClassifiesChildHang(t *testing.T) {
 	}
 }
 
-// TestPoolParentCancellationIsNotAFault mirrors the subprocess rule:
-// caller shutdown mid-batch is context.Canceled, not a fault.
+// TestPoolParentCancellationIsNotAFault: caller shutdown mid-batch is
+// context.Canceled, not a fault.
 func TestPoolParentCancellationIsNotAFault(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "hang"})
+	testParentCancellationIsNotAFault(t, poolBackend(t, exec.PoolConfig{InjectFault: "hang"}))
+}
+
+func TestSubprocessParentCancellationIsNotAFault(t *testing.T) {
+	testParentCancellationIsNotAFault(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "hang"}))
+}
+
+func testParentCancellationIsNotAFault(t *testing.T, pool *exec.Pool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(100 * time.Millisecond); cancel() }()
 	_, err := pool.Execute(ctx, wireTestProg(t), hotspot17(), jvm.Options{})
@@ -419,11 +471,49 @@ func TestPoolCorruptFrameFaultsAfterRetry(t *testing.T) {
 	}
 }
 
-// TestPoolCampaignSurvivesBackendFault mirrors the subprocess
-// containment test on the pool: per-seed harness faults, no results,
-// campaign finishes cleanly.
+// TestPoolRejectsNullResponse: a child whose batch response carries a
+// null entry is a corrupt frame — retried once on a fresh child, then a
+// marker-less FaultHarness — never a nil dereference in the parent. The
+// child is a shell script that speaks the hello and answers every batch
+// with the bad frame.
+func TestPoolRejectsNullResponse(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "nullchild")
+	body := fmt.Sprintf(`#!/bin/sh
+echo '{"version":%[1]d,"pid":'$$'}'
+while read -r line; do
+  echo '{"version":%[1]d,"responses":[null],"telemetry":{"executions":1,"heap_bytes":1}}'
+done
+`, exec.WireVersion)
+	if err := os.WriteFile(script, []byte(body), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pool := exec.NewPool(exec.PoolConfig{Path: script, Timeout: 10 * time.Second, Children: 1})
+	defer pool.Close()
+	_, err := pool.Execute(context.Background(), wireTestProg(t), hotspot17(), jvm.Options{})
+	var bf *exec.BackendFault
+	if !errors.As(err, &bf) {
+		t.Fatalf("want BackendFault, got %v", err)
+	}
+	if bf.Class != harness.FaultHarness || !strings.Contains(bf.Message, "null") {
+		t.Errorf("fault = %s %q, want a harness fault naming the null response", bf.Class, bf.Message)
+	}
+	if st := pool.Stats(); st.Retries != 1 || st.Faults != 1 {
+		t.Errorf("retries = %d, faults = %d, want 1 and 1", st.Retries, st.Faults)
+	}
+}
+
+// TestPoolCampaignSurvivesBackendFault pins process-level containment:
+// a child that panics on every execution becomes per-seed harness
+// faults; the campaign itself finishes cleanly.
 func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "panic"})
+	testCampaignSurvivesBackendFault(t, poolBackend(t, exec.PoolConfig{InjectFault: "panic"}))
+}
+
+func TestCampaignSurvivesBackendFault(t *testing.T) {
+	testCampaignSurvivesBackendFault(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "panic"}))
+}
+
+func testCampaignSurvivesBackendFault(t *testing.T, pool *exec.Pool) {
 	cfg := core.DefaultConfig(hotspot17())
 	cfg.DiffSpecs = nil
 	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
@@ -439,6 +529,11 @@ func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
 	if len(res.Faults) == 0 {
 		t.Fatal("no faults recorded — pool child deaths were swallowed")
 	}
+	for _, f := range res.Faults {
+		if f.SeedName == "" {
+			t.Errorf("fault missing seed attribution: %+v", f)
+		}
+	}
 	if res.Executions != 0 || len(res.Findings) != 0 {
 		t.Errorf("faulting backend must not produce results: %d execs, %d findings", res.Executions, len(res.Findings))
 	}
@@ -447,7 +542,14 @@ func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
 // TestPoolCrashRoundTrip: a simulated JVM crash crosses the batched
 // wire intact and is a result, not a backend fault.
 func TestPoolCrashRoundTrip(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+	testCrashRoundTrip(t, poolBackend(t, exec.PoolConfig{}))
+}
+
+func TestSubprocessCrashRoundTrip(t *testing.T) {
+	testCrashRoundTrip(t, spawnPerExec(t, exec.PoolConfig{}))
+}
+
+func testCrashRoundTrip(t *testing.T, pool *exec.Pool) {
 	p, err := lang.Parse(crashSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -497,28 +599,37 @@ func TestPoolCloseUnblocksAndFailsExecutes(t *testing.T) {
 	}
 }
 
-// TestSubprocessDifferentialSingleSpawn pins the satellite fix: a
-// differential on the plain subprocess backend must use ONE serve-mode
-// child for every spec, not one spawn per spec.
+// TestSubprocessDifferentialSingleSpawn pins spawn-per-exec: every
+// batch — a whole differential or a single execution — runs on its own
+// fresh child, so spawns == batches and each child is retired by the
+// recycle budget after its one batch.
 func TestSubprocessDifferentialSingleSpawn(t *testing.T) {
-	sub := subprocessBackend(t)
+	pool := spawnPerExec(t, exec.PoolConfig{Children: 1})
 	seed := corpus.DefaultPool(1, 9)[0]
 	p, err := lang.Parse(seed.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.ExecuteDifferential(context.Background(), p, jvm.AllSpecs(), jvm.Options{ForceCompile: true}); err != nil {
+	for i := 0; i < 2; i++ {
+		if _, err := pool.ExecuteDifferential(context.Background(), p, jvm.AllSpecs(), jvm.Options{ForceCompile: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pool.Execute(context.Background(), p, hotspot17(), jvm.Options{ForceCompile: true}); err != nil {
 		t.Fatal(err)
 	}
-	st := sub.Stats()
+	st := pool.Stats()
 	n := int64(len(jvm.AllSpecs()))
-	if st.Spawns != 1 {
-		t.Errorf("Spawns = %d, want 1 for a %d-spec differential", st.Spawns, n)
+	if st.Batches != 3 || st.Spawns != st.Batches {
+		t.Errorf("Spawns = %d, Batches = %d, want 3 and 3 (one child per batch)", st.Spawns, st.Batches)
 	}
-	if st.SpawnsAvoided != n-1 {
-		t.Errorf("SpawnsAvoided = %d, want %d", st.SpawnsAvoided, n-1)
+	if st.RecycledByCount != st.Batches {
+		t.Errorf("RecycledByCount = %d, want %d (every child retires after its batch)", st.RecycledByCount, st.Batches)
 	}
-	if st.Executions != n {
-		t.Errorf("Executions = %d, want %d", st.Executions, n)
+	if st.SpawnsAvoided != 2*(n-1) {
+		t.Errorf("SpawnsAvoided = %d, want %d (a differential shares one child)", st.SpawnsAvoided, 2*(n-1))
+	}
+	if st.Executions != 2*n+1 {
+		t.Errorf("Executions = %d, want %d", st.Executions, 2*n+1)
 	}
 }

@@ -20,8 +20,9 @@ const maxBatchFrame = 64 << 20
 // ServeStream is the child side of the warm-pool protocol
 // (`minijvm -exec-serve`): write a ServerHello, then answer NDJSON
 // BatchRequest lines with BatchResponse lines until stdin closes. A
-// clean EOF — the parent recycling the child — returns nil; a framing or
-// version error returns non-nil and the child exits ExitRequestError.
+// clean EOF — the parent recycling the child — returns nil; a frame
+// decodeBatchRequest rejects returns non-nil and the child exits
+// ExitRequestError.
 //
 // The child keeps one jit.Cache across every request it serves. The
 // cache is transparent (a hit is byte-equivalent to recompiling), so a
@@ -29,13 +30,12 @@ const maxBatchFrame = 64 << 20
 // compilation work — the pool's main throughput lever alongside the
 // spawn it already avoided.
 //
-// Substrate panics are NOT recovered, matching single-shot -exec-json:
-// an escaped panic is exactly the signal the parent's process-level
-// containment classifies. The parent retries or faults only the
-// in-flight batch.
+// Substrate panics are NOT recovered: an escaped panic is exactly the
+// signal the parent's process-level containment classifies. The parent
+// retries or faults only the in-flight batch.
 func ServeStream(in io.Reader, out io.Writer) error {
 	enc := json.NewEncoder(out)
-	if err := enc.Encode(&ServerHello{Version: WireVersion, MinVersion: MinWireVersion, PID: os.Getpid()}); err != nil {
+	if err := enc.Encode(&ServerHello{Version: WireVersion, PID: os.Getpid()}); err != nil {
 		return fmt.Errorf("exec: write hello: %w", err)
 	}
 	flush(out)
@@ -49,12 +49,9 @@ func ServeStream(in io.Reader, out io.Writer) error {
 		if len(line) == 0 {
 			continue
 		}
-		var batch BatchRequest
-		if err := json.Unmarshal(line, &batch); err != nil {
-			return fmt.Errorf("exec: decode batch: %w", err)
-		}
-		if batch.Version < MinWireVersion || batch.Version > WireVersion {
-			return fmt.Errorf("exec: batch wire version %d, child speaks %d..%d", batch.Version, MinWireVersion, WireVersion)
+		batch, err := decodeBatchRequest(line)
+		if err != nil {
+			return err
 		}
 		resp := &BatchResponse{Version: WireVersion}
 		corrupt := false

@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // TestServeStreamHelloAndNegotiation pins the serve-mode handshake: the
-// child leads with a hello advertising [MinWireVersion, WireVersion],
-// answers an empty in-range batch, and rejects an out-of-range one.
+// child leads with a hello naming WireVersion, answers an empty batch at
+// that version, and rejects a batch at any other.
 func TestServeStreamHelloAndNegotiation(t *testing.T) {
 	batch := func(version int) string {
 		b, err := json.Marshal(&BatchRequest{Version: version})
@@ -33,11 +34,8 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &hello); err != nil {
 			t.Fatalf("hello not JSON: %v", err)
 		}
-		if hello.Version != WireVersion || hello.MinVersion != MinWireVersion {
-			t.Errorf("hello advertises %d..%d, want %d..%d", hello.MinVersion, hello.Version, MinWireVersion, WireVersion)
-		}
-		if !hello.Compatible() {
-			t.Error("own hello must be self-compatible")
+		if hello.Version != WireVersion {
+			t.Errorf("hello advertises version %d, want %d", hello.Version, WireVersion)
 		}
 		if hello.PID == 0 {
 			t.Error("hello missing pid")
@@ -58,10 +56,12 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 	})
 
 	t.Run("out-of-range", func(t *testing.T) {
-		var out bytes.Buffer
-		err := ServeStream(strings.NewReader(batch(WireVersion+1)), &out)
-		if err == nil || !strings.Contains(err.Error(), "wire version") {
-			t.Errorf("want wire-version error, got %v", err)
+		for _, v := range []int{WireVersion - 1, WireVersion + 1} {
+			var out bytes.Buffer
+			err := ServeStream(strings.NewReader(batch(v)), &out)
+			if err == nil || !strings.Contains(err.Error(), "wire version") {
+				t.Errorf("v%d batch: want wire-version error, got %v", v, err)
+			}
 		}
 	})
 
@@ -86,9 +86,8 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 // accounting.
 func TestServeStreamExecutesBatch(t *testing.T) {
 	req := &Request{
-		Version: WireVersion,
-		Spec:    "openjdk-17",
-		Source:  "class T { static void main() { print(7); } }",
+		Spec:   "openjdk-17",
+		Source: "class T { static void main() { print(7); } }",
 	}
 	b, err := json.Marshal(&BatchRequest{Version: WireVersion, Requests: []*Request{req, req}})
 	if err != nil {
@@ -120,5 +119,17 @@ func TestServeStreamExecutesBatch(t *testing.T) {
 	}
 	if resp.Telemetry.Executions != 2 {
 		t.Errorf("telemetry executions = %d, want 2", resp.Telemetry.Executions)
+	}
+}
+
+// TestServeStreamRejectsNullRequest: a batch whose request entry is null
+// is an unusable frame (the child exits ExitRequestError), never a nil
+// dereference that the parent would misread as a substrate panic.
+func TestServeStreamRejectsNullRequest(t *testing.T) {
+	frame := fmt.Sprintf("{\"version\":%d,\"requests\":[null]}\n", WireVersion)
+	var out bytes.Buffer
+	err := ServeStream(strings.NewReader(frame), &out)
+	if err == nil || !strings.Contains(err.Error(), "null") {
+		t.Errorf("want null-request error, got %v", err)
 	}
 }

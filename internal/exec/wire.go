@@ -3,7 +3,6 @@ package exec
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -21,48 +20,20 @@ import (
 // classifier sees the same shape as an external SIGKILL/OOM death.
 const injectedDeathCode = 7
 
-// WireVersion is the -exec-json protocol version. Both sides send it and
-// reject a mismatch, so a stale minijvm binary fails loudly instead of
-// silently misreporting results.
-//
-// Version history:
-//
-//	1  single-shot request/response (`minijvm -exec-json`)
-//	2  adds the long-lived serve mode (`minijvm -exec-serve`): a
-//	   ServerHello handshake, NDJSON-framed BatchRequest/BatchResponse
-//	   streams (N executions per round trip), child heap telemetry, and
-//	   the "die"/"corrupt" fault-injection modes
-//	3  adds compilation plans (RequestOptions.Plan): a request may carry
-//	   a fuzzed pass schedule for the child's JIT. Plan-bearing requests
-//	   require v3 on BOTH sides — a v3 child rejects a plan riding a
-//	   request pinned below PlanWireVersion, and a v3 parent refuses to
-//	   send plans to a serve child whose hello negotiates below it —
-//	   so an old binary fails loudly instead of silently compiling
-//	   under its fixed default plan.
-//
-// Serve mode negotiates: the child's hello advertises [MinWireVersion,
-// WireVersion] and the parent proceeds only when its own range overlaps,
-// so a stale binary on either side fails at connect time, not mid-batch.
-const (
-	WireVersion    = 3
-	MinWireVersion = 1
-	// PlanWireVersion is the minimum version able to express
-	// RequestOptions.Plan.
-	PlanWireVersion = 3
-)
+// WireVersion is the serve-mode protocol version. The parent and its
+// minijvm children always ship from one module, so there is exactly one
+// version, checked by equality: on the child's hello, on every batch
+// frame the child reads, and on every batch response the parent reads.
+// A stale binary on either side fails loudly instead of silently
+// misreporting results. Bump it whenever a frame's shape changes.
+const WireVersion = 4
 
 // ServerHello is the first line a `minijvm -exec-serve` child writes on
-// stdout: the version range it speaks plus its pid (so parents can
+// stdout: the wire version it speaks plus its pid (so parents can
 // report which child died without platform-specific process digging).
 type ServerHello struct {
-	Version    int `json:"version"`
-	MinVersion int `json:"min_version"`
-	PID        int `json:"pid"`
-}
-
-// Compatible reports whether the advertised range overlaps this build's.
-func (h *ServerHello) Compatible() bool {
-	return h.MinVersion <= WireVersion && h.Version >= MinWireVersion
+	Version int `json:"version"`
+	PID     int `json:"pid"`
 }
 
 // BatchRequest is one serve-mode round trip: N executions encoded as a
@@ -82,6 +53,48 @@ type BatchResponse struct {
 	Telemetry ChildTelemetry `json:"telemetry"`
 }
 
+// decodeBatchRequest is the child side's frame check: one NDJSON line
+// must be a BatchRequest at WireVersion whose every entry is a request.
+// An error means the frame is unusable and the child exits
+// ExitRequestError.
+func decodeBatchRequest(line []byte) (*BatchRequest, error) {
+	var b BatchRequest
+	if err := json.Unmarshal(line, &b); err != nil {
+		return nil, fmt.Errorf("exec: decode batch: %w", err)
+	}
+	if b.Version != WireVersion {
+		return nil, fmt.Errorf("exec: batch wire version %d, child speaks %d", b.Version, WireVersion)
+	}
+	for i, r := range b.Requests {
+		if r == nil {
+			return nil, fmt.Errorf("exec: batch request %d is null", i)
+		}
+	}
+	return &b, nil
+}
+
+// decodeBatchResponse is the parent side's frame check: one NDJSON line
+// must be a BatchResponse at WireVersion carrying exactly n non-nil
+// responses, one per request sent. Any error is a corrupt frame.
+func decodeBatchResponse(line []byte, n int) (*BatchResponse, error) {
+	var b BatchResponse
+	if err := json.Unmarshal(line, &b); err != nil {
+		return nil, fmt.Errorf("corrupt batch frame: %w", err)
+	}
+	if b.Version != WireVersion {
+		return nil, fmt.Errorf("corrupt batch frame: wire version %d, parent speaks %d", b.Version, WireVersion)
+	}
+	if len(b.Responses) != n {
+		return nil, fmt.Errorf("corrupt batch frame: %d responses to %d requests", len(b.Responses), n)
+	}
+	for i, r := range b.Responses {
+		if r == nil {
+			return nil, fmt.Errorf("corrupt batch frame: response %d is null", i)
+		}
+	}
+	return &b, nil
+}
+
 // ChildTelemetry is the child's self-report after each batch:
 // cumulative executions served and the Go heap high-water proxy
 // (runtime.MemStats.HeapAlloc). Informational only — never part of
@@ -91,13 +104,13 @@ type ChildTelemetry struct {
 	HeapBytes  uint64 `json:"heap_bytes"`
 }
 
-// Child exit codes for `minijvm -exec-json`. JVM-level outcomes (crash,
+// Child exit codes for `minijvm -exec-serve`. JVM-level outcomes (crash,
 // timeout, heap exhaustion) and program-level rejections are in-band —
-// the child still exits ExitOK with a Response describing them. Only
-// harness-level failures reach the exit status:
+// the child answers with a Response describing them. Only harness-level
+// failures reach the exit status:
 //
-//	ExitOK           response written
-//	ExitRequestError request unusable (malformed JSON, bad version)
+//	ExitOK           stdin closed after the last batch was answered
+//	ExitRequestError frame unusable (malformed JSON, wrong version, null entry)
 //	ExitPanic        a Go panic escaped the substrate (the runtime's own
 //	                 status for an uncaught panic; "panic:" + stack on
 //	                 stderr) — classified FaultHarness by the parent
@@ -112,7 +125,6 @@ const (
 
 // Request is one execution order sent to the child on stdin.
 type Request struct {
-	Version int            `json:"version"`
 	Spec    string         `json:"spec"` // jvm.Spec.Name form, e.g. "openjdk-17"
 	Source  string         `json:"source"`
 	Options RequestOptions `json:"options"`
@@ -120,7 +132,7 @@ type Request struct {
 	// decoding the request, "hang" makes it block forever, "die" makes
 	// it exit abruptly (the SIGKILL-shaped death, no panic marker), and
 	// "corrupt" makes a serve-mode child emit a garbage frame instead of
-	// the batch response — the subprocess analogues of the in-process
+	// the batch response — the child-process analogues of the in-process
 	// CompileHook fault injector, used to pin fault classification.
 	// Production parents never set it.
 	Inject string `json:"inject,omitempty"`
@@ -146,14 +158,12 @@ type RequestOptions struct {
 	BugsOverride bool     `json:"bugs_override,omitempty"`
 	BugIDs       []string `json:"bug_ids,omitempty"`
 	// Plan mirrors jvm.Options.Plan (a fuzzed compilation plan; nil =
-	// the fixed default pipeline). Wire v3+: both sides reject a plan
-	// riding an older version (see PlanWireVersion).
+	// the fixed default pipeline).
 	Plan *jit.Plan `json:"plan,omitempty"`
 }
 
 // Response is the child's answer on stdout.
 type Response struct {
-	Version int `json:"version"`
 	// Error reports a program-level rejection (parse/type/verify), the
 	// in-band equivalent of jvm.Run returning an error. Exclusive with
 	// Result.
@@ -202,12 +212,11 @@ type WireRun struct {
 // the options carry state that cannot cross the process boundary.
 func NewRequest(p *lang.Program, spec jvm.Spec, opt jvm.Options) (*Request, error) {
 	if opt.CompileHook != nil {
-		return nil, fmt.Errorf("exec: CompileHook cannot be serialized to a subprocess backend; use InProcess")
+		return nil, fmt.Errorf("exec: CompileHook cannot be serialized to a child-process backend; use InProcess")
 	}
 	req := &Request{
-		Version: WireVersion,
-		Spec:    spec.Name(),
-		Source:  lang.Format(p),
+		Spec:   spec.Name(),
+		Source: lang.Format(p),
 		Options: RequestOptions{
 			Flags:           opt.Flags.Names(),
 			ForceCompile:    opt.ForceCompile,
@@ -229,36 +238,21 @@ func NewRequest(p *lang.Program, spec jvm.Spec, opt jvm.Options) (*Request, erro
 	return req, nil
 }
 
-// Run executes the request against the in-process substrate — the child
+// run executes the request against the in-process substrate — the child
 // side of the protocol. Program-level errors become Response.Error;
-// injected faults escape deliberately (that is their point).
-func (r *Request) Run() *Response { return r.run(nil) }
-
-// run is Run with an optional child-local compile cache. Serve-mode
-// children thread one cache across every request they handle — legal
-// because the cache is transparent (a hit is byte-equivalent to
+// injected faults escape deliberately (that is their point). Serve-mode
+// children thread one compile cache across every request they handle —
+// legal because the cache is transparent (a hit is byte-equivalent to
 // recompiling, pinned by TestCompileCacheTransparent) and the single
 // biggest amortization the warm pool buys.
 func (r *Request) run(cache *jit.Cache) *Response {
 	start := time.Now()
-	resp := &Response{Version: WireVersion}
+	resp := &Response{}
 	fail := func(err error) *Response {
 		resp.Error = err.Error()
 		resp.Timings.TotalMicros = time.Since(start).Microseconds()
 		return resp
 	}
-	if r.Version < MinWireVersion || r.Version > WireVersion {
-		return fail(fmt.Errorf("exec: wire version %d, child speaks %d..%d", r.Version, MinWireVersion, WireVersion))
-	}
-	if r.Options.Plan != nil && r.Version < PlanWireVersion {
-		// A plan riding a pre-plan request version means the parent and
-		// child disagree about the protocol; running it under the fixed
-		// default plan would silently misattribute every result.
-		return fail(fmt.Errorf("exec: request carries a compilation plan but pins wire version %d (plans need %d+)", r.Version, PlanWireVersion))
-	}
-	// Answer in the requester's dialect: a v1 parent driving a newer
-	// child must see the version it pins.
-	resp.Version = r.Version
 	switch r.Inject {
 	case "", "corrupt": // "corrupt" is the serve loop's job (frame-level)
 	case "panic":
@@ -312,19 +306,6 @@ func (r *Request) run(cache *jit.Cache) *Response {
 	resp.Result.CoverageHits = opt.Coverage.Names()
 	resp.Timings.TotalMicros = time.Since(start).Microseconds()
 	return resp
-}
-
-// Serve handles one -exec-json round on the given streams: decode a
-// Request, run it, encode the Response. A returned error means the
-// request itself was unusable (the child exits ExitRequestError);
-// execution problems are in-band in the Response.
-func Serve(in io.Reader, out io.Writer) error {
-	var req Request
-	if err := json.NewDecoder(in).Decode(&req); err != nil {
-		return fmt.Errorf("exec: decode request: %w", err)
-	}
-	enc := json.NewEncoder(out)
-	return enc.Encode(req.Run())
 }
 
 // encodeRun serializes an in-process execution outcome.

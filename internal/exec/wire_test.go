@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +44,30 @@ func wireProg(t *testing.T) *lang.Program {
 	return p
 }
 
+// serveOne sends req through a real serve-mode exchange: the batch frame
+// is JSON-encoded, ServeStream answers it, and the parent-side frame
+// decoder checks the response.
+func serveOne(t *testing.T, req *Request) *Response {
+	t.Helper()
+	frame, err := json.Marshal(&BatchRequest{Version: WireVersion, Requests: []*Request{req}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := ServeStream(bytes.NewReader(append(frame, '\n')), &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(out.Bytes(), []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("serve output has no response frame: %q", out.Bytes())
+	}
+	resp, err := decodeBatchResponse(lines[1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Responses[0]
+}
+
 // TestWireRoundTrip pins the tentpole's core invariant: an execution
 // that crosses the wire (request encode -> child Run -> response encode
 // -> parent decode) reconstructs the exact ExecResult jvm.Run produces
@@ -67,18 +92,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Force a real JSON round trip, exactly what the subprocess does.
-		var in, out bytes.Buffer
-		if err := json.NewEncoder(&in).Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := Serve(&in, &out); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.NewDecoder(&out).Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := serveOne(t, req)
 		if resp.Error != "" {
 			t.Fatalf("in-band error: %s", resp.Error)
 		}
@@ -89,6 +103,52 @@ func TestWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("opt %+v: wire round trip diverged\n got: %+v\nwant: %+v", opt, got, want)
 		}
+	}
+}
+
+// TestRequestPlanRoundTrip: a compilation plan riding a request must
+// survive the JSON wire exactly — the decoded child-side execution is
+// byte-identical to running the plan in-process.
+func TestRequestPlanRoundTrip(t *testing.T) {
+	spec := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
+	plan := jit.GeneratePlan(3, jit.PlanFull)
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	opt := jvm.Options{ForceCompile: true, Plan: plan}
+
+	p := wireProg(t)
+	want, err := jvm.Run(lang.CloneProgram(p), spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := NewRequest(p, spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Request
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Options.Plan == nil || decoded.Options.Plan.Fingerprint() != plan.Fingerprint() {
+		t.Fatalf("plan did not survive the wire: %+v", decoded.Options.Plan)
+	}
+
+	resp := serveOne(t, &decoded)
+	if resp.Error != "" {
+		t.Fatalf("in-band error: %s", resp.Error)
+	}
+	got, err := decodeRun(resp.Result, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan-bearing wire round trip diverged\n got: %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -103,7 +163,7 @@ func TestWireCoverageHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := req.Run()
+	resp := serveOne(t, req)
 	if resp.Error != "" {
 		t.Fatalf("in-band error: %s", resp.Error)
 	}
@@ -117,8 +177,7 @@ func TestWireCoverageHits(t *testing.T) {
 
 func TestWireProgramErrorInBand(t *testing.T) {
 	spec := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
-	req := &Request{Version: WireVersion, Spec: spec.Name(), Source: "class Broken {"}
-	resp := req.Run()
+	resp := serveOne(t, &Request{Spec: spec.Name(), Source: "class Broken {"})
 	if resp.Error == "" || resp.Result != nil {
 		t.Fatalf("want in-band parse error, got %+v", resp)
 	}
@@ -130,17 +189,44 @@ func TestWireProgramErrorInBand(t *testing.T) {
 	}
 }
 
+// TestWireVersionMismatch: the parent accepts a response frame only at
+// exactly WireVersion (the child's side is
+// TestServeStreamHelloAndNegotiation/out-of-range).
 func TestWireVersionMismatch(t *testing.T) {
-	resp := (&Request{Version: WireVersion + 7}).Run()
-	if resp.Error == "" || !strings.Contains(resp.Error, "wire version") {
-		t.Errorf("want version-mismatch error, got %+v", resp)
+	for _, v := range []int{WireVersion - 1, WireVersion + 7} {
+		frame := fmt.Sprintf(`{"version":%d,"responses":[{"timings":{"total_micros":1}}]}`, v)
+		if _, err := decodeBatchResponse([]byte(frame), 1); err == nil || !strings.Contains(err.Error(), "wire version") {
+			t.Errorf("parent accepted a v%d response: %v", v, err)
+		}
 	}
 }
 
 func TestWireUnknownInjection(t *testing.T) {
-	resp := (&Request{Version: WireVersion, Inject: "zap"}).Run()
+	resp := (&Request{Inject: "zap"}).run(nil)
 	if resp.Error == "" || !strings.Contains(resp.Error, "unknown fault injection") {
 		t.Errorf("want injection error, got %+v", resp)
+	}
+}
+
+// TestCheckBackend: two backends, "" inherits a default, and the
+// retired spawn-per-exec name is rejected with its replacement.
+func TestCheckBackend(t *testing.T) {
+	if got := Backends(); !reflect.DeepEqual(got, []string{"inprocess", "pool"}) {
+		t.Errorf("Backends() = %v, want [inprocess pool]", got)
+	}
+	for _, ok := range []string{"", "inprocess", "pool"} {
+		if err := CheckBackend(ok); err != nil {
+			t.Errorf("CheckBackend(%q) = %v", ok, err)
+		}
+	}
+	if err := CheckBackend("subprocess"); err == nil || !strings.Contains(err.Error(), "-backend pool -pool-recycle-after 1") {
+		t.Errorf("retired backend: want an error naming the replacement, got %v", err)
+	}
+	if err := CheckBackend("quantum"); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Errorf("unknown backend: got %v", err)
+	}
+	if _, err := FromFlags("subprocess", "", 0, PoolTuning{}); err == nil {
+		t.Error("FromFlags accepted the retired backend")
 	}
 }
 

@@ -499,7 +499,7 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestPowerScheduleHandoffByteIdentical extends the chaos acceptance
-// criterion to the power schedule: the v3 checkpoint hands the bandit's
+// criterion to the power schedule: the checkpoint hands the bandit's
 // arm statistics and the current round plan to the successor worker, so
 // a mid-campaign kill must still reproduce the uninterrupted local
 // power run byte-for-byte.
@@ -537,7 +537,7 @@ func TestPowerScheduleHandoffByteIdentical(t *testing.T) {
 }
 
 // TestGeneratorHandoffByteIdentical extends the handoff criterion to
-// the generator subsystem: the v4 checkpoint carries emission counts,
+// the generator subsystem: the checkpoint carries emission counts,
 // slot provenance, and the pinned template extras, so a mid-campaign
 // kill with generators enabled must still reproduce the uninterrupted
 // local run byte-for-byte — even though the successor worker's triage

@@ -80,8 +80,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" || cfg.Coordinator == "" || cfg.Addr == "" || cfg.Dir == "" {
 		return nil, errors.New("fleet: worker needs ID, Coordinator, Addr, and Dir")
 	}
-	if !exec.ValidBackend(cfg.Backend) {
-		return nil, fmt.Errorf("fleet: unknown backend %q", cfg.Backend)
+	if err := exec.CheckBackend(cfg.Backend); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.RPCAttempts <= 0 {
 		cfg.RPCAttempts = 3

@@ -6,25 +6,13 @@ import (
 	"os"
 )
 
-// checkpointVersion guards the snapshot schema; a mismatched version is
-// rejected rather than silently misread. v2 added finding provenance
-// (cursor, round, mutation-chain length), the final-mutant OBV, and the
-// divergence site to the campaign's finding snapshots.
-const checkpointVersion = 2
-
-// CheckpointVersionScheduled (v3) marks snapshots whose campaign state
-// carries power-schedule arm statistics. The envelope is otherwise
-// identical to v2; campaigns stamp v3 only when a schedule block is
-// present, so schedule-free checkpoints stay byte-identical to
-// pre-schedule builds, and decoding accepts both.
-const CheckpointVersionScheduled = 3
-
-// CheckpointVersionGenerate (v4) marks snapshots whose campaign state
-// carries generator-subsystem state (emission counts, pool-slot
-// overlay, pinned template extras). Same envelope; campaigns stamp v4
-// only when a generate block is present, so generator-free checkpoints
-// stay byte-identical to older builds.
-const CheckpointVersionGenerate = 4
+// CheckpointVersion guards the snapshot schema. There is one live
+// version: Save always stamps it and decoding accepts nothing else, so a
+// snapshot is never silently misread. Campaign state since v4 carries
+// finding provenance, power-schedule arm statistics and
+// generator-subsystem state; blocks for features a campaign leaves off
+// are simply absent.
+const CheckpointVersion = 4
 
 // Checkpoint is a campaign snapshot. The harness owns the envelope
 // (task cursor, execution count, quarantine index); the campaign owns
@@ -44,9 +32,7 @@ type Checkpoint struct {
 // Save writes the checkpoint atomically (temp file + rename), so an
 // interruption mid-flush leaves the previous snapshot intact.
 func (c *Checkpoint) Save(path string) error {
-	if c.Version != CheckpointVersionScheduled && c.Version != CheckpointVersionGenerate {
-		c.Version = checkpointVersion
-	}
+	c.Version = CheckpointVersion
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint encode: %w", err)
@@ -74,9 +60,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("harness: checkpoint decode: %w", err)
 	}
-	if c.Version != checkpointVersion && c.Version != CheckpointVersionScheduled && c.Version != CheckpointVersionGenerate {
-		return nil, fmt.Errorf("harness: checkpoint version %d, want %d, %d, or %d",
-			c.Version, checkpointVersion, CheckpointVersionScheduled, CheckpointVersionGenerate)
+	if c.Version > 0 && c.Version < CheckpointVersion {
+		return nil, fmt.Errorf("harness: checkpoint version %d is a snapshot from an older build; start a fresh campaign", c.Version)
+	}
+	if c.Version != CheckpointVersion {
+		return nil, fmt.Errorf("harness: checkpoint version %d, want %d", c.Version, CheckpointVersion)
 	}
 	if c.TaskCursor < 0 || c.Executions < 0 {
 		return nil, fmt.Errorf("harness: checkpoint has negative cursor/executions")

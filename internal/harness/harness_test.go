@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,12 +214,38 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	// A wrong version is rejected, not misread.
 	raw, _ := os.ReadFile(path)
-	bad := strings.Replace(string(raw), `"version": 2`, `"version": 999`, 1)
+	if !strings.Contains(string(raw), fmt.Sprintf(`"version": %d`, CheckpointVersion)) {
+		t.Fatalf("saved snapshot does not carry version %d:\n%s", CheckpointVersion, raw)
+	}
+	bad := strings.Replace(string(raw), fmt.Sprintf(`"version": %d`, CheckpointVersion), `"version": 999`, 1)
 	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("version mismatch accepted")
+	}
+}
+
+// TestCheckpointRejectsOlderVersions: snapshots from builds that
+// stamped v2 or v3 are refused with an error that says what to do,
+// and Save stamps the one live version whatever the caller set.
+func TestCheckpointRejectsOlderVersions(t *testing.T) {
+	for _, v := range []int{2, 3} {
+		_, err := DecodeCheckpoint([]byte(fmt.Sprintf(`{"version":%d,"task_cursor":1,"executions":2}`, v)))
+		if err == nil || !strings.Contains(err.Error(), "older build; start a fresh campaign") {
+			t.Errorf("v%d snapshot: want an older-build error, got %v", v, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := (&Checkpoint{Version: 2, TaskCursor: 3}).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Version != CheckpointVersion {
+		t.Errorf("saved version = %d, want %d", ck.Version, CheckpointVersion)
 	}
 }
 

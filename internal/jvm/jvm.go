@@ -132,7 +132,7 @@ type Options struct {
 	// compilation in this execution (nil = the fixed default pipeline).
 	// The plan is validated once here, so an ill-formed plan is a
 	// program-level rejection, not a compile bailout. Serializable: it
-	// crosses the exec wire protocol (v3+) to subprocess backends.
+	// crosses the exec wire protocol to pool children.
 	Plan *jit.Plan
 }
 
@@ -268,9 +268,21 @@ type Differential struct {
 	Groups  map[string][]Spec // output string -> specs producing it
 }
 
+// Add records one run of the differential: its result, and spec under
+// the group of runs that printed the same output. Every backend builds
+// its differentials through Add, so grouping is one rule everywhere.
+func (d *Differential) Add(spec Spec, r *ExecResult) {
+	if d.Groups == nil {
+		d.Groups = map[string][]Spec{}
+	}
+	d.Results = append(d.Results, r)
+	key := r.Result.OutputString()
+	d.Groups[key] = append(d.Groups[key], spec)
+}
+
 // RunDifferential executes p on all the given specs.
 func RunDifferential(p *lang.Program, specs []Spec, opt Options) (*Differential, error) {
-	d := &Differential{Groups: map[string][]Spec{}}
+	d := &Differential{}
 	for _, spec := range specs {
 		// Each run needs a fresh program instance: Check mutates the AST
 		// (type annotations) but execution does not; cloning keeps runs
@@ -279,9 +291,7 @@ func RunDifferential(p *lang.Program, specs []Spec, opt Options) (*Differential,
 		if err != nil {
 			return nil, err
 		}
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], spec)
+		d.Add(spec, r)
 	}
 	return d, nil
 }
@@ -294,7 +304,7 @@ func RunDifferential(p *lang.Program, specs []Spec, opt Options) (*Differential,
 // disagreement is an ordering- or phase-sensitivity miscompilation on
 // that single build, a bug class the fixed schedule cannot exhibit.
 func RunPlanDifferential(p *lang.Program, spec Spec, plans []*jit.Plan, opt Options) (*Differential, error) {
-	d := &Differential{Groups: map[string][]Spec{}}
+	d := &Differential{}
 	for _, plan := range plans {
 		o := opt
 		o.Plan = plan
@@ -303,9 +313,7 @@ func RunPlanDifferential(p *lang.Program, spec Spec, plans []*jit.Plan, opt Opti
 			return nil, err
 		}
 		r.PlanID = jit.PlanID(plan)
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], spec)
+		d.Add(spec, r)
 	}
 	return d, nil
 }

@@ -223,16 +223,14 @@ func TestFirstDivergence(t *testing.T) {
 	mk := func(spec Spec, out string) *ExecResult {
 		return &ExecResult{Spec: spec, Result: &vm.Result{Output: []string{out}}}
 	}
-	d := &Differential{Groups: map[string][]Spec{}}
+	d := &Differential{}
 	for _, r := range []*ExecResult{
 		mk(Spec{buginject.HotSpot, 8}, "42"),
 		mk(Spec{buginject.HotSpot, 17}, "42"),
 		mk(Spec{buginject.HotSpot, 21}, "41"),
 		mk(Spec{buginject.HotSpot, 23}, "42"),
 	} {
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], r.Spec)
+		d.Add(r.Spec, r)
 	}
 	div := d.FirstDivergence()
 	if div == nil {

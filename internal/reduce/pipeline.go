@@ -15,9 +15,9 @@ import (
 // path and the triage worker share this one implementation, so the
 // "still triggers" semantics cannot drift between them.
 type Pipeline struct {
-	// Executor runs reduction probes; nil uses the in-process default. A
-	// subprocess executor isolates the probes exactly like the fuzzing
-	// loop's executions.
+	// Executor runs reduction probes; nil uses the in-process default. The
+	// pool executor isolates the probes exactly like the fuzzing loop's
+	// executions.
 	Executor exec.Executor
 	// MaxSteps bounds each probe execution (0 = 2,000,000, the CLI's
 	// historical probe budget).

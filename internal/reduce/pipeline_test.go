@@ -16,8 +16,8 @@ import (
 	"repro/internal/lang"
 )
 
-// minijvmPath is the -exec-json binary built by TestMain (or supplied
-// via $MINIJVM); empty means subprocess reduction tests skip.
+// minijvmPath is the minijvm binary built by TestMain (or supplied via
+// $MINIJVM); empty means the pool-backend reduction test skips.
 var minijvmPath string
 
 // TestMain builds cmd/minijvm once, mirroring the exec package's test
@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 				bin := filepath.Join(dir, "minijvm")
 				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "reduce_test: building minijvm failed, subprocess tests will skip: %v\n%s", err, out)
+					fmt.Fprintf(os.Stderr, "reduce_test: building minijvm failed, pool-backend tests will skip: %v\n%s", err, out)
 				} else {
 					minijvmPath = bin
 				}
@@ -112,9 +112,9 @@ func TestPipelineCancelledContext(t *testing.T) {
 	}
 }
 
-// TestPipelineSubprocessExecutor: reduction probes run through the
-// out-of-process backend and converge to the same minimized program as
-// the in-process default.
+// TestPipelineSubprocessExecutor: reduction probes run in minijvm child
+// processes (the pool backend) and converge to the same minimized
+// program as the in-process default.
 func TestPipelineSubprocessExecutor(t *testing.T) {
 	if minijvmPath == "" {
 		t.Skip("minijvm binary unavailable (-short or build failure)")
@@ -127,17 +127,17 @@ func TestPipelineSubprocessExecutor(t *testing.T) {
 	opts := Options{MaxRounds: 1} // bound the child-process count
 	inproc := (&Pipeline{Options: opts}).ReduceFinding(context.Background(), p, bug, jvm.Reference())
 
-	sub := exec.NewSubprocess(minijvmPath)
-	sub.Timeout = 30 * time.Second
-	viaSub := (&Pipeline{Executor: sub, Options: opts}).ReduceFinding(context.Background(), p, bug, jvm.Reference())
+	pool := exec.NewPool(exec.PoolConfig{Path: minijvmPath, Timeout: 30 * time.Second, Children: 1})
+	defer pool.Close()
+	viaPool := (&Pipeline{Executor: pool, Options: opts}).ReduceFinding(context.Background(), p, bug, jvm.Reference())
 
-	if viaSub.StmtsAfter >= viaSub.StmtsBefore {
-		t.Errorf("subprocess reduction made no progress: %d -> %d", viaSub.StmtsBefore, viaSub.StmtsAfter)
+	if viaPool.StmtsAfter >= viaPool.StmtsBefore {
+		t.Errorf("pool reduction made no progress: %d -> %d", viaPool.StmtsBefore, viaPool.StmtsAfter)
 	}
-	if got, want := lang.Format(viaSub.Program), lang.Format(inproc.Program); got != want {
-		t.Errorf("backends reduced to different programs:\n-- subprocess --\n%s\n-- inprocess --\n%s", got, want)
+	if got, want := lang.Format(viaPool.Program), lang.Format(inproc.Program); got != want {
+		t.Errorf("backends reduced to different programs:\n-- pool --\n%s\n-- inprocess --\n%s", got, want)
 	}
-	if !crashes(viaSub.Program) {
-		t.Fatal("subprocess-reduced case no longer triggers the bug")
+	if !crashes(viaPool.Program) {
+		t.Fatal("pool-reduced case no longer triggers the bug")
 	}
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -46,8 +45,8 @@ func (r *DistillRequest) Validate() error {
 	if r.MaxKeep < 0 {
 		return fmt.Errorf("max_keep must be non-negative")
 	}
-	if !exec.ValidBackend(r.Backend) {
-		return fmt.Errorf("unknown backend %q (want %s)", r.Backend, strings.Join(exec.Backends(), " or "))
+	if err := exec.CheckBackend(r.Backend); err != nil {
+		return err
 	}
 	for i := range r.Seeds {
 		if r.Seeds[i].Name == "" {

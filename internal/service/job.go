@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -71,8 +70,9 @@ type JobSpec struct {
 	// Workers shards seed tasks inside the campaign (default 1;
 	// results are byte-identical either way).
 	Workers int `json:"workers,omitempty"`
-	// Backend pins the execution backend ("inprocess" or "subprocess");
-	// empty inherits the daemon's default.
+	// Backend pins the execution backend ("inprocess" or "pool"); empty
+	// inherits the daemon's default. Pool jobs share the daemon's pool,
+	// shaped by its pool flags.
 	Backend string `json:"backend,omitempty"`
 	// Extended enables the alternative evoking-mutator implementations.
 	Extended bool `json:"extended,omitempty"`
@@ -141,8 +141,8 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("target %q: %v", t, err)
 		}
 	}
-	if !exec.ValidBackend(s.Backend) {
-		return fmt.Errorf("unknown backend %q (want %s)", s.Backend, strings.Join(exec.Backends(), " or "))
+	if err := exec.CheckBackend(s.Backend); err != nil {
+		return err
 	}
 	if _, err := jit.ParsePlanMode(s.PlanFuzz); err != nil {
 		return fmt.Errorf("plan_fuzz: %v", err)

@@ -16,12 +16,12 @@ import (
 	"repro/internal/harness"
 )
 
-// minijvmPath is the binary built by TestMain for subprocess-backend
-// tests (or supplied via $MINIJVM). Empty means those tests skip.
+// minijvmPath is the binary built by TestMain for pool-backend tests
+// (or supplied via $MINIJVM). Empty means those tests skip.
 var minijvmPath string
 
 // TestMain builds cmd/minijvm once. -short skips the build (and with it
-// every subprocess test), keeping unit-test runs fast.
+// every pool-backend test), keeping unit-test runs fast.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if !testing.Short() {
@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 				bin := filepath.Join(dir, "minijvm")
 				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "service_test: building minijvm failed, subprocess tests will skip: %v\n%s", err, out)
+					fmt.Fprintf(os.Stderr, "service_test: building minijvm failed, pool-backend tests will skip: %v\n%s", err, out)
 				} else {
 					minijvmPath = bin
 				}
@@ -231,9 +231,12 @@ func TestDaemonRestartResumesInProcess(t *testing.T) {
 	testDaemonRestartResume(t, "", func(stop context.CancelFunc) { stop() })
 }
 
+// TestDaemonRestartResumesSubprocess runs the restart-resume criterion
+// with the campaign's executions in minijvm child processes (the
+// daemon's shared pool).
 func TestDaemonRestartResumesSubprocess(t *testing.T) {
 	if minijvmPath == "" {
 		t.Skip("minijvm binary unavailable (-short or build failure)")
 	}
-	testDaemonRestartResume(t, "subprocess", func(stop context.CancelFunc) { stop() })
+	testDaemonRestartResume(t, "pool", func(stop context.CancelFunc) { stop() })
 }

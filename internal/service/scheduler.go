@@ -37,8 +37,8 @@ type Config struct {
 	// Runners bounds concurrently running campaigns (default 1).
 	Runners int
 	// Backend is the default execution backend for jobs that do not pin
-	// one ("" = inprocess); MinijvmPath/ChildTimeout configure the
-	// subprocess and pool backends exactly like the mopfuzzer flags.
+	// one ("" = inprocess); MinijvmPath/ChildTimeout configure the pool
+	// backend exactly like the mopfuzzer flags.
 	Backend      string
 	MinijvmPath  string
 	ChildTimeout time.Duration
@@ -669,19 +669,23 @@ func (s *Scheduler) MergeTriage(id string, log []byte) (added int, err error) {
 	return dst.Merge(src)
 }
 
-// executorFor builds the execution backend a job runs on. Jobs on the
-// "pool" backend share one daemon-wide warm pool, so children (and
-// their compile caches) stay hot across jobs instead of respawning per
-// campaign.
+// executorFor picks the execution backend a job runs on: nil (in
+// process), or the one daemon-wide pool, so children (and their compile
+// caches) stay hot across jobs instead of respawning per campaign. A
+// record naming a retired backend fails here rather than silently
+// running in process.
 func (s *Scheduler) executorFor(spec JobSpec) (exec.Executor, error) {
 	backend := spec.Backend
 	if backend == "" {
 		backend = s.cfg.Backend
 	}
+	if err := exec.CheckBackend(backend); err != nil {
+		return nil, err
+	}
 	if backend == "pool" {
 		return s.sharedPool()
 	}
-	return exec.FromFlags(backend, s.cfg.MinijvmPath, s.cfg.ChildTimeout)
+	return nil, nil
 }
 
 // sharedPool lazily builds the daemon-wide pool.

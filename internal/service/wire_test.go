@@ -25,7 +25,7 @@ func fullRecord() *jobRecord {
 			Iterations: 30,
 			Seed:       9,
 			Workers:    2,
-			Backend:    "subprocess",
+			Backend:    "pool",
 			Extended:   true,
 			HeapLimit:  50_000,
 		},
@@ -191,6 +191,7 @@ func TestJobSpecValidateRejections(t *testing.T) {
 		{"negative workers", JobSpec{Workers: -1}, "workers"},
 		{"unknown target", JobSpec{Targets: []string{"no-such-jvm"}}, "target"},
 		{"unknown backend", JobSpec{Backend: "quantum"}, "backend"},
+		{"retired backend", JobSpec{Backend: "subprocess"}, "-pool-recycle-after 1"},
 		{"empty seed", JobSpec{Seeds: []SeedSpec{{Name: "S"}}}, "empty source"},
 		{"malformed seed", JobSpec{Seeds: []SeedSpec{{Name: "S", Source: "class {"}}}, "seed"},
 		{"unknown generator", JobSpec{Generators: []string{"quantum"}}, "generators"},

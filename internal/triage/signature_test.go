@@ -190,8 +190,8 @@ func TestSignatureOneKeyAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestSignatureStableAcrossBackends: the in-process and subprocess
-// execution backends yield identical signature sets for the same
+// TestSignatureStableAcrossBackends: the in-process and pool execution
+// backends yield identical signature sets for the same
 // campaign — signatures must not depend on where execution happened.
 func TestSignatureStableAcrossBackends(t *testing.T) {
 	if minijvmPath == "" {
@@ -202,15 +202,15 @@ func TestSignatureStableAcrossBackends(t *testing.T) {
 		{Name: "crasherB", Source: crasherB},
 	}
 	inproc := campaignKeys(t, nil, seeds)
-	sub := exec.NewSubprocess(minijvmPath)
-	sub.Timeout = 30 * time.Second
-	viaSub := campaignKeys(t, sub, seeds)
-	if len(inproc) != len(viaSub) {
-		t.Fatalf("backend signature sets differ: inprocess %v, subprocess %v", inproc, viaSub)
+	pool := exec.NewPool(exec.PoolConfig{Path: minijvmPath, Timeout: 30 * time.Second})
+	defer pool.Close()
+	viaPool := campaignKeys(t, pool, seeds)
+	if len(inproc) != len(viaPool) {
+		t.Fatalf("backend signature sets differ: inprocess %v, pool %v", inproc, viaPool)
 	}
 	for k := range inproc {
-		if !viaSub[k] {
-			t.Errorf("key %q found in-process but not via subprocess", k)
+		if !viaPool[k] {
+			t.Errorf("key %q found in-process but not via the pool", k)
 		}
 	}
 }

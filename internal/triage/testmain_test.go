@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// minijvmPath is the -exec-json binary built by TestMain (or supplied
-// via $MINIJVM); empty means subprocess-backend tests skip.
+// minijvmPath is the minijvm binary built by TestMain (or supplied via
+// $MINIJVM); empty means pool-backend tests skip.
 var minijvmPath string
 
 // TestMain builds cmd/minijvm once, mirroring the exec package's test
@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 				bin := filepath.Join(dir, "minijvm")
 				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "triage_test: building minijvm failed, subprocess tests will skip: %v\n%s", err, out)
+					fmt.Fprintf(os.Stderr, "triage_test: building minijvm failed, pool-backend tests will skip: %v\n%s", err, out)
 				} else {
 					minijvmPath = bin
 				}
