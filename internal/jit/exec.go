@@ -261,10 +261,11 @@ func (c *Compiled) execStmt(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		if recv.Kind != vm.KObj || recv.Obj == nil {
+		o := recv.Obj()
+		if recv.Kind != vm.KObj || o == nil {
 			return ctrlNext, vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		recv.Obj.SetField(n.Name, v)
+		o.SetField(n.Name, v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignIndex:
 		arr, err := c.eval(sc, n.Kids[0])
@@ -279,13 +280,14 @@ func (c *Compiled) execStmt(sc *bindings, n *Node) (ctrl, vm.Value, error) {
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		if arr.Kind != vm.KArr || arr.Arr == nil {
+		a := arr.Arr()
+		if a == nil {
 			return ctrlNext, vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
+		if idx.I < 0 || idx.I >= int64(len(a.Elems)) {
 			return ctrlNext, vm.Value{}, &vm.Thrown{Code: bytecode.ExcArrayBounds}
 		}
-		arr.Arr.Elems[idx.I] = int64(int32(v.I))
+		a.Elems[idx.I] = int64(int32(v.I))
 		return ctrlNext, vm.Value{}, nil
 	case NIf:
 		cond, err := c.eval(sc, n.Kids[0])
@@ -451,10 +453,11 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if err != nil {
 			return vm.Value{}, err
 		}
-		if recv.Kind != vm.KObj || recv.Obj == nil {
+		o := recv.Obj()
+		if recv.Kind != vm.KObj || o == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Field(n.Name), nil
+		return o.Field(n.Name), nil
 	case NBinary:
 		return c.evalBinary(sc, n)
 	case NUnary:
@@ -511,10 +514,11 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if err != nil {
 			return vm.Value{}, err
 		}
-		if recv.Kind != vm.KObj || recv.Obj == nil {
+		o := recv.Obj()
+		if recv.Kind != vm.KObj || o == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Field(n.Name), nil
+		return o.Field(n.Name), nil
 	case NNew:
 		return c.Env.NewObject(n.Class), nil
 	case NNewArray:
@@ -532,13 +536,14 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if err != nil {
 			return vm.Value{}, err
 		}
-		if arr.Kind != vm.KArr || arr.Arr == nil {
+		a := arr.Arr()
+		if a == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
+		if idx.I < 0 || idx.I >= int64(len(a.Elems)) {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcArrayBounds}
 		}
-		return vm.IntVal(arr.Arr.Elems[idx.I]), nil
+		return vm.IntVal(a.Elems[idx.I]), nil
 	case NBox:
 		x, err := c.eval(sc, n.Kids[0])
 		if err != nil {
@@ -550,10 +555,11 @@ func (c *Compiled) eval(sc *bindings, n *Node) (vm.Value, error) {
 		if err != nil {
 			return vm.Value{}, err
 		}
-		if x.Kind != vm.KBox || x.Obj == nil {
+		b := x.Obj()
+		if x.Kind != vm.KBox || b == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return vm.IntVal(x.Obj.BoxVal), nil
+		return vm.IntVal(b.BoxVal), nil
 	case NWiden:
 		x, err := c.eval(sc, n.Kids[0])
 		if err != nil {

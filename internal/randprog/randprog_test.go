@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/buginject"
 	"repro/internal/bytecode"
+	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/lang"
 )
@@ -108,6 +109,66 @@ func TestOpenJ9PipelineStress(t *testing.T) {
 			t.Fatalf("program %d (J9): engines disagree\n%s\nvs\n%s\n%s",
 				i, ref.Result.OutputString(), opt.Result.OutputString(), src)
 		}
+	}
+}
+
+// TestZeroBugSoundness checks that with no bug armed every tier and
+// every fuzzed plan agrees with the interpreter: generated programs run
+// on HotSpot and OpenJ9 mainline, under the default plan and three
+// PlanFull plans, with forced compilation and with threshold tiering.
+// Any disagreement is a substrate bug that would show up as a false
+// positive in every recall table. Timeouts are skipped.
+func TestZeroBugSoundness(t *testing.T) {
+	programs, plansPer := 40, 3
+	if testing.Short() {
+		programs = 8
+	}
+	rng := rand.New(rand.NewSource(31))
+	compared, skipped := 0, 0
+	for i := 0; i < programs; i++ {
+		src := Generate(rng)
+		p := lang.MustParse(src)
+		if err := lang.Check(p); err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		plans := []*jit.Plan{nil}
+		for k := 0; k < plansPer; k++ {
+			plans = append(plans, jit.GeneratePlan(int64(i*plansPer+k+1), jit.PlanFull))
+		}
+		for _, spec := range []jvm.Spec{{Impl: buginject.HotSpot, Version: 23}, {Impl: buginject.OpenJ9, Version: 23}} {
+			ref, err := jvm.Run(lang.CloneProgram(p), spec, jvm.Options{PureInterpreter: true, MaxSteps: 8_000_000})
+			if err != nil {
+				t.Fatalf("program %d %s interp: %v", i, spec.Name(), err)
+			}
+			if ref.Result.TimedOut {
+				skipped += 2 * len(plans)
+				continue
+			}
+			want := ref.Result.OutputString()
+			for _, plan := range plans {
+				for _, force := range []bool{true, false} {
+					got, err := jvm.Run(lang.CloneProgram(p), spec, jvm.Options{
+						ForceCompile: force, Bugs: []*buginject.Bug{}, Plan: plan, MaxSteps: 8_000_000,
+					})
+					if err != nil {
+						t.Fatalf("program %d %s plan %s force=%v: %v", i, spec.Name(), jit.PlanID(plan), force, err)
+					}
+					if got.Result.TimedOut {
+						skipped++
+						continue
+					}
+					compared++
+					if out := got.Result.OutputString(); out != want {
+						t.Fatalf("program %d %s plan %s force=%v disagrees with the interpreter\n-- interp --\n%s\n-- jit --\n%s\n-- source --\n%s",
+							i, spec.Name(), jit.PlanID(plan), force, want, out, src)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs agreed with the interpreter, %d timed out", compared, skipped)
+	if compared < skipped {
+		t.Errorf("only %d of %d runs finished: the matrix checks too little", compared, compared+skipped)
 	}
 }
 

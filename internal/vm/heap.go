@@ -185,10 +185,10 @@ func (h *Heap) Collect(roots []Value) (live, freed int) {
 func markValue(v Value) {
 	switch v.Kind {
 	case KObj, KBox:
-		markObject(v.Obj)
+		markObject(v.Obj())
 	case KArr:
-		if v.Arr != nil {
-			v.Arr.marked = true
+		if a := v.Arr(); a != nil {
+			a.marked = true
 		}
 	}
 }

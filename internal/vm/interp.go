@@ -223,7 +223,8 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 		case bytecode.PutField:
 			val := pop()
 			recv := pop()
-			if recv.Kind != KObj || recv.Obj == nil {
+			o := recv.Obj()
+			if recv.Kind != KObj || o == nil {
 				thr := &Thrown{Code: bytecode.ExcNullPointer}
 				if h := raise(thr); h >= 0 {
 					pc = h
@@ -234,7 +235,7 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			if val.IsRef() {
 				m.trace("gc.barriers")
 			}
-			recv.Obj.SetField(fn.Fields[ins.A].Name, val)
+			o.SetField(fn.Fields[ins.A].Name, val)
 		case bytecode.GetStatic:
 			ref := fn.Fields[ins.A]
 			push(m.GetStatic(ref.Class, ref.Name))
@@ -271,7 +272,8 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			push(m.NewBox(v.I))
 		case bytecode.UnboxOp:
 			v := pop()
-			if v.Kind != KBox || v.Obj == nil {
+			b := v.Obj()
+			if v.Kind != KBox || b == nil {
 				thr := &Thrown{Code: bytecode.ExcNullPointer}
 				if h := raise(thr); h >= 0 {
 					pc = h
@@ -279,7 +281,7 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 				}
 				return Value{}, thr
 			}
-			push(IntVal(v.Obj.BoxVal))
+			push(IntVal(b.BoxVal))
 
 		case bytecode.Invoke, bytecode.InvokeReflect:
 			ref := fn.Methods[ins.A]
@@ -404,30 +406,33 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 }
 
 func getFieldOf(recv Value, name string) (Value, *Thrown) {
-	if recv.Kind != KObj || recv.Obj == nil {
+	o := recv.Obj()
+	if recv.Kind != KObj || o == nil {
 		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	return recv.Obj.Field(name), nil
+	return o.Field(name), nil
 }
 
 func arrayLoad(arr Value, idx int64) (Value, *Thrown) {
-	if arr.Kind != KArr || arr.Arr == nil {
+	a := arr.Arr()
+	if a == nil {
 		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	if idx < 0 || idx >= int64(len(arr.Arr.Elems)) {
+	if idx < 0 || idx >= int64(len(a.Elems)) {
 		return Value{}, &Thrown{Code: bytecode.ExcArrayBounds}
 	}
-	return IntVal(arr.Arr.Elems[idx]), nil
+	return IntVal(a.Elems[idx]), nil
 }
 
 func arrayStore(arr Value, idx, val int64) *Thrown {
-	if arr.Kind != KArr || arr.Arr == nil {
+	a := arr.Arr()
+	if a == nil {
 		return &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	if idx < 0 || idx >= int64(len(arr.Arr.Elems)) {
+	if idx < 0 || idx >= int64(len(a.Elems)) {
 		return &Thrown{Code: bytecode.ExcArrayBounds}
 	}
-	arr.Arr.Elems[idx] = int64(int32(val))
+	a.Elems[idx] = int64(int32(val))
 	return nil
 }
 

@@ -587,17 +587,15 @@ func (m *Machine) MonitorExit(v Value) error {
 func (m *Machine) monitorOf(v Value) *Monitor {
 	switch v.Kind {
 	case KObj, KBox:
-		if v.Obj == nil {
-			return nil
+		if o := v.Obj(); o != nil {
+			return &o.Mon
 		}
-		return &v.Obj.Mon
 	case KArr:
-		if v.Arr == nil {
-			return nil
+		if a := v.Arr(); a != nil {
+			return &a.Mon
 		}
-		return &v.Arr.Mon
 	case KStr:
-		return &m.StringMonitor(v.S).Mon
+		return &m.StringMonitor(v.Str()).Mon
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package vm
 
 import (
 	"fmt"
+	"unsafe"
 )
 
 // Kind tags a runtime value.
@@ -46,14 +47,22 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
-// Value is a runtime value. Exactly one of the payload fields is
-// meaningful, selected by Kind.
+// Value is a runtime value: a kind tag, an integer word and one
+// reference word, 24 bytes in all. Go keeps a struct of at most four
+// fields and four words in registers, so pushes, pops, slot writes and
+// (Value, error) returns never go through memory or a bulk write
+// barrier.
+//
+// I holds the number for KInt, KLong and KBool. ref holds the *Object
+// for KObj and KBox and the *Array for KArr; read them through Obj and
+// Arr. A KStr value keeps the string's data pointer in ref and its
+// length in I; only Str may read either. Because two equal texts may
+// have different backing bytes, compare values that might be strings
+// with SameRef, never with ==.
 type Value struct {
 	Kind Kind
 	I    int64
-	S    string
-	Obj  *Object
-	Arr  *Array
+	ref  unsafe.Pointer
 }
 
 // Constructors.
@@ -65,11 +74,37 @@ func BoolVal(b bool) Value {
 	}
 	return Value{Kind: KBool, I: 0}
 }
-func StrVal(s string) Value  { return Value{Kind: KStr, S: s} }
+func StrVal(s string) Value {
+	return Value{Kind: KStr, I: int64(len(s)), ref: unsafe.Pointer(unsafe.StringData(s))}
+}
 func NullVal() Value         { return Value{Kind: KNull} }
-func ObjVal(o *Object) Value { return Value{Kind: KObj, Obj: o} }
-func BoxVal(o *Object) Value { return Value{Kind: KBox, Obj: o} }
-func ArrVal(a *Array) Value  { return Value{Kind: KArr, Arr: a} }
+func ObjVal(o *Object) Value { return Value{Kind: KObj, ref: unsafe.Pointer(o)} }
+func BoxVal(o *Object) Value { return Value{Kind: KBox, ref: unsafe.Pointer(o)} }
+func ArrVal(a *Array) Value  { return Value{Kind: KArr, ref: unsafe.Pointer(a)} }
+
+// Obj returns the object of a KObj or KBox value, else nil.
+func (v Value) Obj() *Object {
+	if v.Kind == KObj || v.Kind == KBox {
+		return (*Object)(v.ref)
+	}
+	return nil
+}
+
+// Arr returns the array of a KArr value, else nil.
+func (v Value) Arr() *Array {
+	if v.Kind == KArr {
+		return (*Array)(v.ref)
+	}
+	return nil
+}
+
+// Str returns the text of a KStr value, else "".
+func (v Value) Str() string {
+	if v.Kind == KStr {
+		return unsafe.String((*byte)(v.ref), int(v.I))
+	}
+	return ""
+}
 
 // Bool reports the truth of a KBool value.
 func (v Value) Bool() bool { return v.I != 0 }
@@ -94,36 +129,37 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KStr:
-		return v.S
+		return v.Str()
 	case KNull:
 		return "null"
 	case KObj:
-		return v.Obj.Class + "@obj"
+		return v.Obj().Class + "@obj"
 	case KBox:
-		if v.Obj == nil {
+		b := v.Obj()
+		if b == nil {
 			return "null"
 		}
-		return fmt.Sprintf("%d", v.Obj.BoxVal)
+		return fmt.Sprintf("%d", b.BoxVal)
 	case KArr:
-		return fmt.Sprintf("int[%d]", len(v.Arr.Elems))
+		return fmt.Sprintf("int[%d]", len(v.Arr().Elems))
 	}
 	return "<invalid>"
 }
 
 // SameRef reports whether two reference values denote the same heap cell
 // (Java ==). Strings compare by identity of interned instance, which our
-// runtime guarantees per distinct literal text.
+// runtime guarantees per distinct literal text, so they compare by text.
 func SameRef(a, b Value) bool {
 	if a.Kind == KNull || b.Kind == KNull {
 		return a.Kind == b.Kind
 	}
 	switch {
 	case a.Kind == KArr && b.Kind == KArr:
-		return a.Arr == b.Arr
+		return a.ref == b.ref
 	case (a.Kind == KObj || a.Kind == KBox) && (b.Kind == KObj || b.Kind == KBox):
-		return a.Obj == b.Obj
+		return a.ref == b.ref
 	case a.Kind == KStr && b.Kind == KStr:
-		return a.S == b.S
+		return a.Str() == b.Str()
 	}
 	return false
 }

@@ -410,24 +410,24 @@ func TestNewObjectSharedLayout(t *testing.T) {
 	img := compileForBench(t, `class T { int n; T next; static int s; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
 	a, b := m.NewObject("T"), m.NewObject("T")
-	if a.Obj.layout != b.Obj.layout {
+	if a.Obj().layout != b.Obj().layout {
 		t.Errorf("objects of one class got different layouts")
 	}
-	if got := a.Obj.layout.Names; !reflect.DeepEqual(got, []string{"n", "next"}) {
+	if got := a.Obj().layout.Names; !reflect.DeepEqual(got, []string{"n", "next"}) {
 		t.Fatalf("layout = %v, want [n next] (statics excluded)", got)
 	}
-	if a.Obj.Field("n") != IntVal(0) || a.Obj.Field("next") != NullVal() {
-		t.Fatalf("zero fields = %v, %v", a.Obj.Field("n"), a.Obj.Field("next"))
+	if a.Obj().Field("n") != IntVal(0) || a.Obj().Field("next") != NullVal() {
+		t.Fatalf("zero fields = %v, %v", a.Obj().Field("n"), a.Obj().Field("next"))
 	}
-	a.Obj.SetField("n", IntVal(5))
-	if a.Obj.Field("n") != IntVal(5) {
-		t.Errorf("write not readable: %v", a.Obj.Field("n"))
+	a.Obj().SetField("n", IntVal(5))
+	if a.Obj().Field("n") != IntVal(5) {
+		t.Errorf("write not readable: %v", a.Obj().Field("n"))
 	}
-	if b.Obj.Field("n") != IntVal(0) {
+	if b.Obj().Field("n") != IntVal(0) {
 		t.Errorf("objects share slots")
 	}
-	if u := m.NewObject("Unknown"); len(u.Obj.slots) != 0 || u.Obj.extra != nil {
-		t.Errorf("unknown class got fields %v %v", u.Obj.slots, u.Obj.extra)
+	if u := m.NewObject("Unknown"); len(u.Obj().slots) != 0 || u.Obj().extra != nil {
+		t.Errorf("unknown class got fields %v %v", u.Obj().slots, u.Obj().extra)
 	}
 }
 
@@ -435,7 +435,7 @@ func TestNewObjectSharedLayout(t *testing.T) {
 // zero is the last declaration's, as with the old per-object map.
 func TestNewObjectDuplicateField(t *testing.T) {
 	img := compileForBench(t, `class T { int f; T f; static void main() { return; } }`)
-	o := NewMachine(img, Config{}).NewObject("T").Obj
+	o := NewMachine(img, Config{}).NewObject("T").Obj()
 	if len(o.slots) != 1 || o.Field("f") != NullVal() {
 		t.Fatalf("slots = %v, want one null field", o.slots)
 	}
@@ -448,7 +448,7 @@ func TestObjectUndeclaredField(t *testing.T) {
 	img := compileForBench(t, `class T { int n; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
 	objs := map[string]*Object{
-		"instance":       m.NewObject("T").Obj,
+		"instance":       m.NewObject("T").Obj(),
 		"string monitor": m.StringMonitor("lock"),
 		"class monitor":  m.classMonitor("T"),
 	}
@@ -460,7 +460,7 @@ func TestObjectUndeclaredField(t *testing.T) {
 		target := h.NewObject("T", nil)
 		h.NewObject("T", nil) // garbage
 		o.SetField("ghost", ObjVal(target))
-		if got := o.Field("ghost"); got.Obj != target {
+		if got := o.Field("ghost"); got.Obj() != target {
 			t.Errorf("%s: undeclared write not readable: %v", name, got)
 		}
 		if _, freed := h.Collect([]Value{ObjVal(o)}); freed != 1 || len(h.objects) != 1 || h.objects[0] != target {
