@@ -16,12 +16,17 @@ func Compile(p *lang.Program) (*Image, error) {
 		cf := &ClassFile{Name: cl.Name}
 		for _, f := range cl.Fields {
 			cf.Fields = append(cf.Fields, FieldInfo{Name: f.Name, Static: f.Static, IsRef: f.Ty.IsRef()})
+			if f.Static {
+				img.declareStatic(cl.Name, f.Name, f.Ty.IsRef())
+			}
 		}
 		for _, m := range cl.Methods {
 			fn, err := compileMethod(p, cl, m)
 			if err != nil {
 				return nil, err
 			}
+			fn.ID = len(img.funcs)
+			img.funcs = append(img.funcs, fn)
 			cf.Funcs = append(cf.Funcs, fn)
 		}
 		img.Classes = append(img.Classes, cf)
@@ -29,7 +34,37 @@ func Compile(p *lang.Program) (*Image, error) {
 	if img.Entry() == nil {
 		return nil, fmt.Errorf("bytecode: image has no entry %s.main", p.EntryClass)
 	}
+	img.link()
 	return img, nil
+}
+
+// declareStatic gives a static field its slot; a redeclaration keeps
+// the slot and takes the new zero.
+func (img *Image) declareStatic(class, name string, isRef bool) {
+	if i := img.StaticSlot(class, name); i >= 0 {
+		img.Statics[i].IsRef = isRef
+		return
+	}
+	img.Statics = append(img.Statics, StaticField{Class: class, Name: name, IsRef: isRef})
+}
+
+// link resolves every function's method refs to their callees and its
+// static field refs to their slots, once per image, so a runtime never
+// looks either up by name while it executes.
+func (img *Image) link() {
+	for _, fn := range img.funcs {
+		fn.Callees = make([]*Function, len(fn.Methods))
+		for i, ref := range fn.Methods {
+			fn.Callees[i] = img.Lookup(ref)
+		}
+		for i := range fn.Fields {
+			ref := &fn.Fields[i]
+			ref.Slot = -1
+			if ref.Static {
+				ref.Slot = int32(img.StaticSlot(ref.Class, ref.Name))
+			}
+		}
+	}
 }
 
 // fnCompiler holds per-method compilation state.

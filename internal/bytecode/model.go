@@ -28,6 +28,9 @@ type FieldRef struct {
 	Class  string
 	Name   string
 	Static bool
+	// Slot is a static field's index in Image.Statics, filled by
+	// Compile; -1 for instance fields.
+	Slot int32
 }
 
 func (r FieldRef) String() string { return r.Class + "." + r.Name }
@@ -46,6 +49,10 @@ type ExRange struct {
 
 // Function is one compiled method.
 type Function struct {
+	// ID is the function's index in Image.Functions, assigned by
+	// Compile: runtimes keep per-function state in a slice indexed by
+	// it instead of hashing Key.
+	ID           int
 	Class        string
 	Name         string
 	NParams      int // locals 0..NParams-1 hold receiver (if any) then args
@@ -58,6 +65,7 @@ type Function struct {
 	Ints    []int64     // integer constant pool
 	Strs    []string    // string constant pool
 	Methods []MethodRef // method refs, indexed by Invoke A operands
+	Callees []*Function // Methods resolved in the image (Image.Lookup), filled by Compile
 	Fields  []FieldRef  // field refs, indexed by field ops
 	Classes []string    // class refs, indexed by NewObj
 	ExTable []ExRange
@@ -110,6 +118,31 @@ type Image struct {
 	EntryClass string
 	// Program is the source program, retained for the JIT tiers.
 	Program *lang.Program
+	// Statics lists every declared static field once, in declaration
+	// order: a runtime gives each its own storage slot, and static
+	// FieldRefs carry their slot index.
+	Statics []StaticField
+
+	funcs []*Function // every function, indexed by Function.ID
+}
+
+// StaticField is one static field's storage slot. A (class, name) pair
+// declared twice is one slot whose zero is the last declaration's.
+type StaticField struct {
+	Class string
+	Name  string
+	IsRef bool // starts null rather than 0
+}
+
+// StaticSlot returns the slot of the named static field, or -1 when
+// the image declares no such static.
+func (img *Image) StaticSlot(class, name string) int {
+	for i, s := range img.Statics {
+		if s.Name == name && s.Class == class {
+			return i
+		}
+	}
+	return -1
 }
 
 // Class returns the named class file, or nil.
@@ -140,11 +173,7 @@ func (img *Image) Entry() *Function {
 	return c.Func("main")
 }
 
-// Functions returns every function in the image in declaration order.
-func (img *Image) Functions() []*Function {
-	var out []*Function
-	for _, c := range img.Classes {
-		out = append(out, c.Funcs...)
-	}
-	return out
-}
+// Functions returns every function in the image in declaration order,
+// indexed by Function.ID. The slice is shared; callers must not modify
+// it.
+func (img *Image) Functions() []*Function { return img.funcs }

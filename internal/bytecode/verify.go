@@ -14,7 +14,9 @@ import (
 //     paths (abstract interpretation with merge checking) and never
 //     negative
 //   - execution cannot fall off the end of the code
-//   - every Invoke target resolves in the image
+//   - every Invoke target resolves in the image, and Compile linked
+//     each method ref to its callee and each static field ref to its
+//     slot
 //
 // It returns an error describing the first violated rule.
 func Verify(img *Image) error {
@@ -60,9 +62,15 @@ func verifyFunc(img *Image, f *Function) error {
 			if img.Lookup(ref) == nil {
 				return fmt.Errorf("pc %d: unresolvable method %s", pc, ref)
 			}
+			if int(ins.A) >= len(f.Callees) || f.Callees[ins.A] != img.Lookup(ref) {
+				return fmt.Errorf("pc %d: method ref %s not linked", pc, ref)
+			}
 		case GetField, PutField, GetStatic, PutStatic, ReflectGetF:
 			if ins.A < 0 || int(ins.A) >= len(f.Fields) {
 				return fmt.Errorf("pc %d: field ref %d out of range", pc, ins.A)
+			}
+			if ref := f.Fields[ins.A]; ref.Static && (ref.Slot < 0 || int(ref.Slot) >= len(img.Statics)) {
+				return fmt.Errorf("pc %d: static field %s not linked", pc, ref)
 			}
 		case NewObj:
 			if ins.A < 0 || int(ins.A) >= len(f.Classes) {

@@ -307,25 +307,37 @@ func (f *Fuzzer) selectByWeight(ms []Mutator, ws []float64) Mutator {
 	return ms[len(ms)-1]
 }
 
-// execute runs the program on the fuzzing target with flags enabled,
-// through the configured execution backend, under the given compilation
-// plan (nil = the fixed default pipeline).
-func (f *Fuzzer) execute(ctx context.Context, p *lang.Program, plan *jit.Plan) (*jvm.ExecResult, error) {
+// baseOptions are the execution options every run of this fuzzer
+// shares: the target execution and both differentials. Building all
+// three from one base keeps limits, the compile-only target, the
+// compile cache and the DisableBugs override from drifting apart.
+func (f *Fuzzer) baseOptions() jvm.Options {
 	opt := jvm.Options{
-		Flags:         f.Cfg.Flags,
-		ForceCompile:  true,
-		MaxSteps:      f.Cfg.MaxSteps,
-		MaxHeapUnits:  f.Cfg.MaxHeapUnits,
-		Coverage:      f.Cfg.Coverage,
-		CompileOnly:   f.compileOnly,
-		CompileHook:   f.Cfg.CompileHook,
-		StructuredOBV: f.Cfg.StructuredOBV,
-		CompileCache:  f.Cfg.CompileCache,
-		Plan:          plan,
+		ForceCompile: true,
+		MaxSteps:     f.Cfg.MaxSteps,
+		MaxHeapUnits: f.Cfg.MaxHeapUnits,
+		CompileOnly:  f.compileOnly,
+		// One cache serves every run and differential target:
+		// compilations on specs with identical tuning and armed-bug
+		// state are shared.
+		CompileCache: f.Cfg.CompileCache,
 	}
 	if f.Cfg.DisableBugs {
 		opt.Bugs = []*buginject.Bug{}
 	}
+	return opt
+}
+
+// execute runs the program on the fuzzing target with flags enabled,
+// through the configured execution backend, under the given compilation
+// plan (nil = the fixed default pipeline).
+func (f *Fuzzer) execute(ctx context.Context, p *lang.Program, plan *jit.Plan) (*jvm.ExecResult, error) {
+	opt := f.baseOptions()
+	opt.Flags = f.Cfg.Flags
+	opt.Coverage = f.Cfg.Coverage
+	opt.CompileHook = f.Cfg.CompileHook
+	opt.StructuredOBV = f.Cfg.StructuredOBV
+	opt.Plan = plan
 	return exec.Or(f.Cfg.Executor).Execute(ctx, p, f.Cfg.Target, opt)
 }
 
@@ -523,15 +535,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 
 	// Differential testing of the final mutant c* (Algorithm 1 line 20).
 	if len(f.Cfg.DiffSpecs) > 0 {
-		diff, err := exec.Or(f.Cfg.Executor).ExecuteDifferential(ctx, parent, f.Cfg.DiffSpecs, jvm.Options{
-			ForceCompile: true,
-			MaxSteps:     f.Cfg.MaxSteps,
-			MaxHeapUnits: f.Cfg.MaxHeapUnits,
-			CompileOnly:  f.compileOnly,
-			// One cache serves every differential target: compilations on
-			// specs with identical tuning and armed-bug state are shared.
-			CompileCache: f.Cfg.CompileCache,
-		})
+		diff, err := exec.Or(f.Cfg.Executor).ExecuteDifferential(ctx, parent, f.Cfg.DiffSpecs, f.baseOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -557,13 +561,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 	// divergence is phase-ordering sensitivity: the bug class the fixed
 	// schedule provably cannot reach (see runTier's ordering comment).
 	if f.planFuzzOn() {
-		pdiff, err := exec.Or(f.Cfg.Executor).ExecutePlanDifferential(ctx, parent, f.Cfg.Target, f.plans, jvm.Options{
-			ForceCompile: true,
-			MaxSteps:     f.Cfg.MaxSteps,
-			MaxHeapUnits: f.Cfg.MaxHeapUnits,
-			CompileOnly:  f.compileOnly,
-			CompileCache: f.Cfg.CompileCache,
-		})
+		pdiff, err := exec.Or(f.Cfg.Executor).ExecutePlanDifferential(ctx, parent, f.Cfg.Target, f.plans, f.baseOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/buginject"
+	"repro/internal/corpus"
 	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/lang"
@@ -135,6 +136,29 @@ func TestPlanFuzzFindsOrderingSensitiveBug(t *testing.T) {
 		}
 		if fd.Bug != nil && fd.Bug.ID == "Issue-19301" {
 			t.Errorf("off mode detected Issue-19301 via %s — ordering argument broken", fd.Oracle)
+		}
+	}
+}
+
+// TestDisableBugsDisarmsDifferentials: DisableBugs disarms every run
+// the fuzzer makes, the spec and plan differentials included, so
+// plan-fuzzing the default seeds on bug-free VMs reports nothing.
+func TestDisableBugsDisarmsDifferentials(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzes 20 seeds")
+	}
+	for i, s := range corpus.DefaultPool(20, 1) {
+		cfg := DefaultConfig(jvm.Spec{Impl: buginject.HotSpot, Version: 17})
+		cfg.PlanFuzz = jit.PlanFull
+		cfg.MaxIterations = 20
+		cfg.Seed = int64(i + 1)
+		cfg.DisableBugs = true
+		res, err := NewFuzzer(cfg).FuzzSeed(s.Name, s.Parse())
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		for _, f := range res.Findings {
+			t.Errorf("%s: finding %s via %s with every bug disarmed", s.Name, f.Bug.ID, f.Oracle)
 		}
 	}
 }

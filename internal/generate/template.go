@@ -17,11 +17,11 @@ type StmtFiller func(p *lang.Program, loc *lang.Location, rng *rand.Rand) bool
 
 // Hole slots: which site inside the anchor statement is the hole.
 const (
-	slotStmt = iota // the whole statement position
-	slotInit        // VarDecl.Init
-	slotValue       // Assign.Value
-	slotCond        // If.Cond
-	slotRet         // Return.E
+	slotStmt  = iota // the whole statement position
+	slotInit         // VarDecl.Init
+	slotValue        // Assign.Value
+	slotCond         // If.Cond
+	slotRet          // Return.E
 )
 
 // hole is one typed fill site, addressed by the anchor statement's ID

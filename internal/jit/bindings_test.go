@@ -261,7 +261,7 @@ func TestExecutorBindingSemantics(t *testing.T) {
 	m, _ := buildMachine(t, `class T { static void main() { return; } }`)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Compiled{F: synthFunc(tc.body...), Env: m, Cov: &covSink{}}
+			c := &Compiled{F: synthFunc(tc.body...), Env: m}
 			// Twice: the second call reuses the first call's table.
 			for round := 0; round < 2; round++ {
 				v, err := c.Invoke([]vm.Value{vm.IntVal(41)})
@@ -302,7 +302,7 @@ func TestExecutorReuseAfterThrow(t *testing.T) {
 			Seq(irDecl("y", irVar("p")), Seq(irSet("q", ConstInt(1)), &Node{Kind: NThrow, Kids: []*Node{ConstInt(3)}})),
 		}},
 		irReturn(irVar("x")),
-	), Env: m, Cov: &covSink{}}
+	), Env: m}
 	for i, p := range []int64{1, 0, 2, 0} {
 		v, err := c.Invoke([]vm.Value{vm.IntVal(p)})
 		if p > 0 {
@@ -325,7 +325,7 @@ type recordingCompiler struct {
 	out []*Compiled
 }
 
-func (r *recordingCompiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.CompiledMethod, error) {
+func (r *recordingCompiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine) (vm.CompiledMethod, error) {
 	cm, err := r.Compiler.Compile(fn, tier, env)
 	if c, ok := cm.(*Compiled); ok {
 		r.out = append(r.out, c)

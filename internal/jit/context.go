@@ -51,7 +51,7 @@ type Context struct {
 	Tier vm.Tier
 	Log  profile.Emitter
 	Cov  *coverage.Tracker
-	Env  vm.Env
+	Env  *vm.Machine
 	Hook Hook
 
 	// Events in emission order; Counts per behavior.

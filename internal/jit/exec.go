@@ -4,20 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/bytecode"
+	"repro/internal/coverage"
 	"repro/internal/lang"
 	"repro/internal/profile"
 	"repro/internal/vm"
 )
 
 // Compiled is the executable form of an optimized method: the optimized
-// tree IR plus the runtime services captured at compile time. Executing
-// it is running "compiled code"; any divergence from the bytecode
-// interpreter on the same program is a miscompilation.
+// tree IR plus the runtime it was compiled against. Executing it is
+// running "compiled code"; any divergence from the bytecode interpreter
+// on the same program is a miscompilation. Cov marks runtime coverage
+// regions and may be nil (Tracker.Hit is nil-safe).
 type Compiled struct {
 	F   *Func
-	Env vm.Env
+	Env *vm.Machine
 	Log profile.Emitter
-	Cov *covSink
+	Cov *coverage.Tracker
 
 	trapCount int
 	trapLimit int
@@ -27,16 +29,6 @@ type Compiled struct {
 	// for Invoke and argument buffers for NCall/NReflectCall.
 	tables  []*bindings
 	argBufs [][]vm.Value
-}
-
-// covSink is a tiny indirection so the executor can mark runtime
-// coverage regions without a hard dependency on the tracker.
-type covSink struct{ hit func(string) }
-
-func (c *covSink) Hit(name string) {
-	if c != nil && c.hit != nil {
-		c.hit(name)
-	}
 }
 
 // numberVars gives every distinct variable name in f a dense id: the

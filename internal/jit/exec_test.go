@@ -39,7 +39,7 @@ func compileByHand(t testing.TB, m *vm.Machine, p *lang.Program, key string) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Compiled{F: f, Env: m, Log: profile.NewRecorder(profile.NoFlags()), Cov: &covSink{}, trapLimit: 2}
+	return &Compiled{F: f, Env: m, Log: profile.NewRecorder(profile.NoFlags()), trapLimit: 2}
 }
 
 func TestExecutorSyncReleasesOnThrow(t *testing.T) {
@@ -114,7 +114,7 @@ class T {
 	if err := passTraps(ctx); err != nil {
 		t.Fatal(err)
 	}
-	c := &Compiled{F: f, Env: m, Log: rec, Cov: &covSink{}, trapLimit: 2}
+	c := &Compiled{F: f, Env: m, Log: rec, trapLimit: 2}
 	recv := m.NewObject("T")
 
 	// Below the guard: no traps.
@@ -147,7 +147,7 @@ func TestExecutorNullCheckThrows(t *testing.T) {
 			{Kind: NNullCheck, Kids: []*Node{{Kind: NVar, Name: "x", Ty: lang.ObjectType("T")}}},
 		}}),
 		Params: []lang.Param{{Name: "x", Ty: lang.ObjectType("T")}},
-	}, Env: m, Cov: &covSink{}}
+	}, Env: m}
 	if _, err := c.Invoke([]vm.Value{vm.NullVal()}); err == nil {
 		t.Fatal("null check did not throw")
 	}

@@ -56,7 +56,7 @@ func New(log *profile.Recorder, cov *coverage.Tracker, hook Hook) *Compiler {
 }
 
 // Compile implements vm.Compiler.
-func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.CompiledMethod, error) {
+func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine) (vm.CompiledMethod, error) {
 	if fn.Source == nil {
 		return nil, fmt.Errorf("jit: %s has no source tree (bailout)", fn.Key())
 	}
@@ -158,7 +158,7 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 		F:   f,
 		Env: env,
 		Log: c.Log,
-		Cov: &covSink{hit: func(name string) { c.Cov.Hit(name) }},
+		Cov: c.Cov,
 
 		trapLimit: c.Opt.TrapLimit,
 	}, nil
@@ -169,7 +169,7 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 // state transitions, and the OnCompiled observation — and wraps the
 // shared optimized IR in a fresh Compiled carrying this execution's
 // runtime state (trap counters, env).
-func (c *Compiler) replay(e *cacheEntry, env vm.Env, ch CacheableHook) vm.CompiledMethod {
+func (c *Compiler) replay(e *cacheEntry, env *vm.Machine, ch CacheableHook) vm.CompiledMethod {
 	for _, l := range e.lines {
 		c.Log.AppendLine(l.flag, l.behaviors, l.text)
 	}
@@ -189,7 +189,7 @@ func (c *Compiler) replay(e *cacheEntry, env vm.Env, ch CacheableHook) vm.Compil
 		F:   e.fn,
 		Env: env,
 		Log: c.Log,
-		Cov: &covSink{hit: func(name string) { c.Cov.Hit(name) }},
+		Cov: c.Cov,
 
 		trapLimit: c.Opt.TrapLimit,
 	}

@@ -131,11 +131,11 @@ var passTable = map[string]*passInfo{
 		run: func(c *Compiler, ctx *Context) error { return passDCE(ctx, tierPrefix(ctx.Tier)) },
 	},
 	"dereflect": {
-		c2: true,
+		c2:  true,
 		run: func(c *Compiler, ctx *Context) error { return passDereflect(ctx) },
 	},
 	"escape_analysis": {
-		c2: true,
+		c2:  true,
 		run: func(c *Compiler, ctx *Context) error { return passEscapeAnalysis(ctx) },
 	},
 	"lock_elide": {

@@ -186,12 +186,14 @@ func Run(p *lang.Program, spec Spec, opt Options) (*ExecResult, error) {
 	if opt.StructuredOBV {
 		rec = profile.NewCounterRecorder(opt.Flags)
 	}
+	// Coverage costs a tracker hit per instrumented event, so only runs
+	// that asked for it pay: with no tracker the VM traces nothing and
+	// the JIT's marks go to a nil tracker.
 	cov := opt.Coverage
-	if cov == nil {
-		cov = coverage.NewTracker()
+	cfg := vm.Config{MaxSteps: opt.MaxSteps, MaxHeapUnits: opt.MaxHeapUnits, CompileOnly: opt.CompileOnly}
+	if cov != nil {
+		cfg.Trace = cov.Hit
 	}
-
-	cfg := vm.Config{MaxSteps: opt.MaxSteps, MaxHeapUnits: opt.MaxHeapUnits, Trace: cov.Hit, CompileOnly: opt.CompileOnly}
 	if opt.ForceCompile {
 		cfg.CompileEager = true
 	}

@@ -507,4 +507,3 @@ func copySpec(s JobSpec) JobSpec {
 	cp.Styles = append([]string(nil), s.Styles...)
 	return cp
 }
-

@@ -4,36 +4,48 @@ package vm
 // int when the object is a java.lang.Integer box.
 //
 // Instance fields live in slots, indexed like the class's shared
-// Layout. A name the layout does not declare behaves as if the object
-// held a map: reads give the zero Value, writes land in extra (created
-// on first use). Well-typed programs never reach extra, and objects
-// without a layout (boxes, class and string monitors) keep only it.
+// Layout, which also names the class. A name the layout does not
+// declare behaves as if the object held a map: reads give the zero
+// Value, writes land in extra (created on first use). Well-typed
+// programs never reach extra; boxes and class and string monitors have
+// name-only layouts, so they keep only it.
+//
+// The monitor depth and the mark bit share one word, so an Object is
+// 56 bytes; Heap.NewObject allocates up to four slots in the same Go
+// allocation as the Object itself.
 type Object struct {
-	Class  string
 	Mon    Monitor
+	marked bool
 	BoxVal int64
 	layout *Layout
 	slots  []Value
 	extra  map[string]Value
-	marked bool
 }
 
+// Class returns the name of the object's class.
+func (o *Object) Class() string { return o.layout.Class }
+
 // Layout is a class's instance-field layout, shared by every object of
-// the class: field names in declaration order and the zero value each
-// starts with (null for references, else 0).
+// the class: the class name, field names in declaration order and the
+// zero value each starts with (null for references, else 0).
 type Layout struct {
+	Class string
 	Names []string
 	Zeros []Value
 }
 
-// index returns the slot of the named field, or -1 when l (possibly
-// nil) does not declare it.
+// Shared name-only layouts of boxes and string monitors.
+var (
+	integerLayout = &Layout{Class: "Integer"}
+	stringLayout  = &Layout{Class: "String"}
+)
+
+// index returns the slot of the named field, or -1 when l does not
+// declare it.
 func (l *Layout) index(name string) int {
-	if l != nil {
-		for i, n := range l.Names {
-			if n == name {
-				return i
-			}
+	for i, n := range l.Names {
+		if n == name {
+			return i
 		}
 	}
 	return -1
@@ -72,7 +84,7 @@ type Array struct {
 // (still-held) monitors after program exit, the symptom of the inlining
 // interaction bug in the paper's Listing 1.
 type Monitor struct {
-	Depth int
+	Depth int32
 }
 
 // Heap owns all allocations and runs a mark-sweep collector. The GC is a
@@ -99,22 +111,66 @@ func NewHeap(gcEvery int) *Heap {
 // SetGCHook installs a callback invoked after each collection.
 func (h *Heap) SetGCHook(fn func(live, freed int)) { h.onGC = fn }
 
-// NewObject allocates an instance of class with its layout's fields
-// zeroed. The layout is shared; each object gets its own slots. A nil
-// layout declares no fields.
-func (h *Heap) NewObject(class string, layout *Layout) *Object {
-	o := &Object{Class: class, layout: layout}
-	if layout != nil && len(layout.Zeros) > 0 {
-		o.slots = append([]Value(nil), layout.Zeros...)
-	}
+// NewObject allocates an instance of layout's class with its fields
+// zeroed. The layout is shared; each object gets its own slots.
+func (h *Heap) NewObject(layout *Layout) *Object {
+	o := newObject(len(layout.Zeros))
+	o.layout = layout
+	copy(o.slots, layout.Zeros)
 	h.objects = append(h.objects, o)
 	h.bump(1)
 	return o
 }
 
+// Objects with up to four slots are allocated as one of these cells,
+// the slots right behind the Object.
+type (
+	cell1 struct {
+		o Object
+		s [1]Value
+	}
+	cell2 struct {
+		o Object
+		s [2]Value
+	}
+	cell3 struct {
+		o Object
+		s [3]Value
+	}
+	cell4 struct {
+		o Object
+		s [4]Value
+	}
+)
+
+// newObject returns an empty Object with n zero slots.
+func newObject(n int) *Object {
+	switch n {
+	case 0:
+		return &Object{}
+	case 1:
+		c := &cell1{}
+		c.o.slots = c.s[:]
+		return &c.o
+	case 2:
+		c := &cell2{}
+		c.o.slots = c.s[:]
+		return &c.o
+	case 3:
+		c := &cell3{}
+		c.o.slots = c.s[:]
+		return &c.o
+	case 4:
+		c := &cell4{}
+		c.o.slots = c.s[:]
+		return &c.o
+	}
+	return &Object{slots: make([]Value, n)}
+}
+
 // NewBox allocates an Integer box.
 func (h *Heap) NewBox(v int64) *Object {
-	o := &Object{Class: "Integer", BoxVal: int64(int32(v))}
+	o := &Object{layout: integerLayout, BoxVal: int64(int32(v))}
 	h.objects = append(h.objects, o)
 	h.bump(1)
 	return o

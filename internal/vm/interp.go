@@ -8,8 +8,9 @@ import (
 
 // interpret executes fn's bytecode directly. It is the reference
 // semantics: the JIT tiers must agree with it on every program (that
-// agreement is the miscompilation oracle).
-func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) {
+// agreement is the miscompilation oracle). prof is fn's profile, which
+// the loop's backedges feed.
+func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []Value) (Value, error) {
 	f := newFrame(fn)
 	copy(f.locals, args)
 	m.frames = append(m.frames, f)
@@ -18,7 +19,6 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 		freeFrame(f)
 	}()
 
-	prof := m.Profile(fn.Key())
 	code := fn.Code
 	pc := int32(0)
 
@@ -237,11 +237,10 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			}
 			o.SetField(fn.Fields[ins.A].Name, val)
 		case bytecode.GetStatic:
-			ref := fn.Fields[ins.A]
-			push(m.GetStatic(ref.Class, ref.Name))
+			m.trace("runtime.statics")
+			push(m.statics[fn.Fields[ins.A].Slot])
 		case bytecode.PutStatic:
-			ref := fn.Fields[ins.A]
-			m.SetStatic(ref.Class, ref.Name, pop())
+			m.statics[fn.Fields[ins.A].Slot] = pop()
 
 		case bytecode.ALoad:
 			idx, arr := pop(), pop()
@@ -284,15 +283,16 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			push(IntVal(b.BoxVal))
 
 		case bytecode.Invoke, bytecode.InvokeReflect:
-			ref := fn.Methods[ins.A]
-			nArgs := ref.NArgs
-			callArgs := m.getArgs(nArgs)
-			for i := nArgs - 1; i >= 0; i-- {
-				callArgs[i] = pop()
-			}
-			recv := Value{Kind: KNull}
+			// The receiver, if any, sits below the arguments, so one pop
+			// loop fills the callee's argument buffer in order.
+			ref := &fn.Methods[ins.A]
+			n := ref.NArgs
 			if !ref.Static {
-				recv = pop()
+				n++
+			}
+			callArgs := m.getArgs(n)
+			for i := n - 1; i >= 0; i-- {
+				callArgs[i] = pop()
 			}
 			if ins.Op == bytecode.InvokeReflect {
 				m.trace("runtime.reflection")
@@ -304,7 +304,13 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 					}
 				}
 			}
-			ret, err := m.Call(ref, recv, callArgs)
+			var ret Value
+			var err error
+			if !ref.Static && callArgs[0].Kind == KNull {
+				err = &Thrown{Code: bytecode.ExcNullPointer}
+			} else {
+				ret, err = m.CallFunction(fn.Callees[ins.A], callArgs)
+			}
 			m.putArgs(callArgs)
 			if err != nil {
 				if thr, ok := err.(*Thrown); ok {
@@ -327,7 +333,8 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 				}
 			}
 			if ref.Static {
-				push(m.GetStatic(ref.Class, ref.Name))
+				m.trace("runtime.statics")
+				push(m.statics[ref.Slot])
 			} else {
 				recv := pop()
 				v, thr := getFieldOf(recv, ref.Name)

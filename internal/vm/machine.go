@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -122,23 +123,25 @@ func (r *Result) OutputString() string {
 }
 
 // Machine executes one program image. A Machine is single-use: create,
-// Run once, inspect the Result.
+// Run once, inspect the Result. It is also the runtime compiled code
+// calls into: allocation, statics, calls, monitors, output and fuel.
 type Machine struct {
-	img  *bytecode.Image
-	cfg  Config
-	Heap *Heap
+	img     *bytecode.Image
+	cfg     Config
+	Heap    *Heap
+	heapCap int64 // MaxHeapUnits, or MaxInt64 when uncapped
 
-	statics   map[staticKey]Value
-	strMons   map[string]*Object
-	classMons map[string]*Object
+	// statics holds one slot per Image.Statics entry, then one per
+	// undeclared static written by name (extraStatics maps those).
+	statics      []Value
+	extraStatics map[staticKey]int
+	strMons      map[string]*Object
+	classMons    map[string]*Object
 
 	output []string
 	steps  int64
 
-	profiles map[string]*MethodProfile
-	compiled map[string]CompiledMethod
-	tiers    map[string]Tier
-	deopts   map[string]int
+	fns []fnState // per-function runtime state, indexed by Function.ID
 
 	heldMonitors int
 	frames       []*frame
@@ -149,8 +152,16 @@ type Machine struct {
 	layouts map[string]*Layout // per-class instance fields (fieldLayout)
 }
 
-// staticKey names a static field. Statics are only ever looked up by
-// key or walked as GC roots, so map order never reaches a result.
+// fnState is one function's runtime state. The interpreter reaches it
+// through Function.ID; the JIT and tests name the function by key.
+type fnState struct {
+	prof   MethodProfile
+	code   CompiledMethod // nil while the function runs interpreted
+	tier   Tier
+	tiered bool // tier was set at least once, so Result.Tiers lists it
+}
+
+// staticKey names an undeclared static field.
 type staticKey struct{ class, field string }
 
 type frame struct {
@@ -229,28 +240,22 @@ type monEntry struct {
 func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
-		img:       img,
-		cfg:       cfg,
-		Heap:      NewHeap(cfg.GCEvery),
-		statics:   map[staticKey]Value{},
-		strMons:   map[string]*Object{},
-		classMons: map[string]*Object{},
-		profiles:  map[string]*MethodProfile{},
-		compiled:  map[string]CompiledMethod{},
-		tiers:     map[string]Tier{},
-		deopts:    map[string]int{},
-		layouts:   map[string]*Layout{},
+		img:     img,
+		cfg:     cfg,
+		Heap:    NewHeap(cfg.GCEvery),
+		heapCap: cfg.MaxHeapUnits,
+		statics: make([]Value, len(img.Statics)),
+		fns:     make([]fnState, len(img.Functions())),
+	}
+	if m.heapCap <= 0 {
+		m.heapCap = math.MaxInt64
 	}
 	m.Heap.SetGCHook(cfg.OnGC)
-	for _, c := range img.Classes {
-		for _, f := range c.Fields {
-			if f.Static {
-				if f.IsRef {
-					m.statics[staticKey{c.Name, f.Name}] = NullVal()
-				} else {
-					m.statics[staticKey{c.Name, f.Name}] = IntVal(0)
-				}
-			}
+	for i, s := range img.Statics {
+		if s.IsRef {
+			m.statics[i] = NullVal()
+		} else {
+			m.statics[i] = IntVal(0)
 		}
 	}
 	return m
@@ -279,10 +284,14 @@ func (m *Machine) Run() *Result {
 		GCCycles:     m.Heap.GCCycles,
 		AllocCount:   m.Heap.AllocCount,
 		MonitorLeaks: m.heldMonitors,
-		Tiers:        m.tiers,
+		Tiers:        map[string]Tier{},
 	}
-	for _, d := range m.deopts {
-		res.Deopts += d
+	for i, fn := range m.img.Functions() {
+		st := &m.fns[i]
+		if st.tiered {
+			res.Tiers[fn.Key()] = st.tier
+		}
+		res.Deopts += st.prof.Deopts
 	}
 	switch e := err.(type) {
 	case nil:
@@ -306,24 +315,35 @@ func (m *Machine) Run() *Result {
 	return res
 }
 
-// Profile returns the profile for a method key, creating it on demand.
-func (m *Machine) Profile(key string) *MethodProfile {
-	p := m.profiles[key]
-	if p == nil {
-		p = &MethodProfile{}
-		m.profiles[key] = p
+// stateOf returns the state of the function with the given key, or
+// nil when the image has none. A key declared twice names its first
+// function.
+func (m *Machine) stateOf(key string) *fnState {
+	for _, fn := range m.img.Functions() {
+		if fn.Key() == key {
+			return &m.fns[fn.ID]
+		}
 	}
-	return p
+	return nil
+}
+
+// Profile returns the profile of the method with the given key: the
+// one its calls update, whether or not it has run yet. A key naming no
+// method gets a fresh profile nothing updates.
+func (m *Machine) Profile(key string) *MethodProfile {
+	if st := m.stateOf(key); st != nil {
+		return &st.prof
+	}
+	return &MethodProfile{}
 }
 
 // CallFunction invokes fn through the tiering machinery. args holds the
 // receiver (for instance methods) followed by the parameters.
 func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, error) {
-	key := fn.Key()
-	prof := m.Profile(key)
-	prof.Invocations++
+	st := &m.fns[fn.ID]
+	st.prof.Invocations++
 	m.trace("runtime.interp.calls")
-	if err := m.tierUp(fn, prof); err != nil {
+	if err := m.tierUp(fn, st); err != nil {
 		return Value{}, err
 	}
 
@@ -342,10 +362,10 @@ func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, erro
 
 	var ret Value
 	var err error
-	if cm := m.compiled[key]; cm != nil {
-		ret, err = cm.Invoke(args)
+	if st.code != nil {
+		ret, err = st.code.Invoke(args)
 	} else {
-		ret, err = m.interpret(fn, args)
+		ret, err = m.interpret(fn, &st.prof, args)
 	}
 
 	if fn.Synchronized {
@@ -358,16 +378,15 @@ func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, erro
 	return ret, err
 }
 
-func (m *Machine) tierUp(fn *bytecode.Function, prof *MethodProfile) error {
+func (m *Machine) tierUp(fn *bytecode.Function, st *fnState) error {
 	if m.cfg.JIT == nil {
 		return nil
 	}
-	key := fn.Key()
-	if m.cfg.CompileOnly != "" && key != m.cfg.CompileOnly {
+	if m.cfg.CompileOnly != "" && fn.Key() != m.cfg.CompileOnly {
 		return nil
 	}
-	cur := m.tiers[key]
-	hot := prof.Hotness()
+	cur := st.tier
+	hot := st.prof.Hotness()
 	var want Tier
 	switch {
 	case m.cfg.CompileEager:
@@ -396,11 +415,11 @@ func (m *Machine) tierUp(fn *bytecode.Function, prof *MethodProfile) error {
 		}
 		// Compilation bailout: stay at the current tier, but record the
 		// attempt so we don't retry every call.
-		m.tiers[key] = want
+		st.tier, st.tiered = want, true
 		return nil
 	}
-	m.compiled[key] = cm
-	m.tiers[key] = want
+	st.code = cm
+	st.tier, st.tiered = want, true
 	if m.cfg.OnCompile != nil {
 		m.cfg.OnCompile(fn, want)
 	}
@@ -410,17 +429,20 @@ func (m *Machine) tierUp(fn *bytecode.Function, prof *MethodProfile) error {
 func (m *Machine) classMonitor(class string) *Object {
 	o := m.classMons[class]
 	if o == nil {
-		o = &Object{Class: class + "$Class"}
+		if m.classMons == nil {
+			m.classMons = map[string]*Object{}
+		}
+		o = &Object{layout: &Layout{Class: class + "$Class"}}
 		m.classMons[class] = o
 	}
 	return o
 }
 
-// --- Env implementation (services for compiled code and the JIT) ---
+// --- Runtime services for compiled code and the JIT ---
 
 // NewObject allocates a class instance with zeroed fields.
 func (m *Machine) NewObject(class string) Value {
-	v := ObjVal(m.Heap.NewObject(class, m.fieldLayout(class)))
+	v := ObjVal(m.Heap.NewObject(m.fieldLayout(class)))
 	m.trace("runtime.objects")
 	m.trace("gc.alloc.fast")
 	m.maybeGC()
@@ -429,14 +451,17 @@ func (m *Machine) NewObject(class string) Value {
 
 // fieldLayout returns class's instance-field layout, built from the
 // class file on the class's first allocation and reused after that.
-// Unknown classes get an empty layout. A name declared twice gets one
-// slot whose zero is the last declaration's, as if each object's
+// Unknown classes get a name-only layout. A name declared twice gets
+// one slot whose zero is the last declaration's, as if each object's
 // fields were a map filled in declaration order.
 func (m *Machine) fieldLayout(class string) *Layout {
 	if l, ok := m.layouts[class]; ok {
 		return l
 	}
-	l := &Layout{}
+	if m.layouts == nil {
+		m.layouts = map[string]*Layout{}
+	}
+	l := &Layout{Class: class}
 	if cf := m.img.Class(class); cf != nil {
 		for _, f := range cf.Fields {
 			if f.Static {
@@ -490,10 +515,7 @@ func (m *Machine) maybeGC() {
 	if len(m.frames) > 0 {
 		m.trace("gc.roots.frames")
 	}
-	roots := m.rootsBuf[:0]
-	for _, v := range m.statics {
-		roots = append(roots, v)
-	}
+	roots := append(m.rootsBuf[:0], m.statics...)
 	for _, f := range m.frames {
 		roots = append(roots, f.locals...)
 		roots = append(roots, f.stack...)
@@ -508,28 +530,60 @@ func (m *Machine) maybeGC() {
 	m.rootsBuf = roots
 }
 
-// GetStatic reads a static field.
-func (m *Machine) GetStatic(class, field string) Value {
-	m.trace("runtime.statics")
-	return m.statics[staticKey{class, field}]
+// staticSlot returns the slot of the named static field, or -1 when
+// the image does not declare it and nothing has written it.
+func (m *Machine) staticSlot(class, field string) int {
+	if i := m.img.StaticSlot(class, field); i >= 0 {
+		return i
+	}
+	if i, ok := m.extraStatics[staticKey{class, field}]; ok {
+		return i
+	}
+	return -1
 }
 
-// SetStatic writes a static field.
+// GetStatic reads a static field by name (compiled code's path; the
+// interpreter reads the slot its field ref was linked to). A static
+// nothing declared or wrote reads as Value{}.
+func (m *Machine) GetStatic(class, field string) Value {
+	m.trace("runtime.statics")
+	if i := m.staticSlot(class, field); i >= 0 {
+		return m.statics[i]
+	}
+	return Value{}
+}
+
+// SetStatic writes a static field by name, giving an undeclared one a
+// slot of its own.
 func (m *Machine) SetStatic(class, field string, v Value) {
-	m.statics[staticKey{class, field}] = v
+	i := m.staticSlot(class, field)
+	if i < 0 {
+		if m.extraStatics == nil {
+			m.extraStatics = map[staticKey]int{}
+		}
+		i = len(m.statics)
+		m.extraStatics[staticKey{class, field}] = i
+		m.statics = append(m.statics, Value{})
+	}
+	m.statics[i] = v
 }
 
 // StringMonitor interns the shared lock object for a string literal.
 func (m *Machine) StringMonitor(s string) *Object {
 	o := m.strMons[s]
 	if o == nil {
-		o = &Object{Class: "String"}
+		if m.strMons == nil {
+			m.strMons = map[string]*Object{}
+		}
+		o = &Object{layout: stringLayout}
 		m.strMons[s] = o
 	}
 	return o
 }
 
-// Call dispatches a method reference through tiering.
+// Call dispatches a method reference through tiering. Calls reach an
+// interpreted or a compiled callee alike; recv is ignored for static
+// targets.
 func (m *Machine) Call(ref bytecode.MethodRef, recv Value, args []Value) (Value, error) {
 	fn := m.img.Lookup(ref)
 	if fn == nil {
@@ -555,7 +609,10 @@ func (m *Machine) Call(ref bytecode.MethodRef, recv Value, args []Value) (Value,
 	return ret, err
 }
 
-// MonitorEnter enters the monitor of a reference value.
+// MonitorEnter enters the monitor of a reference value. Enter and Exit
+// return ErrIllegalMonitor on imbalance; compiled code balances its
+// own regions (seeded bugs deliberately break this, and the machine
+// observes the leak).
 func (m *Machine) MonitorEnter(v Value) error {
 	mon := m.monitorOf(v)
 	if mon == nil {
@@ -608,40 +665,54 @@ func (m *Machine) Print(v Value) {
 	m.output = append(m.output, v.String())
 }
 
-// Step consumes one unit of fuel. It is also where the heap-allocation
-// cap surfaces: allocation sites have no error channel, so the budget
-// check rides the per-instruction fuel check instead (the interpreter
-// and compiled code both step every instruction, bounding the delay to
-// one instruction after the blown allocation).
+// Step consumes one unit of fuel; it returns ErrTimeout when the budget
+// is gone. It is also where the heap-allocation cap surfaces:
+// allocation sites have no error channel, so the budget check rides the
+// per-instruction fuel check instead (the interpreter and compiled code
+// both step every instruction, bounding the delay to one instruction
+// after the blown allocation). Step is small enough to inline into
+// every caller; stepFail sorts out which limit was crossed.
 func (m *Machine) Step() error {
 	m.steps++
-	if m.steps > m.cfg.MaxSteps {
-		return ErrTimeout
-	}
-	if m.cfg.MaxHeapUnits > 0 && m.Heap.Units > m.cfg.MaxHeapUnits {
-		return ErrHeapExhausted
+	if m.steps > m.cfg.MaxSteps || m.Heap.Units > m.heapCap {
+		return m.stepFail()
 	}
 	return nil
 }
 
-// InvalidateCode deopts a method back to the interpreter.
-func (m *Machine) InvalidateCode(fnKey string) {
-	m.trace("runtime.deopt")
-	delete(m.compiled, fnKey)
-	m.tiers[fnKey] = TierInterpreter
-	m.deopts[fnKey]++
-	// Halve the hotness so the method re-tiers after more profiling.
-	if p := m.profiles[fnKey]; p != nil {
-		p.Invocations /= 2
-		p.Backedges /= 2
-		p.Deopts++
+// stepFail names the limit Step crossed. Timeout wins when both are.
+func (m *Machine) stepFail() error {
+	if m.steps > m.cfg.MaxSteps {
+		return ErrTimeout
 	}
+	return ErrHeapExhausted
 }
 
-// DeoptCount reports how many times a method was invalidated.
-func (m *Machine) DeoptCount(fnKey string) int { return m.deopts[fnKey] }
+// InvalidateCode deopts a method back to the interpreter, until it
+// re-tiers. A key naming no method is ignored.
+func (m *Machine) InvalidateCode(fnKey string) {
+	m.trace("runtime.deopt")
+	st := m.stateOf(fnKey)
+	if st == nil {
+		return
+	}
+	st.code = nil
+	st.tier, st.tiered = TierInterpreter, true
+	// Halve the hotness so the method re-tiers after more profiling.
+	st.prof.Invocations /= 2
+	st.prof.Backedges /= 2
+	st.prof.Deopts++
+}
 
-// Image exposes the loaded image.
+// DeoptCount reports how many times a method was invalidated, letting
+// recompilations drop the failing speculation.
+func (m *Machine) DeoptCount(fnKey string) int {
+	if st := m.stateOf(fnKey); st != nil {
+		return st.prof.Deopts
+	}
+	return 0
+}
+
+// Image exposes the loaded image, letting the compiler resolve callees
+// for inlining.
 func (m *Machine) Image() *bytecode.Image { return m.img }
-
-var _ Env = (*Machine)(nil)

@@ -133,7 +133,7 @@ func (v Value) String() string {
 	case KNull:
 		return "null"
 	case KObj:
-		return v.Obj().Class + "@obj"
+		return v.Obj().Class() + "@obj"
 	case KBox:
 		b := v.Obj()
 		if b == nil {

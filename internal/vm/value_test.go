@@ -32,7 +32,7 @@ func TestValueLayout(t *testing.T) {
 // TestValueAccessors round-trips every constructor through its accessor
 // and checks that accessors for the wrong kind give nil or "".
 func TestValueAccessors(t *testing.T) {
-	o, b, a := &Object{Class: "T"}, &Object{Class: "Integer", BoxVal: 7}, &Array{Elems: make([]int64, 3)}
+	o, b, a := &Object{layout: &Layout{Class: "T"}}, &Object{layout: integerLayout, BoxVal: 7}, &Array{Elems: make([]int64, 3)}
 	if got := ObjVal(o); got.Kind != KObj || got.Obj() != o || got.Arr() != nil || got.Str() != "" {
 		t.Errorf("ObjVal: kind %v obj %p arr %p str %q", got.Kind, got.Obj(), got.Arr(), got.Str())
 	}

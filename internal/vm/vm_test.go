@@ -367,7 +367,7 @@ func TestValueHelpers(t *testing.T) {
 	if NullVal().String() != "null" {
 		t.Error("null renders wrong")
 	}
-	o := &Object{Class: "T"}
+	o := &Object{layout: &Layout{Class: "T"}}
 	if !SameRef(ObjVal(o), ObjVal(o)) {
 		t.Error("SameRef should match identical objects")
 	}
@@ -381,10 +381,11 @@ func TestValueHelpers(t *testing.T) {
 
 func TestHeapMarkSweep(t *testing.T) {
 	h := NewHeap(0)
-	a := h.NewObject("T", &Layout{Names: []string{"x"}, Zeros: []Value{NullVal()}})
-	b := h.NewObject("T", nil)
+	t1 := &Layout{Class: "T"}
+	a := h.NewObject(&Layout{Class: "T", Names: []string{"x"}, Zeros: []Value{NullVal()}})
+	b := h.NewObject(t1)
 	a.SetField("x", ObjVal(b))
-	c := h.NewObject("T", nil) // garbage
+	c := h.NewObject(t1) // garbage
 	_ = c
 	arr := h.NewArray(3)
 	live, freed := h.Collect([]Value{ObjVal(a), ArrVal(arr)})
@@ -443,7 +444,8 @@ func TestNewObjectDuplicateField(t *testing.T) {
 
 // TestObjectUndeclaredField: a name outside the layout behaves like a
 // map entry — zero until written, readable after, and traced by the
-// collector — for class instances and for layout-less monitor objects.
+// collector — for class instances and for monitor objects, whose
+// layouts name a class but declare no fields.
 func TestObjectUndeclaredField(t *testing.T) {
 	img := compileForBench(t, `class T { int n; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
@@ -457,8 +459,9 @@ func TestObjectUndeclaredField(t *testing.T) {
 			t.Errorf("%s: undeclared read = %v, want Value{}", name, got)
 		}
 		h := NewHeap(0)
-		target := h.NewObject("T", nil)
-		h.NewObject("T", nil) // garbage
+		t1 := &Layout{Class: "T"}
+		target := h.NewObject(t1)
+		h.NewObject(t1) // garbage
 		o.SetField("ghost", ObjVal(target))
 		if got := o.Field("ghost"); got.Obj() != target {
 			t.Errorf("%s: undeclared write not readable: %v", name, got)
@@ -495,7 +498,7 @@ func TestOutputStringFormat(t *testing.T) {
 // stays interpreted (tier-policy tests need no real compiler).
 type fakeJIT struct{ compiled []string }
 
-func (f *fakeJIT) Compile(fn *bytecode.Function, tier Tier, env Env) (CompiledMethod, error) {
+func (f *fakeJIT) Compile(fn *bytecode.Function, tier Tier, m *Machine) (CompiledMethod, error) {
 	f.compiled = append(f.compiled, fn.Key()+"@"+tier.String())
 	return nil, errBailout
 }
