@@ -34,7 +34,9 @@ func Compile(p *lang.Program) (*Image, error) {
 	if img.Entry() == nil {
 		return nil, fmt.Errorf("bytecode: image has no entry %s.main", p.EntryClass)
 	}
-	img.link()
+	if err := img.link(); err != nil {
+		return nil, err
+	}
 	return img, nil
 }
 
@@ -50,9 +52,13 @@ func (img *Image) declareStatic(class, name string, isRef bool) {
 
 // link resolves every function's method refs to their callees and its
 // static field refs to their slots, once per image, so a runtime never
-// looks either up by name while it executes.
-func (img *Image) link() {
+// looks either up by name while it executes, and fills each function's
+// MaxStack, blocks and superinstructions (linkCode).
+func (img *Image) link() error {
 	for _, fn := range img.funcs {
+		if err := linkCode(fn); err != nil {
+			return fmt.Errorf("bytecode: link %s: %w", fn.Key(), err)
+		}
 		fn.Callees = make([]*Function, len(fn.Methods))
 		for i, ref := range fn.Methods {
 			fn.Callees[i] = img.Lookup(ref)
@@ -65,6 +71,7 @@ func (img *Image) link() {
 			}
 		}
 	}
+	return nil
 }
 
 // fnCompiler holds per-method compilation state.

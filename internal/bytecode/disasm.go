@@ -12,7 +12,7 @@ func Disassemble(f *Function) string {
 	if f.Synchronized {
 		mods = "synchronized "
 	}
-	fmt.Fprintf(&b, "%s%s.%s  (params=%d locals=%d void=%v)\n", mods, f.Class, f.Name, f.NParams, f.NLocals, f.Void)
+	fmt.Fprintf(&b, "%s%s.%s  (params=%d locals=%d stack=%d void=%v)\n", mods, f.Class, f.Name, f.NParams, f.NLocals, f.MaxStack, f.Void)
 	for pc, ins := range f.Code {
 		fmt.Fprintf(&b, "  %4d: %-14s", pc, ins.Op)
 		switch ins.Op {
@@ -36,6 +36,12 @@ func Disassemble(f *Function) string {
 			fmt.Fprintf(&b, "%s", f.Fields[ins.A])
 		case NewObj:
 			fmt.Fprintf(&b, "%s", f.Classes[ins.A])
+		}
+		if ins.Block != 0 {
+			fmt.Fprintf(&b, "  ; block %d", ins.Block)
+		}
+		if ins.Fused != Nop {
+			fmt.Fprintf(&b, "  ; fused %s", ins.Fused)
 		}
 		b.WriteString("\n")
 	}

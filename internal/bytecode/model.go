@@ -52,12 +52,15 @@ type Function struct {
 	// ID is the function's index in Image.Functions, assigned by
 	// Compile: runtimes keep per-function state in a slice indexed by
 	// it instead of hashing Key.
-	ID           int
-	Class        string
-	Name         string
-	NParams      int // locals 0..NParams-1 hold receiver (if any) then args
-	HasReceiver  bool
-	NLocals      int
+	ID          int
+	Class       string
+	Name        string
+	NParams     int // locals 0..NParams-1 hold receiver (if any) then args
+	HasReceiver bool
+	NLocals     int
+	// MaxStack is the deepest the operand stack gets on any path,
+	// filled by Compile: an interpreter frame's stack holds this many.
+	MaxStack     int
 	Void         bool
 	Synchronized bool
 

@@ -84,6 +84,15 @@ const (
 
 	// Output.
 	PrintOp // pop value, append to program output
+
+	// Superinstructions. They never appear in Instr.Op: Compile stores
+	// one in Instr.Fused of the first instruction of the four-instruction
+	// sequence it names, when the sequence lies inside one block, and an
+	// interpreter runs it in place of the four only when it charged that
+	// block's fuel whole.
+	LoadConstCmpLtJumpIfFalse // load A; const; cmplt; jump_if_false: a counted loop's test
+	LoadLoadAddStore          // load A; load; add; store
+	LoadConstAddStore         // load A; const; add; store: a counted loop's increment
 )
 
 var opNames = [...]string{
@@ -103,7 +112,10 @@ var opNames = [...]string{
 	Invoke: "invoke", InvokeReflect: "invoke_reflect", ReflectGetF: "reflect_getfield",
 	MonitorEnter: "monitorenter", MonitorExit: "monitorexit",
 	Return: "return", ReturnVal: "return_val", Throw: "throw",
-	PrintOp: "print",
+	PrintOp:                   "print",
+	LoadConstCmpLtJumpIfFalse: "load_const_cmplt_jump_if_false",
+	LoadLoadAddStore:          "load_load_add_store",
+	LoadConstAddStore:         "load_const_add_store",
 }
 
 func (o Op) String() string {
@@ -144,10 +156,33 @@ func (o Op) StackEffect() (int, bool) {
 	return 0, false
 }
 
-// Instr is one bytecode instruction.
+// Instr is one bytecode instruction. Compile fills Fused and Block
+// into what would otherwise be padding, so an Instr stays 12 bytes.
 type Instr struct {
-	Op   Op
-	A, B int32
+	Op Op
+	// Fused is the superinstruction that runs this instruction and the
+	// three after it at once, or Nop when there is none.
+	Fused Op
+	// Block is the length of the block this instruction leads, or 0
+	// when it is not a leader. A block is a run of instructions that
+	// only its first one can be entered at and only its last one can
+	// leave early: every instruction but the last is pure.
+	Block uint16
+	A, B  int32
+}
+
+// pure reports whether o may sit inside a block: it cannot branch,
+// throw, allocate, call or consume fuel beyond its own step. Charging a
+// block of pure instructions at once is then exact.
+func (o Op) pure() bool {
+	switch o {
+	case Nop, Const, ConstStr, ConstBool, Load, Store, Dup, Pop,
+		Add, Sub, Mul, And, Or, Xor, Shl, Shr, Neg, BitNot,
+		CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe, Not, I2L,
+		GetStatic, PutStatic, PrintOp:
+		return true
+	}
+	return false
 }
 
 // Exception codes used by the runtime for built-in failures.

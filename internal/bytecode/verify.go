@@ -17,6 +17,8 @@ import (
 //   - every Invoke target resolves in the image, and Compile linked
 //     each method ref to its callee and each static field ref to its
 //     slot
+//   - MaxStack, the block lengths and the superinstruction slots are
+//     the ones Compile derives from the code
 //
 // It returns an error describing the first violated rule.
 func Verify(img *Image) error {
@@ -92,13 +94,18 @@ func verifyFunc(img *Image, f *Function) error {
 			return fmt.Errorf("extable %d: catch slot %d out of range", i, ex.CatchSlot)
 		}
 	}
-	return verifyStack(img, f)
+	maxStack, err := stackDepth(f)
+	if err != nil {
+		return err
+	}
+	return checkLinks(f, maxStack)
 }
 
-// verifyStack abstractly interprets stack depths over all paths.
-func verifyStack(img *Image, f *Function) error {
+// stackDepth abstractly interprets stack depths over all paths and
+// returns the deepest the operand stack gets on any of them.
+func stackDepth(f *Function) (int, error) {
 	const unvisited = -1
-	depth := make([]int, len(f.Code))
+	depth := make([]int32, len(f.Code)) // int32: this runs on every compile and verify
 	for i := range depth {
 		depth[i] = unvisited
 	}
@@ -106,6 +113,7 @@ func verifyStack(img *Image, f *Function) error {
 		pc int32
 		d  int
 	}
+	maxDepth := 0
 	work := []workItem{{0, 0}}
 	for _, ex := range f.ExTable {
 		work = append(work, workItem{ex.Handler, 0})
@@ -117,15 +125,15 @@ func verifyStack(img *Image, f *Function) error {
 	path:
 		for {
 			if pc >= int32(len(f.Code)) {
-				return fmt.Errorf("execution falls off the end at pc %d", pc)
+				return 0, fmt.Errorf("execution falls off the end at pc %d", pc)
 			}
-			if prev := depth[pc]; prev != unvisited {
+			if prev := int(depth[pc]); prev != unvisited {
 				if prev != d {
-					return fmt.Errorf("pc %d: inconsistent stack depth %d vs %d", pc, prev, d)
+					return 0, fmt.Errorf("pc %d: inconsistent stack depth %d vs %d", pc, prev, d)
 				}
 				break // already explored from here
 			}
-			depth[pc] = d
+			depth[pc] = int32(d)
 			ins := f.Code[pc]
 			switch ins.Op {
 			case Invoke, InvokeReflect:
@@ -146,13 +154,14 @@ func verifyStack(img *Image, f *Function) error {
 			default:
 				eff, ok := ins.Op.StackEffect()
 				if !ok {
-					return fmt.Errorf("pc %d: unknown opcode %d", pc, ins.Op)
+					return 0, fmt.Errorf("pc %d: unknown opcode %d", pc, ins.Op)
 				}
 				d += eff
 			}
 			if d < 0 {
-				return fmt.Errorf("pc %d: stack underflow (%s)", pc, ins.Op)
+				return 0, fmt.Errorf("pc %d: stack underflow (%s)", pc, ins.Op)
 			}
+			maxDepth = max(maxDepth, d)
 			switch ins.Op {
 			case Jump:
 				pc = ins.A
@@ -161,12 +170,12 @@ func verifyStack(img *Image, f *Function) error {
 				work = append(work, workItem{ins.A, d})
 			case Return, ReturnVal, Throw:
 				if ins.Op == ReturnVal && f.Void {
-					return fmt.Errorf("pc %d: value return from void function", pc)
+					return 0, fmt.Errorf("pc %d: value return from void function", pc)
 				}
 				break path
 			}
 			pc++
 		}
 	}
-	return nil
+	return maxDepth, nil
 }

@@ -162,8 +162,10 @@ func (c *Compiled) getArgs(n int) []vm.Value {
 	return make([]vm.Value, n)
 }
 
+// putArgs returns a buffer to the freelist. Only buf's length can have
+// been written: the rest was cleared when the buffer was last returned.
 func (c *Compiled) putArgs(buf []vm.Value) {
-	clear(buf[:cap(buf)])
+	clear(buf)
 	c.argBufs = append(c.argBufs, buf)
 }
 

@@ -140,6 +140,9 @@ type Machine struct {
 
 	output []string
 	steps  int64
+	// limit is the step count past which Step fails: MaxSteps, lowered
+	// to the current step count once the heap cap is crossed.
+	limit int64
 
 	fns []fnState // per-function runtime state, indexed by Function.ID
 
@@ -167,7 +170,8 @@ type staticKey struct{ class, field string }
 type frame struct {
 	fn     *bytecode.Function
 	locals []Value
-	stack  []Value
+	stack  []Value // MaxStack slots
+	sp     int     // the live stack[:sp], stored before each allocation or call
 	mons   []monEntry
 }
 
@@ -179,9 +183,10 @@ type frame struct {
 // popped it and GC root scans only walk live frames.
 var framePool = sync.Pool{New: func() any { return &frame{} }}
 
-// newFrame returns a cleared frame with locals sized for fn. Reused
-// locals are zeroed up to NLocals (the old make([]Value, n) semantics);
-// the stack and monitor slices keep their capacity, length zero.
+// newFrame returns a cleared frame with locals and stack sized for fn.
+// Reused locals and stack slots are already zero, since freeFrame
+// clears every slot a frame used; the monitor slice keeps its capacity,
+// length zero.
 func newFrame(fn *bytecode.Function) *frame {
 	f := framePool.Get().(*frame)
 	f.fn = fn
@@ -189,9 +194,13 @@ func newFrame(fn *bytecode.Function) *frame {
 		f.locals = make([]Value, fn.NLocals)
 	} else {
 		f.locals = f.locals[:fn.NLocals]
-		clear(f.locals)
 	}
-	f.stack = f.stack[:0]
+	if cap(f.stack) < fn.MaxStack {
+		f.stack = make([]Value, fn.MaxStack)
+	} else {
+		f.stack = f.stack[:fn.MaxStack]
+	}
+	f.sp = 0
 	f.mons = f.mons[:0]
 	return f
 }
@@ -202,7 +211,7 @@ func newFrame(fn *bytecode.Function) *frame {
 func freeFrame(f *frame) {
 	f.fn = nil
 	clear(f.locals)
-	clear(f.stack[:cap(f.stack)])
+	clear(f.stack)
 	f.mons = f.mons[:0]
 	framePool.Put(f)
 }
@@ -225,9 +234,10 @@ func (m *Machine) getArgs(n int) []Value {
 
 // putArgs returns a buffer once the call has copied the values out
 // (interpreted frames copy into locals, compiled code into its scope
-// stack — neither retains the slice).
+// stack — neither retains the slice). Only buf's length can have been
+// written: the rest was cleared when the buffer was last returned.
 func (m *Machine) putArgs(buf []Value) {
-	clear(buf[:cap(buf)])
+	clear(buf)
 	m.argBufs = append(m.argBufs, buf)
 }
 
@@ -244,6 +254,7 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		cfg:     cfg,
 		Heap:    NewHeap(cfg.GCEvery),
 		heapCap: cfg.MaxHeapUnits,
+		limit:   cfg.MaxSteps,
 		statics: make([]Value, len(img.Statics)),
 		fns:     make([]fnState, len(img.Functions())),
 	}
@@ -445,7 +456,7 @@ func (m *Machine) NewObject(class string) Value {
 	v := ObjVal(m.Heap.NewObject(m.fieldLayout(class)))
 	m.trace("runtime.objects")
 	m.trace("gc.alloc.fast")
-	m.maybeGC()
+	m.allocated()
 	return v
 }
 
@@ -488,7 +499,7 @@ func (m *Machine) NewBox(v int64) Value {
 	b := BoxVal(m.Heap.NewBox(v))
 	m.trace("runtime.boxing")
 	m.trace("gc.alloc.fast")
-	m.maybeGC()
+	m.allocated()
 	return b
 }
 
@@ -500,11 +511,19 @@ func (m *Machine) NewArray(n int64) Value {
 	if n > 1000 {
 		m.trace("gc.large")
 	}
-	m.maybeGC()
+	m.allocated()
 	return a
 }
 
-func (m *Machine) maybeGC() {
+// allocated does the bookkeeping every allocation owes. Allocation
+// sites have no error channel, so crossing the heap cap lowers the step
+// limit to the current step count: the next step fails, from
+// interpreted and compiled code alike. Then a collection runs if one is
+// due.
+func (m *Machine) allocated() {
+	if m.Heap.Units > m.heapCap {
+		m.limit = min(m.limit, m.steps)
+	}
 	if !m.Heap.NeedsGC() {
 		return
 	}
@@ -518,7 +537,7 @@ func (m *Machine) maybeGC() {
 	roots := append(m.rootsBuf[:0], m.statics...)
 	for _, f := range m.frames {
 		roots = append(roots, f.locals...)
-		roots = append(roots, f.stack...)
+		roots = append(roots, f.stack[:f.sp]...)
 		for _, me := range f.mons {
 			roots = append(roots, me.v)
 		}
@@ -666,21 +685,22 @@ func (m *Machine) Print(v Value) {
 }
 
 // Step consumes one unit of fuel; it returns ErrTimeout when the budget
-// is gone. It is also where the heap-allocation cap surfaces:
-// allocation sites have no error channel, so the budget check rides the
-// per-instruction fuel check instead (the interpreter and compiled code
-// both step every instruction, bounding the delay to one instruction
-// after the blown allocation). Step is small enough to inline into
-// every caller; stepFail sorts out which limit was crossed.
+// is gone. It is also where the heap-allocation cap surfaces: the
+// allocation that crosses the cap lowers the step limit (allocated), so
+// the first step after it fails with ErrHeapExhausted. Compiled code
+// steps every statement and the interpreter every instruction, or every
+// block it charges whole (interpret). Step is one compare, small enough
+// to inline into every caller; stepFail sorts out which limit was
+// crossed.
 func (m *Machine) Step() error {
 	m.steps++
-	if m.steps > m.cfg.MaxSteps || m.Heap.Units > m.heapCap {
+	if m.steps > m.limit {
 		return m.stepFail()
 	}
 	return nil
 }
 
-// stepFail names the limit Step crossed. Timeout wins when both are.
+// stepFail names the limit a step crossed. Timeout wins when both are.
 func (m *Machine) stepFail() error {
 	if m.steps > m.cfg.MaxSteps {
 		return ErrTimeout
