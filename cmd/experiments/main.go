@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -29,8 +30,6 @@ func main() {
 	budgetFlag := flag.Int("budget", 0, "execution budget per tool (default per experiment)")
 	seedsFlag := flag.Int("seeds", 0, "seed pool size (default per experiment)")
 	seedFlag := flag.Int64("seed", 1, "campaign random seed")
-	benchJSON := flag.String("bench-json", "", "measure campaign throughput (sequential vs parallel vs legacy OBV), the scaling matrix, and backend exec overhead; write the JSON report here")
-	benchWorkers := flag.Int("bench-workers", 4, "worker count for the parallel leg of -bench-json")
 	backend := flag.String("backend", "inprocess", "execution backend: inprocess, or pool (minijvm children, batched protocol; -pool-recycle-after 1 is one child per execution)")
 	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
 	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
@@ -115,66 +114,39 @@ func main() {
 			runFigure(f)
 			sep()
 		}
-		return
-	}
-	if *tableFlag != "" {
-		runTable(*tableFlag)
-	}
-	if *figureFlag != "" {
-		if ran {
-			sep()
+	} else {
+		if *tableFlag != "" {
+			runTable(*tableFlag)
 		}
-		runFigure(*figureFlag)
-	}
-	if *recall {
-		if ran {
-			sep()
+		if *figureFlag != "" {
+			if ran {
+				sep()
+			}
+			runFigure(*figureFlag)
 		}
-		ran = true
-		experiments.Recall(w, budget)
 	}
-	if *planRecall {
-		if ran {
-			sep()
+	// The extra artifacts follow the tables and figures. -all closes
+	// every artifact with a separator; otherwise one goes between them.
+	for _, extra := range []struct {
+		on  bool
+		run func(io.Writer, experiments.Budget)
+	}{
+		{*recall, experiments.Recall},
+		{*planRecall, experiments.PlanRecall},
+		{*scheduleRecall, experiments.ScheduleRecall},
+		{*generatorRecall, experiments.GeneratorRecall},
+	} {
+		if !extra.on {
+			continue
 		}
-		ran = true
-		experiments.PlanRecall(w, budget)
-	}
-	if *scheduleRecall {
-		if ran {
-			sep()
-		}
-		ran = true
-		experiments.ScheduleRecall(w, budget)
-	}
-	if *generatorRecall {
-		if ran {
+		if ran && !*all {
 			sep()
 		}
 		ran = true
-		experiments.GeneratorRecall(w, budget)
-	}
-	if *benchJSON != "" {
-		ran = true
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		extra.run(w, budget)
+		if *all {
+			sep()
 		}
-		rep, err := experiments.WriteBenchJSON(f, budget, *benchWorkers, experiments.BenchOptions{
-			MinijvmPath:  *minijvmPath,
-			ChildTimeout: *childTimeout,
-			Pool:         tuning,
-		})
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "bench: %.0f execs/sec sequential, %.0f execs/sec with %d workers (%.2fx), OBV extraction %.0f -> %.0f ns/op (%.1fx); report written to %s\n",
-			rep.SequentialExecsPerSec, rep.ParallelExecsPerSec, rep.Workers, rep.CampaignSpeedup,
-			rep.OBVRegexNsPerOp, rep.OBVStructuredNsPerOp, rep.OBVSpeedup, *benchJSON)
-		experiments.ScalingTable(w, rep)
 	}
 	if !ran {
 		flag.Usage()

@@ -39,26 +39,40 @@ func poolBackend(t *testing.T, cfg exec.PoolConfig) *exec.Pool {
 
 // spawnPerExec is the pool at a recycle budget of 1: every batch runs on
 // a fresh child, which exits after answering it — one child process per
-// execution (or per differential). The TestSubprocess* tests run the
-// pool behaviours on this shape.
+// execution (or per differential).
 func spawnPerExec(t *testing.T, cfg exec.PoolConfig) *exec.Pool {
 	t.Helper()
 	cfg.RecycleAfter = 1
 	return poolBackend(t, cfg)
 }
 
-// TestPoolMatchesInProcess is the per-execution equivalence table: the
-// warm pool — compile cache and all — must reproduce the in-process
-// ExecResult exactly, across consecutive executions on the same child.
+// poolShapes names the two pool shapes the behaviour tests run on: warm
+// children that serve many batches, and spawn-per-exec.
+var poolShapes = []struct {
+	name  string
+	build func(*testing.T, exec.PoolConfig) *exec.Pool
+}{
+	{"warm", poolBackend},
+	{"spawn-per-exec", spawnPerExec},
+}
+
+// onEachPoolShape runs body once per pool shape, each on a fresh pool
+// built from cfg, as subtests named after the shape.
+func onEachPoolShape(t *testing.T, cfg exec.PoolConfig, body func(t *testing.T, pool *exec.Pool)) {
+	for _, shape := range poolShapes {
+		t.Run(shape.name, func(t *testing.T) { body(t, shape.build(t, cfg)) })
+	}
+}
+
+// TestPoolMatchesInProcess is the per-execution equivalence table: each
+// pool shape must reproduce the in-process ExecResult exactly; the warm
+// pool across consecutive executions on the same child, compile cache
+// and all.
 func TestPoolMatchesInProcess(t *testing.T) {
-	testMatchesInProcess(t, poolBackend(t, exec.PoolConfig{}))
-}
-
-func TestSubprocessMatchesInProcess(t *testing.T) {
-	testMatchesInProcess(t, spawnPerExec(t, exec.PoolConfig{}))
-}
-
-func testMatchesInProcess(t *testing.T, pool *exec.Pool) {
+	pools := map[string]*exec.Pool{}
+	for _, shape := range poolShapes {
+		pools[shape.name] = shape.build(t, exec.PoolConfig{})
+	}
 	seeds := corpus.DefaultPool(4, 3)
 	for _, tc := range []struct {
 		name string
@@ -69,30 +83,37 @@ func testMatchesInProcess(t *testing.T, pool *exec.Pool) {
 		{"interp", jvm.Options{PureInterpreter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, seed := range seeds {
-				p, err := lang.Parse(seed.Source)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantErr := exec.InProcess{}.Execute(context.Background(), lang.CloneProgram(p), hotspot17(), tc.opt)
-				got, gotErr := pool.Execute(context.Background(), p, hotspot17(), tc.opt)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: error mismatch: %v vs %v", seed.Name, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error text diverged: %q vs %q", seed.Name, wantErr, gotErr)
+			for _, shape := range poolShapes {
+				pool := pools[shape.name]
+				t.Run(shape.name, func(t *testing.T) {
+					for _, seed := range seeds {
+						p, err := lang.Parse(seed.Source)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, wantErr := exec.InProcess{}.Execute(context.Background(), lang.CloneProgram(p), hotspot17(), tc.opt)
+						got, gotErr := pool.Execute(context.Background(), p, hotspot17(), tc.opt)
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("%s: error mismatch: %v vs %v", seed.Name, wantErr, gotErr)
+						}
+						if wantErr != nil {
+							if wantErr.Error() != gotErr.Error() {
+								t.Fatalf("%s: error text diverged: %q vs %q", seed.Name, wantErr, gotErr)
+							}
+							continue
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: backends diverged\n got: %+v\nwant: %+v", seed.Name, got, want)
+						}
 					}
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: backends diverged\n got: %+v\nwant: %+v", seed.Name, got, want)
-				}
+				})
 			}
 		})
 	}
-	if st := pool.Stats(); st.Spawns == 0 || st.Executions == 0 {
-		t.Errorf("pool counters empty: %+v", pool.Stats())
+	for name, pool := range pools {
+		if st := pool.Stats(); st.Spawns == 0 || st.Executions == 0 {
+			t.Errorf("%s pool counters empty: %+v", name, st)
+		}
 	}
 }
 
@@ -100,11 +121,7 @@ func testMatchesInProcess(t *testing.T, pool *exec.Pool) {
 // one batch on one child and still group exactly like
 // jvm.RunDifferential.
 func TestPoolDifferentialMatchesInProcess(t *testing.T) {
-	testDifferentialMatchesInProcess(t, poolBackend(t, exec.PoolConfig{}))
-}
-
-func TestSubprocessDifferentialMatchesInProcess(t *testing.T) {
-	testDifferentialMatchesInProcess(t, spawnPerExec(t, exec.PoolConfig{}))
+	onEachPoolShape(t, exec.PoolConfig{}, testDifferentialMatchesInProcess)
 }
 
 func testDifferentialMatchesInProcess(t *testing.T, pool *exec.Pool) {
@@ -313,11 +330,7 @@ func TestPoolRecycleOnMemHighWater(t *testing.T) {
 // deterministic failure — classified FaultHarness with the child's
 // stack, and NOT retried (it would just panic again).
 func TestPoolClassifiesChildPanic(t *testing.T) {
-	testClassifiesChildPanic(t, poolBackend(t, exec.PoolConfig{InjectFault: "panic"}))
-}
-
-func TestSubprocessClassifiesChildPanic(t *testing.T) {
-	testClassifiesChildPanic(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "panic"}))
+	onEachPoolShape(t, exec.PoolConfig{InjectFault: "panic"}, testClassifiesChildPanic)
 }
 
 func testClassifiesChildPanic(t *testing.T, pool *exec.Pool) {
@@ -344,11 +357,7 @@ func testClassifiesChildPanic(t *testing.T, pool *exec.Pool) {
 // TestPoolClassifiesChildHang: a hung child trips the batch deadline,
 // is killed, and classifies FaultTimeout — never retried.
 func TestPoolClassifiesChildHang(t *testing.T) {
-	testClassifiesChildHang(t, poolBackend(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond}))
-}
-
-func TestSubprocessClassifiesChildHang(t *testing.T) {
-	testClassifiesChildHang(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond}))
+	onEachPoolShape(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond}, testClassifiesChildHang)
 }
 
 func testClassifiesChildHang(t *testing.T, pool *exec.Pool) {
@@ -372,11 +381,7 @@ func testClassifiesChildHang(t *testing.T, pool *exec.Pool) {
 // TestPoolParentCancellationIsNotAFault: caller shutdown mid-batch is
 // context.Canceled, not a fault.
 func TestPoolParentCancellationIsNotAFault(t *testing.T) {
-	testParentCancellationIsNotAFault(t, poolBackend(t, exec.PoolConfig{InjectFault: "hang"}))
-}
-
-func TestSubprocessParentCancellationIsNotAFault(t *testing.T) {
-	testParentCancellationIsNotAFault(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "hang"}))
+	onEachPoolShape(t, exec.PoolConfig{InjectFault: "hang"}, testParentCancellationIsNotAFault)
 }
 
 func testParentCancellationIsNotAFault(t *testing.T, pool *exec.Pool) {
@@ -506,11 +511,7 @@ done
 // a child that panics on every execution becomes per-seed harness
 // faults; the campaign itself finishes cleanly.
 func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
-	testCampaignSurvivesBackendFault(t, poolBackend(t, exec.PoolConfig{InjectFault: "panic"}))
-}
-
-func TestCampaignSurvivesBackendFault(t *testing.T) {
-	testCampaignSurvivesBackendFault(t, spawnPerExec(t, exec.PoolConfig{InjectFault: "panic"}))
+	onEachPoolShape(t, exec.PoolConfig{InjectFault: "panic"}, testCampaignSurvivesBackendFault)
 }
 
 func testCampaignSurvivesBackendFault(t *testing.T, pool *exec.Pool) {
@@ -542,11 +543,7 @@ func testCampaignSurvivesBackendFault(t *testing.T, pool *exec.Pool) {
 // TestPoolCrashRoundTrip: a simulated JVM crash crosses the batched
 // wire intact and is a result, not a backend fault.
 func TestPoolCrashRoundTrip(t *testing.T) {
-	testCrashRoundTrip(t, poolBackend(t, exec.PoolConfig{}))
-}
-
-func TestSubprocessCrashRoundTrip(t *testing.T) {
-	testCrashRoundTrip(t, spawnPerExec(t, exec.PoolConfig{}))
+	onEachPoolShape(t, exec.PoolConfig{}, testCrashRoundTrip)
 }
 
 func testCrashRoundTrip(t *testing.T, pool *exec.Pool) {

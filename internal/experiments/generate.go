@@ -18,16 +18,15 @@ import (
 // randprog pool misses at the same budget, because refreshed seeds keep
 // landing new construct combinations in front of the JIT passes.
 type GeneratorLeg struct {
-	Generators          []string `json:"generators"`
-	Styles              []string `json:"styles,omitempty"`
-	Detected            int      `json:"detected"`
-	Executions          int      `json:"executions"`
-	MedianExecsToDetect float64  `json:"median_execs_to_detection"`
+	Generators          []string
+	Detected            int
+	Executions          int
+	MedianExecsToDetect float64
 	// GeneratorDetections counts the detected bugs whose first detection
 	// rode a generator-emitted seed (finding provenance GeneratorID set)
 	// rather than an original pool seed. Zero on the baseline leg by
 	// construction.
-	GeneratorDetections int `json:"generator_detections"`
+	GeneratorDetections int
 }
 
 // generatorLegConfigs orders the recall legs baseline-first so the
@@ -107,7 +106,6 @@ func runGeneratorLegs(budget Budget) []generatorLegRun {
 		runs = append(runs, generatorLegRun{
 			leg: GeneratorLeg{
 				Generators:          cfg.Generators,
-				Styles:              cfg.Styles,
 				Detected:            len(detected),
 				Executions:          execs,
 				MedianExecsToDetect: medianDetection(detected),
@@ -118,17 +116,6 @@ func runGeneratorLegs(budget Budget) []generatorLegRun {
 		})
 	}
 	return runs
-}
-
-// BenchGeneratorLegs runs the generator-recall comparison for the BENCH
-// artifact (schema v4's generator_legs).
-func BenchGeneratorLegs(budget Budget) []GeneratorLeg {
-	runs := runGeneratorLegs(budget)
-	legs := make([]GeneratorLeg, 0, len(runs))
-	for _, r := range runs {
-		legs = append(legs, r.leg)
-	}
-	return legs
 }
 
 // GeneratorRecall reruns the ground-truth recall campaign per generator

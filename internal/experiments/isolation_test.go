@@ -6,28 +6,22 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/jit"
+	"repro/internal/jvm"
+	"repro/internal/profile"
 )
 
 // TestCampaignIsolatedFromPriorWork pins that a campaign's results are
-// a pure function of its own configuration: running heavy unrelated
-// work in the same process first — other campaigns at different
-// budgets, a parallel campaign, micro-benchmarks, GOMAXPROCS changes —
-// must not move a single detection.
-//
-// This replays, in miniature, the ordering that once made BenCHmark's
-// schedule legs look flaky (ROADMAP: a power x plan-full leg detected
-// one bug fewer inside the full bench run than standalone at the same
-// budget). A full-scale replay of the pre-v3 bench ordering at the
-// recorded 1500x20 leg reproduced byte-identical results, so the shift
-// was config drift between the bench harness and the standalone run
-// (warm-up budget and leg order changed between versions), not shared
-// state. The suspects audited and cleared on the way: no global
-// math/rand in non-test code, jit.Cache is campaign-scoped and fully
-// keyed, the heap budget is logical units rather than wall-clock or
-// allocator state, sync.Pools reset their contents, and the in-process
-// executor is stateless. This test keeps all of that true.
+// a pure function of its own configuration: heavy unrelated work in the
+// same process first (campaigns at other seeds, worker counts and OBV
+// paths, a burst of profile-log extraction, a campaign under a shifted
+// GOMAXPROCS) must not move a single detection. That holds only while
+// non-test code uses no global math/rand, jit.Cache stays
+// campaign-scoped and fully keyed, the heap budget counts logical units
+// rather than wall-clock or allocator state, sync.Pools reset their
+// contents, and the in-process executor stays stateless.
 func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	budget := Budget{Executions: 300, Seeds: 8, Seed: 1}
 	leg := func() string {
@@ -40,15 +34,32 @@ func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	}
 	cold := leg()
 
-	// Unrelated in-process work in the bench harness's order: warm-up
-	// campaign, sequential and parallel timing legs, micro-benchmarks,
-	// and campaigns under shifted GOMAXPROCS.
-	timeCampaign(Budget{Executions: 125, Seeds: 8, Seed: 3}, true, 4)
-	timeCampaign(Budget{Executions: 125, Seeds: 8, Seed: 1}, false, 1)
-	benchOBVExtraction()
-	prev := runtime.GOMAXPROCS(0)
-	runtime.GOMAXPROCS(2)
-	timeCampaign(Budget{Executions: 125, Seeds: 8, Seed: 2}, true, 2)
+	// Unrelated campaigns: 125 executions over 8 seeds against the
+	// reference target.
+	other := func(seed int64, structured bool, workers int) {
+		fcfg := core.DefaultConfig(jvm.Reference())
+		fcfg.Seed = seed
+		fcfg.StructuredOBV = structured
+		core.RunCampaign(core.CampaignConfig{
+			Seeds:   corpus.DefaultPool(8, seed),
+			Budget:  125,
+			Targets: []jvm.Spec{jvm.Reference()},
+			Fuzz:    fcfg,
+			Seed:    seed,
+			Workers: workers,
+		})
+	}
+	other(3, true, 4)
+	other(1, false, 1) // the regex-over-log OBV path
+	for i := 0; i < 200; i++ {
+		rec := profile.NewRecorder(profile.DefaultFlags())
+		rec.Emitf(profile.FlagPrintCompilation, "    %d    3    Foo::work (hot)", i)
+		rec.EmitBehaviorf(profile.FlagPrintInlining, profile.LineInline, "@ %d Foo::work (%d nodes)   inline (hot)", i, 12)
+		rec.EmitBehaviorf(profile.FlagTraceLoopOpts, profile.LineUnroll, "Unroll %d(%d)", 8, 16)
+		profile.ExtractOBV(rec.Text())
+	}
+	prev := runtime.GOMAXPROCS(2)
+	other(2, true, 2)
 	runtime.GOMAXPROCS(prev)
 
 	if warm := leg(); warm != cold {

@@ -19,22 +19,22 @@ import (
 // least as many bugs in fewer median executions, because energy moves
 // budget toward diverse, high-yield (seed, plan-mode) arms.
 type ScheduleLeg struct {
-	Schedule            string  `json:"schedule"`
-	PlanFuzz            string  `json:"plan_fuzz"`
-	Detected            int     `json:"detected"`
-	Executions          int     `json:"executions"`
-	MedianExecsToDetect float64 `json:"median_execs_to_detection"`
+	Schedule            string
+	PlanFuzz            string
+	Detected            int
+	Executions          int
+	MedianExecsToDetect float64
 	// MedianCommonExecsToDetect is the median over only the bugs BOTH
 	// legs of the same plan-fuzz pair detected — the paired
 	// time-to-detection statistic. The unpaired median punishes the leg
 	// that detects more: its extra bugs are necessarily late detections,
 	// so they drag its median up even when it reaches every shared bug
 	// sooner.
-	MedianCommonExecsToDetect float64 `json:"median_common_execs_to_detection,omitempty"`
+	MedianCommonExecsToDetect float64
 }
 
 // scheduleLegPlans pairs each schedule mode with the plan modes the
-// BENCH artifact compares: the fixed pipeline and the fully fuzzed one
+// recall table compares: the fixed pipeline and the fully fuzzed one
 // (which also gives the power schedule its plan-mode arm axis).
 func scheduleLegPlans() []struct {
 	Schedule corpus.ScheduleMode
@@ -114,14 +114,10 @@ func runScheduleLegs(budget Budget) []scheduleLegRun {
 	var runs []scheduleLegRun
 	for _, lg := range scheduleLegPlans() {
 		detected, execs := scheduleDetected(budget, lg.Schedule, lg.Plan)
-		plan := string(lg.Plan)
-		if plan == "" {
-			plan = "off"
-		}
 		runs = append(runs, scheduleLegRun{
 			leg: ScheduleLeg{
 				Schedule:            string(lg.Schedule),
-				PlanFuzz:            plan,
+				PlanFuzz:            string(lg.Plan),
 				Detected:            len(detected),
 				Executions:          execs,
 				MedianExecsToDetect: medianDetection(detected),
@@ -151,17 +147,6 @@ func runScheduleLegs(budget Budget) []scheduleLegRun {
 		power.leg.MedianCommonExecsToDetect = medianDetection(restrict(power.detected))
 	}
 	return runs
-}
-
-// BenchScheduleLegs runs the 2x2 scheduling comparison (schedule off vs
-// power, plan-fuzz off vs full) for the BENCH artifact.
-func BenchScheduleLegs(budget Budget) []ScheduleLeg {
-	runs := runScheduleLegs(budget)
-	legs := make([]ScheduleLeg, 0, len(runs))
-	for _, r := range runs {
-		legs = append(legs, r.leg)
-	}
-	return legs
 }
 
 // ScheduleRecall reruns the ground-truth recall campaign per scheduling
