@@ -127,12 +127,17 @@ func main() {
 	}
 	// The extra artifacts follow the tables and figures. -all closes
 	// every artifact with a separator; otherwise one goes between them.
+	// The schedule and generator legs can fail: a backend fault while
+	// the power schedule scores the pool.
+	infallible := func(run func(io.Writer, experiments.Budget)) func(io.Writer, experiments.Budget) error {
+		return func(w io.Writer, b experiments.Budget) error { run(w, b); return nil }
+	}
 	for _, extra := range []struct {
 		on  bool
-		run func(io.Writer, experiments.Budget)
+		run func(io.Writer, experiments.Budget) error
 	}{
-		{*recall, experiments.Recall},
-		{*planRecall, experiments.PlanRecall},
+		{*recall, infallible(experiments.Recall)},
+		{*planRecall, infallible(experiments.PlanRecall)},
 		{*scheduleRecall, experiments.ScheduleRecall},
 		{*generatorRecall, experiments.GeneratorRecall},
 	} {
@@ -143,7 +148,11 @@ func main() {
 			sep()
 		}
 		ran = true
-		extra.run(w, budget)
+		if err := extra.run(w, budget); err != nil {
+			exec.CloseExecutor(executor) // os.Exit skips the deferred close
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 		if *all {
 			sep()
 		}

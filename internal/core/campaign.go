@@ -267,10 +267,15 @@ func (r *CampaignResult) FaultCounts() map[harness.FaultClass]int {
 // delegates to the supervised execution engine in its zero
 // configuration: sequential, deterministic, panic-contained, with no
 // watchdog goroutine or persistence — so every experiment table and
-// figure reproduces byte-identically.
+// figure reproduces byte-identically. It panics with the error when
+// RunCampaignContext fails: an unknown schedule mode, generator or
+// style, or a backend fault while scoring seeds. Callers that can meet
+// one of those call RunCampaignContext and handle the error.
 func RunCampaign(cfg CampaignConfig) *CampaignResult {
-	// The zero harness config performs no I/O, so this cannot fail.
-	res, _ := RunCampaignContext(context.Background(), cfg, harness.Config{})
+	res, err := RunCampaignContext(context.Background(), cfg, harness.Config{})
+	if err != nil {
+		panic(fmt.Errorf("core: RunCampaign: %w", err))
+	}
 	return res
 }
 
@@ -293,12 +298,67 @@ func RunCampaign(cfg CampaignConfig) *CampaignResult {
 // always describe a merged prefix, so resume works identically under
 // parallelism.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (*CampaignResult, error) {
+	if len(cfg.Seeds) == 0 {
+		return &CampaignResult{}, nil
+	}
+	c, err := newCampaign(ctx, cfg, hcfg)
+	if err != nil {
+		return nil, err
+	}
+	eng := newEngine(ctx, c.sup, cfg.Workers, c.cursor, c.roundLen, c.task)
+	defer eng.stop()
+	for c.res.Executions < c.cfg.Budget {
+		if ctx.Err() != nil {
+			c.res.Interrupted = true
+			break
+		}
+		if !c.startRound() {
+			break // a full round made no progress: the pool is dead
+		}
+		if !c.merge(ctx, eng.do(c.cursor)) {
+			// Shutdown raced the task; leave the cursor on it so a
+			// resume re-runs it instead of recording a phantom error.
+			c.res.Interrupted = true
+			break
+		}
+		c.cursor++
+		c.checkpoint(false)
+	}
+	c.checkpoint(true)
+	return c.res, nil
+}
+
+// campaign is one run of the campaign loop, split into stages: prepare
+// (newCampaign), round start, task, merge and checkpoint. newCampaign
+// is the only place that decides whether a feature is on; an off
+// feature is a nil field whose methods do nothing, so an off-mode
+// campaign runs the same code with fewer effects.
+type campaign struct {
+	cfg     CampaignConfig
+	hcfg    harness.Config
+	sup     *harness.Supervisor
+	res     *CampaignResult
+	seen    map[string]bool               // bug IDs already in res.Findings
+	weights map[string]map[string]float64 // mutator weights per "seed#rN" task
+	cursor  int                           // global task index == RNG cursor
+	// roundProgressed: some task of the current round fuzzed its seed.
+	roundProgressed bool
+	lastCkptExec    int
+	parsed          *corpus.ParseCache
+	sched           *corpus.Scheduler // nil: schedule off
+	gen             *genRuntime       // nil: generators off
+	// armFor resolves a cursor to its seed index and plan mode.
+	armFor   func(cursor int) (int, jit.PlanMode)
+	roundLen int // > 0: the engine's round barrier (see newEngine)
+}
+
+// newCampaign is the prepare stage: it normalises the config, decodes
+// the resume checkpoint, scores or distills the pool, builds the
+// scheduler and the generators, opens the supervisor and restores the
+// checkpointed state.
+func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (*campaign, error) {
 	if len(cfg.Targets) == 0 {
 		cfg.Targets = []jvm.Spec{jvm.Reference()}
-	}
-	res := &CampaignResult{}
-	if len(cfg.Seeds) == 0 {
-		return res, nil
 	}
 	schedMode, err := corpus.ParseScheduleMode(string(cfg.SeedSchedule))
 	if err != nil {
@@ -314,16 +374,21 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 	// pool is prepared, while findings/counters restore later (they need
 	// the supervisor). Decoding once keeps both views consistent.
 	var ck *harness.Checkpoint
-	var ckSt *campaignState
+	st := &campaignState{}
 	if hcfg.ResumePath != "" {
-		ck, err = harness.LoadCheckpoint(hcfg.ResumePath)
-		if err != nil {
+		if ck, err = harness.LoadCheckpoint(hcfg.ResumePath); err != nil {
 			return nil, err
 		}
-		ckSt = &campaignState{}
-		if err := json.Unmarshal(ck.State, ckSt); err != nil {
+		if err := json.Unmarshal(ck.State, st); err != nil {
 			return nil, fmt.Errorf("core: resume state: %w", err)
 		}
+	}
+	c := &campaign{
+		cfg:     cfg,
+		hcfg:    hcfg,
+		res:     &CampaignResult{},
+		seen:    map[string]bool{},
+		weights: map[string]map[string]float64{},
 	}
 
 	// Corpus intelligence: scoring feeds both distillation (shrink the
@@ -333,9 +398,8 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 	// same scheduler. Scoring dry-runs are corpus preparation, not
 	// fuzzing: like triage-reduction probes, they don't count against
 	// Budget.
-	var sched *corpus.Scheduler
 	if schedMode == corpus.SchedulePower || cfg.DistillSeeds {
-		feats, err := ScoreSeeds(ctx, cfg.Seeds, cfg.Executor, cfg.ScoreCachePath)
+		feats, err := ScoreSeeds(ctx, c.cfg.Seeds, cfg.Executor, cfg.ScoreCachePath)
 		if err != nil {
 			return nil, err
 		}
@@ -344,17 +408,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 			seeds := make([]corpus.Seed, 0, len(keptIdx))
 			kept := make([]*corpus.Features, 0, len(keptIdx))
 			for _, i := range keptIdx {
-				seeds = append(seeds, cfg.Seeds[i])
+				seeds = append(seeds, c.cfg.Seeds[i])
 				kept = append(kept, feats[i])
 			}
-			cfg.Seeds, feats = seeds, kept
+			c.cfg.Seeds, feats = seeds, kept
 		}
 		if schedMode == corpus.SchedulePower {
-			names := make([]string, len(cfg.Seeds))
-			for i, s := range cfg.Seeds {
+			names := make([]string, len(c.cfg.Seeds))
+			for i, s := range c.cfg.Seeds {
 				names[i] = s.Name
 			}
-			sched = corpus.NewScheduler(names, corpus.DiversityScores(feats),
+			c.sched = corpus.NewScheduler(names, corpus.DiversityScores(feats),
 				corpus.PlanModesFor(cfg.Fuzz.PlanFuzz), cfg.Seed)
 		}
 	}
@@ -365,70 +429,46 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 	// mine the pre-overlay pool — the same sources a fresh run mined —
 	// and the pinned extras come from the checkpoint, so the template
 	// set is identical across resume and handoff.
-	var genRT *genRuntime
 	if genNames != nil {
 		// Round refreshes overwrite pool slots in place; work on a copy
 		// so the caller's slice is untouched.
-		cfg.Seeds = append([]corpus.Seed(nil), cfg.Seeds...)
+		c.cfg.Seeds = append([]corpus.Seed(nil), c.cfg.Seeds...)
 		extras := cfg.TemplateExtras
-		if ckSt != nil {
-			if ckSt.Generate == nil {
+		if ck != nil {
+			if st.Generate == nil {
 				return nil, fmt.Errorf("core: resume: campaign configured with generators but checkpoint has no generator state; resume with -generators=randprog")
 			}
-			extras = ckSt.Generate.Extras
+			extras = st.Generate.Extras
 		}
-		genRT, err = newGenRuntime(cfg, extras)
-		if err != nil {
+		if c.gen, err = newGenRuntime(c.cfg, extras); err != nil {
 			return nil, err
 		}
-		if ckSt != nil {
-			genRT.st = ckSt.Generate.Clone()
-			for _, sl := range genRT.st.Slots {
-				if sl.Index < 0 || sl.Index >= len(cfg.Seeds) {
-					return nil, fmt.Errorf("core: resume: generator slot index %d out of range (pool has %d seeds)", sl.Index, len(cfg.Seeds))
+		if c.sched != nil {
+			c.sched.EnableGenerators(c.gen.ids())
+		}
+		if ck != nil {
+			c.gen.st = st.Generate.Clone()
+			for _, sl := range c.gen.st.Slots {
+				if sl.Index < 0 || sl.Index >= len(c.cfg.Seeds) {
+					return nil, fmt.Errorf("core: resume: generator slot index %d out of range (pool has %d seeds)", sl.Index, len(c.cfg.Seeds))
 				}
-				cfg.Seeds[sl.Index] = corpus.Seed{Name: sl.Name, Source: sl.Source, Gen: sl.Gen}
-				if sched != nil {
-					sched.ReplaceSeed(sl.Index, sl.Name)
-				}
+				c.cfg.Seeds[sl.Index] = corpus.Seed{Name: sl.Name, Source: sl.Source, Gen: sl.Gen}
+				c.sched.ReplaceSeed(sl.Index, sl.Name)
 			}
 		}
-		if sched != nil {
-			sched.EnableGenerators(genRT.ids())
-		}
-	} else if ckSt != nil && ckSt.Generate != nil {
+	} else if st.Generate != nil {
 		return nil, fmt.Errorf("core: resume: checkpoint carries generator state; resume with the same -generators configuration")
 	}
+	if st.Schedule != nil && c.sched == nil {
+		return nil, fmt.Errorf("core: resume: checkpoint carries power-schedule state; resume with the schedule set to power")
+	}
 
-	sup, err := harness.New(hcfg)
-	if err != nil {
+	if c.sup, err = harness.New(hcfg); err != nil {
 		return nil, err
 	}
-
-	seen := map[string]bool{}
-	weights := map[string]map[string]float64{}
-	cursor := 0 // global task index == RNG cursor
-	roundProgressed := false
-
 	if ck != nil {
-		if err := restoreCampaign(ck, ckSt, sup, res, seen, weights, &cursor, &roundProgressed, sched); err != nil {
+		if err := c.restore(ck, st); err != nil {
 			return nil, err
-		}
-		res.Resumed = true
-	}
-
-	nSeeds := len(cfg.Seeds)
-	lastCkptExec := res.Executions
-	flush := func() {
-		if hcfg.CheckpointPath == "" {
-			return
-		}
-		// Checkpoint failures must not kill the campaign — the next
-		// flush retries with fresh state — but they must not be silent
-		// either: count them and keep the last message for the report.
-		if err := saveCampaign(hcfg.CheckpointPath, sup, res, seen, weights, cursor, roundProgressed, sched, genRT); err != nil {
-			res.CheckpointErrors++
-			res.LastCheckpointError = err.Error()
 		}
 	}
 
@@ -438,246 +478,199 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 	// differential targets. Both are transparent — a hit is
 	// indistinguishable from a miss — so results stay byte-identical
 	// (determinism tests pin this).
-	if cfg.Fuzz.CompileCache == nil {
-		cfg.Fuzz.CompileCache = jit.NewCache(0)
+	if c.cfg.Fuzz.CompileCache == nil {
+		c.cfg.Fuzz.CompileCache = jit.NewCache(0)
 	}
-	parsed := cfg.ParseCache
-	if parsed == nil {
-		parsed = corpus.NewParseCache()
+	c.parsed = cfg.ParseCache
+	if c.parsed == nil {
+		c.parsed = corpus.NewParseCache()
 	}
-
 	// The campaign-level backend choice propagates to every per-seed
 	// fuzzer unless the fuzz config already pins its own.
-	if cfg.Executor != nil && cfg.Fuzz.Executor == nil {
-		cfg.Fuzz.Executor = cfg.Executor
+	if cfg.Executor != nil && c.cfg.Fuzz.Executor == nil {
+		c.cfg.Fuzz.Executor = cfg.Executor
 	}
 
-	// mkTask builds the task at a cursor position. Everything a task
-	// needs — seed, round, target, RNG seed — derives from the cursor
-	// alone, which is what lets parallel workers execute tasks out of
-	// order and still merge deterministically. Under the power schedule
-	// the cursor resolves through the current round's slot plan (and the
-	// arm's plan mode overrides PlanFuzz); the engine's round barrier
-	// guarantees workers only see cursors whose round is planned.
-	mkTask := func(cursor int) harness.Task {
-		round, i := cursor/nSeeds, cursor%nSeeds
-		seedIdx := i
-		fcfg := cfg.Fuzz
-		if sched != nil {
-			var mode jit.PlanMode
-			seedIdx, mode = sched.ArmFor(cursor)
-			fcfg.PlanFuzz = mode
-		}
-		seed := cfg.Seeds[seedIdx]
-		fcfg.Target = cfg.Targets[cursor%len(cfg.Targets)]
-		fcfg.Seed = cfg.Seed + int64(cursor)
-		return harness.Task{
-			ID:       seed.Name,
-			SeedName: seed.Name,
-			Round:    round,
-			Source:   seed.Source,
-			Run: func(tctx context.Context) (any, error) {
-				f := NewFuzzer(fcfg)
-				return f.FuzzSeedContext(tctx, seed.Name, parsed.Parse(seed))
-			},
-		}
+	// Off: cursor order under the configured plan mode. On: the round
+	// plan, whose arm's plan mode overrides PlanFuzz.
+	n := len(c.cfg.Seeds)
+	c.armFor = func(cursor int) (int, jit.PlanMode) { return cursor % n, c.cfg.Fuzz.PlanFuzz }
+	if c.sched != nil {
+		c.armFor = c.sched.ArmFor
 	}
-	roundLen := 0
-	if sched != nil || genRT != nil {
-		// Both the schedule's slot plan and the generator pool refresh
-		// are written on the campaign goroutine at round boundaries; the
-		// engine's round barrier makes those writes happen-before any
-		// worker reads tasks of the round.
-		roundLen = nSeeds
+	if c.sched != nil || c.gen != nil {
+		// The slot plan and the pool refresh are written at round
+		// boundaries; the engine's round barrier makes those writes
+		// happen-before any worker reads tasks of the round.
+		c.roundLen = n
 	}
-	eng := newEngine(ctx, sup, cfg.Workers, cursor, roundLen, mkTask)
-	defer eng.stop()
+	return c, nil
+}
 
-	for {
-		if res.Executions >= cfg.Budget {
-			break
+// startRound is the round-start stage, run before every task. At a
+// round boundary it ends a campaign whose last round made no progress.
+// Then the generators refresh the pool and the schedule plans the
+// round, before the engine dispatches any of its tasks; both do nothing
+// for a round already refreshed and planned, restored ones included.
+func (c *campaign) startRound() bool {
+	round, i := c.cursor/len(c.cfg.Seeds), c.cursor%len(c.cfg.Seeds)
+	if i == 0 && round > 0 {
+		if !c.roundProgressed {
+			return false
 		}
+		c.roundProgressed = false
+	}
+	c.gen.refreshPool(round, c.cfg.Seeds, c.cfg.Seed, c.sched)
+	c.sched.StartRound(round)
+	return true
+}
+
+// task is the task stage: it builds the supervised task at a cursor.
+// Everything a task needs — seed, plan mode, round, target, RNG seed —
+// derives from the cursor alone, which is what lets parallel workers
+// execute tasks out of order and still merge deterministically.
+func (c *campaign) task(cursor int) harness.Task {
+	seedIdx, mode := c.armFor(cursor)
+	seed := c.cfg.Seeds[seedIdx]
+	fcfg := c.cfg.Fuzz
+	fcfg.PlanFuzz = mode
+	fcfg.Target = c.cfg.Targets[cursor%len(c.cfg.Targets)]
+	fcfg.Seed = c.cfg.Seed + int64(cursor)
+	return harness.Task{
+		ID:       seed.Name,
+		SeedName: seed.Name,
+		Round:    cursor / len(c.cfg.Seeds),
+		Source:   seed.Source,
+		Run: func(tctx context.Context) (any, error) {
+			return NewFuzzer(fcfg).FuzzSeedContext(tctx, seed.Name, c.parsed.Parse(seed))
+		},
+	}
+}
+
+// merge is the merge stage: it folds the outcome of the task at the
+// cursor into the result, the schedule and the finding and progress
+// hooks. It returns false, merging nothing, when the task failed
+// because the campaign is shutting down.
+func (c *campaign) merge(ctx context.Context, out *harness.Outcome) bool {
+	round := c.cursor / len(c.cfg.Seeds)
+	seedIdx, _ := c.armFor(c.cursor)
+	seed := c.cfg.Seeds[seedIdx]
+	pr := Progress{Cursor: c.cursor}
+	switch {
+	case out.Skipped:
+		// A quarantined seed must stop winning budget.
+		c.res.SkippedQuarantined++
+		c.observe(seedIdx, seed, 0, 0, true)
+	case out.Fault != nil:
+		// The harness quarantines the faulting task under the seed's
+		// name; later rounds would skip it anyway, so it retires now.
+		c.res.Faults = append(c.res.Faults, out.Fault)
+		pr.Fault = out.Fault
+		c.observe(seedIdx, seed, 0, 0, true)
+	case out.Err != nil:
 		if ctx.Err() != nil {
-			res.Interrupted = true
-			break
+			return false
 		}
-		round, i := cursor/nSeeds, cursor%nSeeds
-		if i == 0 && round > 0 {
-			if !roundProgressed {
-				break // a full round made no progress: the pool is dead
-			}
-			roundProgressed = false
-		}
-		if genRT != nil && i == 0 && round > genRT.st.LastRound {
-			// Round-boundary corpus refresh, before the round is planned
-			// or any of its tasks dispatched. On resume the restored
-			// LastRound and slot overlay already describe this round, so
-			// the refresh is not replayed.
-			genRT.refreshPool(round, cfg.Seeds, cfg.Seed, sched)
-		}
-
-		seedIdx := i
-		if sched != nil {
-			// Plan the round before the engine dispatches any of its
-			// tasks (the dispatch inside eng.do only releases cursors in
-			// the merge round, so the plan write happens-before every
-			// worker read of it).
-			sched.StartRound(round)
-			seedIdx, _ = sched.ArmFor(cursor)
-		}
-		seed := cfg.Seeds[seedIdx]
-		target := cfg.Targets[cursor%len(cfg.Targets)]
+		c.res.SeedErrors = append(c.res.SeedErrors, SeedError{SeedName: seed.Name, Round: round, Err: out.Err.Error()})
+		c.observe(seedIdx, seed, 0, 0, false)
+	default:
+		fr := out.Value.(*FuzzResult)
 		taskKey := fmt.Sprintf("%s#r%d", seed.Name, round)
-
-		out := eng.do(cursor)
-
-		var taskDelta float64
-		var taskHasDelta bool
-		var taskFault *harness.Fault
-
-		switch {
-		case out.Skipped:
-			res.SkippedQuarantined++
-			if sched != nil {
-				// A quarantined seed must stop winning budget: retire
-				// every arm of it (energy pinned to zero).
-				sched.RetireSeed(seedIdx)
-				sched.Observe(cursor, 0, 0)
-				if seed.Gen != "" {
-					sched.ObserveGen(seed.Gen, 0, 0)
-				}
+		c.roundProgressed = true
+		c.res.Executions += fr.Executions
+		c.res.SeedsFuzzed++
+		c.res.FinalDeltas = append(c.res.FinalDeltas, fr.FinalDelta)
+		pr.Delta, pr.HasDelta = fr.FinalDelta, true
+		if fr.Weights != nil {
+			c.weights[taskKey] = fr.Weights
+		}
+		if fr.HeapExhaustions > 0 {
+			pr.Fault = reportHeapExhaustion(c.sup, seed, taskKey, round, fr)
+			c.res.Faults = append(c.res.Faults, pr.Fault)
+		}
+		nBugs := 0
+		for _, fd := range fr.Findings {
+			if fd.Bug == nil {
+				continue
 			}
-		case out.Fault != nil:
-			res.Faults = append(res.Faults, out.Fault)
-			taskFault = out.Fault
-			if sched != nil {
-				// The harness quarantines the faulting task under the
-				// seed's name; later rounds would skip it anyway, so the
-				// arm retires now.
-				sched.RetireSeed(seedIdx)
-				sched.Observe(cursor, 0, 0)
-				if seed.Gen != "" {
-					sched.ObserveGen(seed.Gen, 0, 0)
-				}
+			nBugs++
+			class := harness.FaultCrash
+			if fd.Oracle == "differential" || fd.Oracle == "plan-differential" {
+				class = harness.FaultMiscompile
 			}
-		case out.Err != nil:
-			if ctx.Err() != nil {
-				// Shutdown raced the task; leave the cursor on it so a
-				// resume re-runs it instead of recording a phantom error.
-				res.Interrupted = true
-				flush()
-				return res, nil
+			f := Finding{
+				Bug:         fd.Bug,
+				Oracle:      fd.Oracle,
+				SeedName:    seed.Name,
+				Target:      c.cfg.Targets[c.cursor%len(c.cfg.Targets)],
+				AtExecution: c.res.Executions,
+				Mutators:    fd.Mutators,
+				Program:     fr.Final,
+				Harness:     &harness.FaultContext{Class: class, Retries: out.Retries},
+				Cursor:      c.cursor,
+				Round:       round,
+				ChainLen:    len(fd.Mutators),
+				OBV:         fr.FinalOBV,
+				Divergence:  fd.Divergence,
+				PlanID:      fd.PlanID,
+				GeneratorID: seed.Gen,
 			}
-			res.SeedErrors = append(res.SeedErrors, SeedError{SeedName: seed.Name, Round: round, Err: out.Err.Error()})
-			if sched != nil {
-				sched.Observe(cursor, 0, 0)
-				if seed.Gen != "" {
-					sched.ObserveGen(seed.Gen, 0, 0)
-				}
+			// Every occurrence streams to the triage hook — duplicates
+			// of an already-seen bug are exactly what a triage layer
+			// counts — while the campaign result keeps only the first.
+			if c.cfg.OnFinding != nil {
+				c.cfg.OnFinding(f)
 			}
-		default:
-			fr := out.Value.(*FuzzResult)
-			roundProgressed = true
-			res.Executions += fr.Executions
-			res.SeedsFuzzed++
-			res.FinalDeltas = append(res.FinalDeltas, fr.FinalDelta)
-			taskDelta, taskHasDelta = fr.FinalDelta, true
-			if fr.Weights != nil {
-				weights[taskKey] = fr.Weights
-			}
-			if sched != nil {
-				nBugs := 0
-				for _, fd := range fr.Findings {
-					if fd.Bug != nil {
-						nBugs++
-					}
-				}
-				sched.Observe(cursor, fr.FinalDelta, nBugs)
-				if seed.Gen != "" {
-					// Credit the generator bandit arm with the same yield
-					// the (seed, plan) arm earned.
-					sched.ObserveGen(seed.Gen, fr.FinalDelta, nBugs)
-				}
-			}
-			if fr.HeapExhaustions > 0 {
-				taskFault = reportHeapExhaustion(sup, seed, taskKey, round, fr)
-				res.Faults = append(res.Faults, taskFault)
-				if sched != nil && len(fr.Records) == 0 {
-					// Baseline heap exhaustion quarantines the seed
-					// itself (see reportHeapExhaustion): retire its arms.
-					sched.RetireSeed(seedIdx)
-				}
-			}
-			for _, fd := range fr.Findings {
-				if fd.Bug == nil {
-					continue
-				}
-				class := harness.FaultCrash
-				if fd.Oracle == "differential" || fd.Oracle == "plan-differential" {
-					class = harness.FaultMiscompile
-				}
-				f := Finding{
-					Bug:         fd.Bug,
-					Oracle:      fd.Oracle,
-					SeedName:    seed.Name,
-					Target:      target,
-					AtExecution: res.Executions,
-					Mutators:    fd.Mutators,
-					Program:     fr.Final,
-					Harness:     &harness.FaultContext{Class: class, Retries: out.Retries},
-					Cursor:      cursor,
-					Round:       round,
-					ChainLen:    len(fd.Mutators),
-					OBV:         fr.FinalOBV,
-					Divergence:  fd.Divergence,
-					PlanID:      fd.PlanID,
-					GeneratorID: seed.Gen,
-				}
-				// Every occurrence streams to the triage hook — duplicates
-				// of an already-seen bug are exactly what a triage layer
-				// counts — while the campaign result keeps only the first.
-				if cfg.OnFinding != nil {
-					cfg.OnFinding(f)
-				}
-				if seen[fd.Bug.ID] {
-					continue
-				}
-				seen[fd.Bug.ID] = true
-				res.Findings = append(res.Findings, f)
+			if !c.seen[fd.Bug.ID] {
+				c.seen[fd.Bug.ID] = true
+				c.res.Findings = append(c.res.Findings, f)
 			}
 		}
-		if cfg.OnProgress != nil {
-			pr := Progress{
-				Cursor:             cursor,
-				Executions:         res.Executions,
-				SeedsFuzzed:        res.SeedsFuzzed,
-				Findings:           len(res.Findings),
-				PlanFindings:       res.PlanFindings(),
-				Faults:             len(res.Faults),
-				SeedErrors:         len(res.SeedErrors),
-				SkippedQuarantined: res.SkippedQuarantined,
-				Delta:              taskDelta,
-				HasDelta:           taskHasDelta,
-				Fault:              taskFault,
-			}
-			if sched != nil {
-				pr.ScheduleArms = sched.ArmCount()
-				pr.ScheduleEnergy = sched.TotalEnergy()
-			}
-			if genRT != nil {
-				pr.GeneratedSeeds = genRT.generated()
-			}
-			cfg.OnProgress(pr)
-		}
-		cursor++
-		if hcfg.CheckpointPath != "" &&
-			(hcfg.CheckpointEvery <= 0 || res.Executions-lastCkptExec >= hcfg.CheckpointEvery) {
-			flush()
-			lastCkptExec = res.Executions
-		}
+		// Baseline heap exhaustion quarantines the seed itself (see
+		// reportHeapExhaustion), so its arms retire.
+		c.observe(seedIdx, seed, fr.FinalDelta, nBugs, fr.HeapExhaustions > 0 && len(fr.Records) == 0)
 	}
-	flush()
-	return res, nil
+	if c.cfg.OnProgress != nil {
+		pr.Executions = c.res.Executions
+		pr.SeedsFuzzed = c.res.SeedsFuzzed
+		pr.Findings = len(c.res.Findings)
+		pr.PlanFindings = c.res.PlanFindings()
+		pr.Faults = len(c.res.Faults)
+		pr.SeedErrors = len(c.res.SeedErrors)
+		pr.SkippedQuarantined = c.res.SkippedQuarantined
+		pr.ScheduleArms = c.sched.ArmCount()
+		pr.ScheduleEnergy = c.sched.TotalEnergy()
+		pr.GeneratedSeeds = c.gen.generated()
+		c.cfg.OnProgress(pr)
+	}
+	return true
+}
+
+// observe credits a merged task's yield to its (seed, plan-mode) arm
+// and to the generator that emitted its seed. retire first pins every
+// arm of a quarantined seed to zero energy.
+func (c *campaign) observe(seedIdx int, seed corpus.Seed, delta float64, nBugs int, retire bool) {
+	if retire {
+		c.sched.RetireSeed(seedIdx)
+	}
+	c.sched.Observe(c.cursor, delta, nBugs)
+	c.sched.ObserveGen(seed.Gen, delta, nBugs)
+}
+
+// checkpoint is the checkpoint stage: with a checkpoint path set, it
+// snapshots the campaign when forced or when CheckpointEvery executions
+// have merged since the last snapshot. A failed write is counted, not
+// fatal: the next one retries with fresh state.
+func (c *campaign) checkpoint(force bool) {
+	if c.hcfg.CheckpointPath == "" ||
+		!force && c.hcfg.CheckpointEvery > 0 && c.res.Executions-c.lastCkptExec < c.hcfg.CheckpointEvery {
+		return
+	}
+	c.lastCkptExec = c.res.Executions
+	if err := c.save(); err != nil {
+		c.res.CheckpointErrors++
+		c.res.LastCheckpointError = err.Error()
+	}
 }
 
 // reportHeapExhaustion quarantines a heap-exhaustion trigger. A seed
@@ -760,27 +753,27 @@ type divergenceSnapshot struct {
 	DivergentPlan string `json:"divergent_plan,omitempty"`
 }
 
-func saveCampaign(path string, sup *harness.Supervisor, res *CampaignResult,
-	seen map[string]bool, weights map[string]map[string]float64, cursor int, roundProgressed bool,
-	sched *corpus.Scheduler, genRT *genRuntime) error {
+// save writes the checkpoint: the harness envelope around the
+// campaign-owned state.
+func (c *campaign) save() error {
 	st := campaignState{
-		TaskCursor:         cursor,
-		RoundProgressed:    roundProgressed,
-		Executions:         res.Executions,
-		SeedsFuzzed:        res.SeedsFuzzed,
-		SkippedQuarantined: res.SkippedQuarantined,
-		FinalDeltas:        res.FinalDeltas,
-		SeedErrors:         res.SeedErrors,
-		Faults:             res.Faults,
-		Weights:            weights,
-		Schedule:           sched.State(),
-		Generate:           genRT.state(),
+		TaskCursor:         c.cursor,
+		RoundProgressed:    c.roundProgressed,
+		Executions:         c.res.Executions,
+		SeedsFuzzed:        c.res.SeedsFuzzed,
+		SkippedQuarantined: c.res.SkippedQuarantined,
+		FinalDeltas:        c.res.FinalDeltas,
+		SeedErrors:         c.res.SeedErrors,
+		Faults:             c.res.Faults,
+		Weights:            c.weights,
+		Schedule:           c.sched.State(),
+		Generate:           c.gen.state(),
 	}
-	for id := range seen {
+	for id := range c.seen {
 		st.SeenBugs = append(st.SeenBugs, id)
 	}
 	sort.Strings(st.SeenBugs)
-	for _, f := range res.Findings {
+	for _, f := range c.res.Findings {
 		fs := findingSnapshot{
 			BugID:         f.Bug.ID,
 			Oracle:        f.Oracle,
@@ -818,42 +811,37 @@ func saveCampaign(path string, sup *harness.Supervisor, res *CampaignResult,
 		return err
 	}
 	ck := &harness.Checkpoint{
-		TaskCursor:  cursor,
-		Executions:  res.Executions,
-		Quarantined: sup.Q.IDs(),
+		TaskCursor:  c.cursor,
+		Executions:  c.res.Executions,
+		Quarantined: c.sup.Q.IDs(),
 		State:       raw,
 	}
-	return ck.Save(path)
+	return ck.Save(c.hcfg.CheckpointPath)
 }
 
-func restoreCampaign(ck *harness.Checkpoint, stp *campaignState, sup *harness.Supervisor, res *CampaignResult,
-	seen map[string]bool, weights map[string]map[string]float64, cursor *int, roundProgressed *bool,
-	sched *corpus.Scheduler) error {
-	st := *stp
-	if st.Schedule != nil && sched == nil {
-		return fmt.Errorf("core: resume: checkpoint carries power-schedule state; resume with the schedule set to power")
+// restore loads a decoded checkpoint into the campaign newCampaign
+// prepared, after it replayed the generator overlay and refused a
+// checkpoint whose features differ from the config.
+func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
+	// A nil block under power means the interrupted run stopped before
+	// planning its first round — a fresh scheduler continues it
+	// byte-identically.
+	if err := c.sched.Restore(st.Schedule); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
 	}
-	if sched != nil {
-		// A nil block under power means the interrupted run stopped
-		// before planning its first round — a fresh scheduler continues
-		// it byte-identically.
-		if err := sched.Restore(st.Schedule); err != nil {
-			return fmt.Errorf("core: resume: %w", err)
-		}
-	}
-	*cursor = st.TaskCursor
-	*roundProgressed = st.RoundProgressed
-	res.Executions = st.Executions
-	res.SeedsFuzzed = st.SeedsFuzzed
-	res.SkippedQuarantined = st.SkippedQuarantined
-	res.FinalDeltas = st.FinalDeltas
-	res.SeedErrors = st.SeedErrors
-	res.Faults = st.Faults
+	c.cursor, c.roundProgressed, c.lastCkptExec = st.TaskCursor, st.RoundProgressed, st.Executions
+	c.res.Resumed = true
+	c.res.Executions = st.Executions
+	c.res.SeedsFuzzed = st.SeedsFuzzed
+	c.res.SkippedQuarantined = st.SkippedQuarantined
+	c.res.FinalDeltas = st.FinalDeltas
+	c.res.SeedErrors = st.SeedErrors
+	c.res.Faults = st.Faults
 	for _, id := range st.SeenBugs {
-		seen[id] = true
+		c.seen[id] = true
 	}
 	for k, w := range st.Weights {
-		weights[k] = w
+		c.weights[k] = w
 	}
 	for _, fs := range st.Findings {
 		bug := buginject.ByID(fs.BugID)
@@ -902,7 +890,7 @@ func restoreCampaign(ck *harness.Checkpoint, stp *campaignState, sup *harness.Su
 				// checkpoint, grammar drift). The finding itself is still
 				// valid — restore it without the program, but say so
 				// instead of silently dropping the reproducer.
-				res.SeedErrors = append(res.SeedErrors, SeedError{
+				c.res.SeedErrors = append(c.res.SeedErrors, SeedError{
 					SeedName: fs.SeedName,
 					Round:    -1, // resume-time, not a fuzzing round
 					Err:      fmt.Sprintf("resume: snapshotted program for finding %s did not re-parse: %v", fs.BugID, err),
@@ -911,13 +899,13 @@ func restoreCampaign(ck *harness.Checkpoint, stp *campaignState, sup *harness.Su
 				f.Program = p
 			}
 		}
-		res.Findings = append(res.Findings, f)
+		c.res.Findings = append(c.res.Findings, f)
 	}
 	// Re-arm skip semantics for quarantined IDs whose artifacts are not
 	// on disk (memory-only quarantine in the interrupted run).
 	for _, id := range ck.Quarantined {
-		if !sup.Q.Has(id) {
-			sup.Report(&harness.Fault{
+		if !c.sup.Q.Has(id) {
+			c.sup.Report(&harness.Fault{
 				Class:   harness.FaultHarness,
 				TaskID:  id,
 				Message: "quarantined in a previous run (artifact not persisted)",

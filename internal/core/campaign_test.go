@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/buginject"
@@ -91,4 +93,24 @@ func TestCampaignHelpers(t *testing.T) {
 	if res.MedianDelta() != 5 {
 		t.Errorf("MedianDelta = %v", res.MedianDelta())
 	}
+}
+
+// TestRunCampaignPanicsOnConfigError: RunCampaign has no error result,
+// so a campaign RunCampaignContext rejects must panic with the cause
+// instead of returning a nil result for the caller to dereference.
+func TestRunCampaignPanicsOnConfigError(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("RunCampaign with an unknown schedule mode returned instead of panicking")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "bogus") {
+			t.Errorf("panic %q does not name the bad schedule mode", msg)
+		}
+	}()
+	RunCampaign(CampaignConfig{
+		Seeds:        corpus.DefaultPool(1, 1),
+		Budget:       10,
+		SeedSchedule: "bogus",
+	})
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/corpus"
 	"repro/internal/generate"
@@ -36,7 +36,8 @@ func mutatorFillers() []generate.StmtFiller {
 
 // genRuntime is the campaign-side generator subsystem state: the built
 // generator set plus the checkpointed emission counts and pool-slot
-// overlay (the checkpoint's generate block).
+// overlay (the checkpoint's generate block). A nil *genRuntime is the
+// subsystem switched off: the pool stays static.
 type genRuntime struct {
 	gens  []generate.Generator
 	st    *generate.State
@@ -46,6 +47,8 @@ type genRuntime struct {
 // newGenRuntime builds the configured generator set over the campaign's
 // (post-distill) pool. extras are the pinned template-mining extras —
 // cfg.TemplateExtras on a fresh run, the checkpointed set on resume.
+// newCampaign calls it only when generate.Normalize found the subsystem
+// on, so Build returns a non-empty set.
 func newGenRuntime(cfg CampaignConfig, extras []string) (*genRuntime, error) {
 	gens, err := generate.Build(generate.Config{
 		Generators:      cfg.Generators,
@@ -57,17 +60,10 @@ func newGenRuntime(cfg CampaignConfig, extras []string) (*genRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gens == nil {
-		return nil, fmt.Errorf("core: generator set normalized to off inside newGenRuntime")
-	}
-	quota := len(cfg.Seeds) / 4
-	if quota < 1 {
-		quota = 1
-	}
 	return &genRuntime{
 		gens:  gens,
 		st:    &generate.State{Emitted: map[string]int{}, Extras: append([]string(nil), extras...)},
-		quota: quota,
+		quota: max(1, len(cfg.Seeds)/4),
 	}, nil
 }
 
@@ -92,6 +88,9 @@ func (g *genRuntime) byID(id string) generate.Generator {
 
 // generated reports cumulative emissions (the Progress/metrics gauge).
 func (g *genRuntime) generated() int {
+	if g == nil {
+		return 0
+	}
 	n := 0
 	for _, c := range g.st.Emitted {
 		n += c
@@ -99,25 +98,24 @@ func (g *genRuntime) generated() int {
 	return n
 }
 
-// refreshPool runs the round-boundary corpus refresh: quota slots of
-// the pool are overwritten with fresh generator emissions, rotating
-// through slot indices across rounds so every position eventually
-// cycles. With a power schedule the generator for each slot is the
-// gen-arm bandit's pick and the slot's (seed, plan-mode) arms are
-// renamed and reset; without one, generators rotate round-robin. Runs
-// on the campaign goroutine before the round's first task dispatch
-// (the engine's round barrier publishes the writes to workers), and
-// everything derives from (campaign seed, emission counts), so resume
-// and fleet handoff replay it byte-identically.
+// refreshPool runs the corpus refresh of every round up to round not
+// yet refreshed: quota slots of the pool are overwritten with fresh
+// generator emissions, rotating through slot indices across rounds so
+// every position eventually cycles. With a power schedule the generator
+// for each slot is the gen-arm bandit's pick and the slot's (seed,
+// plan-mode) arms are renamed and reset; with a nil sched, generators
+// rotate round-robin. Runs on the campaign goroutine before the round's
+// first task dispatch, and everything derives from (campaign seed,
+// emission counts), so resume and fleet handoff replay it exactly.
 func (g *genRuntime) refreshPool(round int, seeds []corpus.Seed, campaignSeed int64, sched *corpus.Scheduler) {
+	if g == nil {
+		return
+	}
 	for r := g.st.LastRound + 1; r <= round; r++ {
 		for k := 0; k < g.quota; k++ {
 			slot := (r-1)*g.quota + k
 			idx := slot % len(seeds)
-			var gen generate.Generator
-			if sched != nil {
-				gen = g.byID(sched.PickGen(slot))
-			}
+			gen := g.byID(sched.PickGen(slot))
 			if gen == nil {
 				gen = g.gens[slot%len(g.gens)]
 			}
@@ -126,9 +124,7 @@ func (g *genRuntime) refreshPool(round int, seeds []corpus.Seed, campaignSeed in
 			s := gen.Generate(campaignSeed, seq, 1)[0]
 			g.st.Emitted[id] = seq + 1
 			seeds[idx] = s
-			if sched != nil {
-				sched.ReplaceSeed(idx, s.Name)
-			}
+			sched.ReplaceSeed(idx, s.Name)
 			g.setSlot(idx, s)
 		}
 		g.st.LastRound = r
@@ -138,16 +134,15 @@ func (g *genRuntime) refreshPool(round int, seeds []corpus.Seed, campaignSeed in
 // setSlot upserts the slot overlay entry for a pool index, keeping the
 // overlay sorted by index for stable checkpoint bytes.
 func (g *genRuntime) setSlot(idx int, s corpus.Seed) {
+	sl := generate.Slot{Index: idx, Name: s.Name, Source: s.Source, Gen: s.Gen}
 	for i := range g.st.Slots {
 		if g.st.Slots[i].Index == idx {
-			g.st.Slots[i] = generate.Slot{Index: idx, Name: s.Name, Source: s.Source, Gen: s.Gen}
+			g.st.Slots[i] = sl
 			return
 		}
 	}
-	g.st.Slots = append(g.st.Slots, generate.Slot{Index: idx, Name: s.Name, Source: s.Source, Gen: s.Gen})
-	for i := len(g.st.Slots) - 1; i > 0 && g.st.Slots[i].Index < g.st.Slots[i-1].Index; i-- {
-		g.st.Slots[i], g.st.Slots[i-1] = g.st.Slots[i-1], g.st.Slots[i]
-	}
+	g.st.Slots = append(g.st.Slots, sl)
+	sort.Slice(g.st.Slots, func(i, j int) bool { return g.st.Slots[i].Index < g.st.Slots[j].Index })
 }
 
 // state snapshots the runtime for a checkpoint (nil-safe).

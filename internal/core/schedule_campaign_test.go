@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -148,6 +149,85 @@ func TestPowerCheckpointResumeEquivalence(t *testing.T) {
 		t.Error("resumed run not marked Resumed")
 	}
 	assertCampaignsEqual(t, uninterrupted, resumed)
+}
+
+// TestPowerRetiresQuarantinedSeeds: a seed quarantined under its own
+// name — its task panicked, or its unmutated baseline exhausted the heap
+// — must stop winning budget. The per-task checkpoints show every arm
+// of that seed retired from the merge that quarantined it on, and no
+// plan of a later round schedules it.
+func TestPowerRetiresQuarantinedSeeds(t *testing.T) {
+	cases := []struct {
+		name string
+		seed corpus.Seed
+		tune func(*Config)
+	}{
+		{"panic", boomSeed, func(c *Config) { c.CompileHook = panicOnClass{class: "Boom"} }},
+		{"heap", allocSeed, func(c *Config) { c.MaxHeapUnits = 20_000 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fcfg := testCampaignCfg(37)
+			tc.tune(&fcfg)
+			ckpt := filepath.Join(t.TempDir(), "campaign.ckpt.json")
+			// OnProgress runs after a task merges and before its
+			// checkpoint is written, so each read sees the previous
+			// task's snapshot; the last one is read after the run.
+			var snaps []*campaignState
+			snap := func() {
+				if data, err := os.ReadFile(ckpt); err == nil {
+					snaps = append(snaps, generateBlockOf(t, data))
+				}
+			}
+			_, err := RunCampaignContext(context.Background(), CampaignConfig{
+				Seeds:        append(corpus.DefaultPool(2, 37), tc.seed),
+				Budget:       150,
+				Targets:      []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}},
+				Fuzz:         fcfg,
+				Seed:         37,
+				SeedSchedule: corpus.SchedulePower,
+				OnProgress:   func(Progress) { snap() },
+			}, harness.Config{CheckpointPath: ckpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap()
+
+			faultRound, laterPlans := -1, 0
+			for _, st := range snaps {
+				if faultRound < 0 {
+					for _, f := range st.Faults {
+						if f.TaskID == tc.seed.Name {
+							faultRound = f.Round
+						}
+					}
+					if faultRound < 0 {
+						continue
+					}
+				}
+				for i, a := range st.Schedule.Arms {
+					if a.Seed == tc.seed.Name && !a.Retired {
+						t.Errorf("cursor %d: arm %d (%s/%s) not retired after the seed was quarantined", st.TaskCursor, i, a.Seed, a.PlanMode)
+					}
+				}
+				if st.Schedule.Round <= faultRound {
+					continue
+				}
+				laterPlans++
+				for slot, arm := range st.Schedule.Plan {
+					if st.Schedule.Arms[arm].Seed == tc.seed.Name {
+						t.Errorf("round %d slot %d schedules quarantined seed %s", st.Schedule.Round, slot, tc.seed.Name)
+					}
+				}
+			}
+			if faultRound < 0 {
+				t.Fatalf("%s was never quarantined under its own name", tc.seed.Name)
+			}
+			if laterPlans == 0 {
+				t.Fatalf("no round after round %d was planned: nothing checked", faultRound)
+			}
+		})
+	}
 }
 
 // TestPowerResumeRequiresSchedule: a checkpoint carrying schedule

@@ -1,5 +1,7 @@
 package corpus
 
+import "sort"
+
 // DefaultDistillSpread is the minimum pairwise distance a kept seed
 // must add to the distilled subset. Seeds closer than this to an
 // already-kept seed are redundant: their OBV fingerprint, coverage
@@ -67,16 +69,8 @@ func Distill(fs []*Features, spread float64, maxKeep int) []int {
 	}
 
 	// Selection order is farthest-point order; report in corpus order.
-	sortInts(kept)
+	sort.Ints(kept)
 	return kept
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // SeedScore is one seed's entry in a distillation report.

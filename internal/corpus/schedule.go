@@ -90,8 +90,7 @@ type armState struct {
 
 // genArm is one generator bandit arm: which seed source earns the
 // between-round corpus-refresh slots. Arms exist only when the campaign
-// runs the generator subsystem (EnableGenerators), so plain power
-// checkpoints stay byte-identical to v3.
+// runs the generator subsystem (EnableGenerators).
 type genArm struct {
 	id     string // generator ID ("randprog", "template", "style:<name>")
 	plays  int
@@ -113,6 +112,10 @@ type genArm struct {
 // touch the immutable per-round plan and per-arm identity fields; the
 // engine's round barrier guarantees no worker holds a task from a
 // round whose plan is not yet computed.
+//
+// A nil *Scheduler is the schedule switched off: StartRound, Observe,
+// ObserveGen, RetireSeed and ReplaceSeed do nothing, and PickGen,
+// ArmCount, TotalEnergy and State return zero values.
 type Scheduler struct {
 	seed  int64
 	names []string
@@ -160,7 +163,7 @@ func (s *Scheduler) energy(a *armState) float64 {
 // interrupted run's plan continues instead of being recomputed from
 // mid-round statistics.
 func (s *Scheduler) StartRound(r int) {
-	if s.plan != nil && r == s.round {
+	if s == nil || s.plan != nil && r == s.round {
 		return
 	}
 	if s.plan != nil {
@@ -194,9 +197,12 @@ func (s *Scheduler) EnableGenerators(ids []string) {
 }
 
 // ObserveGen credits one finished task's yield to the generator that
-// emitted its seed. Tasks on baseline-pool seeds (no generator
-// provenance) never reach here.
+// emitted its seed. An id no arm carries — "" for a baseline-pool seed
+// — is ignored.
 func (s *Scheduler) ObserveGen(id string, delta float64, findings int) {
+	if s == nil {
+		return
+	}
 	for i := range s.gens {
 		if s.gens[i].id != id {
 			continue
@@ -219,6 +225,9 @@ func (s *Scheduler) ObserveGen(id string, delta float64, findings int) {
 // no RNG draw) so refresh decisions replay identically from restored
 // statistics.
 func (s *Scheduler) PickGen(k int) string {
+	if s == nil {
+		return ""
+	}
 	var unplayed []int
 	for i := range s.gens {
 		if s.gens[i].plays == 0 {
@@ -248,6 +257,9 @@ func (s *Scheduler) PickGen(k int) string {
 // quarantined slot comes back alive. The slot keeps its diversity prior
 // (generated seeds are not re-scored mid-campaign).
 func (s *Scheduler) ReplaceSeed(seedIndex int, name string) {
+	if s == nil {
+		return
+	}
 	s.names[seedIndex] = name
 	for i := range s.arms {
 		if s.arms[i].seed == seedIndex {
@@ -343,6 +355,9 @@ func (s *Scheduler) ArmFor(cursor int) (seedIndex int, mode jit.PlanMode) {
 // skipped/faulted ones (zero yield, but the play still counts against
 // the arm's UCB bonus).
 func (s *Scheduler) Observe(cursor int, delta float64, findings int) {
+	if s == nil {
+		return
+	}
 	a := s.armAt(cursor)
 	a.plays++
 	s.plays++
@@ -357,6 +372,9 @@ func (s *Scheduler) Observe(cursor int, delta float64, findings int) {
 // that the harness then skips, burning rounds (the quarantine/schedule
 // interplay fix).
 func (s *Scheduler) RetireSeed(seedIndex int) {
+	if s == nil {
+		return
+	}
 	for i := range s.arms {
 		if s.arms[i].seed == seedIndex {
 			s.arms[i].retired = true
@@ -365,10 +383,18 @@ func (s *Scheduler) RetireSeed(seedIndex int) {
 }
 
 // ArmCount reports the arm-space size.
-func (s *Scheduler) ArmCount() int { return len(s.arms) }
+func (s *Scheduler) ArmCount() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.arms)
+}
 
 // TotalEnergy sums live arm energy — the /metrics gauge.
 func (s *Scheduler) TotalEnergy() float64 {
+	if s == nil {
+		return 0
+	}
 	total := 0.0
 	for i := range s.arms {
 		total += s.energy(&s.arms[i])
@@ -376,7 +402,7 @@ func (s *Scheduler) TotalEnergy() float64 {
 	return total
 }
 
-// ArmStats is one arm's serialized statistics (checkpoint v3).
+// ArmStats is one arm's serialized statistics.
 type ArmStats struct {
 	Seed         string  `json:"seed"`
 	PlanMode     string  `json:"plan_mode"`
@@ -395,8 +421,7 @@ type ScheduleState struct {
 	Plays int        `json:"plays,omitempty"`
 	Plan  []int      `json:"plan"`
 	Arms  []ArmStats `json:"arms"`
-	// Generator arms (checkpoint v4); omitted without the generator
-	// subsystem so v3 snapshots round-trip byte-identically.
+	// Generator arms; omitted without the generator subsystem.
 	GenArms  []GenArmStats `json:"gen_arms,omitempty"`
 	GenPlays int           `json:"gen_plays,omitempty"`
 }

@@ -74,16 +74,13 @@ func (c *ScoreCache) Len() int {
 	return len(c.m)
 }
 
-// Save writes the cache atomically (temp file + rename). Keys are
-// serialized in sorted order so the file is byte-stable.
+// Save writes the cache atomically (temp file + rename). encoding/json
+// writes map keys in sorted order, so the file is byte-stable.
 func (c *ScoreCache) Save() error {
 	if c == nil || c.path == "" {
 		return nil
 	}
-	f := scoreCacheFile{Version: scoreCacheVersion, Features: map[string]*Features{}}
-	for k, v := range c.m {
-		f.Features[k] = v
-	}
+	f := scoreCacheFile{Version: scoreCacheVersion, Features: c.m}
 	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		return fmt.Errorf("corpus: score cache encode: %w", err)

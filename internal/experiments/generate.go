@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/buginject"
 	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 // GeneratorLeg is one cell of the generator-recall comparison: a full
@@ -54,13 +56,13 @@ func generatorLegConfigs() []struct {
 // provenance of that first detection ("" = original pool seed), and the
 // executions spent. Campaign-level because generators only exist in the
 // round planner's pool refresh.
-func generatorDetected(budget Budget, gens, styleNames []string) (detected map[string]int, provenance map[string]string, execs int) {
+func generatorDetected(budget Budget, gens, styleNames []string) (detected map[string]int, provenance map[string]string, execs int, err error) {
 	targets := allTargets()
 	fcfg := core.DefaultConfig(targets[0])
 	fcfg.Seed = budget.Seed
 	fcfg.StructuredOBV = true
 	fcfg.Executor = budget.Executor
-	res := core.RunCampaign(core.CampaignConfig{
+	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
 		Seeds:      pool(budget),
 		Budget:     budget.Executions,
 		Targets:    targets,
@@ -69,7 +71,10 @@ func generatorDetected(budget Budget, gens, styleNames []string) (detected map[s
 		Executor:   budget.Executor,
 		Generators: gens,
 		Styles:     styleNames,
-	})
+	}, harness.Config{})
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	detected, provenance = map[string]int{}, map[string]string{}
 	for i := range res.Findings {
 		f := &res.Findings[i]
@@ -81,7 +86,7 @@ func generatorDetected(budget Budget, gens, styleNames []string) (detected map[s
 			provenance[f.Bug.ID] = f.GeneratorID
 		}
 	}
-	return detected, provenance, res.Executions
+	return detected, provenance, res.Executions, nil
 }
 
 // generatorLegRun pairs a leg's summary with its raw detection maps.
@@ -93,10 +98,13 @@ type generatorLegRun struct {
 
 // runGeneratorLegs executes every generator-recall leg on the shared
 // budget.
-func runGeneratorLegs(budget Budget) []generatorLegRun {
+func runGeneratorLegs(budget Budget) ([]generatorLegRun, error) {
 	var runs []generatorLegRun
 	for _, cfg := range generatorLegConfigs() {
-		detected, provenance, execs := generatorDetected(budget, cfg.Generators, cfg.Styles)
+		detected, provenance, execs, err := generatorDetected(budget, cfg.Generators, cfg.Styles)
+		if err != nil {
+			return nil, err
+		}
 		genHits := 0
 		for _, gen := range provenance {
 			if gen != "" {
@@ -115,18 +123,21 @@ func runGeneratorLegs(budget Budget) []generatorLegRun {
 			provenance: provenance,
 		})
 	}
-	return runs
+	return runs, nil
 }
 
 // GeneratorRecall reruns the ground-truth recall campaign per generator
 // leg and reports detections, executions-to-detection, and the bugs
 // each generator set reached that the fixed randprog pool missed — the
 // template/style subsystem's validation against the 59-bug catalog.
-func GeneratorRecall(w io.Writer, budget Budget) {
+func GeneratorRecall(w io.Writer, budget Budget) error {
 	fmt.Fprintf(w, "Generator recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
 		budget.Executions, budget.Seeds)
 
-	runs := runGeneratorLegs(budget)
+	runs, err := runGeneratorLegs(budget)
+	if err != nil {
+		return err
+	}
 
 	var rows [][]string
 	for _, r := range runs {
@@ -166,4 +177,5 @@ func GeneratorRecall(w io.Writer, budget Budget) {
 			fmt.Fprintf(w, "\nNo %s-only bugs at this budget (raise -budget).\n", name)
 		}
 	}
+	return nil
 }

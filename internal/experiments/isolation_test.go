@@ -25,7 +25,10 @@ import (
 func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	budget := Budget{Executions: 300, Seeds: 8, Seed: 1}
 	leg := func() string {
-		detected, execs := scheduleDetected(budget, corpus.SchedulePower, jit.PlanFull)
+		detected, execs, err := scheduleDetected(budget, corpus.SchedulePower, jit.PlanFull)
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := json.Marshal(detected)
 		if err != nil {
 			t.Fatal(err)

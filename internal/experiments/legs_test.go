@@ -13,7 +13,10 @@ func legBudget() Budget { return Budget{Executions: 60, Seeds: 4, Seed: 1} }
 // legs, schedule off then power at each plan mode, and every leg spends
 // executions.
 func TestScheduleLegs(t *testing.T) {
-	runs := runScheduleLegs(legBudget())
+	runs, err := runScheduleLegs(legBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(runs) != 4 {
 		t.Fatalf("got %d schedule legs, want 4", len(runs))
 	}
@@ -37,7 +40,10 @@ func TestScheduleLegs(t *testing.T) {
 // the randprog-only baseline first (so no detection can ride a
 // generator-emitted seed), and every leg spends executions.
 func TestGeneratorLegs(t *testing.T) {
-	runs := runGeneratorLegs(legBudget())
+	runs, err := runGeneratorLegs(legBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(runs) != 4 {
 		t.Fatalf("got %d generator legs, want 4", len(runs))
 	}

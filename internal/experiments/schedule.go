@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/buginject"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/harness"
 	"repro/internal/jit"
 )
 
@@ -53,17 +55,18 @@ func scheduleLegPlans() []struct {
 
 // scheduleDetected runs one campaign-level recall leg and returns bug
 // ID -> cumulative executions at first detection, plus the executions
-// actually spent. Campaign-level (core.RunCampaign, not per-seed tool
-// loops) because the power schedule is a campaign policy: it only
-// exists in the round planner.
-func scheduleDetected(budget Budget, sched corpus.ScheduleMode, plan jit.PlanMode) (map[string]int, int) {
+// actually spent. Campaign-level (core.RunCampaignContext, not
+// per-seed tool loops) because the power schedule is a campaign policy:
+// it only exists in the round planner. The error is a backend fault
+// while scoring the pool.
+func scheduleDetected(budget Budget, sched corpus.ScheduleMode, plan jit.PlanMode) (map[string]int, int, error) {
 	targets := allTargets()
 	fcfg := core.DefaultConfig(targets[0])
 	fcfg.Seed = budget.Seed
 	fcfg.StructuredOBV = true
 	fcfg.PlanFuzz = plan
 	fcfg.Executor = budget.Executor
-	res := core.RunCampaign(core.CampaignConfig{
+	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
 		Seeds:        pool(budget),
 		Budget:       budget.Executions,
 		Targets:      targets,
@@ -71,7 +74,10 @@ func scheduleDetected(budget Budget, sched corpus.ScheduleMode, plan jit.PlanMod
 		Seed:         budget.Seed,
 		Executor:     budget.Executor,
 		SeedSchedule: sched,
-	})
+	}, harness.Config{})
+	if err != nil {
+		return nil, 0, err
+	}
 	detected := map[string]int{}
 	for i := range res.Findings {
 		f := &res.Findings[i]
@@ -82,7 +88,7 @@ func scheduleDetected(budget Budget, sched corpus.ScheduleMode, plan jit.PlanMod
 			detected[f.Bug.ID] = f.AtExecution
 		}
 	}
-	return detected, res.Executions
+	return detected, res.Executions, nil
 }
 
 // medianDetection returns the median first-detection execution count.
@@ -110,10 +116,13 @@ type scheduleLegRun struct {
 
 // runScheduleLegs executes the 2x2 comparison and fills in the paired
 // common-bug medians per (off, power) pair.
-func runScheduleLegs(budget Budget) []scheduleLegRun {
+func runScheduleLegs(budget Budget) ([]scheduleLegRun, error) {
 	var runs []scheduleLegRun
 	for _, lg := range scheduleLegPlans() {
-		detected, execs := scheduleDetected(budget, lg.Schedule, lg.Plan)
+		detected, execs, err := scheduleDetected(budget, lg.Schedule, lg.Plan)
+		if err != nil {
+			return nil, err
+		}
 		runs = append(runs, scheduleLegRun{
 			leg: ScheduleLeg{
 				Schedule:            string(lg.Schedule),
@@ -146,7 +155,7 @@ func runScheduleLegs(budget Budget) []scheduleLegRun {
 		off.leg.MedianCommonExecsToDetect = medianDetection(restrict(off.detected))
 		power.leg.MedianCommonExecsToDetect = medianDetection(restrict(power.detected))
 	}
-	return runs
+	return runs, nil
 }
 
 // ScheduleRecall reruns the ground-truth recall campaign per scheduling
@@ -154,11 +163,14 @@ func runScheduleLegs(budget Budget) []scheduleLegRun {
 // vs power at each plan mode — the corpus subsystem's validation: power
 // should detect at least as many of the 59 seeded bugs while reaching
 // them in fewer median executions.
-func ScheduleRecall(w io.Writer, budget Budget) {
+func ScheduleRecall(w io.Writer, budget Budget) error {
 	fmt.Fprintf(w, "Power-schedule recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
 		budget.Executions, budget.Seeds)
 
-	runs := runScheduleLegs(budget)
+	runs, err := runScheduleLegs(budget)
+	if err != nil {
+		return err
+	}
 
 	var rows [][]string
 	for _, r := range runs {
@@ -195,4 +207,5 @@ func ScheduleRecall(w io.Writer, budget Budget) {
 				power.leg.PlanFuzz)
 		}
 	}
+	return nil
 }

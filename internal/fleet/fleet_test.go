@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/fleet/chaos"
 	"repro/internal/harness"
 	"repro/internal/service"
@@ -533,6 +535,30 @@ func TestPowerScheduleHandoffByteIdentical(t *testing.T) {
 	}
 	if gotKeys := reportKeys(t, e.sched, j.ID()); !equalStrings(gotKeys, wantKeys) {
 		t.Errorf("findings after power handoff %v, want %v", gotKeys, wantKeys)
+	}
+}
+
+// TestWorkerKeepsScoreCache: a worker running a power job scores the
+// pool into the job's scores.json, as the daemon does, so a later
+// scoring pass over the same seeds skips the dry-runs.
+func TestWorkerKeepsScoreCache(t *testing.T) {
+	spec := fleetSpec()
+	spec.Schedule = "power"
+	e := newEnv(t, envOpts{workers: 1})
+	e.waitLive(1)
+	j, err := e.sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitDone(t, e.sched, j.ID(), 5*time.Minute); v.Worker != "w1" {
+		t.Fatalf("job ran on %q, want w1 (remote)", v.Worker)
+	}
+	path := e.wrkers[0].scoresPath(j.ID())
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("worker left no score cache: %v", err)
+	}
+	if n := corpus.LoadScoreCache(path).Len(); n != spec.SeedCount {
+		t.Errorf("score cache holds %d vectors, want one per seed (%d)", n, spec.SeedCount)
 	}
 }
 

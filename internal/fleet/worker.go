@@ -258,10 +258,12 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 	writeWire(rw, AssignResponse{Version: WireVersion, Accepted: true})
 }
 
-// jobDir / ckptPath / triageDir locate one assignment's scratch state.
-func (w *Worker) jobDir(job string) string    { return filepath.Join(w.cfg.Dir, job) }
-func (w *Worker) ckptPath(job string) string  { return filepath.Join(w.jobDir(job), "checkpoint.json") }
-func (w *Worker) triageDir(job string) string { return filepath.Join(w.jobDir(job), "triage") }
+// jobDir / ckptPath / scoresPath / triageDir locate one assignment's
+// scratch state.
+func (w *Worker) jobDir(job string) string     { return filepath.Join(w.cfg.Dir, job) }
+func (w *Worker) ckptPath(job string) string   { return filepath.Join(w.jobDir(job), "checkpoint.json") }
+func (w *Worker) scoresPath(job string) string { return filepath.Join(w.jobDir(job), "scores.json") }
+func (w *Worker) triageDir(job string) string  { return filepath.Join(w.jobDir(job), "triage") }
 
 // stageAssignment prepares the scratch directory, landing the resume
 // checkpoint when the assignment carries one. Prior scratch state for
@@ -389,6 +391,9 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 	w.lastExecs = 0 // fresh campaign: do not leak the previous job's count
 	w.mu.Unlock()
 	ccfg := spec.Campaign(executor)
+	// The same seed-score cache the daemon keeps beside the checkpoint:
+	// power and distill assignments profile each seed once.
+	ccfg.ScoreCachePath = w.scoresPath(id)
 	// Template extras come from the local triage store, but on handoff
 	// the checkpoint's pinned extras override them inside core, so two
 	// workers resuming the same lease generate identical pools.

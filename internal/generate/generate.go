@@ -22,7 +22,7 @@
 //
 // Every generator is a pure function of (campaign seed, emission
 // index): resume and fleet handoff replay emission counts from the
-// checkpoint (v4) and regenerate byte-identical pools.
+// checkpoint and regenerate byte-identical pools.
 package generate
 
 import (

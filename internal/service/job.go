@@ -50,8 +50,10 @@ type SeedSpec struct {
 }
 
 // JobSpec is a job submission: the seed corpus plus the campaign knobs
-// a CLI invocation would pass as flags. The zero value of every field
-// gets the mopfuzzer default, so `{"budget": 500}` is a valid job.
+// a CLI invocation would pass as flags. A zero field gets the daemon's
+// default, which is the mopfuzzer default except for two: SeedCount
+// defaults to 8 (mopfuzzer -seeds: 20) and Workers to 1 (mopfuzzer
+// -workers: GOMAXPROCS). `{"budget": 500}` is a valid job.
 type JobSpec struct {
 	// Name is a free-form label for humans; it does not identify the job.
 	Name string `json:"name,omitempty"`
