@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/experiments"
 )
@@ -27,38 +27,33 @@ func main() {
 	planRecall := flag.Bool("plan-recall", false, "run the recall campaign once per -plan-fuzz mode (off/minimal/full) and report the plan-only bugs")
 	scheduleRecall := flag.Bool("schedule-recall", false, "run the recall campaign per scheduling leg (-schedule off/power x plan-fuzz off/full) and report executions-to-detection")
 	generatorRecall := flag.Bool("generator-recall", false, "run the recall campaign per generator set (randprog-only vs template/style) and report the generator-only bugs")
-	budgetFlag := flag.Int("budget", 0, "execution budget per tool (default per experiment)")
-	seedsFlag := flag.Int("seeds", 0, "seed pool size (default per experiment)")
-	seedFlag := flag.Int64("seed", 1, "campaign random seed")
-	backend := flag.String("backend", "inprocess", "execution backend: inprocess, or pool (minijvm children, batched protocol; -pool-recycle-after 1 is one child per execution)")
-	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
-	poolChildren := flag.Int("pool-children", 0, "max warm children for -backend pool (0 = GOMAXPROCS)")
-	poolRecycle := flag.Int64("pool-recycle-after", 0, "recycle a pool child after this many executions (0 = default 512)")
-	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "recycle a pool child whose self-reported heap reaches this many MiB (0 = default 256)")
+	// The budget knobs are the campaign spec's -budget, -seeds and -seed
+	// flags, defaulting to the experiments' budget.
+	budget := experiments.DefaultBudget()
+	spec := core.JobSpec{Budget: budget.Executions, SeedCount: budget.Seeds, Seed: budget.Seed}
+	specFlags := flag.NewFlagSet("spec", flag.ContinueOnError)
+	spec.RegisterFlags(specFlags)
+	for _, name := range []string{"budget", "seeds", "seed"} {
+		f := specFlags.Lookup(name)
+		flag.Var(f.Value, f.Name, f.Usage)
+	}
+	var backend exec.Backend
+	backend.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	tuning := exec.PoolTuning{
-		Children:          *poolChildren,
-		RecycleAfter:      *poolRecycle,
-		MaxChildHeapBytes: *poolMaxHeapMB << 20,
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
-	executor, err := exec.FromFlags(*backend, *minijvmPath, *childTimeout, tuning)
+	executor, err := backend.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	defer exec.CloseExecutor(executor)
 
-	budget := experiments.DefaultBudget()
 	budget.Executor = executor
-	if *budgetFlag > 0 {
-		budget.Executions = *budgetFlag
-	}
-	if *seedsFlag > 0 {
-		budget.Seeds = *seedsFlag
-	}
-	budget.Seed = *seedFlag
+	budget.Executions, budget.Seeds, budget.Seed = spec.Budget, spec.SeedCount, spec.Seed
 
 	w := os.Stdout
 	sep := func() {

@@ -40,12 +40,8 @@ func main() {
 	listen := flag.String("listen", ":8080", "HTTP listen address")
 	stateDir := flag.String("state-dir", "mopfuzzd-state", "persistent state directory (jobs, checkpoints, triage stores)")
 	runners := flag.Int("runners", 1, "max concurrently running campaigns")
-	backend := flag.String("backend", "inprocess", "default execution backend: inprocess or pool")
-	minijvm := flag.String("minijvm", "", "path to the minijvm binary (pool backend)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "wall-clock timeout per pool execution")
-	poolChildren := flag.Int("pool-children", 0, "pool backend: max warm children (0 = GOMAXPROCS)")
-	poolRecycleAfter := flag.Int64("pool-recycle-after", 0, "pool backend: recycle a child after this many executions (0 = default 512)")
-	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "pool backend: recycle a child whose self-reported heap reaches this many MiB (0 = default 256)")
+	var backend exec.Backend
+	backend.RegisterFlags(flag.CommandLine)
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	execTimeout := flag.Duration("exec-timeout", 0, "wall-clock watchdog per seed task (0 = step fuel only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "min executions between campaign checkpoints (<=0 = every task)")
@@ -65,12 +61,6 @@ func main() {
 
 	logger := log.New(os.Stderr, "mopfuzzd: ", log.LstdFlags)
 
-	pool := exec.PoolTuning{
-		Children:          *poolChildren,
-		RecycleAfter:      *poolRecycleAfter,
-		MaxChildHeapBytes: *poolMaxHeapMB << 20,
-	}
-
 	if *pprofAddr != "" {
 		// The blank net/http/pprof import registers its handlers on the
 		// default mux; serve it on its own listener so profiling never
@@ -89,17 +79,13 @@ func main() {
 
 	switch *mode {
 	case "worker":
-		runWorker(ctx, logger, workerOpts{
-			listen:       *listen,
-			coordinator:  *coordinator,
-			id:           *workerID,
-			addr:         *workerAddr,
-			dir:          *stateDir,
-			backend:      *backend,
-			minijvm:      *minijvm,
-			childTimeout: *childTimeout,
-			pool:         pool,
-			drainTimeout: *drainTimeout,
+		runWorker(ctx, logger, *listen, *drainTimeout, fleet.WorkerConfig{
+			ID:          *workerID,
+			Coordinator: *coordinator,
+			Addr:        *workerAddr,
+			Dir:         *stateDir,
+			Exec:        backend,
+			Logf:        logger.Printf,
 		})
 		return
 	case "", "coordinator":
@@ -112,10 +98,7 @@ func main() {
 	sched, err := service.NewScheduler(service.Config{
 		Dir:             *stateDir,
 		Runners:         *runners,
-		Backend:         *backend,
-		MinijvmPath:     *minijvm,
-		ChildTimeout:    *childTimeout,
-		Pool:            pool,
+		Exec:            backend,
 		ExecTimeout:     *execTimeout,
 		CheckpointEvery: *checkpointEvery,
 		Logf:            logger.Printf,
@@ -148,7 +131,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Printf("listening on %s (state %s, %d runner(s), backend %s)", *listen, *stateDir, *runners, *backend)
+	logger.Printf("listening on %s (state %s, %d runner(s), backend %s)", *listen, *stateDir, *runners, backend.Name)
 
 	select {
 	case <-ctx.Done():
@@ -192,51 +175,30 @@ func waitBounded(wait func(), d time.Duration) bool {
 	}
 }
 
-type workerOpts struct {
-	listen       string
-	coordinator  string
-	id           string
-	addr         string
-	dir          string
-	backend      string
-	minijvm      string
-	childTimeout time.Duration
-	pool         exec.PoolTuning
-	drainTimeout time.Duration
-}
-
-// runWorker is the -mode worker main loop.
-func runWorker(ctx context.Context, logger *log.Logger, o workerOpts) {
-	if o.coordinator == "" {
+// runWorker is the -mode worker main loop: it serves cfg's worker on
+// listen, deriving the advertised address and ID when cfg leaves them
+// empty.
+func runWorker(ctx context.Context, logger *log.Logger, listen string, drainTimeout time.Duration, cfg fleet.WorkerConfig) {
+	if cfg.Coordinator == "" {
 		fmt.Fprintln(os.Stderr, "mopfuzzd: -mode worker requires -coordinator")
 		os.Exit(2)
 	}
-	if o.addr == "" {
-		host, port, err := net.SplitHostPort(o.listen)
+	if cfg.Addr == "" {
+		host, port, err := net.SplitHostPort(listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mopfuzzd: cannot derive -worker-addr from -listen %q: %v\n", o.listen, err)
+			fmt.Fprintf(os.Stderr, "mopfuzzd: cannot derive -worker-addr from -listen %q: %v\n", listen, err)
 			os.Exit(2)
 		}
 		if host == "" {
 			host = "127.0.0.1"
 		}
-		o.addr = fmt.Sprintf("http://%s", net.JoinHostPort(host, port))
+		cfg.Addr = fmt.Sprintf("http://%s", net.JoinHostPort(host, port))
 	}
-	if o.id == "" {
-		o.id = o.addr
+	if cfg.ID == "" {
+		cfg.ID = cfg.Addr
 	}
 
-	worker, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID:           o.id,
-		Coordinator:  o.coordinator,
-		Addr:         o.addr,
-		Dir:          o.dir,
-		Backend:      o.backend,
-		MinijvmPath:  o.minijvm,
-		ChildTimeout: o.childTimeout,
-		Pool:         o.pool,
-		Logf:         logger.Printf,
-	})
+	worker, err := fleet.NewWorker(cfg)
 	if err != nil {
 		logger.Fatalf("worker: %v", err)
 	}
@@ -244,7 +206,7 @@ func runWorker(ctx context.Context, logger *log.Logger, o workerOpts) {
 	mux := http.NewServeMux()
 	worker.Mount(mux)
 	srv := &http.Server{
-		Addr:              o.listen,
+		Addr:              listen,
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -252,7 +214,7 @@ func runWorker(ctx context.Context, logger *log.Logger, o workerOpts) {
 	go func() { errc <- srv.ListenAndServe() }()
 
 	worker.Start(ctx)
-	logger.Printf("worker %s listening on %s (coordinator %s, scratch %s)", o.id, o.listen, o.coordinator, o.dir)
+	logger.Printf("worker %s listening on %s (coordinator %s, scratch %s)", cfg.ID, listen, cfg.Coordinator, cfg.Dir)
 
 	select {
 	case <-ctx.Done():
@@ -261,10 +223,10 @@ func runWorker(ctx context.Context, logger *log.Logger, o workerOpts) {
 		logger.Fatalf("http server: %v", err)
 	}
 
-	if waitBounded(worker.Wait, o.drainTimeout) {
+	if waitBounded(worker.Wait, drainTimeout) {
 		logger.Printf("worker drained")
 	} else {
-		logger.Printf("drain timeout %s elapsed: exiting", o.drainTimeout)
+		logger.Printf("drain timeout %s elapsed: exiting", drainTimeout)
 	}
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

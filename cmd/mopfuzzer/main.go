@@ -42,55 +42,45 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/exec"
-	"repro/internal/generate"
 	"repro/internal/harness"
-	"repro/internal/jit"
-	"repro/internal/jvm"
 	"repro/internal/lang"
 	"repro/internal/reduce"
 	"repro/internal/triage"
 )
 
 func main() {
-	jdk := flag.String("jdk", "openjdk-17", "target JVM (openjdk-{8,11,17,21,mainline}, openj9-...)")
+	// The campaign spec's flags default to the daemon's JSON defaults,
+	// except for the corpus size, the worker count and the generator
+	// list; "off" is spelled out so -h names it.
+	spec := core.JobSpec{
+		SeedCount:  20,
+		Workers:    min(runtime.GOMAXPROCS(0), core.MaxWorkers),
+		PlanFuzz:   "off",
+		Schedule:   "off",
+		Generators: []string{"randprog"},
+	}
+	spec.RegisterFlags(flag.CommandLine)
+	var backend exec.Backend
+	backend.RegisterFlags(flag.CommandLine)
 	caseFile := flag.String("case", "", "fuzz a single seed file instead of the generated corpus")
-	seeds := flag.Int("seeds", 20, "generated corpus size")
-	budget := flag.Int("budget", 1000, "total execution budget for corpus campaigns")
-	iters := flag.Int("iterations", 50, "mutations per seed (MAX Iterations)")
 	guide := flag.Bool("enable_profile_guide", true, "profile-data-based mutator weighting")
 	fixedMP := flag.Bool("fixed_mp", true, "iterate on a fixed mutation point (false = MopFuzzer_r)")
-	seed := flag.Int64("seed", 1, "random seed")
 	doReduce := flag.Bool("reduce", false, "reduce bug-triggering mutants before reporting")
-	extended := flag.Bool("extended", false, "include the alternative evoking-mutator implementations")
 	dumpMutant := flag.Bool("dump", false, "print the final mutant source")
 	checkpoint := flag.String("checkpoint", "", "periodically snapshot campaign state to this JSON file")
 	resume := flag.String("resume", "", "restore campaign state from this checkpoint file before fuzzing")
 	execTimeout := flag.Duration("exec-timeout", 0, "wall-clock watchdog per seed task (0 = step fuel only)")
-	heapLimit := flag.Int64("heap-limit", 0, "per-execution heap-allocation cap in units (0 = VM default, <0 = uncapped)")
 	quarantineDir := flag.String("quarantine-dir", "", "persist pathological mutants (panic/hang/heap-exhaustion triggers) here")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel seed-task workers (1 = sequential; results are identical either way)")
-	fastOBV := flag.Bool("fast-obv", true, "structured OBV fast path (count behaviors in the JIT instead of regex-scanning profile logs)")
-	planFuzz := flag.String("plan-fuzz", "off", "compilation-plan fuzzing: off (fixed pipeline), minimal (mandatory passes, fuzzed order), or full (fuzzed pass selection, order, and loop rounds)")
-	schedule := flag.String("schedule", "off", "seed-budget policy: off (cursor order, byte-identical to prior releases) or power (energy-weighted (seed, plan-mode) arms)")
 	doDistill := flag.Bool("distill", false, "score the corpus, print the distillation report JSON, and exit without fuzzing")
 	scoreCache := flag.String("score-cache", "", "persist seed feature vectors to this JSON file (resumes and re-runs skip re-profiling)")
-	backend := flag.String("backend", "inprocess", "execution backend: inprocess (shared failure domain, fastest) or pool (minijvm serve-mode children, batched; -pool-recycle-after 1 is one child per execution)")
-	minijvmPath := flag.String("minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
-	childTimeout := flag.Duration("child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
-	poolChildren := flag.Int("pool-children", 0, "max warm children for -backend pool (0 = GOMAXPROCS)")
-	poolRecycle := flag.Int64("pool-recycle-after", 0, "recycle a pool child after this many executions (0 = default 512)")
-	poolMaxHeapMB := flag.Uint64("pool-max-heap-mb", 0, "recycle a pool child whose self-reported heap reaches this many MiB (0 = default 256)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file for the whole run")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	triageDir := flag.String("triage-dir", "", "deduplicate findings by root-cause signature, reduce each new one once, and persist the corpus in this store directory")
 	reportPath := flag.String("report", "", "write a JSON triage report to this file after the campaign (requires -triage-dir)")
-	generators := flag.String("generators", "randprog", "comma-separated corpus generators refreshing the pool between rounds: randprog (baseline, byte-identical alone), template (typed holes in seeds + minimized triage findings), style (composition styles targeting pass interactions)")
-	stylesFlag := flag.String("styles", "", "comma-separated composition styles for the style generator (empty = all registered); naming a style implies -generators=...,style")
 	verbose := flag.Bool("v", false, "verbose campaign summary: parse-cache hit rates and generator emission counts")
 	flag.Parse()
 
@@ -122,40 +112,17 @@ func main() {
 		}()
 	}
 
-	spec, err := jvm.ParseSpec(*jdk)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		fatal(err)
 	}
-	executor, err := exec.FromFlags(*backend, *minijvmPath, *childTimeout, exec.PoolTuning{
-		Children:          *poolChildren,
-		RecycleAfter:      *poolRecycle,
-		MaxChildHeapBytes: *poolMaxHeapMB << 20,
-	})
+	executor, err := backend.Open()
 	if err != nil {
 		fatal(err)
 	}
 	defer exec.CloseExecutor(executor)
-	cfg := core.DefaultConfig(spec)
-	cfg.Executor = executor
-	cfg.MaxIterations = *iters
+	cfg := spec.FuzzConfig(executor)
 	cfg.Guided = *guide
 	cfg.FixedMP = *fixedMP
-	cfg.Seed = *seed
-	cfg.ExtendedMutators = *extended
-	cfg.MaxHeapUnits = *heapLimit
-	cfg.StructuredOBV = *fastOBV
-	cfg.PlanFuzz, err = jit.ParsePlanMode(*planFuzz)
-	if err != nil {
-		fatal(err)
-	}
-	schedMode, err := corpus.ParseScheduleMode(*schedule)
-	if err != nil {
-		fatal(err)
-	}
-	genList, styleList := splitList(*generators), splitList(*stylesFlag)
-	if _, err := generate.Normalize(genList, styleList); err != nil {
-		fatal(err)
-	}
 
 	if *caseFile != "" {
 		fuzzOne(*caseFile, cfg, *doReduce, *dumpMutant)
@@ -172,8 +139,6 @@ func main() {
 		QuarantineDir:  *quarantineDir,
 		CheckpointPath: *checkpoint,
 		ResumePath:     *resume,
-		MaxRetries:     2,
-		Backoff:        100 * time.Millisecond,
 	}
 	if hcfg.CheckpointPath == "" && hcfg.ResumePath != "" {
 		// Resuming without an explicit -checkpoint keeps snapshotting to
@@ -201,12 +166,11 @@ func main() {
 		tworker.Start(ctx)
 	}
 
-	pool := corpus.DefaultPool(*seeds, *seed)
 	if *doDistill {
 		// Score-and-report mode: one profiling dry-run per seed, the
 		// distillation report on stdout, no fuzzing. The same report a
 		// daemon serves on POST /corpus/distill.
-		_, rep, err := core.DistillSeeds(ctx, pool, executor, *scoreCache, 0, 0)
+		_, rep, err := core.DistillSeeds(ctx, spec.Pool(), executor, *scoreCache, 0, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -227,21 +191,11 @@ func main() {
 		})
 	}
 	parsed := corpus.NewParseCache()
-	ccfg := core.CampaignConfig{
-		Seeds:          pool,
-		Budget:         *budget,
-		Targets:        []jvm.Spec{spec},
-		Fuzz:           cfg,
-		Seed:           *seed,
-		Workers:        *workers,
-		Executor:       executor,
-		SeedSchedule:   schedMode,
-		ScoreCachePath: *scoreCache,
-		ParseCache:     parsed,
-		Generators:     genList,
-		Styles:         styleList,
-		TemplateExtras: extras,
-	}
+	ccfg := spec.Campaign(executor)
+	ccfg.Fuzz = cfg
+	ccfg.ScoreCachePath = *scoreCache
+	ccfg.ParseCache = parsed
+	ccfg.TemplateExtras = extras
 	if tworker != nil {
 		ccfg.OnFinding = func(f core.Finding) { tworker.Submit(f) }
 	}
@@ -292,7 +246,7 @@ func main() {
 		fmt.Printf("  fault  %-14s %-10s seed %s round %d, retries %d, quarantine %s\n",
 			f.Class, f.Component, f.SeedName, f.Round, f.Retries, q)
 		if *dumpMutant {
-			fmt.Println(indent(f.HsErrReport(spec.Name())))
+			fmt.Println(indent(f.HsErrReport(cfg.Target.Name())))
 		}
 	}
 	if res.SkippedQuarantined > 0 {
@@ -343,8 +297,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mopfuzzer: warning: %d checkpoint write(s) failed (last: %s) — -resume may replay completed work\n",
 			res.CheckpointErrors, res.LastCheckpointError)
 	}
-	if res.Interrupted && *checkpoint != "" {
-		fmt.Printf("campaign: checkpoint flushed to %s — continue with -resume %s\n", *checkpoint, *checkpoint)
+	if res.Interrupted && hcfg.CheckpointPath != "" {
+		fmt.Printf("campaign: checkpoint flushed to %s — continue with -resume %s\n", hcfg.CheckpointPath, hcfg.CheckpointPath)
 	}
 }
 
@@ -395,17 +349,6 @@ func fuzzOne(path string, cfg core.Config, doReduce, dump bool) {
 
 func indent(s string) string {
 	return "    " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n    ")
-}
-
-// splitList parses a comma-separated flag into its non-empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

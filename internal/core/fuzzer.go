@@ -45,9 +45,10 @@ type Config struct {
 	// implementations (the paper's future-work extension).
 	ExtendedMutators bool
 	// StructuredOBV profiles via the counter fast path instead of
-	// regex-scanning log text (see jvm.Options.StructuredOBV). Guidance
-	// depends only on OBV values, which the equivalence tests pin to the
-	// regex oracle, so results are unchanged.
+	// regex-scanning log text (see jvm.Options.StructuredOBV); it is on
+	// in DefaultConfig. Guidance depends only on OBV values, which the
+	// equivalence tests pin to the regex oracle, so results are
+	// unchanged; false keeps the regex path as the tests' reference.
 	StructuredOBV bool
 	// CompileCache, when non-nil, reuses JIT compilations across this
 	// fuzzer's executions and anything else sharing the cache (campaigns
@@ -81,6 +82,7 @@ func DefaultConfig(target jvm.Spec) Config {
 		DiffSpecs:     jvm.AllSpecs(),
 		Flags:         profile.DefaultFlags(),
 		MaxSteps:      3_000_000,
+		StructuredOBV: true,
 	}
 }
 

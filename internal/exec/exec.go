@@ -22,6 +22,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	osexec "os/exec"
@@ -82,7 +83,7 @@ func Backends() []string { return []string{"inprocess", "pool"} }
 
 // CheckBackend validates a backend name ("" counts: it inherits the
 // caller's default). Shared by every layer that accepts a backend
-// choice — the CLI flags, the service JobSpec and distill request, and
+// choice — Backend.Open, the campaign spec, the distill request, and
 // the fleet worker config. The retired spawn-per-exec backend gets an
 // error naming its replacement.
 func CheckBackend(name string) error {
@@ -139,36 +140,57 @@ func FindMinijvm(explicit string) (string, error) {
 	return p, nil
 }
 
-// PoolTuning is the optional pool-shape subset of the CLI surface:
-// zero values keep PoolConfig defaults.
+// PoolTuning is the optional pool shape: zero values keep the
+// PoolConfig defaults.
 type PoolTuning struct {
-	Children          int
-	RecycleAfter      int64
-	MaxChildHeapBytes uint64
+	Children     int
+	RecycleAfter int64
+	MaxHeapMB    uint64
 }
 
-// FromFlags resolves the shared -backend/-minijvm/-child-timeout CLI
-// surface: "" or "inprocess" selects the nil (in-process, byte-identical
-// default) executor; "pool" locates the minijvm binary and builds the
-// child pool, shaped by tuning (zero values keep the defaults). Callers
-// should CloseExecutor the result when done so pooled children don't
-// outlive the campaign.
-func FromFlags(backend, minijvmPath string, childTimeout time.Duration, tuning PoolTuning) (Executor, error) {
-	if err := CheckBackend(backend); err != nil {
+// Backend is the execution-backend configuration every binary shares:
+// the -backend, -minijvm, -child-timeout and -pool-* flags.
+type Backend struct {
+	// Name is "inprocess" (or "") for the in-process default, or "pool".
+	Name string
+	// Minijvm is the minijvm binary for the pool backend ("" = $MINIJVM,
+	// then $PATH).
+	Minijvm string
+	// ChildTimeout is the pool's per-execution watchdog (0 = none).
+	ChildTimeout time.Duration
+	Pool         PoolTuning
+}
+
+// RegisterFlags registers the backend flags on fs, bound to b.
+func (b *Backend) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&b.Name, "backend", "inprocess", "execution backend: inprocess (shared failure domain, fastest) or pool (minijvm serve-mode children, batched; -pool-recycle-after 1 is one child per execution)")
+	fs.StringVar(&b.Minijvm, "minijvm", "", "minijvm binary for -backend pool (default: $MINIJVM, then $PATH)")
+	fs.DurationVar(&b.ChildTimeout, "child-timeout", 10*time.Second, "per-execution watchdog for -backend pool (0 = no watchdog)")
+	fs.IntVar(&b.Pool.Children, "pool-children", 0, "max warm children for -backend pool (0 = GOMAXPROCS)")
+	fs.Int64Var(&b.Pool.RecycleAfter, "pool-recycle-after", 0, "recycle a pool child after this many executions (0 = default 512)")
+	fs.Uint64Var(&b.Pool.MaxHeapMB, "pool-max-heap-mb", 0, "recycle a pool child whose self-reported heap reaches this many MiB (0 = default 256)")
+}
+
+// Open builds the configured executor: nil (the in-process,
+// byte-identical default) for "" or "inprocess", or a child pool that
+// locates the minijvm binary. Callers should CloseExecutor the result
+// when done so pooled children don't outlive the campaign.
+func (b Backend) Open() (Executor, error) {
+	if err := CheckBackend(b.Name); err != nil {
 		return nil, err
 	}
-	if backend != "pool" {
+	if b.Name != "pool" {
 		return nil, nil
 	}
-	path, err := FindMinijvm(minijvmPath)
+	path, err := FindMinijvm(b.Minijvm)
 	if err != nil {
 		return nil, err
 	}
 	return NewPool(PoolConfig{
 		Path:              path,
-		Timeout:           childTimeout,
-		Children:          tuning.Children,
-		RecycleAfter:      tuning.RecycleAfter,
-		MaxChildHeapBytes: tuning.MaxChildHeapBytes,
+		Timeout:           b.ChildTimeout,
+		Children:          b.Pool.Children,
+		RecycleAfter:      b.Pool.RecycleAfter,
+		MaxChildHeapBytes: b.Pool.MaxHeapMB << 20,
 	}), nil
 }

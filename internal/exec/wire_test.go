@@ -225,8 +225,8 @@ func TestCheckBackend(t *testing.T) {
 	if err := CheckBackend("quantum"); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Errorf("unknown backend: got %v", err)
 	}
-	if _, err := FromFlags("subprocess", "", 0, PoolTuning{}); err == nil {
-		t.Error("FromFlags accepted the retired backend")
+	if _, err := (Backend{Name: "subprocess"}).Open(); err == nil {
+		t.Error("Open accepted the retired backend")
 	}
 }
 

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/exec"
+	"repro/internal/harness"
 	"repro/internal/jvm"
 )
 
@@ -191,6 +193,20 @@ func pad(s string, w int) string {
 
 func pool(budget Budget) []corpus.Seed {
 	return corpus.DefaultPool(budget.Seeds, budget.Seed)
+}
+
+// runLeg runs one campaign-level recall leg: spec's campaign knobs over
+// the budget's pool and executions, cycling every target. The error is
+// an invalid spec or a backend fault while scoring the pool.
+func runLeg(budget Budget, spec core.JobSpec) (*core.CampaignResult, error) {
+	for _, t := range allTargets() {
+		spec.Targets = append(spec.Targets, t.Name())
+	}
+	spec.SeedCount, spec.Seed, spec.Budget = budget.Seeds, budget.Seed, budget.Executions
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return core.RunCampaignContext(context.Background(), spec.Campaign(budget.Executor), harness.Config{})
 }
 
 // hotspotTargets cycles the OpenJDK LTS+mainline targets (§4.1).

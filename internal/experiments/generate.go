@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/buginject"
 	"repro/internal/core"
-	"repro/internal/harness"
 )
 
 // GeneratorLeg is one cell of the generator-recall comparison: a full
@@ -36,18 +34,12 @@ type GeneratorLeg struct {
 // leg 0. Every leg keeps randprog in the mix — the subsystem refreshes
 // a rotating quota of slots, so the baseline source still fuzzes
 // alongside the new ones, exactly like a production campaign.
-func generatorLegConfigs() []struct {
-	Generators []string
-	Styles     []string
-} {
-	return []struct {
-		Generators []string
-		Styles     []string
-	}{
-		{[]string{"randprog"}, nil}, // subsystem off: the fixed-pool baseline
-		{[]string{"randprog", "template"}, nil},
-		{[]string{"randprog", "style"}, nil}, // nil styles = every registered style
-		{[]string{"randprog", "template", "style"}, nil},
+func generatorLegConfigs() []core.JobSpec {
+	return []core.JobSpec{
+		{Generators: []string{"randprog"}}, // subsystem off: the fixed-pool baseline
+		{Generators: []string{"randprog", "template"}},
+		{Generators: []string{"randprog", "style"}}, // nil styles = every registered style
+		{Generators: []string{"randprog", "template", "style"}},
 	}
 }
 
@@ -56,22 +48,8 @@ func generatorLegConfigs() []struct {
 // provenance of that first detection ("" = original pool seed), and the
 // executions spent. Campaign-level because generators only exist in the
 // round planner's pool refresh.
-func generatorDetected(budget Budget, gens, styleNames []string) (detected map[string]int, provenance map[string]string, execs int, err error) {
-	targets := allTargets()
-	fcfg := core.DefaultConfig(targets[0])
-	fcfg.Seed = budget.Seed
-	fcfg.StructuredOBV = true
-	fcfg.Executor = budget.Executor
-	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
-		Seeds:      pool(budget),
-		Budget:     budget.Executions,
-		Targets:    targets,
-		Fuzz:       fcfg,
-		Seed:       budget.Seed,
-		Executor:   budget.Executor,
-		Generators: gens,
-		Styles:     styleNames,
-	}, harness.Config{})
+func generatorDetected(budget Budget, spec core.JobSpec) (detected map[string]int, provenance map[string]string, execs int, err error) {
+	res, err := runLeg(budget, spec)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -101,7 +79,7 @@ type generatorLegRun struct {
 func runGeneratorLegs(budget Budget) ([]generatorLegRun, error) {
 	var runs []generatorLegRun
 	for _, cfg := range generatorLegConfigs() {
-		detected, provenance, execs, err := generatorDetected(budget, cfg.Generators, cfg.Styles)
+		detected, provenance, execs, err := generatorDetected(budget, cfg)
 		if err != nil {
 			return nil, err
 		}

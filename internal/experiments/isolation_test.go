@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/profile"
 )
@@ -25,7 +24,7 @@ import (
 func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	budget := Budget{Executions: 300, Seeds: 8, Seed: 1}
 	leg := func() string {
-		detected, execs, err := scheduleDetected(budget, corpus.SchedulePower, jit.PlanFull)
+		detected, execs, err := scheduleDetected(budget, core.JobSpec{Schedule: "power", PlanFuzz: "full"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/buginject"
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/harness"
 	"repro/internal/jit"
 )
 
@@ -38,18 +35,12 @@ type ScheduleLeg struct {
 // scheduleLegPlans pairs each schedule mode with the plan modes the
 // recall table compares: the fixed pipeline and the fully fuzzed one
 // (which also gives the power schedule its plan-mode arm axis).
-func scheduleLegPlans() []struct {
-	Schedule corpus.ScheduleMode
-	Plan     jit.PlanMode
-} {
-	return []struct {
-		Schedule corpus.ScheduleMode
-		Plan     jit.PlanMode
-	}{
-		{corpus.ScheduleOff, jit.PlanDefault},
-		{corpus.SchedulePower, jit.PlanDefault},
-		{corpus.ScheduleOff, jit.PlanFull},
-		{corpus.SchedulePower, jit.PlanFull},
+func scheduleLegPlans() []core.JobSpec {
+	return []core.JobSpec{
+		{Schedule: "off", PlanFuzz: "off"},
+		{Schedule: "power", PlanFuzz: "off"},
+		{Schedule: "off", PlanFuzz: "full"},
+		{Schedule: "power", PlanFuzz: "full"},
 	}
 }
 
@@ -57,24 +48,9 @@ func scheduleLegPlans() []struct {
 // ID -> cumulative executions at first detection, plus the executions
 // actually spent. Campaign-level (core.RunCampaignContext, not
 // per-seed tool loops) because the power schedule is a campaign policy:
-// it only exists in the round planner. The error is a backend fault
-// while scoring the pool.
-func scheduleDetected(budget Budget, sched corpus.ScheduleMode, plan jit.PlanMode) (map[string]int, int, error) {
-	targets := allTargets()
-	fcfg := core.DefaultConfig(targets[0])
-	fcfg.Seed = budget.Seed
-	fcfg.StructuredOBV = true
-	fcfg.PlanFuzz = plan
-	fcfg.Executor = budget.Executor
-	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
-		Seeds:        pool(budget),
-		Budget:       budget.Executions,
-		Targets:      targets,
-		Fuzz:         fcfg,
-		Seed:         budget.Seed,
-		Executor:     budget.Executor,
-		SeedSchedule: sched,
-	}, harness.Config{})
+// it only exists in the round planner.
+func scheduleDetected(budget Budget, spec core.JobSpec) (map[string]int, int, error) {
+	res, err := runLeg(budget, spec)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -119,14 +95,15 @@ type scheduleLegRun struct {
 func runScheduleLegs(budget Budget) ([]scheduleLegRun, error) {
 	var runs []scheduleLegRun
 	for _, lg := range scheduleLegPlans() {
-		detected, execs, err := scheduleDetected(budget, lg.Schedule, lg.Plan)
+		detected, execs, err := scheduleDetected(budget, lg)
 		if err != nil {
 			return nil, err
 		}
+		plan, _ := jit.ParsePlanMode(lg.PlanFuzz) // "off" reads as "default"
 		runs = append(runs, scheduleLegRun{
 			leg: ScheduleLeg{
-				Schedule:            string(lg.Schedule),
-				PlanFuzz:            string(lg.Plan),
+				Schedule:            lg.Schedule,
+				PlanFuzz:            string(plan),
 				Detected:            len(detected),
 				Executions:          execs,
 				MedianExecsToDetect: medianDetection(detected),

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fleet/chaos"
 	"repro/internal/harness"
@@ -170,11 +171,11 @@ func waitDone(t *testing.T, s *service.Scheduler, id string, timeout time.Durati
 
 // fleetSpec has enough tasks (3 seeds) that a mid-campaign kill leaves
 // real work for the successor.
-func fleetSpec() service.JobSpec { return service.JobSpec{SeedCount: 3, Budget: 150, Seed: 7} }
+func fleetSpec() core.JobSpec { return core.JobSpec{SeedCount: 3, Budget: 150, Seed: 7} }
 
 // localBaseline runs the spec on a plain (fleet-less) scheduler and
 // returns its terminal view plus the triage report signature keys.
-func localBaseline(t *testing.T, spec service.JobSpec) (service.JobView, []string) {
+func localBaseline(t *testing.T, spec core.JobSpec) (service.JobView, []string) {
 	t.Helper()
 	sched, err := service.NewScheduler(service.Config{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
@@ -446,7 +447,7 @@ func TestBreakerCutsOffDeadWorker(t *testing.T) {
 	}
 	e.coord.mu.Unlock()
 
-	spec := service.JobSpec{SeedCount: 2, Budget: 60, Seed: 3}
+	spec := core.JobSpec{SeedCount: 2, Budget: 60, Seed: 3}
 	for i := 0; i < 3; i++ {
 		j, err := e.sched.Submit(spec)
 		if err != nil {

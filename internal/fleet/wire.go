@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/triage"
 )
@@ -88,7 +89,7 @@ type Assignment struct {
 	Job     string `json:"job"`
 	Lease   string `json:"lease"` // opaque token naming this grant
 
-	Spec service.JobSpec `json:"spec"`
+	Spec core.JobSpec `json:"spec"`
 
 	// Checkpoint resumes the campaign from prior progress (nil = fresh
 	// start); CheckpointSum guards it in transit.

@@ -29,15 +29,10 @@ type WorkerConfig struct {
 	// Dir is the worker's scratch directory: per-assignment checkpoint,
 	// triage store, and quarantine live under it.
 	Dir string
-	// Backend / MinijvmPath / ChildTimeout configure the execution
-	// backend exactly like the standalone daemon flags. A job spec that
-	// pins a backend overrides Backend.
-	Backend      string
-	MinijvmPath  string
-	ChildTimeout time.Duration
-	// Pool tunes the warm-child pool when Backend (or a job spec) picks
-	// the pool backend; the zero value means library defaults.
-	Pool exec.PoolTuning
+	// Exec is the execution backend, set from the same flags as the
+	// standalone daemon's. A job spec that pins a backend overrides only
+	// its name.
+	Exec exec.Backend
 	// RPCAttempts bounds tries per coordinator RPC (default 3).
 	RPCAttempts int
 	// Backoff schedules RPC retries (zero value → jittered default).
@@ -80,7 +75,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" || cfg.Coordinator == "" || cfg.Addr == "" || cfg.Dir == "" {
 		return nil, errors.New("fleet: worker needs ID, Coordinator, Addr, and Dir")
 	}
-	if err := exec.CheckBackend(cfg.Backend); err != nil {
+	if err := exec.CheckBackend(cfg.Exec.Name); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.RPCAttempts <= 0 {
@@ -88,9 +83,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Backoff == (harness.Backoff{}) {
 		cfg.Backoff = harness.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
-	}
-	if cfg.ChildTimeout == 0 {
-		cfg.ChildTimeout = 10 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -359,15 +351,15 @@ func (w *Worker) run(ctx context.Context, asg Assignment) {
 
 // campaign runs the assignment's campaign, mirroring the scheduler's
 // local runJob so a handoff between the two stays byte-identical: the
-// same JobSpec.Campaign constructor, the same harness knobs.
+// same core.JobSpec.Campaign constructor, the same harness knobs.
 func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignResult, triage.Stats, error) {
 	id := asg.Job
 	spec := asg.Spec
-	backend := spec.Backend
-	if backend == "" {
-		backend = w.cfg.Backend
+	backend := w.cfg.Exec
+	if spec.Backend != "" {
+		backend.Name = spec.Backend
 	}
-	executor, err := exec.FromFlags(backend, w.cfg.MinijvmPath, w.cfg.ChildTimeout, w.cfg.Pool)
+	executor, err := backend.Open()
 	if err != nil {
 		return nil, triage.Stats{}, err
 	}
@@ -397,7 +389,7 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 	// Template extras come from the local triage store, but on handoff
 	// the checkpoint's pinned extras override them inside core, so two
 	// workers resuming the same lease generate identical pools.
-	ccfg.TemplateExtras = spec.TemplateExtras(tstore)
+	ccfg.TemplateExtras = service.TemplateExtras(&spec, tstore)
 	ccfg.OnProgress = func(p core.Progress) {
 		// Executions snapshot for heartbeats; progress callbacks run on
 		// the campaign goroutine, heartbeat reads on the ticker's.
@@ -412,8 +404,6 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 		CheckpointEvery: asg.CheckpointEvery,
 		ExecTimeout:     time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
 		QuarantineDir:   filepath.Join(w.jobDir(id), "quarantine"),
-		MaxRetries:      2,
-		Backoff:         100 * time.Millisecond,
 	}
 	if len(asg.Checkpoint) > 0 {
 		hcfg.ResumePath = w.ckptPath(id)

@@ -515,3 +515,14 @@ func TestCheckIdempotentOnWiden(t *testing.T) {
 		t.Error("re-checking wrapped Widen twice")
 	}
 }
+
+// TestParseTruncatedRejected: programs cut off right after a keyword or
+// name are parse errors, not panics (found by FuzzJobSpec, whose seed
+// vetting parses user sources).
+func TestParseTruncatedRejected(t *testing.T) {
+	for _, src := range []string{"class", "class T { int", "class T { static void main(int"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", src)
+		}
+	}
+}

@@ -57,8 +57,17 @@ type parser struct {
 }
 
 func (p *parser) peek() token       { return p.toks[p.i] }
-func (p *parser) next() token       { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) at(k tokKind) bool { return p.toks[p.i].Kind == k }
+
+// next consumes one token but never the final EOF, so a truncated
+// program ends in a parse error rather than an index past the tokens.
+func (p *parser) next() token {
+	t := p.toks[p.i]
+	if t.Kind != tokEOF {
+		p.i++
+	}
+	return t
+}
 
 func (p *parser) atPunct(s string) bool {
 	t := p.peek()

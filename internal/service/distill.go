@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/exec"
 )
 
 // DistillRequest is a POST /corpus/distill body: a seed corpus —
@@ -17,9 +16,9 @@ import (
 type DistillRequest struct {
 	// SeedCount generates that many corpus seeds from Seed; user seeds
 	// in Seeds are appended after them. Default 8 when Seeds is empty.
-	SeedCount int        `json:"seed_count,omitempty"`
-	Seed      int64      `json:"seed,omitempty"` // RNG seed (default 1)
-	Seeds     []SeedSpec `json:"seeds,omitempty"`
+	SeedCount int             `json:"seed_count,omitempty"`
+	Seed      int64           `json:"seed,omitempty"` // RNG seed (default 1)
+	Seeds     []core.SeedSpec `json:"seeds,omitempty"`
 	// Spread is the minimum pairwise distance a kept seed must add
 	// (<= 0 uses corpus.DefaultDistillSpread).
 	Spread float64 `json:"spread,omitempty"`
@@ -30,53 +29,35 @@ type DistillRequest struct {
 	Backend string `json:"backend,omitempty"`
 }
 
-// Validate normalizes a distillation request in place, applying the
-// same defaults and seed vetting as a job submission.
+// Validate normalizes a distillation request in place: the corpus
+// fields get a campaign spec's defaults and seed vetting.
 func (r *DistillRequest) Validate() error {
-	if r.SeedCount < 0 {
-		return fmt.Errorf("seed_count must be non-negative")
-	}
-	if r.SeedCount == 0 && len(r.Seeds) == 0 {
-		r.SeedCount = 8
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
 	if r.MaxKeep < 0 {
 		return fmt.Errorf("max_keep must be non-negative")
 	}
-	if err := exec.CheckBackend(r.Backend); err != nil {
+	spec := r.spec()
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	for i := range r.Seeds {
-		if r.Seeds[i].Name == "" {
-			r.Seeds[i].Name = fmt.Sprintf("User%04d", i+1)
-		}
-		if err := validateSeed(r.Seeds[i]); err != nil {
-			return err
-		}
-	}
+	r.SeedCount, r.Seed, r.Seeds = spec.SeedCount, spec.Seed, spec.Seeds
 	return nil
 }
 
-// pool materializes the request's corpus, mirroring JobSpec.pool.
-func (r *DistillRequest) pool() []corpus.Seed {
-	out := corpus.DefaultPool(r.SeedCount, r.Seed)
-	for _, sd := range r.Seeds {
-		out = append(out, corpus.Seed{Name: sd.Name, Source: sd.Source})
-	}
-	return out
+// spec is the campaign spec holding the request's corpus and backend.
+func (r *DistillRequest) spec() core.JobSpec {
+	return core.JobSpec{SeedCount: r.SeedCount, Seed: r.Seed, Seeds: r.Seeds, Backend: r.Backend}
 }
 
 // Distill serves one distillation request on the daemon's execution
 // backend. No score cache is threaded: requests are one-shot, and the
 // shared parse cache already absorbs the repeated-submission cost.
 func (s *Scheduler) Distill(ctx context.Context, req *DistillRequest) (*corpus.DistillReport, error) {
-	executor, err := s.executorFor(JobSpec{Backend: req.Backend})
+	spec := req.spec()
+	executor, err := s.executorFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	_, rep, err := core.DistillSeeds(ctx, req.pool(), executor, "", req.Spread, req.MaxKeep)
+	_, rep, err := core.DistillSeeds(ctx, spec.Pool(), executor, "", req.Spread, req.MaxKeep)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -65,11 +66,16 @@ func TestDistillEndpoint(t *testing.T) {
 	}
 
 	// Rejections: bad JSON, unknown fields, malformed seed source, bad
-	// backend.
+	// backend, a corpus too large to generate.
 	postJSON(t, client, srv.URL+"/corpus/distill", `{not json`, 400, nil)
 	postJSON(t, client, srv.URL+"/corpus/distill", `{"bogus": 1}`, 400, nil)
 	postJSON(t, client, srv.URL+"/corpus/distill", `{"seeds": [{"source": "class {"}]}`, 400, nil)
 	postJSON(t, client, srv.URL+"/corpus/distill", `{"seed_count": 2, "backend": "no-such-backend"}`, 400, nil)
+	postJSON(t, client, srv.URL+"/corpus/distill", `{"seed_count": 2000000000}`, 400, nil)
+	tooMany := DistillRequest{SeedCount: 2_000_000_000}
+	if err := tooMany.Validate(); err == nil || !strings.Contains(err.Error(), "seed_count must be at most 10000") {
+		t.Errorf("seed_count 2e9: Validate() err = %v, want the seed_count bound", err)
+	}
 
 	// The corpus metrics series count the successful requests.
 	var buf bytes.Buffer
@@ -107,7 +113,7 @@ func TestJobSpecScheduleRuns(t *testing.T) {
 	defer cancel()
 	sched.Start(ctx)
 
-	spec := JobSpec{SeedCount: 3, Budget: 90, Seed: 9, Schedule: "power"}
+	spec := core.JobSpec{SeedCount: 3, Budget: 90, Seed: 9, Schedule: "power"}
 	run := func() *ResultSummary {
 		j, err := sched.Submit(spec)
 		if err != nil {
@@ -129,7 +135,7 @@ func TestJobSpecScheduleRuns(t *testing.T) {
 		t.Errorf("power schedule results differ across identical jobs:\nfirst  %s\nsecond %s", aj, bj)
 	}
 
-	if _, err := sched.Submit(JobSpec{SeedCount: 2, Schedule: "bogus"}); err == nil {
+	if _, err := sched.Submit(core.JobSpec{SeedCount: 2, Schedule: "bogus"}); err == nil {
 		t.Error("bogus schedule mode accepted by Submit")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/core"
 )
 
 // maxBodyBytes caps job-spec and seed-upload request bodies. Seeds are
@@ -50,7 +52,7 @@ func NewServer(s *Scheduler) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+	var spec core.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
@@ -102,7 +104,7 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) addSeeds(w http.ResponseWriter, r *http.Request) {
 	var body struct {
-		Seeds []SeedSpec `json:"seeds"`
+		Seeds []core.SeedSpec `json:"seeds"`
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()

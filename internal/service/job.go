@@ -2,15 +2,9 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/exec"
-	"repro/internal/generate"
-	"repro/internal/jit"
-	"repro/internal/jvm"
 	"repro/internal/triage"
 )
 
@@ -43,201 +37,14 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled || s == StateQuarantined
 }
 
-// SeedSpec is one user-supplied seed program in a job submission.
-type SeedSpec struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
-}
-
-// JobSpec is a job submission: the seed corpus plus the campaign knobs
-// a CLI invocation would pass as flags. A zero field gets the daemon's
-// default, which is the mopfuzzer default except for two: SeedCount
-// defaults to 8 (mopfuzzer -seeds: 20) and Workers to 1 (mopfuzzer
-// -workers: GOMAXPROCS). `{"budget": 500}` is a valid job.
-type JobSpec struct {
-	// Name is a free-form label for humans; it does not identify the job.
-	Name string `json:"name,omitempty"`
-	// Targets are jvm.Spec names (e.g. "openjdk-17"), cycled per seed
-	// task exactly like mopfuzzer -jdk. Default: openjdk-17.
-	Targets []string `json:"targets,omitempty"`
-	// SeedCount generates that many corpus seeds from Seed; user seeds in
-	// Seeds are appended after them. Default 8 when Seeds is empty.
-	SeedCount int        `json:"seed_count,omitempty"`
-	Seeds     []SeedSpec `json:"seeds,omitempty"`
-	// Budget is the total execution budget (default 1000).
-	Budget int `json:"budget,omitempty"`
-	// Iterations is MAX Iterations per seed (default 50).
-	Iterations int   `json:"iterations,omitempty"`
-	Seed       int64 `json:"seed,omitempty"` // RNG seed (default 1)
-	// Workers shards seed tasks inside the campaign (default 1;
-	// results are byte-identical either way).
-	Workers int `json:"workers,omitempty"`
-	// Backend pins the execution backend ("inprocess" or "pool"); empty
-	// inherits the daemon's default. Pool jobs share the daemon's pool,
-	// shaped by its pool flags.
-	Backend string `json:"backend,omitempty"`
-	// Extended enables the alternative evoking-mutator implementations.
-	Extended bool `json:"extended,omitempty"`
-	// HeapLimit caps per-execution heap allocation in units (0 = VM
-	// default, <0 = uncapped), mirroring mopfuzzer -heap-limit.
-	HeapLimit int64 `json:"heap_limit,omitempty"`
-	// PlanFuzz turns the compilation plan into a fuzz dimension,
-	// mirroring mopfuzzer -plan-fuzz: "" or "off" keeps the fixed
-	// pipeline (byte-identical to pre-plan jobs), "minimal"/"full"
-	// select the fuzzed-plan modes.
-	PlanFuzz string `json:"plan_fuzz,omitempty"`
-	// Schedule selects the campaign's seed-budget policy, mirroring
-	// mopfuzzer -schedule: "" or "off" walks seeds in cursor order
-	// (byte-identical to pre-schedule jobs), "power" allocates round
-	// slots across (seed, plan-mode) arms by scored energy.
-	Schedule string `json:"schedule,omitempty"`
-	// Distill shrinks the seed pool to its maximally-diverse subset
-	// (one profiling dry-run per seed) before fuzzing starts.
-	Distill bool `json:"distill,omitempty"`
-	// Generators selects the corpus generators that refresh the seed
-	// pool between rounds, mirroring mopfuzzer -generators: "randprog"
-	// (baseline; alone it is byte-identical to a generator-free job),
-	// "template", "style". Empty keeps the subsystem off.
-	Generators []string `json:"generators,omitempty"`
-	// Styles restricts the style generator to the named composition
-	// styles, mirroring mopfuzzer -styles; naming one implies the style
-	// generator.
-	Styles []string `json:"styles,omitempty"`
-}
-
-// Validate normalizes a submission in place (applying CLI defaults) and
-// rejects anything that would fault the daemon at run time: unknown
-// target specs, unknown backends, negative budgets, and — via
-// corpus.Seed.TryParse — malformed user seed programs, so a bad
-// submission is an API error, not a campaign fault.
-func (s *JobSpec) Validate() error {
-	if s.Budget < 0 {
-		return fmt.Errorf("budget must be positive")
-	}
-	if s.Budget == 0 {
-		s.Budget = 1000
-	}
-	if s.Iterations < 0 {
-		return fmt.Errorf("iterations must be positive")
-	}
-	if s.Iterations == 0 {
-		s.Iterations = 50
-	}
-	if s.SeedCount < 0 {
-		return fmt.Errorf("seed_count must be non-negative")
-	}
-	if s.SeedCount == 0 && len(s.Seeds) == 0 {
-		s.SeedCount = 8
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("workers must be non-negative")
-	}
-	if len(s.Targets) == 0 {
-		s.Targets = []string{"openjdk-17"}
-	}
-	for _, t := range s.Targets {
-		if _, err := jvm.ParseSpec(t); err != nil {
-			return fmt.Errorf("target %q: %v", t, err)
-		}
-	}
-	if err := exec.CheckBackend(s.Backend); err != nil {
-		return err
-	}
-	if _, err := jit.ParsePlanMode(s.PlanFuzz); err != nil {
-		return fmt.Errorf("plan_fuzz: %v", err)
-	}
-	if _, err := corpus.ParseScheduleMode(s.Schedule); err != nil {
-		return fmt.Errorf("schedule: %v", err)
-	}
-	if _, err := generate.Normalize(s.Generators, s.Styles); err != nil {
-		return fmt.Errorf("generators: %v", err)
-	}
-	for i := range s.Seeds {
-		if s.Seeds[i].Name == "" {
-			s.Seeds[i].Name = fmt.Sprintf("User%04d", i+1)
-		}
-		if err := validateSeed(s.Seeds[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateSeed checks one user-supplied seed program.
-func validateSeed(sd SeedSpec) error {
-	if sd.Source == "" {
-		return fmt.Errorf("seed %s: empty source", sd.Name)
-	}
-	if _, err := (corpus.Seed{Name: sd.Name, Source: sd.Source}).TryParse(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// pool materializes the job's seed corpus: the generated pool first,
-// then user seeds in submission order. Every seed here has already
-// passed Validate, so campaign-side Parse cannot fault on them.
-func (s *JobSpec) pool() []corpus.Seed {
-	out := corpus.DefaultPool(s.SeedCount, s.Seed)
-	for _, sd := range s.Seeds {
-		out = append(out, corpus.Seed{Name: sd.Name, Source: sd.Source})
-	}
-	return out
-}
-
-// Campaign builds the campaign configuration a validated spec runs
-// under. Every execution site — the local runner pool and the fleet
-// worker — MUST go through this one constructor: the knobs it sets
-// decide the campaign's deterministic schedule, so two sites composing
-// them independently could drift and break the byte-identical-resume
-// guarantee across handoffs.
-func (s *JobSpec) Campaign(executor exec.Executor) core.CampaignConfig {
-	targets := s.specs()
-	fcfg := core.DefaultConfig(targets[0])
-	fcfg.MaxIterations = s.Iterations
-	fcfg.Seed = s.Seed
-	fcfg.ExtendedMutators = s.Extended
-	fcfg.MaxHeapUnits = s.HeapLimit
-	fcfg.StructuredOBV = true
-	fcfg.Executor = executor
-	// Validate already vetted the mode strings; zero modes keep the
-	// fixed pipeline and cursor-order scheduling.
-	fcfg.PlanFuzz, _ = jit.ParsePlanMode(s.PlanFuzz)
-	schedule, _ := corpus.ParseScheduleMode(s.Schedule)
-	return core.CampaignConfig{
-		Seeds:        s.pool(),
-		Budget:       s.Budget,
-		Targets:      targets,
-		Fuzz:         fcfg,
-		Seed:         s.Seed,
-		Workers:      s.Workers,
-		Executor:     executor,
-		SeedSchedule: schedule,
-		DistillSeeds: s.Distill,
-		Generators:   append([]string(nil), s.Generators...),
-		Styles:       append([]string(nil), s.Styles...),
-	}
-}
-
-// GeneratorsOn reports whether the (validated) spec enables the
-// generator subsystem — i.e. whether its generator set normalizes to
-// anything beyond the baseline.
-func (s *JobSpec) GeneratorsOn() bool {
-	gens, err := generate.Normalize(s.Generators, s.Styles)
-	return err == nil && gens != nil
-}
-
 // TemplateExtras gathers the triage store's minimized reproducers for
 // template mining — the found-bugs-breed-scenarios feed. Nil when the
 // spec's generators are off. Both execution sites (the local runner and
 // the fleet worker) call this against the job's own store; on resume
 // the checkpoint's pinned extras take precedence in core, so handoffs
 // stay byte-identical regardless of what either store holds now.
-func (s *JobSpec) TemplateExtras(store *triage.Store) []string {
-	if !s.GeneratorsOn() {
+func TemplateExtras(spec *core.JobSpec, store *triage.Store) []string {
+	if !spec.GeneratorsOn() {
 		return nil
 	}
 	var out []string
@@ -245,19 +52,6 @@ func (s *JobSpec) TemplateExtras(store *triage.Store) []string {
 		out = append(out, program)
 		return true
 	})
-	return out
-}
-
-// specs parses the validated target names.
-func (s *JobSpec) specs() []jvm.Spec {
-	out := make([]jvm.Spec, 0, len(s.Targets))
-	for _, t := range s.Targets {
-		spec, err := jvm.ParseSpec(t)
-		if err != nil {
-			panic(fmt.Sprintf("service: unvalidated target %q: %v", t, err)) // Validate ran first
-		}
-		out = append(out, spec)
-	}
 	return out
 }
 
@@ -366,10 +160,10 @@ const jobVersion = 1
 // jobRecord is the on-disk (and wire) form of a job: everything needed
 // to re-queue, resume, and report it across daemon restarts.
 type jobRecord struct {
-	Version int      `json:"version"`
-	ID      string   `json:"id"`
-	Spec    JobSpec  `json:"spec"`
-	State   JobState `json:"state"`
+	Version int          `json:"version"`
+	ID      string       `json:"id"`
+	Spec    core.JobSpec `json:"spec"`
+	State   JobState     `json:"state"`
 	// Created/Started/Finished are Unix timestamps; Started is the first
 	// run segment's start, preserved across resumes.
 	Created  int64 `json:"created,omitempty"`
@@ -412,7 +206,7 @@ type ProgressView struct {
 // running jobs, the latest progress snapshot.
 type JobView struct {
 	ID       string         `json:"id"`
-	Spec     JobSpec        `json:"spec"`
+	Spec     core.JobSpec   `json:"spec"`
 	State    JobState       `json:"state"`
 	Created  int64          `json:"created,omitempty"`
 	Started  int64          `json:"started,omitempty"`
@@ -458,7 +252,7 @@ func (j *Job) State() JobState {
 }
 
 // Spec returns a copy of the job's (normalized) submission.
-func (j *Job) Spec() JobSpec {
+func (j *Job) Spec() core.JobSpec {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return copySpec(j.rec.Spec)
@@ -501,10 +295,10 @@ func (j *Job) View() JobView {
 	return v
 }
 
-func copySpec(s JobSpec) JobSpec {
+func copySpec(s core.JobSpec) core.JobSpec {
 	cp := s
 	cp.Targets = append([]string(nil), s.Targets...)
-	cp.Seeds = append([]SeedSpec(nil), s.Seeds...)
+	cp.Seeds = append([]core.SeedSpec(nil), s.Seeds...)
 	cp.Generators = append([]string(nil), s.Generators...)
 	cp.Styles = append([]string(nil), s.Styles...)
 	return cp

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/harness"
 )
 
@@ -46,15 +48,15 @@ func TestMain(m *testing.M) {
 
 // resumeSpec needs enough tasks that interrupting after the second
 // leaves real work for the resumed daemon.
-func resumeSpec(backend string) JobSpec {
-	return JobSpec{SeedCount: 3, Budget: 150, Seed: 7, Backend: backend}
+func resumeSpec(backend string) core.JobSpec {
+	return core.JobSpec{SeedCount: 3, Budget: 150, Seed: 7, Backend: backend}
 }
 
 // runJobToCompletion runs one job on a fresh daemon over dir and
 // returns its terminal view.
-func runJobToCompletion(t *testing.T, dir string, spec JobSpec) JobView {
+func runJobToCompletion(t *testing.T, dir string, spec core.JobSpec) JobView {
 	t.Helper()
-	s := newTestScheduler(t, Config{Dir: dir, MinijvmPath: minijvmPath})
+	s := newTestScheduler(t, Config{Dir: dir, Exec: exec.Backend{Minijvm: minijvmPath}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -100,8 +102,8 @@ func testDaemonRestartResume(t *testing.T, backend string, drain func(stop conte
 	defer stop()
 	var once sync.Once
 	s := newTestScheduler(t, Config{
-		Dir:         dir,
-		MinijvmPath: minijvmPath,
+		Dir:  dir,
+		Exec: exec.Backend{Minijvm: minijvmPath},
 		OnTask: func(id string, done int) {
 			if done == 2 {
 				once.Do(func() { drain(stop) })
@@ -136,7 +138,7 @@ func testDaemonRestartResume(t *testing.T, backend string, drain func(stop conte
 
 	// "Restart the daemon": a new scheduler over the same state dir
 	// re-queues the interrupted job and resumes it from the checkpoint.
-	s2 := newTestScheduler(t, Config{Dir: dir, MinijvmPath: minijvmPath})
+	s2 := newTestScheduler(t, Config{Dir: dir, Exec: exec.Backend{Minijvm: minijvmPath}})
 	j2 := s2.Get(id)
 	if j2 == nil {
 		t.Fatal("restarted daemon lost the job")

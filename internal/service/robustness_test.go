@@ -10,12 +10,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // drainInterrupted runs spec until two tasks complete, drains, and
 // returns the interrupted job's ID (checkpoint on disk). The scheduler
 // is fully stopped on return.
-func drainInterrupted(t *testing.T, dir string, spec JobSpec) string {
+func drainInterrupted(t *testing.T, dir string, spec core.JobSpec) string {
 	t.Helper()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()

@@ -36,17 +36,11 @@ type Config struct {
 	Dir string
 	// Runners bounds concurrently running campaigns (default 1).
 	Runners int
-	// Backend is the default execution backend for jobs that do not pin
-	// one ("" = inprocess); MinijvmPath/ChildTimeout configure the pool
-	// backend exactly like the mopfuzzer flags.
-	Backend      string
-	MinijvmPath  string
-	ChildTimeout time.Duration
-	// Pool shapes the shared warm child pool used by jobs on the "pool"
-	// backend (zero values = exec.PoolConfig defaults). All pooled jobs
-	// share one daemon-wide pool so warm children amortize across jobs;
-	// it is closed when the scheduler drains.
-	Pool exec.PoolTuning
+	// Exec is the execution backend for jobs that do not pin one; a job
+	// that pins one overrides only its name. All pooled jobs share one
+	// daemon-wide pool, built from Exec, so warm children amortize across
+	// jobs; it is closed when the scheduler drains.
+	Exec exec.Backend
 	// ExecTimeout arms the harness wall-clock watchdog per seed task
 	// (0 = step fuel only).
 	ExecTimeout time.Duration
@@ -147,9 +141,6 @@ type Scheduler struct {
 func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Runners <= 0 {
 		cfg.Runners = 1
-	}
-	if cfg.ChildTimeout == 0 {
-		cfg.ChildTimeout = 10 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -306,7 +297,7 @@ func (s *Scheduler) Draining() bool {
 }
 
 // Submit validates a job spec, persists the job, and queues it.
-func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
+func (s *Scheduler) Submit(spec core.JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -397,7 +388,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 // error here, never a campaign fault. A job that has started (or has
 // checkpointed state awaiting resume) rejects the mutation: changing
 // the seed pool would break resume determinism.
-func (s *Scheduler) AddSeeds(id string, seeds []SeedSpec) (*Job, error) {
+func (s *Scheduler) AddSeeds(id string, seeds []core.SeedSpec) (*Job, error) {
 	j := s.Get(id)
 	if j == nil {
 		return nil, ErrUnknownJob
@@ -410,14 +401,8 @@ func (s *Scheduler) AddSeeds(id string, seeds []SeedSpec) (*Job, error) {
 	if s.store.HasCheckpoint(id) {
 		return nil, fmt.Errorf("%w (job has checkpointed state awaiting resume)", ErrNotQueued)
 	}
-	base := len(j.rec.Spec.Seeds)
-	for i := range seeds {
-		if seeds[i].Name == "" {
-			seeds[i].Name = fmt.Sprintf("User%04d", base+i+1)
-		}
-		if err := validateSeed(seeds[i]); err != nil {
-			return nil, err
-		}
+	if err := core.VetSeeds(seeds, len(j.rec.Spec.Seeds)); err != nil {
+		return nil, err
 	}
 	j.rec.Spec.Seeds = append(j.rec.Spec.Seeds, seeds...)
 	if err := s.store.Save(&j.rec); err != nil {
@@ -674,10 +659,10 @@ func (s *Scheduler) MergeTriage(id string, log []byte) (added int, err error) {
 // caches) stay hot across jobs instead of respawning per campaign. A
 // record naming a retired backend fails here rather than silently
 // running in process.
-func (s *Scheduler) executorFor(spec JobSpec) (exec.Executor, error) {
+func (s *Scheduler) executorFor(spec core.JobSpec) (exec.Executor, error) {
 	backend := spec.Backend
 	if backend == "" {
-		backend = s.cfg.Backend
+		backend = s.cfg.Exec.Name
 	}
 	if err := exec.CheckBackend(backend); err != nil {
 		return nil, err
@@ -695,7 +680,9 @@ func (s *Scheduler) sharedPool() (*exec.Pool, error) {
 	if s.execPool != nil {
 		return s.execPool, nil
 	}
-	ex, err := exec.FromFlags("pool", s.cfg.MinijvmPath, s.cfg.ChildTimeout, s.cfg.Pool)
+	b := s.cfg.Exec
+	b.Name = "pool"
+	ex, err := b.Open()
 	if err != nil {
 		return nil, err
 	}
@@ -790,7 +777,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	// extraction. On resume the checkpoint's pinned extras win inside
 	// core, so handoff stays byte-identical even though the local store
 	// may have accumulated more reductions since.
-	ccfg.TemplateExtras = spec.TemplateExtras(tstore)
+	ccfg.TemplateExtras = TemplateExtras(&spec, tstore)
 
 	ckpt := s.store.CheckpointPath(id)
 	hcfg := harness.Config{
@@ -798,8 +785,6 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		ExecTimeout:     s.cfg.ExecTimeout,
 		QuarantineDir:   s.store.QuarantineDir(id),
-		MaxRetries:      2,
-		Backoff:         100 * time.Millisecond,
 	}
 	if s.cfg.OnTask != nil {
 		hcfg.OnTask = func(done int) { s.cfg.OnTask(id, done) }

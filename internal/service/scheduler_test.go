@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // newTestScheduler builds a scheduler over a temp state dir. The
@@ -52,7 +54,7 @@ func waitTerminal(t *testing.T, s *Scheduler, id string, timeout time.Duration) 
 }
 
 // smallSpec is a fast job: 2 generated seeds, tiny budget.
-func smallSpec() JobSpec { return JobSpec{SeedCount: 2, Budget: 60, Seed: 3} }
+func smallSpec() core.JobSpec { return core.JobSpec{SeedCount: 2, Budget: 60, Seed: 3} }
 
 func TestSchedulerRunsJobToDone(t *testing.T) {
 	s := newTestScheduler(t, Config{})
@@ -139,7 +141,7 @@ func TestSchedulerCancelRunning(t *testing.T) {
 	defer cancel()
 	s.Start(ctx)
 
-	spec := JobSpec{SeedCount: 3, Budget: 150, Seed: 7}
+	spec := core.JobSpec{SeedCount: 3, Budget: 150, Seed: 7}
 	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +164,7 @@ func TestSchedulerAddSeeds(t *testing.T) {
 	}
 	id := j.ID()
 
-	if _, err := s.AddSeeds(id, []SeedSpec{{Source: "class U { static void main() { print(7); } }"}}); err != nil {
+	if _, err := s.AddSeeds(id, []core.SeedSpec{{Source: "class U { static void main() { print(7); } }"}}); err != nil {
 		t.Fatal(err)
 	}
 	spec := j.Spec()
@@ -170,7 +172,7 @@ func TestSchedulerAddSeeds(t *testing.T) {
 		t.Fatalf("seeds after add = %+v", spec.Seeds)
 	}
 	// Malformed source is rejected and nothing is appended.
-	if _, err := s.AddSeeds(id, []SeedSpec{{Source: "class {"}}); err == nil {
+	if _, err := s.AddSeeds(id, []core.SeedSpec{{Source: "class {"}}); err == nil {
 		t.Error("malformed seed accepted")
 	}
 	if got := len(j.Spec().Seeds); got != 1 {
@@ -187,7 +189,7 @@ func TestSchedulerAddSeeds(t *testing.T) {
 	if err := os.WriteFile(s.Store().CheckpointPath(id), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddSeeds(id, []SeedSpec{{Source: "class V { static void main() { print(8); } }"}}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+	if _, err := s.AddSeeds(id, []core.SeedSpec{{Source: "class V { static void main() { print(8); } }"}}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("add-seeds with checkpoint err = %v, want rejection", err)
 	}
 
@@ -261,7 +263,7 @@ func TestSchedulerGeneratorJob(t *testing.T) {
 	}
 
 	// A baseline-only job leaves the generate counters untouched.
-	j2, err := s.Submit(JobSpec{SeedCount: 2, Budget: 20, Seed: 5, Generators: []string{"randprog"}})
+	j2, err := s.Submit(core.JobSpec{SeedCount: 2, Budget: 20, Seed: 5, Generators: []string{"randprog"}})
 	if err != nil {
 		t.Fatal(err)
 	}

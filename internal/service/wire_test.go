@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // fullRecord populates every field of the wire schema, so the
@@ -16,11 +18,11 @@ func fullRecord() *jobRecord {
 	return &jobRecord{
 		Version: jobVersion,
 		ID:      "job-0042",
-		Spec: JobSpec{
+		Spec: core.JobSpec{
 			Name:       "nightly",
 			Targets:    []string{"openjdk-17", "graal-21"},
 			SeedCount:  4,
-			Seeds:      []SeedSpec{{Name: "User0001", Source: "class U { static void main() { print(1); } }"}},
+			Seeds:      []core.SeedSpec{{Name: "User0001", Source: "class U { static void main() { print(1); } }"}},
 			Budget:     500,
 			Iterations: 30,
 			Seed:       9,
@@ -153,7 +155,7 @@ func TestNextIDAndFormat(t *testing.T) {
 }
 
 func TestJobSpecValidateDefaults(t *testing.T) {
-	spec := JobSpec{}
+	spec := core.JobSpec{}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestJobSpecValidateDefaults(t *testing.T) {
 		t.Errorf("default target = %v", spec.Targets)
 	}
 	// A job with only user seeds does not get generated ones forced in.
-	spec = JobSpec{Seeds: []SeedSpec{{Source: "class U { static void main() { print(1); } }"}}}
+	spec = core.JobSpec{Seeds: []core.SeedSpec{{Source: "class U { static void main() { print(1); } }"}}}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestJobSpecValidateDefaults(t *testing.T) {
 	if spec.Seeds[0].Name != "User0001" {
 		t.Errorf("auto seed name = %q", spec.Seeds[0].Name)
 	}
-	if got := len(spec.pool()); got != 1 {
+	if got := len(spec.Pool()); got != 1 {
 		t.Errorf("pool size = %d, want 1", got)
 	}
 }
@@ -182,20 +184,24 @@ func TestJobSpecValidateDefaults(t *testing.T) {
 func TestJobSpecValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
-		spec JobSpec
+		spec core.JobSpec
 		want string
 	}{
-		{"negative budget", JobSpec{Budget: -1}, "budget"},
-		{"negative iterations", JobSpec{Iterations: -1}, "iterations"},
-		{"negative seed count", JobSpec{SeedCount: -1}, "seed_count"},
-		{"negative workers", JobSpec{Workers: -1}, "workers"},
-		{"unknown target", JobSpec{Targets: []string{"no-such-jvm"}}, "target"},
-		{"unknown backend", JobSpec{Backend: "quantum"}, "backend"},
-		{"retired backend", JobSpec{Backend: "subprocess"}, "-pool-recycle-after 1"},
-		{"empty seed", JobSpec{Seeds: []SeedSpec{{Name: "S"}}}, "empty source"},
-		{"malformed seed", JobSpec{Seeds: []SeedSpec{{Name: "S", Source: "class {"}}}, "seed"},
-		{"unknown generator", JobSpec{Generators: []string{"quantum"}}, "generators"},
-		{"unknown style", JobSpec{Generators: []string{"style"}, Styles: []string{"no-such-style"}}, "generators"},
+		{"negative budget", core.JobSpec{Budget: -1}, "budget"},
+		{"negative iterations", core.JobSpec{Iterations: -1}, "iterations"},
+		{"negative seed count", core.JobSpec{SeedCount: -1}, "seed_count"},
+		{"negative workers", core.JobSpec{Workers: -1}, "workers"},
+		// Either would panic or exhaust memory in the runner goroutine
+		// (the parallel engine's window, the generated pool's capacity).
+		{"too many workers", core.JobSpec{Workers: 1 << 62}, "workers must be at most 1024"},
+		{"too many seeds", core.JobSpec{SeedCount: 2_000_000_000}, "seed_count must be at most 10000"},
+		{"unknown target", core.JobSpec{Targets: []string{"no-such-jvm"}}, "target"},
+		{"unknown backend", core.JobSpec{Backend: "quantum"}, "backend"},
+		{"retired backend", core.JobSpec{Backend: "subprocess"}, "-pool-recycle-after 1"},
+		{"empty seed", core.JobSpec{Seeds: []core.SeedSpec{{Name: "S"}}}, "empty source"},
+		{"malformed seed", core.JobSpec{Seeds: []core.SeedSpec{{Name: "S", Source: "class {"}}}, "seed"},
+		{"unknown generator", core.JobSpec{Generators: []string{"quantum"}}, "generators"},
+		{"unknown style", core.JobSpec{Generators: []string{"style"}, Styles: []string{"no-such-style"}}, "generators"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,5 +210,59 @@ func TestJobSpecValidateRejections(t *testing.T) {
 				t.Errorf("Validate() err = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParentJobRecordDecodesUnchanged reads a job.json written by an
+// earlier daemon build (every spec field set, run to done): the record
+// still decodes, its spec validates to itself, and it re-encodes to the
+// same bytes, so moving the spec type changed nothing on disk.
+func TestParentJobRecordDecodesUnchanged(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "job-parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	spec := copySpec(rec.Spec)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if !reflect.DeepEqual(spec, rec.Spec) {
+		t.Errorf("Validate changed the stored spec:\n got %+v\nwant %+v", spec, rec.Spec)
+	}
+	out, err := json.MarshalIndent(&rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != strings.TrimSuffix(string(data), "\n") {
+		t.Errorf("re-encoded record differs from the stored one:\n%s", out)
+	}
+}
+
+// TestJobViewMatchesParent pins the API rendering: the JobView of the
+// stored record encodes to the bytes an earlier build produced for it.
+func TestJobViewMatchesParent(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "job-parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "jobview-parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{rec: rec}
+	got, err := json.Marshal(j.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("JobView JSON differs from the earlier build's:\n got %s\nwant %s", got, want)
 	}
 }
