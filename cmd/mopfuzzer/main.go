@@ -49,6 +49,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/lang"
 	"repro/internal/reduce"
+	"repro/internal/service"
 	"repro/internal/triage"
 )
 
@@ -134,36 +135,23 @@ func main() {
 	// result below before exiting.
 	ctx, stop := harness.ShutdownContext(context.Background())
 	defer stop()
-	hcfg := harness.Config{
-		ExecTimeout:    *execTimeout,
-		QuarantineDir:  *quarantineDir,
-		CheckpointPath: *checkpoint,
-		ResumePath:     *resume,
+	paths := service.Paths{
+		Checkpoint: *checkpoint,
+		Resume:     *resume,
+		ScoreCache: *scoreCache,
+		Triage:     *triageDir,
+		Quarantine: *quarantineDir,
 	}
-	if hcfg.CheckpointPath == "" && hcfg.ResumePath != "" {
+	if paths.Checkpoint == "" && paths.Resume != "" {
 		// Resuming without an explicit -checkpoint keeps snapshotting to
 		// the same file, so repeated interrupt/resume cycles just work.
-		hcfg.CheckpointPath = hcfg.ResumePath
+		paths.Checkpoint = paths.Resume
 	}
-
 	// The triage pipeline is strictly additive: without -triage-dir no
 	// worker exists, OnFinding stays nil, and campaign output is
 	// byte-identical to previous releases.
 	if *reportPath != "" && *triageDir == "" {
 		fatal(fmt.Errorf("-report requires -triage-dir"))
-	}
-	var tstore *triage.Store
-	var tworker *triage.Worker
-	if *triageDir != "" {
-		tstore, err = triage.Open(*triageDir)
-		if err != nil {
-			fatal(err)
-		}
-		tworker, err = triage.NewWorker(triage.WorkerConfig{Store: tstore, Executor: executor})
-		if err != nil {
-			fatal(err)
-		}
-		tworker.Start(ctx)
 	}
 
 	if *doDistill {
@@ -181,29 +169,24 @@ func main() {
 		fmt.Println(string(data))
 		return
 	}
-	// Minimized triage findings feed template mining: bugs already found
-	// breed the scenarios that hunt for their neighbors.
-	var extras []string
-	if tstore != nil {
-		tstore.MinimizedPrograms(func(key, program string) bool {
-			extras = append(extras, program)
-			return true
-		})
-	}
 	parsed := corpus.NewParseCache()
-	ccfg := spec.Campaign(executor)
-	ccfg.Fuzz = cfg
-	ccfg.ScoreCachePath = *scoreCache
-	ccfg.ParseCache = parsed
-	ccfg.TemplateExtras = extras
-	if tworker != nil {
-		ccfg.OnFinding = func(f core.Finding) { tworker.Submit(f) }
+	var genSeeds, extras int
+	run := service.Run{
+		Spec:        spec,
+		Executor:    executor,
+		Paths:       paths,
+		ExecTimeout: *execTimeout,
+		ParseCache:  parsed,
+		Logf:        func(format string, args ...any) { fmt.Fprintf(os.Stderr, "mopfuzzer: "+format+"\n", args...) },
+		Configure: func(ccfg *core.CampaignConfig) {
+			ccfg.Fuzz = cfg
+			extras = len(ccfg.TemplateExtras)
+		},
 	}
-	var genSeeds int
 	if *verbose {
-		ccfg.OnProgress = func(p core.Progress) { genSeeds = p.GeneratedSeeds }
+		run.OnProgress = func(p core.Progress) { genSeeds = p.GeneratedSeeds }
 	}
-	res, err := core.RunCampaignContext(ctx, ccfg, hcfg)
+	res, st, err := service.RunCampaign(ctx, run)
 	if err != nil {
 		fatal(err)
 	}
@@ -264,17 +247,17 @@ func main() {
 		if genSeeds > 0 {
 			fmt.Printf("generators: %d seed(s) emitted into the pool\n", genSeeds)
 		}
-		if len(extras) > 0 {
-			fmt.Printf("generators: %d minimized triage finding(s) mined for templates\n", len(extras))
+		if extras > 0 {
+			fmt.Printf("generators: %d minimized triage finding(s) mined for templates\n", extras)
 		}
 	}
-	if tworker != nil {
-		// Drain the triage queue (reductions may still be running), then
-		// report what the store now holds.
-		if err := tworker.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mopfuzzer: triage store flush:", err)
+	if *triageDir != "" {
+		// RunCampaign drained the triage queue; report what the store now
+		// holds.
+		tstore, err := triage.Open(*triageDir)
+		if err != nil {
+			fatal(err)
 		}
-		st := tworker.Stats()
 		fmt.Printf("triage: %d finding(s) -> %d new signature(s), %d duplicate(s), %d reduced, %d quarantined (store: %s)\n",
 			st.Received, st.Novel, st.Duplicates, st.Reduced, st.Quarantined, tstore.Dir())
 		rep := triage.BuildReport(tstore)
@@ -297,8 +280,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mopfuzzer: warning: %d checkpoint write(s) failed (last: %s) — -resume may replay completed work\n",
 			res.CheckpointErrors, res.LastCheckpointError)
 	}
-	if res.Interrupted && hcfg.CheckpointPath != "" {
-		fmt.Printf("campaign: checkpoint flushed to %s — continue with -resume %s\n", hcfg.CheckpointPath, hcfg.CheckpointPath)
+	if res.Interrupted && paths.Checkpoint != "" {
+		fmt.Printf("campaign: checkpoint flushed to %s — continue with -resume %s\n", paths.Checkpoint, paths.Checkpoint)
 	}
 }
 

@@ -97,7 +97,16 @@ type Coordinator struct {
 	leases  map[string]*lease // by job ID
 	seq     int
 
-	metrics fleetMetrics
+	metrics coordMetrics
+}
+
+// coordMetrics are the coordinator's counters, registered on the
+// scheduler's registry after the daemon's own series.
+type coordMetrics struct {
+	enrolls, leasesGranted, leasesExpired, heartbeats *service.Counter
+	handoffs, handoffRejects, dispatchRetries         *service.Counter
+	dispatchFailures, breakerOpens                    *service.Counter
+	outcomes                                          *service.CounterVec // remote job outcomes
 }
 
 // NewCoordinator builds a coordinator over the scheduler.
@@ -121,12 +130,56 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		cfg:     cfg,
 		client:  client,
 		workers: map[string]*workerState{},
 		leases:  map[string]*lease{},
 	}
+	c.registerMetrics(cfg.Sched.Metrics())
+	return c
+}
+
+// registerMetrics registers the coordinator's series, so one /metrics
+// scrape covers the whole fleet.
+func (c *Coordinator) registerMetrics(r *service.Registry) {
+	var live, dead, leases int
+	var execs []service.Sample
+	r.OnScrape(func() {
+		now := c.cfg.Now()
+		live, dead, execs = 0, 0, nil
+		c.mu.Lock()
+		for _, ws := range c.workers {
+			if now.Sub(ws.lastSeen) > c.cfg.LeaseTTL {
+				dead++
+			} else {
+				live++
+			}
+			execs = append(execs, service.Sample{Label: ws.id, Value: ws.executions})
+		}
+		leases = len(c.leases)
+		c.mu.Unlock()
+		sort.Slice(execs, func(i, k int) bool { return execs[i].Label < execs[k].Label })
+	})
+	r.Ints("mopfuzzd_fleet_workers", "Enrolled workers by liveness.", "gauge", "state", func() []service.Sample {
+		return []service.Sample{{Label: "live", Value: int64(live)}, {Label: "dead", Value: int64(dead)}}
+	})
+	r.Int("mopfuzzd_fleet_leases", "Assignments currently leased to workers.", "gauge",
+		func() int64 { return int64(leases) })
+	m := &c.metrics
+	m.enrolls = r.Counter("mopfuzzd_fleet_enrolls_total", "Worker enrollments (including liveness re-enrolls).")
+	m.leasesGranted = r.Counter("mopfuzzd_fleet_leases_granted_total", "Assignments accepted by workers.")
+	m.leasesExpired = r.Counter("mopfuzzd_fleet_leases_expired_total", "Leases forfeited to missing heartbeats.")
+	m.heartbeats = r.Counter("mopfuzzd_fleet_heartbeats_total", "Lease renewals received.")
+	m.handoffs = r.Counter("mopfuzzd_fleet_checkpoint_handoffs_total", "Checkpoint uploads verified and landed.")
+	m.handoffRejects = r.Counter("mopfuzzd_fleet_checkpoint_rejects_total", "Checkpoint uploads rejected (checksum or decode failure).")
+	m.dispatchRetries = r.Counter("mopfuzzd_fleet_dispatch_retries_total", "Worker RPC attempts retried after transient failures.")
+	m.dispatchFailures = r.Counter("mopfuzzd_fleet_dispatch_failures_total", "Assignment dispatches that exhausted retries.")
+	m.breakerOpens = r.Counter("mopfuzzd_fleet_breaker_open_total", "Per-worker circuit breakers tripped open.")
+	m.outcomes = r.CounterVec("mopfuzzd_fleet_remote_jobs_total", "Remote assignment outcomes.", "outcome",
+		"declined", "done", "failed", "interrupted", "requeued")
+	r.Ints("mopfuzzd_fleet_worker_executions_total", "Executions reported per worker.", "counter", "worker",
+		func() []service.Sample { return execs })
 }
 
 // Mount registers the coordinator's fleet endpoints on the daemon mux.
@@ -166,7 +219,7 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 				Threshold: c.cfg.BreakerThreshold,
 				Cooldown:  c.cfg.BreakerCooldown,
 				Now:       c.cfg.Now,
-				OnOpen:    c.metrics.breakerOpened,
+				OnOpen:    c.metrics.breakerOpens.Inc,
 			},
 		}
 		c.workers[req.Worker] = ws
@@ -175,7 +228,7 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	ws.addr = req.Addr
 	ws.lastSeen = c.cfg.Now()
 	c.mu.Unlock()
-	c.metrics.add(&c.metrics.enrolls)
+	c.metrics.enrolls.Inc()
 	writeWire(w, EnrollResponse{
 		Version:          WireVersion,
 		HeartbeatEveryMS: c.cfg.HeartbeatEvery.Milliseconds(),
@@ -192,7 +245,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	c.metrics.add(&c.metrics.heartbeats)
+	c.metrics.heartbeats.Inc()
 	c.mu.Lock()
 	if ws := c.workers[hb.Worker]; ws != nil {
 		ws.lastSeen = c.cfg.Now()
@@ -277,12 +330,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // resume correctness beats freshness.
 func (c *Coordinator) landCheckpoint(jobID string, data []byte, sum string) {
 	if Checksum(data) != sum {
-		c.metrics.add(&c.metrics.handoffRejects)
+		c.metrics.handoffRejects.Inc()
 		c.logf("fleet: job %s: checkpoint upload checksum mismatch, keeping previous snapshot", jobID)
 		return
 	}
 	if _, err := harness.DecodeCheckpoint(data); err != nil {
-		c.metrics.add(&c.metrics.handoffRejects)
+		c.metrics.handoffRejects.Inc()
 		c.logf("fleet: job %s: checkpoint upload undecodable, keeping previous snapshot: %v", jobID, err)
 		return
 	}
@@ -296,22 +349,23 @@ func (c *Coordinator) landCheckpoint(jobID string, data []byte, sum string) {
 		c.logf("fleet: job %s: install checkpoint handoff: %v", jobID, err)
 		return
 	}
-	c.metrics.add(&c.metrics.handoffs)
+	c.metrics.handoffs.Inc()
 }
 
 // ---- dispatch (coordinator → worker) ----
 
 // RunRemote implements service.RemoteRunner: assign the job to a live
-// worker, then watch the lease until the worker settles it, the lease
-// expires, or ctx is cancelled.
+// worker, with the scheduler's campaign knobs so the remote run mirrors
+// a local one, then watch the lease until the worker settles it, the
+// lease expires, or ctx is cancelled.
 func (c *Coordinator) RunRemote(ctx context.Context, j *service.Job) service.RemoteOutcome {
 	id := j.ID()
 	asg := Assignment{
 		Version:          WireVersion,
 		Job:              id,
 		Spec:             j.Spec(),
-		CheckpointEvery:  c.schedCheckpointEvery(),
-		ExecTimeoutMS:    c.schedExecTimeout().Milliseconds(),
+		CheckpointEvery:  c.cfg.Sched.CheckpointEvery(),
+		ExecTimeoutMS:    c.cfg.Sched.ExecTimeout().Milliseconds(),
 		HeartbeatEveryMS: c.cfg.HeartbeatEvery.Milliseconds(),
 	}
 	store := c.cfg.Sched.Store()
@@ -326,7 +380,7 @@ func (c *Coordinator) RunRemote(ctx context.Context, j *service.Job) service.Rem
 
 	ws, l := c.assign(ctx, asg)
 	if ws == nil {
-		c.metrics.outcome("declined")
+		c.metrics.outcomes.Inc("declined")
 		return service.RemoteOutcome{Declined: true}
 	}
 	c.cfg.Sched.NoteRemoteStart(j, ws.id)
@@ -365,14 +419,14 @@ func (c *Coordinator) assign(ctx context.Context, asg Assignment) (*workerState,
 			case errors.Is(err, errWorkerBusy):
 				c.logf("fleet: worker %s busy, trying next", ws.id)
 			case err != nil:
-				c.metrics.add(&c.metrics.dispatchFailures)
+				c.metrics.dispatchFailures.Inc()
 				c.logf("fleet: dispatch %s to %s failed: %v", asg.Job, ws.id, err)
 			default:
 				c.logf("fleet: worker %s rejected %s: %s", ws.id, asg.Job, resp.Reason)
 			}
 			continue
 		}
-		c.metrics.add(&c.metrics.leasesGranted)
+		c.metrics.leasesGranted.Inc()
 		c.logf("fleet: job %s leased to %s (ttl %s)", asg.Job, ws.id, c.cfg.LeaseTTL)
 		return ws, l
 	}
@@ -401,9 +455,9 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 			// findings in and put the job back on the queue.
 			release()
 			ws.breaker.Failure()
-			c.metrics.add(&c.metrics.leasesExpired)
+			c.metrics.leasesExpired.Inc()
 			c.mergeTriage(id, l)
-			c.metrics.outcome("requeued")
+			c.metrics.outcomes.Inc("requeued")
 			c.logf("fleet: job %s lease on %s expired, requeueing", id, ws.id)
 			return service.RemoteOutcome{Requeue: true, Worker: ws.id}
 		}
@@ -425,11 +479,11 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 			}
 			switch {
 			case d.err != nil:
-				c.metrics.outcome("failed")
+				c.metrics.outcomes.Inc("failed")
 			case d.interrupted:
-				c.metrics.outcome("interrupted")
+				c.metrics.outcomes.Inc("interrupted")
 			default:
-				c.metrics.outcome("done")
+				c.metrics.outcomes.Inc("done")
 			}
 			return out
 		case <-ctx.Done():
@@ -445,7 +499,7 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 				grace.Stop()
 				release()
 				c.mergeTriage(id, l)
-				c.metrics.outcome("interrupted")
+				c.metrics.outcomes.Inc("interrupted")
 				return service.RemoteOutcome{
 					Interrupted: d.interrupted,
 					Summary:     d.summary,
@@ -458,7 +512,7 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 				// the resume point.
 				release()
 				c.mergeTriage(id, l)
-				c.metrics.outcome("interrupted")
+				c.metrics.outcomes.Inc("interrupted")
 				c.logf("fleet: job %s: worker %s did not settle cancel in time", id, ws.id)
 				return service.RemoteOutcome{Interrupted: true, Worker: ws.id}
 			}
@@ -529,7 +583,7 @@ func (c *Coordinator) postWire(ctx context.Context, ws *workerState, url string,
 		IsTransient: func(err error) bool {
 			return !errors.Is(err, errWorkerBusy)
 		},
-		OnRetry: func(int, error) { c.metrics.add(&c.metrics.dispatchRetries) },
+		OnRetry: func(int, error) { c.metrics.dispatchRetries.Inc() },
 	}, func(ctx context.Context) error {
 		return postJSON(ctx, c.client, url, in, out)
 	})
@@ -540,11 +594,6 @@ func (c *Coordinator) postWire(ctx context.Context, ws *workerState, url string,
 	}
 	return err
 }
-
-// schedCheckpointEvery / schedExecTimeout expose the scheduler's
-// campaign knobs for assignments, so remote runs mirror local ones.
-func (c *Coordinator) schedCheckpointEvery() int       { return c.cfg.Sched.CheckpointEvery() }
-func (c *Coordinator) schedExecTimeout() time.Duration { return c.cfg.Sched.ExecTimeout() }
 
 // ---- shared HTTP plumbing ----
 

@@ -442,7 +442,7 @@ func TestBreakerCutsOffDeadWorker(t *testing.T) {
 		breaker: &harness.Breaker{
 			Threshold: 2,
 			Cooldown:  time.Hour,
-			OnOpen:    e.coord.metrics.breakerOpened,
+			OnOpen:    e.coord.metrics.breakerOpens.Inc,
 		},
 	}
 	e.coord.mu.Unlock()
@@ -554,7 +554,7 @@ func TestWorkerKeepsScoreCache(t *testing.T) {
 	if v := waitDone(t, e.sched, j.ID(), 5*time.Minute); v.Worker != "w1" {
 		t.Fatalf("job ran on %q, want w1 (remote)", v.Worker)
 	}
-	path := e.wrkers[0].scoresPath(j.ID())
+	path := e.wrkers[0].store.ScoreCachePath(j.ID())
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("worker left no score cache: %v", err)
 	}

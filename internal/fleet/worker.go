@@ -27,7 +27,8 @@ type WorkerConfig struct {
 	// endpoint at (the advertised address).
 	Addr string
 	// Dir is the worker's scratch directory: per-assignment checkpoint,
-	// triage store, and quarantine live under it.
+	// triage store, and quarantine live under it, in a job store's
+	// layout.
 	Dir string
 	// Exec is the execution backend, set from the same flags as the
 	// standalone daemon's. A job spec that pins a backend overrides only
@@ -54,6 +55,9 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
+	// store lays out each assignment's scratch state (checkpoint, score
+	// cache, triage store, quarantine) the way the daemon lays out a job.
+	store *service.JobStore
 
 	mu        sync.Mutex
 	ctx       context.Context
@@ -87,14 +91,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	store, err := service.OpenJobStore(cfg.Dir)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: worker scratch dir: %w", err)
 	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Worker{cfg: cfg, client: client, hbEvery: 5 * time.Second}, nil
+	return &Worker{cfg: cfg, client: client, store: store, hbEvery: 5 * time.Second}, nil
 }
 
 // Mount registers the worker's endpoints on its mux.
@@ -250,18 +255,11 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 	writeWire(rw, AssignResponse{Version: WireVersion, Accepted: true})
 }
 
-// jobDir / ckptPath / scoresPath / triageDir locate one assignment's
-// scratch state.
-func (w *Worker) jobDir(job string) string     { return filepath.Join(w.cfg.Dir, job) }
-func (w *Worker) ckptPath(job string) string   { return filepath.Join(w.jobDir(job), "checkpoint.json") }
-func (w *Worker) scoresPath(job string) string { return filepath.Join(w.jobDir(job), "scores.json") }
-func (w *Worker) triageDir(job string) string  { return filepath.Join(w.jobDir(job), "triage") }
-
 // stageAssignment prepares the scratch directory, landing the resume
 // checkpoint when the assignment carries one. Prior scratch state for
 // the same job is discarded — the coordinator's copy is authoritative.
 func (w *Worker) stageAssignment(asg Assignment) error {
-	dir := w.jobDir(asg.Job)
+	dir := w.store.JobDir(asg.Job)
 	if err := os.RemoveAll(dir); err != nil {
 		return fmt.Errorf("reset scratch: %v", err)
 	}
@@ -272,7 +270,7 @@ func (w *Worker) stageAssignment(asg Assignment) error {
 		if _, err := harness.DecodeCheckpoint(asg.Checkpoint); err != nil {
 			return fmt.Errorf("resume checkpoint: %v", err)
 		}
-		if err := os.WriteFile(w.ckptPath(asg.Job), asg.Checkpoint, 0o644); err != nil {
+		if err := os.WriteFile(w.store.CheckpointPath(asg.Job), asg.Checkpoint, 0o644); err != nil {
 			return fmt.Errorf("stage checkpoint: %v", err)
 		}
 	}
@@ -326,13 +324,7 @@ func (w *Worker) run(ctx context.Context, asg Assignment) {
 	if res != nil {
 		req.Executions = res.Executions
 	}
-	if data, err := os.ReadFile(w.ckptPath(id)); err == nil {
-		req.Checkpoint = data
-		req.CheckpointSum = Checksum(data)
-	}
-	if data, err := os.ReadFile(filepath.Join(w.triageDir(id), "findings.jsonl")); err == nil {
-		req.TriageLog = data
-	}
+	req.Checkpoint, req.CheckpointSum, req.TriageLog = w.handoff(id)
 	var resp CompleteResponse
 	// Completion must survive a drain: the parent ctx may already be
 	// cancelled, but the coordinator still needs the final checkpoint.
@@ -349,76 +341,30 @@ func (w *Worker) run(ctx context.Context, asg Assignment) {
 	w.logf("worker %s: completed %s (interrupted=%v err=%q)", w.cfg.ID, id, req.Interrupted, req.Error)
 }
 
-// campaign runs the assignment's campaign, mirroring the scheduler's
-// local runJob so a handoff between the two stays byte-identical: the
-// same core.JobSpec.Campaign constructor, the same harness knobs.
+// campaign runs the assignment through service.RunCampaign — the
+// runner the daemon's local runJob uses, on the same job-store layout —
+// so a handoff between the two stays byte-identical. The worker adds
+// only its heartbeats: one per task, in cursor order, for a
+// deterministic handoff cadence, and a wall-clock ticker that keeps the
+// lease alive through long tasks.
 func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignResult, triage.Stats, error) {
 	id := asg.Job
-	spec := asg.Spec
 	backend := w.cfg.Exec
-	if spec.Backend != "" {
-		backend.Name = spec.Backend
+	if asg.Spec.Backend != "" {
+		backend.Name = asg.Spec.Backend
 	}
 	executor, err := backend.Open()
 	if err != nil {
 		return nil, triage.Stats{}, err
 	}
 	defer exec.CloseExecutor(executor)
-	tstore, err := triage.Open(w.triageDir(id))
-	if err != nil {
-		return nil, triage.Stats{}, err
-	}
-	tworker, err := triage.NewWorker(triage.WorkerConfig{
-		Store:    tstore,
-		Executor: executor,
-		Now:      func() int64 { return w.cfg.Now().Unix() },
-	})
-	if err != nil {
-		tstore.Close()
-		return nil, triage.Stats{}, err
-	}
-	tworker.Start(jctx)
 
 	w.mu.Lock()
 	w.lastExecs = 0 // fresh campaign: do not leak the previous job's count
 	w.mu.Unlock()
-	ccfg := spec.Campaign(executor)
-	// The same seed-score cache the daemon keeps beside the checkpoint:
-	// power and distill assignments profile each seed once.
-	ccfg.ScoreCachePath = w.scoresPath(id)
-	// Template extras come from the local triage store, but on handoff
-	// the checkpoint's pinned extras override them inside core, so two
-	// workers resuming the same lease generate identical pools.
-	ccfg.TemplateExtras = service.TemplateExtras(&spec, tstore)
-	ccfg.OnProgress = func(p core.Progress) {
-		// Executions snapshot for heartbeats; progress callbacks run on
-		// the campaign goroutine, heartbeat reads on the ticker's.
-		w.mu.Lock()
-		w.lastExecs = p.Executions
-		w.mu.Unlock()
-	}
-	ccfg.OnFinding = func(f core.Finding) { tworker.Submit(f) }
 
-	hcfg := harness.Config{
-		CheckpointPath:  w.ckptPath(id),
-		CheckpointEvery: asg.CheckpointEvery,
-		ExecTimeout:     time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
-		QuarantineDir:   filepath.Join(w.jobDir(id), "quarantine"),
-	}
-	if len(asg.Checkpoint) > 0 {
-		hcfg.ResumePath = w.ckptPath(id)
-	}
-	hcfg.OnTask = func(done int) {
-		if w.cfg.OnTask != nil {
-			w.cfg.OnTask(id, done)
-		}
-		// Per-task heartbeat: deterministic handoff cadence in cursor
-		// order, independent of wall clock.
-		w.heartbeat(jctx, asg)
-	}
-
-	// Wall-clock heartbeats keep the lease alive through long tasks.
 	hbStop := make(chan struct{})
+	defer close(hbStop)
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
@@ -440,17 +386,42 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 		}
 	}()
 
-	res, runErr := core.RunCampaignContext(jctx, ccfg, hcfg)
-	close(hbStop)
+	return service.RunCampaign(jctx, service.Run{
+		Spec:            asg.Spec,
+		Executor:        executor,
+		Paths:           w.store.Paths(id),
+		CheckpointEvery: asg.CheckpointEvery,
+		ExecTimeout:     time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
+		Now:             w.cfg.Now,
+		Logf: func(format string, args ...any) {
+			w.logf("worker %s: %s "+format, append([]any{w.cfg.ID, id}, args...)...)
+		},
+		OnProgress: func(p core.Progress) {
+			// Executions snapshot for heartbeats; progress callbacks run
+			// on the campaign goroutine, heartbeat reads on the ticker's.
+			w.mu.Lock()
+			w.lastExecs = p.Executions
+			w.mu.Unlock()
+		},
+		OnTask: func(done int) {
+			if w.cfg.OnTask != nil {
+				w.cfg.OnTask(id, done)
+			}
+			w.heartbeat(jctx, asg)
+		},
+	})
+}
 
-	if err := tworker.Close(); err != nil {
-		w.logf("worker %s: %s triage flush: %v", w.cfg.ID, id, err)
+// handoff reads the assignment's latest checkpoint (with its checksum)
+// and cumulative triage log for upload; missing files are left empty.
+func (w *Worker) handoff(job string) (ckpt []byte, sum string, triageLog []byte) {
+	if data, err := os.ReadFile(w.store.CheckpointPath(job)); err == nil {
+		ckpt, sum = data, Checksum(data)
 	}
-	stats := tworker.Stats()
-	if err := tstore.Close(); err != nil {
-		w.logf("worker %s: %s triage store close: %v", w.cfg.ID, id, err)
+	if data, err := os.ReadFile(filepath.Join(w.store.TriageDir(job), "findings.jsonl")); err == nil {
+		triageLog = data
 	}
-	return res, stats, runErr
+	return ckpt, sum, triageLog
 }
 
 // heartbeat renews the lease, uploading the latest checkpoint and
@@ -473,13 +444,7 @@ func (w *Worker) heartbeat(ctx context.Context, asg Assignment) {
 		Lease:      asg.Lease,
 		Executions: execs,
 	}
-	if data, err := os.ReadFile(w.ckptPath(asg.Job)); err == nil {
-		hb.Checkpoint = data
-		hb.CheckpointSum = Checksum(data)
-	}
-	if data, err := os.ReadFile(filepath.Join(w.triageDir(asg.Job), "findings.jsonl")); err == nil {
-		hb.TriageLog = data
-	}
+	hb.Checkpoint, hb.CheckpointSum, hb.TriageLog = w.handoff(asg.Job)
 	var resp HeartbeatResponse
 	if err := w.post(ctx, "/fleet/heartbeat", hb, &resp); err != nil {
 		if ctx.Err() == nil {

@@ -61,7 +61,9 @@ func (s *Scheduler) Distill(ctx context.Context, req *DistillRequest) (*corpus.D
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.AddDistill(rep.Submitted, rep.Kept)
+	s.m.distills.Inc()
+	s.m.distillSubmitted.Add(rep.Submitted)
+	s.m.distillKept.Add(rep.Kept)
 	s.logf("corpus distill: %d seeds -> %d kept (spread %g)", rep.Submitted, rep.Kept, rep.Spread)
 	return rep, nil
 }

@@ -37,24 +37,6 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled || s == StateQuarantined
 }
 
-// TemplateExtras gathers the triage store's minimized reproducers for
-// template mining — the found-bugs-breed-scenarios feed. Nil when the
-// spec's generators are off. Both execution sites (the local runner and
-// the fleet worker) call this against the job's own store; on resume
-// the checkpoint's pinned extras take precedence in core, so handoffs
-// stay byte-identical regardless of what either store holds now.
-func TemplateExtras(spec *core.JobSpec, store *triage.Store) []string {
-	if !spec.GeneratorsOn() {
-		return nil
-	}
-	var out []string
-	store.MinimizedPrograms(func(_, program string) bool {
-		out = append(out, program)
-		return true
-	})
-	return out
-}
-
 // FindingSummary is one campaign finding in a job result — the
 // provenance fields without the full reproducer (the triage store keeps
 // those).

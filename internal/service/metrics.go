@@ -6,12 +6,198 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/exec"
 	"repro/internal/harness"
 )
+
+// Registry is the daemon's metrics registry. It is hand-rolled — the
+// daemon takes no dependency on a client library — and renders the
+// Prometheus text exposition format, one family per registration, in
+// registration order. Counters and the histogram are owned here and
+// safe for concurrent use: campaign hooks feed them while /metrics
+// scrapes them. Scrape-time series read values owned elsewhere (jobs,
+// triage workers, the parse cache, the exec pool, the fleet's worker
+// table) through callbacks. Callbacks run under the scrape lock, which
+// keeps one scrape's snapshots from mixing with another's, so they
+// must not call back into the registry.
+type Registry struct {
+	mu       sync.Mutex // serializes scrapes
+	families []family
+	onScrape []func()
+}
+
+type family struct {
+	name, help, typ string
+	write           func(w io.Writer, name string)
+}
+
+func (r *Registry) add(name, help, typ string, write func(io.Writer, string)) {
+	r.mu.Lock()
+	r.families = append(r.families, family{name, help, typ, write})
+	r.mu.Unlock()
+}
+
+// OnScrape registers fn to run at the start of every scrape, before any
+// family is written. Scrape-time series that must agree with each other
+// read one snapshot that fn takes.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	r.onScrape = append(r.onScrape, fn)
+	r.mu.Unlock()
+}
+
+// Render writes every registered family.
+func (r *Registry) Render(w io.Writer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, fn := range r.onScrape {
+		fn()
+	}
+	for _, f := range r.families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		f.write(w, f.name)
+	}
+}
+
+// Counter is a monotonically increasing integer series.
+type Counter struct{ v atomic.Int64 }
+
+// Counter registers an unlabeled counter.
+func (r *Registry) Counter(name, help string) *Counter {
+	c := &Counter{}
+	r.add(name, help, "counter", func(w io.Writer, name string) {
+		fmt.Fprintf(w, "%s %d\n", name, c.Value())
+	})
+	return c
+}
+
+// Add counts n more; n <= 0 is ignored.
+func (c *Counter) Add(n int) {
+	if n > 0 {
+		c.v.Add(int64(n))
+	}
+}
+
+// Inc counts one more.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Value returns the count so far.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// CounterVec is a counter with one label. The fixed label values are
+// emitted even at zero, so dashboards and smoke assertions can rely on
+// their presence; other values appear once counted. Series print in
+// label-value order.
+type CounterVec struct {
+	mu sync.Mutex
+	v  map[string]int64
+}
+
+// CounterVec registers a one-label counter.
+func (r *Registry) CounterVec(name, help, label string, fixed ...string) *CounterVec {
+	c := &CounterVec{v: map[string]int64{}}
+	for _, l := range fixed {
+		c.v[l] = 0
+	}
+	r.add(name, help, "counter", func(w io.Writer, name string) {
+		c.mu.Lock()
+		samples := make([]Sample, 0, len(c.v))
+		for l, n := range c.v {
+			samples = append(samples, Sample{l, n})
+		}
+		c.mu.Unlock()
+		sort.Slice(samples, func(i, k int) bool { return samples[i].Label < samples[k].Label })
+		writeSamples(w, name, label, samples)
+	})
+	return c
+}
+
+// Inc counts one more under the label value.
+func (c *CounterVec) Inc(label string) {
+	c.mu.Lock()
+	c.v[label]++
+	c.mu.Unlock()
+}
+
+// Histogram is a fixed-bucket distribution of float observations.
+type Histogram struct {
+	bounds []float64
+
+	mu     sync.Mutex
+	counts []int64 // per bucket, not cumulative; the last is +Inf
+	sum    float64
+	n      int64
+}
+
+// Histogram registers a histogram with the given ascending upper
+// bounds (the +Inf bucket is implied).
+func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	r.add(name, help, "histogram", func(w io.Writer, name string) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		cum := int64(0)
+		for i, le := range h.bounds {
+			cum += h.counts[i]
+			// A bound prints without a trailing ".0", the Prometheus
+			// convention ("5", not "5.0"; "0.5" keeps its fraction).
+			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(le, 'g', -1, 64), cum)
+		}
+		cum += h.counts[len(h.bounds)]
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+		fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
+		fmt.Fprintf(w, "%s_count %d\n", name, h.n)
+	})
+	return h
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sum += v
+	h.n++
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v, or +Inf
+	h.counts[i]++
+}
+
+// Int registers a scrape-time integer series of type typ ("counter" or
+// "gauge") whose value fn reads from its owner.
+func (r *Registry) Int(name, help, typ string, fn func() int64) {
+	r.add(name, help, typ, func(w io.Writer, name string) {
+		fmt.Fprintf(w, "%s %d\n", name, fn())
+	})
+}
+
+// Float registers a scrape-time float gauge.
+func (r *Registry) Float(name, help string, fn func() float64) {
+	r.add(name, help, "gauge", func(w io.Writer, name string) {
+		fmt.Fprintf(w, "%s %g\n", name, fn())
+	})
+}
+
+// Sample is one label value of a labeled integer series.
+type Sample struct {
+	Label string
+	Value int64
+}
+
+// Ints registers a scrape-time one-label integer series; fn returns
+// the samples in print order.
+func (r *Registry) Ints(name, help, typ, label string, fn func() []Sample) {
+	r.add(name, help, typ, func(w io.Writer, name string) {
+		writeSamples(w, name, label, fn())
+	})
+}
+
+func writeSamples(w io.Writer, name, label string, samples []Sample) {
+	for _, s := range samples {
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, s.Label, s.Value)
+	}
+}
 
 // deltaBuckets are the upper bounds of the OBV-increment histogram —
 // Δ(seed OBV, final-mutant OBV) per fuzzed seed, the paper's Figure 3/4
@@ -22,389 +208,160 @@ var deltaBuckets = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250}
 
 // knownFaultClasses fixes the fault-count series emitted even at zero,
 // so dashboards and the CI smoke assertions can rely on their presence.
-var knownFaultClasses = []harness.FaultClass{
-	harness.FaultCrash,
-	harness.FaultMiscompile,
-	harness.FaultTimeout,
-	harness.FaultHeapExhausted,
-	harness.FaultHarness,
+var knownFaultClasses = []string{
+	string(harness.FaultCrash),
+	string(harness.FaultMiscompile),
+	string(harness.FaultTimeout),
+	string(harness.FaultHeapExhausted),
+	string(harness.FaultHarness),
 }
 
-// Metrics aggregates daemon-wide counters and renders them in the
-// Prometheus text exposition format. It is hand-rolled — the daemon
-// takes no dependency on a client library — and safe for concurrent
-// use: campaign progress callbacks feed it while /metrics scrapes it.
-type Metrics struct {
-	now   func() time.Time
-	start time.Time
-
-	mu              sync.Mutex
-	executions      int64
-	findings        int64
-	faults          map[string]int64
-	deltaCounts     []int64 // per-bucket (non-cumulative) counts; index len(deltaBuckets) is +Inf
-	deltaSum        float64
-	deltaObs        int64
-	jobsAccepted    int64
-	requeues        int64
-	jobsQuarantined int64
-	planJobs        int64
-	planFindings    int64
-	genJobs         int64
-	genSeeds        int64
-	genFindings     int64
-
-	distillRequests  int64
-	distillSubmitted int64
-	distillKept      int64
+// daemonMetrics are the series the scheduler feeds from job lifecycle
+// events and campaign hooks.
+type daemonMetrics struct {
+	accepted, requeues, quarantined, executions, findings  *Counter
+	planJobs, planFindings, genJobs, genSeeds, genFindings *Counter
+	faults                                                 *CounterVec
+	delta                                                  *Histogram
+	distills, distillSubmitted, distillKept                *Counter
 }
 
-// NewMetrics builds a registry. now is the clock seam (nil = wall
-// clock); the construction instant anchors uptime and executions/sec.
-func NewMetrics(now func() time.Time) *Metrics {
-	if now == nil {
-		now = time.Now
-	}
-	m := &Metrics{
-		now:         now,
-		start:       now(),
-		faults:      map[string]int64{},
-		deltaCounts: make([]int64, len(deltaBuckets)+1),
-	}
-	for _, c := range knownFaultClasses {
-		m.faults[string(c)] = 0
-	}
-	return m
+// jobsSnapshot is one scrape's pass over the jobs: counts by state,
+// triage totals (persisted segments plus live workers) and the power
+// schedule gauges of running jobs.
+type jobsSnapshot struct {
+	states map[JobState]int
+	triage TriageStats
+	arms   int
+	energy float64
 }
 
-// AddExecutions accounts n more target executions.
-func (m *Metrics) AddExecutions(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.executions += int64(n)
-	m.mu.Unlock()
+// registerMetrics registers the daemon's series on s.reg, in /metrics
+// order. The fleet coordinator, when there is one, registers its
+// series after these.
+func (s *Scheduler) registerMetrics() {
+	r, m := s.reg, &s.m
+	start := s.cfg.Now()
+	uptime := func() float64 { return s.cfg.Now().Sub(start).Seconds() }
+	var jobs jobsSnapshot
+	r.OnScrape(func() { jobs = s.snapshotJobs() })
+
+	r.Ints("mopfuzzd_jobs", "Jobs by lifecycle state.", "gauge", "state", func() []Sample {
+		out := make([]Sample, 0, len(States()))
+		for _, st := range States() {
+			out = append(out, Sample{string(st), int64(jobs.states[st])})
+		}
+		return out
+	})
+	m.accepted = r.Counter("mopfuzzd_jobs_accepted_total", "Job submissions accepted.")
+	m.requeues = r.Counter("mopfuzzd_requeues_total", "Jobs re-queued after a lost assignment (lease expiry, worker death).")
+	m.quarantined = r.Counter("mopfuzzd_jobs_quarantined_total", "Job records or checkpoints found corrupt at startup and set aside.")
+	m.executions = r.Counter("mopfuzzd_executions_total", "Target executions across all jobs.")
+	r.Float("mopfuzzd_executions_per_second", "Mean execution throughput since daemon start.", func() float64 {
+		if up := uptime(); up > 0 {
+			return float64(m.executions.Value()) / up
+		}
+		return 0
+	})
+	m.findings = r.Counter("mopfuzzd_findings_total", "Finding occurrences streamed by campaigns (pre-dedup).")
+	m.planJobs = r.Counter("mopfuzzd_planfuzz_jobs_total", "Accepted jobs with compilation-plan fuzzing enabled.")
+	m.planFindings = r.Counter("mopfuzzd_planfuzz_findings_total", "Finding occurrences from the plan-vs-plan differential oracle (pre-dedup).")
+	m.genJobs = r.Counter("mopfuzzd_generate_jobs_total", "Accepted jobs with corpus generators enabled.")
+	m.genSeeds = r.Counter("mopfuzzd_generate_seeds_total", "Generator emissions refreshed into job pools.")
+	m.genFindings = r.Counter("mopfuzzd_generate_findings_total", "Finding occurrences on generator-emitted seeds (pre-dedup).")
+	m.faults = r.CounterVec("mopfuzzd_faults_total", "Harness faults by class.", "class", knownFaultClasses...)
+	m.delta = r.Histogram("mopfuzzd_obv_delta", "OBV increment per fuzzed seed (Δ seed vs final mutant).", deltaBuckets)
+	r.Int("mopfuzzd_triage_findings_total", "Findings consumed by triage workers.", "counter",
+		func() int64 { return int64(jobs.triage.Received) })
+	r.Int("mopfuzzd_triage_signatures_total", "Novel root-cause signatures stored.", "counter",
+		func() int64 { return int64(jobs.triage.Novel) })
+	r.Int("mopfuzzd_triage_dedup_hits_total", "Findings deduplicated against existing signatures.", "counter",
+		func() int64 { return int64(jobs.triage.Duplicates) })
+	r.Float("mopfuzzd_triage_dedup_hit_ratio", "Fraction of findings deduplicated.", func() float64 {
+		if jobs.triage.Received > 0 {
+			return float64(jobs.triage.Duplicates) / float64(jobs.triage.Received)
+		}
+		return 0
+	})
+	r.Float("mopfuzzd_uptime_seconds", "Seconds since daemon start.", uptime)
+
+	// Corpus intelligence: the daemon-wide parse cache, the distillation
+	// endpoint's traffic, and the power schedule across running jobs.
+	var parse corpus.ParseCacheStats
+	r.OnScrape(func() { parse = s.parse.Stats() })
+	r.Int("mopfuzzd_corpus_parsecache_hits_total", "Seed parses served from the shared parse cache.", "counter",
+		func() int64 { return parse.Hits })
+	r.Int("mopfuzzd_corpus_parsecache_misses_total", "Seed parses that had to run the parser.", "counter",
+		func() int64 { return parse.Misses })
+	r.Int("mopfuzzd_corpus_parsecache_evictions_total", "Cached parses evicted by the size bound.", "counter",
+		func() int64 { return parse.Evictions })
+	r.Int("mopfuzzd_corpus_parsecache_size", "Parsed programs currently cached.", "gauge",
+		func() int64 { return int64(parse.Size) })
+	m.distills = r.Counter("mopfuzzd_corpus_distill_requests_total", "Corpus distillation requests served.")
+	m.distillSubmitted = r.Counter("mopfuzzd_corpus_distill_seeds_submitted_total", "Seeds submitted to the distillation endpoint.")
+	m.distillKept = r.Counter("mopfuzzd_corpus_distill_seeds_kept_total", "Seeds kept by the distillation endpoint.")
+	r.Int("mopfuzzd_corpus_sched_arms", "Power-schedule arms across running jobs.", "gauge",
+		func() int64 { return int64(jobs.arms) })
+	r.Float("mopfuzzd_corpus_sched_energy", "Total power-schedule energy across running jobs.",
+		func() float64 { return jobs.energy })
+
+	registerExecPool(r, s.poolStats)
 }
 
-// AddFinding accounts one finding occurrence streamed by a campaign.
-func (m *Metrics) AddFinding() {
-	m.mu.Lock()
-	m.findings++
-	m.mu.Unlock()
-}
-
-// AddFault accounts one classified harness fault.
-func (m *Metrics) AddFault(class string) {
-	m.mu.Lock()
-	m.faults[class]++
-	m.mu.Unlock()
-}
-
-// AddJobAccepted accounts one accepted job submission.
-func (m *Metrics) AddJobAccepted() {
-	m.mu.Lock()
-	m.jobsAccepted++
-	m.mu.Unlock()
-}
-
-// AddRequeue accounts one job put back on the queue after its
-// assignment was lost (fleet lease expiry, worker death).
-func (m *Metrics) AddRequeue() {
-	m.mu.Lock()
-	m.requeues++
-	m.mu.Unlock()
-}
-
-// Requeues returns the cumulative requeue count.
-func (m *Metrics) Requeues() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requeues
-}
-
-// AddPlanJob accounts one accepted job with plan fuzzing enabled.
-func (m *Metrics) AddPlanJob() {
-	m.mu.Lock()
-	m.planJobs++
-	m.mu.Unlock()
-}
-
-// AddPlanFinding accounts one plan-differential finding occurrence
-// streamed by a campaign (the plan-vs-plan oracle fired).
-func (m *Metrics) AddPlanFinding() {
-	m.mu.Lock()
-	m.planFindings++
-	m.mu.Unlock()
-}
-
-// AddGenerateJob accounts one accepted job with the generator
-// subsystem enabled (generators beyond the randprog baseline).
-func (m *Metrics) AddGenerateJob() {
-	m.mu.Lock()
-	m.genJobs++
-	m.mu.Unlock()
-}
-
-// AddGeneratedSeeds accounts n generator emissions into job pools.
-func (m *Metrics) AddGeneratedSeeds(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.genSeeds += int64(n)
-	m.mu.Unlock()
-}
-
-// AddGenerateFinding accounts one finding occurrence whose seed came
-// from a generator (pre-dedup).
-func (m *Metrics) AddGenerateFinding() {
-	m.mu.Lock()
-	m.genFindings++
-	m.mu.Unlock()
-}
-
-// AddJobQuarantined accounts one job record (or its checkpoint) found
-// corrupt at startup and set aside instead of failing the daemon.
-func (m *Metrics) AddJobQuarantined() {
-	m.mu.Lock()
-	m.jobsQuarantined++
-	m.mu.Unlock()
-}
-
-// AddDistill accounts one served /corpus/distill request: submitted
-// seeds in, kept seeds out.
-func (m *Metrics) AddDistill(submitted, kept int) {
-	m.mu.Lock()
-	m.distillRequests++
-	m.distillSubmitted += int64(submitted)
-	m.distillKept += int64(kept)
-	m.mu.Unlock()
-}
-
-// ObserveDelta records one seed task's OBV increment in the histogram.
-func (m *Metrics) ObserveDelta(d float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deltaSum += d
-	m.deltaObs++
-	for i, le := range deltaBuckets {
-		if d <= le {
-			m.deltaCounts[i]++
-			return
+// snapshotJobs takes one consistent pass over the jobs for a scrape. A
+// running job's triage counts are its record's finished segments plus
+// its live worker; the runner moves the worker's final counts into the
+// record in the same critical section that detaches the worker, so the
+// totals never dip when a job ends.
+func (s *Scheduler) snapshotJobs() jobsSnapshot {
+	snap := jobsSnapshot{states: map[JobState]int{}}
+	for _, j := range s.JobsInOrder() {
+		j.mu.Lock()
+		snap.states[j.rec.State]++
+		if t := j.rec.Triage; t != nil {
+			snap.triage.Received += t.Received
+			snap.triage.Novel += t.Novel
+			snap.triage.Duplicates += t.Duplicates
+		}
+		if j.rec.State == StateRunning {
+			snap.arms += j.progress.ScheduleArms
+			snap.energy += j.progress.ScheduleEnergy
+		}
+		w := j.tworker
+		j.mu.Unlock()
+		if w != nil {
+			snap.triage.add(w.Stats())
 		}
 	}
-	m.deltaCounts[len(deltaBuckets)]++
+	return snap
 }
 
-// Executions returns the cumulative execution count.
-func (m *Metrics) Executions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.executions
-}
-
-// Render writes the Prometheus text format. The caller supplies the
-// scrape-time gauges the registry does not own: jobs by state and the
-// aggregated triage stats.
-func (m *Metrics) Render(w io.Writer, jobs map[JobState]int, tr TriageStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_jobs Jobs by lifecycle state.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_jobs gauge")
-	for _, st := range States() {
-		fmt.Fprintf(w, "mopfuzzd_jobs{state=%q} %d\n", string(st), jobs[st])
-	}
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_jobs_accepted_total Job submissions accepted.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_jobs_accepted_total counter")
-	fmt.Fprintf(w, "mopfuzzd_jobs_accepted_total %d\n", m.jobsAccepted)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_requeues_total Jobs re-queued after a lost assignment (lease expiry, worker death).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_requeues_total counter")
-	fmt.Fprintf(w, "mopfuzzd_requeues_total %d\n", m.requeues)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_jobs_quarantined_total Job records or checkpoints found corrupt at startup and set aside.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_jobs_quarantined_total counter")
-	fmt.Fprintf(w, "mopfuzzd_jobs_quarantined_total %d\n", m.jobsQuarantined)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_executions_total Target executions across all jobs.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_executions_total counter")
-	fmt.Fprintf(w, "mopfuzzd_executions_total %d\n", m.executions)
-
-	up := m.now().Sub(m.start).Seconds()
-	rate := 0.0
-	if up > 0 {
-		rate = float64(m.executions) / up
-	}
-	fmt.Fprintln(w, "# HELP mopfuzzd_executions_per_second Mean execution throughput since daemon start.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_executions_per_second gauge")
-	fmt.Fprintf(w, "mopfuzzd_executions_per_second %g\n", rate)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_findings_total Finding occurrences streamed by campaigns (pre-dedup).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_findings_total counter")
-	fmt.Fprintf(w, "mopfuzzd_findings_total %d\n", m.findings)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_planfuzz_jobs_total Accepted jobs with compilation-plan fuzzing enabled.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_planfuzz_jobs_total counter")
-	fmt.Fprintf(w, "mopfuzzd_planfuzz_jobs_total %d\n", m.planJobs)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_planfuzz_findings_total Finding occurrences from the plan-vs-plan differential oracle (pre-dedup).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_planfuzz_findings_total counter")
-	fmt.Fprintf(w, "mopfuzzd_planfuzz_findings_total %d\n", m.planFindings)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_generate_jobs_total Accepted jobs with corpus generators enabled.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_generate_jobs_total counter")
-	fmt.Fprintf(w, "mopfuzzd_generate_jobs_total %d\n", m.genJobs)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_generate_seeds_total Generator emissions refreshed into job pools.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_generate_seeds_total counter")
-	fmt.Fprintf(w, "mopfuzzd_generate_seeds_total %d\n", m.genSeeds)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_generate_findings_total Finding occurrences on generator-emitted seeds (pre-dedup).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_generate_findings_total counter")
-	fmt.Fprintf(w, "mopfuzzd_generate_findings_total %d\n", m.genFindings)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_faults_total Harness faults by class.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_faults_total counter")
-	classes := make([]string, 0, len(m.faults))
-	for c := range m.faults {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		fmt.Fprintf(w, "mopfuzzd_faults_total{class=%q} %d\n", c, m.faults[c])
-	}
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_obv_delta OBV increment per fuzzed seed (Δ seed vs final mutant).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_obv_delta histogram")
-	cum := int64(0)
-	for i, le := range deltaBuckets {
-		cum += m.deltaCounts[i]
-		fmt.Fprintf(w, "mopfuzzd_obv_delta_bucket{le=%q} %d\n", trimFloat(le), cum)
-	}
-	cum += m.deltaCounts[len(deltaBuckets)]
-	fmt.Fprintf(w, "mopfuzzd_obv_delta_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "mopfuzzd_obv_delta_sum %g\n", m.deltaSum)
-	fmt.Fprintf(w, "mopfuzzd_obv_delta_count %d\n", m.deltaObs)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_triage_findings_total Findings consumed by triage workers.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_triage_findings_total counter")
-	fmt.Fprintf(w, "mopfuzzd_triage_findings_total %d\n", tr.Received)
-	fmt.Fprintln(w, "# HELP mopfuzzd_triage_signatures_total Novel root-cause signatures stored.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_triage_signatures_total counter")
-	fmt.Fprintf(w, "mopfuzzd_triage_signatures_total %d\n", tr.Novel)
-	fmt.Fprintln(w, "# HELP mopfuzzd_triage_dedup_hits_total Findings deduplicated against existing signatures.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_triage_dedup_hits_total counter")
-	fmt.Fprintf(w, "mopfuzzd_triage_dedup_hits_total %d\n", tr.Duplicates)
-	ratio := 0.0
-	if tr.Received > 0 {
-		ratio = float64(tr.Duplicates) / float64(tr.Received)
-	}
-	fmt.Fprintln(w, "# HELP mopfuzzd_triage_dedup_hit_ratio Fraction of findings deduplicated.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_triage_dedup_hit_ratio gauge")
-	fmt.Fprintf(w, "mopfuzzd_triage_dedup_hit_ratio %g\n", ratio)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_uptime_seconds Seconds since daemon start.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_uptime_seconds gauge")
-	fmt.Fprintf(w, "mopfuzzd_uptime_seconds %g\n", up)
-}
-
-// RenderCorpus writes the corpus-intelligence series: the daemon-wide
-// parse-cache counters, the distillation endpoint's traffic, and the
-// power-schedule gauges aggregated over running jobs. Always emitted —
-// zeros before any corpus feature is exercised — so dashboards and the
-// CI corpus-smoke assertions can rely on their presence.
-func (m *Metrics) RenderCorpus(w io.Writer, ps corpus.ParseCacheStats, arms int, energy float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_parsecache_hits_total Seed parses served from the shared parse cache.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_parsecache_hits_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_parsecache_hits_total %d\n", ps.Hits)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_parsecache_misses_total Seed parses that had to run the parser.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_parsecache_misses_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_parsecache_misses_total %d\n", ps.Misses)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_parsecache_evictions_total Cached parses evicted by the size bound.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_parsecache_evictions_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_parsecache_evictions_total %d\n", ps.Evictions)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_parsecache_size Parsed programs currently cached.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_parsecache_size gauge")
-	fmt.Fprintf(w, "mopfuzzd_corpus_parsecache_size %d\n", ps.Size)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_distill_requests_total Corpus distillation requests served.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_distill_requests_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_distill_requests_total %d\n", m.distillRequests)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_distill_seeds_submitted_total Seeds submitted to the distillation endpoint.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_distill_seeds_submitted_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_distill_seeds_submitted_total %d\n", m.distillSubmitted)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_distill_seeds_kept_total Seeds kept by the distillation endpoint.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_distill_seeds_kept_total counter")
-	fmt.Fprintf(w, "mopfuzzd_corpus_distill_seeds_kept_total %d\n", m.distillKept)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_sched_arms Power-schedule arms across running jobs.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_sched_arms gauge")
-	fmt.Fprintf(w, "mopfuzzd_corpus_sched_arms %d\n", arms)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_corpus_sched_energy Total power-schedule energy across running jobs.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_corpus_sched_energy gauge")
-	fmt.Fprintf(w, "mopfuzzd_corpus_sched_energy %g\n", energy)
-}
-
-// RenderExecPool writes the warm-child-pool series. Always emitted —
-// zeros before any pooled job runs — so dashboards and smoke assertions
-// can rely on their presence.
-func RenderExecPool(w io.Writer, st exec.Stats, live int) {
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_children_live Warm minijvm children currently pooled.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_children_live gauge")
-	fmt.Fprintf(w, "mopfuzzd_execpool_children_live %d\n", live)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_executions_total Executions served by the pool.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_executions_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_executions_total %d\n", st.Executions)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_batches_total Serve-mode round trips (N executions each).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_batches_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_batches_total %d\n", st.Batches)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_mean_batch_size Mean executions per round trip (>1 means batching amortizes).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_mean_batch_size gauge")
-	fmt.Fprintf(w, "mopfuzzd_execpool_mean_batch_size %g\n", st.MeanBatch())
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_spawns_total Child processes spawned by the pool.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_spawns_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_spawns_total %d\n", st.Spawns)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_spawns_avoided_total Executions served without a fresh spawn.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_spawns_avoided_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_spawns_avoided_total %d\n", st.SpawnsAvoided)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_recycled_total Children retired by recycle policy.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_recycled_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_recycled_total{reason=\"executions\"} %d\n", st.RecycledByCount)
-	fmt.Fprintf(w, "mopfuzzd_execpool_recycled_total{reason=\"memory\"} %d\n", st.RecycledByMem)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_killed_total Children force-killed (timeouts, failures, drain).")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_killed_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_killed_total %d\n", st.Killed)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_retries_total Batches retried on a fresh child after a marker-less death.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_retries_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_retries_total %d\n", st.Retries)
-
-	fmt.Fprintln(w, "# HELP mopfuzzd_execpool_faults_total Pool executions classified as backend faults.")
-	fmt.Fprintln(w, "# TYPE mopfuzzd_execpool_faults_total counter")
-	fmt.Fprintf(w, "mopfuzzd_execpool_faults_total %d\n", st.Faults)
-}
-
-// trimFloat renders a bucket bound without a trailing ".0" — the
-// Prometheus convention ("5", not "5.0"; "0.5" keeps its fraction).
-func trimFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+// registerExecPool registers the warm-child-pool series, read from
+// stats at scrape time. They exist at zero before any pooled job runs,
+// so dashboards and smoke assertions can rely on their presence.
+func registerExecPool(r *Registry, stats func() (exec.Stats, int)) {
+	var st exec.Stats
+	var live int
+	r.OnScrape(func() { st, live = stats() })
+	r.Int("mopfuzzd_execpool_children_live", "Warm minijvm children currently pooled.", "gauge",
+		func() int64 { return int64(live) })
+	r.Int("mopfuzzd_execpool_executions_total", "Executions served by the pool.", "counter",
+		func() int64 { return st.Executions })
+	r.Int("mopfuzzd_execpool_batches_total", "Serve-mode round trips (N executions each).", "counter",
+		func() int64 { return st.Batches })
+	r.Float("mopfuzzd_execpool_mean_batch_size", "Mean executions per round trip (>1 means batching amortizes).",
+		func() float64 { return st.MeanBatch() })
+	r.Int("mopfuzzd_execpool_spawns_total", "Child processes spawned by the pool.", "counter",
+		func() int64 { return st.Spawns })
+	r.Int("mopfuzzd_execpool_spawns_avoided_total", "Executions served without a fresh spawn.", "counter",
+		func() int64 { return st.SpawnsAvoided })
+	r.Ints("mopfuzzd_execpool_recycled_total", "Children retired by recycle policy.", "counter", "reason", func() []Sample {
+		return []Sample{{"executions", st.RecycledByCount}, {"memory", st.RecycledByMem}}
+	})
+	r.Int("mopfuzzd_execpool_killed_total", "Children force-killed (timeouts, failures, drain).", "counter",
+		func() int64 { return st.Killed })
+	r.Int("mopfuzzd_execpool_retries_total", "Batches retried on a fresh child after a marker-less death.", "counter",
+		func() int64 { return st.Retries })
+	r.Int("mopfuzzd_execpool_faults_total", "Pool executions classified as backend faults.", "counter",
+		func() int64 { return st.Faults })
 }

@@ -8,16 +8,26 @@ import (
 	"repro/internal/exec"
 )
 
-// fakeClock advances only when told, pinning rate/uptime math.
+// fakeClock stands still, pinning rate/uptime math.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time { return c.t }
 
-func renderMetrics(m *Metrics, jobs map[JobState]int, tr TriageStats) string {
+func render(r *Registry) string {
 	var sb strings.Builder
-	m.Render(&sb, jobs, tr)
+	r.Render(&sb)
 	return sb.String()
+}
+
+// metricValue returns the value of the unlabeled series name ("" when
+// it is missing).
+func metricValue(out, name string) string {
+	for _, l := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(l, name+" "); ok {
+			return v
+		}
+	}
+	return ""
 }
 
 func wantLine(t *testing.T, out, line string) {
@@ -27,66 +37,70 @@ func wantLine(t *testing.T, out, line string) {
 	}
 }
 
+// TestMetricsRender pins the registry's exposition format: families in
+// registration order, fixed label values at zero, sorted label values,
+// cumulative histogram buckets, %d integers and %g floats.
 func TestMetricsRender(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMetrics(clock.now)
+	r := &Registry{}
+	var snap int64
+	r.OnScrape(func() { snap++ })
+	c := r.Counter("x_total", "A counter.")
+	v := r.CounterVec("x_by_class_total", "A labeled counter.", "class", "b", "a")
+	h := r.Histogram("x_delta", "A histogram.", []float64{0, 1, 2.5})
+	r.Int("x_snapshots", "Scrapes so far.", "gauge", func() int64 { return snap })
+	r.Float("x_ratio", "A float.", func() float64 { return 0.25 })
+	r.Ints("x_state", "A labeled gauge.", "gauge", "state", func() []Sample {
+		return []Sample{{"live", 2}, {"dead", 1}}
+	})
 
-	m.AddExecutions(40)
-	m.AddExecutions(10)
-	m.AddExecutions(0) // ignored
-	m.AddFinding()
-	m.AddFinding()
-	m.AddFault("crash")
-	m.AddFault("crash")
-	m.AddFault("timeout")
-	m.AddJobAccepted()
-	m.AddGenerateJob()
-	m.AddGeneratedSeeds(4)
-	m.AddGeneratedSeeds(0)  // ignored
-	m.AddGeneratedSeeds(-1) // ignored
-	m.AddGenerateFinding()
-	for _, d := range []float64{0, 1, 3, 100, 1e6} {
-		m.ObserveDelta(d)
+	c.Add(40)
+	c.Add(10)
+	c.Add(0)  // ignored
+	c.Add(-1) // ignored
+	c.Inc()
+	v.Inc("c")
+	v.Inc("b")
+	for _, d := range []float64{0, 1, 2, 3, 1e6} {
+		h.Observe(d)
 	}
-	clock.advance(10 * time.Second)
-
-	out := renderMetrics(m, map[JobState]int{StateDone: 2, StateRunning: 1},
-		TriageStats{Received: 10, Novel: 3, Duplicates: 7})
-
-	wantLine(t, out, `mopfuzzd_jobs{state="done"} 2`)
-	wantLine(t, out, `mopfuzzd_jobs{state="running"} 1`)
-	wantLine(t, out, `mopfuzzd_jobs{state="queued"} 0`) // zero states still emitted
-	wantLine(t, out, `mopfuzzd_jobs_accepted_total 1`)
-	wantLine(t, out, `mopfuzzd_executions_total 50`)
-	wantLine(t, out, `mopfuzzd_executions_per_second 5`)
-	wantLine(t, out, `mopfuzzd_findings_total 2`)
-	wantLine(t, out, `mopfuzzd_generate_jobs_total 1`)
-	wantLine(t, out, `mopfuzzd_generate_seeds_total 4`)
-	wantLine(t, out, `mopfuzzd_generate_findings_total 1`)
-	wantLine(t, out, `mopfuzzd_faults_total{class="crash"} 2`)
-	wantLine(t, out, `mopfuzzd_faults_total{class="timeout"} 1`)
-	// Every known class appears even at zero, so dashboards can rely on
-	// the series existing.
-	wantLine(t, out, `mopfuzzd_faults_total{class="miscompile"} 0`)
-	wantLine(t, out, `mopfuzzd_faults_total{class="heap-exhausted"} 0`)
-	wantLine(t, out, `mopfuzzd_faults_total{class="harness-fault"} 0`)
-	// Histogram buckets are cumulative.
-	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="0"} 1`)
-	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="1"} 2`)
-	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="5"} 3`)
-	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="100"} 4`)
-	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="+Inf"} 5`)
-	wantLine(t, out, `mopfuzzd_obv_delta_count 5`)
-	wantLine(t, out, `mopfuzzd_triage_findings_total 10`)
-	wantLine(t, out, `mopfuzzd_triage_signatures_total 3`)
-	wantLine(t, out, `mopfuzzd_triage_dedup_hits_total 7`)
-	wantLine(t, out, `mopfuzzd_triage_dedup_hit_ratio 0.7`)
-	wantLine(t, out, `mopfuzzd_uptime_seconds 10`)
+	want := `# HELP x_total A counter.
+# TYPE x_total counter
+x_total 51
+# HELP x_by_class_total A labeled counter.
+# TYPE x_by_class_total counter
+x_by_class_total{class="a"} 0
+x_by_class_total{class="b"} 1
+x_by_class_total{class="c"} 1
+# HELP x_delta A histogram.
+# TYPE x_delta histogram
+x_delta_bucket{le="0"} 1
+x_delta_bucket{le="1"} 2
+x_delta_bucket{le="2.5"} 3
+x_delta_bucket{le="+Inf"} 5
+x_delta_sum 1.000006e+06
+x_delta_count 5
+# HELP x_snapshots Scrapes so far.
+# TYPE x_snapshots gauge
+x_snapshots 1
+# HELP x_ratio A float.
+# TYPE x_ratio gauge
+x_ratio 0.25
+# HELP x_state A labeled gauge.
+# TYPE x_state gauge
+x_state{state="live"} 2
+x_state{state="dead"} 1
+`
+	if got := render(r); got != want {
+		t.Errorf("render:\n%s\nwant:\n%s", got, want)
+	}
+	if got := render(r); !strings.Contains(got, "x_snapshots 2\n") {
+		t.Errorf("OnScrape did not run once per scrape:\n%s", got)
+	}
 }
 
 func TestRenderExecPool(t *testing.T) {
-	var sb strings.Builder
-	RenderExecPool(&sb, exec.Stats{
+	r := &Registry{}
+	st, live := exec.Stats{
 		Executions:      40,
 		Batches:         8,
 		Spawns:          3,
@@ -96,8 +110,9 @@ func TestRenderExecPool(t *testing.T) {
 		Killed:          4,
 		Retries:         1,
 		Faults:          1,
-	}, 2)
-	out := sb.String()
+	}, 2
+	registerExecPool(r, func() (exec.Stats, int) { return st, live })
+	out := render(r)
 	wantLine(t, out, `mopfuzzd_execpool_children_live 2`)
 	wantLine(t, out, `mopfuzzd_execpool_executions_total 40`)
 	wantLine(t, out, `mopfuzzd_execpool_batches_total 8`)
@@ -111,21 +126,22 @@ func TestRenderExecPool(t *testing.T) {
 	wantLine(t, out, `mopfuzzd_execpool_faults_total 1`)
 
 	// Without a pool the series still exist at zero.
-	sb.Reset()
-	RenderExecPool(&sb, exec.Stats{}, 0)
-	out = sb.String()
+	st, live = exec.Stats{}, 0
+	out = render(r)
 	wantLine(t, out, `mopfuzzd_execpool_children_live 0`)
 	wantLine(t, out, `mopfuzzd_execpool_mean_batch_size 0`)
 }
 
 func TestMetricsZeroSafe(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(0, 0)}
-	m := NewMetrics(clock.now)
+	s := newTestScheduler(t, Config{Now: clock.now})
 	// Zero uptime and zero triage volume must not divide by zero.
-	out := renderMetrics(m, nil, TriageStats{})
+	out := render(s.Metrics())
 	wantLine(t, out, `mopfuzzd_executions_per_second 0`)
 	wantLine(t, out, `mopfuzzd_triage_dedup_hit_ratio 0`)
 	wantLine(t, out, `mopfuzzd_obv_delta_bucket{le="+Inf"} 0`)
 	wantLine(t, out, `mopfuzzd_generate_jobs_total 0`)
 	wantLine(t, out, `mopfuzzd_generate_seeds_total 0`)
+	wantLine(t, out, `mopfuzzd_jobs{state="queued"} 0`)
+	wantLine(t, out, `mopfuzzd_faults_total{class="harness-fault"} 0`)
 }

@@ -72,7 +72,8 @@ type RemoteRunner interface {
 	RunRemote(ctx context.Context, j *Job) RemoteOutcome
 }
 
-// RemoteOutcome is a remote runner's verdict on one assignment.
+// RemoteOutcome is a remote runner's verdict on one assignment. A
+// local run ends in the same shape, so one settle step covers both.
 type RemoteOutcome struct {
 	// Declined: no live worker could take the job — run it locally (the
 	// zero-workers graceful-degradation path).
@@ -100,11 +101,12 @@ type RemoteOutcome struct {
 // resume in-flight jobs from disk, and per-job triage stores
 // deduplicate and minimize the findings the API serves.
 type Scheduler struct {
-	cfg     Config
-	store   *JobStore
-	metrics *Metrics
-	broker  *Broker
-	remote  RemoteRunner // optional: fleet dispatch before local fallback
+	cfg    Config
+	store  *JobStore
+	reg    *Registry
+	m      daemonMetrics
+	broker *Broker
+	remote RemoteRunner // optional: fleet dispatch before local fallback
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -154,17 +156,18 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		cfg:     cfg,
-		store:   store,
-		metrics: NewMetrics(cfg.Now),
-		broker:  NewBroker(),
-		jobs:    map[string]*Job{},
-		parse:   corpus.NewParseCache(),
-		nextID:  NextID(recs),
+		cfg:    cfg,
+		store:  store,
+		reg:    &Registry{},
+		broker: NewBroker(),
+		jobs:   map[string]*Job{},
+		parse:  corpus.NewParseCache(),
+		nextID: NextID(recs),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.registerMetrics()
 	for _, id := range quarantined {
-		s.metrics.AddJobQuarantined()
+		s.m.quarantined.Inc()
 		s.logf("job %s: corrupt record quarantined to jobs-quarantined/ (startup continues)", id)
 	}
 	for _, rec := range recs {
@@ -220,7 +223,7 @@ func (s *Scheduler) quarantineBadCheckpoint(j *Job) bool {
 		if serr := s.store.Save(&j.rec); serr != nil {
 			s.logf("job %s: persist quarantined state: %v", id, serr)
 		}
-		s.metrics.AddJobQuarantined()
+		s.m.quarantined.Inc()
 		s.logf("job %s: checkpoint corrupt, job quarantined (startup continues): %v", id, err)
 		return true
 	}
@@ -245,8 +248,12 @@ func (s *Scheduler) CheckpointEvery() int { return s.cfg.CheckpointEvery }
 // fleet assignments like CheckpointEvery.
 func (s *Scheduler) ExecTimeout() time.Duration { return s.cfg.ExecTimeout }
 
-// Metrics exposes the daemon metrics registry.
-func (s *Scheduler) Metrics() *Metrics { return s.metrics }
+// Metrics exposes the daemon metrics registry; the fleet coordinator
+// registers its series on it.
+func (s *Scheduler) Metrics() *Registry { return s.reg }
+
+// RenderMetrics writes the /metrics payload.
+func (s *Scheduler) RenderMetrics(w io.Writer) { s.reg.Render(w) }
 
 // Broker exposes the live event broker.
 func (s *Scheduler) Broker() *Broker { return s.broker }
@@ -318,12 +325,12 @@ func (s *Scheduler) Submit(spec core.JobSpec) (*Job, error) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.queue = append(s.queue, id)
-	s.metrics.AddJobAccepted()
+	s.m.accepted.Inc()
 	if spec.PlanFuzz != "" && spec.PlanFuzz != "off" {
-		s.metrics.AddPlanJob()
+		s.m.planJobs.Inc()
 	}
 	if spec.GeneratorsOn() {
-		s.metrics.AddGenerateJob()
+		s.m.genJobs.Inc()
 	}
 	s.cond.Signal()
 	return j, nil
@@ -443,47 +450,6 @@ func (s *Scheduler) Report(id string) (*triage.Report, error) {
 	return triage.BuildReport(store), nil
 }
 
-// RenderMetrics writes the /metrics payload: registry counters plus the
-// scrape-time gauges (jobs by state, aggregated triage stats — persisted
-// segments of finished jobs plus live worker counters).
-func (s *Scheduler) RenderMetrics(w io.Writer) {
-	counts := map[JobState]int{}
-	var tr TriageStats
-	arms := 0
-	energy := 0.0
-	for _, j := range s.JobsInOrder() {
-		j.mu.Lock()
-		counts[j.rec.State]++
-		if j.rec.Triage != nil {
-			tr.Received += j.rec.Triage.Received
-			tr.Novel += j.rec.Triage.Novel
-			tr.Duplicates += j.rec.Triage.Duplicates
-			tr.Reduced += j.rec.Triage.Reduced
-			tr.Quarantined += j.rec.Triage.Quarantined
-			tr.Errors += j.rec.Triage.Errors
-		}
-		if j.rec.State == StateRunning {
-			arms += j.progress.ScheduleArms
-			energy += j.progress.ScheduleEnergy
-		}
-		w8 := j.tworker
-		j.mu.Unlock()
-		if w8 != nil {
-			tr.add(w8.Stats())
-		}
-	}
-	s.metrics.Render(w, counts, tr)
-	s.metrics.RenderCorpus(w, s.parse.Stats(), arms, energy)
-	st, live := s.poolStats()
-	RenderExecPool(w, st, live)
-	s.mu.Lock()
-	remote := s.remote
-	s.mu.Unlock()
-	if fr, ok := remote.(interface{ RenderMetrics(io.Writer) }); ok {
-		fr.RenderMetrics(w)
-	}
-}
-
 // runner is one worker of the bounded pool.
 func (s *Scheduler) runner(ctx context.Context) {
 	defer s.wg.Done()
@@ -533,7 +499,7 @@ func (s *Scheduler) dispatch(ctx context.Context, j *Job) {
 	case out.Requeue:
 		s.requeue(j, out.Worker)
 	default:
-		s.settleRemote(j, out)
+		s.settle(j, out)
 	}
 }
 
@@ -551,7 +517,7 @@ func (s *Scheduler) requeue(j *Job, worker string) {
 	if err := s.store.Save(&rec); err != nil {
 		s.logf("job %s: persist requeued state: %v", id, err)
 	}
-	s.metrics.AddRequeue()
+	s.m.requeues.Inc()
 	s.broker.Publish(id, Event{Type: "state", State: StateQueued})
 	s.logf("job %s: assignment lost (worker %s), re-queued for resume (requeues %d)", id, worker, rec.Requeues)
 	s.mu.Lock()
@@ -560,9 +526,9 @@ func (s *Scheduler) requeue(j *Job, worker string) {
 	s.mu.Unlock()
 }
 
-// settleRemote settles a job the remote runner finished, mirroring
-// finishJob's state machine for locally run campaigns.
-func (s *Scheduler) settleRemote(j *Job, out RemoteOutcome) {
+// settle records how a run ended — local or remote — as the job's
+// state, and persists it.
+func (s *Scheduler) settle(j *Job, out RemoteOutcome) {
 	id := j.ID()
 	j.mu.Lock()
 	if j.rec.Triage == nil {
@@ -579,8 +545,8 @@ func (s *Scheduler) settleRemote(j *Job, out RemoteOutcome) {
 		state = StateCancelled
 		j.rec.Finished = s.cfg.Now().Unix()
 	case out.Interrupted:
-		// Drain: the worker's last checkpoint handoff is on disk; the
-		// next daemon re-queues the job and resumes it from there.
+		// Drain: the last checkpoint (local, or the worker's handoff) is
+		// on disk; the next daemon re-queues the job and resumes it.
 		state = StateInterrupted
 	default:
 		state = StateDone
@@ -589,13 +555,18 @@ func (s *Scheduler) settleRemote(j *Job, out RemoteOutcome) {
 	}
 	j.rec.State = state
 	j.cancel = nil
-	// Persist before unlocking, as finishJob does.
+	// Persist before unlocking: a reader that sees the terminal state
+	// must find it on disk too.
 	if err := s.store.Save(&j.rec); err != nil {
 		s.logf("job %s: persist final state: %v", id, err)
 	}
 	j.mu.Unlock()
 	s.broker.Publish(id, Event{Type: "state", State: state})
-	s.logf("job %s: %s (worker %s)", id, state, out.Worker)
+	if out.Worker != "" {
+		s.logf("job %s: %s (worker %s)", id, state, out.Worker)
+	} else {
+		s.logf("job %s: %s", id, state)
+	}
 }
 
 // NoteRemoteStart records that a worker accepted the job's assignment:
@@ -704,22 +675,22 @@ func (s *Scheduler) poolStats() (exec.Stats, int) {
 }
 
 // runJob executes one job end to end: mark running (bumping the resume
-// count when a checkpoint exists), attach the triage pipeline, run the
-// campaign under the harness with per-task checkpointing, then settle
-// the final state. Cancellation of ctx (drain) or the job's own context
-// (DELETE) interrupts the campaign between tasks; the final checkpoint
-// is already flushed by the time RunCampaignContext returns.
+// count when a checkpoint exists), run the triaged campaign with
+// per-task checkpointing, then settle the final state. Cancellation of
+// ctx (drain) or the job's own context (DELETE) interrupts the campaign
+// between tasks; the final checkpoint is already flushed by the time
+// RunCampaign returns.
 func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	id := j.ID()
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	spec := j.Spec()
-	resuming := s.store.HasCheckpoint(id)
+	paths := s.store.Paths(id)
 
 	executor, err := s.executorFor(spec)
 	if err != nil {
-		s.finishJob(j, nil, err, triage.Stats{})
+		s.settle(j, RemoteOutcome{Err: err})
 		return
 	}
 
@@ -728,7 +699,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	if j.rec.Started == 0 {
 		j.rec.Started = s.cfg.Now().Unix()
 	}
-	if resuming {
+	if paths.Resume != "" {
 		j.rec.Resumes++
 	}
 	j.cancel = cancel
@@ -743,56 +714,9 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	s.logf("job %s: running (budget %d, %d generated + %d user seeds, resumes %d)",
 		id, spec.Budget, spec.SeedCount, len(spec.Seeds), rec.Resumes)
 
-	s.reportMu.Lock()
-	tstore, err := triage.Open(s.store.TriageDir(id))
-	if err != nil {
-		s.reportMu.Unlock()
-		s.finishJob(j, nil, err, triage.Stats{})
-		return
-	}
-	tworker, err := triage.NewWorker(triage.WorkerConfig{
-		Store:    tstore,
-		Executor: executor,
-		Now:      func() int64 { return s.cfg.Now().Unix() },
-	})
-	if err != nil {
-		tstore.Close()
-		s.reportMu.Unlock()
-		s.finishJob(j, nil, err, triage.Stats{})
-		return
-	}
-	j.mu.Lock()
-	j.tstore, j.tworker = tstore, tworker
-	j.mu.Unlock()
-	s.reportMu.Unlock()
-	tworker.Start(jctx)
-
-	ccfg := spec.Campaign(executor)
-	ccfg.ParseCache = s.parse
-	// The score cache lives next to the checkpoint: a resumed or
-	// fleet-handed-off power campaign reloads its seed feature vectors
-	// instead of re-profiling the pool.
-	ccfg.ScoreCachePath = s.store.ScoreCachePath(id)
-	// Minimized triage reproducers from this job's store feed template
-	// extraction. On resume the checkpoint's pinned extras win inside
-	// core, so handoff stays byte-identical even though the local store
-	// may have accumulated more reductions since.
-	ccfg.TemplateExtras = TemplateExtras(&spec, tstore)
-
-	ckpt := s.store.CheckpointPath(id)
-	hcfg := harness.Config{
-		CheckpointPath:  ckpt,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		ExecTimeout:     s.cfg.ExecTimeout,
-		QuarantineDir:   s.store.QuarantineDir(id),
-	}
-	if s.cfg.OnTask != nil {
-		hcfg.OnTask = func(done int) { s.cfg.OnTask(id, done) }
-	}
 	lastExec := 0
-	if resuming {
-		hcfg.ResumePath = ckpt
-		if ck, err := harness.LoadCheckpoint(ckpt); err == nil {
+	if paths.Resume != "" {
+		if ck, err := harness.LoadCheckpoint(paths.Resume); err == nil {
 			// Restored executions are prior work, not new throughput.
 			lastExec = ck.Executions
 		}
@@ -803,97 +727,86 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	// baseline on the first callback (-1 sentinel) so only fresh
 	// emissions move the gauge.
 	lastGen := -1
-	ccfg.OnProgress = func(p core.Progress) {
-		s.metrics.AddExecutions(p.Executions - lastExec)
-		lastExec = p.Executions
-		if lastGen < 0 {
-			lastGen = p.GeneratedSeeds
-		} else if p.GeneratedSeeds > lastGen {
-			s.metrics.AddGeneratedSeeds(p.GeneratedSeeds - lastGen)
-			lastGen = p.GeneratedSeeds
-		}
-		if p.HasDelta {
-			s.metrics.ObserveDelta(p.Delta)
-		}
-		if p.Fault != nil {
-			s.metrics.AddFault(string(p.Fault.Class))
-		}
-		j.mu.Lock()
-		j.progress, j.hasProgress = p, true
-		j.mu.Unlock()
+	run := Run{
+		Spec:            spec,
+		Executor:        executor,
+		Paths:           paths,
+		CheckpointEvery: s.cfg.CheckpointEvery,
+		ExecTimeout:     s.cfg.ExecTimeout,
+		ParseCache:      s.parse,
+		Now:             s.cfg.Now,
+		Logf:            func(format string, args ...any) { s.logf("job %s: "+format, append([]any{id}, args...)...) },
+		Live:            liveJob{&s.reportMu, j},
+		OnProgress: func(p core.Progress) {
+			s.m.executions.Add(p.Executions - lastExec)
+			lastExec = p.Executions
+			if lastGen < 0 {
+				lastGen = p.GeneratedSeeds
+			} else if p.GeneratedSeeds > lastGen {
+				s.m.genSeeds.Add(p.GeneratedSeeds - lastGen)
+				lastGen = p.GeneratedSeeds
+			}
+			if p.HasDelta {
+				s.m.delta.Observe(p.Delta)
+			}
+			if p.Fault != nil {
+				s.m.faults.Inc(string(p.Fault.Class))
+			}
+			j.mu.Lock()
+			j.progress, j.hasProgress = p, true
+			j.mu.Unlock()
+		},
+		OnFinding: func(f core.Finding) {
+			s.m.findings.Inc()
+			if f.Oracle == "plan-differential" {
+				s.m.planFindings.Inc()
+			}
+			if f.GeneratorID != "" {
+				s.m.genFindings.Inc()
+			}
+			fs := summarizeFinding(&f)
+			s.broker.Publish(id, Event{Type: "finding", Finding: &fs})
+		},
 	}
-	ccfg.OnFinding = func(f core.Finding) {
-		s.metrics.AddFinding()
-		if f.Oracle == "plan-differential" {
-			s.metrics.AddPlanFinding()
-		}
-		if f.GeneratorID != "" {
-			s.metrics.AddGenerateFinding()
-		}
-		tworker.Submit(f)
-		fs := summarizeFinding(&f)
-		s.broker.Publish(id, Event{Type: "finding", Finding: &fs})
+	if s.cfg.OnTask != nil {
+		run.OnTask = func(done int) { s.cfg.OnTask(id, done) }
 	}
-
-	res, runErr := core.RunCampaignContext(jctx, ccfg, hcfg)
-
-	// Drain the triage queue (reductions may still be running), then
-	// release the store before settling the job state.
-	if err := tworker.Close(); err != nil {
-		s.logf("job %s: triage flush: %v", id, err)
-	}
-	stats := tworker.Stats()
-	s.reportMu.Lock()
-	j.mu.Lock()
-	j.tstore, j.tworker = nil, nil
-	j.mu.Unlock()
-	if err := tstore.Close(); err != nil {
-		s.logf("job %s: triage store close: %v", id, err)
-	}
-	s.reportMu.Unlock()
-
-	s.finishJob(j, res, runErr, stats)
-}
-
-// finishJob settles the job's post-run state and persists it.
-func (s *Scheduler) finishJob(j *Job, res *core.CampaignResult, runErr error, stats triage.Stats) {
-	id := j.ID()
-	j.mu.Lock()
-	if j.rec.Triage == nil {
-		j.rec.Triage = &TriageStats{}
-	}
-	j.rec.Triage.add(stats)
-	var state JobState
-	switch {
-	case runErr != nil:
-		state = StateFailed
-		j.rec.Error = runErr.Error()
-		j.rec.Finished = s.cfg.Now().Unix()
-	case res.Interrupted && j.cancelAsked:
-		state = StateCancelled
-		j.rec.Finished = s.cfg.Now().Unix()
-	case res.Interrupted:
-		// Drain: the final checkpoint is on disk; the next daemon
-		// re-queues the job and resumes it from there.
-		state = StateInterrupted
-	default:
-		state = StateDone
-		j.rec.Result = Summarize(res)
-		j.rec.Finished = s.cfg.Now().Unix()
+	// The run's triage counts reach the record through liveJob.Detach.
+	res, _, err := RunCampaign(jctx, run)
+	out := RemoteOutcome{Err: err, Interrupted: err == nil && res.Interrupted}
+	if err == nil && !res.Interrupted {
+		out.Summary = Summarize(res)
 		if res.CheckpointErrors > 0 {
 			s.logf("job %s: %d checkpoint write(s) failed (last: %s)", id, res.CheckpointErrors, res.LastCheckpointError)
 		}
 	}
-	j.rec.State = state
-	j.cancel = nil
-	// Persist before unlocking: a reader that sees the terminal state
-	// must find it on disk too.
-	if err := s.store.Save(&j.rec); err != nil {
-		s.logf("job %s: persist final state: %v", id, err)
+	s.settle(j, out)
+}
+
+// liveJob is the scheduler's LiveTriage for one running job, locked by
+// the scheduler's reportMu.
+type liveJob struct {
+	*sync.Mutex
+	j *Job
+}
+
+func (l liveJob) Attach(store *triage.Store, w *triage.Worker) {
+	l.j.mu.Lock()
+	l.j.tstore, l.j.tworker = store, w
+	l.j.mu.Unlock()
+}
+
+// Detach drops the live worker and folds its final counts into the
+// record in one critical section, so a scrape sees one or the other and
+// the triage totals never dip when the job ends.
+func (l liveJob) Detach(stats triage.Stats) {
+	l.j.mu.Lock()
+	defer l.j.mu.Unlock()
+	l.j.tstore, l.j.tworker = nil, nil
+	if l.j.rec.Triage == nil {
+		l.j.rec.Triage = &TriageStats{}
 	}
-	j.mu.Unlock()
-	s.broker.Publish(id, Event{Type: "state", State: state})
-	s.logf("job %s: %s", id, state)
+	l.j.rec.Triage.add(stats)
 }
 
 func (s *Scheduler) logf(format string, args ...any) {

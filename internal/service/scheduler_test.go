@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestSchedulerRunsJobToDone(t *testing.T) {
 	if rec.State != StateDone || rec.Result == nil || rec.Result.Executions != v.Result.Executions {
 		t.Errorf("persisted record = %+v", rec)
 	}
-	if got := s.Metrics().Executions(); got < 60 {
+	if got, _ := strconv.Atoi(metricValue(render(s.Metrics()), "mopfuzzd_executions_total")); got < 60 {
 		t.Errorf("metrics executions = %d, want >= 60", got)
 	}
 	// The findings report is servable after the run (store re-opened).
@@ -273,4 +274,35 @@ func TestSchedulerGeneratorJob(t *testing.T) {
 	sb.Reset()
 	s.RenderMetrics(&sb)
 	wantLine(t, sb.String(), "mopfuzzd_generate_jobs_total 1")
+}
+
+// TestTriageTotalsNeverDip scrapes /metrics in a loop while a job runs
+// to the end. When the job ends, its triage worker's final counts move
+// into the job record in the same step that drops the live worker, so
+// a scrape always sees one or the other and mopfuzzd_triage_findings_total
+// never goes backwards.
+func TestTriageTotalsNeverDip(t *testing.T) {
+	s := newTestScheduler(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() { cancel(); s.Wait() }()
+	s.Start(ctx)
+	j, err := s.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, scrapes := int64(0), 0
+	for done := false; !done; scrapes++ {
+		done = j.State().Terminal()
+		n, err := strconv.ParseInt(metricValue(render(s.Metrics()), "mopfuzzd_triage_findings_total"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < last {
+			t.Fatalf("scrape %d: mopfuzzd_triage_findings_total went from %d to %d", scrapes, last, n)
+		}
+		last = n
+	}
+	if v := j.View(); v.State != StateDone || v.Triage == nil || int64(v.Triage.Received) != last || last == 0 {
+		t.Fatalf("job %s, triage %+v; last scrape %d findings", v.State, v.Triage, last)
+	}
 }

@@ -59,6 +59,21 @@ func (st *JobStore) QuarantineDir(id string) string {
 	return filepath.Join(st.JobDir(id), "quarantine")
 }
 
+// Paths returns the job's campaign state layout, resuming from its
+// checkpoint when one exists.
+func (st *JobStore) Paths(id string) Paths {
+	p := Paths{
+		Checkpoint: st.CheckpointPath(id),
+		ScoreCache: st.ScoreCachePath(id),
+		Triage:     st.TriageDir(id),
+		Quarantine: st.QuarantineDir(id),
+	}
+	if st.HasCheckpoint(id) {
+		p.Resume = p.Checkpoint
+	}
+	return p
+}
+
 // Save persists a job record atomically.
 func (st *JobStore) Save(rec *jobRecord) error {
 	rec.Version = jobVersion
