@@ -123,32 +123,49 @@ func main() {
 	}
 
 	sched.Start(ctx)
+	// Drain: every runner flushes a final campaign checkpoint and closes
+	// its triage store before Wait returns; a restarted daemon re-queues
+	// the interrupted jobs and resumes them from those checkpoints.
+	serve(ctx, logger, *listen, mux, *drainTimeout, sched.Wait, drainLog{
+		listening: fmt.Sprintf("listening on %s (state %s, %d runner(s), backend %s)", *listen, *stateDir, *runners, backend.Name),
+		draining:  "shutdown signal: draining (no new jobs; checkpointing running campaigns)",
+		drained:   "drain complete: all campaigns checkpointed, triage stores flushed",
+		timedOut:  "exiting with campaigns still settling (checkpoints are crash-safe)",
+	})
+}
 
+// drainLog holds one serve loop's log lines.
+type drainLog struct {
+	listening, draining, drained string
+	// timedOut follows "drain timeout <d> elapsed: ".
+	timedOut string
+}
+
+// serve serves handler on listen until ctx is cancelled (the drain
+// signal), then waits for wait — bounded by drainTimeout, so a wedged
+// campaign cannot hold the process hostage; the checkpoint machinery is
+// crash-safe either way — and shuts the HTTP server down.
+func serve(ctx context.Context, logger *log.Logger, listen string, handler http.Handler, drainTimeout time.Duration, wait func(), msg drainLog) {
 	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           mux,
+		Addr:              listen,
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Printf("listening on %s (state %s, %d runner(s), backend %s)", *listen, *stateDir, *runners, backend.Name)
+	logger.Print(msg.listening)
 
 	select {
 	case <-ctx.Done():
-		logger.Printf("shutdown signal: draining (no new jobs; checkpointing running campaigns)")
+		logger.Print(msg.draining)
 	case err := <-errc:
 		logger.Fatalf("http server: %v", err)
 	}
 
-	// Drain: every runner flushes a final campaign checkpoint and closes
-	// its triage store before Wait returns; a restarted daemon re-queues
-	// the interrupted jobs and resumes them from those checkpoints.
-	// -drain-timeout bounds the wait so a wedged campaign cannot hold the
-	// process hostage — the checkpoint machinery is crash-safe either way.
-	if waitBounded(sched.Wait, *drainTimeout) {
-		logger.Printf("drain complete: all campaigns checkpointed, triage stores flushed")
+	if waitBounded(wait, drainTimeout) {
+		logger.Print(msg.drained)
 	} else {
-		logger.Printf("drain timeout %s elapsed: exiting with campaigns still settling (checkpoints are crash-safe)", *drainTimeout)
+		logger.Printf("drain timeout %s elapsed: %s", drainTimeout, msg.timedOut)
 	}
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -205,33 +222,11 @@ func runWorker(ctx context.Context, logger *log.Logger, listen string, drainTime
 
 	mux := http.NewServeMux()
 	worker.Mount(mux)
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
 	worker.Start(ctx)
-	logger.Printf("worker %s listening on %s (coordinator %s, scratch %s)", cfg.ID, listen, cfg.Coordinator, cfg.Dir)
-
-	select {
-	case <-ctx.Done():
-		logger.Printf("shutdown signal: draining worker (running assignment completes as interrupted)")
-	case err := <-errc:
-		logger.Fatalf("http server: %v", err)
-	}
-
-	if waitBounded(worker.Wait, drainTimeout) {
-		logger.Printf("worker drained")
-	} else {
-		logger.Printf("drain timeout %s elapsed: exiting", drainTimeout)
-	}
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Printf("http shutdown: %v", err)
-	}
+	serve(ctx, logger, listen, mux, drainTimeout, worker.Wait, drainLog{
+		listening: fmt.Sprintf("worker %s listening on %s (coordinator %s, scratch %s)", cfg.ID, listen, cfg.Coordinator, cfg.Dir),
+		draining:  "shutdown signal: draining worker (running assignment completes as interrupted)",
+		drained:   "worker drained",
+		timedOut:  "exiting",
+	})
 }
