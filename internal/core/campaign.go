@@ -472,12 +472,12 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 		}
 	}
 
-	// Campaign-scoped hot-path caches. The parse cache makes each seed
-	// parse once per campaign instead of once per round; the compile
-	// cache shares compiled methods across rounds, mutants, and
-	// differential targets. Both are transparent — a hit is
-	// indistinguishable from a miss — so results stay byte-identical
-	// (determinism tests pin this).
+	// Hot-path caches. The parse cache makes each seed parse once per
+	// campaign instead of once per round; the compile cache shares
+	// compiled methods across the legs of one final mutant's
+	// differentials and holds only that program's. Both are transparent
+	// — a hit is indistinguishable from a miss — so results stay
+	// byte-identical (determinism tests pin this).
 	if c.cfg.Fuzz.CompileCache == nil {
 		c.cfg.Fuzz.CompileCache = jit.NewCache(0)
 	}

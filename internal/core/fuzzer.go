@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -50,10 +51,10 @@ type Config struct {
 	// equivalence tests pin to the regex oracle, so results are
 	// unchanged; false keeps the regex path as the tests' reference.
 	StructuredOBV bool
-	// CompileCache, when non-nil, reuses JIT compilations across this
-	// fuzzer's executions and anything else sharing the cache (campaigns
-	// attach one cache across all seeds, rounds, and differential
-	// targets). A cache hit is byte-equivalent to recompiling.
+	// CompileCache, when non-nil, reuses JIT compilations across the
+	// legs of the final mutant's spec and plan differentials; single
+	// runs of fresh mutants have nothing to hit and skip it. A cache hit
+	// is byte-equivalent to recompiling.
 	CompileCache *jit.Cache
 	// Executor selects the execution backend. Nil runs in-process
 	// (byte-identical to calling jvm.Run, the deterministic default); the
@@ -312,16 +313,13 @@ func (f *Fuzzer) selectByWeight(ms []Mutator, ws []float64) Mutator {
 // baseOptions are the execution options every run of this fuzzer
 // shares: the target execution and both differentials. Building all
 // three from one base keeps limits, the compile-only target, the
-// compile cache and the DisableBugs override from drifting apart.
+// compile cache (execute drops it) and DisableBugs from drifting apart.
 func (f *Fuzzer) baseOptions() jvm.Options {
 	opt := jvm.Options{
 		ForceCompile: true,
 		MaxSteps:     f.Cfg.MaxSteps,
 		MaxHeapUnits: f.Cfg.MaxHeapUnits,
 		CompileOnly:  f.compileOnly,
-		// One cache serves every run and differential target:
-		// compilations on specs with identical tuning and armed-bug
-		// state are shared.
 		CompileCache: f.Cfg.CompileCache,
 	}
 	if f.Cfg.DisableBugs {
@@ -335,6 +333,7 @@ func (f *Fuzzer) baseOptions() jvm.Options {
 // plan (nil = the fixed default pipeline).
 func (f *Fuzzer) execute(ctx context.Context, p *lang.Program, plan *jit.Plan) (*jvm.ExecResult, error) {
 	opt := f.baseOptions()
+	opt.CompileCache = nil // one run of a fresh mutant: nothing to hit
 	opt.Flags = f.Cfg.Flags
 	opt.Coverage = f.Cfg.Coverage
 	opt.CompileHook = f.Cfg.CompileHook
@@ -452,15 +451,10 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 			break
 		}
 		newMP, err := m.Apply(child, childLoc, f.rng)
-		if err != nil {
-			res.Records = append(res.Records, IterationRecord{Iter: iter, Mutator: m.Name(), Skipped: true})
-			continue
+		if err == nil {
+			err = lang.Check(child)
 		}
-		if err := lang.Check(child); err != nil {
-			res.Records = append(res.Records, IterationRecord{Iter: iter, Mutator: m.Name(), Skipped: true})
-			continue
-		}
-		if lang.CountStmts(child) > f.Cfg.MaxStmts {
+		if err != nil || lang.CountStmts(child) > f.Cfg.MaxStmts {
 			res.Records = append(res.Records, IterationRecord{Iter: iter, Mutator: m.Name(), Skipped: true})
 			continue
 		}
@@ -541,20 +535,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if err != nil {
 			return nil, err
 		}
-		res.Executions += len(diff.Results)
-		if crash := diff.AnyCrash(); crash != nil {
-			f.recordCrash(res, crash, f.Cfg.MaxIterations, f.planIDFor(nil))
-		} else if diff.Inconsistent() {
-			div := diff.FirstDivergence()
-			for _, b := range diff.DivergentBugs() {
-				res.Findings = append(res.Findings, BugFinding{
-					Bug: b, Oracle: "differential", Iteration: f.Cfg.MaxIterations,
-					Mutators:   append([]string(nil), res.MutatorSeq...),
-					Divergence: div,
-					PlanID:     f.planIDFor(nil),
-				})
-			}
-		}
+		f.judge(res, diff, "differential")
 	}
 
 	// Plan-vs-plan differential (the ordering-sensitivity oracle): the
@@ -567,22 +548,29 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if err != nil {
 			return nil, err
 		}
-		res.Executions += len(pdiff.Results)
-		if crash := pdiff.AnyCrash(); crash != nil {
-			f.recordCrash(res, crash, f.Cfg.MaxIterations, crash.PlanID)
-		} else if pdiff.Inconsistent() {
-			div := pdiff.FirstDivergence()
-			for _, b := range pdiff.DivergentBugs() {
-				res.Findings = append(res.Findings, BugFinding{
-					Bug: b, Oracle: "plan-differential", Iteration: f.Cfg.MaxIterations,
-					Mutators:   append([]string(nil), res.MutatorSeq...),
-					Divergence: div,
-					PlanID:     div.DivergentPlan,
-				})
-			}
-		}
+		f.judge(res, pdiff, "plan-differential")
 	}
 	return res, nil
+}
+
+// judge folds a differential of the final mutant into res: a crash is
+// a crash finding, and a divergence is one finding under oracle per bug
+// that caused it. A plan differential's legs name their plans; a spec
+// differential's legs ran the default pipeline.
+func (f *Fuzzer) judge(res *FuzzResult, d *jvm.Differential, oracle string) {
+	res.Executions += len(d.Results)
+	if crash := d.AnyCrash(); crash != nil {
+		f.recordCrash(res, crash, f.Cfg.MaxIterations, cmp.Or(crash.PlanID, f.planIDFor(nil)))
+	} else if div := d.FirstDivergence(); div != nil {
+		for _, b := range d.DivergentBugs() {
+			res.Findings = append(res.Findings, BugFinding{
+				Bug: b, Oracle: oracle, Iteration: f.Cfg.MaxIterations,
+				Mutators:   append([]string(nil), res.MutatorSeq...),
+				Divergence: div,
+				PlanID:     cmp.Or(div.DivergentPlan, f.planIDFor(nil)),
+			})
+		}
+	}
 }
 
 func (f *Fuzzer) recordCrash(res *FuzzResult, exec *jvm.ExecResult, iter int, planID string) {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/buginject"
 	"repro/internal/corpus"
+	"repro/internal/exec"
 	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/lang"
@@ -160,5 +162,66 @@ func TestDisableBugsDisarmsDifferentials(t *testing.T) {
 		for _, f := range res.Findings {
 			t.Errorf("%s: finding %s via %s with every bug disarmed", s.Name, f.Bug.ID, f.Oracle)
 		}
+	}
+}
+
+// lastProgramExecutor runs in-process and counts the compilations that
+// differentials made of the last program they ran: the most one
+// program can leave in a compile cache.
+type lastProgramExecutor struct {
+	exec.InProcess
+	src      string
+	compiled int
+}
+
+func (e *lastProgramExecutor) observe(p *lang.Program, d *jvm.Differential, err error) (*jvm.Differential, error) {
+	if err != nil {
+		return nil, err
+	}
+	if src := lang.Format(p); src != e.src {
+		e.src, e.compiled = src, 0
+	}
+	for _, r := range d.Results {
+		e.compiled += r.Compiled
+	}
+	return d, nil
+}
+
+func (e *lastProgramExecutor) ExecuteDifferential(ctx context.Context, p *lang.Program, specs []jvm.Spec, opt jvm.Options) (*jvm.Differential, error) {
+	d, err := e.InProcess.ExecuteDifferential(ctx, p, specs, opt)
+	return e.observe(p, d, err)
+}
+
+func (e *lastProgramExecutor) ExecutePlanDifferential(ctx context.Context, p *lang.Program, spec jvm.Spec, plans []*jit.Plan, opt jvm.Options) (*jvm.Differential, error) {
+	d, err := e.InProcess.ExecutePlanDifferential(ctx, p, spec, plans, opt)
+	return e.observe(p, d, err)
+}
+
+// TestCampaignCompileCacheHoldsOneProgram: after a plan-fuzzed campaign
+// the compile cache holds at most the compilations of the last final
+// mutant's spec and plan differentials, not every compilation of the
+// campaign.
+func TestCampaignCompileCacheHoldsOneProgram(t *testing.T) {
+	cache := jit.NewCache(0)
+	fcfg := DefaultConfig(jvm.Spec{Impl: buginject.HotSpot, Version: 17})
+	fcfg.PlanFuzz = jit.PlanFull
+	fcfg.CompileCache = cache
+	ex := &lastProgramExecutor{}
+	res := RunCampaign(CampaignConfig{
+		Seeds:    corpus.DefaultPool(4, 7),
+		Budget:   120,
+		Targets:  []jvm.Spec{fcfg.Target},
+		Fuzz:     fcfg,
+		Seed:     7,
+		Executor: ex,
+	})
+	if res.SeedsFuzzed < 2 {
+		t.Fatalf("campaign fuzzed %d seeds; the test needs several programs", res.SeedsFuzzed)
+	}
+	if cache.Len() == 0 || ex.compiled == 0 {
+		t.Fatalf("vacuous: cache holds %d entries, last program compiled %d methods", cache.Len(), ex.compiled)
+	}
+	if cache.Len() > ex.compiled {
+		t.Errorf("cache holds %d compilations; the last program's differentials made only %d", cache.Len(), ex.compiled)
 	}
 }

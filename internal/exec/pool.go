@@ -253,11 +253,12 @@ func (p *Pool) ExecutePlanDifferential(ctx context.Context, prog *lang.Program, 
 // executeBatch runs prog once per (specs[i], plans[i]) pair in a single
 // batch and decodes the results in order.
 func (p *Pool) executeBatch(ctx context.Context, prog *lang.Program, specs []jvm.Spec, plans []*jit.Plan, opt jvm.Options) ([]*jvm.ExecResult, error) {
+	src := lang.Format(prog)
 	reqs := make([]*Request, len(specs))
 	for i, spec := range specs {
 		o := opt
 		o.Plan = plans[i]
-		req, err := NewRequest(prog, spec, o)
+		req, err := newRequest(src, spec, o)
 		if err != nil {
 			return nil, err
 		}

@@ -24,11 +24,11 @@ const maxBatchFrame = 64 << 20
 // decodeBatchRequest rejects returns non-nil and the child exits
 // ExitRequestError.
 //
-// The child keeps one jit.Cache across every request it serves. The
-// cache is transparent (a hit is byte-equivalent to recompiling), so a
-// warm child stays byte-identical to a cold one while skipping most
-// compilation work — the pool's main throughput lever alongside the
-// spawn it already avoided.
+// The child keeps one jit.Cache for the requests of multi-request
+// batches, a differential's legs re-running one program; a single run
+// of a fresh mutant has nothing to hit. The cache is transparent (a hit
+// is byte-equivalent to recompiling), so a warm child stays
+// byte-identical to a cold one.
 //
 // Substrate panics are NOT recovered: an escaped panic is exactly the
 // signal the parent's process-level containment classifies. The parent
@@ -55,11 +55,15 @@ func ServeStream(in io.Reader, out io.Writer) error {
 		}
 		resp := &BatchResponse{Version: WireVersion}
 		corrupt := false
+		legs := cache
+		if len(batch.Requests) < 2 {
+			legs = nil
+		}
 		for _, req := range batch.Requests {
 			if req.Inject == "corrupt" {
 				corrupt = true
 			}
-			resp.Responses = append(resp.Responses, req.run(cache))
+			resp.Responses = append(resp.Responses, req.run(legs))
 			served++
 		}
 		var ms runtime.MemStats

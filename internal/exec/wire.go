@@ -139,8 +139,8 @@ type Request struct {
 }
 
 // RequestOptions is the serializable subset of jvm.Options. CompileHook
-// (an arbitrary function) cannot cross the process boundary and
-// CompileCache is child-local, so neither appears here.
+// (an arbitrary function) cannot cross the process boundary and the
+// child decides its own CompileCache use, so neither appears here.
 type RequestOptions struct {
 	Flags           []string `json:"flags,omitempty"` // profile.FlagSet.Names encoding
 	ForceCompile    bool     `json:"force_compile,omitempty"`
@@ -211,12 +211,17 @@ type WireRun struct {
 // NewRequest builds the wire request for one execution. It fails when
 // the options carry state that cannot cross the process boundary.
 func NewRequest(p *lang.Program, spec jvm.Spec, opt jvm.Options) (*Request, error) {
+	return newRequest(lang.Format(p), spec, opt)
+}
+
+// newRequest is NewRequest for a program already rendered to src.
+func newRequest(src string, spec jvm.Spec, opt jvm.Options) (*Request, error) {
 	if opt.CompileHook != nil {
 		return nil, fmt.Errorf("exec: CompileHook cannot be serialized to a child-process backend; use InProcess")
 	}
 	req := &Request{
 		Spec:   spec.Name(),
-		Source: lang.Format(p),
+		Source: src,
 		Options: RequestOptions{
 			Flags:           opt.Flags.Names(),
 			ForceCompile:    opt.ForceCompile,
@@ -240,11 +245,11 @@ func NewRequest(p *lang.Program, spec jvm.Spec, opt jvm.Options) (*Request, erro
 
 // run executes the request against the in-process substrate — the child
 // side of the protocol. Program-level errors become Response.Error;
-// injected faults escape deliberately (that is their point). Serve-mode
-// children thread one compile cache across every request they handle —
-// legal because the cache is transparent (a hit is byte-equivalent to
-// recompiling, pinned by TestCompileCacheTransparent) and the single
-// biggest amortization the warm pool buys.
+// injected faults escape deliberately (that is their point). cache is
+// the serve loop's, shared by the legs of one differential batch (nil
+// for single runs) — legal because the cache is transparent (a hit is
+// byte-equivalent to recompiling, pinned by
+// TestCompileCacheTransparent).
 func (r *Request) run(cache *jit.Cache) *Response {
 	start := time.Now()
 	resp := &Response{}

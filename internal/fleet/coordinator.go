@@ -236,12 +236,39 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// checkReport vets a heartbeat or completion: its wire version, and an
+// execution count that never goes below zero (a negative one would
+// drive the per-worker counter backwards).
+func checkReport(version, executions int) error {
+	if executions < 0 {
+		return fmt.Errorf("fleet: negative executions %d", executions)
+	}
+	return CheckVersion(version)
+}
+
+// noteProgress keeps a live lease's latest triage log and credits its
+// worker with the executions reported since the last report. Callers
+// hold l.mu.
+func (c *Coordinator) noteProgress(l *lease, worker string, executions int, triageLog []byte) {
+	if len(triageLog) > 0 {
+		l.triageLog = triageLog
+	}
+	if d := executions - l.lastExec; d > 0 {
+		l.lastExec = executions
+		c.mu.Lock()
+		if ws := c.workers[worker]; ws != nil {
+			ws.executions += int64(d)
+		}
+		c.mu.Unlock()
+	}
+}
+
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
 	if err := decodeBody(w, r, &hb); err != nil {
 		return
 	}
-	if err := CheckVersion(hb.Version); err != nil {
+	if err := checkReport(hb.Version, hb.Executions); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -260,17 +287,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()
 	l.expires = c.cfg.Now().Add(c.cfg.LeaseTTL)
 	cancel := l.cancelAsked
-	if len(hb.TriageLog) > 0 {
-		l.triageLog = hb.TriageLog
-	}
-	if d := hb.Executions - l.lastExec; d > 0 {
-		l.lastExec = hb.Executions
-		c.mu.Lock()
-		if ws := c.workers[hb.Worker]; ws != nil {
-			ws.executions += int64(d)
-		}
-		c.mu.Unlock()
-	}
+	c.noteProgress(l, hb.Worker, hb.Executions, hb.TriageLog)
 	l.mu.Unlock()
 	if len(hb.Checkpoint) > 0 {
 		c.landCheckpoint(hb.Job, hb.Checkpoint, hb.CheckpointSum)
@@ -283,7 +300,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	if err := CheckVersion(req.Version); err != nil {
+	if err := checkReport(req.Version, req.Executions); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -301,17 +318,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		c.landCheckpoint(req.Job, req.Checkpoint, req.CheckpointSum)
 	}
 	l.mu.Lock()
-	if len(req.TriageLog) > 0 {
-		l.triageLog = req.TriageLog
-	}
-	if d := req.Executions - l.lastExec; d > 0 {
-		l.lastExec = req.Executions
-		c.mu.Lock()
-		if ws := c.workers[req.Worker]; ws != nil {
-			ws.executions += int64(d)
-		}
-		c.mu.Unlock()
-	}
+	c.noteProgress(l, req.Worker, req.Executions, req.TriageLog)
 	l.mu.Unlock()
 	d := remoteDone{interrupted: req.Interrupted, summary: req.Summary, stats: req.Stats}
 	if req.Error != "" {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -541,11 +542,23 @@ func TestPowerScheduleHandoffByteIdentical(t *testing.T) {
 
 // TestWorkerKeepsScoreCache: a worker running a power job scores the
 // pool into the job's scores.json, as the daemon does, so a later
-// scoring pass over the same seeds skips the dry-runs.
+// scoring pass over the same seeds in that run skips the dry-runs. The
+// file is checked after the first task: a settled job's scratch state
+// is removed (TestWorkerRemovesScratchAfterCompletion).
 func TestWorkerKeepsScoreCache(t *testing.T) {
 	spec := fleetSpec()
 	spec.Schedule = "power"
 	e := newEnv(t, envOpts{workers: 1})
+	var mu sync.Mutex
+	scored := -1
+	e.setOnTask(func(_ int, job string, done int) {
+		if done == 1 {
+			n := corpus.LoadScoreCache(e.wrkers[0].store.ScoreCachePath(job)).Len()
+			mu.Lock()
+			scored = n
+			mu.Unlock()
+		}
+	})
 	e.waitLive(1)
 	j, err := e.sched.Submit(spec)
 	if err != nil {
@@ -554,12 +567,69 @@ func TestWorkerKeepsScoreCache(t *testing.T) {
 	if v := waitDone(t, e.sched, j.ID(), 5*time.Minute); v.Worker != "w1" {
 		t.Fatalf("job ran on %q, want w1 (remote)", v.Worker)
 	}
-	path := e.wrkers[0].store.ScoreCachePath(j.ID())
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("worker left no score cache: %v", err)
+	mu.Lock()
+	defer mu.Unlock()
+	if scored != spec.SeedCount {
+		t.Errorf("score cache held %d vectors after the first task, want one per seed (%d)", scored, spec.SeedCount)
 	}
-	if n := corpus.LoadScoreCache(path).Len(); n != spec.SeedCount {
-		t.Errorf("score cache holds %d vectors, want one per seed (%d)", n, spec.SeedCount)
+}
+
+// TestWorkerRemovesScratchAfterCompletion: once the coordinator has
+// answered a job's completion, the worker deletes the job's scratch
+// directory (checkpoint, triage store, quarantine), so a long-lived
+// worker's disk does not grow with every job it has run.
+func TestWorkerRemovesScratchAfterCompletion(t *testing.T) {
+	e := newEnv(t, envOpts{workers: 1})
+	e.waitLive(1)
+	j, err := e.sched.Submit(fleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitDone(t, e.sched, j.ID(), 5*time.Minute); v.Worker != "w1" {
+		t.Fatalf("job ran on %q, want w1 (remote)", v.Worker)
+	}
+	e.cancel()
+	e.wrkers[0].Wait()
+	dir := e.wrkers[0].store.JobDir(j.ID())
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("worker kept %s after the job settled (stat: %v)", dir, err)
+	}
+}
+
+// TestNegativeExecutionsRejected: a heartbeat or completion reporting a
+// negative execution count is a 400, and the worker's executions
+// counter keeps the last good report instead of running backwards.
+func TestNegativeExecutionsRejected(t *testing.T) {
+	sched, err := service.NewScheduler(service.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(CoordinatorConfig{Sched: sched, LeaseTTL: time.Hour})
+	c.leases["job-0001"] = &lease{jobID: "job-0001", worker: "w1", token: "tok",
+		expires: time.Now().Add(time.Hour), done: make(chan remoteDone, 1)}
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	report := func(execs int64) string {
+		return fmt.Sprintf(`{"version":%d,"worker":"w1","job":"job-0001","lease":"tok","executions":%d}`, WireVersion, execs)
+	}
+	if code := post("/fleet/enroll", fmt.Sprintf(`{"version":%d,"worker":"w1","addr":"http://127.0.0.1:1"}`, WireVersion)); code != http.StatusOK {
+		t.Fatalf("enroll: status %d", code)
+	}
+	if code := post("/fleet/heartbeat", report(40)); code != http.StatusOK {
+		t.Fatalf("heartbeat 40: status %d", code)
+	}
+	for _, path := range []string{"/fleet/heartbeat", "/fleet/complete"} {
+		if code := post(path, report(math.MinInt64)); code != http.StatusBadRequest {
+			t.Errorf("%s with executions %d: status %d, want 400", path, int64(math.MinInt64), code)
+		}
+	}
+	if got := metricValue(t, metricsText(sched), `mopfuzzd_fleet_worker_executions_total{worker="w1"}`); got != "40" {
+		t.Errorf("worker executions counter = %s, want 40", got)
 	}
 }
 

@@ -334,6 +334,10 @@ func (w *Worker) run(ctx context.Context, asg Assignment) {
 		w.logf("worker %s: complete %s: %v", w.cfg.ID, id, err)
 		return
 	}
+	// Answered (accepted or superseded): the scratch state is dead.
+	if err := os.RemoveAll(w.store.JobDir(id)); err != nil {
+		w.logf("worker %s: remove scratch of %s: %v", w.cfg.ID, id, err)
+	}
 	if !resp.Accepted {
 		w.logf("worker %s: %s completion superseded (lease moved on)", w.cfg.ID, id)
 		return
@@ -452,17 +456,11 @@ func (w *Worker) heartbeat(ctx context.Context, asg Assignment) {
 		}
 		return
 	}
-	switch {
-	case resp.Unknown:
+	if resp.Unknown || resp.Cancel {
 		w.mu.Lock()
-		w.abandoned = true
-		cancel := w.cancelRun
-		w.mu.Unlock()
-		if cancel != nil {
-			cancel()
+		if resp.Unknown {
+			w.abandoned = true
 		}
-	case resp.Cancel:
-		w.mu.Lock()
 		cancel := w.cancelRun
 		w.mu.Unlock()
 		if cancel != nil {

@@ -53,16 +53,18 @@ type cacheEntry struct {
 
 // CacheStats reports cache effectiveness for the bench harness.
 type CacheStats struct {
-	Hits, Misses, Resets int64
+	Hits, Misses int64
 }
 
-// Cache is a campaign-scoped compiled-method cache shared across
-// differential targets. Keys combine the program fingerprint, method,
-// tier, pipeline options, hook fingerprint, and the method's deopt
-// count — every input a compilation reads — so a hit is byte-equivalent
-// to recompiling. Safe for concurrent use.
+// Cache holds the compiled methods of one program, the one it was last
+// probed for (the CacheSalt), and drops them when probed for another:
+// its traffic is a differential's legs, which re-run one program. Keys
+// add method, tier, pipeline options, hook fingerprint, plan fingerprint,
+// and deopt count — every other input a compilation reads — so a hit is
+// byte-equivalent to recompiling. Safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
+	salt    string // the program the entries belong to
 	entries map[string]*cacheEntry
 	max     int
 	stats   CacheStats
@@ -79,9 +81,13 @@ func NewCache(maxEntries int) *Cache {
 	return &Cache{entries: make(map[string]*cacheEntry), max: maxEntries}
 }
 
-func (c *Cache) get(key string) *cacheEntry {
+func (c *Cache) get(salt, key string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if salt != c.salt {
+		c.salt = salt
+		clear(c.entries)
+	}
 	if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
 		return e
@@ -90,12 +96,15 @@ func (c *Cache) get(key string) *cacheEntry {
 	return nil
 }
 
-func (c *Cache) put(key string, e *cacheEntry) {
+// put drops e when another program has probed the cache since salt's.
+func (c *Cache) put(salt, key string, e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if salt != c.salt {
+		return
+	}
 	if len(c.entries) >= c.max {
 		c.entries = make(map[string]*cacheEntry, c.max)
-		c.stats.Resets++
 	}
 	c.entries[key] = e
 }
@@ -123,9 +132,7 @@ type captureEmitter struct {
 }
 
 func (t *captureEmitter) Emitf(flag profile.Flag, format string, args ...any) {
-	text := fmt.Sprintf(format, args...)
-	t.lines = append(t.lines, recordedLine{flag: flag, text: text})
-	t.next.AppendLine(flag, nil, text)
+	t.EmitBehaviorf(flag, nil, format, args...)
 }
 
 func (t *captureEmitter) EmitBehaviorf(flag profile.Flag, behaviors []profile.Behavior, format string, args ...any) {

@@ -35,12 +35,10 @@ type Compiler struct {
 	// (the fuzzer's white-box test hook; production runs leave it nil).
 	OnCompiled func(*Context)
 
-	// Cache, when non-nil, reuses compilations across executions (and
-	// across differential targets sharing the cache). It is consulted
-	// only when Hook is nil or a CacheableHook; CacheSalt must identify
-	// the program being run, since cache keys only add method, tier,
-	// options, hook fingerprint, plan fingerprint, and deopt count on
-	// top of it.
+	// Cache, when non-nil, reuses compilations across executions of one
+	// program (the legs of a differential sharing the cache), which
+	// CacheSalt must identify: the cache holds one salt's compilations.
+	// It is consulted only when Hook is nil or a CacheableHook.
 	Cache     *Cache
 	CacheSalt string
 
@@ -90,9 +88,9 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 		// The plan fingerprint isolates plans from each other: without
 		// it, plan A's compiled method would replay under plan B
 		// (pinned by TestCompileCachePlanIsolation).
-		key = fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%+v\x00%s\x00%s",
-			c.CacheSalt, fn.Key(), tier, env.DeoptCount(fn.Key()), c.Opt, hookFP, plan.Fingerprint())
-		if e := c.Cache.get(key); e != nil {
+		key = fmt.Sprintf("%s\x00%d\x00%d\x00%+v\x00%s\x00%s",
+			fn.Key(), tier, env.DeoptCount(fn.Key()), c.Opt, hookFP, plan.Fingerprint())
+		if e := c.Cache.get(c.CacheSalt, key); e != nil {
 			return c.replay(e, env, ch), nil
 		}
 	}
@@ -152,16 +150,9 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 		// log; replay binds both afresh for each observer.
 		kept := *ctx
 		kept.Env, kept.Log = nil, nil
-		c.Cache.put(key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
+		c.Cache.put(c.CacheSalt, key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
 	}
-	return &Compiled{
-		F:   f,
-		Env: env,
-		Log: c.Log,
-		Cov: c.Cov,
-
-		trapLimit: c.Opt.TrapLimit,
-	}, nil
+	return c.compiled(f, env), nil
 }
 
 // replay re-applies a cached compilation's side effects — profile lines
@@ -185,14 +176,13 @@ func (c *Compiler) replay(e *cacheEntry, env *vm.Machine, ch CacheableHook) vm.C
 		ctx.Log = c.Log
 		c.OnCompiled(&ctx)
 	}
-	return &Compiled{
-		F:   e.fn,
-		Env: env,
-		Log: c.Log,
-		Cov: c.Cov,
+	return c.compiled(e.fn, env)
+}
 
-		trapLimit: c.Opt.TrapLimit,
-	}
+// compiled wraps optimized IR in a Compiled carrying this execution's
+// machine, log and coverage; a cache hit and a miss build it alike.
+func (c *Compiler) compiled(f *Func, env *vm.Machine) *Compiled {
+	return &Compiled{F: f, Env: env, Log: c.Log, Cov: c.Cov, trapLimit: c.Opt.TrapLimit}
 }
 
 // runTier drives one tier's compilation from its plan. The structural

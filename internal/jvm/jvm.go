@@ -122,11 +122,11 @@ type Options struct {
 	// counters. Equivalence with the regex-over-log reference oracle is
 	// pinned by TestStructuredOBVMatchesExtract.
 	StructuredOBV bool
-	// CompileCache, when non-nil, reuses method compilations across
-	// executions — and across differential targets, since the cache key
-	// covers the program, method, tier, pipeline options, armed bug
-	// state, compilation plan, and deopt count. Ignored when CompileHook
-	// is set (arbitrary hooks cannot be fingerprinted).
+	// CompileCache, when non-nil, reuses method compilations across the
+	// runs of one program, such as a differential's legs: it holds only
+	// the program it last ran, keyed by method, tier, pipeline options,
+	// armed bug state, plan, and deopt count. Ignored when CompileHook
+	// is set (the compiler cannot fingerprint the chained hook).
 	CompileCache *jit.Cache
 	// Plan, when non-nil, overrides the JIT's pass schedule for every
 	// compilation in this execution (nil = the fixed default pipeline).
@@ -166,6 +166,12 @@ func (r *ExecResult) HsErr() string {
 // return an error; JVM-level outcomes (crash, exception, timeout) are in
 // the ExecResult.
 func Run(p *lang.Program, spec Spec, opt Options) (*ExecResult, error) {
+	return run(p, spec, opt, cacheSalt(p, opt))
+}
+
+// run is Run under p's compile-cache salt, which a differential
+// computes once for all its legs.
+func run(p *lang.Program, spec Spec, opt Options, salt string) (*ExecResult, error) {
 	if err := lang.Check(p); err != nil {
 		return nil, fmt.Errorf("jvm: program rejected: %w", err)
 	}
@@ -218,10 +224,7 @@ func Run(p *lang.Program, spec Spec, opt Options) (*ExecResult, error) {
 		}
 		comp.Plan = opt.Plan
 		comp.OnCompiled = func(*jit.Context) { compiled++ }
-		if opt.CompileCache != nil && opt.CompileHook == nil {
-			comp.Cache = opt.CompileCache
-			comp.CacheSalt = programFingerprint(p)
-		}
+		comp.Cache, comp.CacheSalt = opt.CompileCache, salt
 		cfg.JIT = comp
 	}
 
@@ -245,22 +248,16 @@ func Run(p *lang.Program, spec Spec, opt Options) (*ExecResult, error) {
 	return out, nil
 }
 
-// programFingerprint hashes the program's canonical source rendering —
-// the compile cache's identity for "same program". Computed once per
-// execution, only when a cache is attached.
-func programFingerprint(p *lang.Program) string {
+// cacheSalt hashes the program's canonical source rendering — the
+// compile cache's identity for "same program" — or returns "" when no
+// cache is attached. Computed once per execution or differential.
+func cacheSalt(p *lang.Program, opt Options) string {
+	if opt.CompileCache == nil {
+		return ""
+	}
 	h := fnv.New64a()
 	io.WriteString(h, lang.Format(p))
 	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// RunSource parses src and runs it (convenience for tools and examples).
-func RunSource(src string, spec Spec, opt Options) (*ExecResult, error) {
-	p, err := lang.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Run(p, spec, opt)
 }
 
 // Differential runs the program on every spec and reports the distinct
@@ -285,11 +282,12 @@ func (d *Differential) Add(spec Spec, r *ExecResult) {
 // RunDifferential executes p on all the given specs.
 func RunDifferential(p *lang.Program, specs []Spec, opt Options) (*Differential, error) {
 	d := &Differential{}
+	salt := cacheSalt(p, opt)
 	for _, spec := range specs {
 		// Each run needs a fresh program instance: Check mutates the AST
 		// (type annotations) but execution does not; cloning keeps runs
 		// hermetic anyway.
-		r, err := Run(lang.CloneProgram(p), spec, opt)
+		r, err := run(lang.CloneProgram(p), spec, opt, salt)
 		if err != nil {
 			return nil, err
 		}
@@ -307,10 +305,11 @@ func RunDifferential(p *lang.Program, specs []Spec, opt Options) (*Differential,
 // that single build, a bug class the fixed schedule cannot exhibit.
 func RunPlanDifferential(p *lang.Program, spec Spec, plans []*jit.Plan, opt Options) (*Differential, error) {
 	d := &Differential{}
+	salt := cacheSalt(p, opt)
 	for _, plan := range plans {
 		o := opt
 		o.Plan = plan
-		r, err := Run(lang.CloneProgram(p), spec, o)
+		r, err := run(lang.CloneProgram(p), spec, o, salt)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,15 @@ import (
 	"repro/internal/vm"
 )
 
+// runSource parses src and runs it.
+func runSource(src string, spec Spec, opt Options) (*ExecResult, error) {
+	p, err := lang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Run(p, spec, opt)
+}
+
 func TestSpecNames(t *testing.T) {
 	cases := map[Spec]string{
 		{buginject.HotSpot, 8}:  "openjdk-8",
@@ -38,7 +47,7 @@ func TestRunRejectsBadProgram(t *testing.T) {
 
 func TestRunProducesProfileAndCoverage(t *testing.T) {
 	cov := coverage.NewTracker()
-	r, err := RunSource(corpus.MotivatingSeed, Reference(), Options{
+	r, err := runSource(corpus.MotivatingSeed, Reference(), Options{
 		Flags:        profile.DefaultFlags(),
 		Coverage:     cov,
 		ForceCompile: true,
@@ -62,7 +71,7 @@ func TestRunProducesProfileAndCoverage(t *testing.T) {
 }
 
 func TestPureInterpreterHasNoJITActivity(t *testing.T) {
-	r, err := RunSource(corpus.MotivatingSeed, Reference(), Options{
+	r, err := runSource(corpus.MotivatingSeed, Reference(), Options{
 		Flags:           profile.DefaultFlags(),
 		PureInterpreter: true,
 	})
@@ -98,7 +107,7 @@ class T {
 		version int
 		crash   bool
 	}{{8, false}, {11, false}, {17, true}, {21, true}, {23, true}} {
-		r, err := RunSource(src, Spec{buginject.HotSpot, tc.version}, Options{ForceCompile: true})
+		r, err := runSource(src, Spec{buginject.HotSpot, tc.version}, Options{ForceCompile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +195,7 @@ class T {
     return acc;
   }
 }`
-	r, err := RunSource(src, Reference(), Options{ForceCompile: true})
+	r, err := runSource(src, Reference(), Options{ForceCompile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

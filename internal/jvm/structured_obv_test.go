@@ -82,14 +82,16 @@ func TestStructuredOBVMatchesExtract(t *testing.T) {
 
 // TestCompileCacheTransparent pins the hit-equals-miss invariant: runs
 // through a shared compile cache — including guaranteed hits on the
-// second sweep — must be indistinguishable (log text included) from
-// uncached runs, across every target sharing the cache.
+// second sweep over one program — must be indistinguishable (log text
+// included) from uncached runs, across every target sharing the cache.
+// The seed loop is outermost because the cache holds one program's
+// compilations at a time.
 func TestCompileCacheTransparent(t *testing.T) {
 	seeds := corpus.DefaultPool(10, 11)
 	cache := jit.NewCache(0)
-	for sweep := 0; sweep < 2; sweep++ {
-		for _, spec := range AllSpecs() {
-			for _, seed := range seeds {
+	for _, seed := range seeds {
+		for sweep := 0; sweep < 2; sweep++ {
+			for _, spec := range AllSpecs() {
 				ref, err := Run(seed.Parse(), spec, runOpts())
 				if err != nil {
 					t.Fatalf("%s %s: uncached run: %v", spec.Name(), seed.Name, err)
