@@ -5,19 +5,19 @@ import (
 	"math"
 )
 
-// maxBlock is the longest block an Instr.Block can describe; longer
-// runs are split into blocks of at most this many instructions.
+// maxBlock is the most fuel an Instr.Block can describe; a run of
+// instructions needing more is split into blocks of at most this much.
 const maxBlock = math.MaxUint16
 
 // linkCode fills what an interpreter needs beyond the code itself:
-// MaxStack, each leader's block length and the superinstruction slots.
+// MaxStack, each leader's block fuel and the superinstruction slots.
 func linkCode(f *Function) error {
 	maxStack, err := stackDepth(f)
 	if err != nil {
 		return err
 	}
 	f.MaxStack = maxStack
-	forEachBlock(f, func(start, n int) { f.Code[start].Block = uint16(n) })
+	forEachBlock(f, func(start, _, fuel int) { f.Code[start].Block = uint16(fuel) })
 	for pc := range f.Code {
 		f.Code[pc].Fused = fusedAt(f.Code, pc)
 	}
@@ -30,15 +30,18 @@ func checkLinks(f *Function, maxStack int) error {
 	if f.MaxStack != maxStack {
 		return fmt.Errorf("max stack %d, want %d", f.MaxStack, maxStack)
 	}
+	if f.Weights != nil && len(f.Weights) != len(f.Code) {
+		return fmt.Errorf("%d weights for %d instructions", len(f.Weights), len(f.Code))
+	}
 	var err error
-	forEachBlock(f, func(start, n int) {
+	forEachBlock(f, func(start, n, fuel int) {
 		for pc := start; pc < start+n && err == nil; pc++ {
 			want := 0
 			if pc == start {
-				want = n
+				want = fuel
 			}
 			if got := int(f.Code[pc].Block); got != want {
-				err = fmt.Errorf("pc %d: block length %d, want %d", pc, got, want)
+				err = fmt.Errorf("pc %d: block fuel %d, want %d", pc, got, want)
 			}
 		}
 	})
@@ -53,11 +56,19 @@ func checkLinks(f *Function, maxStack int) error {
 	return nil
 }
 
-// forEachBlock calls visit with the start and length of each block of
-// f's code, in code order. A block starts at pc 0, at every jump target
-// and exception handler, after every impure instruction, and wherever
-// the previous block reached maxBlock instructions.
-func forEachBlock(f *Function, visit func(start, n int)) {
+// weight is the fuel of the instruction at pc.
+func (f *Function) weight(pc int) int {
+	if f.Weights == nil {
+		return 1
+	}
+	return int(f.Weights[pc])
+}
+
+// forEachBlock calls visit with the start, length and fuel of each
+// block of f's code, in code order. A block starts at pc 0, at every
+// jump target and exception handler, after every impure instruction,
+// and wherever the previous block's fuel would pass maxBlock.
+func forEachBlock(f *Function, visit func(start, n, fuel int)) {
 	// One bit per pc, plus one for the end of the code.
 	lead := make([]uint64, len(f.Code)/64+1)
 	mark := func(pc int) { lead[pc/64] |= 1 << (pc % 64) }
@@ -75,18 +86,24 @@ func forEachBlock(f *Function, visit func(start, n int)) {
 	for _, ex := range f.ExTable {
 		mark(int(ex.Handler))
 	}
-	start := 0
+	start, fuel := 0, f.weight(0)
 	for pc := 1; pc <= len(f.Code); pc++ {
-		if lead[pc/64]&(1<<(pc%64)) != 0 || pc-start == maxBlock {
-			visit(start, pc-start)
-			start = pc
+		w := 0
+		if pc < len(f.Code) {
+			w = f.weight(pc)
 		}
+		if lead[pc/64]&(1<<(pc%64)) != 0 || fuel+w > maxBlock {
+			visit(start, pc-start, fuel)
+			start, fuel = pc, 0
+		}
+		fuel += w
 	}
 }
 
 // fusedAt returns the superinstruction that runs the four instructions
-// at pc, or Nop when they form none or a block starts inside them. The
-// block lengths must already be filled in.
+// at pc, or Nop when they form none or a block that needs fuel starts
+// inside them (a block that needs none can run under the charge of the
+// one before it). The block fuel must already be filled in.
 func fusedAt(code []Instr, pc int) Op {
 	if pc+3 >= len(code) || code[pc].Op != Load {
 		return Nop
@@ -99,6 +116,9 @@ func fusedAt(code []Instr, pc int) Op {
 	switch [3]Op{code[pc+1].Op, code[pc+2].Op, code[pc+3].Op} {
 	case [3]Op{Const, CmpLt, JumpIfFalse}:
 		return LoadConstCmpLtJumpIfFalse
+	case [3]Op{Const, CmpEq, JumpIfFalse}, [3]Op{Const, CmpNe, JumpIfFalse},
+		[3]Op{Const, CmpGt, JumpIfFalse}, [3]Op{Const, CmpGe, JumpIfFalse}, [3]Op{Const, CmpLe, JumpIfFalse}:
+		return LoadConstCmpJumpIfFalse
 	case [3]Op{Load, Add, Store}:
 		return LoadLoadAddStore
 	case [3]Op{Const, Add, Store}:

@@ -1,9 +1,9 @@
 package bytecode
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // loopProgram's main holds all three superinstruction shapes: the loop
@@ -14,11 +14,12 @@ const loopProgram = `class T { static void main() {
   print(s);
 } }`
 
-// TestInstrSize pins Instr at 12 bytes: the block length and the
-// superinstruction slot fill what was padding after Op.
+// TestInstrSize pins Instr at 12 bytes: the block fuel and the
+// superinstruction slot fill what was padding after Op, and emitted
+// code keeps its weights beside the code rather than in it.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 12 {
-		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 12", got)
+	if got := reflect.TypeOf(Instr{}).Size(); got != 12 {
+		t.Errorf("Instr is %d bytes, want 12", got)
 	}
 }
 
@@ -95,9 +96,9 @@ func TestVerifyChecksLinkedFields(t *testing.T) {
 	}{
 		{"max stack too small", func(f *Function) { f.MaxStack-- }, "max stack"},
 		{"max stack too large", func(f *Function) { f.MaxStack++ }, "max stack"},
-		{"leader length", func(f *Function) { f.Code[8].Block++ }, "pc 8: block length"},
-		{"leader dropped", func(f *Function) { f.Code[4].Block = 0 }, "pc 4: block length"},
-		{"extra leader", func(f *Function) { f.Code[9].Block = 1 }, "pc 9: block length"},
+		{"leader length", func(f *Function) { f.Code[8].Block++ }, "pc 8: block fuel"},
+		{"leader dropped", func(f *Function) { f.Code[4].Block = 0 }, "pc 4: block fuel"},
+		{"extra leader", func(f *Function) { f.Code[9].Block = 1 }, "pc 9: block fuel"},
 		{"fused dropped", func(f *Function) { f.Code[8].Fused = Nop }, "pc 8: fused"},
 		{"fused swapped", func(f *Function) { f.Code[12].Fused = LoadLoadAddStore }, "pc 12: fused"},
 		{"fused added", func(f *Function) { f.Code[17].Fused = LoadConstAddStore }, "pc 17: fused"},
@@ -112,5 +113,54 @@ func TestVerifyChecksLinkedFields(t *testing.T) {
 				t.Errorf("Verify = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWeightedBlocks pins how weights (the fuel of emitted code) link:
+// a leader holds its block's summed weights, a block that needs no fuel
+// has a leader of 0, so a superinstruction may run on into it, and a
+// run is split where its fuel would pass maxBlock.
+func TestWeightedBlocks(t *testing.T) {
+	f := &Function{
+		NLocals: 2,
+		Ints:    []int64{1},
+		Code: []Instr{
+			{Op: Load, A: 0},             // 0
+			{Op: Load, A: 1},             // 1: jump target, a block of fuel 0
+			{Op: Add}, {Op: Store, A: 0}, // 2, 3
+			{Op: Load, A: 0}, {Op: Jump, A: 1}, // 4, 5
+			{Op: NewObj}, {Op: Pop}, {Op: Return}, // 6..8: unreachable
+		},
+		Weights: []uint16{3, 0, 0, 0, 0, 0, 4, 1, 2},
+		Classes: []string{"T"},
+	}
+	if err := linkCode(f); err != nil {
+		t.Fatal(err)
+	}
+	var fuel []uint16
+	for _, ins := range f.Code {
+		fuel = append(fuel, ins.Block)
+	}
+	if want := []uint16{3, 0, 0, 0, 0, 0, 4, 3, 0}; !reflect.DeepEqual(fuel, want) {
+		t.Errorf("block fuel %v, want %v", fuel, want)
+	}
+	if f.Code[0].Fused != LoadLoadAddStore {
+		t.Errorf("fused at 0 = %s, want %s", f.Code[0].Fused, LoadLoadAddStore)
+	}
+	if err := checkLinks(f, f.MaxStack); err != nil {
+		t.Errorf("checkLinks: %v", err)
+	}
+	f.Weights = f.Weights[:3]
+	if err := checkLinks(f, f.MaxStack); err == nil || !strings.Contains(err.Error(), "weights") {
+		t.Errorf("checkLinks with short weights = %v", err)
+	}
+
+	long := &Function{Code: make([]Instr, 3), Weights: []uint16{maxBlock - 1, 1, 1}}
+	long.Code[2].Op = Return
+	if err := linkCode(long); err != nil {
+		t.Fatal(err)
+	}
+	if long.Code[0].Block != maxBlock || long.Code[2].Block != 1 {
+		t.Errorf("split blocks %d and %d, want %d and 1", long.Code[0].Block, long.Code[2].Block, maxBlock)
 	}
 }

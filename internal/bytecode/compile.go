@@ -34,8 +34,10 @@ func Compile(p *lang.Program) (*Image, error) {
 	if img.Entry() == nil {
 		return nil, fmt.Errorf("bytecode: image has no entry %s.main", p.EntryClass)
 	}
-	if err := img.link(); err != nil {
-		return nil, err
+	for _, fn := range img.funcs {
+		if err := img.LinkFunction(fn); err != nil {
+			return nil, err
+		}
 	}
 	return img, nil
 }
@@ -50,25 +52,24 @@ func (img *Image) declareStatic(class, name string, isRef bool) {
 	img.Statics = append(img.Statics, StaticField{Class: class, Name: name, IsRef: isRef})
 }
 
-// link resolves every function's method refs to their callees and its
-// static field refs to their slots, once per image, so a runtime never
-// looks either up by name while it executes, and fills each function's
-// MaxStack, blocks and superinstructions (linkCode).
-func (img *Image) link() error {
-	for _, fn := range img.funcs {
-		if err := linkCode(fn); err != nil {
-			return fmt.Errorf("bytecode: link %s: %w", fn.Key(), err)
-		}
-		fn.Callees = make([]*Function, len(fn.Methods))
-		for i, ref := range fn.Methods {
-			fn.Callees[i] = img.Lookup(ref)
-		}
-		for i := range fn.Fields {
-			ref := &fn.Fields[i]
-			ref.Slot = -1
-			if ref.Static {
-				ref.Slot = int32(img.StaticSlot(ref.Class, ref.Name))
-			}
+// LinkFunction resolves fn's method refs to their callees and its
+// static field refs to their slots in img, so a runtime never looks
+// either up by name while it executes, and fills fn's MaxStack, block
+// fuel and superinstructions (linkCode). Compile links the functions of
+// the image it builds; a JIT tier links the code it emits for one.
+func (img *Image) LinkFunction(fn *Function) error {
+	if err := linkCode(fn); err != nil {
+		return fmt.Errorf("bytecode: link %s: %w", fn.Key(), err)
+	}
+	fn.Callees = make([]*Function, len(fn.Methods))
+	for i, ref := range fn.Methods {
+		fn.Callees[i] = img.Lookup(ref)
+	}
+	for i := range fn.Fields {
+		ref := &fn.Fields[i]
+		ref.Slot = -1
+		if ref.Static {
+			ref.Slot = int32(img.StaticSlot(ref.Class, ref.Name))
 		}
 	}
 	return nil

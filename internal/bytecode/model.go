@@ -64,7 +64,12 @@ type Function struct {
 	Void         bool
 	Synchronized bool
 
-	Code    []Instr
+	Code []Instr
+	// Weights holds the fuel of each instruction of code a JIT tier
+	// emitted: the number of IR nodes whose evaluation begins there,
+	// so compiled code takes the steps the IR would. Nil means one
+	// step per instruction, as for the code Compile emits.
+	Weights []uint16
 	Ints    []int64     // integer constant pool
 	Strs    []string    // string constant pool
 	Methods []MethodRef // method refs, indexed by Invoke A operands

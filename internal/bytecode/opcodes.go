@@ -85,12 +85,20 @@ const (
 	// Output.
 	PrintOp // pop value, append to program output
 
+	// Compiled-code operations: only a JIT tier emits these, for IR
+	// nodes the source-level instruction set has no form for.
+	NullCheck    // throw NullPointerException (code -1) if the top value is null; leave it
+	Cover        // mark coverage region Strs[A]
+	UncommonTrap // a failed speculation, reason Strs[A]: the method's JIT runtime takes the trap
+	Fail         // end the run with internal error Strs[A]; B (0 or 1) is the value its expression would have pushed
+
 	// Superinstructions. They never appear in Instr.Op: Compile stores
 	// one in Instr.Fused of the first instruction of the four-instruction
 	// sequence it names, when the sequence lies inside one block, and an
 	// interpreter runs it in place of the four only when it charged that
 	// block's fuel whole.
 	LoadConstCmpLtJumpIfFalse // load A; const; cmplt; jump_if_false: a counted loop's test
+	LoadConstCmpJumpIfFalse   // load A; const; cmpeq, cmpne, cmpgt, cmpge or cmple; jump_if_false: a guard
 	LoadLoadAddStore          // load A; load; add; store
 	LoadConstAddStore         // load A; const; add; store: a counted loop's increment
 )
@@ -112,8 +120,10 @@ var opNames = [...]string{
 	Invoke: "invoke", InvokeReflect: "invoke_reflect", ReflectGetF: "reflect_getfield",
 	MonitorEnter: "monitorenter", MonitorExit: "monitorexit",
 	Return: "return", ReturnVal: "return_val", Throw: "throw",
-	PrintOp:                   "print",
+	PrintOp: "print", NullCheck: "nullcheck", Cover: "cover",
+	UncommonTrap: "uncommon_trap", Fail: "fail",
 	LoadConstCmpLtJumpIfFalse: "load_const_cmplt_jump_if_false",
+	LoadConstCmpJumpIfFalse:   "load_const_cmp_jump_if_false",
 	LoadLoadAddStore:          "load_load_add_store",
 	LoadConstAddStore:         "load_const_add_store",
 }
@@ -127,10 +137,11 @@ func (o Op) String() string {
 
 // StackEffect returns the net change in operand-stack depth caused by the
 // instruction (pushes minus pops). Invoke variants depend on the method
-// ref, so they are handled separately by the verifier.
+// ref and Fail on its B operand, so the verifier handles them
+// separately.
 func (o Op) StackEffect() (int, bool) {
 	switch o {
-	case Nop, Jump:
+	case Nop, Jump, NullCheck, Cover, UncommonTrap:
 		return 0, true
 	case Const, ConstStr, ConstBool, Load, Dup, GetStatic:
 		return 1, true
@@ -156,30 +167,32 @@ func (o Op) StackEffect() (int, bool) {
 	return 0, false
 }
 
-// Instr is one bytecode instruction. Compile fills Fused and Block
+// Instr is one bytecode instruction. Linking fills Fused and Block
 // into what would otherwise be padding, so an Instr stays 12 bytes.
 type Instr struct {
 	Op Op
 	// Fused is the superinstruction that runs this instruction and the
 	// three after it at once, or Nop when there is none.
 	Fused Op
-	// Block is the length of the block this instruction leads, or 0
-	// when it is not a leader. A block is a run of instructions that
-	// only its first one can be entered at and only its last one can
-	// leave early: every instruction but the last is pure.
+	// Block is the fuel of the block this instruction leads: the sum
+	// of its instructions' weights (Function.Weights). It is 0 when the
+	// instruction leads no block, or leads one that needs no fuel. A
+	// block is a run of instructions that only its first one can be
+	// entered at and only its last one can leave early: every
+	// instruction but the last is pure.
 	Block uint16
 	A, B  int32
 }
 
 // pure reports whether o may sit inside a block: it cannot branch,
-// throw, allocate, call or consume fuel beyond its own step. Charging a
-// block of pure instructions at once is then exact.
+// throw, allocate, call or consume fuel beyond its own weight. Charging
+// a block of pure instructions at once is then exact.
 func (o Op) pure() bool {
 	switch o {
 	case Nop, Const, ConstStr, ConstBool, Load, Store, Dup, Pop,
 		Add, Sub, Mul, And, Or, Xor, Shl, Shr, Neg, BitNot,
 		CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe, Not, I2L,
-		GetStatic, PutStatic, PrintOp:
+		GetStatic, PutStatic, PrintOp, Cover:
 		return true
 	}
 	return false

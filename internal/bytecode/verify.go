@@ -17,17 +17,27 @@ import (
 //   - every Invoke target resolves in the image, and Compile linked
 //     each method ref to its callee and each static field ref to its
 //     slot
-//   - MaxStack, the block lengths and the superinstruction slots are
-//     the ones Compile derives from the code
+//   - MaxStack, the block fuel and the superinstruction slots are the
+//     ones linking derives from the code and its weights
 //
 // It returns an error describing the first violated rule.
 func Verify(img *Image) error {
 	for _, c := range img.Classes {
 		for _, f := range c.Funcs {
-			if err := verifyFunc(img, f); err != nil {
-				return fmt.Errorf("bytecode: verify %s: %w", f.Key(), err)
+			if err := img.VerifyFunction(f); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// VerifyFunction checks one function against the image by Verify's
+// rules. A JIT tier's emitted code, which lives outside the image,
+// passes through it once linked (LinkFunction).
+func (img *Image) VerifyFunction(f *Function) error {
+	if err := verifyFunc(img, f); err != nil {
+		return fmt.Errorf("bytecode: verify %s: %w", f.Key(), err)
 	}
 	return nil
 }
@@ -44,9 +54,12 @@ func verifyFunc(img *Image, f *Function) error {
 			if ins.A < 0 || int(ins.A) >= len(f.Ints) {
 				return fmt.Errorf("pc %d: const index %d out of range", pc, ins.A)
 			}
-		case ConstStr:
+		case ConstStr, Cover, UncommonTrap, Fail:
 			if ins.A < 0 || int(ins.A) >= len(f.Strs) {
 				return fmt.Errorf("pc %d: string index %d out of range", pc, ins.A)
+			}
+			if ins.Op == Fail && ins.B != 0 && ins.B != 1 {
+				return fmt.Errorf("pc %d: fail pushes %d values", pc, ins.B)
 			}
 		case Load, Store:
 			if ins.A < 0 || int(ins.A) >= f.NLocals {
@@ -151,6 +164,8 @@ func stackDepth(f *Function) (int, error) {
 					d-- // receiver
 				}
 				d++ // value
+			case Fail:
+				d += int(ins.B)
 			default:
 				eff, ok := ins.Op.StackEffect()
 				if !ok {

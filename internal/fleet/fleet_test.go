@@ -541,19 +541,20 @@ func TestPowerScheduleHandoffByteIdentical(t *testing.T) {
 }
 
 // TestWorkerKeepsScoreCache: a worker running a power job scores the
-// pool into the job's scores.json, as the daemon does, so a later
-// scoring pass over the same seeds in that run skips the dry-runs. The
-// file is checked after the first task: a settled job's scratch state
-// is removed (TestWorkerRemovesScratchAfterCompletion).
+// pool into its worker-wide score cache (<dir>/scores.json), which
+// outlives the job's scratch state, so a second assignment of the same
+// job makes no profiling dry-runs. ScoreSeeds saves the cache only
+// after a dry-run, so an unchanged file means there was none.
 func TestWorkerKeepsScoreCache(t *testing.T) {
 	spec := fleetSpec()
 	spec.Schedule = "power"
 	e := newEnv(t, envOpts{workers: 1})
+	w := e.wrkers[0]
 	var mu sync.Mutex
 	scored := -1
 	e.setOnTask(func(_ int, job string, done int) {
 		if done == 1 {
-			n := corpus.LoadScoreCache(e.wrkers[0].store.ScoreCachePath(job)).Len()
+			n := corpus.LoadScoreCache(w.scoreCachePath()).Len()
 			mu.Lock()
 			scored = n
 			mu.Unlock()
@@ -568,9 +569,40 @@ func TestWorkerKeepsScoreCache(t *testing.T) {
 		t.Fatalf("job ran on %q, want w1 (remote)", v.Worker)
 	}
 	mu.Lock()
-	defer mu.Unlock()
 	if scored != spec.SeedCount {
 		t.Errorf("score cache held %d vectors after the first task, want one per seed (%d)", scored, spec.SeedCount)
+	}
+	mu.Unlock()
+	e.cancel()
+	w.Wait()
+	if n := corpus.LoadScoreCache(w.scoreCachePath()).Len(); n != spec.SeedCount {
+		t.Fatalf("score cache holds %d vectors after the job settled, want %d", n, spec.SeedCount)
+	}
+	before, err := os.Stat(w.scoreCachePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Assign the same job again, as a requeue would, and run it to the
+	// end; the coordinator is gone, so its heartbeats go nowhere.
+	asg := Assignment{Version: WireVersion, Job: j.ID(), Lease: "again", Spec: spec}
+	if err := asg.Spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.stageAssignment(asg); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := w.campaign(context.Background(), asg)
+	if err != nil || res.Interrupted {
+		t.Fatalf("second assignment: err %v, interrupted %v", err, res != nil && res.Interrupted)
+	}
+	after, err := os.Stat(w.scoreCachePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
+		t.Errorf("second assignment rewrote the score cache (%v, %d bytes -> %v, %d bytes): it profiled seeds again",
+			before.ModTime(), before.Size(), after.ModTime(), after.Size())
 	}
 }
 

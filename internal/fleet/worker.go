@@ -390,10 +390,12 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 		}
 	}()
 
+	paths := w.store.Paths(id)
+	paths.ScoreCache = w.scoreCachePath()
 	return service.RunCampaign(jctx, service.Run{
 		Spec:            asg.Spec,
 		Executor:        executor,
-		Paths:           w.store.Paths(id),
+		Paths:           paths,
 		CheckpointEvery: asg.CheckpointEvery,
 		ExecTimeout:     time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
 		Now:             w.cfg.Now,
@@ -415,6 +417,13 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 		},
 	})
 }
+
+// scoreCachePath is the worker's seed-score cache, <dir>/scores.json,
+// shared by every job it runs. Vectors are keyed by source hash and
+// scoring reads nothing but the source, so a reassigned job, or another
+// job over the same seeds, reuses them; the file lives outside the job
+// scratch that stageAssignment resets and completion removes.
+func (w *Worker) scoreCachePath() string { return filepath.Join(w.store.Dir(), "scores.json") }
 
 // handoff reads the assignment's latest checkpoint (with its checksum)
 // and cumulative triage log for upload; missing files are left empty.

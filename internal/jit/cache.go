@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/bytecode"
 	"repro/internal/profile"
 )
 
@@ -38,13 +39,13 @@ type recordedLine struct {
 }
 
 // cacheEntry holds everything needed to replay one successful
-// compilation: the optimized IR (read-only at execution time — runtime
-// trap state lives on Compiled, not on the Func), the captured profile
-// emissions and coverage regions, the bug IDs the compile triggered,
-// and the finished context for OnCompiled observers (minus its Env and
-// Log, which belong to the execution that compiled it).
+// compilation: the emitted code (read-only at execution time — runtime
+// trap state lives on Compiled), the captured profile emissions and
+// coverage regions, the bug IDs the compile triggered, and the finished
+// context for OnCompiled observers (minus its Env and Log, which belong
+// to the execution that compiled it).
 type cacheEntry struct {
-	fn    *Func
+	code  *bytecode.Function
 	lines []recordedLine
 	cover []string
 	trig  []string

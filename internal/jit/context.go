@@ -63,8 +63,8 @@ type Context struct {
 	// replacement.
 	Escape map[string]EscapeState
 
-	// Miscompile effects requested by hooks, honored by the passes /
-	// executor that own the behavior.
+	// Miscompile effects requested by hooks, honored by the passes and
+	// the code generator that own the behavior.
 	DropSyncCleanup   bool // next inlined sync region loses its exception cleanup (Listing 1 hazard)
 	DropNextStore     bool // redundant-store elimination drops a live store
 	SkipCoarsenUnlock bool // coarsening forgets one unlock when merging

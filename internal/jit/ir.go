@@ -1,8 +1,9 @@
 // Package jit implements the simulated JVM's JIT compiler: a tree IR
 // (in the style of OpenJ9's Testarossa), a lowering step from the
 // method's source tree, two optimization pipelines (C1 and C2) built
-// from sixteen genuine transformation passes, and an executor that runs
-// the optimized IR as "compiled code".
+// from sixteen genuine transformation passes, and a code generator that
+// emits the optimized IR as linked bytecode, which the machine's
+// interpreter loop runs as "compiled code".
 //
 // Passes log flag-gated profile lines (package profile) and append
 // interaction events to the compilation Context; seeded defects (package
@@ -169,10 +170,6 @@ type Node struct {
 	// monitor release — a seeded-miscompilation effect reproducing the
 	// Listing 1 hazard. Correct compilation never sets it.
 	NoExcCleanup bool
-
-	// vid is the variable's dense per-Func id on variable-binding kinds
-	// (NDecl, NAssignVar, NVar, NFor, NTry), assigned by Func.numberVars.
-	vid int32
 }
 
 // Seq builds a sequence node.
@@ -232,13 +229,6 @@ type Func struct {
 	Ret          lang.Type
 	Synchronized bool
 	Body         *Node // NSeq
-
-	// Variable numbering for the executor's binding table (numberVars):
-	// nvars distinct names, argIDs the ids of the receiver ("this", when
-	// HasReceiver) followed by the params, in Invoke's argument order.
-	numbered bool
-	nvars    int
-	argIDs   []int32
 }
 
 // Key returns "Class.Name".

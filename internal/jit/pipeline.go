@@ -136,9 +136,21 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 	}
 	ctx.Emitf(profile.FlagPrintAssembly, "  # {method} %s::%s tier=%s compiled", fn.Class, fn.Name, tier)
 
-	// Codegen: the IR is final, so number its variables for the
-	// executor's binding table before the Func can be shared.
-	f.numberVars()
+	// Codegen: the IR is final. Emit it, link it into this machine's
+	// image and verify it; code that fails verification is a compiler
+	// crash, so a pass or an emitter bug that yields ill-formed code
+	// shows in the run's output.
+	code, err := emit(f, env.Image())
+	if err != nil {
+		return nil, err
+	}
+	img := env.Image()
+	if err := img.LinkFunction(code); err == nil {
+		err = img.VerifyFunction(code)
+	}
+	if err != nil {
+		return nil, &vm.Crash{BugID: "internal", Component: "JIT codegen", Message: err.Error(), FnKey: fn.Key()}
+	}
 	if useCache {
 		var trig []string
 		if ch != nil {
@@ -146,20 +158,21 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 			trig = append([]string(nil), ids[trigBase:]...)
 		}
 		// The entry outlives this execution, so it must not pin the
-		// execution's machine (heap, compiled code and its freelists) or
-		// log; replay binds both afresh for each observer.
+		// execution's machine (heap, compiled code) or log; replay binds
+		// both afresh for each observer.
 		kept := *ctx
 		kept.Env, kept.Log = nil, nil
-		c.Cache.put(c.CacheSalt, key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
+		c.Cache.put(c.CacheSalt, key, &cacheEntry{code: code, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
 	}
-	return c.compiled(f, env), nil
+	return c.compiled(code, env), nil
 }
 
 // replay re-applies a cached compilation's side effects — profile lines
 // (re-gated by the current recorder), coverage regions, bug-trigger
 // state transitions, and the OnCompiled observation — and wraps the
-// shared optimized IR in a fresh Compiled carrying this execution's
-// runtime state (trap counters, env).
+// shared emitted code, linked into this machine's image, in a fresh
+// Compiled carrying this execution's runtime state (trap counters,
+// env). Neither the passes nor codegen run again.
 func (c *Compiler) replay(e *cacheEntry, env *vm.Machine, ch CacheableHook) vm.CompiledMethod {
 	for _, l := range e.lines {
 		c.Log.AppendLine(l.flag, l.behaviors, l.text)
@@ -176,13 +189,30 @@ func (c *Compiler) replay(e *cacheEntry, env *vm.Machine, ch CacheableHook) vm.C
 		ctx.Log = c.Log
 		c.OnCompiled(&ctx)
 	}
-	return c.compiled(e.fn, env)
+	return c.compiled(relink(e.code, env.Image()), env)
 }
 
-// compiled wraps optimized IR in a Compiled carrying this execution's
+// relink returns code with its callees in img. Cached code was linked
+// into the image of the run that compiled it; every run of the program
+// builds an image with the same functions under the same IDs, so the
+// copy differs only in Callees.
+func relink(code *bytecode.Function, img *bytecode.Image) *bytecode.Function {
+	fns := img.Functions()
+	if len(code.Callees) == 0 || code.Callees[0] == fns[code.Callees[0].ID] {
+		return code
+	}
+	linked := *code
+	linked.Callees = make([]*bytecode.Function, len(code.Callees))
+	for i, callee := range code.Callees {
+		linked.Callees[i] = fns[callee.ID]
+	}
+	return &linked
+}
+
+// compiled wraps emitted code in a Compiled carrying this execution's
 // machine, log and coverage; a cache hit and a miss build it alike.
-func (c *Compiler) compiled(f *Func, env *vm.Machine) *Compiled {
-	return &Compiled{F: f, Env: env, Log: c.Log, Cov: c.Cov, trapLimit: c.Opt.TrapLimit}
+func (c *Compiler) compiled(code *bytecode.Function, env *vm.Machine) *Compiled {
+	return &Compiled{Code: code, Env: env, Log: c.Log, Cov: c.Cov, trapLimit: c.Opt.TrapLimit}
 }
 
 // runTier drives one tier's compilation from its plan. The structural

@@ -30,13 +30,19 @@ type CompiledMethod interface {
 	Invoke(args []Value) (Value, error)
 }
 
+// Traps is the JIT runtime of one compiled method on one machine. The
+// interpreter calls it when the method's emitted code reaches an
+// UncommonTrap instruction: a speculation the compiler made failed.
+type Traps interface {
+	UncommonTrap(reason string)
+}
+
 // Compiler is the JIT interface the machine tiers up through. A nil
 // Compiler leaves the machine in pure-interpreter mode.
 type Compiler interface {
-	// Compile translates fn at the given tier. The machine provides
-	// the runtime services compiled code calls (allocation, statics,
-	// calls, monitors, output, fuel). A returned *Crash error models a
-	// compiler crash.
+	// Compile translates fn at the given tier for m. A tier that
+	// emits bytecode has m run it with RunCompiled. A returned *Crash
+	// error models a compiler crash; any other error is a bailout.
 	Compile(fn *bytecode.Function, tier Tier, m *Machine) (CompiledMethod, error)
 }
 

@@ -1,32 +1,38 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bytecode"
 )
 
-// interpret executes fn's bytecode directly. It is the reference
-// semantics: the JIT tiers must agree with it on every program (that
-// agreement is the miscompilation oracle). prof is fn's profile, which
-// the loop's backedges feed.
+// interpret executes fn's bytecode: the program's own code, which is
+// the reference semantics the JIT tiers must agree with (that agreement
+// is the miscompilation oracle), and, with traps set, code a JIT tier
+// emitted (RunCompiled). prof is the profile the loop's backedges feed.
 //
 // Fuel is charged per block (bytecode.Instr.Block). At a block's
-// leader, if the whole block fits under the step limit, its steps are
-// taken at once and its instructions run without stepping, a
+// leader, if the whole block's fuel fits under the step limit, it is
+// taken at once and the block's instructions run without stepping, a
 // superinstruction (Instr.Fused) standing in for the four it names.
-// Otherwise each instruction steps as it runs, exactly as if there
-// were no blocks. Only a block's last instruction can branch, throw,
-// allocate, call or step on its own, so a run stops on the same
-// instruction with the same step count either way.
+// Otherwise each instruction takes its own weight as it runs, exactly
+// as if there were no blocks. Only a block's last instruction can
+// branch, throw, allocate, call or step on its own, so a run stops on
+// the same instruction with the same step count either way. A block
+// that needs no fuel has no leader mark and runs under the charge of
+// the block before it.
 //
 // The operand stack is stack[:sp]. Only allocations and calls can start
 // a collection, so f.sp is stored before each of them: that is all of
-// this frame's stack the collector scans.
-func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []Value) (Value, error) {
-	f := newFrame(fn)
+// an interpreted frame's stack the collector scans.
+func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []Value, traps Traps) (Value, error) {
+	f := m.newFrame(fn)
 	copy(f.locals, args)
-	m.frames = append(m.frames, f)
+	f.traps = traps
+	if traps == nil {
+		m.frames = append(m.frames, f)
+	}
 	defer m.popFrame(f)
 
 	code, locals, stack := fn.Code, f.locals, f.stack
@@ -49,7 +55,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			if ins.Fused != bytecode.Nop {
 				op = ins.Fused
 			}
-		} else if err := m.Step(); err != nil {
+		} else if err := m.stepAt(fn, pc); err != nil {
 			return Value{}, err
 		}
 		switch op {
@@ -200,7 +206,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 				thr = &Thrown{Code: bytecode.ExcNullPointer}
 				goto throw
 			}
-			if val.IsRef() {
+			if val.IsRef() && f.traps == nil {
 				m.trace("gc.barriers")
 			}
 			o.SetField(fn.Fields[ins.A].Name, val)
@@ -317,7 +323,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			}
 			mon.Depth++
 			m.heldMonitors++
-			f.mons = append(f.mons, monEntry{mon: mon, v: v})
+			f.mons = append(f.mons, monEntry{mon: mon, v: v, leak: ins.A != 0})
 		case bytecode.MonitorExit:
 			sp--
 			mon := m.monitorOf(stack[sp])
@@ -329,10 +335,10 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			f.mons = f.mons[:len(f.mons)-1]
 
 		case bytecode.Return:
-			m.exitMonitors(f, 0) // defensive; balanced code leaves none
+			m.exitMonitors(f, 0, false) // emitted code returns from inside monitor regions
 			return Value{}, nil
 		case bytecode.ReturnVal:
-			m.exitMonitors(f, 0)
+			m.exitMonitors(f, 0, false)
 			return stack[sp-1], nil
 		case bytecode.Throw:
 			thr = &Thrown{Code: stack[sp-1].I}
@@ -342,18 +348,46 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			sp--
 			m.Print(stack[sp])
 
+		case bytecode.NullCheck:
+			if stack[sp-1].Kind == KNull {
+				thr = &Thrown{Code: bytecode.ExcNullPointer}
+				goto throw
+			}
+		case bytecode.Cover:
+			m.trace(fn.Strs[ins.A])
+		case bytecode.UncommonTrap:
+			f.traps.UncommonTrap(fn.Strs[ins.A])
+		case bytecode.Fail:
+			return Value{}, errors.New(fn.Strs[ins.A])
+
 		// Superinstructions: reached only inside a charged block.
 		case bytecode.LoadConstCmpLtJumpIfFalse:
 			if locals[ins.A].I < constVal(fn, &code[pc+1]).I {
 				pc += 4
 				continue
 			}
-			pc += 3 // the jump_if_false
-			if code[pc].A <= pc {
-				prof.Backedges++
+			goto jumpIfFalse
+		case bytecode.LoadConstCmpJumpIfFalse:
+			// A constant is no reference, so an equality test compares
+			// the words, as CmpEq and CmpNe do.
+			a, b, taken := locals[ins.A].I, constVal(fn, &code[pc+1]).I, false
+			switch code[pc+2].Op {
+			case bytecode.CmpEq:
+				taken = a == b
+			case bytecode.CmpNe:
+				taken = a != b
+			case bytecode.CmpGt:
+				taken = a > b
+			case bytecode.CmpGe:
+				taken = a >= b
+			case bytecode.CmpLe:
+				taken = a <= b
 			}
-			pc = code[pc].A
-			continue
+			if taken {
+				pc += 4
+				continue
+			}
+			goto jumpIfFalse
 		case bytecode.LoadLoadAddStore:
 			locals[code[pc+3].A] = Arith(addJava, locals[ins.A], locals[code[pc+1].A])
 			pc += 4
@@ -361,12 +395,29 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 		case bytecode.LoadConstAddStore:
 			locals[code[pc+3].A] = Arith(addJava, locals[ins.A], constVal(fn, &code[pc+1]))
 			pc += 4
+			// A counted loop's increment ends in its back edge. A jump
+			// that leads no block was charged with this one, so it is
+			// taken here rather than dispatched.
+			if next := &code[pc]; next.Op == bytecode.Jump && next.Block == 0 {
+				if next.A <= pc {
+					prof.Backedges++
+				}
+				pc = next.A
+			}
 			continue
 
 		default:
 			return Value{}, fmt.Errorf("vm: %s: bad opcode %d at pc %d", fn.Key(), op, pc)
 		}
 		pc++
+		continue
+
+	jumpIfFalse: // a fused test at pc failed: take its jump_if_false
+		pc += 3
+		if code[pc].A <= pc {
+			prof.Backedges++
+		}
+		pc = code[pc].A
 		continue
 
 	throw:
@@ -378,10 +429,17 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 	}
 }
 
-// popFrame ends f, the innermost interpreted frame.
+// popFrame ends f. An interpreted frame is the innermost of m.frames.
+// A compiled frame still holding monitors is ending on an error that
+// is not an exception (a timeout, say), and releases them all, as
+// compiled code unwinding its monitor regions does.
 func (m *Machine) popFrame(f *frame) {
-	m.frames = m.frames[:len(m.frames)-1]
-	freeFrame(f)
+	if f.traps == nil {
+		m.frames = m.frames[:len(m.frames)-1]
+	} else {
+		m.exitMonitors(f, 0, false)
+	}
+	m.freeFrame(f)
 }
 
 // constVal is the value a Const instruction pushes.
@@ -395,28 +453,37 @@ func constVal(fn *bytecode.Function, ins *bytecode.Instr) Value {
 // raise routes exception t, thrown at pc in f: to a handler in f's
 // function if one covers pc, after releasing the monitors entered
 // inside the protected range, otherwise out of the frame after
-// releasing all of its monitors. It returns the handler's pc, or -1 to
-// propagate.
+// releasing all of its monitors. A region marked leak keeps its
+// monitor. It returns the handler's pc, or -1 to propagate.
 func (m *Machine) raise(f *frame, pc int32, t *Thrown) int32 {
-	m.trace("runtime.exceptions")
+	compiled := f.traps != nil
+	if !compiled {
+		m.trace("runtime.exceptions")
+	}
 	for _, ex := range f.fn.ExTable {
 		if pc >= ex.Start && pc < ex.End {
-			m.exitMonitors(f, int(ex.MonDepth))
+			m.exitMonitors(f, int(ex.MonDepth), true)
 			f.locals[ex.CatchSlot] = IntVal(t.Code)
 			return ex.Handler
 		}
 	}
-	m.exitMonitors(f, 0)
-	m.trace("runtime.exceptions.unwind")
+	m.exitMonitors(f, 0, true)
+	if !compiled {
+		m.trace("runtime.exceptions.unwind")
+	}
 	return -1
 }
 
 // exitMonitors releases the monitors f holds beyond the first depth,
-// innermost first.
-func (m *Machine) exitMonitors(f *frame, depth int) {
+// innermost first. With keepLeaks, an entry marked leak is dropped
+// without releasing its monitor.
+func (m *Machine) exitMonitors(f *frame, depth int, keepLeaks bool) {
 	for len(f.mons) > depth {
 		me := f.mons[len(f.mons)-1]
 		f.mons = f.mons[:len(f.mons)-1]
+		if keepLeaks && me.leak {
+			continue
+		}
 		me.mon.Depth--
 		m.heldMonitors--
 	}

@@ -120,38 +120,33 @@ func TestLinkedFunctionState(t *testing.T) {
 }
 
 // TestStaticSlots pins static storage: declared statics start at their
-// zero, an undeclared static reads Value{} until written and then
-// round-trips, and statics are GC roots, declared or not.
+// zero, reads and writes go through the linked slots, and statics are
+// GC roots.
 func TestStaticSlots(t *testing.T) {
-	img := compileForBench(t, `class T { static int n; static T ref; static void main() { return; } }`)
+	img := compileForBench(t, `class T {
+		static int n;
+		static T ref;
+		static T other;
+		static void main() {
+			print(T.n);
+			print(T.ref);
+			T.n = 7;
+			T.ref = new T();
+			T.other = new T();
+			T garbage = new T();
+			print(T.n);
+		}
+	}`)
 	var live, freed int
 	m := NewMachine(img, Config{GCEvery: 3, OnGC: func(l, f int) { live, freed = l, f }})
-	if m.GetStatic("T", "n") != IntVal(0) || m.GetStatic("T", "ref") != NullVal() {
-		t.Errorf("declared zeros = %v, %v", m.GetStatic("T", "n"), m.GetStatic("T", "ref"))
-	}
-	for _, k := range [][2]string{{"T", "ghost"}, {"U", "n"}} {
-		if got := m.GetStatic(k[0], k[1]); got != (Value{}) {
-			t.Errorf("undeclared %s.%s = %v, want Value{}", k[0], k[1], got)
-		}
-	}
-	m.SetStatic("T", "n", IntVal(7))
-	m.SetStatic("T", "ghost", LongVal(9))
-	if m.GetStatic("T", "n") != IntVal(7) || m.GetStatic("T", "ghost") != LongVal(9) {
-		t.Errorf("round trip = %v, %v", m.GetStatic("T", "n"), m.GetStatic("T", "ghost"))
-	}
-	if m.GetStatic("U", "ghost") != (Value{}) {
-		t.Errorf("a write to T.ghost reached U.ghost")
-	}
-
-	a := m.NewObject("T")
-	m.SetStatic("T", "ref", a)
-	b := m.NewObject("T")
-	m.SetStatic("T", "other", b)
-	m.NewObject("T") // garbage; the third allocation collects
+	wantOutput(t, m.Run(), "0", "null", "7")
+	// The third allocation collects before its cell is rooted anywhere.
 	if m.Heap.GCCycles != 1 || live != 2 || freed != 1 {
 		t.Fatalf("GC cycles %d, live %d, freed %d; want 1, 2, 1", m.Heap.GCCycles, live, freed)
 	}
-	if m.Heap.objects[0] != a.Obj() || m.Heap.objects[1] != b.Obj() {
-		t.Errorf("survivors are not the statics' objects")
+	for i, o := range m.Heap.objects {
+		if m.statics[img.StaticSlot("T", []string{"ref", "other"}[i])].Obj() != o {
+			t.Errorf("survivor %d is not the static's object", i)
+		}
 	}
 }

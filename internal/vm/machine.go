@@ -123,20 +123,17 @@ func (r *Result) OutputString() string {
 }
 
 // Machine executes one program image. A Machine is single-use: create,
-// Run once, inspect the Result. It is also the runtime compiled code
-// calls into: allocation, statics, calls, monitors, output and fuel.
+// Run once, inspect the Result. It runs compiled code too: the
+// bytecode a JIT tier emits, on the same interpreter loop (RunCompiled).
 type Machine struct {
 	img     *bytecode.Image
 	cfg     Config
 	Heap    *Heap
 	heapCap int64 // MaxHeapUnits, or MaxInt64 when uncapped
 
-	// statics holds one slot per Image.Statics entry, then one per
-	// undeclared static written by name (extraStatics maps those).
-	statics      []Value
-	extraStatics map[staticKey]int
-	strMons      map[string]*Object
-	classMons    map[string]*Object
+	statics   []Value // one slot per Image.Statics entry
+	strMons   map[string]*Object
+	classMons map[string]*Object
 
 	output []string
 	steps  int64
@@ -147,7 +144,11 @@ type Machine struct {
 	fns []fnState // per-function runtime state, indexed by Function.ID
 
 	heldMonitors int
-	frames       []*frame
+	frames       []*frame // interpreted frames, the collector's roots
+	free         []*frame // ended frames, for reuse (newFrame)
+	// compiledProf absorbs the backedges of compiled frames, which
+	// feed no method's profile.
+	compiledProf MethodProfile
 
 	argBufs  [][]Value // LIFO freelist of call-argument buffers
 	rootsBuf []Value   // reused GC root scratch
@@ -162,10 +163,8 @@ type fnState struct {
 	code   CompiledMethod // nil while the function runs interpreted
 	tier   Tier
 	tiered bool // tier was set at least once, so Result.Tiers lists it
+	noJIT  bool // no JIT, or CompileOnly names another method
 }
-
-// staticKey names an undeclared static field.
-type staticKey struct{ class, field string }
 
 type frame struct {
 	fn     *bytecode.Function
@@ -173,22 +172,34 @@ type frame struct {
 	stack  []Value // MaxStack slots
 	sp     int     // the live stack[:sp], stored before each allocation or call
 	mons   []monEntry
+	// traps is the JIT runtime of a compiled frame, which runs code a
+	// JIT tier emitted (RunCompiled); nil for an interpreted frame.
+	traps Traps
 }
 
-// framePool recycles interpreter frames across calls (and across
-// machines — campaign workers each run millions of calls, and a frame
-// plus its locals slice used to be two heap allocations per call).
-// Frames are strictly LIFO per machine, so a frame returned in
-// interpret's epilogue is never referenced again: m.frames has already
-// popped it and GC root scans only walk live frames.
+// framePool recycles frames across machines: campaign workers each
+// run millions of calls, and a frame plus its locals slice used to be
+// two heap allocations per call. Within a run, frames are strictly
+// LIFO, so a machine keeps the frames its calls returned in free and
+// reuses them first; Run hands them back to the pool when it ends. A
+// frame returned in interpret's epilogue is never referenced again:
+// m.frames has already popped it and GC root scans only walk live
+// frames.
 var framePool = sync.Pool{New: func() any { return &frame{} }}
 
-// newFrame returns a cleared frame with locals and stack sized for fn.
-// Reused locals and stack slots are already zero, since freeFrame
-// clears every slot a frame used; the monitor slice keeps its capacity,
-// length zero.
-func newFrame(fn *bytecode.Function) *frame {
-	f := framePool.Get().(*frame)
+// newFrame returns a frame with locals and stack sized for fn. Its
+// locals are zero, since freeFrame clears every local a frame used; its
+// stack may hold stale values, which are never read (a slot is written
+// before it is read, and the collector scans only stack[:sp]). The
+// monitor slice keeps its capacity, length zero.
+func (m *Machine) newFrame(fn *bytecode.Function) *frame {
+	var f *frame
+	if k := len(m.free); k > 0 {
+		f = m.free[k-1]
+		m.free = m.free[:k-1]
+	} else {
+		f = framePool.Get().(*frame)
+	}
 	f.fn = fn
 	if cap(f.locals) < fn.NLocals {
 		f.locals = make([]Value, fn.NLocals)
@@ -201,19 +212,26 @@ func newFrame(fn *bytecode.Function) *frame {
 		f.stack = f.stack[:fn.MaxStack]
 	}
 	f.sp = 0
-	f.mons = f.mons[:0]
 	return f
 }
 
-// freeFrame returns a frame to the pool. Slices are kept for capacity
-// reuse but their contents cleared so the pool does not pin dead heap
-// objects between runs.
-func freeFrame(f *frame) {
-	f.fn = nil
+// freeFrame keeps an ended frame for the machine's next call, with its
+// locals cleared: an interpreted frame's locals are GC roots.
+func (m *Machine) freeFrame(f *frame) {
+	f.fn, f.traps = nil, nil
 	clear(f.locals)
-	clear(f.stack)
 	f.mons = f.mons[:0]
-	framePool.Put(f)
+	m.free = append(m.free, f)
+}
+
+// releaseFrames returns the machine's kept frames to framePool, their
+// stacks cleared so the pool pins no dead heap objects between runs.
+func (m *Machine) releaseFrames() {
+	for _, f := range m.free {
+		clear(f.stack[:cap(f.stack)])
+		framePool.Put(f)
+	}
+	m.free = nil
 }
 
 // getArgs pops a call-argument buffer of length n from the machine's
@@ -233,17 +251,20 @@ func (m *Machine) getArgs(n int) []Value {
 }
 
 // putArgs returns a buffer once the call has copied the values out
-// (interpreted frames copy into locals, compiled code into its scope
-// stack — neither retains the slice). Only buf's length can have been
-// written: the rest was cleared when the buffer was last returned.
+// (interpreted and compiled frames alike copy them into their locals
+// and keep no reference to the slice). It is not cleared: whoever gets
+// it next overwrites what it reads, and the collector never scans it.
 func (m *Machine) putArgs(buf []Value) {
-	clear(buf)
 	m.argBufs = append(m.argBufs, buf)
 }
 
 type monEntry struct {
 	mon *Monitor
 	v   Value
+	// leak marks a region of compiled code whose exception path keeps
+	// the monitor (a seeded defect): a throw routed out of the region
+	// drops the entry without releasing it.
+	leak bool
 }
 
 // NewMachine builds a machine for the image.
@@ -262,6 +283,9 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		m.heapCap = math.MaxInt64
 	}
 	m.Heap.SetGCHook(cfg.OnGC)
+	for i, fn := range img.Functions() {
+		m.fns[i].noJIT = cfg.JIT == nil || cfg.CompileOnly != "" && fn.Key() != cfg.CompileOnly
+	}
 	for i, s := range img.Statics {
 		if s.IsRef {
 			m.statics[i] = NullVal()
@@ -289,6 +313,7 @@ func (m *Machine) Run() *Result {
 	} else {
 		_, err = m.CallFunction(entry, nil)
 	}
+	m.releaseFrames()
 	res := &Result{
 		Output:       m.output,
 		Steps:        m.steps,
@@ -376,7 +401,7 @@ func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, erro
 	if st.code != nil {
 		ret, err = st.code.Invoke(args)
 	} else {
-		ret, err = m.interpret(fn, &st.prof, args)
+		ret, err = m.interpret(fn, &st.prof, args, nil)
 	}
 
 	if fn.Synchronized {
@@ -390,10 +415,7 @@ func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, erro
 }
 
 func (m *Machine) tierUp(fn *bytecode.Function, st *fnState) error {
-	if m.cfg.JIT == nil {
-		return nil
-	}
-	if m.cfg.CompileOnly != "" && fn.Key() != m.cfg.CompileOnly {
+	if st.noJIT || st.tier == TierC2 { // C2 is the top tier
 		return nil
 	}
 	cur := st.tier
@@ -449,7 +471,7 @@ func (m *Machine) classMonitor(class string) *Object {
 	return o
 }
 
-// --- Runtime services for compiled code and the JIT ---
+// --- Runtime services for the interpreter loop and the JIT ---
 
 // NewObject allocates a class instance with zeroed fields.
 func (m *Machine) NewObject(class string) Value {
@@ -549,44 +571,6 @@ func (m *Machine) allocated() {
 	m.rootsBuf = roots
 }
 
-// staticSlot returns the slot of the named static field, or -1 when
-// the image does not declare it and nothing has written it.
-func (m *Machine) staticSlot(class, field string) int {
-	if i := m.img.StaticSlot(class, field); i >= 0 {
-		return i
-	}
-	if i, ok := m.extraStatics[staticKey{class, field}]; ok {
-		return i
-	}
-	return -1
-}
-
-// GetStatic reads a static field by name (compiled code's path; the
-// interpreter reads the slot its field ref was linked to). A static
-// nothing declared or wrote reads as Value{}.
-func (m *Machine) GetStatic(class, field string) Value {
-	m.trace("runtime.statics")
-	if i := m.staticSlot(class, field); i >= 0 {
-		return m.statics[i]
-	}
-	return Value{}
-}
-
-// SetStatic writes a static field by name, giving an undeclared one a
-// slot of its own.
-func (m *Machine) SetStatic(class, field string, v Value) {
-	i := m.staticSlot(class, field)
-	if i < 0 {
-		if m.extraStatics == nil {
-			m.extraStatics = map[staticKey]int{}
-		}
-		i = len(m.statics)
-		m.extraStatics[staticKey{class, field}] = i
-		m.statics = append(m.statics, Value{})
-	}
-	m.statics[i] = v
-}
-
 // StringMonitor interns the shared lock object for a string literal.
 func (m *Machine) StringMonitor(s string) *Object {
 	o := m.strMons[s]
@@ -600,38 +584,9 @@ func (m *Machine) StringMonitor(s string) *Object {
 	return o
 }
 
-// Call dispatches a method reference through tiering. Calls reach an
-// interpreted or a compiled callee alike; recv is ignored for static
-// targets.
-func (m *Machine) Call(ref bytecode.MethodRef, recv Value, args []Value) (Value, error) {
-	fn := m.img.Lookup(ref)
-	if fn == nil {
-		return Value{}, fmt.Errorf("vm: unresolvable method %s", ref)
-	}
-	callArgs := args
-	if !ref.Static {
-		if recv.Kind == KNull {
-			return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
-		}
-		// Prepend the receiver via the argument freelist: callees copy
-		// the values out (interpreted frames into locals, compiled code
-		// into its scope stack) before returning, so the buffer is free
-		// again once CallFunction completes.
-		callArgs = m.getArgs(len(args) + 1)
-		callArgs[0] = recv
-		copy(callArgs[1:], args)
-	}
-	ret, err := m.CallFunction(fn, callArgs)
-	if !ref.Static {
-		m.putArgs(callArgs)
-	}
-	return ret, err
-}
-
-// MonitorEnter enters the monitor of a reference value. Enter and Exit
-// return ErrIllegalMonitor on imbalance; compiled code balances its
-// own regions (seeded bugs deliberately break this, and the machine
-// observes the leak).
+// MonitorEnter enters the monitor of a reference value; CallFunction
+// enters a synchronized method's monitor with it. Enter and Exit return
+// ErrIllegalMonitor on imbalance.
 func (m *Machine) MonitorEnter(v Value) error {
 	mon := m.monitorOf(v)
 	if mon == nil {
@@ -687,17 +642,42 @@ func (m *Machine) Print(v Value) {
 // Step consumes one unit of fuel; it returns ErrTimeout when the budget
 // is gone. It is also where the heap-allocation cap surfaces: the
 // allocation that crosses the cap lowers the step limit (allocated), so
-// the first step after it fails with ErrHeapExhausted. Compiled code
-// steps every statement and the interpreter every instruction, or every
-// block it charges whole (interpret). Step is one compare, small enough
-// to inline into every caller; stepFail sorts out which limit was
-// crossed.
+// the first step after it fails with ErrHeapExhausted. The interpreter
+// takes an instruction's weight in steps (one, except in emitted code),
+// or a block's at once when it fits (interpret). Step is one compare,
+// small enough to inline into every caller; stepFail sorts out which
+// limit was crossed.
 func (m *Machine) Step() error {
 	m.steps++
 	if m.steps > m.limit {
 		return m.stepFail()
 	}
 	return nil
+}
+
+// stepAt takes the fuel of fn's instruction at pc, one step at a time,
+// so a budget runs out on the same step as it would have unbatched.
+func (m *Machine) stepAt(fn *bytecode.Function, pc int32) error {
+	if fn.Weights == nil {
+		return m.Step()
+	}
+	for w := fn.Weights[pc]; w > 0; w-- {
+		if err := m.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunCompiled runs code, a method a JIT tier emitted as bytecode and
+// linked into this machine's image, as a compiled frame. args holds the
+// receiver (for instance methods) followed by the parameters; traps
+// takes the code's uncommon traps. A compiled frame runs on the same
+// loop as an interpreted one, but it is no GC root, feeds no profile's
+// backedges, marks no exception or write-barrier coverage, and releases
+// the monitors it holds when an error that is not an exception ends it.
+func (m *Machine) RunCompiled(code *bytecode.Function, args []Value, traps Traps) (Value, error) {
+	return m.interpret(code, &m.compiledProf, args, traps)
 }
 
 // stepFail names the limit a step crossed. Timeout wins when both are.
