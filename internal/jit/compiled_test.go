@@ -39,10 +39,7 @@ func buildMachineCfg(t testing.TB, src string, cfg vm.Config) (*vm.Machine, *lan
 // Compile does after the passes.
 func emitByHand(t testing.TB, m *vm.Machine, f *Func, log profile.Emitter) *Compiled {
 	t.Helper()
-	code, err := emit(f, m.Image())
-	if err != nil {
-		t.Fatal(err)
-	}
+	code := emit(f, m.Image())
 	if err := m.Image().LinkFunction(code); err != nil {
 		t.Fatal(err)
 	}
@@ -556,5 +553,30 @@ func BenchmarkCompiledInvoke(b *testing.B) {
 		if _, err := c.Invoke(args); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ghostStaticHook rewrites the finished IR to read a static field the
+// image does not declare, which codegen emits but linking cannot
+// resolve.
+type ghostStaticHook struct{}
+
+func (ghostStaticHook) Observe(ctx *Context, ev Event) error {
+	if ev.Pass == "finish" {
+		ctx.Fn.Body.Kids = append(ctx.Fn.Body.Kids, &Node{Kind: NPrint, Kids: []*Node{
+			{Kind: NFieldGet, Class: "T", Name: "ghost", Static: true, Ty: lang.Int},
+		}})
+	}
+	return nil
+}
+
+// TestUnverifiableCodeCrashes: emitted code that fails the verifier is
+// a compiler crash, not a silent bailout, so it shows in the output.
+func TestUnverifiableCodeCrashes(t *testing.T) {
+	img := compileImg(t, `class T { static void main() { print(1); } }`)
+	comp := New(profile.NewRecorder(profile.NoFlags()), nil, ghostStaticHook{})
+	res := vm.NewMachine(img, vm.Config{JIT: comp, CompileEager: true}).Run()
+	if res.Crash == nil || res.Crash.Component != "JIT codegen" || res.Crash.FnKey != "T.main" {
+		t.Fatalf("result %q, crash %+v; want a JIT codegen crash in T.main", res.OutputString(), res.Crash)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // innermost scope and a read of one fails the run. Lowering and the
 // passes give every compound statement sequences for children, so the
 // names bound at each point are the same on every path to it.
-func emit(f *Func, img *bytecode.Image) (*bytecode.Function, error) {
+func emit(f *Func, img *bytecode.Image) *bytecode.Function {
 	e := emitters.Get().(*emitter)
 	defer e.release()
 	e.f, e.img = f, img
@@ -42,13 +42,10 @@ func emit(f *Func, img *bytecode.Image) (*bytecode.Function, error) {
 	e.fn.NParams = int(e.slots)
 	e.stmt(f.Body)
 	e.emit(bytecode.Return, 0, 0) // a body that falls off its end returns nothing
-	if e.err != nil {
-		return nil, e.err
-	}
 	// The scratch buffers are the emitter's; the function gets exact copies.
 	e.fn.Code, e.fn.Weights = slices.Clone(e.code), slices.Clone(e.weights)
 	e.fn.NLocals = int(e.maxSlots)
-	return e.fn, nil
+	return e.fn
 }
 
 // emitters recycles emitters, whose code, weight and scope buffers keep
@@ -79,7 +76,6 @@ type emitter struct {
 	f   *Func
 	img *bytecode.Image
 	fn  *bytecode.Function
-	err error
 
 	code    []bytecode.Instr
 	weights []uint16
@@ -162,9 +158,6 @@ func (e *emitter) declare(name string) int32 {
 }
 
 func (e *emitter) stmt(n *Node) {
-	if e.err != nil {
-		return
-	}
 	e.pending++
 	switch n.Kind {
 	case NSeq:
@@ -232,15 +225,9 @@ func (e *emitter) stmt(n *Node) {
 		e.emit(bytecode.MonitorExit, 0, 0)
 		e.slots = tmp
 	case NReturn:
-		switch {
-		case len(n.Kids) == 0:
+		if len(n.Kids) == 0 {
 			e.emit(bytecode.Return, 0, 0)
-		case e.fn.Void: // the value is dropped, as a void method's caller would
-			if e.expr(n.Kids[0]) {
-				e.emit(bytecode.Pop, 0, 0)
-			}
-			e.emit(bytecode.Return, 0, 0)
-		default:
+		} else {
 			e.expr(n.Kids[0])
 			e.emit(bytecode.ReturnVal, 0, 0)
 		}
@@ -318,9 +305,6 @@ func (e *emitter) values(ns []*Node) {
 // expr emits n as an expression and reports whether it leaves a value
 // (a call of a void method leaves none).
 func (e *emitter) expr(n *Node) bool {
-	if e.err != nil {
-		return true
-	}
 	e.pending++
 	switch n.Kind {
 	case NConstInt:
@@ -356,9 +340,6 @@ func (e *emitter) expr(n *Node) bool {
 			e.emit(bytecode.BitNot, 0, 0)
 		case lang.OpNot:
 			e.emit(bytecode.Not, 0, 0)
-		default:
-			e.emit(bytecode.Pop, 0, 0)
-			e.emit(bytecode.Fail, e.str(fmt.Sprintf("jit: exec: bad expression kind %v", n.Kind)), 1)
 		}
 	case NCall, NReflectCall:
 		return e.call(n)
@@ -439,13 +420,7 @@ func (e *emitter) binary(n *Node) {
 	}
 	e.expr(l)
 	e.expr(r)
-	if op := int(n.BinOp); op >= 0 && op < len(binaryOps) {
-		e.emit(binaryOps[op], 0, 0)
-		return
-	}
-	e.emit(bytecode.Pop, 0, 0)
-	e.emit(bytecode.Pop, 0, 0)
-	e.emit(bytecode.Fail, e.str(fmt.Sprintf("jit: exec: bad binary op %v", n.BinOp)), 1)
+	e.emit(binaryOps[n.BinOp], 0, 0)
 }
 
 // boolValue emits n and, unless n always yields a canonical boolean,
@@ -466,12 +441,7 @@ func (e *emitter) boolValue(n *Node) {
 func (e *emitter) call(n *Node) bool {
 	recv, args := CallArgs(n)
 	ref := bytecode.MethodRef{Class: n.Class, Method: n.Name, Static: n.Static, NArgs: len(args)}
-	callee := e.img.Lookup(ref)
-	if callee == nil {
-		e.err = fmt.Errorf("jit: codegen %s: call to unknown method %s", e.f.Key(), ref)
-		return true
-	}
-	ref.Void = callee.Void
+	ref.Void = e.img.Lookup(ref).Void // bytecode.Compile resolved every call the IR can hold
 	if recv != nil {
 		e.expr(recv)
 	}

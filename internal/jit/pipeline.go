@@ -140,12 +140,10 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 	// image and verify it; code that fails verification is a compiler
 	// crash, so a pass or an emitter bug that yields ill-formed code
 	// shows in the run's output.
-	code, err := emit(f, env.Image())
-	if err != nil {
-		return nil, err
-	}
 	img := env.Image()
-	if err := img.LinkFunction(code); err == nil {
+	code := emit(f, img)
+	err = img.LinkFunction(code)
+	if err == nil {
 		err = img.VerifyFunction(code)
 	}
 	if err != nil {

@@ -429,17 +429,22 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 	}
 }
 
-// popFrame ends f. An interpreted frame is the innermost of m.frames.
-// A compiled frame still holding monitors is ending on an error that
-// is not an exception (a timeout, say), and releases them all, as
-// compiled code unwinding its monitor regions does.
+// popFrame ends f and keeps it for the machine's next call, its locals
+// cleared (an interpreted frame's locals are GC roots). An interpreted
+// frame is the innermost of m.frames. A compiled frame still holding
+// monitors is ending on an error that is not an exception (a timeout,
+// say), and releases them all, as compiled code unwinding its monitor
+// regions does.
 func (m *Machine) popFrame(f *frame) {
 	if f.traps == nil {
 		m.frames = m.frames[:len(m.frames)-1]
 	} else {
 		m.exitMonitors(f, 0, false)
 	}
-	m.freeFrame(f)
+	f.fn, f.traps = nil, nil
+	clear(f.locals)
+	f.mons = f.mons[:0]
+	m.free = append(m.free, f)
 }
 
 // constVal is the value a Const instruction pushes.

@@ -188,7 +188,7 @@ type frame struct {
 var framePool = sync.Pool{New: func() any { return &frame{} }}
 
 // newFrame returns a frame with locals and stack sized for fn. Its
-// locals are zero, since freeFrame clears every local a frame used; its
+// locals are zero, since popFrame clears every local a frame used; its
 // stack may hold stale values, which are never read (a slot is written
 // before it is read, and the collector scans only stack[:sp]). The
 // monitor slice keeps its capacity, length zero.
@@ -213,15 +213,6 @@ func (m *Machine) newFrame(fn *bytecode.Function) *frame {
 	}
 	f.sp = 0
 	return f
-}
-
-// freeFrame keeps an ended frame for the machine's next call, with its
-// locals cleared: an interpreted frame's locals are GC roots.
-func (m *Machine) freeFrame(f *frame) {
-	f.fn, f.traps = nil, nil
-	clear(f.locals)
-	f.mons = f.mons[:0]
-	m.free = append(m.free, f)
 }
 
 // releaseFrames returns the machine's kept frames to framePool, their
@@ -658,10 +649,11 @@ func (m *Machine) Step() error {
 // stepAt takes the fuel of fn's instruction at pc, one step at a time,
 // so a budget runs out on the same step as it would have unbatched.
 func (m *Machine) stepAt(fn *bytecode.Function, pc int32) error {
-	if fn.Weights == nil {
-		return m.Step()
+	w := uint16(1)
+	if fn.Weights != nil {
+		w = fn.Weights[pc]
 	}
-	for w := fn.Weights[pc]; w > 0; w-- {
+	for ; w > 0; w-- {
 		if err := m.Step(); err != nil {
 			return err
 		}
