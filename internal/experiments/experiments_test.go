@@ -57,13 +57,6 @@ func TestTable4MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestTable5RunsAtTinyBudget(t *testing.T) {
-	out := render(t, func(b *strings.Builder) { Table5(b, tiny()) })
-	if !strings.Contains(out, "Table 5") {
-		t.Errorf("unexpected output:\n%s", out)
-	}
-}
-
 func TestFigure2ProducesCoverage(t *testing.T) {
 	out := render(t, func(b *strings.Builder) { Figure2(b, tiny()) })
 	for _, comp := range []string{"C1", "C2", "Runtime", "GC", "Summary"} {
