@@ -19,17 +19,13 @@ import (
 	"repro/internal/profile"
 )
 
-// ExecutorSetter is implemented by every baseline tool: the experiment
-// harness uses it to route all target executions through a configured
-// backend (in-process by default, minijvm children under -backend pool).
-type ExecutorSetter interface {
-	SetExecutor(ex exec.Executor)
-}
-
 // Tool is a fuzzing strategy the experiment harness can drive
-// seed-by-seed. seedIdx perturbs the tool's RNG per seed.
+// seed-by-seed. seedIdx perturbs the tool's RNG per seed. SetExecutor
+// routes all of the tool's target executions through a backend
+// (in-process when nil, minijvm children under -backend pool).
 type Tool interface {
 	Name() string
+	SetExecutor(ex exec.Executor)
 	FuzzSeed(name string, seed *lang.Program, seedIdx int64) (*core.FuzzResult, error)
 }
 
@@ -68,7 +64,6 @@ func NewMopFuzzerR(target jvm.Spec, cov *coverage.Tracker) *MopFuzzerTool {
 
 func (t *MopFuzzerTool) Name() string { return t.Label }
 
-// SetExecutor implements ExecutorSetter.
 func (t *MopFuzzerTool) SetExecutor(ex exec.Executor) { t.Cfg.Executor = ex }
 
 func (t *MopFuzzerTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (*core.FuzzResult, error) {
@@ -86,30 +81,16 @@ func (t *MopFuzzerTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64)
 // mutant only when it increases coverage. Inserted code is independent:
 // never nested around previous insertions.
 type JITFuzzTool struct {
-	Target      jvm.Spec
-	Iterations  int // paper default: 1000 per seed
-	Coverage    *coverage.Tracker
-	MaxSteps    int64
-	DiffSpecs   []jvm.Spec
-	DisableBugs bool
-	Executor    exec.Executor // nil = in-process
+	baseline
+	Iterations int // paper default: 1000 per seed
 }
 
 // NewJITFuzz builds the baseline with the paper's defaults.
 func NewJITFuzz(target jvm.Spec, cov *coverage.Tracker) *JITFuzzTool {
-	return &JITFuzzTool{
-		Target:     target,
-		Iterations: 1000,
-		Coverage:   cov,
-		MaxSteps:   3_000_000,
-		DiffSpecs:  jvm.AllSpecs(),
-	}
+	return &JITFuzzTool{baseline: newBaseline(target, cov), Iterations: 1000}
 }
 
 func (t *JITFuzzTool) Name() string { return "JITFuzz" }
-
-// SetExecutor implements ExecutorSetter.
-func (t *JITFuzzTool) SetExecutor(ex exec.Executor) { t.Executor = ex }
 
 // jitfuzzMutators are the strategy's six mutators, built from the same
 // mutation library so the comparison isolates *strategy*, not mutation
@@ -139,20 +120,7 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 	if cov == nil {
 		cov = coverage.NewTracker()
 	}
-	run := func(p *lang.Program) (*jvm.ExecResult, error) {
-		opt := jvm.Options{
-			Flags:        profile.DefaultFlags(),
-			ForceCompile: true,
-			MaxSteps:     t.MaxSteps,
-			Coverage:     cov,
-			CompileOnly:  compileOnly,
-		}
-		if t.DisableBugs {
-			opt.Bugs = []*buginject.Bug{}
-		}
-		return exec.Or(t.Executor).Execute(context.Background(), p, t.Target, opt)
-	}
-	parentExec, err := run(lang.CloneProgram(parent))
+	parentExec, err := t.execute(parent, compileOnly, cov)
 	if err != nil {
 		return nil, err
 	}
@@ -182,9 +150,9 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 			continue
 		}
 		if lang.CountStmts(child) > 400 {
-			continue // same growth cap as the core fuzzer
+			continue // tighter than the core fuzzer's cap (Config.MaxStmts, 600)
 		}
-		ex, err := run(lang.CloneProgram(child))
+		ex, err := t.execute(child, compileOnly, cov)
 		if err != nil {
 			continue
 		}
@@ -196,7 +164,7 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 		}
 		res.Records = append(res.Records, rec)
 		if ex.Crashed() {
-			recordToolCrash(res, ex, iter)
+			res.RecordCrash(ex, iter, "")
 			res.Final = child
 			res.FinalOBV = ex.OBV
 			res.FinalDelta = rec.DeltaSeed
@@ -215,7 +183,7 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 	}
 	res.Final = parent
 	res.FinalDelta = profile.Delta(res.SeedOBV, res.FinalOBV)
-	diffFinal(res, t.Executor, parent, t.DiffSpecs, t.MaxSteps, compileOnly)
+	t.judge(res, parent, compileOnly)
 	return res, nil
 }
 
@@ -225,24 +193,14 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 // three mutation templates — loop insertion around calls, extra-call
 // wrappers, and uncommon-trap guards — applied once (non-iteratively) to
 // a seed. Templates do not interact with each other.
-type ArtemisTool struct {
-	Target      jvm.Spec
-	Coverage    *coverage.Tracker
-	MaxSteps    int64
-	DiffSpecs   []jvm.Spec
-	DisableBugs bool
-	Executor    exec.Executor // nil = in-process
-}
+type ArtemisTool struct{ baseline }
 
 // NewArtemis builds the baseline.
 func NewArtemis(target jvm.Spec, cov *coverage.Tracker) *ArtemisTool {
-	return &ArtemisTool{Target: target, Coverage: cov, MaxSteps: 3_000_000, DiffSpecs: jvm.AllSpecs()}
+	return &ArtemisTool{newBaseline(target, cov)}
 }
 
 func (t *ArtemisTool) Name() string { return "Artemis" }
-
-// SetExecutor implements ExecutorSetter.
-func (t *ArtemisTool) SetExecutor(ex exec.Executor) { t.Executor = ex }
 
 func (t *ArtemisTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (*core.FuzzResult, error) {
 	rng := rand.New(rand.NewSource(seedIdx))
@@ -252,20 +210,7 @@ func (t *ArtemisTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 		return nil, err
 	}
 	compileOnly := core.HotMethodKey(child)
-	run := func(p *lang.Program) (*jvm.ExecResult, error) {
-		opt := jvm.Options{
-			Flags:        profile.DefaultFlags(),
-			ForceCompile: true,
-			MaxSteps:     t.MaxSteps,
-			Coverage:     t.Coverage,
-			CompileOnly:  compileOnly,
-		}
-		if t.DisableBugs {
-			opt.Bugs = []*buginject.Bug{}
-		}
-		return exec.Or(t.Executor).Execute(context.Background(), p, t.Target, opt)
-	}
-	seedExec, err := run(lang.CloneProgram(child))
+	seedExec, err := t.execute(child, compileOnly, t.Coverage)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +257,7 @@ func (t *ArtemisTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 		res.MutatorSeq = append(res.MutatorSeq, m.Name())
 	}
 
-	finalExec, err := run(lang.CloneProgram(child))
+	finalExec, err := t.execute(child, compileOnly, t.Coverage)
 	if err != nil {
 		return nil, err
 	}
@@ -324,10 +269,10 @@ func (t *ArtemisTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 		Iter: 1, Mutator: "artemis-template", OBV: finalExec.OBV, DeltaSeed: res.FinalDelta,
 	})
 	if finalExec.Crashed() {
-		recordToolCrash(res, finalExec, 1)
+		res.RecordCrash(finalExec, 1, "")
 		return res, nil
 	}
-	diffFinal(res, t.Executor, child, t.DiffSpecs, t.MaxSteps, compileOnly)
+	t.judge(res, child, compileOnly)
 	return res, nil
 }
 
@@ -438,6 +383,57 @@ func (loopReshaper) Apply(p *lang.Program, loc *lang.Location, rng *rand.Rand) (
 
 // --- shared plumbing ---
 
+// baseline is what JITFuzz and Artemis share: the target, the limits
+// every run obeys, the specs the final mutant's differential runs on,
+// and the backend.
+type baseline struct {
+	Target      jvm.Spec
+	Coverage    *coverage.Tracker
+	MaxSteps    int64
+	DiffSpecs   []jvm.Spec
+	DisableBugs bool
+	Executor    exec.Executor // nil = in-process
+}
+
+func newBaseline(target jvm.Spec, cov *coverage.Tracker) baseline {
+	return baseline{Target: target, Coverage: cov, MaxSteps: 3_000_000, DiffSpecs: jvm.AllSpecs()}
+}
+
+func (b *baseline) SetExecutor(ex exec.Executor) { b.Executor = ex }
+
+// options are what every run of one seed shares, the differential
+// included: forced compilation of compileOnly, the step limit and
+// DisableBugs.
+func (b *baseline) options(compileOnly string) jvm.Options {
+	opt := jvm.Options{ForceCompile: true, MaxSteps: b.MaxSteps, CompileOnly: compileOnly}
+	if b.DisableBugs {
+		opt.Bugs = []*buginject.Bug{}
+	}
+	return opt
+}
+
+// execute runs a copy of p on the target with the profiling flags on,
+// adding its coverage to cov (nil = none).
+func (b *baseline) execute(p *lang.Program, compileOnly string, cov *coverage.Tracker) (*jvm.ExecResult, error) {
+	opt := b.options(compileOnly)
+	opt.Flags = profile.DefaultFlags()
+	opt.Coverage = cov
+	return exec.Or(b.Executor).Execute(context.Background(), lang.CloneProgram(p), b.Target, opt)
+}
+
+// judge runs the final mutant p on DiffSpecs and lets core's oracle
+// judge the differential. A backend error leaves res as it is.
+func (b *baseline) judge(res *core.FuzzResult, p *lang.Program, compileOnly string) {
+	if len(b.DiffSpecs) == 0 {
+		return
+	}
+	diff, err := exec.Or(b.Executor).ExecuteDifferential(context.Background(), p, b.DiffSpecs, b.options(compileOnly))
+	if err != nil {
+		return
+	}
+	res.Judge(diff, "differential", 0, "")
+}
+
 func statements(p *lang.Program) []*lang.Location {
 	var out []*lang.Location
 	for _, loc := range lang.Statements(p) {
@@ -447,48 +443,4 @@ func statements(p *lang.Program) []*lang.Location {
 		out = append(out, loc)
 	}
 	return out
-}
-
-func recordToolCrash(res *core.FuzzResult, exec *jvm.ExecResult, iter int) {
-	finding := core.BugFinding{
-		Oracle:    "crash",
-		Iteration: iter,
-		Mutators:  append([]string(nil), res.MutatorSeq...),
-	}
-	if crash := exec.Result.Crash; crash != nil {
-		if b := buginject.ByID(crash.BugID); b != nil {
-			finding.Bug = b
-		}
-	}
-	if finding.Bug == nil && len(exec.Triggered) > 0 {
-		finding.Bug = exec.Triggered[0]
-	}
-	if finding.Bug != nil {
-		res.Findings = append(res.Findings, finding)
-	}
-}
-
-func diffFinal(res *core.FuzzResult, ex exec.Executor, p *lang.Program, specs []jvm.Spec, maxSteps int64, compileOnly string) {
-	if len(specs) == 0 {
-		return
-	}
-	diff, err := exec.Or(ex).ExecuteDifferential(context.Background(), p, specs, jvm.Options{
-		ForceCompile: true, MaxSteps: maxSteps, CompileOnly: compileOnly,
-	})
-	if err != nil {
-		return
-	}
-	res.Executions += len(diff.Results)
-	if crash := diff.AnyCrash(); crash != nil {
-		recordToolCrash(res, crash, 0)
-		return
-	}
-	if diff.Inconsistent() {
-		for _, b := range diff.DivergentBugs() {
-			res.Findings = append(res.Findings, core.BugFinding{
-				Bug: b, Oracle: "differential",
-				Mutators: append([]string(nil), res.MutatorSeq...),
-			})
-		}
-	}
 }

@@ -120,3 +120,26 @@ func TestJITFuzzGrowthCapped(t *testing.T) {
 		t.Errorf("final mutant has %d statements, cap is 400", n)
 	}
 }
+
+// TestDisableBugsDisarmsDifferential pins that DisableBugs disarms the
+// final mutant's spec differential as well as the fuzzing runs, as in
+// core: with every bug disarmed the oracle has nothing to blame, so
+// neither baseline may report a finding.
+func TestDisableBugsDisarmsDifferential(t *testing.T) {
+	for idx := int64(1); idx <= 6; idx++ {
+		art := NewArtemis(target, nil)
+		art.DisableBugs = true
+		jf := NewJITFuzz(target, nil)
+		jf.Iterations = 10
+		jf.DisableBugs = true
+		for _, tool := range []Tool{art, jf} {
+			res, err := tool.FuzzSeed("seed", seed(), idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range res.Findings {
+				t.Errorf("%s seed %d: %s finding for %s with bugs disabled", tool.Name(), idx, f.Oracle, f.Bug.ID)
+			}
+		}
+	}
+}

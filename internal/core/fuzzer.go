@@ -39,7 +39,7 @@ type Config struct {
 	// distributions so crashes don't truncate runs.
 	DisableBugs bool
 	// MaxStmts rejects mutants larger than this many statements
-	// (default 400): iterated region copying would otherwise grow
+	// (default 600): iterated region copying would otherwise grow
 	// programs geometrically.
 	MaxStmts int
 	// ExtendedMutators adds the alternative evoking-mutator
@@ -422,7 +422,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 	if parentExec.Crashed() {
 		// The unmutated seed already crashes (possible on heavily bugged
 		// versions): report and stop.
-		f.recordCrash(res, parentExec, 0, f.planIDFor(f.planAt(0)))
+		res.RecordCrash(parentExec, 0, f.planIDFor(f.planAt(0)))
 		res.Final = parent
 		res.FinalOBV = parentOBV
 		return res, nil
@@ -497,7 +497,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if childExec.Crashed() {
 			rec.CrashBugID = childExec.Result.Crash.BugID
 			res.Records = append(res.Records, rec)
-			f.recordCrash(res, childExec, iter, f.planIDFor(plan))
+			res.RecordCrash(childExec, iter, f.planIDFor(plan))
 			res.Final = child
 			res.FinalOBV = childExec.OBV
 			res.FinalDelta = rec.DeltaSeed
@@ -535,7 +535,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if err != nil {
 			return nil, err
 		}
-		f.judge(res, diff, "differential")
+		res.Judge(diff, "differential", f.Cfg.MaxIterations, f.planIDFor(nil))
 	}
 
 	// Plan-vs-plan differential (the ordering-sensitivity oracle): the
@@ -548,49 +548,49 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if err != nil {
 			return nil, err
 		}
-		f.judge(res, pdiff, "plan-differential")
+		res.Judge(pdiff, "plan-differential", f.Cfg.MaxIterations, f.planIDFor(nil))
 	}
 	return res, nil
 }
 
-// judge folds a differential of the final mutant into res: a crash is
+// Judge folds a differential of the final mutant into res: a crash is
 // a crash finding, and a divergence is one finding under oracle per bug
 // that caused it. A plan differential's legs name their plans; a spec
-// differential's legs ran the default pipeline.
-func (f *Fuzzer) judge(res *FuzzResult, d *jvm.Differential, oracle string) {
+// differential's legs ran the default pipeline, whose ID is planID.
+// Every tool is judged by this oracle, so tools compared on one budget
+// count the same findings.
+func (res *FuzzResult) Judge(d *jvm.Differential, oracle string, iter int, planID string) {
 	res.Executions += len(d.Results)
 	if crash := d.AnyCrash(); crash != nil {
-		f.recordCrash(res, crash, f.Cfg.MaxIterations, cmp.Or(crash.PlanID, f.planIDFor(nil)))
+		res.RecordCrash(crash, iter, cmp.Or(crash.PlanID, planID))
 	} else if div := d.FirstDivergence(); div != nil {
 		for _, b := range d.DivergentBugs() {
 			res.Findings = append(res.Findings, BugFinding{
-				Bug: b, Oracle: oracle, Iteration: f.Cfg.MaxIterations,
+				Bug: b, Oracle: oracle, Iteration: iter,
 				Mutators:   append([]string(nil), res.MutatorSeq...),
 				Divergence: div,
-				PlanID:     cmp.Or(div.DivergentPlan, f.planIDFor(nil)),
+				PlanID:     cmp.Or(div.DivergentPlan, planID),
 			})
 		}
 	}
 }
 
-func (f *Fuzzer) recordCrash(res *FuzzResult, exec *jvm.ExecResult, iter int, planID string) {
-	crash := exec.Result.Crash
+// RecordCrash appends the crash finding for a crashed execution at
+// iteration iter under plan planID, blaming the catalog bug the crash
+// names. A crash without a catalog entry (e.g. an illegal-monitor state
+// produced by a miscompile defect) is blamed on the first bug the run
+// triggered; with none, nothing is recorded.
+func (res *FuzzResult) RecordCrash(ex *jvm.ExecResult, iter int, planID string) {
 	finding := BugFinding{
 		Oracle:    "crash",
 		Iteration: iter,
 		Mutators:  append([]string(nil), res.MutatorSeq...),
 		PlanID:    planID,
 	}
-	if b := buginject.ByID(crash.BugID); b != nil {
+	if b := buginject.ByID(ex.Result.Crash.BugID); b != nil {
 		finding.Bug = b
-	} else {
-		// A crash without a catalog entry (e.g. an illegal-monitor
-		// state produced by a miscompile defect): attribute it to the
-		// first triggered bug if any.
-		for _, b := range exec.Triggered {
-			finding.Bug = b
-			break
-		}
+	} else if len(ex.Triggered) > 0 {
+		finding.Bug = ex.Triggered[0]
 	}
 	if finding.Bug != nil {
 		res.Findings = append(res.Findings, finding)

@@ -12,10 +12,8 @@ import (
 	"strings"
 
 	"repro/internal/baselines"
-	"repro/internal/buginject"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/coverage"
 	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/jvm"
@@ -33,49 +31,56 @@ type Budget struct {
 	Executor exec.Executor
 }
 
-// withExecutor applies the budget's backend to tools that support one.
-func (b Budget) withExecutor(tool baselines.Tool) baselines.Tool {
-	if b.Executor != nil {
-		if s, ok := tool.(baselines.ExecutorSetter); ok {
-			s.SetExecutor(b.Executor)
-		}
-	}
-	return tool
-}
-
 // DefaultBudget finishes in tens of seconds on a laptop.
 func DefaultBudget() Budget { return Budget{Executions: 1500, Seeds: 40, Seed: 1} }
 
 // QuickBudget is the benchmark-sized budget.
 func QuickBudget() Budget { return Budget{Executions: 250, Seeds: 10, Seed: 1} }
 
-// toolRun aggregates one tool's budgeted campaign.
+// toolRun aggregates one budgeted campaign over the seed pool.
 type toolRun struct {
-	Name     string
+	// Findings holds each bug's first finding, in detection order.
 	Findings []core.BugFinding
 	// FindingAt holds cumulative executions at each unique-bug detection.
 	FindingAt []int
 	Deltas    []float64
-	Coverage  *coverage.Tracker
 	Execs     int
 }
 
-// runTool drives a baselines.Tool over the shared seed pool until the
-// execution budget is exhausted.
-func runTool(tool baselines.Tool, seeds []corpus.Seed, budget Budget) *toolRun {
-	tool = budget.withExecutor(tool)
-	run := &toolRun{Name: tool.Name()}
+// Seed salts: each artifact's per-seed RNG stream is
+// budget.Seed*salt + idx, with idx counting FuzzSeed calls from 1.
+const (
+	toolSalt   = 100000 // the per-tool comparisons (Table 6, Figures 2–5)
+	table5Salt = 7919   // Table 5's multi-target campaign
+	recallSalt = 104729 // Recall and PlanRecall
+)
+
+// fixed drives one tool on every seed.
+func fixed(tool baselines.Tool) func(int64, int) baselines.Tool {
+	return func(int64, int) baselines.Tool { return tool }
+}
+
+// runSeeds is the budgeted seed loop every per-seed artifact runs: it
+// sweeps the budget's seed pool round after round until the execution
+// budget is spent or a whole round fails, fuzzing seed i of the idx-th
+// call with toolAt(idx, i) under RNG seed budget.Seed*salt+idx through
+// the budget's backend.
+func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines.Tool) *toolRun {
+	seeds := pool(budget)
+	run := &toolRun{}
 	seen := map[string]bool{}
 	idx := int64(0)
 	parsed := corpus.NewParseCache() // parse each seed once, not once per round
 	for run.Execs < budget.Executions {
 		progressed := false
-		for _, seed := range seeds {
+		for i, seed := range seeds {
 			if run.Execs >= budget.Executions {
 				break
 			}
 			idx++
-			fr, err := tool.FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*100000+idx)
+			tool := toolAt(idx, i)
+			tool.SetExecutor(budget.Executor)
+			fr, err := tool.FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*salt+idx)
 			if err != nil {
 				continue
 			}
@@ -98,10 +103,12 @@ func runTool(tool baselines.Tool, seeds []corpus.Seed, budget Budget) *toolRun {
 	return run
 }
 
-func (r *toolRun) bugIDs() map[string]bool {
-	out := map[string]bool{}
-	for _, f := range r.Findings {
-		out[f.Bug.ID] = true
+// detected maps each bug ID the run found to the executions at its
+// first detection.
+func (r *toolRun) detected() map[string]int {
+	out := map[string]int{}
+	for i, f := range r.Findings {
+		out[f.Bug.ID] = r.FindingAt[i]
 	}
 	return out
 }
@@ -195,24 +202,39 @@ func pool(budget Budget) []corpus.Seed {
 	return corpus.DefaultPool(budget.Seeds, budget.Seed)
 }
 
-// runLeg runs one campaign-level recall leg: spec's campaign knobs over
-// the budget's pool and executions, cycling every target. The error is
-// an invalid spec or a backend fault while scoring the pool.
-func runLeg(budget Budget, spec core.JobSpec) (*core.CampaignResult, error) {
+// legDetected runs one campaign-level recall leg: spec's campaign knobs
+// over the budget's pool and executions, cycling every target. It
+// returns bug ID -> cumulative executions at first detection, bug ID ->
+// generator provenance of that first detection ("" = an original pool
+// seed), and the executions spent. Legs run whole campaigns, not the
+// per-seed loop, because the power schedule and the generators exist
+// only in the round planner. The error is an invalid spec or a backend
+// fault while scoring the pool.
+func legDetected(budget Budget, spec core.JobSpec) (detected map[string]int, provenance map[string]string, execs int, err error) {
 	for _, t := range allTargets() {
 		spec.Targets = append(spec.Targets, t.Name())
 	}
 	spec.SeedCount, spec.Seed, spec.Budget = budget.Seeds, budget.Seed, budget.Executions
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	return core.RunCampaignContext(context.Background(), spec.Campaign(budget.Executor), harness.Config{})
+	res, err := core.RunCampaignContext(context.Background(), spec.Campaign(budget.Executor), harness.Config{})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	detected, provenance = map[string]int{}, map[string]string{}
+	for i := range res.Findings {
+		f := &res.Findings[i]
+		if f.Bug == nil {
+			continue
+		}
+		if at, ok := detected[f.Bug.ID]; !ok || f.AtExecution < at {
+			detected[f.Bug.ID] = f.AtExecution
+			provenance[f.Bug.ID] = f.GeneratorID
+		}
+	}
+	return detected, provenance, res.Executions, nil
 }
-
-// hotspotTargets cycles the OpenJDK LTS+mainline targets (§4.1).
-func hotspotTargets() []jvm.Spec { return jvm.HotSpotLTSAndMainline() }
 
 // allTargets cycles both implementations.
 func allTargets() []jvm.Spec { return jvm.AllSpecs() }
-
-var _ = buginject.Catalog // referenced by tables.go

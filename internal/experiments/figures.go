@@ -97,7 +97,6 @@ func Figure1(w io.Writer, budget Budget) {
 // Figure2 compares line coverage per VM component across the three
 // tools under the same budget (Figure 2).
 func Figure2(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	covs := []*coverage.Tracker{coverage.NewTracker(), coverage.NewTracker(), coverage.NewTracker()}
 	jf := baselines.NewJITFuzz(target, covs[1])
@@ -110,9 +109,8 @@ func Figure2(w io.Writer, budget Budget) {
 		baselines.NewArtemis(target, covs[2]),
 	}
 	names := []string{"MopFuzzer", "JITFuzz", "Artemis"}
-	for i, tool := range tools {
-		_ = runTool(tool, seeds, budget)
-		_ = i
+	for _, tool := range tools {
+		runSeeds(budget, toolSalt, fixed(tool))
 	}
 	fmt.Fprintf(w, "Figure 2: Line coverage by component (budget %d executions; %d instrumented lines)\n\n",
 		budget.Executions, coverage.TotalLines())
@@ -136,7 +134,6 @@ func Figure2(w io.Writer, budget Budget) {
 // Figure3 renders the distribution of final-mutant Δ for the three tools
 // (Figure 3's boxplot).
 func Figure3(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	// Δ is a property of generated mutants, not of bugs: measure on
 	// bug-free VMs so crashes don't truncate the 50-iteration runs.
@@ -153,13 +150,12 @@ func Figure3(w io.Writer, budget Budget) {
 	art.DisableBugs = true
 	art.DiffSpecs = nil
 	tools := []baselines.Tool{mop, jf, art}
-	renderDeltaBoxplots(w, "Figure 3: Euclidean distance of OBV (final mutant vs seed) per tool", tools, seeds, budget)
+	renderDeltaBoxplots(w, "Figure 3: Euclidean distance of OBV (final mutant vs seed) per tool", tools, budget)
 }
 
 // Figure4 renders the same distribution for MopFuzzer and its variants
 // (Figure 4).
 func Figure4(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	var tools []baselines.Tool
 	for _, mk := range []func(jvm.Spec, *coverage.Tracker) *baselines.MopFuzzerTool{
@@ -170,15 +166,15 @@ func Figure4(w io.Writer, budget Budget) {
 		tool.Cfg.DiffSpecs = nil
 		tools = append(tools, tool)
 	}
-	renderDeltaBoxplots(w, "Figure 4: Euclidean distance of OBV for MopFuzzer and its variants", tools, seeds, budget)
+	renderDeltaBoxplots(w, "Figure 4: Euclidean distance of OBV for MopFuzzer and its variants", tools, budget)
 }
 
-func renderDeltaBoxplots(w io.Writer, title string, tools []baselines.Tool, seeds []corpus.Seed, budget Budget) {
+func renderDeltaBoxplots(w io.Writer, title string, tools []baselines.Tool, budget Budget) {
 	fmt.Fprintf(w, "%s (budget %d executions)\n\n", title, budget.Executions)
 	var runs []*toolRun
 	hi := 1.0
 	for _, tool := range tools {
-		r := runTool(tool, seeds, budget)
+		r := runSeeds(budget, toolSalt, fixed(tool))
 		runs = append(runs, r)
 		for _, d := range r.Deltas {
 			if d > hi {
@@ -186,17 +182,16 @@ func renderDeltaBoxplots(w io.Writer, title string, tools []baselines.Tool, seed
 			}
 		}
 	}
-	for _, r := range runs {
+	for i, r := range runs {
 		f := summarize(r.Deltas)
 		fmt.Fprintf(w, "  %-12s [%s] med=%.0f q1=%.0f q3=%.0f n=%d\n",
-			r.Name, boxplotLine(f, 0, hi, 48), f.Med, f.Q1, f.Q3, len(r.Deltas))
+			tools[i].Name(), boxplotLine(f, 0, hi, 48), f.Med, f.Q1, f.Q3, len(r.Deltas))
 	}
 }
 
 // Figure5a renders the number of detected bugs over time (execution
 // count) for MopFuzzer and its variants (Figure 5a).
 func Figure5a(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	tools := []baselines.Tool{
 		baselines.NewMopFuzzer(target, nil),
@@ -205,7 +200,7 @@ func Figure5a(w io.Writer, budget Budget) {
 	}
 	runs := make([]*toolRun, len(tools))
 	for i, tool := range tools {
-		runs[i] = runTool(tool, seeds, budget)
+		runs[i] = runSeeds(budget, toolSalt, fixed(tool))
 	}
 	fmt.Fprintf(w, "Figure 5a: Detected bugs over time (budget %d executions)\n\n", budget.Executions)
 	const checkpoints = 8
@@ -214,8 +209,8 @@ func Figure5a(w io.Writer, budget Budget) {
 		header = append(header, fmt.Sprintf("%d", budget.Executions*c/checkpoints))
 	}
 	var rows [][]string
-	for _, r := range runs {
-		row := []string{r.Name}
+	for i, r := range runs {
+		row := []string{tools[i].Name()}
 		for c := 1; c <= checkpoints; c++ {
 			cut := budget.Executions * c / checkpoints
 			n := 0
@@ -234,7 +229,6 @@ func Figure5a(w io.Writer, budget Budget) {
 // Figure5b renders the overlap of detected bug sets across the variants
 // (Figure 5b's Venn counts).
 func Figure5b(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	tools := []baselines.Tool{
 		baselines.NewMopFuzzer(target, nil),
@@ -242,9 +236,9 @@ func Figure5b(w io.Writer, budget Budget) {
 		baselines.NewMopFuzzerR(target, nil),
 	}
 	names := []string{"MopFuzzer", "MopFuzzer_g", "MopFuzzer_r"}
-	sets := make([]map[string]bool, len(tools))
+	sets := make([]map[string]int, len(tools))
 	for i, tool := range tools {
-		sets[i] = runTool(tool, seeds, budget).bugIDs()
+		sets[i] = runSeeds(budget, toolSalt, fixed(tool)).detected()
 	}
 	all := map[string]bool{}
 	for _, s := range sets {
@@ -257,7 +251,7 @@ func Figure5b(w io.Writer, budget Budget) {
 	for id := range all {
 		key := ""
 		for i := range sets {
-			if sets[i][id] {
+			if _, ok := sets[i][id]; ok {
 				key += "1"
 			} else {
 				key += "0"

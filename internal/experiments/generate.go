@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/buginject"
@@ -43,30 +42,6 @@ func generatorLegConfigs() []core.JobSpec {
 	}
 }
 
-// generatorDetected runs one campaign-level recall leg and returns bug
-// ID -> cumulative executions at first detection, bug ID -> generator
-// provenance of that first detection ("" = original pool seed), and the
-// executions spent. Campaign-level because generators only exist in the
-// round planner's pool refresh.
-func generatorDetected(budget Budget, spec core.JobSpec) (detected map[string]int, provenance map[string]string, execs int, err error) {
-	res, err := runLeg(budget, spec)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	detected, provenance = map[string]int{}, map[string]string{}
-	for i := range res.Findings {
-		f := &res.Findings[i]
-		if f.Bug == nil {
-			continue
-		}
-		if at, ok := detected[f.Bug.ID]; !ok || f.AtExecution < at {
-			detected[f.Bug.ID] = f.AtExecution
-			provenance[f.Bug.ID] = f.GeneratorID
-		}
-	}
-	return detected, provenance, res.Executions, nil
-}
-
 // generatorLegRun pairs a leg's summary with its raw detection maps.
 type generatorLegRun struct {
 	leg        GeneratorLeg
@@ -79,7 +54,7 @@ type generatorLegRun struct {
 func runGeneratorLegs(budget Budget) ([]generatorLegRun, error) {
 	var runs []generatorLegRun
 	for _, cfg := range generatorLegConfigs() {
-		detected, provenance, execs, err := generatorDetected(budget, cfg)
+		detected, provenance, execs, err := legDetected(budget, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -109,14 +84,17 @@ func runGeneratorLegs(budget Budget) ([]generatorLegRun, error) {
 // each generator set reached that the fixed randprog pool missed — the
 // template/style subsystem's validation against the 59-bug catalog.
 func GeneratorRecall(w io.Writer, budget Budget) error {
-	fmt.Fprintf(w, "Generator recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
-		budget.Executions, budget.Seeds)
-
 	runs, err := runGeneratorLegs(budget)
 	if err != nil {
 		return err
 	}
+	renderGeneratorRecall(w, budget, runs)
+	return nil
+}
 
+func renderGeneratorRecall(w io.Writer, budget Budget, runs []generatorLegRun) {
+	fmt.Fprintf(w, "Generator recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
+		budget.Executions, budget.Seeds)
 	var rows [][]string
 	for _, r := range runs {
 		rows = append(rows, []string{
@@ -133,27 +111,8 @@ func GeneratorRecall(w io.Writer, budget Budget) error {
 	// scenario-diversity gain at the same budget.
 	base := runs[0]
 	for _, r := range runs[1:] {
-		var only []string
-		for id := range r.detected {
-			if _, ok := base.detected[id]; !ok {
-				only = append(only, id)
-			}
-		}
-		sort.Strings(only)
 		name := strings.Join(r.leg.Generators, "+")
-		if len(only) > 0 {
-			fmt.Fprintf(w, "\nDetected only with -generators=%s (%d):\n", name, len(only))
-			for _, id := range only {
-				b := buginject.ByID(id)
-				via := "pool seed"
-				if gen := r.provenance[id]; gen != "" {
-					via = "seed by " + gen
-				}
-				fmt.Fprintf(w, "  %-14s %s (%s, %s; first hit via %s)\n", id, b.Component, b.Kind, b.Impl, via)
-			}
-		} else {
-			fmt.Fprintf(w, "\nNo %s-only bugs at this budget (raise -budget).\n", name)
-		}
+		detectedOnly(w, r.detected, base.detected, "-generators="+name, "", r.provenance,
+			"No "+name+"-only bugs at this budget (raise -budget).")
 	}
-	return nil
 }

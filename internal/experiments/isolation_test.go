@@ -24,7 +24,7 @@ import (
 func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	budget := Budget{Executions: 300, Seeds: 8, Seed: 1}
 	leg := func() string {
-		detected, execs, err := scheduleDetected(budget, core.JobSpec{Schedule: "power", PlanFuzz: "full"})
+		detected, _, execs, err := legDetected(budget, core.JobSpec{Schedule: "power", PlanFuzz: "full"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"repro/internal/baselines"
-	"repro/internal/buginject"
-	"repro/internal/corpus"
 	"repro/internal/jit"
 )
 
@@ -21,114 +17,16 @@ import (
 // occur in one order).
 func PlanRecall(w io.Writer, budget Budget) {
 	modes := []jit.PlanMode{jit.PlanDefault, jit.PlanMinimal, jit.PlanFull}
-	detected := map[jit.PlanMode]map[string]int{}
-	for _, mode := range modes {
-		detected[mode] = recallDetected(budget, mode)
+	detected := make([]map[string]int, len(modes))
+	for i, mode := range modes {
+		detected[i] = recallRun(budget, mode).detected()
 	}
 
 	fmt.Fprintf(w, "Plan-fuzz recall vs ground truth (budget %d executions per mode, %d seeds)\n\n",
 		budget.Executions, budget.Seeds)
-
-	type row struct {
-		impl      buginject.Impl
-		component string
-		total     int
-		found     map[jit.PlanMode]int
-	}
-	agg := map[string]*row{}
-	var order []string
-	for _, b := range buginject.Catalog {
-		key := string(b.Impl) + "/" + b.Component
-		r := agg[key]
-		if r == nil {
-			r = &row{impl: b.Impl, component: b.Component, found: map[jit.PlanMode]int{}}
-			agg[key] = r
-			order = append(order, key)
-		}
-		r.total++
-		for _, mode := range modes {
-			if _, ok := detected[mode][b.ID]; ok {
-				r.found[mode]++
-			}
-		}
-	}
-	sort.Strings(order)
-
-	var rows [][]string
-	totals := map[jit.PlanMode]int{}
-	total := 0
-	for _, key := range order {
-		r := agg[key]
-		cells := []string{string(r.impl), r.component}
-		for _, mode := range modes {
-			cells = append(cells, fmt.Sprintf("%d/%d", r.found[mode], r.total))
-			totals[mode] += r.found[mode]
-		}
-		total += r.total
-		rows = append(rows, cells)
-	}
-	totalCells := []string{"", "Total"}
-	for _, mode := range modes {
-		totalCells = append(totalCells, fmt.Sprintf("%d/%d", totals[mode], total))
-	}
-	rows = append(rows, totalCells)
-	table(w, []string{"Impl", "Component", "off", "minimal", "full"}, rows)
+	table(w, []string{"Impl", "Component", "off", "minimal", "full"}, recallRows(detected...))
 
 	// Bugs only a fuzzed schedule reached: the plan dimension's net gain.
-	var planOnly []string
-	for id := range detected[jit.PlanFull] {
-		if _, ok := detected[jit.PlanDefault][id]; !ok {
-			planOnly = append(planOnly, id)
-		}
-	}
-	sort.Strings(planOnly)
-	if len(planOnly) > 0 {
-		fmt.Fprintf(w, "\nDetected only with -plan-fuzz=full (%d):\n", len(planOnly))
-		for _, id := range planOnly {
-			b := buginject.ByID(id)
-			fmt.Fprintf(w, "  %-14s %s (%s, %s)\n", id, b.Component, b.Kind, b.Impl)
-		}
-	} else {
-		fmt.Fprintln(w, "\nNo plan-only bugs at this budget (raise -budget).")
-	}
-}
-
-// recallDetected runs one Recall-shaped campaign with the given
-// plan-generation mode and returns bug ID -> cumulative executions at
-// first detection.
-func recallDetected(budget Budget, mode jit.PlanMode) map[string]int {
-	seeds := pool(budget)
-	targets := allTargets()
-	detected := map[string]int{}
-	execs := 0
-	idx := int64(0)
-	parsed := corpus.NewParseCache()
-	for execs < budget.Executions {
-		progressed := false
-		for i, seed := range seeds {
-			if execs >= budget.Executions {
-				break
-			}
-			idx++
-			tool := baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
-			tool.Cfg.PlanFuzz = mode
-			fr, err := budget.withExecutor(tool).FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*104729+idx)
-			if err != nil {
-				continue
-			}
-			progressed = true
-			execs += fr.Executions
-			for _, fd := range fr.Findings {
-				if fd.Bug != nil {
-					if _, ok := detected[fd.Bug.ID]; !ok {
-						detected[fd.Bug.ID] = execs
-					}
-				}
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-	return detected
+	detectedOnly(w, detected[2], detected[0], "-plan-fuzz=full", "", nil,
+		"No plan-only bugs at this budget (raise -budget).")
 }

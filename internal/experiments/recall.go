@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/baselines"
 	"repro/internal/buginject"
 	"repro/internal/jit"
 )
@@ -16,13 +17,40 @@ import (
 // measurement, and the long-horizon sanity check that every bug class
 // is reachable.
 func Recall(w io.Writer, budget Budget) {
-	detected := recallDetected(budget, jit.PlanDefault) // bug ID -> executions at detection
+	run := recallRun(budget, jit.PlanDefault)
 
+	fmt.Fprintf(w, "Recall vs ground truth (budget %d executions, %d seeds, targets cycled over %d builds)\n\n",
+		budget.Executions, budget.Seeds, len(allTargets()))
+	table(w, []string{"Impl", "Component", "Detected"}, recallRows(run.detected()))
+
+	if len(run.Findings) > 0 {
+		fmt.Fprintln(w, "\nDetection order (bug @ cumulative executions):")
+		for i, f := range run.Findings {
+			fmt.Fprintf(w, "  %6d  %-14s %s (%s)\n", run.FindingAt[i], f.Bug.ID, f.Bug.Component, f.Bug.Kind)
+		}
+	}
+}
+
+// recallRun runs one Recall-shaped campaign: MopFuzzer under the given
+// plan-generation mode, cycling every target across seeds and rounds.
+func recallRun(budget Budget, mode jit.PlanMode) *toolRun {
+	targets := allTargets()
+	return runSeeds(budget, recallSalt, func(idx int64, i int) baselines.Tool {
+		tool := baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
+		tool.Cfg.PlanFuzz = mode
+		return tool
+	})
+}
+
+// recallRows is the recall table body: one row per catalog
+// Impl/Component, sorted, with a found/total cell per detection map
+// (bug ID -> executions at first detection), then the Total row.
+func recallRows(detected ...map[string]int) [][]string {
 	type row struct {
 		impl      buginject.Impl
 		component string
-		found     int
 		total     int
+		found     []int
 	}
 	agg := map[string]*row{}
 	var order []string
@@ -30,45 +58,65 @@ func Recall(w io.Writer, budget Budget) {
 		key := string(b.Impl) + "/" + b.Component
 		r := agg[key]
 		if r == nil {
-			r = &row{impl: b.Impl, component: b.Component}
+			r = &row{impl: b.Impl, component: b.Component, found: make([]int, len(detected))}
 			agg[key] = r
 			order = append(order, key)
 		}
 		r.total++
-		if _, ok := detected[b.ID]; ok {
-			r.found++
+		for i, d := range detected {
+			if _, ok := d[b.ID]; ok {
+				r.found[i]++
+			}
 		}
 	}
 	sort.Strings(order)
 
-	fmt.Fprintf(w, "Recall vs ground truth (budget %d executions, %d seeds, targets cycled over %d builds)\n\n",
-		budget.Executions, budget.Seeds, len(allTargets()))
 	var rows [][]string
-	foundTotal, total := 0, 0
+	found := make([]int, len(detected))
+	total := 0
 	for _, key := range order {
 		r := agg[key]
-		rows = append(rows, []string{string(r.impl), r.component,
-			fmt.Sprintf("%d/%d", r.found, r.total)})
-		foundTotal += r.found
+		cells := []string{string(r.impl), r.component}
+		for i, n := range r.found {
+			cells = append(cells, fmt.Sprintf("%d/%d", n, r.total))
+			found[i] += n
+		}
 		total += r.total
+		rows = append(rows, cells)
 	}
-	rows = append(rows, []string{"", "Total", fmt.Sprintf("%d/%d", foundTotal, total)})
-	table(w, []string{"Impl", "Component", "Detected"}, rows)
+	totalCells := []string{"", "Total"}
+	for _, n := range found {
+		totalCells = append(totalCells, fmt.Sprintf("%d/%d", n, total))
+	}
+	return append(rows, totalCells)
+}
 
-	if len(detected) > 0 {
-		fmt.Fprintln(w, "\nDetection order (bug @ cumulative executions):")
-		type hit struct {
-			id string
-			at int
+// detectedOnly lists, by ID, the bugs in found that base lacks under
+// "Detected only with <with> (<qual><count>):", or prints none when
+// there are none. via, when non-nil, names the provenance of each
+// bug's first hit ("" = a pool seed).
+func detectedOnly(w io.Writer, found, base map[string]int, with, qual string, via map[string]string, none string) {
+	var only []string
+	for id := range found {
+		if _, ok := base[id]; !ok {
+			only = append(only, id)
 		}
-		var hits []hit
-		for id, at := range detected {
-			hits = append(hits, hit{id, at})
+	}
+	if len(only) == 0 {
+		fmt.Fprintf(w, "\n%s\n", none)
+		return
+	}
+	sort.Strings(only)
+	fmt.Fprintf(w, "\nDetected only with %s (%s%d):\n", with, qual, len(only))
+	for _, id := range only {
+		b := buginject.ByID(id)
+		suffix := ""
+		if via != nil {
+			suffix = "; first hit via pool seed"
+			if gen := via[id]; gen != "" {
+				suffix = "; first hit via seed by " + gen
+			}
 		}
-		sort.Slice(hits, func(i, j int) bool { return hits[i].at < hits[j].at })
-		for _, h := range hits {
-			b := buginject.ByID(h.id)
-			fmt.Fprintf(w, "  %6d  %-14s %s (%s)\n", h.at, h.id, b.Component, b.Kind)
-		}
+		fmt.Fprintf(w, "  %-14s %s (%s, %s%s)\n", id, b.Component, b.Kind, b.Impl, suffix)
 	}
 }

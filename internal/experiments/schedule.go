@@ -44,29 +44,6 @@ func scheduleLegPlans() []core.JobSpec {
 	}
 }
 
-// scheduleDetected runs one campaign-level recall leg and returns bug
-// ID -> cumulative executions at first detection, plus the executions
-// actually spent. Campaign-level (core.RunCampaignContext, not
-// per-seed tool loops) because the power schedule is a campaign policy:
-// it only exists in the round planner.
-func scheduleDetected(budget Budget, spec core.JobSpec) (map[string]int, int, error) {
-	res, err := runLeg(budget, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	detected := map[string]int{}
-	for i := range res.Findings {
-		f := &res.Findings[i]
-		if f.Bug == nil {
-			continue
-		}
-		if at, ok := detected[f.Bug.ID]; !ok || f.AtExecution < at {
-			detected[f.Bug.ID] = f.AtExecution
-		}
-	}
-	return detected, res.Executions, nil
-}
-
 // medianDetection returns the median first-detection execution count.
 func medianDetection(detected map[string]int) float64 {
 	if len(detected) == 0 {
@@ -95,7 +72,7 @@ type scheduleLegRun struct {
 func runScheduleLegs(budget Budget) ([]scheduleLegRun, error) {
 	var runs []scheduleLegRun
 	for _, lg := range scheduleLegPlans() {
-		detected, execs, err := scheduleDetected(budget, lg)
+		detected, _, execs, err := legDetected(budget, lg)
 		if err != nil {
 			return nil, err
 		}
@@ -141,14 +118,17 @@ func runScheduleLegs(budget Budget) ([]scheduleLegRun, error) {
 // should detect at least as many of the 59 seeded bugs while reaching
 // them in fewer median executions.
 func ScheduleRecall(w io.Writer, budget Budget) error {
-	fmt.Fprintf(w, "Power-schedule recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
-		budget.Executions, budget.Seeds)
-
 	runs, err := runScheduleLegs(budget)
 	if err != nil {
 		return err
 	}
+	renderScheduleRecall(w, budget, runs)
+	return nil
+}
 
+func renderScheduleRecall(w io.Writer, budget Budget, runs []scheduleLegRun) {
+	fmt.Fprintf(w, "Power-schedule recall vs ground truth (budget %d executions per leg, %d seeds)\n\n",
+		budget.Executions, budget.Seeds)
 	var rows [][]string
 	for _, r := range runs {
 		rows = append(rows, []string{
@@ -165,24 +145,8 @@ func ScheduleRecall(w io.Writer, budget Budget) error {
 	// allocation's net gain over cursor order at the same budget.
 	for i := 0; i+1 < len(runs); i += 2 {
 		off, power := runs[i], runs[i+1]
-		var powerOnly []string
-		for id := range power.detected {
-			if _, ok := off.detected[id]; !ok {
-				powerOnly = append(powerOnly, id)
-			}
-		}
-		sort.Strings(powerOnly)
-		if len(powerOnly) > 0 {
-			fmt.Fprintf(w, "\nDetected only with -schedule=power (plan-fuzz %s, %d):\n",
-				power.leg.PlanFuzz, len(powerOnly))
-			for _, id := range powerOnly {
-				b := buginject.ByID(id)
-				fmt.Fprintf(w, "  %-14s %s (%s, %s)\n", id, b.Component, b.Kind, b.Impl)
-			}
-		} else {
-			fmt.Fprintf(w, "\nNo power-only bugs at plan-fuzz %s at this budget (raise -budget).\n",
-				power.leg.PlanFuzz)
-		}
+		plan := power.leg.PlanFuzz
+		detectedOnly(w, power.detected, off.detected, "-schedule=power", "plan-fuzz "+plan+", ", nil,
+			"No power-only bugs at plan-fuzz "+plan+" at this budget (raise -budget).")
 	}
-	return nil
 }

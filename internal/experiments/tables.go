@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/baselines"
 	"repro/internal/buginject"
-	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/jvm"
 )
@@ -115,51 +115,12 @@ func Table4(w io.Writer) {
 // Table5 runs a detection campaign and renders the top mutators and
 // mutator pairs involved in bug-triggering test cases (Table 5).
 func Table5(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	// Cycle targets across versions and implementations so version-
 	// specific bugs are reachable, as in the three-month campaign.
-	var findings []struct {
-		bugID    string
-		mutators map[string]bool
-	}
-	seen := map[string]bool{}
-	execs := 0
-	idx := int64(0)
 	targets := allTargets()
-	parsed := corpus.NewParseCache() // parse each seed once, not once per round
-	for execs < budget.Executions {
-		progressed := false
-		for i, seed := range seeds {
-			if execs >= budget.Executions {
-				break
-			}
-			idx++
-			tool := budget.withExecutor(baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil))
-			fr, err := tool.FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*7919+idx)
-			if err != nil {
-				continue
-			}
-			progressed = true
-			execs += fr.Executions
-			for _, fd := range fr.Findings {
-				if fd.Bug == nil || seen[fd.Bug.ID] {
-					continue
-				}
-				seen[fd.Bug.ID] = true
-				set := map[string]bool{}
-				for _, m := range fd.Mutators {
-					set[m] = true
-				}
-				findings = append(findings, struct {
-					bugID    string
-					mutators map[string]bool
-				}{fd.Bug.ID, set})
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	findings := runSeeds(budget, table5Salt, func(idx int64, i int) baselines.Tool {
+		return baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
+	}).Findings
 
 	fmt.Fprintf(w, "Table 5: Top mutators and mutator pairs in the %d bug-triggering test cases\n", len(findings))
 	fmt.Fprintf(w, "(campaign budget: %d executions over %d seeds)\n\n", budget.Executions, budget.Seeds)
@@ -171,11 +132,9 @@ func Table5(w io.Writer, budget Budget) {
 	single := map[string]int{}
 	pairs := map[string]int{}
 	for _, f := range findings {
-		var ms []string
-		for m := range f.mutators {
-			ms = append(ms, m)
-		}
-		sort.Strings(ms)
+		ms := slices.Clone(f.Mutators)
+		slices.Sort(ms)
+		ms = slices.Compact(ms)
 		for i, a := range ms {
 			single[a]++
 			for _, b := range ms[i+1:] {
@@ -221,7 +180,6 @@ func Table5(w io.Writer, budget Budget) {
 // Table6 compares bug detection across MopFuzzer, Artemis, and JITFuzz
 // under the same seed pool and execution budget on OpenJDK 17 (Table 6).
 func Table6(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
 	jf := baselines.NewJITFuzz(target, coverage.NewTracker())
 	if budget.Executions < jf.Iterations {
@@ -234,7 +192,7 @@ func Table6(w io.Writer, budget Budget) {
 	}
 	runs := make([]*toolRun, len(tools))
 	for i, tool := range tools {
-		runs[i] = runTool(tool, seeds, budget)
+		runs[i] = runSeeds(budget, toolSalt, fixed(tool))
 	}
 
 	// Component rows: union of components any tool hit.
@@ -260,7 +218,7 @@ func Table6(w io.Writer, budget Budget) {
 		for _, f := range r.Findings {
 			only := true
 			for j, o := range runs {
-				if j != i && o.bugIDs()[f.Bug.ID] {
+				if _, ok := o.detected()[f.Bug.ID]; ok && j != i {
 					only = false
 				}
 			}

@@ -254,7 +254,3 @@ func (s *Supervisor) sleep(d time.Duration) {
 	}
 	time.Sleep(d)
 }
-
-// TasksDone reports the number of supervised tasks completed (including
-// skips).
-func (s *Supervisor) TasksDone() int { return s.tasksDone }

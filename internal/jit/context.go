@@ -120,23 +120,6 @@ func (c *Context) Count(b profile.Behavior) int64 {
 	return c.Counts[b]
 }
 
-// PairSeen reports whether both behaviors occurred in this compilation —
-// the simplest interaction predicate.
-func (c *Context) PairSeen(a, b profile.Behavior) bool {
-	return c.Count(a) > 0 && c.Count(b) > 0
-}
-
-// MaxSyncDepth returns the deepest synchronized nesting any event saw.
-func (c *Context) MaxSyncDepth() int {
-	d := 0
-	for _, ev := range c.Events {
-		if ev.SyncDepth > d {
-			d = ev.SyncDepth
-		}
-	}
-	return d
-}
-
 // ProvUnion returns the union of all event provenance bits.
 func (c *Context) ProvUnion() Prov {
 	var p Prov

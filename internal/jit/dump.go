@@ -29,13 +29,6 @@ func Dump(f *Func) string {
 	return b.String()
 }
 
-// DumpNode renders one subtree (exported for tests and tooling).
-func DumpNode(n *Node) string {
-	var b strings.Builder
-	dumpNode(&b, n, 0)
-	return b.String()
-}
-
 func dumpNode(b *strings.Builder, n *Node, depth int) {
 	if n == nil {
 		return

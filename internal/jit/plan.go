@@ -199,9 +199,6 @@ var passOrder = []string{
 	"loop_unroll", "lock_coarsen", "rse", "dce", "traps",
 }
 
-// PassNames returns the registry's pass names in canonical order.
-func PassNames() []string { return append([]string(nil), passOrder...) }
-
 // allowedIn reports whether the named pass may be scheduled in tier t.
 func (pi *passInfo) allowedIn(t vm.Tier) bool {
 	if t == vm.TierC1 {

@@ -127,9 +127,6 @@ func (r *Recorder) OBV() OBV {
 	return r.counts
 }
 
-// CountOnly reports whether the recorder drops line text (fast path).
-func (r *Recorder) CountOnly() bool { return r != nil && r.countOnly }
-
 // Emitter is the narrow interface passes use to write profile data.
 type Emitter interface {
 	Emitf(flag Flag, format string, args ...any)
