@@ -585,6 +585,15 @@ func (fc *fnCompiler) expr(e lang.Expr) error {
 	return nil
 }
 
+// binaryOps maps the non-short-circuit binary operators to their
+// instructions.
+var binaryOps = map[lang.BinOp]Op{
+	lang.OpAdd: Add, lang.OpSub: Sub, lang.OpMul: Mul, lang.OpDiv: Div, lang.OpRem: Rem,
+	lang.OpAnd: And, lang.OpOr: Or, lang.OpXor: Xor, lang.OpShl: Shl, lang.OpShr: Shr,
+	lang.OpEq: CmpEq, lang.OpNe: CmpNe, lang.OpLt: CmpLt, lang.OpLe: CmpLe,
+	lang.OpGt: CmpGt, lang.OpGe: CmpGe,
+}
+
 func (fc *fnCompiler) binary(n *lang.Binary) error {
 	// Short-circuit logical operators.
 	if n.Op == lang.OpLAnd || n.Op == lang.OpLOr {
@@ -611,12 +620,7 @@ func (fc *fnCompiler) binary(n *lang.Binary) error {
 	if err := fc.expr(n.R); err != nil {
 		return err
 	}
-	op, ok := map[lang.BinOp]Op{
-		lang.OpAdd: Add, lang.OpSub: Sub, lang.OpMul: Mul, lang.OpDiv: Div, lang.OpRem: Rem,
-		lang.OpAnd: And, lang.OpOr: Or, lang.OpXor: Xor, lang.OpShl: Shl, lang.OpShr: Shr,
-		lang.OpEq: CmpEq, lang.OpNe: CmpNe, lang.OpLt: CmpLt, lang.OpLe: CmpLe,
-		lang.OpGt: CmpGt, lang.OpGe: CmpGe,
-	}[n.Op]
+	op, ok := binaryOps[n.Op]
 	if !ok {
 		return fmt.Errorf("bytecode: unmapped binary op %v", n.Op)
 	}

@@ -42,8 +42,10 @@ type recordedLine struct {
 // compilation: the emitted code (read-only at execution time — runtime
 // trap state lives on Compiled), the captured profile emissions and
 // coverage regions, the bug IDs the compile triggered, and the finished
-// context for OnCompiled observers (minus its Env and Log, which belong
-// to the execution that compiled it).
+// context for OnCompiled observers. The context is stripped to what
+// outlives the compilation — tier, events, counts, escape states and
+// miscompile flags — so an entry pins neither the optimized IR nor the
+// compiling execution's channels (Env, Log, Cov, Hook).
 type cacheEntry struct {
 	code  *bytecode.Function
 	lines []recordedLine

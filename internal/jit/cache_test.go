@@ -1,6 +1,8 @@
 package jit
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -81,4 +83,103 @@ func TestCompileCacheSharedAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCompileCacheEntriesHoldNoIR: a cache entry keeps what replay
+// needs and no optimized IR, and OnCompiled fires once per compilation
+// whether it missed or hit, with the same events and counts; a replayed
+// context has Fn == nil and the replaying execution's channels.
+func TestCompileCacheEntriesHoldNoIR(t *testing.T) {
+	src := hotProgram(`
+    int r = 0;
+    for (int k = 0; k < 6; k += 1) { r = r + i * 2 + k; }
+  `)
+	cache := NewCache(0)
+	run := func() (ctxs []*Context, tierUps int, cov *coverage.Tracker) {
+		cov = coverage.NewTracker()
+		comp := New(profile.NewRecorder(profile.DefaultFlags()), cov, nil)
+		comp.Cache, comp.CacheSalt = cache, src
+		comp.OnCompiled = func(c *Context) { ctxs = append(ctxs, c) }
+		cfg := vm.Config{C1Threshold: 4, C2Threshold: 8, JIT: comp,
+			OnCompile: func(*bytecode.Function, vm.Tier) { tierUps++ }}
+		vm.NewMachine(compileImg(t, src), cfg).Run()
+		return ctxs, tierUps, cov
+	}
+	missed, missUps, _ := run()
+	if len(missed) == 0 || len(missed) != missUps || cache.Len() != len(missed) {
+		t.Fatalf("first run: %d OnCompiled calls, %d tier-ups, %d entries; want them equal and > 0", len(missed), missUps, cache.Len())
+	}
+	for _, c := range missed {
+		if c.Fn == nil {
+			t.Errorf("a compiling context has no Fn")
+		}
+	}
+	hit, hitUps, cov := run()
+	if st := cache.Stats(); st.Hits != int64(len(missed)) {
+		t.Fatalf("second run: stats %+v, want %d hits", st, len(missed))
+	}
+	if len(hit) != len(missed) || hitUps != missUps {
+		t.Fatalf("second run: %d OnCompiled calls, %d tier-ups; want %d of each", len(hit), hitUps, len(missed))
+	}
+	for i, c := range hit {
+		if c.Fn != nil || c.Env == nil || c.Log == nil || c.Cov != cov {
+			t.Errorf("replayed context %d: Fn %p Env %p Log %p Cov %p; want no Fn and this run's channels", i, c.Fn, c.Env, c.Log, c.Cov)
+		}
+		if c.Tier != missed[i].Tier || c.Counts != missed[i].Counts || !slices.Equal(c.Events, missed[i].Events) {
+			t.Errorf("replayed context %d differs from the compilation it replays", i)
+		}
+	}
+	irTypes := []reflect.Type{reflect.TypeOf((*Func)(nil)), reflect.TypeOf((*Node)(nil))}
+	for key, e := range cache.entries {
+		if path := findPointer(reflect.ValueOf(e), irTypes, map[uintptr]bool{}); path != "" {
+			t.Errorf("entry %q pins IR at %s", key, path)
+		}
+		if e.ctx.Env != nil || e.ctx.Log != nil || e.ctx.Cov != nil || e.ctx.Hook != nil {
+			t.Errorf("entry %q pins the compiling execution's channels", key)
+		}
+	}
+}
+
+// findPointer walks everything v reaches and returns the access path to
+// the first non-nil pointer of one of the types, or "".
+func findPointer(v reflect.Value, types []reflect.Type, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		if slices.Contains(types, v.Type()) {
+			return v.Type().String()
+		}
+		if seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		if p := findPointer(v.Elem(), types, seen); p != "" {
+			return "*" + p
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			return findPointer(v.Elem(), types, seen)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := findPointer(v.Field(i), types, seen); p != "" {
+				return "." + v.Type().Field(i).Name + p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := findPointer(v.Index(i), types, seen); p != "" {
+				return "[]" + p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := findPointer(it.Value(), types, seen); p != "" {
+				return "[value]" + p
+			}
+		}
+	}
+	return ""
 }

@@ -54,7 +54,7 @@ func (p Prov) Count() int {
 // Kind enumerates IR node kinds. The IR deliberately stays a structured
 // tree: loop and lock optimizations are tree reshapes, which is what
 // makes their interactions explicit.
-type Kind int
+type Kind uint8
 
 // Node kinds. Statement kinds first, then expressions.
 const (
@@ -149,27 +149,32 @@ func (k Kind) IsStmt() bool { return k <= NUncommonTrap }
 //	NIndex:       Kids = [arr, idx]
 //	NBox/NUnbox:  Kids = [x]
 //	NCond:        Kids = [c, t, f]; Ty
+//
+// The one-byte fields and Prov share a word, so a Node is 120 bytes,
+// one 128-byte allocation: loop unrolling and inlining clone whole
+// subtrees, so the node size bounds what compilation allocates.
 type Node struct {
-	Kind Kind
 	Kids []*Node
 
-	Name   string
-	Class  string
+	Name  string
+	Class string
+	IVal  int64
+	SVal  string
+	Step  int64
+	Ty    lang.Type
+
+	Kind   Kind
 	BinOp  lang.BinOp
 	UnOp   lang.UnOp
-	IVal   int64
-	SVal   string
 	IsLong bool
 	Static bool
-	Step   int64
-	Ty     lang.Type
-
-	Prov Prov
 
 	// NoExcCleanup marks an NSync whose exception path omits the
 	// monitor release — a seeded-miscompilation effect reproducing the
 	// Listing 1 hazard. Correct compilation never sets it.
 	NoExcCleanup bool
+
+	Prov Prov
 }
 
 // Seq builds a sequence node.

@@ -3,6 +3,7 @@ package jit
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bytecode"
 	"repro/internal/coverage"
@@ -677,4 +678,12 @@ func lowerExprFromSrc(t *testing.T, src string) (*Node, error) {
 		return nil, err
 	}
 	return lowerExpr(e)
+}
+
+// TestNodeSize pins the IR node at one 128-byte allocation: Clone and
+// Lower allocate one per node, and unrolling clones whole loop bodies.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 128 {
+		t.Errorf("sizeof(Node) = %d, want <= 128", got)
+	}
 }

@@ -31,8 +31,10 @@ type Compiler struct {
 	Hook Hook
 	Opt  Options
 
-	// OnCompiled, if set, observes the finished compilation context
-	// (the fuzzer's white-box test hook; production runs leave it nil).
+	// OnCompiled, if set, observes each finished compilation context,
+	// once per compilation, cache hits included (jvm.run counts
+	// compilations with it; tests inspect events and counts). A context
+	// replayed from the cache has Fn == nil: entries keep no IR.
 	OnCompiled func(*Context)
 
 	// Cache, when non-nil, reuses compilations across executions of one
@@ -156,10 +158,11 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env *vm.Machine)
 			trig = append([]string(nil), ids[trigBase:]...)
 		}
 		// The entry outlives this execution, so it must not pin the
-		// execution's machine (heap, compiled code) or log; replay binds
-		// both afresh for each observer.
+		// optimized IR or the execution's machine (heap, compiled code),
+		// log, coverage or hook; replay binds the channels afresh for
+		// each observer.
 		kept := *ctx
-		kept.Env, kept.Log = nil, nil
+		kept.Fn, kept.Env, kept.Log, kept.Cov, kept.Hook, kept.coverRec = nil, nil, nil, nil, nil, nil
 		c.Cache.put(c.CacheSalt, key, &cacheEntry{code: code, lines: capture.lines, cover: coverRec, trig: trig, ctx: &kept})
 	}
 	return c.compiled(code, env), nil
@@ -183,8 +186,7 @@ func (c *Compiler) replay(e *cacheEntry, env *vm.Machine, ch CacheableHook) vm.C
 	}
 	if c.OnCompiled != nil {
 		ctx := *e.ctx
-		ctx.Env = env
-		ctx.Log = c.Log
+		ctx.Env, ctx.Log, ctx.Cov, ctx.Hook = env, c.Log, c.Cov, c.Hook
 		c.OnCompiled(&ctx)
 	}
 	return c.compiled(relink(e.code, env.Image()), env)

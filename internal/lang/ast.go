@@ -11,7 +11,7 @@
 package lang
 
 // TypeKind enumerates the primitive kinds of the mini-Java type system.
-type TypeKind int
+type TypeKind uint8
 
 // Type kinds.
 const (
@@ -80,7 +80,7 @@ func (t Type) String() string {
 }
 
 // BinOp enumerates binary operators.
-type BinOp int
+type BinOp uint8
 
 // Binary operators.
 const (
@@ -156,7 +156,7 @@ func (op BinOp) String() string {
 }
 
 // UnOp enumerates unary operators.
-type UnOp int
+type UnOp uint8
 
 // Unary operators.
 const (

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -198,6 +199,9 @@ func TestFindAndLocation(t *testing.T) {
 		}
 		if got.Method == nil || got.Class == nil {
 			t.Errorf("Find(%d): missing class/method", loc.Stmt.ID())
+		}
+		if got.Parent != loc.Parent || got.Index != loc.Index || !slices.Equal(got.Enclosing, loc.Enclosing) {
+			t.Errorf("Find(%d): parent, index or enclosing path differ from Statements'", loc.Stmt.ID())
 		}
 	}
 	if Find(p, 999999) != nil {

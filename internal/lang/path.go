@@ -1,5 +1,7 @@
 package lang
 
+import "slices"
+
 // Location describes where a statement lives inside a program: the owning
 // class and method, the parent block, the index within it, and the chain
 // of enclosing statements from the method body down to (excluding) the
@@ -50,9 +52,10 @@ func (l *Location) LoopDepth() int {
 // Find locates the statement with the given ID anywhere in the program.
 // It returns nil if no statement has that ID.
 func Find(p *Program, id int) *Location {
+	var path []Stmt
 	for _, cl := range p.Classes {
 		for _, m := range cl.Methods {
-			if loc := findInBlock(m.Body, id, nil); loc != nil {
+			if loc := findInBlock(m.Body, id, &path); loc != nil {
 				loc.Class, loc.Method = cl, m
 				return loc
 			}
@@ -61,39 +64,49 @@ func Find(p *Program, id int) *Location {
 	return nil
 }
 
-func findInBlock(b *Block, id int, enclosing []Stmt) *Location {
+// findInBlock searches b for the statement with the given ID. path
+// holds the statements enclosing b, outermost first; the search pushes
+// onto it and pops what it pushed, and copies it only into the
+// Location it returns.
+func findInBlock(b *Block, id int, path *[]Stmt) *Location {
 	if b == nil {
 		return nil
 	}
-	enc := append(append([]Stmt(nil), enclosing...), b)
+	*path = append(*path, b)
+	defer func() { *path = (*path)[:len(*path)-1] }()
 	for i, s := range b.Stmts {
 		if s.ID() == id {
-			return &Location{Parent: b, Index: i, Enclosing: enc, Stmt: s}
+			return &Location{Parent: b, Index: i, Enclosing: slices.Clone(*path), Stmt: s}
 		}
 		var loc *Location
 		switch n := s.(type) {
 		case *Block:
-			loc = findInBlock(n, id, enc)
+			loc = findInBlock(n, id, path)
 		case *If:
-			withIf := append(enc, s)
-			loc = findInBlock(n.Then, id, withIf)
-			if loc == nil {
-				loc = findInBlock(n.Else, id, withIf)
-			}
+			loc = findInBranches(s, id, path, n.Then, n.Else)
 		case *For:
-			loc = findInBlock(n.Body, id, append(enc, s))
+			loc = findInBranches(s, id, path, n.Body)
 		case *While:
-			loc = findInBlock(n.Body, id, append(enc, s))
+			loc = findInBranches(s, id, path, n.Body)
 		case *Sync:
-			loc = findInBlock(n.Body, id, append(enc, s))
+			loc = findInBranches(s, id, path, n.Body)
 		case *Try:
-			withTry := append(enc, s)
-			loc = findInBlock(n.Body, id, withTry)
-			if loc == nil {
-				loc = findInBlock(n.Catch, id, withTry)
-			}
+			loc = findInBranches(s, id, path, n.Body, n.Catch)
 		}
 		if loc != nil {
+			return loc
+		}
+	}
+	return nil
+}
+
+// findInBranches searches the blocks of compound statement s in order,
+// with s on the enclosing path.
+func findInBranches(s Stmt, id int, path *[]Stmt, blocks ...*Block) *Location {
+	*path = append(*path, s)
+	defer func() { *path = (*path)[:len(*path)-1] }()
+	for _, b := range blocks {
+		if loc := findInBlock(b, id, path); loc != nil {
 			return loc
 		}
 	}

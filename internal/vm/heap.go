@@ -6,20 +6,21 @@ package vm
 // Instance fields live in slots, indexed like the class's shared
 // Layout, which also names the class. A name the layout does not
 // declare behaves as if the object held a map: reads give the zero
-// Value, writes land in extra (created on first use). Well-typed
-// programs never reach extra; boxes and class and string monitors have
-// name-only layouts, so they keep only it.
+// Value, and the first write gives the object a private copy of its
+// layout that holds such fields (Layout.extra). Well-typed programs
+// never write one.
 //
 // The monitor depth and the mark bit share one word, so an Object is
-// 56 bytes; Heap.NewObject allocates up to four slots in the same Go
-// allocation as the Object itself.
+// 24 bytes, the size of one Value. Heap.NewObject allocates it as the
+// first Value of a cell of 1+n, the n field slots right behind it, so
+// a one-field object is one 48-byte allocation and a box (no slots)
+// one of 24. An Object whose layout declares fields must come from
+// newObject: the slots are part of its allocation (see value.go).
 type Object struct {
 	Mon    Monitor
 	marked bool
 	BoxVal int64
 	layout *Layout
-	slots  []Value
-	extra  map[string]Value
 }
 
 // Class returns the name of the object's class.
@@ -27,11 +28,17 @@ func (o *Object) Class() string { return o.layout.Class }
 
 // Layout is a class's instance-field layout, shared by every object of
 // the class: the class name, field names in declaration order and the
-// zero value each starts with (null for references, else 0).
+// zero value each starts with (null for references, else 0). An object
+// has one slot per name.
 type Layout struct {
 	Class string
 	Names []string
 	Zeros []Value
+
+	// extra holds one object's fields under names the layout does not
+	// declare. Only an object-private copy (SetField makes it) has one;
+	// shared layouts keep it nil.
+	extra map[string]Value
 }
 
 // Shared name-only layouts of boxes and string monitors.
@@ -54,24 +61,28 @@ func (l *Layout) index(name string) int {
 // Field reads the named instance field.
 func (o *Object) Field(name string) Value {
 	if i := o.layout.index(name); i >= 0 {
-		return o.slots[i]
+		return *o.slot(i)
 	}
-	return o.extra[name]
+	return o.layout.extra[name]
 }
 
 // SetField writes the named instance field.
 func (o *Object) SetField(name string, v Value) {
 	if i := o.layout.index(name); i >= 0 {
-		o.slots[i] = v
+		*o.slot(i) = v
 		return
 	}
-	if o.extra == nil {
-		o.extra = map[string]Value{}
+	if o.layout.extra == nil {
+		private := *o.layout
+		private.extra = map[string]Value{}
+		o.layout = &private
 	}
-	o.extra[name] = v
+	o.layout.extra[name] = v
 }
 
-// Array is a heap-allocated int array.
+// Array is a heap-allocated int array. Heap.NewArray allocates arrays
+// of up to 16 elements as one cell, the elements right behind the
+// Array.
 type Array struct {
 	Elems  []int64
 	Mon    Monitor
@@ -112,60 +123,15 @@ func NewHeap(gcEvery int) *Heap {
 func (h *Heap) SetGCHook(fn func(live, freed int)) { h.onGC = fn }
 
 // NewObject allocates an instance of layout's class with its fields
-// zeroed. The layout is shared; each object gets its own slots.
+// zeroed, in one Go allocation. The layout is shared; each object gets
+// its own slots.
 func (h *Heap) NewObject(layout *Layout) *Object {
-	o := newObject(len(layout.Zeros))
+	o := newObject(len(layout.Names))
 	o.layout = layout
-	copy(o.slots, layout.Zeros)
+	copy(o.slots(), layout.Zeros)
 	h.objects = append(h.objects, o)
 	h.bump(1)
 	return o
-}
-
-// Objects with up to four slots are allocated as one of these cells,
-// the slots right behind the Object.
-type (
-	cell1 struct {
-		o Object
-		s [1]Value
-	}
-	cell2 struct {
-		o Object
-		s [2]Value
-	}
-	cell3 struct {
-		o Object
-		s [3]Value
-	}
-	cell4 struct {
-		o Object
-		s [4]Value
-	}
-)
-
-// newObject returns an empty Object with n zero slots.
-func newObject(n int) *Object {
-	switch n {
-	case 0:
-		return &Object{}
-	case 1:
-		c := &cell1{}
-		c.o.slots = c.s[:]
-		return &c.o
-	case 2:
-		c := &cell2{}
-		c.o.slots = c.s[:]
-		return &c.o
-	case 3:
-		c := &cell3{}
-		c.o.slots = c.s[:]
-		return &c.o
-	case 4:
-		c := &cell4{}
-		c.o.slots = c.s[:]
-		return &c.o
-	}
-	return &Object{slots: make([]Value, n)}
 }
 
 // NewBox allocates an Integer box.
@@ -181,10 +147,65 @@ func (h *Heap) NewArray(n int64) *Array {
 	if n < 0 {
 		n = 0
 	}
-	a := &Array{Elems: make([]int64, n)}
+	a := newArray(n)
 	h.arrays = append(h.arrays, a)
 	h.bump(1 + n)
 	return a
+}
+
+// Arrays of up to 16 elements are allocated as one of these cells, the
+// elements right behind the Array; the next larger cell holds a length
+// between two sizes.
+type (
+	arrCell1 struct {
+		a Array
+		e [1]int64
+	}
+	arrCell2 struct {
+		a Array
+		e [2]int64
+	}
+	arrCell4 struct {
+		a Array
+		e [4]int64
+	}
+	arrCell8 struct {
+		a Array
+		e [8]int64
+	}
+	arrCell16 struct {
+		a Array
+		e [16]int64
+	}
+)
+
+// newArray returns an Array of n zero elements.
+func newArray(n int64) *Array {
+	switch {
+	case n == 0:
+		return &Array{Elems: []int64{}}
+	case n == 1:
+		c := &arrCell1{}
+		c.a.Elems = c.e[:n]
+		return &c.a
+	case n <= 2:
+		c := &arrCell2{}
+		c.a.Elems = c.e[:n]
+		return &c.a
+	case n <= 4:
+		c := &arrCell4{}
+		c.a.Elems = c.e[:n]
+		return &c.a
+	case n <= 8:
+		c := &arrCell8{}
+		c.a.Elems = c.e[:n]
+		return &c.a
+	case n <= 16:
+		c := &arrCell16{}
+		c.a.Elems = c.e[:n]
+		return &c.a
+	}
+	return &Array{Elems: make([]int64, n)}
 }
 
 func (h *Heap) bump(units int64) {
@@ -254,10 +275,10 @@ func markObject(o *Object) {
 		return
 	}
 	o.marked = true
-	for _, f := range o.slots {
+	for _, f := range o.slots() {
 		markValue(f)
 	}
-	for _, f := range o.extra {
+	for _, f := range o.layout.extra {
 		markValue(f)
 	}
 }

@@ -164,6 +164,43 @@ func SameRef(a, b Value) bool {
 	return false
 }
 
+// An object cell is one Go allocation of 1+n Values: the Object
+// header in the first, its n field slots after it. An Object is exactly
+// one Value long and keeps its only pointer (the layout) in the word
+// where a Value keeps ref, so the collector, scanning the cell as the
+// []Value it was allocated as, finds every pointer either holds. The
+// arrays below fail to compile if the two shapes drift apart.
+var (
+	_ [unsafe.Sizeof(Object{}) - unsafe.Sizeof(Value{})]struct{}
+	_ [unsafe.Sizeof(Value{}) - unsafe.Sizeof(Object{})]struct{}
+	_ [unsafe.Offsetof(Object{}.layout) - unsafe.Offsetof(Value{}.ref)]struct{}
+	_ [unsafe.Offsetof(Value{}.ref) - unsafe.Offsetof(Object{}.layout)]struct{}
+)
+
+// newObject returns an empty Object with n zero slots behind it.
+func newObject(n int) *Object {
+	if n == 0 {
+		return &Object{}
+	}
+	cell := make([]Value, 1+n)
+	return (*Object)(unsafe.Pointer(&cell[0]))
+}
+
+// slot returns o's field slot i. The caller bounds i by the layout
+// (Layout.index does); slot itself checks nothing.
+func (o *Object) slot(i int) *Value {
+	return (*Value)(unsafe.Add(unsafe.Pointer(o), uintptr(1+i)*unsafe.Sizeof(Value{})))
+}
+
+// slots returns o's field slots, one per name its layout declares.
+func (o *Object) slots() []Value {
+	n := len(o.layout.Names)
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice(o.slot(0), n)
+}
+
 // Arith applies Java arithmetic to two numeric values: if either operand
 // is long the result is long; otherwise the result wraps to 32 bits.
 // Division and remainder by zero return an ArithmeticException.

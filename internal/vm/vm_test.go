@@ -427,8 +427,8 @@ func TestNewObjectSharedLayout(t *testing.T) {
 	if b.Obj().Field("n") != IntVal(0) {
 		t.Errorf("objects share slots")
 	}
-	if u := m.NewObject("Unknown"); len(u.Obj().slots) != 0 || u.Obj().extra != nil {
-		t.Errorf("unknown class got fields %v %v", u.Obj().slots, u.Obj().extra)
+	if u := m.NewObject("Unknown"); len(u.Obj().slots()) != 0 || u.Obj().layout.extra != nil {
+		t.Errorf("unknown class got fields %v %v", u.Obj().slots(), u.Obj().layout.extra)
 	}
 }
 
@@ -437,8 +437,8 @@ func TestNewObjectSharedLayout(t *testing.T) {
 func TestNewObjectDuplicateField(t *testing.T) {
 	img := compileForBench(t, `class T { int f; T f; static void main() { return; } }`)
 	o := NewMachine(img, Config{}).NewObject("T").Obj()
-	if len(o.slots) != 1 || o.Field("f") != NullVal() {
-		t.Fatalf("slots = %v, want one null field", o.slots)
+	if len(o.slots()) != 1 || o.Field("f") != NullVal() {
+		t.Fatalf("slots = %v, want one null field", o.slots())
 	}
 }
 
@@ -472,6 +472,17 @@ func TestObjectUndeclaredField(t *testing.T) {
 	}
 	if n := objs["instance"].Field("n"); n != IntVal(0) {
 		t.Errorf("declared field disturbed by undeclared write: %v", n)
+	}
+	// The undeclared fields went to object-private layouts: the shared
+	// ones, and fresh objects built from them, hold none.
+	if l := m.fieldLayout("T"); l.extra != nil || objs["instance"].layout == l || objs["instance"].Class() != "T" {
+		t.Errorf("undeclared write reached the shared layout of T")
+	}
+	if fresh := m.NewObject("T").Obj(); fresh.Field("ghost") != (Value{}) || fresh.Field("n") != IntVal(0) {
+		t.Errorf("fresh object sees another object's undeclared field")
+	}
+	if stringLayout.extra != nil || m.StringMonitor("other").Field("ghost") != (Value{}) {
+		t.Errorf("undeclared write reached the shared String layout")
 	}
 }
 
