@@ -295,3 +295,27 @@ func TestProfileGuidanceUsesLogOnly(t *testing.T) {
 		t.Error("OBV nonzero with flags off")
 	}
 }
+
+// BenchmarkMutationRound measures one guided mutate+check round (no
+// execution): the fuzzer-side cost of Algorithm 1's inner loop.
+func BenchmarkMutationRound(b *testing.B) {
+	rng, muts := rand.New(rand.NewSource(1)), AllMutators()
+	seed := lang.MustParse(corpus.MotivatingSeed)
+	if err := lang.Check(seed); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := lang.CloneProgram(seed)
+		locs := lang.Statements(p)
+		loc, m := locs[rng.Intn(len(locs))], muts[rng.Intn(len(muts))]
+		if !m.Applicable(loc) {
+			continue
+		}
+		if _, err := m.Apply(p, loc, rng); err == nil {
+			if err := lang.Check(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -10,10 +10,13 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/baselines"
+	"repro/internal/buginject"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/coverage"
 	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/jvm"
@@ -34,9 +37,6 @@ type Budget struct {
 // DefaultBudget finishes in tens of seconds on a laptop.
 func DefaultBudget() Budget { return Budget{Executions: 1500, Seeds: 40, Seed: 1} }
 
-// QuickBudget is the benchmark-sized budget.
-func QuickBudget() Budget { return Budget{Executions: 250, Seeds: 10, Seed: 1} }
-
 // toolRun aggregates one budgeted campaign over the seed pool.
 type toolRun struct {
 	// Findings holds each bug's first finding, in detection order.
@@ -45,6 +45,49 @@ type toolRun struct {
 	FindingAt []int
 	Deltas    []float64
 	Execs     int
+	// Cov is the tracker the run's tools recorded line coverage into
+	// (nil = none).
+	Cov *coverage.Tracker
+}
+
+// runKey is everything a per-seed campaign's result depends on: the
+// name of its tool and configuration, its salt, and the budget's
+// executions and seed pool. The executor is left out because every
+// backend gives the same results.
+type runKey struct {
+	campaign          string
+	salt, seed        int64
+	executions, seeds int
+}
+
+// memo holds every per-seed campaign the process has run, so artifacts
+// that print the same runs (Table 6 and Figure 2, Figures 3 and 4,
+// Figures 5a and 5b, Recall and PlanRecall) run them once.
+var memo = struct {
+	sync.Mutex
+	runs map[runKey]*toolRun
+}{runs: map[runKey]*toolRun{}}
+
+// once returns the run of the named campaign at salt over the budget,
+// calling run to compute it until the process holds one. Callers that
+// race on a new campaign may each compute it; all get the run stored
+// first.
+func once(budget Budget, campaign string, salt int64, run func() *toolRun) *toolRun {
+	key := runKey{campaign, salt, budget.Seed, budget.Executions, budget.Seeds}
+	memo.Lock()
+	r, ok := memo.runs[key]
+	memo.Unlock()
+	if ok {
+		return r
+	}
+	r = run()
+	memo.Lock()
+	defer memo.Unlock()
+	if stored, ok := memo.runs[key]; ok {
+		return stored
+	}
+	memo.runs[key] = r
+	return r
 }
 
 // Seed salts: each artifact's per-seed RNG stream is
@@ -55,9 +98,58 @@ const (
 	recallSalt = 104729 // Recall and PlanRecall
 )
 
-// fixed drives one tool on every seed.
-func fixed(tool baselines.Tool) func(int64, int) baselines.Tool {
-	return func(int64, int) baselines.Tool { return tool }
+// hotspot17 is the target of the per-tool comparisons.
+var hotspot17 = jvm.Spec{Impl: buginject.HotSpot, Version: 17}
+
+// A setup is how a per-tool campaign configures its tool.
+type setup string
+
+const (
+	armed   setup = "armed"    // bugs armed (Figure 5)
+	covered setup = "covered"  // bugs armed, coverage into the run's tracker (Table 6, Figure 2)
+	bugFree setup = "bug-free" // bugs disarmed, no differential (Figures 3 and 4)
+)
+
+// toolCampaign is the named tool's campaign on hotspot17 under setup:
+// one tool drives every seed at toolSalt. JITFuzz runs at most the
+// budget's executions per seed.
+func toolCampaign(budget Budget, name string, s setup) *toolRun {
+	return once(budget, name+"/"+string(s), toolSalt, func() *toolRun {
+		var cov *coverage.Tracker
+		if s == covered {
+			cov = coverage.NewTracker()
+		}
+		var tool baselines.Tool
+		switch name {
+		case "MopFuzzer":
+			tool = baselines.NewMopFuzzer(hotspot17, cov)
+		case "MopFuzzer_g":
+			tool = baselines.NewMopFuzzerG(hotspot17, cov)
+		case "MopFuzzer_r":
+			tool = baselines.NewMopFuzzerR(hotspot17, cov)
+		case "JITFuzz":
+			jf := baselines.NewJITFuzz(hotspot17, cov)
+			jf.Iterations = min(jf.Iterations, budget.Executions)
+			tool = jf
+		case "Artemis":
+			tool = baselines.NewArtemis(hotspot17, cov)
+		}
+		// Δ is a property of generated mutants, not of bugs: bug-free
+		// VMs keep crashes from truncating the runs.
+		if s == bugFree {
+			switch t := tool.(type) {
+			case *baselines.MopFuzzerTool:
+				t.Cfg.DisableBugs, t.Cfg.DiffSpecs = true, nil
+			case *baselines.JITFuzzTool:
+				t.DisableBugs, t.DiffSpecs = true, nil
+			case *baselines.ArtemisTool:
+				t.DisableBugs, t.DiffSpecs = true, nil
+			}
+		}
+		run := runSeeds(budget, toolSalt, func(int64, int) baselines.Tool { return tool })
+		run.Cov = cov
+		return run
+	})
 }
 
 // runSeeds is the budgeted seed loop every per-seed artifact runs: it
@@ -66,7 +158,7 @@ func fixed(tool baselines.Tool) func(int64, int) baselines.Tool {
 // call with toolAt(idx, i) under RNG seed budget.Seed*salt+idx through
 // the budget's backend.
 func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines.Tool) *toolRun {
-	seeds := pool(budget)
+	seeds := corpus.DefaultPool(budget.Seeds, budget.Seed)
 	run := &toolRun{}
 	seen := map[string]bool{}
 	idx := int64(0)
@@ -137,14 +229,7 @@ func boxplotLine(f fiveNum, lo, hi float64, width int) string {
 		hi = lo + 1
 	}
 	pos := func(v float64) int {
-		p := int(float64(width-1) * (v - lo) / (hi - lo))
-		if p < 0 {
-			p = 0
-		}
-		if p >= width {
-			p = width - 1
-		}
-		return p
+		return min(max(int(float64(width-1)*(v-lo)/(hi-lo)), 0), width-1)
 	}
 	line := make([]byte, width)
 	for i := range line {
@@ -198,10 +283,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-func pool(budget Budget) []corpus.Seed {
-	return corpus.DefaultPool(budget.Seeds, budget.Seed)
-}
-
 // legDetected runs one campaign-level recall leg: spec's campaign knobs
 // over the budget's pool and executions, cycling every target. It
 // returns bug ID -> cumulative executions at first detection, bug ID ->
@@ -211,7 +292,7 @@ func pool(budget Budget) []corpus.Seed {
 // only in the round planner. The error is an invalid spec or a backend
 // fault while scoring the pool.
 func legDetected(budget Budget, spec core.JobSpec) (detected map[string]int, provenance map[string]string, execs int, err error) {
-	for _, t := range allTargets() {
+	for _, t := range jvm.AllSpecs() {
 		spec.Targets = append(spec.Targets, t.Name())
 	}
 	spec.SeedCount, spec.Seed, spec.Budget = budget.Seeds, budget.Seed, budget.Executions
@@ -235,6 +316,3 @@ func legDetected(budget Budget, spec core.JobSpec) (detected map[string]int, pro
 	}
 	return detected, provenance, res.Executions, nil
 }
-
-// allTargets cycles both implementations.
-func allTargets() []jvm.Spec { return jvm.AllSpecs() }

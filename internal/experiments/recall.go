@@ -8,6 +8,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/buginject"
 	"repro/internal/jit"
+	"repro/internal/jvm"
 )
 
 // Recall runs a long multi-version campaign and reports ground-truth
@@ -20,7 +21,7 @@ func Recall(w io.Writer, budget Budget) {
 	run := recallRun(budget, jit.PlanDefault)
 
 	fmt.Fprintf(w, "Recall vs ground truth (budget %d executions, %d seeds, targets cycled over %d builds)\n\n",
-		budget.Executions, budget.Seeds, len(allTargets()))
+		budget.Executions, budget.Seeds, len(jvm.AllSpecs()))
 	table(w, []string{"Impl", "Component", "Detected"}, recallRows(run.detected()))
 
 	if len(run.Findings) > 0 {
@@ -31,14 +32,17 @@ func Recall(w io.Writer, budget Budget) {
 	}
 }
 
-// recallRun runs one Recall-shaped campaign: MopFuzzer under the given
-// plan-generation mode, cycling every target across seeds and rounds.
+// recallRun is one Recall-shaped campaign, run once per process:
+// MopFuzzer under the given plan-generation mode, cycling every target
+// across seeds and rounds.
 func recallRun(budget Budget, mode jit.PlanMode) *toolRun {
-	targets := allTargets()
-	return runSeeds(budget, recallSalt, func(idx int64, i int) baselines.Tool {
-		tool := baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
-		tool.Cfg.PlanFuzz = mode
-		return tool
+	return once(budget, "Recall/"+string(mode), recallSalt, func() *toolRun {
+		targets := jvm.AllSpecs()
+		return runSeeds(budget, recallSalt, func(idx int64, i int) baselines.Tool {
+			tool := baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
+			tool.Cfg.PlanFuzz = mode
+			return tool
+		})
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/buginject"
-	"repro/internal/coverage"
 	"repro/internal/jvm"
 )
 
@@ -117,9 +116,11 @@ func Table4(w io.Writer) {
 func Table5(w io.Writer, budget Budget) {
 	// Cycle targets across versions and implementations so version-
 	// specific bugs are reachable, as in the three-month campaign.
-	targets := allTargets()
-	findings := runSeeds(budget, table5Salt, func(idx int64, i int) baselines.Tool {
-		return baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
+	targets := jvm.AllSpecs()
+	findings := once(budget, "Table 5", table5Salt, func() *toolRun {
+		return runSeeds(budget, table5Salt, func(idx int64, i int) baselines.Tool {
+			return baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil)
+		})
 	}).Findings
 
 	fmt.Fprintf(w, "Table 5: Top mutators and mutator pairs in the %d bug-triggering test cases\n", len(findings))
@@ -180,73 +181,51 @@ func Table5(w io.Writer, budget Budget) {
 // Table6 compares bug detection across MopFuzzer, Artemis, and JITFuzz
 // under the same seed pool and execution budget on OpenJDK 17 (Table 6).
 func Table6(w io.Writer, budget Budget) {
-	target := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
-	jf := baselines.NewJITFuzz(target, coverage.NewTracker())
-	if budget.Executions < jf.Iterations {
-		jf.Iterations = budget.Executions
-	}
-	tools := []baselines.Tool{
-		baselines.NewMopFuzzer(target, coverage.NewTracker()),
-		baselines.NewArtemis(target, coverage.NewTracker()),
-		jf,
-	}
-	runs := make([]*toolRun, len(tools))
-	for i, tool := range tools {
-		runs[i] = runSeeds(budget, toolSalt, fixed(tool))
+	names := []string{"MopFuzzer", "Artemis", "JITFuzz"}
+	runs := make([]*toolRun, len(names))
+	for i, name := range names {
+		runs[i] = toolCampaign(budget, name, covered)
 	}
 
-	// Component rows: union of components any tool hit.
-	compSet := map[string]bool{}
-	perTool := make([]map[string]int, len(runs))
-	for i, r := range runs {
-		perTool[i] = map[string]int{}
+	// finders counts the tools that found each bug.
+	finders := map[string]int{}
+	for _, r := range runs {
 		for _, f := range r.Findings {
-			compSet[f.Bug.Component] = true
-			perTool[i][f.Bug.Component]++
+			finders[f.Bug.ID]++
 		}
 	}
+	// Rows: the union of components any tool hit, then the total. A
+	// cell counts the tool's bugs and, bracketed, those no other tool
+	// found.
 	var comps []string
-	for c := range compSet {
-		comps = append(comps, c)
+	found := make([]map[string]int, len(runs))
+	unique := make([]map[string]int, len(runs))
+	for i, r := range runs {
+		found[i], unique[i] = map[string]int{}, map[string]int{}
+		for _, f := range r.Findings {
+			if !slices.Contains(comps, f.Bug.Component) {
+				comps = append(comps, f.Bug.Component)
+			}
+			for _, row := range []string{f.Bug.Component, "Total"} {
+				found[i][row]++
+				if finders[f.Bug.ID] == 1 {
+					unique[i][row]++
+				}
+			}
+		}
 	}
 	sort.Strings(comps)
 
-	// Unique detections (found by this tool only).
-	unique := make([]map[string]int, len(runs))
-	for i, r := range runs {
-		unique[i] = map[string]int{}
-		for _, f := range r.Findings {
-			only := true
-			for j, o := range runs {
-				if _, ok := o.detected()[f.Bug.ID]; ok && j != i {
-					only = false
-				}
-			}
-			if only {
-				unique[i][f.Bug.Component]++
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "Table 6: Bug detection within the same budget (%d executions) on %s\n", budget.Executions, target.Name())
+	fmt.Fprintf(w, "Table 6: Bug detection within the same budget (%d executions) on %s\n", budget.Executions, hotspot17.Name())
 	fmt.Fprintln(w, "(bracketed numbers are bugs uniquely detected by that tool)")
 	fmt.Fprintln(w)
 	var rows [][]string
-	for _, c := range comps {
+	for _, c := range append(comps, "Total") {
 		row := []string{c}
 		for i := range runs {
-			row = append(row, fmt.Sprintf("%d (%d)", perTool[i][c], unique[i][c]))
+			row = append(row, fmt.Sprintf("%d (%d)", found[i][c], unique[i][c]))
 		}
 		rows = append(rows, row)
 	}
-	totalRow := []string{"Total"}
-	for i, r := range runs {
-		u := 0
-		for _, n := range unique[i] {
-			u += n
-		}
-		totalRow = append(totalRow, fmt.Sprintf("%d (%d)", len(r.Findings), u))
-	}
-	rows = append(rows, totalRow)
-	table(w, []string{"Components", "MopFuzzer", "Artemis", "JITFuzz"}, rows)
+	table(w, append([]string{"Components"}, names...), rows)
 }

@@ -284,3 +284,48 @@ func TestFirstDivergenceModalTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRun times one execution of the motivating seed on the
+// reference target per mode: the pure interpreter, eager C2
+// compilation, threshold tiering, and eager C2 with the profiling flags
+// on under each OBV path (regex rules over the log text, and structured
+// counting). The compiled modes run with bugs disarmed.
+func BenchmarkRun(b *testing.B) {
+	seed := lang.MustParse(corpus.MotivatingSeed)
+	noBugs, flags := []*buginject.Bug{}, profile.DefaultFlags()
+	for _, bc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"interp", Options{PureInterpreter: true}},
+		{"c2", Options{ForceCompile: true, Bugs: noBugs}},
+		{"tiered", Options{Bugs: noBugs}},
+		{"c2-regex-obv", Options{Flags: flags, ForceCompile: true, Bugs: noBugs}},
+		{"c2-structured-obv", Options{Flags: flags, ForceCompile: true, Bugs: noBugs, StructuredOBV: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r, err := Run(lang.CloneProgram(seed), Reference(), bc.opt); err != nil || r.Crashed() {
+					b.Fatal(err, r)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExtractOBV times the regex OBV rules alone over the profile
+// log of the motivating seed's eager-C2 run.
+func BenchmarkExtractOBV(b *testing.B) {
+	r, err := Run(lang.MustParse(corpus.MotivatingSeed), Reference(), Options{
+		Flags: profile.DefaultFlags(), ForceCompile: true, Bugs: []*buginject.Bug{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obvSink = profile.ExtractOBV(r.Log)
+	}
+}
+
+var obvSink profile.OBV

@@ -141,7 +141,7 @@ func Delta(parent, child OBV) float64 {
 }
 
 // SumIncrement is the alternative scheme the paper rejects (the plain
-// sum of positive increments); kept for the ablation benchmark that
+// sum of positive increments); kept for TestSumIncrementBias, which
 // reproduces the rationale in §3.4.
 func SumIncrement(parent, child OBV) float64 {
 	var s float64

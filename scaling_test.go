@@ -10,7 +10,26 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/jvm"
 )
+
+// benchCampaignCfg is the campaign workload the throughput gate times:
+// the standard corpus fuzzed against the reference target with the
+// production fuzzer configuration.
+func benchCampaignCfg(workers int) core.CampaignConfig {
+	target := jvm.Reference()
+	fcfg := core.DefaultConfig(target)
+	fcfg.Seed = 1
+	return core.CampaignConfig{
+		Seeds:   corpus.DefaultPool(10, 1),
+		Budget:  250,
+		Targets: []jvm.Spec{target},
+		Fuzz:    fcfg,
+		Seed:    1,
+		Workers: workers,
+	}
+}
 
 // campaignExecsPerSec runs cfg once and returns its throughput.
 func campaignExecsPerSec(cfg core.CampaignConfig) float64 {
@@ -20,10 +39,10 @@ func campaignExecsPerSec(cfg core.CampaignConfig) float64 {
 }
 
 // TestParallelCampaignKeepsPace pins that the speculative worker pool
-// never costs throughput when there are cores to use: on the engine
-// benchmarks' workload, 4 workers run at least as fast as 1, and with
-// GOMAXPROCS = workers the best multi-core row is at least as fast as
-// GOMAXPROCS 1.
+// never costs throughput when there are cores to use: on
+// benchCampaignCfg's workload, 4 workers run at least as fast as 1, and
+// with GOMAXPROCS = workers the best multi-core row is at least as fast
+// as GOMAXPROCS 1.
 //
 // It is a wall-clock test that needs the host's cores to itself, so it
 // stays out of race builds, skips below 2 CPUs, and runs only when
@@ -41,12 +60,12 @@ func TestParallelCampaignKeepsPace(t *testing.T) {
 	}
 	// Warm-up run so one-time costs (corpus generation, lazy init) do
 	// not land on the first timed configuration.
-	warm := benchCampaignCfg(true, 1)
+	warm := benchCampaignCfg(1)
 	warm.Budget /= 4
 	core.RunCampaign(warm)
 
-	seq := campaignExecsPerSec(benchCampaignCfg(true, 1))
-	par := campaignExecsPerSec(benchCampaignCfg(true, 4))
+	seq := campaignExecsPerSec(benchCampaignCfg(1))
+	par := campaignExecsPerSec(benchCampaignCfg(4))
 	t.Logf("workers 1: %.1f execs/s, workers 4: %.1f execs/s (%.2fx)", seq, par, par/seq)
 	if par < seq {
 		t.Errorf("4 workers ran at %.2fx of 1 worker, want >= 1", par/seq)
@@ -56,7 +75,7 @@ func TestParallelCampaignKeepsPace(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	atProcs := func(n int) float64 {
 		runtime.GOMAXPROCS(n)
-		return campaignExecsPerSec(benchCampaignCfg(true, n))
+		return campaignExecsPerSec(benchCampaignCfg(n))
 	}
 	base := atProcs(1)
 	best := 0.0
