@@ -6,6 +6,29 @@ import (
 	"repro/internal/jvm"
 )
 
+// FuzzDecodeBatchRequest: the serve-mode child's frame decoder never
+// panics, every request in a frame it accepts is non-nil, and each
+// request's spec parse and plan validation return without panicking.
+// The target never runs a request, so the Inject seam cannot fire. The
+// seed corpus lives in testdata/fuzz/FuzzDecodeBatchRequest.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		b, err := decodeBatchRequest(frame)
+		if err != nil {
+			return
+		}
+		for i, r := range b.Requests {
+			if r == nil {
+				t.Fatalf("accepted a null request at %d", i)
+			}
+			_, _ = jvm.ParseSpec(r.Spec)
+			if r.Options.Plan != nil {
+				_ = r.Options.Plan.Validate()
+			}
+		}
+	})
+}
+
 // FuzzDecodeBatchResponse: the parent's frame decoder never panics, and
 // a frame it accepts holds exactly n non-nil responses, each of which
 // handleResponse turns into a result or an error without panicking. The
