@@ -95,6 +95,9 @@ func TestGeneratorCampaignDeterministic(t *testing.T) {
 	for _, n := range st.Generate.Emitted {
 		total += n
 	}
+	if st.Generate.Emitted["template"] == 0 {
+		t.Errorf("emissions %v: the template generator emitted nothing", st.Generate.Emitted)
+	}
 	if total < len(st.Generate.Slots) {
 		t.Errorf("emission counts (%d) inconsistent with slot overlay (%d)", total, len(st.Generate.Slots))
 	}

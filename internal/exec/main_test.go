@@ -2,7 +2,6 @@ package exec_test
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	osexec "os/exec"
@@ -14,36 +13,14 @@ import (
 	"repro/internal/exec"
 	"repro/internal/jvm"
 	"repro/internal/lang"
+	"repro/internal/testbin"
 )
 
-// minijvmPath is the minijvm binary built by TestMain (or supplied via
-// $MINIJVM). Empty means the tests that drive real children skip.
+// minijvmPath is the minijvm binary TestMain builds. Empty means the
+// tests that run it skip (-short or a failed build).
 var minijvmPath string
 
-// TestMain builds cmd/minijvm once for every child-process test. -short
-// skips the build (and with it every test that needs the binary), so
-// unit-test runs stay fast.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if !testing.Short() {
-		if p := os.Getenv("MINIJVM"); p != "" {
-			minijvmPath = p
-		} else {
-			dir, err := os.MkdirTemp("", "minijvm")
-			if err == nil {
-				bin := filepath.Join(dir, "minijvm")
-				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "exec_test: building minijvm failed, child-process tests will skip: %v\n%s", err, out)
-				} else {
-					minijvmPath = bin
-				}
-				defer os.RemoveAll(dir)
-			}
-		}
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { testbin.Main(m, map[string]*string{"minijvm": &minijvmPath}) }
 
 func hotspot17() jvm.Spec { return jvm.Spec{Impl: buginject.HotSpot, Version: 17} }
 

@@ -3,8 +3,8 @@
 // recovery behavior is pinned against: transient RPC errors, dropped
 // heartbeats, corrupted checkpoint uploads. Worker death is simulated
 // by fleet.Worker.Kill (in-process SIGKILL: the worker goes silent
-// without completing); the CI fleet-smoke job exercises the real thing
-// with an actual SIGKILL on a worker process.
+// without completing); the root package's TestCLISlow exercises the
+// real thing with an actual SIGKILL on a worker process.
 //
 // All rules match on URL path substrings, so one Transport can sit in
 // front of a coordinator client (breaking dispatches) or a worker

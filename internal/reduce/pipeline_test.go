@@ -2,11 +2,6 @@ package reduce
 
 import (
 	"context"
-	"flag"
-	"fmt"
-	"os"
-	osexec "os/exec"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,35 +9,14 @@ import (
 	"repro/internal/exec"
 	"repro/internal/jvm"
 	"repro/internal/lang"
+	"repro/internal/testbin"
 )
 
-// minijvmPath is the minijvm binary built by TestMain (or supplied via
-// $MINIJVM); empty means the pool-backend reduction test skips.
+// minijvmPath is the minijvm binary TestMain builds. Empty means the
+// tests that run it skip (-short or a failed build).
 var minijvmPath string
 
-// TestMain builds cmd/minijvm once, mirroring the exec package's test
-// harness. -short skips the build (and the tests that need it).
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if !testing.Short() {
-		if p := os.Getenv("MINIJVM"); p != "" {
-			minijvmPath = p
-		} else {
-			dir, err := os.MkdirTemp("", "minijvm")
-			if err == nil {
-				bin := filepath.Join(dir, "minijvm")
-				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "reduce_test: building minijvm failed, pool-backend tests will skip: %v\n%s", err, out)
-				} else {
-					minijvmPath = bin
-				}
-				defer os.RemoveAll(dir)
-			}
-		}
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { testbin.Main(m, map[string]*string{"minijvm": &minijvmPath}) }
 
 func coarsenBug(t *testing.T) *buginject.Bug {
 	t.Helper()

@@ -88,8 +88,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // CounterVec is a counter with one label. The fixed label values are
-// emitted even at zero, so dashboards and smoke assertions can rely on
-// their presence; other values appear once counted. Series print in
+// emitted even at zero, so dashboards and tests can rely on their
+// presence; other values appear once counted. Series print in
 // label-value order.
 type CounterVec struct {
 	mu sync.Mutex
@@ -207,7 +207,7 @@ func writeSamples(w io.Writer, name, label string, samples []Sample) {
 var deltaBuckets = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250}
 
 // knownFaultClasses fixes the fault-count series emitted even at zero,
-// so dashboards and the CI smoke assertions can rely on their presence.
+// so dashboards and tests can rely on their presence.
 var knownFaultClasses = []string{
 	string(harness.FaultCrash),
 	string(harness.FaultMiscompile),
@@ -338,7 +338,7 @@ func (s *Scheduler) snapshotJobs() jobsSnapshot {
 
 // registerExecPool registers the warm-child-pool series, read from
 // stats at scrape time. They exist at zero before any pooled job runs,
-// so dashboards and smoke assertions can rely on their presence.
+// so dashboards and tests can rely on their presence.
 func registerExecPool(r *Registry, stats func() (exec.Stats, int)) {
 	var st exec.Stats
 	var live int

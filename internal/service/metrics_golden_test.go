@@ -48,7 +48,7 @@ func (c *goldenClock) advance(d time.Duration) {
 // request; and a coordinator after a fixed enroll / lease / heartbeat /
 // complete sequence against a scripted worker. Every series, its
 // order, its HELP and TYPE lines and its number format are the
-// contract dashboards and the CI smoke jobs scrape, so a restructure of
+// contract dashboards and the fleet tests scrape, so a restructure of
 // the metrics code must leave every byte alone. Regenerate with
 // `go test ./internal/service -run TestMetricsGolden -update` only when
 // a change is meant to alter the payload.

@@ -3,11 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"flag"
-	"fmt"
 	"os"
-	osexec "os/exec"
-	"path/filepath"
 	"sync"
 	"syscall"
 	"testing"
@@ -16,35 +12,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/harness"
+	"repro/internal/testbin"
 )
 
-// minijvmPath is the binary built by TestMain for pool-backend tests
-// (or supplied via $MINIJVM). Empty means those tests skip.
+// minijvmPath is the minijvm binary TestMain builds. Empty means the
+// tests that run it skip (-short or a failed build).
 var minijvmPath string
 
-// TestMain builds cmd/minijvm once. -short skips the build (and with it
-// every pool-backend test), keeping unit-test runs fast.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if !testing.Short() {
-		if p := os.Getenv("MINIJVM"); p != "" {
-			minijvmPath = p
-		} else {
-			dir, err := os.MkdirTemp("", "minijvm")
-			if err == nil {
-				bin := filepath.Join(dir, "minijvm")
-				out, err := osexec.Command("go", "build", "-o", bin, "repro/cmd/minijvm").CombinedOutput()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "service_test: building minijvm failed, pool-backend tests will skip: %v\n%s", err, out)
-				} else {
-					minijvmPath = bin
-				}
-				defer os.RemoveAll(dir)
-			}
-		}
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { testbin.Main(m, map[string]*string{"minijvm": &minijvmPath}) }
 
 // resumeSpec needs enough tasks that interrupting after the second
 // leaves real work for the resumed daemon.
