@@ -156,7 +156,8 @@ func toolCampaign(budget Budget, name string, s setup) *toolRun {
 // sweeps the budget's seed pool round after round until the execution
 // budget is spent or a whole round fails, fuzzing seed i of the idx-th
 // call with toolAt(idx, i) under RNG seed budget.Seed*salt+idx through
-// the budget's backend.
+// the budget's backend. A detection counts at the executions after its
+// seed's run, so the run that crosses the budget records none.
 func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines.Tool) *toolRun {
 	seeds := corpus.DefaultPool(budget.Seeds, budget.Seed)
 	run := &toolRun{}
@@ -179,6 +180,9 @@ func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines
 			progressed = true
 			run.Execs += fr.Executions
 			run.Deltas = append(run.Deltas, fr.FinalDelta)
+			if run.Execs > budget.Executions {
+				break // this seed's findings land past the budget
+			}
 			for _, fd := range fr.Findings {
 				if fd.Bug == nil || seen[fd.Bug.ID] {
 					continue

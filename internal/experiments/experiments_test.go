@@ -71,6 +71,31 @@ func TestFigure2ProducesCoverage(t *testing.T) {
 	}
 }
 
+// TestFigure5TotalsWithinBudget: no detection counts past the execution
+// budget, so each variant's Figure 5b total equals its Figure 5a count
+// at the budget, also when the last seed run crosses it.
+func TestFigure5TotalsWithinBudget(t *testing.T) {
+	budget := Budget{Executions: 20, Seeds: 2, Seed: 3}
+	a := render(t, func(b *strings.Builder) { Figure5a(b, budget) })
+	b := render(t, func(b *strings.Builder) { Figure5b(b, budget) })
+	for _, name := range variants {
+		var atBudget, total string
+		for _, line := range strings.Split(a, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == name {
+				atBudget = f[len(f)-1]
+			}
+		}
+		for _, line := range strings.Split(b, "\n") {
+			if f := strings.Fields(line); len(f) == 3 && f[0] == name && f[1] == "total" {
+				total = f[2]
+			}
+		}
+		if atBudget == "" || total != atBudget {
+			t.Errorf("%s: Figure 5b total %q, Figure 5a at the budget %q\n%s\n%s", name, total, atBudget, a, b)
+		}
+	}
+}
+
 func TestStatsHelpers(t *testing.T) {
 	f := summarize([]float64{1, 2, 3, 4, 100})
 	if f.Min != 1 || f.Max != 100 || f.Med != 3 {
