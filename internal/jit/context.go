@@ -69,7 +69,6 @@ type Context struct {
 	DropNextStore     bool // redundant-store elimination drops a live store
 	SkipCoarsenUnlock bool // coarsening forgets one unlock when merging
 	CorruptFold       bool // algebraic folding produces an off-by-one constant
-	DropBoundsCheck   bool // (reserved for array speculation defects)
 
 	// coverRec, when non-nil, additionally records every compile-time
 	// coverage region name in order (the compile cache's capture channel).
