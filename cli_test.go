@@ -87,11 +87,13 @@ func checkGolden(t *testing.T, name, got string, record bool) {
 var cliGoldens = []struct {
 	name string
 	args []string
-	slow []string // backends only TestCLISlow runs
+	// slow names the backends only TestCLISlow runs, which keeps
+	// tier-1 within its time budget.
+	slow []string
 }{
-	{"openjdk-17", strings.Fields("-jdk openjdk-17 -seeds 4 -budget 200"), nil},
-	{"planfuzz", strings.Fields("-jdk openj9-17 -seeds 8 -budget 600 -plan-fuzz=full"), []string{"recycle-25", "recycle-1"}},
-	{"feature", strings.Fields("-jdk openjdk-17 -seeds 6 -budget 300 -plan-fuzz full -schedule power -generators randprog,template,style"), nil},
+	{"openjdk-17", strings.Fields("-jdk openjdk-17 -seeds 4 -budget 200"), []string{"workers-4"}},
+	{"planfuzz", strings.Fields("-jdk openj9-17 -seeds 8 -budget 600 -plan-fuzz=full"), []string{"workers-4", "pool", "recycle-25", "recycle-1"}},
+	{"feature", strings.Fields("-jdk openjdk-17 -seeds 6 -budget 300 -plan-fuzz full -schedule power -generators randprog,template,style"), []string{"workers-4", "pool", "recycle-25", "recycle-1"}},
 	{"distill", strings.Fields("-seeds 30 -distill"), nil},
 }
 
@@ -108,6 +110,15 @@ var backends = []struct {
 	{"recycle-1", []string{"-backend", "pool", "-pool-recycle-after", "1"}},
 }
 
+// parallelUnlessUpdating runs a golden check beside the others, except
+// under -update, where the first backend writes the file the others
+// compare with.
+func parallelUnlessUpdating(t *testing.T) {
+	if !*updateGolden {
+		t.Parallel()
+	}
+}
+
 func checkCLIGoldens(t *testing.T, slow bool) {
 	for _, g := range cliGoldens {
 		for i, b := range backends {
@@ -115,6 +126,7 @@ func checkCLIGoldens(t *testing.T, slow bool) {
 				continue
 			}
 			t.Run(g.name+"/"+b.name, func(t *testing.T) {
+				parallelUnlessUpdating(t)
 				// The pool flags are ignored in process.
 				args := append(slices.Concat(g.args, b.args), "-minijvm", minijvm, "-child-timeout", "30s")
 				checkGolden(t, g.name+".golden", run(t, mopfuzzer, args...), i == 0)
@@ -123,9 +135,8 @@ func checkCLIGoldens(t *testing.T, slow bool) {
 	}
 }
 
-// TestCLIGoldens checks each golden under every backend but the slow
-// ones, and the distill report from a cold and then a warm
-// -score-cache. Regenerate with `go test . -run '^TestCLIGoldens$'
+// TestCLIGoldens checks each golden under its fast backends, and the
+// distill report from a cold and then a warm -score-cache. Regenerate with `go test . -run '^TestCLIGoldens$'
 // -update` only when a change is meant to alter campaign output, and
 // name each changed line in the commit.
 func TestCLIGoldens(t *testing.T) {
@@ -141,9 +152,9 @@ func TestCLIGoldens(t *testing.T) {
 	})
 }
 
-// TestCLISlow runs the slow checks on the built binaries: the plan-fuzz
-// golden at the pool's recycle budgets, and a real SIGKILL of a fleet
-// worker. It runs only when selected by name:
+// TestCLISlow runs the slow checks on the built binaries: the goldens
+// under their slow backends, and a real SIGKILL of a fleet worker. It
+// runs only when selected by name:
 //
 //	go test . -count=1 -run '^TestCLISlow$'
 func TestCLISlow(t *testing.T) {
@@ -284,6 +295,7 @@ func (d *daemon) findingKeys(t *testing.T, id string) []string {
 // findings endpoint before and after `triage compact`, the store
 // deduplicated findings, and the job record kept its state.
 func TestTriageStoreRoundTrip(t *testing.T) {
+	t.Parallel()
 	state := t.TempDir()
 	d := startDaemon(t, "-state-dir", state)
 	id := d.job(t, "POST", "/jobs", `{"seed_count": 4, "budget": 200, "seed": 3}`).ID
