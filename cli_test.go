@@ -110,15 +110,6 @@ var backends = []struct {
 	{"recycle-1", []string{"-backend", "pool", "-pool-recycle-after", "1"}},
 }
 
-// parallelUnlessUpdating runs a golden check beside the others, except
-// under -update, where the first backend writes the file the others
-// compare with.
-func parallelUnlessUpdating(t *testing.T) {
-	if !*updateGolden {
-		t.Parallel()
-	}
-}
-
 func checkCLIGoldens(t *testing.T, slow bool) {
 	for _, g := range cliGoldens {
 		for i, b := range backends {
@@ -126,7 +117,9 @@ func checkCLIGoldens(t *testing.T, slow bool) {
 				continue
 			}
 			t.Run(g.name+"/"+b.name, func(t *testing.T) {
-				parallelUnlessUpdating(t)
+				if !*updateGolden { // the first backend writes the file the others read
+					t.Parallel()
+				}
 				// The pool flags are ignored in process.
 				args := append(slices.Concat(g.args, b.args), "-minijvm", minijvm, "-child-timeout", "30s")
 				checkGolden(t, g.name+".golden", run(t, mopfuzzer, args...), i == 0)
@@ -136,9 +129,10 @@ func checkCLIGoldens(t *testing.T, slow bool) {
 }
 
 // TestCLIGoldens checks each golden under its fast backends, and the
-// distill report from a cold and then a warm -score-cache. Regenerate with `go test . -run '^TestCLIGoldens$'
-// -update` only when a change is meant to alter campaign output, and
-// name each changed line in the commit.
+// distill report from a cold and then a warm -score-cache. Regenerate
+// with `go test . -run '^TestCLIGoldens$' -update` only when a change is
+// meant to alter campaign output, and name each changed line in the
+// commit.
 func TestCLIGoldens(t *testing.T) {
 	checkCLIGoldens(t, false)
 	t.Run("distill/score-cache", func(t *testing.T) {

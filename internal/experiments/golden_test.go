@@ -54,10 +54,10 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestExperimentsGolden pins the exact text of every budgeted artifact
-// except the schedule and generator recall tables (which
-// TestScheduleLegs and TestGeneratorLegs pin from their own runs) at a
-// tiny budget. Each tool's per-seed RNG salt, the seed loop's order and
-// the oracle's attribution all show up in these bytes. Regenerate with
+// except the schedule and generator recall tables (which TestScheduleLegs
+// and TestGeneratorLegs pin from their own runs) at a tiny budget. Each
+// tool's per-seed RNG salt, the seed loop's order and the oracle's
+// attribution all show up in these bytes. Regenerate with
 // `go test ./internal/experiments -run TestExperimentsGolden -update`
 // only when a change is meant to alter an artifact.
 func TestExperimentsGolden(t *testing.T) {
