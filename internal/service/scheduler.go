@@ -278,7 +278,11 @@ func (s *Scheduler) Start(ctx context.Context) {
 	}
 	go func() {
 		<-ctx.Done()
+		// Broadcast under the lock: a runner that saw the context live
+		// is then already waiting, so the wake-up cannot be lost.
+		s.mu.Lock()
 		s.cond.Broadcast() // wake idle runners so they exit
+		s.mu.Unlock()
 	}()
 }
 
