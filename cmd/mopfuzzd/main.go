@@ -8,14 +8,14 @@
 // Fleet modes scale it horizontally:
 //
 //	-mode coordinator  the full daemon plus the fleet endpoints
-//	                   (/fleet/enroll, /fleet/heartbeat, /fleet/complete);
-//	                   queued jobs are sharded across enrolled workers
-//	                   under time-bounded leases and fall back to the
-//	                   local runner pool when no worker is live.
-//	-mode worker       a campaign executor only: it enrolls with
-//	                   -coordinator, accepts one assignment at a time on
-//	                   /work, heartbeats checkpoint handoffs, and holds
-//	                   no job state of its own.
+//	                   (/fleet/claim, /fleet/heartbeat, /fleet/complete);
+//	                   queued jobs go to the workers that claim them,
+//	                   under time-bounded leases, and fall back to the
+//	                   local runner pool when no worker claims in time.
+//	-mode worker       a campaign executor only: it claims one job at a
+//	                   time from -coordinator, heartbeats checkpoint
+//	                   handoffs, holds no job state of its own, and
+//	                   serves only /healthz on -listen.
 package main
 
 import (
@@ -51,8 +51,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "coordinator: assignment lease duration")
 	heartbeatEvery := flag.Duration("heartbeat-every", 0, "coordinator: worker heartbeat cadence (0 = lease-ttl/3)")
 	coordinator := flag.String("coordinator", "", "worker: coordinator base URL (e.g. http://host:8080)")
-	workerID := flag.String("worker-id", "", "worker: unique fleet ID (default: host:port of -worker-addr)")
-	workerAddr := flag.String("worker-addr", "", "worker: base URL the coordinator reaches this worker at (default: http://<listen>)")
+	workerID := flag.String("worker-id", "", "worker: unique fleet ID (default: hostname:port of -listen)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "mopfuzzd: unexpected arguments: %v\n", flag.Args())
@@ -82,7 +81,6 @@ func main() {
 		runWorker(ctx, logger, *listen, *drainTimeout, fleet.WorkerConfig{
 			ID:          *workerID,
 			Coordinator: *coordinator,
-			Addr:        *workerAddr,
 			Dir:         *stateDir,
 			Exec:        backend,
 			Logf:        logger.Printf,
@@ -146,10 +144,15 @@ type drainLog struct {
 // campaign cannot hold the process hostage; the checkpoint machinery is
 // crash-safe either way — and shuts the HTTP server down.
 func serve(ctx context.Context, logger *log.Logger, listen string, handler http.Handler, drainTimeout time.Duration, wait func(), msg drainLog) {
+	// Requests still open once the drain is over are long-held ones
+	// (parked fleet claims, findings long-polls, event streams): ending
+	// their contexts lets Shutdown return instead of waiting them out.
+	reqCtx, endRequests := context.WithCancel(context.Background())
 	srv := &http.Server{
 		Addr:              listen,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return reqCtx },
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
@@ -168,6 +171,7 @@ func serve(ctx context.Context, logger *log.Logger, listen string, handler http.
 		logger.Printf("drain timeout %s elapsed: %s", drainTimeout, msg.timedOut)
 	}
 
+	endRequests()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -192,27 +196,22 @@ func waitBounded(wait func(), d time.Duration) bool {
 	}
 }
 
-// runWorker is the -mode worker main loop: it serves cfg's worker on
-// listen, deriving the advertised address and ID when cfg leaves them
-// empty.
+// runWorker is the -mode worker main loop: it runs cfg's worker and
+// serves its /healthz on listen, deriving the ID from the host name and
+// listen port when cfg leaves it empty.
 func runWorker(ctx context.Context, logger *log.Logger, listen string, drainTimeout time.Duration, cfg fleet.WorkerConfig) {
 	if cfg.Coordinator == "" {
 		fmt.Fprintln(os.Stderr, "mopfuzzd: -mode worker requires -coordinator")
 		os.Exit(2)
 	}
-	if cfg.Addr == "" {
-		host, port, err := net.SplitHostPort(listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mopfuzzd: cannot derive -worker-addr from -listen %q: %v\n", listen, err)
+	if cfg.ID == "" {
+		_, port, err := net.SplitHostPort(listen)
+		host, herr := os.Hostname()
+		if err = errors.Join(err, herr); err != nil {
+			fmt.Fprintf(os.Stderr, "mopfuzzd: cannot derive -worker-id: %v\n", err)
 			os.Exit(2)
 		}
-		if host == "" {
-			host = "127.0.0.1"
-		}
-		cfg.Addr = fmt.Sprintf("http://%s", net.JoinHostPort(host, port))
-	}
-	if cfg.ID == "" {
-		cfg.ID = cfg.Addr
+		cfg.ID = net.JoinHostPort(host, port)
 	}
 
 	worker, err := fleet.NewWorker(cfg)

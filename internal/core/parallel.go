@@ -62,9 +62,10 @@ func (e *seqEngine) stop() {}
 //
 // Speculation is bounded by a window of 2×workers tasks beyond the
 // cursor being merged. Tasks speculated past a stop point (budget
-// exhausted, dead pool, cancellation) are discarded unmerged: their
-// only side effects are on order-independent shared sinks (the compile
-// cache, where a hit is equivalent to a miss, and the coverage set).
+// exhausted, dead pool, cancellation) are discarded unmerged: stop drops
+// the queued ones, and the ones already running have side effects only
+// on order-independent shared sinks (the compile cache, where a hit is
+// equivalent to a miss, and the coverage set).
 type parEngine struct {
 	sup      *harness.Supervisor
 	mk       func(int) harness.Task
@@ -132,7 +133,18 @@ func (e *parEngine) do(cursor int) *harness.Outcome {
 	return e.sup.Finish(e.mk(cursor), raw)
 }
 
+// stop drops the cursors still queued, whose outcomes the stopped
+// campaign would discard unmerged, so only the tasks already running (at
+// most one per worker) finish before it returns.
 func (e *parEngine) stop() {
+drain:
+	for {
+		select {
+		case <-e.taskCh:
+		default:
+			break drain
+		}
+	}
 	close(e.taskCh)
 	e.wg.Wait()
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/buginject"
 	"repro/internal/corpus"
@@ -176,4 +179,48 @@ func TestParallelCheckpointResumeEquivalence(t *testing.T) {
 		t.Error("resumed run not marked Resumed")
 	}
 	assertCampaignsEqual(t, uninterrupted, resumed)
+}
+
+// TestParallelStopDropsQueuedTasks: once a campaign stops, the engine
+// finishes only the tasks already running, not the rest of its window.
+// Task 0 runs at once and every later task blocks on a gate, so after
+// one merge the two workers hold cursors 1 and 2 while cursors 3 and 4
+// wait in the queue; stop must drop those two.
+func TestParallelStopDropsQueuedTasks(t *testing.T) {
+	const workers = 2
+	sup, err := harness.New(harness.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var ran atomic.Int32
+	mk := func(c int) harness.Task {
+		return harness.Task{ID: fmt.Sprint(c), Run: func(context.Context) (any, error) {
+			ran.Add(1)
+			if c > 0 {
+				<-gate
+			}
+			return nil, nil
+		}}
+	}
+	e := newParEngine(context.Background(), sup, workers, 0, 0, mk)
+	e.do(0)
+	const merged = 1
+	for deadline := time.Now().Add(10 * time.Second); ran.Load() < merged+workers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers started %d tasks, want %d", ran.Load(), merged+workers)
+		}
+	}
+	// Open the gate once stop has emptied the queue, or after a second.
+	go func() {
+		for deadline := time.Now().Add(time.Second); len(e.taskCh) > 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+	}()
+	e.stop()
+	if got := int(ran.Load()); got != merged+workers {
+		t.Errorf("%d tasks ran: %d merged, %d in flight at the stop, and %d of the queue (window %d)",
+			got, merged, workers, got-merged-workers, e.window)
+	}
 }

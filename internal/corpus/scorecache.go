@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/harness"
 )
 
 // scoreCacheVersion guards the serialized score-cache schema.
@@ -85,15 +87,11 @@ func (c *ScoreCache) Save() error {
 	if err != nil {
 		return fmt.Errorf("corpus: score cache encode: %w", err)
 	}
-	tmp := c.path + ".tmp"
 	if err := os.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
 		return fmt.Errorf("corpus: score cache dir: %w", err)
 	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := harness.WriteFileAtomic(c.path, data); err != nil {
 		return fmt.Errorf("corpus: score cache write: %w", err)
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		return fmt.Errorf("corpus: score cache rename: %w", err)
 	}
 	return nil
 }

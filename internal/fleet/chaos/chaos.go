@@ -6,9 +6,9 @@
 // without completing); the root package's TestCLISlow exercises the
 // real thing with an actual SIGKILL on a worker process.
 //
-// All rules match on URL path substrings, so one Transport can sit in
-// front of a coordinator client (breaking dispatches) or a worker
-// client (breaking heartbeats/completions).
+// Every fleet RPC goes from worker to coordinator, so the Transport
+// sits in a worker's client. Its rules match on URL path substrings,
+// breaking claims, heartbeats or completions.
 package chaos
 
 import (

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -18,10 +16,6 @@ import (
 	"repro/internal/triage"
 )
 
-// errWorkerBusy marks a 409 from a worker: not a fault, just try the
-// next candidate (and never retry this one — it will stay busy).
-var errWorkerBusy = errors.New("fleet: worker busy")
-
 // CoordinatorConfig tunes the fleet coordinator.
 type CoordinatorConfig struct {
 	// Sched is the scheduler whose queued jobs this coordinator shards.
@@ -30,22 +24,9 @@ type CoordinatorConfig struct {
 	// heartbeat before it is forfeited and requeued (default 15s).
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the renewal cadence handed to workers (default
-	// LeaseTTL/3).
+	// LeaseTTL/3). It also bounds how long a claim waits for a job and
+	// how long a job waits for a claim before it runs locally.
 	HeartbeatEvery time.Duration
-	// DispatchAttempts bounds tries per worker per assignment RPC
-	// (default 3).
-	DispatchAttempts int
-	// Backoff schedules dispatch retries. The zero value gets a jittered
-	// default (base 100ms, max 2s, jitter 0.5) — fleet RPCs want
-	// decorrelation, unlike campaign-internal retries.
-	Backoff harness.Backoff
-	// BreakerThreshold / BreakerCooldown tune the per-worker circuit
-	// breaker (defaults: 3 failures, 30s cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Client issues worker RPCs; nil gets a 10s-timeout default. Tests
-	// and the chaos harness inject transports here.
-	Client *http.Client
 	// Now is the clock seam (nil = wall clock).
 	Now func() time.Time
 	// Logf receives operational log lines (nil = silent).
@@ -75,22 +56,27 @@ type lease struct {
 	done        chan remoteDone
 }
 
-// workerState is the coordinator's view of one enrolled worker.
+// workerState is the coordinator's view of one worker that has claimed.
 type workerState struct {
 	id         string
-	addr       string
 	lastSeen   time.Time
-	busy       string // job ID currently assigned, "" when idle
-	breaker    *harness.Breaker
 	executions int64 // cumulative executions reported across assignments
 }
 
-// Coordinator shards the scheduler's queued jobs across enrolled
-// workers. It implements service.RemoteRunner; install it with
+// claim is an idle worker's claim, parked until RunRemote takes it.
+type claim struct {
+	worker string
+	asg    chan Assignment // buffered: RunRemote never blocks handing over
+}
+
+// Coordinator shards the scheduler's queued jobs across the workers
+// that claim them. It implements service.RemoteRunner; install it with
 // Scheduler.SetRemote and mount its handlers next to the daemon API.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	client *http.Client
+	cfg CoordinatorConfig
+	// claims is unbuffered: a claim handler's send parks the claim until
+	// RunRemote receives it.
+	claims chan claim
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -103,10 +89,9 @@ type Coordinator struct {
 // coordMetrics are the coordinator's counters, registered on the
 // scheduler's registry after the daemon's own series.
 type coordMetrics struct {
-	enrolls, leasesGranted, leasesExpired, heartbeats *service.Counter
-	handoffs, handoffRejects, dispatchRetries         *service.Counter
-	dispatchFailures, breakerOpens                    *service.Counter
-	outcomes                                          *service.CounterVec // remote job outcomes
+	claims, leasesGranted, leasesExpired, heartbeats *service.Counter
+	handoffs, handoffRejects                         *service.Counter
+	outcomes                                         *service.CounterVec // remote job outcomes
 }
 
 // NewCoordinator builds a coordinator over the scheduler.
@@ -117,22 +102,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
 	}
-	if cfg.DispatchAttempts <= 0 {
-		cfg.DispatchAttempts = 3
-	}
-	if cfg.Backoff == (harness.Backoff{}) {
-		cfg.Backoff = harness.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	c := &Coordinator{
 		cfg:     cfg,
-		client:  client,
+		claims:  make(chan claim),
 		workers: map[string]*workerState{},
 		leases:  map[string]*lease{},
 	}
@@ -167,15 +142,12 @@ func (c *Coordinator) registerMetrics(r *service.Registry) {
 	r.Int("mopfuzzd_fleet_leases", "Assignments currently leased to workers.", "gauge",
 		func() int64 { return int64(leases) })
 	m := &c.metrics
-	m.enrolls = r.Counter("mopfuzzd_fleet_enrolls_total", "Worker enrollments (including liveness re-enrolls).")
+	m.claims = r.Counter("mopfuzzd_fleet_claims_total", "Worker claims for work (each doubles as a liveness ping).")
 	m.leasesGranted = r.Counter("mopfuzzd_fleet_leases_granted_total", "Assignments accepted by workers.")
 	m.leasesExpired = r.Counter("mopfuzzd_fleet_leases_expired_total", "Leases forfeited to missing heartbeats.")
 	m.heartbeats = r.Counter("mopfuzzd_fleet_heartbeats_total", "Lease renewals received.")
 	m.handoffs = r.Counter("mopfuzzd_fleet_checkpoint_handoffs_total", "Checkpoint uploads verified and landed.")
 	m.handoffRejects = r.Counter("mopfuzzd_fleet_checkpoint_rejects_total", "Checkpoint uploads rejected (checksum or decode failure).")
-	m.dispatchRetries = r.Counter("mopfuzzd_fleet_dispatch_retries_total", "Worker RPC attempts retried after transient failures.")
-	m.dispatchFailures = r.Counter("mopfuzzd_fleet_dispatch_failures_total", "Assignment dispatches that exhausted retries.")
-	m.breakerOpens = r.Counter("mopfuzzd_fleet_breaker_open_total", "Per-worker circuit breakers tripped open.")
 	m.outcomes = r.CounterVec("mopfuzzd_fleet_remote_jobs_total", "Remote assignment outcomes.", "outcome",
 		"declined", "done", "failed", "interrupted", "requeued")
 	r.Ints("mopfuzzd_fleet_worker_executions_total", "Executions reported per worker.", "counter", "worker",
@@ -184,7 +156,7 @@ func (c *Coordinator) registerMetrics(r *service.Registry) {
 
 // Mount registers the coordinator's fleet endpoints on the daemon mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /fleet/enroll", c.handleEnroll)
+	mux.HandleFunc("POST /fleet/claim", c.handleClaim)
 	mux.HandleFunc("POST /fleet/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /fleet/complete", c.handleComplete)
 }
@@ -197,8 +169,12 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // ---- HTTP handlers (worker → coordinator) ----
 
-func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	var req EnrollRequest
+// handleClaim parks an idle worker's claim for up to one heartbeat
+// interval, answering with the assignment RunRemote hands it or with no
+// work. A worker's first claim is answered at once: it carries the
+// timing contract the worker needs to set its next claim's deadline.
+func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
+	var req ClaimRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
@@ -206,34 +182,41 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Worker == "" || req.Addr == "" {
-		httpErr(w, http.StatusBadRequest, errors.New("fleet: enroll needs worker and addr"))
+	if req.Worker == "" {
+		httpErr(w, http.StatusBadRequest, errors.New("fleet: claim needs a worker"))
 		return
 	}
 	c.mu.Lock()
 	ws := c.workers[req.Worker]
-	if ws == nil {
-		ws = &workerState{
-			id: req.Worker,
-			breaker: &harness.Breaker{
-				Threshold: c.cfg.BreakerThreshold,
-				Cooldown:  c.cfg.BreakerCooldown,
-				Now:       c.cfg.Now,
-				OnOpen:    c.metrics.breakerOpens.Inc,
-			},
-		}
+	first := ws == nil
+	if first {
+		ws = &workerState{id: req.Worker}
 		c.workers[req.Worker] = ws
-		c.logf("fleet: worker %s enrolled at %s", req.Worker, req.Addr)
+		c.logf("fleet: worker %s joined", req.Worker)
 	}
-	ws.addr = req.Addr
 	ws.lastSeen = c.cfg.Now()
 	c.mu.Unlock()
-	c.metrics.enrolls.Inc()
-	writeWire(w, EnrollResponse{
+	c.metrics.claims.Inc()
+	resp := ClaimResponse{
 		Version:          WireVersion,
 		HeartbeatEveryMS: c.cfg.HeartbeatEvery.Milliseconds(),
 		LeaseTTLMS:       c.cfg.LeaseTTL.Milliseconds(),
-	})
+	}
+	if !first {
+		cl := claim{worker: req.Worker, asg: make(chan Assignment, 1)}
+		timer := time.NewTimer(c.cfg.HeartbeatEvery)
+		defer timer.Stop()
+		select {
+		case c.claims <- cl:
+			asg := <-cl.asg
+			resp.Assignment = &asg
+		case <-timer.C:
+		case <-r.Context().Done():
+			// The worker hung up (killed or draining): nothing to answer.
+			return
+		}
+	}
+	writeWire(w, resp)
 }
 
 // checkReport vets a heartbeat or completion: its wire version, and an
@@ -346,25 +329,21 @@ func (c *Coordinator) landCheckpoint(jobID string, data []byte, sum string) {
 		c.logf("fleet: job %s: checkpoint upload undecodable, keeping previous snapshot: %v", jobID, err)
 		return
 	}
-	path := c.cfg.Sched.Store().CheckpointPath(jobID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := harness.WriteFileAtomic(c.cfg.Sched.Store().CheckpointPath(jobID), data); err != nil {
 		c.logf("fleet: job %s: write checkpoint handoff: %v", jobID, err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		c.logf("fleet: job %s: install checkpoint handoff: %v", jobID, err)
 		return
 	}
 	c.metrics.handoffs.Inc()
 }
 
-// ---- dispatch (coordinator → worker) ----
+// ---- handing jobs to claims ----
 
-// RunRemote implements service.RemoteRunner: assign the job to a live
-// worker, with the scheduler's campaign knobs so the remote run mirrors
-// a local one, then watch the lease until the worker settles it, the
-// lease expires, or ctx is cancelled.
+// RunRemote implements service.RemoteRunner: hand the job, with the
+// scheduler's campaign knobs so the remote run mirrors a local one, to
+// the first claim parked within one heartbeat interval, then watch the
+// lease until the worker settles it, the lease expires, or ctx is
+// cancelled. With no claim in that interval it declines, and the
+// scheduler runs the job locally.
 func (c *Coordinator) RunRemote(ctx context.Context, j *service.Job) service.RemoteOutcome {
 	id := j.ID()
 	asg := Assignment{
@@ -385,72 +364,45 @@ func (c *Coordinator) RunRemote(ctx context.Context, j *service.Job) service.Rem
 		asg.CheckpointSum = Checksum(data)
 	}
 
-	ws, l := c.assign(ctx, asg)
-	if ws == nil {
-		c.metrics.outcomes.Inc("declined")
-		return service.RemoteOutcome{Declined: true}
+	timer := time.NewTimer(c.cfg.HeartbeatEvery)
+	defer timer.Stop()
+	select {
+	case cl := <-c.claims:
+		// The lease is registered before the claim answers, so the
+		// worker's first heartbeat cannot race it.
+		l := c.grant(id, cl.worker)
+		asg.Lease = l.token
+		cl.asg <- asg
+		c.cfg.Sched.NoteRemoteStart(j, cl.worker)
+		return c.watch(ctx, l)
+	case <-timer.C:
+	case <-ctx.Done():
 	}
-	c.cfg.Sched.NoteRemoteStart(j, ws.id)
-	return c.watch(ctx, j, ws, l)
+	c.metrics.outcomes.Inc("declined")
+	return service.RemoteOutcome{Declined: true}
 }
 
-// assign offers the assignment to each dispatchable worker in turn and
-// returns the first acceptance. The lease is registered before the RPC
-// so an eager worker's first heartbeat cannot race it.
-func (c *Coordinator) assign(ctx context.Context, asg Assignment) (*workerState, *lease) {
-	for _, ws := range c.dispatchable() {
-		c.mu.Lock()
-		c.seq++
-		token := fmt.Sprintf("%s.%s.%d", asg.Job, ws.id, c.seq)
-		l := &lease{
-			jobID:   asg.Job,
-			worker:  ws.id,
-			token:   token,
-			expires: c.cfg.Now().Add(c.cfg.LeaseTTL),
-			done:    make(chan remoteDone, 1),
-		}
-		c.leases[asg.Job] = l
-		ws.busy = asg.Job
-		c.mu.Unlock()
-
-		asg.Lease = token
-		var resp AssignResponse
-		err := c.postWire(ctx, ws, ws.addr+"/work", asg, &resp)
-		accepted := err == nil && resp.Accepted
-		if !accepted {
-			c.dropLease(asg.Job, l)
-			c.mu.Lock()
-			ws.busy = ""
-			c.mu.Unlock()
-			switch {
-			case errors.Is(err, errWorkerBusy):
-				c.logf("fleet: worker %s busy, trying next", ws.id)
-			case err != nil:
-				c.metrics.dispatchFailures.Inc()
-				c.logf("fleet: dispatch %s to %s failed: %v", asg.Job, ws.id, err)
-			default:
-				c.logf("fleet: worker %s rejected %s: %s", ws.id, asg.Job, resp.Reason)
-			}
-			continue
-		}
-		c.metrics.leasesGranted.Inc()
-		c.logf("fleet: job %s leased to %s (ttl %s)", asg.Job, ws.id, c.cfg.LeaseTTL)
-		return ws, l
+// grant registers a fresh lease on the job for the worker.
+func (c *Coordinator) grant(jobID, worker string) *lease {
+	c.mu.Lock()
+	c.seq++
+	l := &lease{
+		jobID:   jobID,
+		worker:  worker,
+		token:   fmt.Sprintf("%s.%s.%d", jobID, worker, c.seq),
+		expires: c.cfg.Now().Add(c.cfg.LeaseTTL),
+		done:    make(chan remoteDone, 1),
 	}
-	return nil, nil
+	c.leases[jobID] = l
+	c.mu.Unlock()
+	c.metrics.leasesGranted.Inc()
+	c.logf("fleet: job %s leased to %s (ttl %s)", jobID, worker, c.cfg.LeaseTTL)
+	return l
 }
 
 // watch follows one granted lease to its end.
-func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState, l *lease) service.RemoteOutcome {
-	id := l.jobID
-	release := func() {
-		c.dropLease(id, l)
-		c.mu.Lock()
-		if ws.busy == id {
-			ws.busy = ""
-		}
-		c.mu.Unlock()
-	}
+func (c *Coordinator) watch(ctx context.Context, l *lease) service.RemoteOutcome {
+	id, worker := l.jobID, l.worker
 	for {
 		l.mu.Lock()
 		expires := l.expires
@@ -460,13 +412,12 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 			// Lease expired: the worker is dead, hung, or partitioned. Its
 			// last checkpoint handoff is already on disk; fold its partial
 			// findings in and put the job back on the queue.
-			release()
-			ws.breaker.Failure()
+			c.dropLease(id, l)
 			c.metrics.leasesExpired.Inc()
 			c.mergeTriage(id, l)
 			c.metrics.outcomes.Inc("requeued")
-			c.logf("fleet: job %s lease on %s expired, requeueing", id, ws.id)
-			return service.RemoteOutcome{Requeue: true, Worker: ws.id}
+			c.logf("fleet: job %s lease on %s expired, requeueing", id, worker)
+			return service.RemoteOutcome{Requeue: true, Worker: worker}
 		}
 		if poll := c.cfg.LeaseTTL / 4; wait > poll && poll > 0 {
 			wait = poll
@@ -475,14 +426,14 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 		select {
 		case d := <-l.done:
 			timer.Stop()
-			release()
+			c.dropLease(id, l)
 			c.mergeTriage(id, l)
 			out := service.RemoteOutcome{
 				Interrupted: d.interrupted,
 				Summary:     d.summary,
 				Stats:       d.stats,
 				Err:         d.err,
-				Worker:      ws.id,
+				Worker:      worker,
 			}
 			switch {
 			case d.err != nil:
@@ -504,7 +455,7 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 			select {
 			case d := <-l.done:
 				grace.Stop()
-				release()
+				c.dropLease(id, l)
 				c.mergeTriage(id, l)
 				c.metrics.outcomes.Inc("interrupted")
 				return service.RemoteOutcome{
@@ -512,16 +463,16 @@ func (c *Coordinator) watch(ctx context.Context, j *service.Job, ws *workerState
 					Summary:     d.summary,
 					Stats:       d.stats,
 					Err:         d.err,
-					Worker:      ws.id,
+					Worker:      worker,
 				}
 			case <-grace.C:
 				// Worker unreachable during shutdown; its last handoff is
 				// the resume point.
-				release()
+				c.dropLease(id, l)
 				c.mergeTriage(id, l)
 				c.metrics.outcomes.Inc("interrupted")
-				c.logf("fleet: job %s: worker %s did not settle cancel in time", id, ws.id)
-				return service.RemoteOutcome{Interrupted: true, Worker: ws.id}
+				c.logf("fleet: job %s: worker %s did not settle cancel in time", id, worker)
+				return service.RemoteOutcome{Interrupted: true, Worker: worker}
 			}
 		case <-timer.C:
 			// Re-check expiry.
@@ -558,81 +509,7 @@ func (c *Coordinator) dropLease(id string, l *lease) {
 	c.mu.Unlock()
 }
 
-// dispatchable returns live, idle workers whose breakers admit a call,
-// in ID order (deterministic candidate order).
-func (c *Coordinator) dispatchable() []*workerState {
-	now := c.cfg.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*workerState
-	for _, ws := range c.workers {
-		if now.Sub(ws.lastSeen) > c.cfg.LeaseTTL {
-			continue // not heard from: presumed dead
-		}
-		if ws.busy != "" {
-			continue
-		}
-		if !ws.breaker.Allow() {
-			continue
-		}
-		out = append(out, ws)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].id < out[k].id })
-	return out
-}
-
-// postWire POSTs one fleet message with harness retry and the worker's
-// circuit breaker accounting.
-func (c *Coordinator) postWire(ctx context.Context, ws *workerState, url string, in, out any) error {
-	err := harness.Retry(ctx, harness.RetryConfig{
-		Attempts: c.cfg.DispatchAttempts,
-		Backoff:  c.cfg.Backoff,
-		IsTransient: func(err error) bool {
-			return !errors.Is(err, errWorkerBusy)
-		},
-		OnRetry: func(int, error) { c.metrics.dispatchRetries.Inc() },
-	}, func(ctx context.Context) error {
-		return postJSON(ctx, c.client, url, in, out)
-	})
-	if err == nil {
-		ws.breaker.Success()
-	} else if !errors.Is(err, errWorkerBusy) && !errors.Is(err, context.Canceled) {
-		ws.breaker.Failure()
-	}
-	return err
-}
-
 // ---- shared HTTP plumbing ----
-
-// postJSON POSTs in as JSON and decodes the response into out. A 409
-// maps to errWorkerBusy; other non-2xx statuses are transient errors.
-func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		return errWorkerBusy
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("fleet: %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // decodeBody decodes a bounded JSON request body, writing the error
 // response itself on failure.

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,20 +25,24 @@ import (
 
 // envOpts tunes a test fleet.
 type envOpts struct {
-	dir          string
-	workers      int
-	leaseTTL     time.Duration
-	hbEvery      time.Duration
-	coordClient  *http.Client
+	dir      string
+	workers  int
+	leaseTTL time.Duration
+	hbEvery  time.Duration
+	// late is how many of the workers, counted from the last, start
+	// claiming only when the test calls join.
+	late         int
 	workerClient *http.Client
 }
 
-// env is one coordinator + N workers over real HTTP (httptest servers).
+// env is one coordinator (an httptest server) + N workers claiming
+// from it over real HTTP.
 type env struct {
 	t      *testing.T
 	sched  *service.Scheduler
 	coord  *Coordinator
 	wrkers []*Worker
+	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu     sync.Mutex
@@ -64,8 +69,6 @@ func newEnv(t *testing.T, o envOpts) *env {
 		Sched:          sched,
 		LeaseTTL:       o.leaseTTL,
 		HeartbeatEvery: o.hbEvery,
-		Backoff:        harness.Backoff{Base: 20 * time.Millisecond},
-		Client:         o.coordClient,
 		Logf:           t.Logf,
 	})
 	mux := http.NewServeMux()
@@ -75,17 +78,13 @@ func newEnv(t *testing.T, o envOpts) *env {
 	sched.SetRemote(e.coord)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	e.cancel = cancel
+	e.ctx, e.cancel = ctx, cancel
 
 	for i := 0; i < o.workers; i++ {
 		idx := i
-		wmux := http.NewServeMux()
-		wsrv := httptest.NewServer(wmux)
-		t.Cleanup(wsrv.Close)
 		w, err := NewWorker(WorkerConfig{
 			ID:          fmt.Sprintf("w%d", i+1),
 			Coordinator: coordSrv.URL,
-			Addr:        wsrv.URL,
 			Dir:         t.TempDir(),
 			Backoff:     harness.Backoff{Base: 20 * time.Millisecond},
 			Client:      o.workerClient,
@@ -102,8 +101,9 @@ func newEnv(t *testing.T, o envOpts) *env {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Mount(wmux)
-		w.Start(ctx)
+		if i < o.workers-o.late {
+			w.Start(ctx)
+		}
 		e.wrkers = append(e.wrkers, w)
 	}
 
@@ -126,14 +126,21 @@ func (e *env) setOnTask(f func(workerIdx int, job string, done int)) {
 	e.mu.Unlock()
 }
 
-// waitLive blocks until the coordinator sees n dispatchable workers.
+// join starts a late worker's claim loop.
+func (e *env) join(idx int) { e.wrkers[idx].Start(e.ctx) }
+
+// live returns the coordinator's count of live workers.
+func (e *env) live() string {
+	return metricValue(e.t, metricsText(e.sched), `mopfuzzd_fleet_workers{state="live"}`)
+}
+
+// waitLive blocks until the coordinator counts n live workers. Each has
+// then sent its first claim, which is answered at once, so its next
+// claim is on its way to wait for a job.
 func (e *env) waitLive(n int) {
 	e.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if len(e.coord.dispatchable()) >= n {
-			return
-		}
+	for e.live() != fmt.Sprint(n) {
 		if time.Now().After(deadline) {
 			e.t.Fatalf("never saw %d live workers", n)
 		}
@@ -276,6 +283,7 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 // criterion: SIGKILL a worker mid-campaign; the lease expires, the job
 // requeues, resumes on the other worker from the handed-off checkpoint,
 // and finishes with byte-identical results and no duplicate findings.
+// Either worker may claim the job first; the one that does is killed.
 func TestWorkerKilledMidTaskResumesOnOtherWorker(t *testing.T) {
 	spec := fleetSpec()
 	want, wantKeys := localBaseline(t, spec)
@@ -283,11 +291,16 @@ func TestWorkerKilledMidTaskResumesOnOtherWorker(t *testing.T) {
 	e := newEnv(t, envOpts{workers: 2, leaseTTL: 800 * time.Millisecond, hbEvery: 60 * time.Millisecond})
 	e.waitLive(2)
 	var once sync.Once
+	var killed atomic.Int32
+	killed.Store(-1)
 	e.setOnTask(func(idx int, job string, done int) {
-		// Kill the first assignee after its third task: heartbeats for
+		// Kill the first claimant after its third task: heartbeats for
 		// tasks 1-2 have already handed off a checkpoint.
-		if idx == 0 && done == 3 {
-			once.Do(e.wrkers[0].Kill)
+		if done == 3 {
+			once.Do(func() {
+				killed.Store(int32(idx))
+				e.wrkers[idx].Kill()
+			})
 		}
 	})
 	j, err := e.sched.Submit(spec)
@@ -296,8 +309,13 @@ func TestWorkerKilledMidTaskResumesOnOtherWorker(t *testing.T) {
 	}
 	v := waitDone(t, e.sched, j.ID(), 5*time.Minute)
 
-	if v.Worker != "w2" {
-		t.Errorf("job finished on %q, want w2 (resumed after w1 died)", v.Worker)
+	k := killed.Load()
+	if k < 0 {
+		t.Fatal("no worker ran three tasks of the job")
+	}
+	dead, survivor := e.wrkers[k].cfg.ID, e.wrkers[1-k].cfg.ID
+	if v.Worker != survivor {
+		t.Errorf("job finished on %q, want %s (resumed after %s died)", v.Worker, survivor, dead)
 	}
 	if v.Requeues < 1 {
 		t.Errorf("requeues = %d, want >= 1", v.Requeues)
@@ -400,75 +418,58 @@ func TestCorruptCheckpointUploadRejected(t *testing.T) {
 	}
 }
 
-// TestTransientDispatchErrorsRetried fails the first two assignment
-// RPCs: harness retry must carry the dispatch through on the third.
+// TestTransientDispatchErrorsRetried fails the worker's first two
+// claims: harness retry must carry its claim through on the third, and
+// the job must still run on the worker.
 func TestTransientDispatchErrorsRetried(t *testing.T) {
 	ct := &chaos.Transport{}
+	ct.FailNext("/fleet/claim", 2)
 	e := newEnv(t, envOpts{
-		workers:     1,
-		coordClient: &http.Client{Transport: ct, Timeout: 10 * time.Second},
+		workers:      1,
+		workerClient: &http.Client{Transport: ct},
 	})
 	e.waitLive(1)
-	ct.FailNext("/work", 2)
 	j, err := e.sched.Submit(fleetSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := waitDone(t, e.sched, j.ID(), 5*time.Minute)
 	if v.Worker != "w1" {
-		t.Errorf("job ran on %q, want w1 despite transient dispatch failures", v.Worker)
+		t.Errorf("job ran on %q, want w1 despite transient claim failures", v.Worker)
 	}
 	if ct.Injected() != 2 {
 		t.Errorf("chaos injected %d failures, want 2", ct.Injected())
 	}
+}
+
+// TestKilledIdleWorkerGetsNoJob: a worker killed while idle withdraws
+// its parked claim and claims no more, so it counts dead once its last
+// claim is a lease TTL old; a job submitted then is handed to no one
+// and runs locally.
+func TestKilledIdleWorkerGetsNoJob(t *testing.T) {
+	e := newEnv(t, envOpts{workers: 1, leaseTTL: 400 * time.Millisecond, hbEvery: 50 * time.Millisecond})
+	e.waitLive(1)
+	e.wrkers[0].Kill()
+	e.waitLive(0)
+	j, err := e.sched.Submit(fleetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitDone(t, e.sched, j.ID(), 5*time.Minute)
+	if v.Worker != "" {
+		t.Errorf("job ran on %q, want a local run", v.Worker)
+	}
 	text := metricsText(e.sched)
-	if metricValue(t, text, "mopfuzzd_fleet_dispatch_retries_total") != "2" {
-		t.Errorf("dispatch retry counter != 2:\n%s", text)
+	if metricValue(t, text, `mopfuzzd_fleet_remote_jobs_total{outcome="declined"}`) != "1" {
+		t.Errorf("declined counter != 1:\n%s", text)
+	}
+	if metricValue(t, text, "mopfuzzd_fleet_leases_granted_total") != "0" {
+		t.Errorf("the killed worker was granted a lease:\n%s", text)
 	}
 }
 
-// TestBreakerCutsOffDeadWorker enrolls a worker address that refuses
-// every connection: after Threshold failed dispatches its breaker must
-// open, later jobs must skip the RPC entirely, and everything still
-// completes locally.
-func TestBreakerCutsOffDeadWorker(t *testing.T) {
-	e := newEnv(t, envOpts{workers: 0})
-	// Enroll a phantom worker by hand: a live registry entry whose
-	// address refuses every connection (an unroutable localhost port).
-	e.coord.mu.Lock()
-	e.coord.workers["phantom"] = &workerState{
-		id:       "phantom",
-		addr:     "http://127.0.0.1:1",
-		lastSeen: time.Now().Add(24 * time.Hour), // stays "live" all test
-		breaker: &harness.Breaker{
-			Threshold: 2,
-			Cooldown:  time.Hour,
-			OnOpen:    e.coord.metrics.breakerOpens.Inc,
-		},
-	}
-	e.coord.mu.Unlock()
-
-	spec := core.JobSpec{SeedCount: 2, Budget: 60, Seed: 3}
-	for i := 0; i < 3; i++ {
-		j, err := e.sched.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := waitDone(t, e.sched, j.ID(), 5*time.Minute)
-		if v.Worker != "" {
-			t.Errorf("job %d ran on %q, want local fallback", i, v.Worker)
-		}
-	}
-	text := metricsText(e.sched)
-	if metricValue(t, text, "mopfuzzd_fleet_breaker_open_total") != "1" {
-		t.Errorf("breaker open counter != 1:\n%s", text)
-	}
-	if metricValue(t, text, "mopfuzzd_fleet_dispatch_failures_total") != "2" {
-		t.Errorf("dispatch failures != 2 (third job must skip the open breaker):\n%s", text)
-	}
-}
-
-// TestWireVersionMismatchRejected pins the versioned-protocol contract.
+// TestWireVersionMismatchRejected pins the versioned-protocol contract:
+// a claim from a version-1 (push-era) worker is refused.
 func TestWireVersionMismatchRejected(t *testing.T) {
 	e := newEnv(t, envOpts{workers: 0})
 	mux := http.NewServeMux()
@@ -476,17 +477,17 @@ func TestWireVersionMismatchRejected(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	body, _ := json.Marshal(EnrollRequest{Version: WireVersion + 1, Worker: "wx", Addr: "http://x"})
-	resp, err := http.Post(srv.URL+"/fleet/enroll", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(ClaimRequest{Version: 1, Worker: "wx"})
+	resp, err := http.Post(srv.URL+"/fleet/claim", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("version-skewed enroll: status %d, want 400", resp.StatusCode)
+		t.Fatalf("version-skewed claim: status %d, want 400", resp.StatusCode)
 	}
-	if len(e.coord.dispatchable()) != 0 {
-		t.Error("version-skewed worker was enrolled")
+	if e.live() != "0" {
+		t.Error("version-skewed worker counts as live")
 	}
 }
 
@@ -512,12 +513,16 @@ func TestPowerScheduleHandoffByteIdentical(t *testing.T) {
 	spec.Schedule = "power"
 	want, wantKeys := localBaseline(t, spec)
 
-	e := newEnv(t, envOpts{workers: 2, leaseTTL: 800 * time.Millisecond, hbEvery: 60 * time.Millisecond})
-	e.waitLive(2)
+	// w2 joins only as w1 dies, so w1 claims the job.
+	e := newEnv(t, envOpts{workers: 2, late: 1, leaseTTL: 800 * time.Millisecond, hbEvery: 60 * time.Millisecond})
+	e.waitLive(1)
 	var once sync.Once
 	e.setOnTask(func(idx int, job string, done int) {
 		if idx == 0 && done == 3 {
-			once.Do(e.wrkers[0].Kill)
+			once.Do(func() {
+				e.join(1)
+				e.wrkers[0].Kill()
+			})
 		}
 	})
 	j, err := e.sched.Submit(spec)
@@ -649,8 +654,8 @@ func TestNegativeExecutionsRejected(t *testing.T) {
 	report := func(execs int64) string {
 		return fmt.Sprintf(`{"version":%d,"worker":"w1","job":"job-0001","lease":"tok","executions":%d}`, WireVersion, execs)
 	}
-	if code := post("/fleet/enroll", fmt.Sprintf(`{"version":%d,"worker":"w1","addr":"http://127.0.0.1:1"}`, WireVersion)); code != http.StatusOK {
-		t.Fatalf("enroll: status %d", code)
+	if code := post("/fleet/claim", fmt.Sprintf(`{"version":%d,"worker":"w1"}`, WireVersion)); code != http.StatusOK {
+		t.Fatalf("claim: status %d", code)
 	}
 	if code := post("/fleet/heartbeat", report(40)); code != http.StatusOK {
 		t.Fatalf("heartbeat 40: status %d", code)
@@ -678,15 +683,19 @@ func TestGeneratorHandoffByteIdentical(t *testing.T) {
 	spec.Styles = []string{"boxing-loop", "coarsen-store"}
 	want, wantKeys := localBaseline(t, spec)
 
-	e := newEnv(t, envOpts{workers: 2, leaseTTL: 800 * time.Millisecond, hbEvery: 60 * time.Millisecond})
-	e.waitLive(2)
+	// w2 joins only as w1 dies, so w1 claims the job.
+	e := newEnv(t, envOpts{workers: 2, late: 1, leaseTTL: 800 * time.Millisecond, hbEvery: 60 * time.Millisecond})
+	e.waitLive(1)
 	var once sync.Once
 	e.setOnTask(func(idx int, job string, done int) {
 		// Kill after task 6: with a 3-seed pool the first refresh (round
 		// boundary 1) has happened, so the handed-off checkpoint carries
 		// live generator state, not an empty block.
 		if idx == 0 && done == 6 {
-			once.Do(e.wrkers[0].Kill)
+			once.Do(func() {
+				e.join(1)
+				e.wrkers[0].Kill()
+			})
 		}
 	})
 	j, err := e.sched.Submit(spec)

@@ -18,11 +18,13 @@
 // signature, so overlapping uploads from a dead worker and its
 // successor cannot duplicate findings.
 //
-// Every RPC goes through harness.Retry with jittered backoff, and the
-// coordinator keeps a harness.Breaker per worker so a flapping worker
-// is cut off instead of eating every dispatch. With zero live workers
-// the coordinator declines assignments and the scheduler runs jobs
-// locally — fleet mode degrades to exactly the single-daemon behavior.
+// Every call goes from worker to coordinator: an idle worker claims
+// work, and the claim waits at the coordinator until a job is handed to
+// it or one heartbeat interval passes. The coordinator never calls a
+// worker, so a dead worker costs nothing but its missing claims. With
+// no live worker claiming, the coordinator declines the job and the
+// scheduler runs it locally — fleet mode degrades to exactly the
+// single-daemon behavior.
 package fleet
 
 import (
@@ -37,8 +39,8 @@ import (
 
 // WireVersion guards the fleet protocol. Every message carries it and
 // both ends reject a mismatch: a version-skewed worker must fail
-// loudly at enroll time, not corrupt a campaign mid-flight.
-const WireVersion = 1
+// loudly at its first claim, not corrupt a campaign mid-flight.
+const WireVersion = 2
 
 // Checksum returns the sha256 hex digest guarding checkpoint bytes in
 // transit. An upload whose digest does not match is rejected and the
@@ -57,33 +59,36 @@ func CheckVersion(got int) error {
 	return nil
 }
 
-// EnrollRequest announces (or re-announces) a worker to the
-// coordinator. Enrollment is idempotent and doubles as the idle-worker
-// liveness ping: a worker re-enrolls every heartbeat interval, and a
-// worker not heard from within the liveness window is not dispatched
-// to.
-type EnrollRequest struct {
+// ClaimRequest asks the coordinator for work. An idle worker keeps one
+// claim outstanding: the claim waits at the coordinator for up to one
+// heartbeat interval, and the worker sends the next as soon as it
+// returns empty, so claims double as the idle-worker liveness ping. A
+// worker whose last claim is older than the lease TTL counts as dead.
+type ClaimRequest struct {
 	Version int    `json:"version"`
 	Worker  string `json:"worker"` // worker ID (unique per fleet)
-	Addr    string `json:"addr"`   // base URL the coordinator POSTs assignments to
 }
 
-// EnrollResponse acknowledges enrollment and hands the worker the
-// fleet timing contract.
-type EnrollResponse struct {
+// ClaimResponse answers a claim with the fleet timing contract and, when
+// a job was handed to the claim, its assignment. A worker's first claim
+// is answered at once, so it learns the heartbeat interval before its
+// claims start to wait that long.
+type ClaimResponse struct {
 	Version int `json:"version"`
 	// HeartbeatEveryMS is how often the worker must heartbeat a held
-	// lease (and re-enroll while idle).
+	// lease; a claim waits at most this long.
 	HeartbeatEveryMS int64 `json:"heartbeat_every_ms"`
 	// LeaseTTLMS is the lease duration; missing heartbeats for this long
 	// forfeits the assignment.
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
+	// Assignment is the job handed to this claim (nil = no work yet).
+	Assignment *Assignment `json:"assignment,omitempty"`
 }
 
-// Assignment dispatches one job to a worker (coordinator POSTs it to
-// the worker's /work). It is self-contained: the spec, the resume
-// checkpoint (when the job has prior progress), and the timing
-// contract, so the worker holds no fleet state beyond the lease.
+// Assignment hands one job to a worker in a ClaimResponse. It is
+// self-contained: the spec, the resume checkpoint (when the job has
+// prior progress), and the timing contract, so the worker holds no
+// fleet state beyond the lease.
 type Assignment struct {
 	Version int    `json:"version"`
 	Job     string `json:"job"`
@@ -103,15 +108,6 @@ type Assignment struct {
 	ExecTimeoutMS   int64 `json:"exec_timeout_ms,omitempty"`
 
 	HeartbeatEveryMS int64 `json:"heartbeat_every_ms"`
-}
-
-// AssignResponse is the worker's verdict on an assignment. A busy
-// worker answers HTTP 409 instead; Accepted=false with a reason covers
-// structural rejections (version skew, bad checkpoint sum).
-type AssignResponse struct {
-	Version  int    `json:"version"`
-	Accepted bool   `json:"accepted"`
-	Reason   string `json:"reason,omitempty"`
 }
 
 // Heartbeat renews a lease and hands off progress. The worker sends

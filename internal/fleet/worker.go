@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,9 +26,6 @@ type WorkerConfig struct {
 	ID string
 	// Coordinator is the coordinator daemon's base URL.
 	Coordinator string
-	// Addr is the base URL the coordinator reaches this worker's /work
-	// endpoint at (the advertised address).
-	Addr string
 	// Dir is the worker's scratch directory: per-assignment checkpoint,
 	// triage store, and quarantine live under it, in a job store's
 	// layout.
@@ -38,7 +38,9 @@ type WorkerConfig struct {
 	RPCAttempts int
 	// Backoff schedules RPC retries (zero value → jittered default).
 	Backoff harness.Backoff
-	// Client issues coordinator RPCs; nil gets a 10s-timeout default.
+	// Client issues coordinator RPCs (nil = a client without a timeout:
+	// each RPC attempt is bounded by one heartbeat interval plus
+	// rpcSlack, so a claim can wait out its interval at the coordinator).
 	Client *http.Client
 	// Now is the clock seam (nil = wall clock).
 	Now func() time.Time
@@ -49,9 +51,13 @@ type WorkerConfig struct {
 	OnTask func(jobID string, done int)
 }
 
-// Worker is a fleet worker daemon: it enrolls with the coordinator,
-// accepts one assignment at a time on /work, runs the campaign with
-// per-task heartbeat handoffs, and settles it with a completion RPC.
+// rpcSlack is how much longer than one heartbeat interval a worker
+// waits for any coordinator RPC, a parked claim included.
+const rpcSlack = 10 * time.Second
+
+// Worker is a fleet worker daemon: it claims one assignment at a time
+// from the coordinator, runs the campaign with per-task heartbeat
+// handoffs, and settles it with a completion RPC.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
@@ -60,11 +66,10 @@ type Worker struct {
 	store *service.JobStore
 
 	mu        sync.Mutex
-	ctx       context.Context
 	started   bool
 	killed    bool
-	busy      string // job ID currently running, "" when idle
-	hbEvery   time.Duration
+	stop      context.CancelFunc // ends the claim loop and any run (Kill)
+	hbEvery   time.Duration      // the coordinator's heartbeat interval
 	cancelRun context.CancelFunc
 	abandoned bool
 	lastExecs int // latest campaign execution count, for heartbeats
@@ -76,8 +81,8 @@ type Worker struct {
 
 // NewWorker builds a worker daemon.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.ID == "" || cfg.Coordinator == "" || cfg.Addr == "" || cfg.Dir == "" {
-		return nil, errors.New("fleet: worker needs ID, Coordinator, Addr, and Dir")
+	if cfg.ID == "" || cfg.Coordinator == "" || cfg.Dir == "" {
+		return nil, errors.New("fleet: worker needs ID, Coordinator, and Dir")
 	}
 	if err := exec.CheckBackend(cfg.Exec.Name); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -97,20 +102,19 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+		client = &http.Client{}
 	}
 	return &Worker{cfg: cfg, client: client, store: store, hbEvery: 5 * time.Second}, nil
 }
 
 // Mount registers the worker's endpoints on its mux.
 func (w *Worker) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /work", w.handleWork)
 	mux.HandleFunc("GET /healthz", w.handleHealthz)
 }
 
-// Start launches the enrollment/liveness loop. Cancelling ctx drains
-// the worker: the running campaign (if any) checkpoints, completes as
-// interrupted, and Wait unblocks.
+// Start launches the claim loop. Cancelling ctx drains the worker: the
+// running campaign (if any) checkpoints, completes as interrupted, and
+// Wait unblocks.
 func (w *Worker) Start(ctx context.Context) {
 	w.mu.Lock()
 	if w.started {
@@ -118,27 +122,28 @@ func (w *Worker) Start(ctx context.Context) {
 		return
 	}
 	w.started = true
-	w.ctx = ctx
+	ctx, w.stop = context.WithCancel(ctx)
 	w.mu.Unlock()
 	w.wg.Add(1)
-	go w.enrollLoop(ctx)
+	go w.claimLoop(ctx)
 }
 
-// Wait blocks until the enrollment loop and any running assignment
-// have finished.
+// Wait blocks until the claim loop and any running assignment have
+// finished.
 func (w *Worker) Wait() { w.wg.Wait() }
 
 // Kill simulates abrupt worker death for chaos tests: the campaign is
-// aborted, no completion or further heartbeat is sent, and /work stops
-// accepting. From the coordinator's point of view the worker simply
-// goes silent — exactly like a SIGKILL — and the lease must expire.
+// aborted, no completion or further heartbeat is sent, and the parked
+// claim is withdrawn with no claim after it. From the coordinator's
+// point of view the worker simply goes silent — exactly like a SIGKILL
+// — and a held lease must expire.
 func (w *Worker) Kill() {
 	w.mu.Lock()
 	w.killed = true
-	cancel := w.cancelRun
+	stop := w.stop
 	w.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if stop != nil {
+		stop()
 	}
 	w.logf("worker %s: killed", w.cfg.ID)
 }
@@ -149,110 +154,72 @@ func (w *Worker) isKilled() bool {
 	return w.killed
 }
 
+func (w *Worker) heartbeatEvery() time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.hbEvery
+}
+
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logf != nil {
 		w.cfg.Logf(format, args...)
 	}
 }
 
-// enrollLoop announces the worker and keeps re-announcing every
-// heartbeat interval — the idle-liveness ping the coordinator's
-// dispatchable() check relies on.
-func (w *Worker) enrollLoop(ctx context.Context) {
+// claimLoop claims work until ctx ends. An empty answer is followed at
+// once by the next claim, so an idle worker keeps one claim parked at
+// the coordinator, and its claims are its liveness ping; a failed claim
+// waits one heartbeat interval first. An assignment runs to completion
+// before the next claim.
+func (w *Worker) claimLoop(ctx context.Context) {
 	defer w.wg.Done()
-	for {
-		if ctx.Err() != nil || w.isKilled() {
-			return
+	for ctx.Err() == nil {
+		var resp ClaimResponse
+		if err := w.post(ctx, "/fleet/claim", ClaimRequest{Version: WireVersion, Worker: w.cfg.ID}, &resp); err != nil {
+			if ctx.Err() == nil {
+				w.logf("worker %s: claim: %v", w.cfg.ID, err)
+			}
+			t := time.NewTimer(w.heartbeatEvery())
+			select {
+			case <-ctx.Done():
+				t.Stop()
+			case <-t.C:
+			}
+			continue
 		}
-		var resp EnrollResponse
-		err := w.post(ctx, "/fleet/enroll", EnrollRequest{
-			Version: WireVersion,
-			Worker:  w.cfg.ID,
-			Addr:    w.cfg.Addr,
-		}, &resp)
-		interval := w.hbEvery
-		if err != nil {
-			w.logf("worker %s: enroll: %v", w.cfg.ID, err)
-		} else if hb := time.Duration(resp.HeartbeatEveryMS) * time.Millisecond; hb > 0 {
+		if hb := time.Duration(resp.HeartbeatEveryMS) * time.Millisecond; hb > 0 {
 			w.mu.Lock()
 			w.hbEvery = hb
 			w.mu.Unlock()
-			interval = hb
 		}
-		t := time.NewTimer(interval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
+		if resp.Assignment != nil {
+			w.run(ctx, *resp.Assignment)
 		}
 	}
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	w.mu.Lock()
-	busy := w.busy
-	killed := w.killed
-	w.mu.Unlock()
-	if killed {
-		httpErr(rw, http.StatusServiceUnavailable, errors.New("killed"))
-		return
-	}
-	writeWire(rw, map[string]any{"status": "ok", "worker": w.cfg.ID, "busy": busy})
-}
-
-// handleWork accepts (or refuses) one assignment.
-func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
-	var asg Assignment
-	if err := decodeBody(rw, r, &asg); err != nil {
-		return
-	}
-	if err := CheckVersion(asg.Version); err != nil {
-		writeWire(rw, AssignResponse{Version: WireVersion, Reason: err.Error()})
-		return
-	}
 	if w.isKilled() {
 		httpErr(rw, http.StatusServiceUnavailable, errors.New("killed"))
 		return
 	}
+	writeWire(rw, map[string]any{"status": "ok", "worker": w.cfg.ID})
+}
+
+// check vets an assignment before it is staged: its wire version, its
+// checkpoint's checksum, and its spec, which it normalizes in place as
+// the coordinator's local runner would.
+func (asg *Assignment) check() error {
+	if err := CheckVersion(asg.Version); err != nil {
+		return err
+	}
 	if len(asg.Checkpoint) > 0 && Checksum(asg.Checkpoint) != asg.CheckpointSum {
-		writeWire(rw, AssignResponse{Version: WireVersion, Reason: "checkpoint checksum mismatch"})
-		return
+		return errors.New("checkpoint checksum mismatch")
 	}
-	spec := asg.Spec
-	if err := spec.Validate(); err != nil {
-		writeWire(rw, AssignResponse{Version: WireVersion, Reason: fmt.Sprintf("spec: %v", err)})
-		return
+	if err := asg.Spec.Validate(); err != nil {
+		return fmt.Errorf("spec: %v", err)
 	}
-	asg.Spec = spec
-
-	w.mu.Lock()
-	if w.busy != "" {
-		w.mu.Unlock()
-		httpErr(rw, http.StatusConflict, fmt.Errorf("busy with %s", w.busy))
-		return
-	}
-	ctx := w.ctx
-	if ctx == nil || ctx.Err() != nil {
-		w.mu.Unlock()
-		httpErr(rw, http.StatusServiceUnavailable, errors.New("not started or draining"))
-		return
-	}
-	w.busy = asg.Job
-	w.abandoned = false
-	w.mu.Unlock()
-
-	if err := w.stageAssignment(asg); err != nil {
-		w.mu.Lock()
-		w.busy = ""
-		w.mu.Unlock()
-		writeWire(rw, AssignResponse{Version: WireVersion, Reason: err.Error()})
-		return
-	}
-	w.wg.Add(1)
-	go w.run(ctx, asg)
-	w.logf("worker %s: accepted %s (lease %s)", w.cfg.ID, asg.Job, asg.Lease)
-	writeWire(rw, AssignResponse{Version: WireVersion, Accepted: true})
+	return nil
 }
 
 // stageAssignment prepares the scratch directory, landing the resume
@@ -277,54 +244,63 @@ func (w *Worker) stageAssignment(asg Assignment) error {
 	return nil
 }
 
-// run executes one assignment end to end on the worker.
+// run executes one assignment end to end and settles it with a
+// completion. An assignment the worker cannot stage is settled as
+// failed: left to its lease, it would requeue and fail again.
 func (w *Worker) run(ctx context.Context, asg Assignment) {
-	defer w.wg.Done()
 	id := asg.Job
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	w.mu.Lock()
 	w.cancelRun = cancel
+	w.abandoned = false
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
 		w.cancelRun = nil
-		w.busy = ""
 		w.mu.Unlock()
 	}()
-
-	res, stats, runErr := w.campaign(jctx, asg)
-
-	if w.isKilled() {
-		return // dead workers tell no tales: the lease must expire
-	}
-	w.mu.Lock()
-	abandoned := w.abandoned
-	w.mu.Unlock()
-	if abandoned {
-		w.logf("worker %s: %s abandoned (lease superseded)", w.cfg.ID, id)
-		return
-	}
 
 	req := CompleteRequest{
 		Version: WireVersion,
 		Worker:  w.cfg.ID,
 		Job:     id,
 		Lease:   asg.Lease,
-		Stats:   stats,
 	}
-	switch {
-	case runErr != nil:
-		req.Error = runErr.Error()
-	case res.Interrupted:
-		req.Interrupted = true
-	default:
-		req.Summary = service.Summarize(res)
+	err := asg.check()
+	if err == nil {
+		err = w.stageAssignment(asg)
 	}
-	if res != nil {
-		req.Executions = res.Executions
+	if err != nil {
+		req.Error = fmt.Sprintf("worker %s cannot run the assignment: %v", w.cfg.ID, err)
+		w.logf("worker %s: %s: %s", w.cfg.ID, id, req.Error)
+	} else {
+		w.logf("worker %s: claimed %s (lease %s)", w.cfg.ID, id, asg.Lease)
+		res, stats, runErr := w.campaign(jctx, asg)
+		if w.isKilled() {
+			return // dead workers tell no tales: the lease must expire
+		}
+		w.mu.Lock()
+		abandoned := w.abandoned
+		w.mu.Unlock()
+		if abandoned {
+			w.logf("worker %s: %s abandoned (lease superseded)", w.cfg.ID, id)
+			return
+		}
+		req.Stats = stats
+		switch {
+		case runErr != nil:
+			req.Error = runErr.Error()
+		case res.Interrupted:
+			req.Interrupted = true
+		default:
+			req.Summary = service.Summarize(res)
+		}
+		if res != nil {
+			req.Executions = res.Executions
+		}
+		req.Checkpoint, req.CheckpointSum, req.TriageLog = w.handoff(id)
 	}
-	req.Checkpoint, req.CheckpointSum, req.TriageLog = w.handoff(id)
 	var resp CompleteResponse
 	// Completion must survive a drain: the parent ctx may already be
 	// cancelled, but the coordinator still needs the final checkpoint.
@@ -478,12 +454,43 @@ func (w *Worker) heartbeat(ctx context.Context, asg Assignment) {
 	}
 }
 
-// post sends one coordinator RPC with the worker's retry policy.
+// post sends one coordinator RPC with the worker's retry policy, each
+// attempt bounded by one heartbeat interval plus rpcSlack.
 func (w *Worker) post(ctx context.Context, path string, in, out any) error {
+	timeout := w.heartbeatEvery() + rpcSlack
 	return harness.Retry(ctx, harness.RetryConfig{
 		Attempts: w.cfg.RPCAttempts,
 		Backoff:  w.cfg.Backoff,
 	}, func(ctx context.Context) error {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
 		return postJSON(ctx, w.client, w.cfg.Coordinator+path, in, out)
 	})
+}
+
+// postJSON POSTs in as JSON and decodes the response into out. A
+// non-2xx status is an error.
+func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("fleet: %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

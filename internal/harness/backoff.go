@@ -96,10 +96,6 @@ type RetryConfig struct {
 	IsTransient func(error) bool
 	// Sleep is the clock seam (nil = time.Sleep, interruptible by ctx).
 	Sleep func(time.Duration)
-	// OnRetry, when set, observes each retry about to be scheduled
-	// (attempt is 0-based, err the failure that caused it) — the seam
-	// fleet metrics count RPC retries through.
-	OnRetry func(attempt int, err error)
 }
 
 // Retry runs op with bounded attempts and (optionally jittered)
@@ -114,9 +110,6 @@ func Retry(ctx context.Context, cfg RetryConfig, op func(context.Context) error)
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if cfg.OnRetry != nil {
-				cfg.OnRetry(attempt-1, err)
-			}
 			d := cfg.Backoff.Delay(attempt - 1)
 			if cfg.Sleep != nil {
 				cfg.Sleep(d)

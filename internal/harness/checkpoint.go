@@ -37,7 +37,7 @@ func (c *Checkpoint) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint encode: %w", err)
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("harness: checkpoint write: %w", err)
 	}
 	return nil

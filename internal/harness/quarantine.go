@@ -76,7 +76,7 @@ func (q *Quarantine) Add(f *Fault) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
+	return WriteFileAtomic(path, data)
 }
 
 // Get returns the stored fault for a task ID, or nil.
@@ -123,9 +123,11 @@ func sanitizeID(id string) string {
 	}, id)
 }
 
-// writeFileAtomic writes via a temp file + rename so a crash mid-write
-// never leaves a torn artifact for the resume path to trip over.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path via path+".tmp" and a rename, so
+// a crash mid-write never leaves a torn file for a reader to trip over.
+// It does not fsync: callers write checkpoints per task and want the
+// rename's atomicity, not durability across power loss.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

@@ -11,15 +11,14 @@ import (
 
 // Options tunes the compiler pipelines.
 type Options struct {
-	InlineBudgetC1 int  // node budget for C1 inlining (default 16)
-	InlineBudgetC2 int  // node budget for C2 inlining (default 64)
-	TrapLimit      int  // runtime traps before invalidation (default 2)
-	Speculate      bool // insert uncommon traps (default true via New)
+	InlineBudgetC1 int // node budget for C1 inlining (default 16)
+	InlineBudgetC2 int // node budget for C2 inlining (default 64)
+	TrapLimit      int // runtime traps before invalidation (default 2)
 }
 
 // DefaultOptions returns the production pipeline configuration.
 func DefaultOptions() Options {
-	return Options{InlineBudgetC1: 16, InlineBudgetC2: 64, TrapLimit: 2, Speculate: true}
+	return Options{InlineBudgetC1: 16, InlineBudgetC2: 64, TrapLimit: 2}
 }
 
 // Compiler is the simulated JIT. It implements vm.Compiler: the machine

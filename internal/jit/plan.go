@@ -178,15 +178,7 @@ var passTable = map[string]*passInfo{
 	},
 	"traps": {
 		c2: true, tailOnly: true,
-		// Speculation stays gated on the pipeline option exactly as the
-		// fixed pipeline gated it: a plan scheduling traps under
-		// Speculate=false is a no-op, not an error.
-		run: func(c *Compiler, ctx *Context) error {
-			if !c.Opt.Speculate {
-				return nil
-			}
-			return passTraps(ctx)
-		},
+		run: func(c *Compiler, ctx *Context) error { return passTraps(ctx) },
 	},
 }
 

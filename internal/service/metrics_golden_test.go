@@ -45,7 +45,7 @@ func (c *goldenClock) advance(d time.Duration) {
 // daemons: a standalone scheduler after one in-process job (plan
 // fuzzing, generators and a heap cap, so plan findings, generator
 // emissions, faults and triage all move) plus one distillation
-// request; and a coordinator after a fixed enroll / lease / heartbeat /
+// request; and a coordinator after a fixed claim / lease / heartbeat /
 // complete sequence against a scripted worker. Every series, its
 // order, its HELP and TYPE lines and its number format are the
 // contract dashboards and the fleet tests scrape, so a restructure of
@@ -101,18 +101,14 @@ func TestMetricsGolden(t *testing.T) {
 		t.Cleanup(srv.Close)
 		sched.SetRemote(coord)
 
-		// The scripted worker accepts every assignment and does no work;
-		// the test plays its heartbeat and completion RPCs by hand.
-		worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_ = json.NewEncoder(w).Encode(fleet.AssignResponse{Version: fleet.WireVersion, Accepted: true})
-		}))
-		t.Cleanup(worker.Close)
-
-		// w2 enrolls, then goes silent past the lease TTL: dead. w1
-		// enrolls after and is the only dispatchable worker.
-		post(t, srv.URL+"/fleet/enroll", fleet.EnrollRequest{Version: fleet.WireVersion, Worker: "w2", Addr: worker.URL})
+		// The test plays the workers' claims, heartbeat and completion by
+		// hand; the job is handed to w1 and does no work. A worker's
+		// first claim is answered at once. w2 claims, then goes silent
+		// past the lease TTL: dead. w1 claims after, and its second claim
+		// waits at the coordinator until the job is handed to it.
+		post(t, srv.URL+"/fleet/claim", fleet.ClaimRequest{Version: fleet.WireVersion, Worker: "w2"})
 		clock.advance(20 * time.Second)
-		post(t, srv.URL+"/fleet/enroll", fleet.EnrollRequest{Version: fleet.WireVersion, Worker: "w1", Addr: worker.URL})
+		post(t, srv.URL+"/fleet/claim", fleet.ClaimRequest{Version: fleet.WireVersion, Worker: "w1"})
 
 		ctx, cancel := context.WithCancel(context.Background())
 		sched.Start(ctx)
@@ -121,9 +117,14 @@ func TestMetricsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var claimed fleet.ClaimResponse
+		postDecode(t, srv.URL+"/fleet/claim", fleet.ClaimRequest{Version: fleet.WireVersion, Worker: "w1"}, &claimed)
+		if claimed.Assignment == nil || claimed.Assignment.Job != j.ID() {
+			t.Fatalf("w1's claim got %+v, want the assignment of %s", claimed.Assignment, j.ID())
+		}
 		waitGolden(t, sched, j.ID(), service.StateRunning)
 
-		lease := j.ID() + ".w1.1"
+		lease := claimed.Assignment.Lease
 		// A heartbeat whose checkpoint fails its checksum: the lease is
 		// renewed and the upload rejected.
 		post(t, srv.URL+"/fleet/heartbeat", fleet.Heartbeat{
@@ -168,7 +169,11 @@ func waitGolden(t *testing.T, sched *service.Scheduler, id string, want service.
 	t.Fatalf("job %s: timed out waiting for %s", id, want)
 }
 
-func post(t *testing.T, url string, body any) {
+func post(t *testing.T, url string, body any) { postDecode(t, url, body, nil) }
+
+// postDecode POSTs body as JSON, fails the test on a status other than
+// 200, and decodes the response into out unless it is nil.
+func postDecode(t *testing.T, url string, body, out any) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -182,6 +187,11 @@ func post(t *testing.T, url string, body any) {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, msg)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("POST %s: decode response: %v", url, err)
+		}
 	}
 }
 

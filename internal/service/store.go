@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/harness"
 )
 
 // JobStore persists job records under a state directory:
@@ -87,12 +89,7 @@ func (st *JobStore) Save(rec *jobRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: encode job %s: %w", rec.ID, err)
 	}
-	path := filepath.Join(st.JobDir(rec.ID), "job.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("service: write job %s: %w", rec.ID, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := harness.WriteFileAtomic(filepath.Join(st.JobDir(rec.ID), "job.json"), append(data, '\n')); err != nil {
 		return fmt.Errorf("service: write job %s: %w", rec.ID, err)
 	}
 	return nil

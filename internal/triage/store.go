@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/harness"
 )
 
 // storeVersion guards the on-disk record schema; records with another
@@ -372,12 +374,8 @@ func (s *Store) Compact() error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	tmp := s.path(dataFile + ".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := harness.WriteFileAtomic(s.path(dataFile), buf.Bytes()); err != nil {
 		return fmt.Errorf("triage: compact write: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(dataFile)); err != nil {
-		return fmt.Errorf("triage: compact rename: %w", err)
 	}
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("triage: compact reopen: %w", err)
@@ -452,11 +450,7 @@ func (s *Store) writeIndex() error {
 	if err != nil {
 		return fmt.Errorf("triage: encode index: %w", err)
 	}
-	tmp := s.path(indexFile + ".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("triage: write index: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(indexFile)); err != nil {
+	if err := harness.WriteFileAtomic(s.path(indexFile), data); err != nil {
 		return fmt.Errorf("triage: write index: %w", err)
 	}
 	return nil
