@@ -35,10 +35,17 @@ func TestMain(m *testing.M) {
 // the test.
 func run(t *testing.T, bin string, args ...string) string {
 	t.Helper()
+	return runIn(t, "", bin, args...)
+}
+
+// runIn is run in working directory dir ("" is the test's own).
+func runIn(t *testing.T, dir, bin string, args ...string) string {
+	t.Helper()
 	if bin == "" {
 		t.Skip("CLI binaries unavailable (-short or build failure)")
 	}
 	cmd := osexec.Command(bin, args...)
+	cmd.Dir = dir
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -83,7 +90,8 @@ func checkGolden(t *testing.T, name, got string, record bool) {
 // cliGoldens are the mopfuzzer commands whose stdout
 // testdata/<name>.golden pins. Each must match under every entry of
 // backends: neither the worker count nor the execution backend may
-// change a finding.
+// change a finding. Each run starts in an empty working directory, so
+// a relative path in the arguments prints the same on every run.
 var cliGoldens = []struct {
 	name string
 	args []string
@@ -95,6 +103,7 @@ var cliGoldens = []struct {
 	{"planfuzz", strings.Fields("-jdk openj9-17 -seeds 8 -budget 600 -plan-fuzz=full"), []string{"workers-4", "pool", "recycle-25", "recycle-1"}},
 	{"feature", strings.Fields("-jdk openjdk-17 -seeds 6 -budget 300 -plan-fuzz full -schedule power -generators randprog,template,style"), []string{"workers-4", "pool", "recycle-25", "recycle-1"}},
 	{"distill", strings.Fields("-seeds 30 -distill"), nil},
+	{"triage", strings.Fields("-jdk openjdk-17 -seeds 4 -budget 200 -triage-dir bugs"), []string{"workers-4"}},
 }
 
 // backends are the flags each golden runs under; the first records it
@@ -122,7 +131,7 @@ func checkCLIGoldens(t *testing.T, slow bool) {
 				}
 				// The pool flags are ignored in process.
 				args := append(slices.Concat(g.args, b.args), "-minijvm", minijvm, "-child-timeout", "30s")
-				checkGolden(t, g.name+".golden", run(t, mopfuzzer, args...), i == 0)
+				checkGolden(t, g.name+".golden", runIn(t, t.TempDir(), mopfuzzer, args...), i == 0)
 			})
 		}
 	}
