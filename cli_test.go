@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -153,6 +154,20 @@ func TestCLIGoldens(t *testing.T) {
 			t.Errorf("score cache not written: %v", err)
 		}
 	})
+}
+
+// TestReduceNeedsCase: -reduce without -case is refused with a pointer
+// to -triage-dir, which reduces a campaign's findings once per
+// signature.
+func TestReduceNeedsCase(t *testing.T) {
+	if mopfuzzer == "" {
+		t.Skip("CLI binaries unavailable (-short or build failure)")
+	}
+	out, err := osexec.Command(mopfuzzer, "-seeds", "1", "-budget", "10", "-reduce").CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "-triage-dir") {
+		t.Errorf("mopfuzzer -reduce without -case: %v\n%s", err, out)
+	}
 }
 
 // TestCLISlow runs the slow checks on the built binaries: the goldens

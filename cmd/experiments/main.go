@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/experiments"
 )
 
@@ -37,22 +36,12 @@ func main() {
 		f := specFlags.Lookup(name)
 		flag.Var(f.Value, f.Name, f.Usage)
 	}
-	var backend exec.Backend
-	backend.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	executor, err := backend.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	defer exec.CloseExecutor(executor)
-
-	budget.Executor = executor
 	budget.Executions, budget.Seeds, budget.Seed = spec.Budget, spec.SeedCount, spec.Seed
 
 	w := os.Stdout
@@ -122,8 +111,8 @@ func main() {
 	}
 	// The extra artifacts follow the tables and figures. -all closes
 	// every artifact with a separator; otherwise one goes between them.
-	// The schedule and generator legs can fail: a backend fault while
-	// the power schedule scores the pool.
+	// The schedule and generator legs can fail: a fault while the power
+	// schedule scores the pool.
 	infallible := func(run func(io.Writer, experiments.Budget)) func(io.Writer, experiments.Budget) error {
 		return func(w io.Writer, b experiments.Budget) error { run(w, b); return nil }
 	}
@@ -144,7 +133,6 @@ func main() {
 		}
 		ran = true
 		if err := extra.run(w, budget); err != nil {
-			exec.CloseExecutor(executor) // os.Exit skips the deferred close
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}

@@ -44,7 +44,6 @@ func main() {
 	backend.RegisterFlags(flag.CommandLine)
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	execTimeout := flag.Duration("exec-timeout", 0, "wall-clock watchdog per seed task (0 = step fuel only)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "min executions between campaign checkpoints (<=0 = every task)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "bound on the drain phase at shutdown (0 = wait for checkpoints indefinitely)")
 
 	mode := flag.String("mode", "", "fleet mode: empty (standalone), coordinator, or worker")
@@ -94,12 +93,11 @@ func main() {
 	}
 
 	sched, err := service.NewScheduler(service.Config{
-		Dir:             *stateDir,
-		Runners:         *runners,
-		Exec:            backend,
-		ExecTimeout:     *execTimeout,
-		CheckpointEvery: *checkpointEvery,
-		Logf:            logger.Printf,
+		Dir:         *stateDir,
+		Runners:     *runners,
+		Exec:        backend,
+		ExecTimeout: *execTimeout,
+		Logf:        logger.Printf,
 	})
 	if err != nil {
 		logger.Fatalf("open state dir %s: %v", *stateDir, err)

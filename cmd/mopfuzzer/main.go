@@ -18,7 +18,8 @@
 //	mopfuzzer -jdk openjdk-17 -budget 2000 -cpuprofile cpu.out -memprofile mem.out
 //
 //	# deduplicate + minimize findings into a persistent triage store
-//	mopfuzzer -jdk openjdk-17 -seeds 20 -budget 2000 -triage-dir ./bugs -report report.json
+//	# (`triage report -store ./bugs -json -o report.json` writes its JSON)
+//	mopfuzzer -jdk openjdk-17 -seeds 20 -budget 2000 -triage-dir ./bugs
 //
 //	# spend budget by scored (seed, plan-mode) energy instead of cursor order
 //	mopfuzzer -jdk openjdk-17 -seeds 20 -budget 2000 -schedule power
@@ -36,6 +37,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,9 +72,9 @@ func main() {
 	caseFile := flag.String("case", "", "fuzz a single seed file instead of the generated corpus")
 	guide := flag.Bool("enable_profile_guide", true, "profile-data-based mutator weighting")
 	fixedMP := flag.Bool("fixed_mp", true, "iterate on a fixed mutation point (false = MopFuzzer_r)")
-	doReduce := flag.Bool("reduce", false, "reduce bug-triggering mutants before reporting")
+	doReduce := flag.Bool("reduce", false, "reduce the bug-triggering mutant of -case before reporting")
 	dumpMutant := flag.Bool("dump", false, "print the final mutant source")
-	checkpoint := flag.String("checkpoint", "", "periodically snapshot campaign state to this JSON file")
+	checkpoint := flag.String("checkpoint", "", "snapshot campaign state to this JSON file after every task")
 	resume := flag.String("resume", "", "restore campaign state from this checkpoint file before fuzzing")
 	execTimeout := flag.Duration("exec-timeout", 0, "wall-clock watchdog per seed task (0 = step fuel only)")
 	quarantineDir := flag.String("quarantine-dir", "", "persist pathological mutants (panic/hang/heap-exhaustion triggers) here")
@@ -81,9 +83,11 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file for the whole run")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	triageDir := flag.String("triage-dir", "", "deduplicate findings by root-cause signature, reduce each new one once, and persist the corpus in this store directory")
-	reportPath := flag.String("report", "", "write a JSON triage report to this file after the campaign (requires -triage-dir)")
 	verbose := flag.Bool("v", false, "verbose campaign summary: parse-cache hit rates and generator emission counts")
 	flag.Parse()
+	if *doReduce && *caseFile == "" {
+		fatal(errors.New("-reduce applies to -case only; -triage-dir reduces a campaign's findings"))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -147,13 +151,6 @@ func main() {
 		// the same file, so repeated interrupt/resume cycles just work.
 		paths.Checkpoint = paths.Resume
 	}
-	// The triage pipeline is strictly additive: without -triage-dir no
-	// worker exists, OnFinding stays nil, and campaign output is
-	// byte-identical to previous releases.
-	if *reportPath != "" && *triageDir == "" {
-		fatal(fmt.Errorf("-report requires -triage-dir"))
-	}
-
 	if *doDistill {
 		// Score-and-report mode: one profiling dry-run per seed, the
 		// distillation report on stdout, no fuzzing. The same report a
@@ -212,14 +209,6 @@ func main() {
 		}
 		fmt.Printf("  [%6d exec] %-14s %-26s %s (%s, via %s oracle%s)\n",
 			f.AtExecution, f.Bug.ID, f.Bug.Component, f.Bug.Kind, f.Target.Name(), f.Oracle, gen)
-		if *doReduce && f.Program != nil {
-			pipe := &reduce.Pipeline{Executor: executor}
-			reduced := pipe.ReduceFinding(context.Background(), f.Program, f.Bug, f.Target)
-			fmt.Printf("           reduced %d -> %d statements\n", reduced.StmtsBefore, reduced.StmtsAfter)
-			if *dumpMutant {
-				fmt.Println(indent(lang.Format(reduced.Program)))
-			}
-		}
 	}
 	for _, f := range res.Faults {
 		q := f.QuarantinePath
@@ -260,18 +249,7 @@ func main() {
 		}
 		fmt.Printf("triage: %d finding(s) -> %d new signature(s), %d duplicate(s), %d reduced, %d quarantined (store: %s)\n",
 			st.Received, st.Novel, st.Duplicates, st.Reduced, st.Quarantined, tstore.Dir())
-		rep := triage.BuildReport(tstore)
-		fmt.Print(rep.Text())
-		if *reportPath != "" {
-			data, err := rep.JSON()
-			if err == nil {
-				err = os.WriteFile(*reportPath, data, 0o644)
-			}
-			if err != nil {
-				fatal(fmt.Errorf("writing triage report: %w", err))
-			}
-			fmt.Printf("triage: JSON report written to %s\n", *reportPath)
-		}
+		fmt.Print(triage.BuildReport(tstore).Text())
 		if err := tstore.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "mopfuzzer: triage store close:", err)
 		}

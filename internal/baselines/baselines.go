@@ -7,25 +7,20 @@
 package baselines
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/buginject"
 	"repro/internal/core"
 	"repro/internal/coverage"
-	"repro/internal/exec"
 	"repro/internal/jvm"
 	"repro/internal/lang"
 	"repro/internal/profile"
 )
 
 // Tool is a fuzzing strategy the experiment harness can drive
-// seed-by-seed. seedIdx perturbs the tool's RNG per seed. SetExecutor
-// routes all of the tool's target executions through a backend
-// (in-process when nil, minijvm children under -backend pool).
+// seed-by-seed. seedIdx perturbs the tool's RNG per seed.
 type Tool interface {
 	Name() string
-	SetExecutor(ex exec.Executor)
 	FuzzSeed(name string, seed *lang.Program, seedIdx int64) (*core.FuzzResult, error)
 }
 
@@ -63,8 +58,6 @@ func NewMopFuzzerR(target jvm.Spec, cov *coverage.Tracker) *MopFuzzerTool {
 }
 
 func (t *MopFuzzerTool) Name() string { return t.Label }
-
-func (t *MopFuzzerTool) SetExecutor(ex exec.Executor) { t.Cfg.Executor = ex }
 
 func (t *MopFuzzerTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (*core.FuzzResult, error) {
 	cfg := t.Cfg
@@ -150,7 +143,7 @@ func (t *JITFuzzTool) FuzzSeed(name string, seed *lang.Program, seedIdx int64) (
 			continue
 		}
 		if lang.CountStmts(child) > 400 {
-			continue // tighter than the core fuzzer's cap (Config.MaxStmts, 600)
+			continue // tighter than the core fuzzer's 600-statement cap
 		}
 		ex, err := t.execute(child, compileOnly, cov)
 		if err != nil {
@@ -384,22 +377,19 @@ func (loopReshaper) Apply(p *lang.Program, loc *lang.Location, rng *rand.Rand) (
 // --- shared plumbing ---
 
 // baseline is what JITFuzz and Artemis share: the target, the limits
-// every run obeys, the specs the final mutant's differential runs on,
-// and the backend.
+// every run obeys and the specs the final mutant's differential runs
+// on.
 type baseline struct {
 	Target      jvm.Spec
 	Coverage    *coverage.Tracker
 	MaxSteps    int64
 	DiffSpecs   []jvm.Spec
 	DisableBugs bool
-	Executor    exec.Executor // nil = in-process
 }
 
 func newBaseline(target jvm.Spec, cov *coverage.Tracker) baseline {
 	return baseline{Target: target, Coverage: cov, MaxSteps: 3_000_000, DiffSpecs: jvm.AllSpecs()}
 }
-
-func (b *baseline) SetExecutor(ex exec.Executor) { b.Executor = ex }
 
 // options are what every run of one seed shares, the differential
 // included: forced compilation of compileOnly, the step limit and
@@ -418,16 +408,16 @@ func (b *baseline) execute(p *lang.Program, compileOnly string, cov *coverage.Tr
 	opt := b.options(compileOnly)
 	opt.Flags = profile.DefaultFlags()
 	opt.Coverage = cov
-	return exec.Or(b.Executor).Execute(context.Background(), lang.CloneProgram(p), b.Target, opt)
+	return jvm.Run(lang.CloneProgram(p), b.Target, opt)
 }
 
 // judge runs the final mutant p on DiffSpecs and lets core's oracle
-// judge the differential. A backend error leaves res as it is.
+// judge the differential. An error leaves res as it is.
 func (b *baseline) judge(res *core.FuzzResult, p *lang.Program, compileOnly string) {
 	if len(b.DiffSpecs) == 0 {
 		return
 	}
-	diff, err := exec.Or(b.Executor).ExecuteDifferential(context.Background(), p, b.DiffSpecs, b.options(compileOnly))
+	diff, err := jvm.RunDifferential(p, b.DiffSpecs, b.options(compileOnly))
 	if err != nil {
 		return
 	}

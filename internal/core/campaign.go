@@ -322,9 +322,9 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 			break
 		}
 		c.cursor++
-		c.checkpoint(false)
+		c.checkpoint()
 	}
-	c.checkpoint(true)
+	c.checkpoint()
 	return c.res, nil
 }
 
@@ -343,7 +343,6 @@ type campaign struct {
 	cursor  int                           // global task index == RNG cursor
 	// roundProgressed: some task of the current round fuzzed its seed.
 	roundProgressed bool
-	lastCkptExec    int
 	parsed          *corpus.ParseCache
 	sched           *corpus.Scheduler // nil: schedule off
 	gen             *genRuntime       // nil: generators off
@@ -658,15 +657,12 @@ func (c *campaign) observe(seedIdx int, seed corpus.Seed, delta float64, nBugs i
 }
 
 // checkpoint is the checkpoint stage: with a checkpoint path set, it
-// snapshots the campaign when forced or when CheckpointEvery executions
-// have merged since the last snapshot. A failed write is counted, not
-// fatal: the next one retries with fresh state.
-func (c *campaign) checkpoint(force bool) {
-	if c.hcfg.CheckpointPath == "" ||
-		!force && c.hcfg.CheckpointEvery > 0 && c.res.Executions-c.lastCkptExec < c.hcfg.CheckpointEvery {
+// snapshots the campaign. A failed write is counted, not fatal: the
+// next one retries with fresh state.
+func (c *campaign) checkpoint() {
+	if c.hcfg.CheckpointPath == "" {
 		return
 	}
-	c.lastCkptExec = c.res.Executions
 	if err := c.save(); err != nil {
 		c.res.CheckpointErrors++
 		c.res.LastCheckpointError = err.Error()
@@ -829,7 +825,7 @@ func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
 	if err := c.sched.Restore(st.Schedule); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	c.cursor, c.roundProgressed, c.lastCkptExec = st.TaskCursor, st.RoundProgressed, st.Executions
+	c.cursor, c.roundProgressed = st.TaskCursor, st.RoundProgressed
 	c.res.Resumed = true
 	c.res.Executions = st.Executions
 	c.res.SeedsFuzzed = st.SeedsFuzzed

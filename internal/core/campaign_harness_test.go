@@ -4,14 +4,17 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buginject"
 	"repro/internal/corpus"
+	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/jit"
 	"repro/internal/jvm"
+	"repro/internal/lang"
 )
 
 // panicOnClass is the test-only injectable panicking JIT pass: it blows
@@ -275,5 +278,52 @@ func assertCampaignsEqual(t *testing.T, want, got *CampaignResult) {
 			t.Errorf("Findings[%d] = {%s %d %s %s}, want {%s %d %s %s}",
 				i, g.Bug.ID, g.AtExecution, g.SeedName, g.Oracle, w.Bug.ID, w.AtExecution, w.SeedName, w.Oracle)
 		}
+	}
+}
+
+// holdFirst runs executions in process, holding the first one for hold,
+// and counts the executions that start under a context already done.
+type holdFirst struct {
+	exec.InProcess
+	hold    time.Duration
+	held    atomic.Bool
+	release atomic.Int64 // UnixNano when the held execution resumes
+	late    atomic.Int32
+}
+
+func (h *holdFirst) Execute(ctx context.Context, p *lang.Program, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
+	if ctx.Err() != nil {
+		h.late.Add(1)
+	}
+	if h.held.CompareAndSwap(false, true) {
+		h.release.Store(time.Now().Add(h.hold).UnixNano())
+		time.Sleep(h.hold)
+	}
+	return h.InProcess.Execute(ctx, p, spec, opt)
+}
+
+// TestWatchdogAbandonedTaskStops: a task the harness watchdog abandons
+// starts no execution after its deadline; its held execution finishes
+// and the task ends there instead of fuzzing on in the background.
+func TestWatchdogAbandonedTaskStops(t *testing.T) {
+	h := &holdFirst{hold: 5 * time.Second}
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{
+		Seeds:    corpus.DefaultPool(2, 3),
+		Budget:   60,
+		Targets:  []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}},
+		Fuzz:     testCampaignCfg(3),
+		Seed:     3,
+		Executor: h,
+	}, harness.Config{ExecTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultCounts()[harness.FaultTimeout] == 0 {
+		t.Fatalf("the held task was not abandoned: faults %+v", res.Faults)
+	}
+	// Give the abandoned task time to go on once its execution resumes.
+	time.Sleep(time.Until(time.Unix(0, h.release.Load())) + 500*time.Millisecond)
+	if n := h.late.Load(); n > 0 {
+		t.Errorf("%d execution(s) started after the watchdog abandoned their task", n)
 	}
 }

@@ -16,6 +16,10 @@ import (
 	"repro/internal/profile"
 )
 
+// maxStmts rejects larger mutants: iterated region copying would
+// otherwise grow programs geometrically.
+const maxStmts = 600
+
 // Config tunes a Fuzzer. The defaults mirror the paper's §4.1 settings.
 type Config struct {
 	MaxIterations int  // mutations per seed (paper: 50)
@@ -38,10 +42,6 @@ type Config struct {
 	// DisableBugs runs against bug-free VMs — used when measuring Δ
 	// distributions so crashes don't truncate runs.
 	DisableBugs bool
-	// MaxStmts rejects mutants larger than this many statements
-	// (default 600): iterated region copying would otherwise grow
-	// programs geometrically.
-	MaxStmts int
 	// ExtendedMutators adds the alternative evoking-mutator
 	// implementations (the paper's future-work extension).
 	ExtendedMutators bool
@@ -200,9 +200,6 @@ func NewFuzzer(cfg Config) *Fuzzer {
 	if cfg.MaxIterations == 0 {
 		cfg.MaxIterations = 50
 	}
-	if cfg.MaxStmts == 0 {
-		cfg.MaxStmts = 600
-	}
 	muts := AllMutators()
 	if cfg.ExtendedMutators {
 		muts = ExtendedMutators()
@@ -332,6 +329,9 @@ func (f *Fuzzer) baseOptions() jvm.Options {
 // through the configured execution backend, under the given compilation
 // plan (nil = the fixed default pipeline).
 func (f *Fuzzer) execute(ctx context.Context, p *lang.Program, plan *jit.Plan) (*jvm.ExecResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	opt := f.baseOptions()
 	opt.CompileCache = nil // one run of a fresh mutant: nothing to hit
 	opt.Flags = f.Cfg.Flags
@@ -348,10 +348,10 @@ func (f *Fuzzer) FuzzSeed(name string, seed *lang.Program) (*FuzzResult, error) 
 	return f.FuzzSeedContext(context.Background(), name, seed)
 }
 
-// FuzzSeedContext is FuzzSeed with a context threaded to the execution
-// backend: an out-of-process backend uses it to bound and kill child
-// processes (the in-process backend ignores it, keeping the default
-// path byte-identical).
+// FuzzSeedContext is FuzzSeed with a context: it is checked before
+// every execution, and a done context ends the run with ctx.Err(). It
+// is also threaded to the execution backend, where an out-of-process
+// backend uses it to bound and kill child processes.
 func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Program) (*FuzzResult, error) {
 	res := &FuzzResult{SeedName: name}
 	// Snapshot the final weight table on every exit path (checkpoints
@@ -454,7 +454,7 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 		if err == nil {
 			err = lang.Check(child)
 		}
-		if err != nil || lang.CountStmts(child) > f.Cfg.MaxStmts {
+		if err != nil || lang.CountStmts(child) > maxStmts {
 			res.Records = append(res.Records, IterationRecord{Iter: iter, Mutator: m.Name(), Skipped: true})
 			continue
 		}
@@ -470,8 +470,8 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 			// A backend fault (the child process died under this mutant)
 			// is a first-class crash-oracle artifact, not a skipped
 			// iteration: propagate it so the harness classifies the death
-			// and quarantines the trigger.
-			if harness.AsFault(err) != nil {
+			// and quarantines the trigger. A done context ends the run.
+			if harness.AsFault(err) != nil || ctx.Err() != nil {
 				return nil, err
 			}
 			res.Records = append(res.Records, IterationRecord{Iter: iter, Mutator: m.Name(), Skipped: true})
@@ -530,6 +530,9 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 	res.FinalDelta = profile.Delta(res.SeedOBV, parentOBV)
 
 	// Differential testing of the final mutant c* (Algorithm 1 line 20).
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if len(f.Cfg.DiffSpecs) > 0 {
 		diff, err := exec.Or(f.Cfg.Executor).ExecuteDifferential(ctx, parent, f.Cfg.DiffSpecs, f.baseOptions())
 		if err != nil {
@@ -544,6 +547,9 @@ func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Pr
 	// divergence is phase-ordering sensitivity: the bug class the fixed
 	// schedule provably cannot reach (see runTier's ordering comment).
 	if f.planFuzzOn() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		pdiff, err := exec.Or(f.Cfg.Executor).ExecutePlanDifferential(ctx, parent, f.Cfg.Target, f.plans, f.baseOptions())
 		if err != nil {
 			return nil, err

@@ -63,10 +63,11 @@ func (e *seqEngine) stop() {}
 // Speculation is bounded by a window of 2×workers tasks beyond the
 // cursor being merged. Tasks speculated past a stop point (budget
 // exhausted, dead pool, cancellation) are discarded unmerged: stop drops
-// the queued ones, and the ones already running have side effects only
-// on order-independent shared sinks (the compile cache, where a hit is
-// equivalent to a miss, and the coverage set).
+// the queued ones and cancels the ones already running, whose side
+// effects reach only order-independent shared sinks (the compile cache,
+// where a hit is equivalent to a miss, and the coverage set).
 type parEngine struct {
+	cancel   context.CancelFunc // ends the running tasks' context
 	sup      *harness.Supervisor
 	mk       func(int) harness.Task
 	taskCh   chan int
@@ -86,7 +87,9 @@ type specOutcome struct {
 func newParEngine(ctx context.Context, sup *harness.Supervisor, workers, start, roundLen int,
 	mk func(int) harness.Task) *parEngine {
 	window := 2 * workers
+	ctx, cancel := context.WithCancel(ctx)
 	e := &parEngine{
+		cancel:   cancel,
 		sup:      sup,
 		mk:       mk,
 		taskCh:   make(chan int, window+2),
@@ -133,10 +136,11 @@ func (e *parEngine) do(cursor int) *harness.Outcome {
 	return e.sup.Finish(e.mk(cursor), raw)
 }
 
-// stop drops the cursors still queued, whose outcomes the stopped
-// campaign would discard unmerged, so only the tasks already running (at
-// most one per worker) finish before it returns.
+// stop cancels the tasks already running (at most one per worker),
+// which end at their next execution, and drops the cursors still
+// queued: the stopped campaign would discard their outcomes unmerged.
 func (e *parEngine) stop() {
+	e.cancel()
 drain:
 	for {
 		select {

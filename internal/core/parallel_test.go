@@ -12,8 +12,11 @@ import (
 
 	"repro/internal/buginject"
 	"repro/internal/corpus"
+	"repro/internal/exec"
 	"repro/internal/harness"
+	"repro/internal/jit"
 	"repro/internal/jvm"
+	"repro/internal/lang"
 )
 
 // runForCheckpoint runs a campaign to completion with checkpointing on
@@ -222,5 +225,71 @@ func TestParallelStopDropsQueuedTasks(t *testing.T) {
 	if got := int(ran.Load()); got != merged+workers {
 		t.Errorf("%d tasks ran: %d merged, %d in flight at the stop, and %d of the queue (window %d)",
 			got, merged, workers, got-merged-workers, e.window)
+	}
+}
+
+// stopProbe runs executions in process and counts those that start once
+// the campaign has merged its budget. Each of the first limit of them is
+// held until its context ends, or for ten seconds, so the running tasks
+// stay running until the engine stops.
+type stopProbe struct {
+	stopped atomic.Bool
+	after   atomic.Int32
+	limit   int32
+}
+
+func (p *stopProbe) gate(ctx context.Context) {
+	if p.stopped.Load() && p.after.Add(1) <= p.limit {
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+		}
+	}
+}
+
+func (p *stopProbe) Execute(ctx context.Context, prog *lang.Program, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
+	p.gate(ctx)
+	return exec.InProcess{}.Execute(ctx, prog, spec, opt)
+}
+
+func (p *stopProbe) ExecuteDifferential(ctx context.Context, prog *lang.Program, specs []jvm.Spec, opt jvm.Options) (*jvm.Differential, error) {
+	p.gate(ctx)
+	return exec.InProcess{}.ExecuteDifferential(ctx, prog, specs, opt)
+}
+
+func (p *stopProbe) ExecutePlanDifferential(ctx context.Context, prog *lang.Program, spec jvm.Spec, plans []*jit.Plan, opt jvm.Options) (*jvm.Differential, error) {
+	p.gate(ctx)
+	return exec.InProcess{}.ExecutePlanDifferential(ctx, prog, spec, plans, opt)
+}
+
+// TestParallelStopEndsRunningTasks: once a parallel campaign has merged
+// its budget, each task still running does at most one more execution,
+// instead of fuzzing to the end of its seed for an outcome the stopped
+// campaign discards.
+func TestParallelStopEndsRunningTasks(t *testing.T) {
+	const workers, budget = 2, 150
+	probe := &stopProbe{limit: workers}
+	_, err := RunCampaignContext(context.Background(), CampaignConfig{
+		Seeds:    corpus.DefaultPool(6, 3),
+		Budget:   budget,
+		Targets:  []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}},
+		Fuzz:     testCampaignCfg(3),
+		Seed:     3,
+		Workers:  workers,
+		Executor: probe,
+		OnProgress: func(p Progress) {
+			if p.Executions >= budget {
+				probe.stopped.Store(true)
+			}
+		},
+	}, harness.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probe.stopped.Load() {
+		t.Fatal("the campaign stopped before merging its budget")
+	}
+	if n := probe.after.Load(); n > workers {
+		t.Errorf("%d executions started after the last merge, want at most one per worker (%d)", n, workers)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/coverage"
-	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/jvm"
 )
@@ -29,9 +28,6 @@ type Budget struct {
 	Executions int
 	Seeds      int
 	Seed       int64
-	// Executor is the execution backend every tool runs through
-	// (nil = in-process; results are identical either way).
-	Executor exec.Executor
 }
 
 // DefaultBudget finishes in tens of seconds on a laptop.
@@ -52,8 +48,7 @@ type toolRun struct {
 
 // runKey is everything a per-seed campaign's result depends on: the
 // name of its tool and configuration, its salt, and the budget's
-// executions and seed pool. The executor is left out because every
-// backend gives the same results.
+// executions and seed pool.
 type runKey struct {
 	campaign          string
 	salt, seed        int64
@@ -155,9 +150,9 @@ func toolCampaign(budget Budget, name string, s setup) *toolRun {
 // runSeeds is the budgeted seed loop every per-seed artifact runs: it
 // sweeps the budget's seed pool round after round until the execution
 // budget is spent or a whole round fails, fuzzing seed i of the idx-th
-// call with toolAt(idx, i) under RNG seed budget.Seed*salt+idx through
-// the budget's backend. A detection counts at the executions after its
-// seed's run, so the run that crosses the budget records none.
+// call with toolAt(idx, i) under RNG seed budget.Seed*salt+idx. A
+// detection counts at the executions after its seed's run, so the run
+// that crosses the budget records none.
 func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines.Tool) *toolRun {
 	seeds := corpus.DefaultPool(budget.Seeds, budget.Seed)
 	run := &toolRun{}
@@ -172,7 +167,6 @@ func runSeeds(budget Budget, salt int64, toolAt func(idx int64, i int) baselines
 			}
 			idx++
 			tool := toolAt(idx, i)
-			tool.SetExecutor(budget.Executor)
 			fr, err := tool.FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*salt+idx)
 			if err != nil {
 				continue
@@ -293,8 +287,8 @@ func pad(s string, w int) string {
 // generator provenance of that first detection ("" = an original pool
 // seed), and the executions spent. Legs run whole campaigns, not the
 // per-seed loop, because the power schedule and the generators exist
-// only in the round planner. The error is an invalid spec or a backend
-// fault while scoring the pool.
+// only in the round planner. The error is an invalid spec or a fault
+// while scoring the pool.
 func legDetected(budget Budget, spec core.JobSpec) (detected map[string]int, provenance map[string]string, execs int, err error) {
 	for _, t := range jvm.AllSpecs() {
 		spec.Targets = append(spec.Targets, t.Name())
@@ -303,7 +297,7 @@ func legDetected(budget Budget, spec core.JobSpec) (detected map[string]int, pro
 	if err := spec.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
-	res, err := core.RunCampaignContext(context.Background(), spec.Campaign(budget.Executor), harness.Config{})
+	res, err := core.RunCampaignContext(context.Background(), spec.Campaign(nil), harness.Config{})
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -26,7 +26,6 @@ func Figure1(w io.Writer, budget Budget) {
 		cfg := core.DefaultConfig(hotspot17)
 		cfg.Seed = budget.Seed*1000 + s
 		cfg.DiffSpecs = nil
-		cfg.Executor = budget.Executor
 		f := core.NewFuzzer(cfg)
 		fr, err := f.FuzzSeed("fig1", parsed.Parse(seeds[int(s)%len(seeds)]))
 		if err != nil {

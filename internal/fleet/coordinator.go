@@ -350,7 +350,6 @@ func (c *Coordinator) RunRemote(ctx context.Context, j *service.Job) service.Rem
 		Version:          WireVersion,
 		Job:              id,
 		Spec:             j.Spec(),
-		CheckpointEvery:  c.cfg.Sched.CheckpointEvery(),
 		ExecTimeoutMS:    c.cfg.Sched.ExecTimeout().Milliseconds(),
 		HeartbeatEveryMS: c.cfg.HeartbeatEvery.Milliseconds(),
 	}

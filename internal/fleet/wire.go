@@ -101,11 +101,9 @@ type Assignment struct {
 	Checkpoint    []byte `json:"checkpoint,omitempty"`
 	CheckpointSum string `json:"checkpoint_sum,omitempty"`
 
-	// Campaign knobs the worker must mirror from the coordinator's
-	// scheduler config, so a handoff between any two executors stays
-	// byte-identical.
-	CheckpointEvery int   `json:"checkpoint_every,omitempty"`
-	ExecTimeoutMS   int64 `json:"exec_timeout_ms,omitempty"`
+	// ExecTimeoutMS mirrors the coordinator's per-task watchdog, so a
+	// handoff between any two executors stays byte-identical.
+	ExecTimeoutMS int64 `json:"exec_timeout_ms,omitempty"`
 
 	HeartbeatEveryMS int64 `json:"heartbeat_every_ms"`
 }

@@ -34,8 +34,6 @@ type WorkerConfig struct {
 	// standalone daemon's. A job spec that pins a backend overrides only
 	// its name.
 	Exec exec.Backend
-	// RPCAttempts bounds tries per coordinator RPC (default 3).
-	RPCAttempts int
 	// Backoff schedules RPC retries (zero value → jittered default).
 	Backoff harness.Backoff
 	// Client issues coordinator RPCs (nil = a client without a timeout:
@@ -54,6 +52,9 @@ type WorkerConfig struct {
 // rpcSlack is how much longer than one heartbeat interval a worker
 // waits for any coordinator RPC, a parked claim included.
 const rpcSlack = 10 * time.Second
+
+// rpcAttempts bounds tries per coordinator RPC.
+const rpcAttempts = 3
 
 // Worker is a fleet worker daemon: it claims one assignment at a time
 // from the coordinator, runs the campaign with per-task heartbeat
@@ -86,9 +87,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if err := exec.CheckBackend(cfg.Exec.Name); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	if cfg.RPCAttempts <= 0 {
-		cfg.RPCAttempts = 3
 	}
 	if cfg.Backoff == (harness.Backoff{}) {
 		cfg.Backoff = harness.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
@@ -369,12 +367,11 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 	paths := w.store.Paths(id)
 	paths.ScoreCache = w.scoreCachePath()
 	return service.RunCampaign(jctx, service.Run{
-		Spec:            asg.Spec,
-		Executor:        executor,
-		Paths:           paths,
-		CheckpointEvery: asg.CheckpointEvery,
-		ExecTimeout:     time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
-		Now:             w.cfg.Now,
+		Spec:        asg.Spec,
+		Executor:    executor,
+		Paths:       paths,
+		ExecTimeout: time.Duration(asg.ExecTimeoutMS) * time.Millisecond,
+		Now:         w.cfg.Now,
 		Logf: func(format string, args ...any) {
 			w.logf("worker %s: %s "+format, append([]any{w.cfg.ID, id}, args...)...)
 		},
@@ -459,7 +456,7 @@ func (w *Worker) heartbeat(ctx context.Context, asg Assignment) {
 func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 	timeout := w.heartbeatEvery() + rpcSlack
 	return harness.Retry(ctx, harness.RetryConfig{
-		Attempts: w.cfg.RPCAttempts,
+		Attempts: rpcAttempts,
 		Backoff:  w.cfg.Backoff,
 	}, func(ctx context.Context) error {
 		ctx, cancel := context.WithTimeout(ctx, timeout)

@@ -40,11 +40,9 @@ type Config struct {
 	// QuarantineDir persists pathological mutants; "" keeps the
 	// quarantine in memory for the run only.
 	QuarantineDir string
-	// CheckpointPath enables periodic campaign snapshots; "" disables.
+	// CheckpointPath enables a campaign snapshot after every task; ""
+	// disables.
 	CheckpointPath string
-	// CheckpointEvery is the minimum executions between snapshots
-	// (<=0 snapshots after every task).
-	CheckpointEvery int
 	// ResumePath, when set, restores campaign state from a snapshot
 	// before the first task.
 	ResumePath string
@@ -189,21 +187,24 @@ func (s *Supervisor) attempt(ctx context.Context, t Task) *Outcome {
 	}()
 	select {
 	case r := <-ch:
-		return &Outcome{Value: r.v, Err: r.err, Fault: r.fault}
-	case <-tctx.Done():
-		if ctx.Err() != nil {
-			// The campaign is shutting down; not the task's fault.
-			return &Outcome{Err: ctx.Err()}
+		// A task that gave up on its done context is the watchdog's case.
+		if r.err == nil || tctx.Err() == nil {
+			return &Outcome{Value: r.v, Err: r.err, Fault: r.fault}
 		}
-		return &Outcome{Fault: &Fault{
-			Class:    FaultTimeout,
-			TaskID:   t.ID,
-			SeedName: t.SeedName,
-			Round:    t.Round,
-			Message:  fmt.Sprintf("wall-clock deadline %s exceeded (step fuel did not fire)", s.Cfg.ExecTimeout),
-			Source:   t.Source,
-		}}
+	case <-tctx.Done():
 	}
+	if ctx.Err() != nil {
+		// The campaign is shutting down; not the task's fault.
+		return &Outcome{Err: ctx.Err()}
+	}
+	return &Outcome{Fault: &Fault{
+		Class:    FaultTimeout,
+		TaskID:   t.ID,
+		SeedName: t.SeedName,
+		Round:    t.Round,
+		Message:  fmt.Sprintf("wall-clock deadline %s exceeded (step fuel did not fire)", s.Cfg.ExecTimeout),
+		Source:   t.Source,
+	}}
 }
 
 // contained invokes the task body with recover() converting any Go

@@ -9,16 +9,18 @@ import (
 	"repro/internal/vm"
 )
 
+// inlineBudgetC1 is the node budget for C1 inlining.
+const inlineBudgetC1 = 16
+
 // Options tunes the compiler pipelines.
 type Options struct {
-	InlineBudgetC1 int // node budget for C1 inlining (default 16)
 	InlineBudgetC2 int // node budget for C2 inlining (default 64)
 	TrapLimit      int // runtime traps before invalidation (default 2)
 }
 
 // DefaultOptions returns the production pipeline configuration.
 func DefaultOptions() Options {
-	return Options{InlineBudgetC1: 16, InlineBudgetC2: 64, TrapLimit: 2}
+	return Options{InlineBudgetC2: 64, TrapLimit: 2}
 }
 
 // Compiler is the simulated JIT. It implements vm.Compiler: the machine

@@ -107,13 +107,12 @@ var passTable = map[string]*passInfo{
 		c1: true, c2: true, mandatoryC1: true, mandatoryC2: true,
 		requires: []string{"dereflect"}, // C2: the parser only sees direct calls after strength-reduction
 		run: func(c *Compiler, ctx *Context) error {
-			budget := c.Opt.InlineBudgetC2
-			def := 64
 			if ctx.Tier == vm.TierC1 {
-				budget, def = c.Opt.InlineBudgetC1, 16
+				return passInline(ctx, inlineBudgetC1)
 			}
+			budget := c.Opt.InlineBudgetC2
 			if budget == 0 {
-				budget = def
+				budget = 64
 			}
 			return passInline(ctx, budget)
 		},

@@ -9,19 +9,19 @@ import (
 	"repro/internal/lang"
 )
 
+// probeMaxSteps bounds each probe execution.
+const probeMaxSteps = 2_000_000
+
 // Pipeline is the reusable finding-reduction stage: it shrinks a
 // bug-triggering mutant while the specific catalog bug keeps firing,
-// probing candidates through an execution backend. The CLI's -reduce
-// path and the triage worker share this one implementation, so the
+// probing candidates through an execution backend. `mopfuzzer -case
+// -reduce` and the triage worker share this one implementation, so the
 // "still triggers" semantics cannot drift between them.
 type Pipeline struct {
 	// Executor runs reduction probes; nil uses the in-process default. The
 	// pool executor isolates the probes exactly like the fuzzing loop's
 	// executions.
 	Executor exec.Executor
-	// MaxSteps bounds each probe execution (0 = 2,000,000, the CLI's
-	// historical probe budget).
-	MaxSteps int64
 	// Options tunes the underlying syntax-guided reduction.
 	Options Options
 }
@@ -34,10 +34,6 @@ type Pipeline struct {
 // the best candidate found so far — callers running reduction under a
 // watchdog rely on this to reclaim abandoned workers.
 func (pl *Pipeline) ReduceFinding(ctx context.Context, p *lang.Program, bug *buginject.Bug, target jvm.Spec) *Result {
-	maxSteps := pl.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 2_000_000
-	}
 	specs := []jvm.Spec{target}
 	if !bug.In(target.Version) || bug.Impl != target.Impl {
 		specs = jvm.AllSpecs()
@@ -48,7 +44,7 @@ func (pl *Pipeline) ReduceFinding(ctx context.Context, p *lang.Program, bug *bug
 			return false
 		}
 		for _, spec := range specs {
-			r, err := ex.Execute(ctx, lang.CloneProgram(cand), spec, jvm.Options{ForceCompile: true, MaxSteps: maxSteps})
+			r, err := ex.Execute(ctx, lang.CloneProgram(cand), spec, jvm.Options{ForceCompile: true, MaxSteps: probeMaxSteps})
 			if err != nil {
 				continue
 			}

@@ -254,9 +254,14 @@ func (j *Job) View() JobView {
 		Resumes:  j.rec.Resumes,
 		Error:    j.rec.Error,
 		Result:   j.rec.Result,
-		Triage:   j.rec.Triage,
 		Worker:   j.rec.Worker,
 		Requeues: j.rec.Requeues,
+	}
+	if t := j.rec.Triage; t != nil {
+		// A copy: a settling run adds to the record's counts while the
+		// view may still be encoding.
+		cp := *t
+		v.Triage = &cp
 	}
 	if j.rec.State == StateRunning && j.hasProgress {
 		v.Progress = &ProgressView{

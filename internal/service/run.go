@@ -16,7 +16,7 @@ import (
 // piece off: no snapshots, no resume, no score cache, no triage, or
 // in-memory quarantine.
 type Paths struct {
-	Checkpoint string // periodic campaign snapshot
+	Checkpoint string // campaign snapshot, written after every task
 	Resume     string // snapshot restored before fuzzing
 	ScoreCache string // seed feature vectors
 	Triage     string // triage store directory
@@ -32,11 +32,9 @@ type Run struct {
 	Spec     core.JobSpec
 	Executor exec.Executor // nil = in process
 	Paths    Paths
-	// CheckpointEvery is the minimum executions between snapshots
-	// (<= 0 snapshots after every task); ExecTimeout arms the harness
-	// watchdog per seed task (0 = step fuel only).
-	CheckpointEvery int
-	ExecTimeout     time.Duration
+	// ExecTimeout arms the harness watchdog per seed task (0 = step
+	// fuel only).
+	ExecTimeout time.Duration
 	// ParseCache shares seed parses with other campaigns (nil = a
 	// campaign-local cache).
 	ParseCache *corpus.ParseCache
@@ -110,12 +108,11 @@ func RunCampaign(ctx context.Context, r Run) (*core.CampaignResult, triage.Stats
 	}
 
 	res, err := core.RunCampaignContext(ctx, ccfg, harness.Config{
-		CheckpointPath:  r.Paths.Checkpoint,
-		ResumePath:      r.Paths.Resume,
-		CheckpointEvery: r.CheckpointEvery,
-		ExecTimeout:     r.ExecTimeout,
-		QuarantineDir:   r.Paths.Quarantine,
-		OnTask:          r.OnTask,
+		CheckpointPath: r.Paths.Checkpoint,
+		ResumePath:     r.Paths.Resume,
+		ExecTimeout:    r.ExecTimeout,
+		QuarantineDir:  r.Paths.Quarantine,
+		OnTask:         r.OnTask,
 	})
 	if worker == nil {
 		return res, triage.Stats{}, err

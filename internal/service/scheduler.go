@@ -44,10 +44,6 @@ type Config struct {
 	// ExecTimeout arms the harness wall-clock watchdog per seed task
 	// (0 = step fuel only).
 	ExecTimeout time.Duration
-	// CheckpointEvery is the minimum executions between campaign
-	// snapshots (<=0 snapshots after every task — the drain-safest and
-	// default setting).
-	CheckpointEvery int
 	// Now is the clock seam (nil = wall clock). Timestamps on job
 	// records and triage occurrences derive from it.
 	Now func() time.Time
@@ -240,12 +236,8 @@ func (s *Scheduler) SetRemote(r RemoteRunner) {
 // Store exposes the underlying job store (paths for tests and tools).
 func (s *Scheduler) Store() *JobStore { return s.store }
 
-// CheckpointEvery exposes the campaign snapshot cadence — fleet
-// assignments mirror it so remote runs match local ones.
-func (s *Scheduler) CheckpointEvery() int { return s.cfg.CheckpointEvery }
-
-// ExecTimeout exposes the per-task watchdog deadline, mirrored into
-// fleet assignments like CheckpointEvery.
+// ExecTimeout exposes the per-task watchdog deadline; fleet assignments
+// mirror it so remote runs match local ones.
 func (s *Scheduler) ExecTimeout() time.Duration { return s.cfg.ExecTimeout }
 
 // Metrics exposes the daemon metrics registry; the fleet coordinator
@@ -732,15 +724,14 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	// emissions move the gauge.
 	lastGen := -1
 	run := Run{
-		Spec:            spec,
-		Executor:        executor,
-		Paths:           paths,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		ExecTimeout:     s.cfg.ExecTimeout,
-		ParseCache:      s.parse,
-		Now:             s.cfg.Now,
-		Logf:            func(format string, args ...any) { s.logf("job %s: "+format, append([]any{id}, args...)...) },
-		Live:            liveJob{&s.reportMu, j},
+		Spec:        spec,
+		Executor:    executor,
+		Paths:       paths,
+		ExecTimeout: s.cfg.ExecTimeout,
+		ParseCache:  s.parse,
+		Now:         s.cfg.Now,
+		Logf:        func(format string, args ...any) { s.logf("job %s: "+format, append([]any{id}, args...)...) },
+		Live:        liveJob{&s.reportMu, j},
 		OnProgress: func(p core.Progress) {
 			s.m.executions.Add(p.Executions - lastExec)
 			lastExec = p.Executions

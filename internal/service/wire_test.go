@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/triage"
 )
 
 // fullRecord populates every field of the wire schema, so the
@@ -264,5 +265,17 @@ func TestJobViewMatchesParent(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("JobView JSON differs from the earlier build's:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestJobViewCopiesTriage: a JobView keeps the triage counts it was
+// taken with when the job's record adds a run segment's counts later.
+func TestJobViewCopiesTriage(t *testing.T) {
+	j := &Job{rec: jobRecord{ID: "job-0001", Triage: &TriageStats{Received: 2}}}
+	v := j.View()
+	liveJob{j: j}.Detach(triage.Stats{Received: 3})
+	if v.Triage.Received != 2 || j.View().Triage.Received != 5 {
+		t.Errorf("view taken before the detach reads %d received, the record %d; want 2 and 5",
+			v.Triage.Received, j.View().Triage.Received)
 	}
 }

@@ -93,17 +93,12 @@ func BuildReport(s *Store) *Report {
 	return r
 }
 
-// JSON renders the report for machines (CI assertions, dashboards).
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // WriteJSON writes the canonical machine encoding — indented JSON plus a
 // trailing newline. It is the single serialization behind both
 // `triage report -json` and the service daemon's /jobs/{id}/findings
 // endpoint, so CLI consumers and API consumers parse one format.
 func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := r.JSON()
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package triage
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -70,12 +72,12 @@ func TestReportAggregates(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	r := BuildReport(reportFixtureStore(t))
-	data, err := r.JSON()
-	if err != nil {
+	var data bytes.Buffer
+	if err := r.WriteJSON(&data); err != nil {
 		t.Fatal(err)
 	}
 	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
+	if err := json.Unmarshal(data.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Version != reportVersion || back.Signatures != r.Signatures || len(back.Entries) != len(r.Entries) {
@@ -104,7 +106,7 @@ func TestReportEmptyStore(t *testing.T) {
 	if r.Signatures != 0 || r.Entries == nil {
 		t.Errorf("empty report malformed: %+v", r)
 	}
-	if _, err := r.JSON(); err != nil {
+	if err := r.WriteJSON(io.Discard); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,12 +204,20 @@ func (s *Store) loadIndex() *index {
 	return &ix
 }
 
-// apply replays one record into the entry table.
+// apply replays one record into the entry table. It rejects a record
+// that would leave an entry with a count below 1 or a target list that
+// is not a sorted set, before changing anything.
 func (s *Store) apply(rec *record) error {
 	switch rec.Kind {
 	case "entry":
 		if rec.Entry == nil || rec.Entry.Key == "" {
 			return fmt.Errorf("entry record without entry")
+		}
+		if rec.Entry.Count < 1 {
+			return fmt.Errorf("entry %q has count %d, want at least 1", rec.Entry.Key, rec.Entry.Count)
+		}
+		if !sortedSet(rec.Entry.Targets) {
+			return fmt.Errorf("entry %q targets %q are not sorted and unique", rec.Entry.Key, rec.Entry.Targets)
 		}
 		e := *rec.Entry
 		if _, exists := s.entries[e.Key]; !exists {
@@ -221,8 +230,14 @@ func (s *Store) apply(rec *record) error {
 			return fmt.Errorf("sighting for unknown key %q", rec.Key)
 		}
 		n := rec.Count
-		if n <= 0 {
+		if n < 0 {
+			return fmt.Errorf("sighting for %q has count %d", rec.Key, n)
+		}
+		if n == 0 {
 			n = 1
+		}
+		if e.Count > math.MaxInt-n {
+			return fmt.Errorf("sighting for %q overflows its count %d", rec.Key, e.Count)
 		}
 		e.Count += n
 		if rec.Occ != nil {
@@ -454,6 +469,16 @@ func (s *Store) writeIndex() error {
 		return fmt.Errorf("triage: write index: %w", err)
 	}
 	return nil
+}
+
+// sortedSet reports whether ts is strictly increasing.
+func sortedSet(ts []string) bool {
+	for i := 1; i < len(ts); i++ {
+		if ts[i-1] >= ts[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func addTarget(ts []string, t string) []string {

@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -183,6 +184,68 @@ func TestStoreRejectsVersionSkew(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version skew not rejected: %v", err)
+	}
+}
+
+// TestStoreRejectsBadCounts: a log record that would leave an entry's
+// count below 1, push it past math.MaxInt or break its sorted target set
+// fails Open, naming the record.
+func TestStoreRejectsBadCounts(t *testing.T) {
+	entry := func(count string) string {
+		return `{"v":1,"kind":"entry","entry":{"key":"k","count":` + count + `,"targets":["openjdk-17"]}}` + "\n"
+	}
+	for name, log := range map[string]string{
+		"zero entry count":        entry("0"),
+		"negative entry count":    entry("-9223372036854775808"),
+		"negative sighting count": entry("1") + `{"v":1,"kind":"sighting","key":"k","count":-1}` + "\n",
+		"overflowing sighting":    entry("9223372036854775807") + `{"v":1,"kind":"sighting","key":"k"}` + "\n",
+		"overflowing merge count": entry("9223372036854775000") + `{"v":1,"kind":"sighting","key":"k","count":1000}` + "\n",
+		"unsorted targets":        `{"v":1,"kind":"entry","entry":{"key":"k","count":1,"targets":["openj9-17","openjdk-17","openjdk-11"]}}` + "\n",
+		"duplicate targets":       `{"v":1,"kind":"entry","entry":{"key":"k","count":1,"targets":["openjdk-17","openjdk-17"]}}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, dataFile), []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir)
+			if err == nil {
+				s.Close()
+				t.Fatalf("store opened: %+v", s.Entries())
+			}
+			if !strings.Contains(err.Error(), "store log record") {
+				t.Errorf("error %q does not name the record", err)
+			}
+		})
+	}
+}
+
+// TestMergeOverflowLeavesLogUnwritten: a merge whose sighting would
+// overflow an entry's count fails, and the destination's log keeps no
+// trace of the rejected record.
+func TestMergeOverflowLeavesLogUnwritten(t *testing.T) {
+	dstDir := t.TempDir()
+	logPath := filepath.Join(dstDir, dataFile)
+	key := sigFor("JDK-1").Key()
+	full := `{"v":1,"kind":"entry","entry":{"key":"` + key + `","count":9223372036854775807,"targets":["openjdk-17"]}}` + "\n"
+	if err := os.WriteFile(logPath, []byte(full), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := mustOpen(t, dstDir)
+	defer dst.Close()
+	src := mustOpen(t, t.TempDir())
+	defer src.Close()
+	if _, err := src.Observe(sigFor("JDK-1"), occAt("s1", 10), "class A {}", 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("merge past math.MaxInt: %v", err)
+	}
+	if got := string(mustRead(t, logPath)); got != full {
+		t.Errorf("rejected record written:\n%s", got)
+	}
+	if e := dst.Get(key); e == nil || e.Count != math.MaxInt {
+		t.Errorf("entry after the rejected merge: %+v", e)
 	}
 }
 

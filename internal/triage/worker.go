@@ -13,24 +13,20 @@ import (
 	"repro/internal/reduce"
 )
 
+// queueSize bounds the finding queue. A full queue makes Submit block:
+// triage applies backpressure rather than dropping findings silently.
+const queueSize = 64
+
 // WorkerConfig tunes the async triage worker.
 type WorkerConfig struct {
 	// Store receives deduplicated findings; required.
 	Store *Store
 	// Executor runs reduction probes (nil = in-process).
 	Executor exec.Executor
-	// QueueSize bounds the finding queue (default 64). A full queue makes
-	// Submit block — triage applies backpressure rather than dropping
-	// findings silently.
-	QueueSize int
 	// ReduceTimeout is the wall-clock watchdog per reduction (default
 	// 60s). A reduction that hangs past it is abandoned and the finding
 	// quarantined; the cancelled context drains the abandoned goroutine.
 	ReduceTimeout time.Duration
-	// ReduceOptions tunes the syntax-guided reduction.
-	ReduceOptions reduce.Options
-	// MaxProbeSteps bounds each reduction probe (0 = pipeline default).
-	MaxProbeSteps int64
 	// Now supplies occurrence timestamps (test seam; nil = wall clock).
 	Now func() int64
 }
@@ -75,9 +71,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("triage: worker needs a store")
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 64
-	}
 	if cfg.ReduceTimeout == 0 {
 		cfg.ReduceTimeout = 60 * time.Second
 	}
@@ -91,7 +84,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		cfg:  cfg,
 		sup:  sup,
-		ch:   make(chan *core.Finding, cfg.QueueSize),
+		ch:   make(chan *core.Finding, queueSize),
 		done: make(chan struct{}),
 	}, nil
 }
@@ -194,11 +187,7 @@ func (w *Worker) process(ctx context.Context, f *core.Finding) {
 		Round:    f.Round,
 		Source:   raw,
 		Run: func(tctx context.Context) (any, error) {
-			pipe := &reduce.Pipeline{
-				Executor: w.cfg.Executor,
-				MaxSteps: w.cfg.MaxProbeSteps,
-				Options:  w.cfg.ReduceOptions,
-			}
+			pipe := &reduce.Pipeline{Executor: w.cfg.Executor}
 			return pipe.ReduceFinding(tctx, f.Program, f.Bug, f.Target), nil
 		},
 	})
