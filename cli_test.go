@@ -353,6 +353,81 @@ func TestTriageStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTriageMerge: `triage merge` folds two real stores, written by two
+// campaigns that share some signatures, into a new one, and only reads
+// its sources: their logs keep their bytes and no file joins them. A
+// missing source fails the merge, naming its path, before the
+// destination is created.
+func TestTriageMerge(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	type report struct {
+		Signatures, Occurrences int
+		Entries                 []struct{ Key string }
+	}
+	keys := map[string]bool{}
+	signatures, occurrences := 0, 0
+	logs := map[string]string{}
+	for _, src := range []struct{ name, seed string }{{"a", "1"}, {"b", "9"}} {
+		runIn(t, dir, mopfuzzer, "-jdk", "openjdk-17", "-seeds", "3", "-budget", "150", "-seed", src.seed, "-triage-dir", src.name)
+		var rep report
+		if err := json.Unmarshal([]byte(run(t, triageTool, "report", "-store", filepath.Join(dir, src.name), "-json")), &rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range rep.Entries {
+			keys[e.Key] = true
+		}
+		signatures += rep.Signatures
+		occurrences += rep.Occurrences
+		logs[src.name] = string(mustReadFile(t, filepath.Join(dir, src.name, "findings.jsonl")))
+	}
+	if len(keys) == 0 || len(keys) == signatures {
+		t.Fatalf("the sources hold %d signature(s), %d distinct: want some, and some shared", signatures, len(keys))
+	}
+
+	out := runIn(t, dir, triageTool, "merge", "-into", "dst", "a", "b")
+	if want := fmt.Sprintf("store dst now holds %d signature(s) (%d added)\n", len(keys), len(keys)); !strings.HasSuffix(out, want) {
+		t.Errorf("merge printed:\n%swant it to end %q", out, want)
+	}
+	var rep report
+	if err := json.Unmarshal([]byte(run(t, triageTool, "report", "-store", filepath.Join(dir, "dst"), "-json")), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Signatures != len(keys) || rep.Occurrences != occurrences {
+		t.Errorf("merged store: %d signature(s), %d occurrence(s), want %d and %d", rep.Signatures, rep.Occurrences, len(keys), occurrences)
+	}
+	for name, log := range logs {
+		entries, err := os.ReadDir(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || string(mustReadFile(t, filepath.Join(dir, name, "findings.jsonl"))) != log {
+			t.Errorf("source %s changed: holds %v", name, entries)
+		}
+	}
+
+	missing := filepath.Join(dir, "missing")
+	cmd := osexec.Command(triageTool, "merge", "-into", filepath.Join(dir, "dst2"), "a", missing)
+	cmd.Dir = dir
+	msg, err := cmd.CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(msg), missing) {
+		t.Errorf("merge from a missing source: %v\n%s", err, msg)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "dst2")); !os.IsNotExist(err) {
+		t.Errorf("a failed merge created its destination: %v", err)
+	}
+}
+
+func mustReadFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // testFleetWorkerSIGKILL SIGKILLs the fleet worker that owns a job once
 // it has handed off a checkpoint: the lease expires, and the job
 // requeues onto the other worker and finishes with the result and

@@ -99,15 +99,24 @@ func cmdMerge(args []string) {
 	if fs.NArg() == 0 {
 		fatal(fmt.Errorf("merge: no source stores given"))
 	}
+	// Sources are only read: a store's log is the whole store. Every
+	// source is read before the destination opens, so a missing one
+	// leaves nothing behind.
+	logs := make([][]byte, fs.NArg())
+	for i, srcDir := range fs.Args() {
+		log, err := os.ReadFile(triage.LogPath(srcDir))
+		if err != nil {
+			fatal(fmt.Errorf("merge: source store: %w", err))
+		}
+		logs[i] = log
+	}
 	dst := open(*into)
 	defer dst.Close()
 	total := 0
-	for _, srcDir := range fs.Args() {
-		src := open(srcDir)
-		added, err := dst.Merge(src)
-		src.Close()
+	for i, srcDir := range fs.Args() {
+		added, err := dst.MergeLog(logs[i])
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("merge %s: %w", srcDir, err))
 		}
 		fmt.Printf("merged %s: %d new signature(s)\n", srcDir, added)
 		total += added

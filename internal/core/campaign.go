@@ -139,17 +139,12 @@ type Finding struct {
 	AtExecution int // cumulative executions when found (the time axis)
 	Mutators    []string
 	Program     *lang.Program // the triggering mutant (pre-reduction)
-	// Harness carries the supervision context (fault class, retries,
-	// quarantine path) when the finding came through the supervised
-	// path; hs_err reports are annotated with it.
-	Harness *harness.FaultContext
-	// Provenance: where and how deep in the campaign the bug surfaced.
-	// Cursor is the global task cursor (seed, round, target, and RNG seed
-	// all derive from it), Round the corpus round, and ChainLen the
-	// mutation-chain length at detection.
-	Cursor   int
-	Round    int
-	ChainLen int
+	// Provenance: where in the campaign the bug surfaced. Cursor is the
+	// global task cursor (seed, round, target, and RNG seed all derive
+	// from it) and Round the corpus round; the mutation-chain length at
+	// detection is len(Mutators).
+	Cursor int
+	Round  int
 	// OBV is the final mutant's optimization-behavior vector — the
 	// profile behaviors active at failure, which triage reports render as
 	// the finding's OBV fingerprint.
@@ -285,15 +280,15 @@ func RunCampaign(cfg CampaignConfig) *CampaignResult {
 // wall-clock watchdog (hcfg.ExecTimeout) cancels hung executions, and
 // pathological seeds are quarantined and skipped on later rounds. When
 // hcfg.CheckpointPath is set the campaign state (executions, findings,
-// per-seed mutator weights, RNG cursor, quarantine index) is
-// snapshotted periodically and flushed on cancellation, and
+// deltas, faults, RNG cursor, quarantine index) is snapshotted after
+// every task and flushed on cancellation, and
 // hcfg.ResumePath restores a snapshot so an interrupted campaign
 // continues where it stopped. The per-task RNG seed is derived from
 // cfg.Seed plus the global task index, so resume reproduces the exact
 // random stream of an uninterrupted run.
 //
 // cfg.Workers > 1 shards task execution across a worker pool; the
-// cursor-ordered merge keeps findings, deltas, faults, weights, and
+// cursor-ordered merge keeps findings, deltas, faults and
 // checkpoints byte-identical to a sequential run, and checkpoints
 // always describe a merged prefix, so resume works identically under
 // parallelism.
@@ -334,13 +329,12 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 // feature is a nil field whose methods do nothing, so an off-mode
 // campaign runs the same code with fewer effects.
 type campaign struct {
-	cfg     CampaignConfig
-	hcfg    harness.Config
-	sup     *harness.Supervisor
-	res     *CampaignResult
-	seen    map[string]bool               // bug IDs already in res.Findings
-	weights map[string]map[string]float64 // mutator weights per "seed#rN" task
-	cursor  int                           // global task index == RNG cursor
+	cfg    CampaignConfig
+	hcfg   harness.Config
+	sup    *harness.Supervisor
+	res    *CampaignResult
+	seen   map[string]bool // bug IDs already in res.Findings
+	cursor int             // global task index == RNG cursor
 	// roundProgressed: some task of the current round fuzzed its seed.
 	roundProgressed bool
 	parsed          *corpus.ParseCache
@@ -383,11 +377,10 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 		}
 	}
 	c := &campaign{
-		cfg:     cfg,
-		hcfg:    hcfg,
-		res:     &CampaignResult{},
-		seen:    map[string]bool{},
-		weights: map[string]map[string]float64{},
+		cfg:  cfg,
+		hcfg: hcfg,
+		res:  &CampaignResult{},
+		seen: map[string]bool{},
 	}
 
 	// Corpus intelligence: scoring feeds both distillation (shrink the
@@ -446,7 +439,17 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 			c.sched.EnableGenerators(c.gen.ids())
 		}
 		if ck != nil {
+			// A snapshot is taken before or after the refresh of the
+			// cursor's round, never further from it: a refresh history
+			// to replay would mean a corrupt or foreign state.
+			round := ck.TaskCursor / len(c.cfg.Seeds)
+			if last := st.Generate.LastRound; last < max(round-1, 0) || last > round {
+				return nil, fmt.Errorf("core: resume: generator state last refreshed round %d, but the cursor is in round %d", last, round)
+			}
 			c.gen.st = st.Generate.Clone()
+			if c.gen.st.Emitted == nil {
+				c.gen.st.Emitted = map[string]int{}
+			}
 			for _, sl := range c.gen.st.Slots {
 				if sl.Index < 0 || sl.Index >= len(c.cfg.Seeds) {
 					return nil, fmt.Errorf("core: resume: generator slot index %d out of range (pool has %d seeds)", sl.Index, len(c.cfg.Seeds))
@@ -580,9 +583,6 @@ func (c *campaign) merge(ctx context.Context, out *harness.Outcome) bool {
 		c.res.SeedsFuzzed++
 		c.res.FinalDeltas = append(c.res.FinalDeltas, fr.FinalDelta)
 		pr.Delta, pr.HasDelta = fr.FinalDelta, true
-		if fr.Weights != nil {
-			c.weights[taskKey] = fr.Weights
-		}
 		if fr.HeapExhaustions > 0 {
 			pr.Fault = reportHeapExhaustion(c.sup, seed, taskKey, round, fr)
 			c.res.Faults = append(c.res.Faults, pr.Fault)
@@ -593,10 +593,6 @@ func (c *campaign) merge(ctx context.Context, out *harness.Outcome) bool {
 				continue
 			}
 			nBugs++
-			class := harness.FaultCrash
-			if fd.Oracle == "differential" || fd.Oracle == "plan-differential" {
-				class = harness.FaultMiscompile
-			}
 			f := Finding{
 				Bug:         fd.Bug,
 				Oracle:      fd.Oracle,
@@ -605,10 +601,8 @@ func (c *campaign) merge(ctx context.Context, out *harness.Outcome) bool {
 				AtExecution: c.res.Executions,
 				Mutators:    fd.Mutators,
 				Program:     fr.Final,
-				Harness:     &harness.FaultContext{Class: class, Retries: out.Retries},
 				Cursor:      c.cursor,
 				Round:       round,
-				ChainLen:    len(fd.Mutators),
 				OBV:         fr.FinalOBV,
 				Divergence:  fd.Divergence,
 				PlanID:      fd.PlanID,
@@ -693,49 +687,46 @@ func reportHeapExhaustion(sup *harness.Supervisor, seed corpus.Seed, taskKey str
 	})
 }
 
-// campaignState is the campaign-owned slice of a checkpoint: everything
-// needed to continue a run with byte-identical results. The schedule
-// block is present exactly when the campaign runs the power schedule,
-// and the generate block exactly when the generator subsystem is on, so
-// a feature left off leaves no trace in the snapshot.
+// campaignState is the campaign-owned slice of a checkpoint: what
+// restore reads to continue a run with byte-identical results, each
+// fact once. The task cursor and the execution count live in the
+// harness envelope, which DecodeCheckpoint validates; the seeds-fuzzed
+// count is len(FinalDeltas) and the seen-bug set is the findings' bug
+// IDs. The schedule block is present exactly when the campaign runs the
+// power schedule, and the generate block exactly when the generator
+// subsystem is on, so a feature left off leaves no trace in the
+// snapshot.
 type campaignState struct {
-	TaskCursor         int                           `json:"task_cursor"`
-	RoundProgressed    bool                          `json:"round_progressed"`
-	Executions         int                           `json:"executions"`
-	SeedsFuzzed        int                           `json:"seeds_fuzzed"`
-	SkippedQuarantined int                           `json:"skipped_quarantined,omitempty"`
-	FinalDeltas        []float64                     `json:"final_deltas,omitempty"`
-	SeenBugs           []string                      `json:"seen_bugs,omitempty"`
-	SeedErrors         []SeedError                   `json:"seed_errors,omitempty"`
-	Findings           []findingSnapshot             `json:"findings,omitempty"`
-	Faults             []*harness.Fault              `json:"faults,omitempty"`
-	Weights            map[string]map[string]float64 `json:"weights,omitempty"`
-	Schedule           *corpus.ScheduleState         `json:"schedule,omitempty"`
-	Generate           *generate.State               `json:"generate,omitempty"`
+	RoundProgressed    bool                  `json:"round_progressed"`
+	SkippedQuarantined int                   `json:"skipped_quarantined,omitempty"`
+	FinalDeltas        []float64             `json:"final_deltas,omitempty"`
+	SeedErrors         []SeedError           `json:"seed_errors,omitempty"`
+	Findings           []findingSnapshot     `json:"findings,omitempty"`
+	Faults             []*harness.Fault      `json:"faults,omitempty"`
+	Schedule           *corpus.ScheduleState `json:"schedule,omitempty"`
+	Generate           *generate.State       `json:"generate,omitempty"`
 }
 
 // findingSnapshot is the JSON form of a Finding: bugs by catalog ID,
 // programs as source text, both re-resolved on restore. It carries the
-// provenance block (cursor, round, chain length), the OBV, and the
-// divergence site; plan provenance (plan_id and the divergence's plan
-// pair) is omitted when empty.
+// provenance block (cursor, round), the OBV, and the divergence site;
+// plan provenance (plan_id and the divergence's plan pair) is omitted
+// when empty.
 type findingSnapshot struct {
-	BugID         string                `json:"bug_id"`
-	Oracle        string                `json:"oracle"`
-	SeedName      string                `json:"seed_name"`
-	TargetImpl    string                `json:"target_impl"`
-	TargetVersion int                   `json:"target_version"`
-	AtExecution   int                   `json:"at_execution"`
-	Mutators      []string              `json:"mutators,omitempty"`
-	Program       string                `json:"program,omitempty"`
-	Harness       *harness.FaultContext `json:"harness,omitempty"`
-	Cursor        int                   `json:"cursor,omitempty"`
-	Round         int                   `json:"round,omitempty"`
-	ChainLen      int                   `json:"chain_len,omitempty"`
-	OBV           []int64               `json:"obv,omitempty"`
-	Divergence    *divergenceSnapshot   `json:"divergence,omitempty"`
-	PlanID        string                `json:"plan_id,omitempty"`
-	GeneratorID   string                `json:"generator_id,omitempty"`
+	BugID         string              `json:"bug_id"`
+	Oracle        string              `json:"oracle"`
+	SeedName      string              `json:"seed_name"`
+	TargetImpl    string              `json:"target_impl"`
+	TargetVersion int                 `json:"target_version"`
+	AtExecution   int                 `json:"at_execution"`
+	Mutators      []string            `json:"mutators,omitempty"`
+	Program       string              `json:"program,omitempty"`
+	Cursor        int                 `json:"cursor,omitempty"`
+	Round         int                 `json:"round,omitempty"`
+	OBV           []int64             `json:"obv,omitempty"`
+	Divergence    *divergenceSnapshot `json:"divergence,omitempty"`
+	PlanID        string              `json:"plan_id,omitempty"`
+	GeneratorID   string              `json:"generator_id,omitempty"`
 }
 
 // divergenceSnapshot serializes a jvm.Divergence by spec name, the same
@@ -753,22 +744,14 @@ type divergenceSnapshot struct {
 // campaign-owned state.
 func (c *campaign) save() error {
 	st := campaignState{
-		TaskCursor:         c.cursor,
 		RoundProgressed:    c.roundProgressed,
-		Executions:         c.res.Executions,
-		SeedsFuzzed:        c.res.SeedsFuzzed,
 		SkippedQuarantined: c.res.SkippedQuarantined,
 		FinalDeltas:        c.res.FinalDeltas,
 		SeedErrors:         c.res.SeedErrors,
 		Faults:             c.res.Faults,
-		Weights:            c.weights,
 		Schedule:           c.sched.State(),
 		Generate:           c.gen.state(),
 	}
-	for id := range c.seen {
-		st.SeenBugs = append(st.SeenBugs, id)
-	}
-	sort.Strings(st.SeenBugs)
 	for _, f := range c.res.Findings {
 		fs := findingSnapshot{
 			BugID:         f.Bug.ID,
@@ -778,10 +761,8 @@ func (c *campaign) save() error {
 			TargetVersion: f.Target.Version,
 			AtExecution:   f.AtExecution,
 			Mutators:      f.Mutators,
-			Harness:       f.Harness,
 			Cursor:        f.Cursor,
 			Round:         f.Round,
-			ChainLen:      f.ChainLen,
 			PlanID:        f.PlanID,
 			GeneratorID:   f.GeneratorID,
 		}
@@ -825,20 +806,19 @@ func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
 	if err := c.sched.Restore(st.Schedule); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	c.cursor, c.roundProgressed = st.TaskCursor, st.RoundProgressed
+	for i, f := range st.Faults {
+		if f == nil {
+			return fmt.Errorf("core: resume: checkpoint fault %d is null", i)
+		}
+	}
+	c.cursor, c.roundProgressed = ck.TaskCursor, st.RoundProgressed
 	c.res.Resumed = true
-	c.res.Executions = st.Executions
-	c.res.SeedsFuzzed = st.SeedsFuzzed
+	c.res.Executions = ck.Executions
+	c.res.SeedsFuzzed = len(st.FinalDeltas)
 	c.res.SkippedQuarantined = st.SkippedQuarantined
 	c.res.FinalDeltas = st.FinalDeltas
 	c.res.SeedErrors = st.SeedErrors
 	c.res.Faults = st.Faults
-	for _, id := range st.SeenBugs {
-		c.seen[id] = true
-	}
-	for k, w := range st.Weights {
-		c.weights[k] = w
-	}
 	for _, fs := range st.Findings {
 		bug := buginject.ByID(fs.BugID)
 		if bug == nil {
@@ -851,10 +831,8 @@ func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
 			Target:      jvm.Spec{Impl: buginject.Impl(fs.TargetImpl), Version: fs.TargetVersion},
 			AtExecution: fs.AtExecution,
 			Mutators:    fs.Mutators,
-			Harness:     fs.Harness,
 			Cursor:      fs.Cursor,
 			Round:       fs.Round,
-			ChainLen:    fs.ChainLen,
 			PlanID:      fs.PlanID,
 			GeneratorID: fs.GeneratorID,
 		}
@@ -895,6 +873,7 @@ func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
 				f.Program = p
 			}
 		}
+		c.seen[bug.ID] = true
 		c.res.Findings = append(c.res.Findings, f)
 	}
 	// Re-arm skip semantics for quarantined IDs whose artifacts are not

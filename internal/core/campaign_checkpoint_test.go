@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,8 +69,6 @@ func TestCampaignCheckpointErrorsZeroOnHealthyPath(t *testing.T) {
 func TestResumeNotesUnparseableSnapshotProgram(t *testing.T) {
 	bug := buginject.Catalog[0]
 	st := campaignState{
-		TaskCursor: 4,
-		Executions: 200,
 		Findings: []findingSnapshot{{
 			BugID:         bug.ID,
 			Oracle:        "crash",
@@ -149,8 +148,8 @@ class T {
 `
 
 // TestCheckpointFindingProvenanceRoundTrip: the finding provenance fields —
-// cursor, round, chain length, OBV, divergence — must survive a
-// save/resume cycle bit-for-bit.
+// cursor, round, mutator chain, OBV — must survive a save/resume cycle
+// bit-for-bit.
 func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
 	target := jvm.Reference()
 	cfg := DefaultConfig(target)
@@ -189,15 +188,12 @@ func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
 		t.Fatalf("resume lost findings: %d vs %d", len(res2.Findings), len(res.Findings))
 	}
 	got := res2.Findings[0]
-	if got.Cursor != orig.Cursor || got.Round != orig.Round || got.ChainLen != orig.ChainLen {
-		t.Errorf("provenance drifted: got cursor=%d round=%d chain=%d, want cursor=%d round=%d chain=%d",
-			got.Cursor, got.Round, got.ChainLen, orig.Cursor, orig.Round, orig.ChainLen)
+	if got.Cursor != orig.Cursor || got.Round != orig.Round || !slices.Equal(got.Mutators, orig.Mutators) {
+		t.Errorf("provenance drifted: got cursor=%d round=%d chain=%v, want cursor=%d round=%d chain=%v",
+			got.Cursor, got.Round, got.Mutators, orig.Cursor, orig.Round, orig.Mutators)
 	}
 	if got.OBV != orig.OBV {
 		t.Errorf("OBV drifted:\n got %v\nwant %v", got.OBV, orig.OBV)
-	}
-	if got.ChainLen != len(orig.Mutators) {
-		t.Errorf("ChainLen = %d, want len(Mutators) = %d", got.ChainLen, len(orig.Mutators))
 	}
 }
 
@@ -206,8 +202,6 @@ func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
 func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 	bug := buginject.Catalog[0]
 	st := campaignState{
-		TaskCursor: 2,
-		Executions: 50,
 		Findings: []findingSnapshot{{
 			BugID:         bug.ID,
 			Oracle:        "differential",
@@ -215,9 +209,9 @@ func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 			TargetImpl:    string(bug.Impl),
 			TargetVersion: 17,
 			AtExecution:   40,
+			Mutators:      []string{"a", "b", "c", "d"},
 			Cursor:        1,
 			Round:         0,
-			ChainLen:      4,
 			OBV:           []int64{3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 			Divergence:    &divergenceSnapshot{Modal: "openjdk-8", Divergent: "openjdk-21", Index: 3},
 		}},
@@ -255,7 +249,7 @@ func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 	if *f.Divergence != want {
 		t.Errorf("divergence = %+v, want %+v", *f.Divergence, want)
 	}
-	if f.ChainLen != 4 || f.Cursor != 1 || f.OBV[0] != 3 {
-		t.Errorf("provenance = cursor %d chain %d obv[0] %d, want 1/4/3", f.Cursor, f.ChainLen, f.OBV[0])
+	if len(f.Mutators) != 4 || f.Cursor != 1 || f.OBV[0] != 3 {
+		t.Errorf("provenance = cursor %d chain %d obv[0] %d, want 1/4/3", f.Cursor, len(f.Mutators), f.OBV[0])
 	}
 }

@@ -28,48 +28,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // Regenerate with `go test ./internal/core -run TestCheckpointGolden
 // -update` only when a change is meant to alter the format.
 func TestCheckpointGolden(t *testing.T) {
-	hs17 := []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}}
-	feature := func() CampaignConfig {
-		fcfg := testCampaignCfg(51)
-		fcfg.PlanFuzz = jit.PlanFull
-		return CampaignConfig{
-			Seeds:        corpus.DefaultPool(4, 51),
-			Budget:       160,
-			Targets:      hs17,
-			Fuzz:         fcfg,
-			Seed:         51,
-			SeedSchedule: corpus.SchedulePower,
-			Generators:   []string{"randprog", "template", "style"},
-		}
-	}
-	heapCfg := testCampaignCfg(52)
-	heapCfg.MaxHeapUnits = 20_000
-	cases := []struct {
-		name     string
-		cfg      CampaignConfig
-		cancelAt int // cancel the campaign once this many tasks are done
-	}{
-		{name: "off", cfg: CampaignConfig{
-			Seeds:   corpus.DefaultPool(3, 50),
-			Budget:  120,
-			Targets: hs17,
-			Fuzz:    testCampaignCfg(50),
-			Seed:    50,
-		}},
-		{name: "feature", cfg: feature()},
-		// Task 6 of a 4-seed pool is mid-way through round 1, after the
-		// first generator refresh.
-		{name: "feature-interrupted", cfg: feature(), cancelAt: 6},
-		{name: "power-heap", cfg: CampaignConfig{
-			Seeds:        append(corpus.DefaultPool(2, 52), allocSeed),
-			Budget:       120,
-			Targets:      hs17,
-			Fuzz:         heapCfg,
-			Seed:         52,
-			SeedSchedule: corpus.SchedulePower,
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range checkpointGoldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -111,5 +70,53 @@ func TestCheckpointGolden(t *testing.T) {
 				t.Errorf("checkpoint bytes differ from %s:\n got %s\nwant %s", path, got, want)
 			}
 		})
+	}
+}
+
+// checkpointGoldenCase is one campaign whose final checkpoint is a
+// golden file, testdata/checkpoint-<name>.json.
+type checkpointGoldenCase struct {
+	name     string
+	cfg      CampaignConfig
+	cancelAt int // cancel the campaign once this many tasks are done
+}
+
+func checkpointGoldenCases() []checkpointGoldenCase {
+	hs17 := []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}}
+	feature := func() CampaignConfig {
+		fcfg := testCampaignCfg(51)
+		fcfg.PlanFuzz = jit.PlanFull
+		return CampaignConfig{
+			Seeds:        corpus.DefaultPool(4, 51),
+			Budget:       160,
+			Targets:      hs17,
+			Fuzz:         fcfg,
+			Seed:         51,
+			SeedSchedule: corpus.SchedulePower,
+			Generators:   []string{"randprog", "template", "style"},
+		}
+	}
+	heapCfg := testCampaignCfg(52)
+	heapCfg.MaxHeapUnits = 20_000
+	return []checkpointGoldenCase{
+		{name: "off", cfg: CampaignConfig{
+			Seeds:   corpus.DefaultPool(3, 50),
+			Budget:  120,
+			Targets: hs17,
+			Fuzz:    testCampaignCfg(50),
+			Seed:    50,
+		}},
+		{name: "feature", cfg: feature()},
+		// Task 6 of a 4-seed pool is mid-way through round 1, after the
+		// first generator refresh.
+		{name: "feature-interrupted", cfg: feature(), cancelAt: 6},
+		{name: "power-heap", cfg: CampaignConfig{
+			Seeds:        append(corpus.DefaultPool(2, 52), allocSeed),
+			Budget:       120,
+			Targets:      hs17,
+			Fuzz:         heapCfg,
+			Seed:         52,
+			SeedSchedule: corpus.SchedulePower,
+		}},
 	}
 }

@@ -129,9 +129,6 @@ type FuzzResult struct {
 	MutatorSeq []string // mutators applied, in order
 	Executions int      // target executions consumed (the time proxy)
 	MPID       int
-	// Weights is the final mutator-weight table, snapshotted so campaign
-	// checkpoints can persist per-seed guidance state.
-	Weights map[string]float64
 	// HeapExhaustions counts executions that blew the heap budget;
 	// FirstHeapExhausting keeps the first triggering program so the
 	// harness can quarantine it as a crash-oracle artifact.
@@ -354,11 +351,9 @@ func (f *Fuzzer) FuzzSeed(name string, seed *lang.Program) (*FuzzResult, error) 
 // backend uses it to bound and kill child processes.
 func (f *Fuzzer) FuzzSeedContext(ctx context.Context, name string, seed *lang.Program) (*FuzzResult, error) {
 	res := &FuzzResult{SeedName: name}
-	// Snapshot the final weight table on every exit path (checkpoints
-	// persist it as the per-seed guidance state).
-	defer func() { res.Weights = f.Weights() }()
 
-	// Initialize mutator weights to 1 (Algorithm 1, line 4).
+	// Initialize mutator weights to 1 (Algorithm 1, line 4). Every seed
+	// starts afresh; each record carries its mutator's updated weight.
 	f.weights = map[string]float64{}
 	for _, m := range f.Mutators {
 		f.weights[m.Name()] = 1
@@ -601,14 +596,4 @@ func (res *FuzzResult) RecordCrash(ex *jvm.ExecResult, iter int, planID string) 
 	if finding.Bug != nil {
 		res.Findings = append(res.Findings, finding)
 	}
-}
-
-// Weights exposes the current weight table (for the guidance example and
-// tests).
-func (f *Fuzzer) Weights() map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range f.weights {
-		out[k] = v
-	}
-	return out
 }

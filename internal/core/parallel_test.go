@@ -22,8 +22,9 @@ import (
 // runForCheckpoint runs a campaign to completion with checkpointing on
 // and returns the result plus the final checkpoint bytes — the
 // strongest equality witness we have, since the snapshot serializes
-// executions, findings, deltas, faults, per-seed weights, seen-bug
-// set, quarantine index, and the task cursor.
+// executions, findings, deltas, faults, seed errors, counters,
+// schedule and generator state, the quarantine index, and the task
+// cursor.
 func runForCheckpoint(t *testing.T, ccfg CampaignConfig, workers int) (*CampaignResult, []byte) {
 	t.Helper()
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt.json")

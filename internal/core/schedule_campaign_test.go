@@ -194,7 +194,7 @@ func TestPowerRetiresQuarantinedSeeds(t *testing.T) {
 			snap()
 
 			faultRound, laterPlans := -1, 0
-			for _, st := range snaps {
+			for k, st := range snaps {
 				if faultRound < 0 {
 					for _, f := range st.Faults {
 						if f.TaskID == tc.seed.Name {
@@ -207,7 +207,7 @@ func TestPowerRetiresQuarantinedSeeds(t *testing.T) {
 				}
 				for i, a := range st.Schedule.Arms {
 					if a.Seed == tc.seed.Name && !a.Retired {
-						t.Errorf("cursor %d: arm %d (%s/%s) not retired after the seed was quarantined", st.TaskCursor, i, a.Seed, a.PlanMode)
+						t.Errorf("snapshot %d: arm %d (%s/%s) not retired after the seed was quarantined", k, i, a.Seed, a.PlanMode)
 					}
 				}
 				if st.Schedule.Round <= faultRound {

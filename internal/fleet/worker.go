@@ -404,7 +404,7 @@ func (w *Worker) handoff(job string) (ckpt []byte, sum string, triageLog []byte)
 	if data, err := os.ReadFile(w.store.CheckpointPath(job)); err == nil {
 		ckpt, sum = data, Checksum(data)
 	}
-	if data, err := os.ReadFile(filepath.Join(w.store.TriageDir(job), "findings.jsonl")); err == nil {
+	if data, err := os.ReadFile(triage.LogPath(w.store.TriageDir(job))); err == nil {
 		triageLog = data
 	}
 	return ckpt, sum, triageLog

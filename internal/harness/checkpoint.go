@@ -8,19 +8,19 @@ import (
 
 // CheckpointVersion guards the snapshot schema. There is one live
 // version: Save always stamps it and decoding accepts nothing else, so a
-// snapshot is never silently misread. Campaign state since v4 carries
-// finding provenance, power-schedule arm statistics and
-// generator-subsystem state; blocks for features a campaign leaves off
-// are simply absent.
-const CheckpointVersion = 4
+// snapshot is never silently misread. Campaign state since v5 holds only
+// what resume reads, each fact once: the cursor and execution count are
+// the envelope's alone. Blocks for features a campaign leaves off are
+// simply absent.
+const CheckpointVersion = 5
 
 // Checkpoint is a campaign snapshot. The harness owns the envelope
-// (task cursor, execution count, quarantine index); the campaign owns
-// State, an opaque JSON blob with its findings, deltas, per-seed
-// mutator weights, and seen-bug set. TaskCursor doubles as the RNG
-// cursor: per-task RNG seeds are derived from the campaign seed plus
-// the global task index, so restoring the cursor restores the random
-// stream exactly.
+// (task cursor, execution count, quarantine index), the only copies of
+// those facts; the campaign owns State, an opaque JSON blob with its
+// findings, deltas, faults and feature blocks. TaskCursor doubles as
+// the RNG cursor: per-task RNG seeds are derived from the campaign seed
+// plus the global task index, so restoring the cursor restores the
+// random stream exactly.
 type Checkpoint struct {
 	Version     int             `json:"version"`
 	TaskCursor  int             `json:"task_cursor"`

@@ -65,12 +65,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("harness: %s in task %s: %s", f.Class, f.TaskID, f.Message)
 }
 
-// Context extracts the supervision context attached to findings that
-// came through the supervised path.
-func (f *Fault) Context() *FaultContext {
-	return &FaultContext{Class: f.Class, Retries: f.Retries, QuarantinePath: f.QuarantinePath}
-}
-
 // HsErrReport renders the fault like HotSpot's hs_err_pid log header,
 // mirroring vm.Crash.HsErrReport, with the harness fault context
 // (class, retries, quarantine path) included.
@@ -128,31 +122,6 @@ func AsFault(err error) *Fault {
 		return f.HarnessFault()
 	}
 	return nil
-}
-
-// FaultContext is the slice of supervision state attached to ordinary
-// findings (crash/miscompile oracles) that were detected inside a
-// supervised task, so their reports can say how the harness treated
-// the run.
-type FaultContext struct {
-	Class          FaultClass `json:"class"`
-	Retries        int        `json:"retries"`
-	QuarantinePath string     `json:"quarantine_path,omitempty"`
-}
-
-// AnnotateHsErr appends the harness fault context to an hs_err-style
-// crash report produced by the substrate (vm.Crash.HsErrReport). A nil
-// context returns the report unchanged, so unsupervised paths keep the
-// seed format byte-identical.
-func AnnotateHsErr(report string, fc *FaultContext) string {
-	if fc == nil {
-		return report
-	}
-	q := fc.QuarantinePath
-	if q == "" {
-		q = "<none>"
-	}
-	return report + fmt.Sprintf("\n# Harness: fault class=%s, retries=%d, quarantine=%s\n#", fc.Class, fc.Retries, q)
 }
 
 // componentOrder fixes blame priority when several substrate packages

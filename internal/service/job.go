@@ -104,7 +104,7 @@ func summarizeFinding(f *core.Finding) FindingSummary {
 		AtExecution: f.AtExecution,
 		Cursor:      f.Cursor,
 		Round:       f.Round,
-		ChainLen:    f.ChainLen,
+		ChainLen:    len(f.Mutators),
 		PlanID:      f.PlanID,
 		GeneratorID: f.GeneratorID,
 	}

@@ -54,57 +54,74 @@ func drainInterrupted(t *testing.T, dir string, spec core.JobSpec) string {
 // startup policy: a restart that finds a job's campaign checkpoint
 // undecodable must quarantine that job (snapshot preserved as
 // checkpoint.json.corrupt, counted in /metrics) and keep starting —
-// one bad snapshot cannot take down the daemon or the other jobs.
+// one bad snapshot cannot take down the daemon or the other jobs. A
+// torn write is undecodable, and so is a whole snapshot of an older
+// checkpoint version (testdata/checkpoint-v4-feature.json, written by
+// a build whose state still carried mutator weights).
 func TestRestartQuarantinesCorruptCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	id := drainInterrupted(t, dir, resumeSpec(""))
-
-	// Corrupt the checkpoint: a torn write from a crashed daemon.
-	store, err := OpenJobStore(dir)
+	v4, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v4-feature.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(store.CheckpointPath(id), []byte(`{"version":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		reason string
+	}{
+		{"torn write", []byte(`{"version":`), "checkpoint decode"},
+		{"v4 snapshot", v4, "older build"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id := drainInterrupted(t, dir, resumeSpec(""))
 
-	s2 := newTestScheduler(t, Config{Dir: dir})
-	j := s2.Get(id)
-	if j == nil {
-		t.Fatal("restarted daemon lost the job")
-	}
-	if got := j.State(); got != StateQuarantined {
-		t.Fatalf("state after restart = %s, want quarantined", got)
-	}
-	if _, err := os.Stat(store.CheckpointPath(id) + ".corrupt"); err != nil {
-		t.Errorf("corrupt snapshot not preserved: %v", err)
-	}
-	if store.HasCheckpoint(id) {
-		t.Error("corrupt checkpoint still in place")
-	}
-	if v := j.View(); !strings.Contains(v.Error, "corrupt campaign checkpoint") {
-		t.Errorf("quarantine reason not recorded: %q", v.Error)
-	}
+			store, err := OpenJobStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(store.CheckpointPath(id), c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// The daemon is healthy: new jobs still run to completion, and the
-	// quarantine is visible in metrics.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s2.Start(ctx)
-	j2, err := s2.Submit(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := waitTerminal(t, s2, j2.ID(), 3*time.Minute); v.State != StateDone {
-		t.Fatalf("post-quarantine job ended %s (error %q)", v.State, v.Error)
-	}
-	var buf strings.Builder
-	s2.RenderMetrics(&buf)
-	if !strings.Contains(buf.String(), "mopfuzzd_jobs_quarantined_total 1") {
-		t.Errorf("quarantine not counted in metrics:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), `mopfuzzd_jobs{state="quarantined"} 1`) {
-		t.Errorf("quarantined gauge missing:\n%s", buf.String())
+			s2 := newTestScheduler(t, Config{Dir: dir})
+			j := s2.Get(id)
+			if j == nil {
+				t.Fatal("restarted daemon lost the job")
+			}
+			if got := j.State(); got != StateQuarantined {
+				t.Fatalf("state after restart = %s, want quarantined", got)
+			}
+			if _, err := os.Stat(store.CheckpointPath(id) + ".corrupt"); err != nil {
+				t.Errorf("corrupt snapshot not preserved: %v", err)
+			}
+			if store.HasCheckpoint(id) {
+				t.Error("corrupt checkpoint still in place")
+			}
+			if v := j.View(); !strings.Contains(v.Error, "corrupt campaign checkpoint") || !strings.Contains(v.Error, c.reason) {
+				t.Errorf("quarantine reason %q, want one naming %q", v.Error, c.reason)
+			}
+
+			// The daemon is healthy: new jobs still run to completion, and the
+			// quarantine is visible in metrics.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s2.Start(ctx)
+			j2, err := s2.Submit(smallSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := waitTerminal(t, s2, j2.ID(), 3*time.Minute); v.State != StateDone {
+				t.Fatalf("post-quarantine job ended %s (error %q)", v.State, v.Error)
+			}
+			var buf strings.Builder
+			s2.RenderMetrics(&buf)
+			if !strings.Contains(buf.String(), "mopfuzzd_jobs_quarantined_total 1") {
+				t.Errorf("quarantine not counted in metrics:\n%s", buf.String())
+			}
+			if !strings.Contains(buf.String(), `mopfuzzd_jobs{state="quarantined"} 1`) {
+				t.Errorf("quarantined gauge missing:\n%s", buf.String())
+			}
+		})
 	}
 }
 

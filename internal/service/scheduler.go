@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -591,23 +589,10 @@ func (s *Scheduler) NoteRemoteStart(j *Job, worker string) {
 // into the job's persistent triage store. Signature dedup makes the
 // merge idempotent: re-uploading overlapping segments — a dead worker's
 // partial log followed by the finishing worker's full log — cannot
-// produce duplicate findings. Returns how many novel signatures the
-// merge added.
+// produce duplicate findings. The log is checked as the store's own log
+// is on open, and an invalid one merges nothing. Returns how many novel
+// signatures the merge added.
 func (s *Scheduler) MergeTriage(id string, log []byte) (added int, err error) {
-	tmp, err := os.MkdirTemp("", "mopfuzzd-triage-merge-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(tmp)
-	if err := os.WriteFile(filepath.Join(tmp, "findings.jsonl"), log, 0o644); err != nil {
-		return 0, err
-	}
-	src, err := triage.Open(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("service: decode uploaded triage log for %s: %w", id, err)
-	}
-	defer src.Close()
-
 	s.reportMu.Lock()
 	defer s.reportMu.Unlock()
 	// A live local store for this job would mean the scheduler itself is
@@ -618,7 +603,7 @@ func (s *Scheduler) MergeTriage(id string, log []byte) (added int, err error) {
 		return 0, err
 	}
 	defer dst.Close()
-	return dst.Merge(src)
+	return dst.MergeLog(log)
 }
 
 // executorFor picks the execution backend a job runs on: nil (in

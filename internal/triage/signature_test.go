@@ -114,7 +114,7 @@ func TestSignatureStableAcrossProvenance(t *testing.T) {
 	base := core.Finding{Bug: bug, Oracle: "crash", SeedName: "SeedA", Target: jvm.Reference()}
 	variants := []core.Finding{
 		base,
-		{Bug: bug, Oracle: "crash", SeedName: "SeedB", Cursor: 99, Round: 4, ChainLen: 17},
+		{Bug: bug, Oracle: "crash", SeedName: "SeedB", Cursor: 99, Round: 4, Mutators: []string{"Inlining-evoke", "LoopUnrolling-evoke"}},
 		{Bug: bug, Oracle: "crash", Target: jvm.Spec{Impl: bug.Impl, Version: 21}, AtExecution: 5000},
 		{Bug: bug, Oracle: "crash",
 			Divergence: &jvm.Divergence{Modal: jvm.Reference(), Divergent: jvm.Spec{Impl: bug.Impl, Version: 8}, Index: 2}},

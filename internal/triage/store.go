@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,10 +19,12 @@ import (
 // checkpoint format's versioning.
 const storeVersion = 1
 
-const (
-	dataFile  = "findings.jsonl"
-	indexFile = "index.json"
-)
+// dataFile is the store's log, its only file.
+const dataFile = "findings.jsonl"
+
+// LogPath returns the path of the log of the store rooted at dir: the
+// bytes a fleet worker uploads and MergeLog folds in.
+func LogPath(dir string) string { return filepath.Join(dir, dataFile) }
 
 // Occurrence is one sighting of a signature: where in which campaign
 // the finding surfaced.
@@ -65,12 +68,20 @@ type Entry struct {
 	Quarantine string `json:"quarantine,omitempty"`
 }
 
+// clone copies e without sharing its slices, so a caller cannot change
+// the store's entry and a later sighting cannot change the caller's.
+func (e *Entry) clone() *Entry {
+	cp := *e
+	cp.Targets = slices.Clone(e.Targets)
+	cp.OBV = slices.Clone(e.OBV)
+	return &cp
+}
+
 // record is one JSONL line. "entry" introduces (or, after compaction,
 // consolidates) a signature; "sighting" adds occurrences to an existing
 // one; "reduced" and "quarantined" report the reduction pipeline's
 // outcome. Replaying the records in order rebuilds the entry table, so
-// the log is the single source of truth and the index a disposable
-// cache.
+// the log is the store's only source.
 type record struct {
 	V       int         `json:"v"`
 	Kind    string      `json:"kind"`
@@ -86,128 +97,87 @@ type record struct {
 	Note    string      `json:"note,omitempty"`
 }
 
-// index is the derived lookup structure persisted alongside the log. It
-// is a pure cache: Open trusts it only when its record count matches
-// the log, and rebuilds it from the log otherwise (missing, stale, or
-// corrupt index files are never fatal).
-type index struct {
-	Version int               `json:"version"`
-	Records int               `json:"records"`
-	Order   []string          `json:"order"`
-	Entries map[string]*Entry `json:"entries"`
-}
-
-// Store is the persistent findings database. All methods are safe for
-// concurrent use; appends are single JSONL lines on an O_APPEND handle,
-// so a crash mid-write loses at most the trailing partial record, which
-// Open tolerates.
-type Store struct {
-	dir string
-
-	mu      sync.Mutex
-	f       *os.File
+// table is the entry table a log replays into.
+type table struct {
 	entries map[string]*Entry
 	order   []string // keys in first-seen order
-	records int      // complete records on disk
 }
 
-// Open opens (creating if needed) the store rooted at dir and rebuilds
-// its in-memory state from the index or, when that is stale, the log.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("triage: open store: %w", err)
-	}
-	s := &Store{dir: dir, entries: map[string]*Entry{}}
-	validLen, err := s.load()
-	if err != nil {
-		return nil, err
-	}
-	if validLen >= 0 {
-		// A crash left a partial trailing record; drop it so the next
-		// append starts on a clean line instead of corrupting it further.
-		if err := os.Truncate(s.path(dataFile), validLen); err != nil {
-			return nil, fmt.Errorf("triage: trim partial record: %w", err)
-		}
-	}
-	f, err := os.OpenFile(s.path(dataFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("triage: open store log: %w", err)
-	}
-	s.f = f
-	return s, nil
-}
-
-func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// load rebuilds entries from index.json when fresh, else by replaying
-// findings.jsonl. It returns the byte length of the valid log prefix
-// when a partial trailing record must be trimmed, and -1 otherwise.
-func (s *Store) load() (validLen int64, err error) {
-	data, err := os.ReadFile(s.path(dataFile))
-	if os.IsNotExist(err) {
-		return -1, nil
-	}
-	if err != nil {
-		return -1, fmt.Errorf("triage: read store log: %w", err)
-	}
-	validLen = -1
-	if n := len(data); n > 0 && data[n-1] != '\n' {
-		// A crash interrupted the last append; only the complete,
-		// newline-terminated prefix is trustworthy.
-		validLen = int64(bytes.LastIndexByte(data, '\n') + 1)
-		data = data[:validLen]
-	}
-	complete := bytes.Count(data, []byte{'\n'})
-	if ix := s.loadIndex(); ix != nil && ix.Records == complete {
-		s.entries, s.order, s.records = ix.Entries, ix.Order, ix.Records
-		return validLen, nil
-	}
-	for i, ln := range bytes.Split(data, []byte{'\n'}) {
+// replayLog decodes a log into a fresh table. Only the newline-terminated
+// prefix counts: a crash mid-append leaves a partial trailing record,
+// which is skipped, and n is the prefix's length. Every record must
+// decode, carry storeVersion and pass apply's checks; the first that
+// does not fails the replay, named by its line number.
+func replayLog(data []byte) (t *table, n int, err error) {
+	n = bytes.LastIndexByte(data, '\n') + 1
+	t = &table{entries: map[string]*Entry{}}
+	for i, ln := range bytes.Split(data[:n], []byte{'\n'}) {
 		if len(bytes.TrimSpace(ln)) == 0 {
 			continue
 		}
 		var rec record
 		if err := json.Unmarshal(ln, &rec); err != nil {
-			return -1, fmt.Errorf("triage: store log record %d corrupt: %w", i+1, err)
+			return nil, 0, fmt.Errorf("triage: store log record %d corrupt: %w", i+1, err)
 		}
 		if rec.V != storeVersion {
-			return -1, fmt.Errorf("triage: store log record %d has version %d, want %d", i+1, rec.V, storeVersion)
+			return nil, 0, fmt.Errorf("triage: store log record %d has version %d, want %d", i+1, rec.V, storeVersion)
 		}
-		if err := s.apply(&rec); err != nil {
-			return -1, fmt.Errorf("triage: store log record %d: %w", i+1, err)
+		if err := t.apply(&rec); err != nil {
+			return nil, 0, fmt.Errorf("triage: store log record %d: %w", i+1, err)
 		}
-		s.records++
 	}
-	return validLen, nil
+	return t, n, nil
 }
 
-func (s *Store) loadIndex() *index {
-	data, err := os.ReadFile(s.path(indexFile))
+// Store is the persistent findings database: an append-only JSONL log,
+// replayed into memory on Open. All methods are safe for concurrent
+// use; appends are single JSONL lines on an O_APPEND handle, so a crash
+// mid-write loses at most the trailing partial record, which Open
+// tolerates.
+type Store struct {
+	dir string
+
+	mu sync.Mutex
+	f  *os.File
+	table
+}
+
+// Open opens (creating if needed) the store rooted at dir and rebuilds
+// its in-memory state by replaying the log.
+func Open(dir string) (*Store, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("triage: open store: %w", err)
+	}
+	path := LogPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("triage: read store log: %w", err)
+	}
+	t, n, err := replayLog(data)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	var ix index
-	if err := json.Unmarshal(data, &ix); err != nil || ix.Version != storeVersion || ix.Entries == nil {
-		return nil
-	}
-	if len(ix.Order) != len(ix.Entries) {
-		return nil
-	}
-	for _, k := range ix.Order {
-		if ix.Entries[k] == nil {
-			return nil
+	if n < len(data) {
+		// A crash left a partial trailing record; drop it so the next
+		// append starts on a clean line instead of corrupting it further.
+		if err := os.Truncate(path, int64(n)); err != nil {
+			return nil, fmt.Errorf("triage: trim partial record: %w", err)
 		}
 	}
-	return &ix
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("triage: open store log: %w", err)
+	}
+	return &Store{dir: dir, f: f, table: *t}, nil
 }
+
+// Dir returns the store's root directory.
+func (s *Store) Dir() string { return s.dir }
 
 // apply replays one record into the entry table. It rejects a record
 // that would leave an entry with a count below 1 or a target list that
 // is not a sorted set, before changing anything.
-func (s *Store) apply(rec *record) error {
+func (t *table) apply(rec *record) error {
 	switch rec.Kind {
 	case "entry":
 		if rec.Entry == nil || rec.Entry.Key == "" {
@@ -219,13 +189,13 @@ func (s *Store) apply(rec *record) error {
 		if !sortedSet(rec.Entry.Targets) {
 			return fmt.Errorf("entry %q targets %q are not sorted and unique", rec.Entry.Key, rec.Entry.Targets)
 		}
-		e := *rec.Entry
-		if _, exists := s.entries[e.Key]; !exists {
-			s.order = append(s.order, e.Key)
+		e := rec.Entry.clone()
+		if _, exists := t.entries[e.Key]; !exists {
+			t.order = append(t.order, e.Key)
 		}
-		s.entries[e.Key] = &e
+		t.entries[e.Key] = e
 	case "sighting":
-		e := s.entries[rec.Key]
+		e := t.entries[rec.Key]
 		if e == nil {
 			return fmt.Errorf("sighting for unknown key %q", rec.Key)
 		}
@@ -248,14 +218,14 @@ func (s *Store) apply(rec *record) error {
 			e.Targets = addTarget(e.Targets, t)
 		}
 	case "reduced":
-		e := s.entries[rec.Key]
+		e := t.entries[rec.Key]
 		if e == nil {
 			return fmt.Errorf("reduction for unknown key %q", rec.Key)
 		}
 		e.Min, e.MinStmts = rec.Program, rec.Stmts
 		e.ReduceRounds, e.ReduceProbes = rec.Rounds, rec.Probes
 	case "quarantined":
-		e := s.entries[rec.Key]
+		e := t.entries[rec.Key]
 		if e == nil {
 			return fmt.Errorf("quarantine for unknown key %q", rec.Key)
 		}
@@ -279,7 +249,6 @@ func (s *Store) append(rec *record) error {
 	if _, err := s.f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("triage: append record: %w", err)
 	}
-	s.records++
 	return nil
 }
 
@@ -329,8 +298,7 @@ func (s *Store) Get(key string) *Entry {
 	if e == nil {
 		return nil
 	}
-	cp := *e
-	return &cp
+	return e.clone()
 }
 
 // Len reports the number of distinct signatures.
@@ -346,8 +314,7 @@ func (s *Store) Entries() []*Entry {
 	defer s.mu.Unlock()
 	out := make([]*Entry, 0, len(s.order))
 	for _, k := range s.order {
-		cp := *s.entries[k]
-		out = append(out, &cp)
+		out = append(out, s.entries[k].clone())
 	}
 	return out
 }
@@ -374,7 +341,7 @@ func (s *Store) MinimizedPrograms(fn func(key, program string) bool) {
 }
 
 // Compact rewrites the log to one consolidated entry record per
-// signature (atomically: temp file + rename) and refreshes the index.
+// signature (atomically: temp file + rename).
 // Sighting trails from long campaigns collapse; nothing observable
 // through Entries changes.
 func (s *Store) Compact() error {
@@ -389,48 +356,50 @@ func (s *Store) Compact() error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	if err := harness.WriteFileAtomic(s.path(dataFile), buf.Bytes()); err != nil {
+	if err := harness.WriteFileAtomic(LogPath(s.dir), buf.Bytes()); err != nil {
 		return fmt.Errorf("triage: compact write: %w", err)
 	}
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("triage: compact reopen: %w", err)
 	}
-	f, err := os.OpenFile(s.path(dataFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(LogPath(s.dir), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("triage: compact reopen: %w", err)
 	}
 	s.f = f
-	s.records = len(s.order)
-	return s.writeIndex()
+	return nil
 }
 
-// Merge folds another store's entries into this one: novel signatures
-// are appended whole (counts, sighting range, and reduction preserved);
-// known ones merge their occurrence counts, targets, and — when this
-// store lacks one — the minimized reproducer. Returns the number of
-// novel signatures added.
-func (s *Store) Merge(src *Store) (added int, err error) {
-	for _, e := range src.Entries() {
-		s.mu.Lock()
-		dst, known := s.entries[e.Key]
+// MergeLog folds another store's log into this one. The log replays
+// exactly as Open replays a store's own (its newline-terminated prefix,
+// every record checked), and an invalid log merges nothing. Then novel
+// signatures are appended whole (counts, sighting range, and reduction
+// preserved); known ones merge their occurrence counts, targets, and —
+// when this store lacks one — the minimized reproducer. Returns the
+// number of novel signatures added.
+func (s *Store) MergeLog(data []byte) (added int, err error) {
+	src, _, err := replayLog(data)
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range src.order {
+		e := src.entries[k]
+		dst, known := s.entries[k]
 		if !known {
 			if err := s.append(&record{Kind: "entry", Entry: e}); err != nil {
-				s.mu.Unlock()
 				return added, err
 			}
 			added++
-			s.mu.Unlock()
 			continue
 		}
 		last := e.Last
-		if err := s.append(&record{Kind: "sighting", Key: e.Key, Count: e.Count, Occ: &last, Targets: e.Targets}); err != nil {
-			s.mu.Unlock()
+		if err := s.append(&record{Kind: "sighting", Key: k, Count: e.Count, Occ: &last, Targets: e.Targets}); err != nil {
 			return added, err
 		}
-		needMin := dst.Min == "" && e.Min != ""
-		s.mu.Unlock()
-		if needMin {
-			if err := s.Reduced(e.Key, e.Min, e.MinStmts, e.ReduceRounds, e.ReduceProbes); err != nil {
+		if dst.Min == "" && e.Min != "" {
+			if err := s.append(&record{Kind: "reduced", Key: k, Program: e.Min, Stmts: e.MinStmts, Rounds: e.ReduceRounds, Probes: e.ReduceProbes}); err != nil {
 				return added, err
 			}
 		}
@@ -438,37 +407,11 @@ func (s *Store) Merge(src *Store) (added int, err error) {
 	return added, nil
 }
 
-// Flush persists the index cache. The log is always durable (every
-// append hits the file); flushing only speeds up the next Open.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeIndex()
-}
-
-// Close flushes the index and releases the log handle.
+// Close releases the log handle. Every append already reached the log.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	werr := s.writeIndex()
-	cerr := s.f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
-// writeIndex persists the derived index atomically. Callers hold s.mu.
-func (s *Store) writeIndex() error {
-	ix := index{Version: storeVersion, Records: s.records, Order: s.order, Entries: s.entries}
-	data, err := json.MarshalIndent(&ix, "", "  ")
-	if err != nil {
-		return fmt.Errorf("triage: encode index: %w", err)
-	}
-	if err := harness.WriteFileAtomic(s.path(indexFile), data); err != nil {
-		return fmt.Errorf("triage: write index: %w", err)
-	}
-	return nil
+	return s.f.Close()
 }
 
 // sortedSet reports whether ts is strictly increasing.

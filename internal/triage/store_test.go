@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,9 +87,13 @@ func TestStoreReopenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreRebuildsWithoutIndex: deleting (or corrupting) index.json
-// must be invisible — the log is the source of truth.
-func TestStoreRebuildsWithoutIndex(t *testing.T) {
+// TestStoreIgnoresIndexFile: an index.json left beside the log by an
+// older build, which kept one as a cache, never reaches Entries; the
+// log is replayed, checks and all. The index here holds an entry under
+// the wrong key with a negative count and unsorted, duplicate targets,
+// and claims the log's record count, so a build that trusted the index
+// would serve it.
+func TestStoreIgnoresIndexFile(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	if _, err := s.Observe(sigFor("JDK-1"), occAt("s1", 10), "class A {}", 5, nil); err != nil {
@@ -97,46 +102,18 @@ func TestStoreRebuildsWithoutIndex(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
+	index := `{"version":1,"records":1,"order":["wrong"],"entries":{"wrong":{"key":"wrong","count":-7,"targets":["z","a","a"]}}}`
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(index), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := mustOpen(t, dir)
 	defer r.Close()
-	if r.Len() != 1 || r.Get(sigFor("JDK-1").Key()) == nil {
-		t.Fatal("log replay without index lost the entry")
+	ents := r.Entries()
+	if len(ents) != 1 {
+		t.Fatalf("entries = %+v, want the log's one entry", ents)
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2 := mustOpen(t, dir)
-	defer r2.Close()
-	if r2.Len() != 1 {
-		t.Fatal("corrupt index was not rebuilt from the log")
-	}
-}
-
-// TestStoreStaleIndexIgnored: an index left behind by a crashed process
-// (record count != log) must be ignored in favor of a log replay.
-func TestStoreStaleIndexIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	if _, err := s.Observe(sigFor("JDK-1"), occAt("s1", 10), "class A {}", 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil { // index now says 1 record
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir)
-	if _, err := s2.Observe(sigFor("JDK-2"), occAt("s2", 20), "class B {}", 6, nil); err != nil {
-		t.Fatal(err)
-	}
-	s2.f.Close() // crash: log has 2 records, index still says 1
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	if r.Len() != 2 {
-		t.Fatalf("stale index won over the log: Len = %d, want 2", r.Len())
+	if e := ents[0]; e.Key != sigFor("JDK-1").Key() || e.Count != 1 || !slices.Equal(e.Targets, []string{"openjdk-17"}) {
+		t.Errorf("entry = key %q count %d targets %q, want the log's", e.Key, e.Count, e.Targets)
 	}
 }
 
@@ -238,7 +215,7 @@ func TestMergeOverflowLeavesLogUnwritten(t *testing.T) {
 	if _, err := src.Observe(sigFor("JDK-1"), occAt("s1", 10), "class A {}", 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "overflows") {
+	if _, err := dst.MergeLog(mustRead(t, LogPath(src.Dir()))); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("merge past math.MaxInt: %v", err)
 	}
 	if got := string(mustRead(t, logPath)); got != full {
@@ -305,7 +282,7 @@ func TestStoreMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	added, err := a.Merge(b)
+	added, err := a.MergeLog(mustRead(t, LogPath(b.Dir())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +307,70 @@ func TestStoreMerge(t *testing.T) {
 		t.Errorf("novel entry not merged whole: %+v", e2)
 	}
 	// Merging again adds nothing new.
-	added, err = a.Merge(b)
+	added, err = a.MergeLog(mustRead(t, LogPath(b.Dir())))
 	if err != nil || added != 0 {
 		t.Errorf("re-merge: added=%d err=%v, want 0/nil", added, err)
+	}
+}
+
+// TestStoreEntriesShareNoSlices: an entry the store hands out shares no
+// slice with the store's own. Targets grown one sighting at a time have
+// spare capacity, so an in-place insert into a shared backing array
+// would shift another reader's targets: [openjdk-17 openjdk-8
+// openjdk-9] would read [openj9-17 openjdk-17 openjdk-8] after one
+// openj9-17 sighting. The test checks a merged source, an entry read
+// before a sighting, and a returned entry the caller changes.
+func TestStoreEntriesShareNoSlices(t *testing.T) {
+	key := sigFor("JDK-1").Key()
+	want := []string{"openjdk-17", "openjdk-8", "openjdk-9"}
+	sight := func(s *Store, target string, exec int) {
+		t.Helper()
+		occ := occAt("s1", exec)
+		occ.Target = target
+		if _, err := s.Observe(sigFor("JDK-1"), occ, "class A {}", 5, []int64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := mustOpen(t, t.TempDir())
+	defer src.Close()
+	for i, target := range want {
+		sight(src, target, 10+i)
+	}
+	if got := src.entries[key].Targets; !slices.Equal(got, want) || cap(got) == len(got) {
+		t.Fatalf("source targets = %q (cap %d), want %q with spare capacity", got, cap(got), want)
+	}
+
+	// A destination sighting after a merge leaves the source alone.
+	dst := mustOpen(t, t.TempDir())
+	defer dst.Close()
+	if _, err := dst.MergeLog(mustRead(t, LogPath(src.Dir()))); err != nil {
+		t.Fatal(err)
+	}
+	sight(dst, "openj9-17", 20)
+	if got := src.Get(key).Targets; !slices.Equal(got, want) {
+		t.Errorf("source targets after a destination sighting = %q, want %q", got, want)
+	}
+	wantAll := []string{"openj9-17", "openjdk-17", "openjdk-8", "openjdk-9"}
+	if got := dst.Get(key).Targets; !slices.Equal(got, wantAll) {
+		t.Errorf("destination targets = %q, want %q", got, wantAll)
+	}
+
+	// Entries read before a sighting keep reading as they did.
+	got, ents := src.Get(key), src.Entries()
+	sight(src, "openj9-17", 30)
+	if !slices.Equal(got.Targets, want) || !slices.Equal(ents[0].Targets, want) {
+		t.Errorf("entries read before a sighting changed: Get %q, Entries %q, want %q", got.Targets, ents[0].Targets, want)
+	}
+
+	// Changing a returned entry changes nothing in the store.
+	got.Targets[0] = "changed"
+	got.OBV[0] = 99
+	ents[0].Targets[1] = "changed"
+	ents[0].OBV[1] = 99
+	for _, e := range []*Entry{src.Get(key), src.Entries()[0]} {
+		if !slices.Equal(e.Targets, wantAll) || !slices.Equal(e.OBV, []int64{1, 2}) {
+			t.Errorf("changing a returned entry changed the store: targets %q obv %v", e.Targets, e.OBV)
+		}
 	}
 }
 

@@ -111,8 +111,9 @@ func (w *Worker) Submit(f core.Finding) bool {
 	return true
 }
 
-// Close stops intake, blocks until every queued finding is processed,
-// and flushes the store index.
+// Close stops intake and blocks until every queued finding is
+// processed. Every record is in the store's log by then, so it never
+// fails; the error result is kept for callers that check it.
 func (w *Worker) Close() error {
 	w.sendMu.Lock()
 	if !w.closed {
@@ -121,7 +122,7 @@ func (w *Worker) Close() error {
 	}
 	w.sendMu.Unlock()
 	<-w.done
-	return w.cfg.Store.Flush()
+	return nil
 }
 
 // Stats returns a snapshot of the worker's counters.
@@ -152,7 +153,7 @@ func (w *Worker) process(ctx context.Context, f *core.Finding) {
 		Cursor:      f.Cursor,
 		AtExecution: f.AtExecution,
 		GeneratorID: f.GeneratorID,
-		ChainLen:    f.ChainLen,
+		ChainLen:    len(f.Mutators),
 		Time:        w.cfg.Now(),
 	}
 	raw, rawStmts := "", 0
