@@ -74,8 +74,8 @@ func main() {
 	fixedMP := flag.Bool("fixed_mp", true, "iterate on a fixed mutation point (false = MopFuzzer_r)")
 	doReduce := flag.Bool("reduce", false, "reduce the bug-triggering mutant of -case before reporting")
 	dumpMutant := flag.Bool("dump", false, "print the final mutant source")
-	checkpoint := flag.String("checkpoint", "", "snapshot campaign state to this JSON file after every task")
-	resume := flag.String("resume", "", "restore campaign state from this checkpoint file before fuzzing")
+	checkpoint := flag.String("checkpoint", "", "append each merged task to this JSONL task log (the checkpoint)")
+	resume := flag.String("resume", "", "replay this checkpoint task log before fuzzing, then continue the campaign")
 	execTimeout := flag.Duration("exec-timeout", 0, "wall-clock watchdog per seed task (0 = step fuel only)")
 	quarantineDir := flag.String("quarantine-dir", "", "persist pathological mutants (panic/hang/heap-exhaustion triggers) here")
 	doDistill := flag.Bool("distill", false, "score the corpus, print the distillation report JSON, and exit without fuzzing")
@@ -147,8 +147,8 @@ func main() {
 		Quarantine: *quarantineDir,
 	}
 	if paths.Checkpoint == "" && paths.Resume != "" {
-		// Resuming without an explicit -checkpoint keeps snapshotting to
-		// the same file, so repeated interrupt/resume cycles just work.
+		// Resuming without an explicit -checkpoint keeps appending to
+		// the same log, so repeated interrupt/resume cycles just work.
 		paths.Checkpoint = paths.Resume
 	}
 	if *doDistill {

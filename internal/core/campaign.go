@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/buginject"
@@ -100,7 +103,11 @@ type CampaignConfig struct {
 // after merging the task at Cursor, plus the per-task observations
 // (final-mutant delta, fault) that cumulative counters can't recover.
 type Progress struct {
-	Cursor             int // task just merged
+	Cursor int // task just merged
+	// TaskExecutions counts the executions of the just-merged task alone,
+	// so a consumer of a resumed run can tell its own work from the
+	// restored total.
+	TaskExecutions     int
 	Executions         int // cumulative, including restored checkpoint state
 	SeedsFuzzed        int
 	Findings           int // deduplicated campaign findings so far
@@ -279,19 +286,18 @@ func RunCampaign(cfg CampaignConfig) *CampaignResult {
 // substrate become classified faults instead of killing the process, a
 // wall-clock watchdog (hcfg.ExecTimeout) cancels hung executions, and
 // pathological seeds are quarantined and skipped on later rounds. When
-// hcfg.CheckpointPath is set the campaign state (executions, findings,
-// deltas, faults, RNG cursor, quarantine index) is snapshotted after
-// every task and flushed on cancellation, and
-// hcfg.ResumePath restores a snapshot so an interrupted campaign
-// continues where it stopped. The per-task RNG seed is derived from
-// cfg.Seed plus the global task index, so resume reproduces the exact
-// random stream of an uninterrupted run.
+// hcfg.CheckpointPath is set the campaign keeps a task log there: a
+// header with the task-stream config, then one record per merged task,
+// appended after the merge. hcfg.ResumePath folds such a log back
+// through the merge, so an interrupted campaign continues where it
+// stopped. The per-task RNG seed is derived from cfg.Seed plus the
+// global task index, so resume reproduces the exact random stream of an
+// uninterrupted run.
 //
 // cfg.Workers > 1 shards task execution across a worker pool; the
-// cursor-ordered merge keeps findings, deltas, faults and
-// checkpoints byte-identical to a sequential run, and checkpoints
-// always describe a merged prefix, so resume works identically under
-// parallelism.
+// cursor-ordered merge keeps findings, deltas, faults and the log
+// byte-identical to a sequential run, and the log only ever holds a
+// merged prefix, so resume works identically under parallelism.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (*CampaignResult, error) {
 	if len(cfg.Seeds) == 0 {
 		return &CampaignResult{}, nil
@@ -310,16 +316,22 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 		if !c.startRound() {
 			break // a full round made no progress: the pool is dead
 		}
-		if !c.merge(ctx, eng.do(c.cursor)) {
+		rec, fr := c.record(ctx, eng.do(c.cursor))
+		if rec == nil {
 			// Shutdown raced the task; leave the cursor on it so a
 			// resume re-runs it instead of recording a phantom error.
 			c.res.Interrupted = true
 			break
 		}
+		c.apply(rec)
+		c.emit(rec, fr)
 		c.cursor++
-		c.checkpoint()
+		c.checkpoint(rec)
 	}
-	c.checkpoint()
+	c.checkpoint(nil)
+	if c.log != nil {
+		c.checkpointFailed(c.log.Close())
+	}
 	return c.res, nil
 }
 
@@ -330,7 +342,6 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig, hcfg harness.Co
 // campaign runs the same code with fewer effects.
 type campaign struct {
 	cfg    CampaignConfig
-	hcfg   harness.Config
 	sup    *harness.Supervisor
 	res    *CampaignResult
 	seen   map[string]bool // bug IDs already in res.Findings
@@ -338,17 +349,18 @@ type campaign struct {
 	// roundProgressed: some task of the current round fuzzed its seed.
 	roundProgressed bool
 	parsed          *corpus.ParseCache
-	sched           *corpus.Scheduler // nil: schedule off
-	gen             *genRuntime       // nil: generators off
+	sched           *corpus.Scheduler      // nil: schedule off
+	gen             *genRuntime            // nil: generators off
+	log             *harness.CheckpointLog // nil: no checkpoint path
 	// armFor resolves a cursor to its seed index and plan mode.
 	armFor   func(cursor int) (int, jit.PlanMode)
 	roundLen int // > 0: the engine's round barrier (see newEngine)
 }
 
 // newCampaign is the prepare stage: it normalises the config, decodes
-// the resume checkpoint, scores or distills the pool, builds the
-// scheduler and the generators, opens the supervisor and restores the
-// checkpointed state.
+// the resume log, scores or distills the pool, checks the log's header
+// against the config, builds the scheduler and the generators, opens the
+// supervisor and folds the log's records in.
 func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (*campaign, error) {
 	if len(cfg.Targets) == 0 {
 		cfg.Targets = []jvm.Spec{jvm.Reference()}
@@ -361,24 +373,18 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 	if err != nil {
 		return nil, err
 	}
-
-	// Resume state decodes up front: the generator subsystem needs the
-	// checkpoint's slot overlay and pinned template extras before the
-	// pool is prepared, while findings/counters restore later (they need
-	// the supervisor). Decoding once keeps both views consistent.
 	var ck *harness.Checkpoint
-	st := &campaignState{}
+	var resumed logHeader
 	if hcfg.ResumePath != "" {
 		if ck, err = harness.LoadCheckpoint(hcfg.ResumePath); err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(ck.State, st); err != nil {
-			return nil, fmt.Errorf("core: resume state: %w", err)
+		if err := json.Unmarshal(ck.Header, &resumed); err != nil {
+			return nil, fmt.Errorf("core: resume: checkpoint header: %w", err)
 		}
 	}
 	c := &campaign{
 		cfg:  cfg,
-		hcfg: hcfg,
 		res:  &CampaignResult{},
 		seen: map[string]bool{},
 	}
@@ -406,72 +412,40 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 			c.cfg.Seeds, feats = seeds, kept
 		}
 		if schedMode == corpus.SchedulePower {
-			names := make([]string, len(c.cfg.Seeds))
-			for i, s := range c.cfg.Seeds {
-				names[i] = s.Name
-			}
-			c.sched = corpus.NewScheduler(names, corpus.DiversityScores(feats),
-				corpus.PlanModesFor(cfg.Fuzz.PlanFuzz), cfg.Seed)
+			c.sched = corpus.NewScheduler(corpus.DiversityScores(feats), corpus.PlanModesFor(cfg.Fuzz.PlanFuzz), cfg.Seed)
 		}
 	}
 
-	// Generator subsystem: build the configured sources over the
-	// post-distill pool, then (on resume) replay the checkpoint's slot
-	// overlay so the pool matches the interrupted run exactly. Templates
-	// mine the pre-overlay pool — the same sources a fresh run mined —
-	// and the pinned extras come from the checkpoint, so the template
-	// set is identical across resume and handoff.
+	// The header pins what the task stream derives from. A log written
+	// under another config would replay into a different campaign, so
+	// resume refuses it before any task runs; the pinned template extras
+	// come from the log, so resume and handoff mine the same templates.
+	hdr := logHeader{Config: c.taskStream(schedMode, genNames)}
 	if genNames != nil {
-		// Round refreshes overwrite pool slots in place; work on a copy
-		// so the caller's slice is untouched.
-		c.cfg.Seeds = append([]corpus.Seed(nil), c.cfg.Seeds...)
-		extras := cfg.TemplateExtras
-		if ck != nil {
-			if st.Generate == nil {
-				return nil, fmt.Errorf("core: resume: campaign configured with generators but checkpoint has no generator state; resume with -generators=randprog")
-			}
-			extras = st.Generate.Extras
+		hdr.Extras = cfg.TemplateExtras
+	}
+	if ck != nil {
+		if d := firstDiff(reflect.ValueOf(resumed.Config), reflect.ValueOf(hdr.Config), ""); d != "" {
+			return nil, fmt.Errorf("core: resume: the checkpoint's %s differs from this campaign's; resume with the configuration that wrote it", d)
 		}
-		if c.gen, err = newGenRuntime(c.cfg, extras); err != nil {
+		hdr.Extras = resumed.Extras
+	}
+
+	// Generator subsystem: build the configured sources over the
+	// post-distill pool. Round refreshes overwrite pool slots in place;
+	// work on a copy so the caller's slice is untouched.
+	if genNames != nil {
+		c.cfg.Seeds = append([]corpus.Seed(nil), c.cfg.Seeds...)
+		if c.gen, err = newGenRuntime(c.cfg, hdr.Extras); err != nil {
 			return nil, err
 		}
 		if c.sched != nil {
 			c.sched.EnableGenerators(c.gen.ids())
 		}
-		if ck != nil {
-			// A snapshot is taken before or after the refresh of the
-			// cursor's round, never further from it: a refresh history
-			// to replay would mean a corrupt or foreign state.
-			round := ck.TaskCursor / len(c.cfg.Seeds)
-			if last := st.Generate.LastRound; last < max(round-1, 0) || last > round {
-				return nil, fmt.Errorf("core: resume: generator state last refreshed round %d, but the cursor is in round %d", last, round)
-			}
-			c.gen.st = st.Generate.Clone()
-			if c.gen.st.Emitted == nil {
-				c.gen.st.Emitted = map[string]int{}
-			}
-			for _, sl := range c.gen.st.Slots {
-				if sl.Index < 0 || sl.Index >= len(c.cfg.Seeds) {
-					return nil, fmt.Errorf("core: resume: generator slot index %d out of range (pool has %d seeds)", sl.Index, len(c.cfg.Seeds))
-				}
-				c.cfg.Seeds[sl.Index] = corpus.Seed{Name: sl.Name, Source: sl.Source, Gen: sl.Gen}
-				c.sched.ReplaceSeed(sl.Index, sl.Name)
-			}
-		}
-	} else if st.Generate != nil {
-		return nil, fmt.Errorf("core: resume: checkpoint carries generator state; resume with the same -generators configuration")
-	}
-	if st.Schedule != nil && c.sched == nil {
-		return nil, fmt.Errorf("core: resume: checkpoint carries power-schedule state; resume with the schedule set to power")
 	}
 
 	if c.sup, err = harness.New(hcfg); err != nil {
 		return nil, err
-	}
-	if ck != nil {
-		if err := c.restore(ck, st); err != nil {
-			return nil, err
-		}
 	}
 
 	// Hot-path caches. The parse cache makes each seed parse once per
@@ -506,14 +480,52 @@ func newCampaign(ctx context.Context, cfg CampaignConfig, hcfg harness.Config) (
 		// happen-before any worker reads tasks of the round.
 		c.roundLen = n
 	}
+
+	if ck == nil {
+		raw, err := json.Marshal(hdr)
+		if err != nil {
+			return nil, err
+		}
+		ck = &harness.Checkpoint{Header: raw}
+	} else {
+		c.res.Resumed = true
+		for i, raw := range ck.Records {
+			if err := c.replay(raw); err != nil {
+				return nil, fmt.Errorf("core: resume: checkpoint record %d: %w", i+1, err)
+			}
+		}
+	}
+	if hcfg.CheckpointPath != "" {
+		c.log = harness.NewCheckpointLog(hcfg.CheckpointPath, ck)
+	}
 	return c, nil
+}
+
+// replay folds one record of the resume log through the steps the live
+// loop runs around a merge: round start, apply, cursor advance. No task
+// runs; the pool refreshes, the round plans and the quarantine index
+// come back as the interrupted run built them.
+func (c *campaign) replay(raw []byte) error {
+	rec, err := decodeRecord(raw)
+	if err != nil {
+		return err
+	}
+	if c.res.Executions > math.MaxInt-rec.Executions {
+		return fmt.Errorf("%d executions overflow the campaign's %d", rec.Executions, c.res.Executions)
+	}
+	if !c.startRound() {
+		return fmt.Errorf("it follows a round that made no progress")
+	}
+	c.apply(rec)
+	c.cursor++
+	return nil
 }
 
 // startRound is the round-start stage, run before every task. At a
 // round boundary it ends a campaign whose last round made no progress.
 // Then the generators refresh the pool and the schedule plans the
 // round, before the engine dispatches any of its tasks; both do nothing
-// for a round already refreshed and planned, restored ones included.
+// for a round already refreshed and planned.
 func (c *campaign) startRound() bool {
 	round, i := c.cursor/len(c.cfg.Seeds), c.cursor%len(c.cfg.Seeds)
 	if i == 0 && round > 0 {
@@ -549,115 +561,174 @@ func (c *campaign) task(cursor int) harness.Task {
 	}
 }
 
-// merge is the merge stage: it folds the outcome of the task at the
-// cursor into the result, the schedule and the finding and progress
-// hooks. It returns false, merging nothing, when the task failed
-// because the campaign is shutting down.
-func (c *campaign) merge(ctx context.Context, out *harness.Outcome) bool {
-	round := c.cursor / len(c.cfg.Seeds)
-	seedIdx, _ := c.armFor(c.cursor)
-	seed := c.cfg.Seeds[seedIdx]
-	pr := Progress{Cursor: c.cursor}
+// record is the first step of the merge stage: it turns the outcome of
+// the task at the cursor into the record apply folds in, quarantining a
+// heap-exhaustion trigger on the way. Resume reads records from the log
+// instead. It returns nil when the task failed because the campaign is
+// shutting down, and the fuzzing result when the task fuzzed its seed.
+func (c *campaign) record(ctx context.Context, out *harness.Outcome) (*taskRecord, *FuzzResult) {
 	switch {
 	case out.Skipped:
 		// A quarantined seed must stop winning budget.
-		c.res.SkippedQuarantined++
-		c.observe(seedIdx, seed, 0, 0, true)
+		return &taskRecord{Skipped: true, Retire: true}, nil
 	case out.Fault != nil:
 		// The harness quarantines the faulting task under the seed's
 		// name; later rounds would skip it anyway, so it retires now.
-		c.res.Faults = append(c.res.Faults, out.Fault)
-		pr.Fault = out.Fault
-		c.observe(seedIdx, seed, 0, 0, true)
+		return &taskRecord{Fault: out.Fault, Retire: true}, nil
 	case out.Err != nil:
 		if ctx.Err() != nil {
-			return false
+			return nil, nil
 		}
-		c.res.SeedErrors = append(c.res.SeedErrors, SeedError{SeedName: seed.Name, Round: round, Err: out.Err.Error()})
-		c.observe(seedIdx, seed, 0, 0, false)
-	default:
-		fr := out.Value.(*FuzzResult)
-		taskKey := fmt.Sprintf("%s#r%d", seed.Name, round)
-		c.roundProgressed = true
-		c.res.Executions += fr.Executions
-		c.res.SeedsFuzzed++
-		c.res.FinalDeltas = append(c.res.FinalDeltas, fr.FinalDelta)
-		pr.Delta, pr.HasDelta = fr.FinalDelta, true
-		if fr.HeapExhaustions > 0 {
-			pr.Fault = reportHeapExhaustion(c.sup, seed, taskKey, round, fr)
-			c.res.Faults = append(c.res.Faults, pr.Fault)
-		}
-		nBugs := 0
-		for _, fd := range fr.Findings {
-			if fd.Bug == nil {
-				continue
-			}
-			nBugs++
-			f := Finding{
-				Bug:         fd.Bug,
-				Oracle:      fd.Oracle,
-				SeedName:    seed.Name,
-				Target:      c.cfg.Targets[c.cursor%len(c.cfg.Targets)],
-				AtExecution: c.res.Executions,
-				Mutators:    fd.Mutators,
-				Program:     fr.Final,
-				Cursor:      c.cursor,
-				Round:       round,
-				OBV:         fr.FinalOBV,
-				Divergence:  fd.Divergence,
-				PlanID:      fd.PlanID,
-				GeneratorID: seed.Gen,
-			}
-			// Every occurrence streams to the triage hook — duplicates
-			// of an already-seen bug are exactly what a triage layer
-			// counts — while the campaign result keeps only the first.
-			if c.cfg.OnFinding != nil {
-				c.cfg.OnFinding(f)
-			}
-			if !c.seen[fd.Bug.ID] {
-				c.seen[fd.Bug.ID] = true
-				c.res.Findings = append(c.res.Findings, f)
-			}
-		}
+		return &taskRecord{Err: out.Err.Error()}, nil
+	}
+	fr := out.Value.(*FuzzResult)
+	rec := &taskRecord{Executions: fr.Executions, Delta: &fr.FinalDelta}
+	if fr.HeapExhaustions > 0 {
+		seedIdx, _ := c.armFor(c.cursor)
+		rec.Fault = reportHeapExhaustion(c.sup, c.cfg.Seeds[seedIdx], c.cursor/len(c.cfg.Seeds), fr)
 		// Baseline heap exhaustion quarantines the seed itself (see
 		// reportHeapExhaustion), so its arms retire.
-		c.observe(seedIdx, seed, fr.FinalDelta, nBugs, fr.HeapExhaustions > 0 && len(fr.Records) == 0)
+		rec.Retire = len(fr.Records) == 0
 	}
-	if c.cfg.OnProgress != nil {
-		pr.Executions = c.res.Executions
-		pr.SeedsFuzzed = c.res.SeedsFuzzed
-		pr.Findings = len(c.res.Findings)
-		pr.PlanFindings = c.res.PlanFindings()
-		pr.Faults = len(c.res.Faults)
-		pr.SeedErrors = len(c.res.SeedErrors)
-		pr.SkippedQuarantined = c.res.SkippedQuarantined
-		pr.ScheduleArms = c.sched.ArmCount()
-		pr.ScheduleEnergy = c.sched.TotalEnergy()
-		pr.GeneratedSeeds = c.gen.generated()
-		c.cfg.OnProgress(pr)
+	for _, fd := range fr.Findings {
+		if fd.Bug == nil {
+			continue
+		}
+		rec.Bugs++
+		known := c.seen[fd.Bug.ID] || slices.ContainsFunc(rec.Findings, func(f Finding) bool { return f.Bug.ID == fd.Bug.ID })
+		if !known {
+			rec.Findings = append(rec.Findings, newFinding(fd, fr))
+		}
 	}
-	return true
+	return rec, fr
 }
 
-// observe credits a merged task's yield to its (seed, plan-mode) arm
-// and to the generator that emitted its seed. retire first pins every
-// arm of a quarantined seed to zero energy.
-func (c *campaign) observe(seedIdx int, seed corpus.Seed, delta float64, nBugs int, retire bool) {
-	if retire {
+// newFinding is a finding occurrence of a fuzzing result, without its
+// campaign provenance (see stamp).
+func newFinding(fd BugFinding, fr *FuzzResult) Finding {
+	return Finding{
+		Bug:        fd.Bug,
+		Oracle:     fd.Oracle,
+		Mutators:   fd.Mutators,
+		Program:    fr.Final,
+		OBV:        fr.FinalOBV,
+		Divergence: fd.Divergence,
+		PlanID:     fd.PlanID,
+	}
+}
+
+// apply folds the record of the task at the cursor into the result, the
+// seen-bug set, the quarantine index and the schedule. It is the one
+// place that changes campaign state, shared by the live merge and by
+// resume, which replays the log through it.
+func (c *campaign) apply(rec *taskRecord) {
+	seedIdx, _ := c.armFor(c.cursor)
+	seed := c.cfg.Seeds[seedIdx]
+	switch {
+	case rec.Skipped:
+		c.res.SkippedQuarantined++
+	case rec.Err != "":
+		c.res.SeedErrors = append(c.res.SeedErrors, SeedError{SeedName: seed.Name, Round: c.cursor / len(c.cfg.Seeds), Err: rec.Err})
+	case rec.Delta != nil:
+		c.roundProgressed = true
+		c.res.Executions += rec.Executions
+		c.res.SeedsFuzzed++
+		c.res.FinalDeltas = append(c.res.FinalDeltas, *rec.Delta)
+	}
+	if rec.Fault != nil {
+		c.res.Faults = append(c.res.Faults, rec.Fault)
+		c.sup.Q.Mark(rec.Fault)
+	}
+	for _, f := range rec.Findings {
+		if !c.seen[f.Bug.ID] {
+			c.seen[f.Bug.ID] = true
+			c.stamp(&f)
+			c.res.Findings = append(c.res.Findings, f)
+		}
+	}
+	// Credit the task's yield to its (seed, plan-mode) arm and to the
+	// generator that emitted its seed; a retired seed's arms go to zero
+	// energy first.
+	if rec.Retire {
 		c.sched.RetireSeed(seedIdx)
 	}
-	c.sched.Observe(c.cursor, delta, nBugs)
-	c.sched.ObserveGen(seed.Gen, delta, nBugs)
+	c.sched.Observe(c.cursor, rec.delta(), rec.Bugs)
+	c.sched.ObserveGen(seed.Gen, rec.delta(), rec.Bugs)
+}
+
+// stamp fills in where in the campaign a finding of the task at the
+// cursor surfaced. Called after the task's executions were applied.
+func (c *campaign) stamp(f *Finding) {
+	seedIdx, _ := c.armFor(c.cursor)
+	seed := c.cfg.Seeds[seedIdx]
+	f.SeedName, f.GeneratorID = seed.Name, seed.Gen
+	f.Target = c.cfg.Targets[c.cursor%len(c.cfg.Targets)]
+	f.AtExecution = c.res.Executions
+	f.Cursor, f.Round = c.cursor, c.cursor/len(c.cfg.Seeds)
+}
+
+// emit runs the merge's hooks after apply: every finding occurrence of
+// the task goes to OnFinding — repeats of an already-seen bug are
+// exactly what a triage layer counts — and then the progress snapshot
+// goes to OnProgress. Resume runs no hooks.
+func (c *campaign) emit(rec *taskRecord, fr *FuzzResult) {
+	if c.cfg.OnFinding != nil && fr != nil {
+		for _, fd := range fr.Findings {
+			if fd.Bug != nil {
+				f := newFinding(fd, fr)
+				c.stamp(&f)
+				c.cfg.OnFinding(f)
+			}
+		}
+	}
+	if c.cfg.OnProgress == nil {
+		return
+	}
+	c.cfg.OnProgress(Progress{
+		Cursor:             c.cursor,
+		TaskExecutions:     rec.Executions,
+		Executions:         c.res.Executions,
+		SeedsFuzzed:        c.res.SeedsFuzzed,
+		Findings:           len(c.res.Findings),
+		PlanFindings:       c.res.PlanFindings(),
+		Faults:             len(c.res.Faults),
+		SeedErrors:         len(c.res.SeedErrors),
+		SkippedQuarantined: c.res.SkippedQuarantined,
+		Delta:              rec.delta(),
+		HasDelta:           rec.Delta != nil,
+		Fault:              rec.Fault,
+		ScheduleArms:       c.sched.ArmCount(),
+		ScheduleEnergy:     c.sched.TotalEnergy(),
+		GeneratedSeeds:     c.gen.generated(),
+	})
 }
 
 // checkpoint is the checkpoint stage: with a checkpoint path set, it
-// snapshots the campaign. A failed write is counted, not fatal: the
-// next one retries with fresh state.
-func (c *campaign) checkpoint() {
-	if c.hcfg.CheckpointPath == "" {
+// appends the task's record (nil: none) to the log and flushes the log.
+// A failed write is counted, not fatal: the record stays queued and the
+// next flush retries it.
+func (c *campaign) checkpoint(rec *taskRecord) {
+	if c.log == nil {
 		return
 	}
-	if err := c.save(); err != nil {
+	if rec != nil {
+		line, err := rec.encode()
+		if err != nil {
+			// A record that cannot be written ends the log: writing
+			// a later one would leave a gap in it.
+			c.checkpointFailed(err)
+			c.checkpointFailed(c.log.Close())
+			c.log = nil
+			return
+		}
+		c.log.Add(line)
+	}
+	c.checkpointFailed(c.log.Flush())
+}
+
+// checkpointFailed counts a failed checkpoint write (nil: none).
+func (c *campaign) checkpointFailed(err error) {
+	if err != nil {
 		c.res.CheckpointErrors++
 		c.res.LastCheckpointError = err.Error()
 	}
@@ -668,8 +739,8 @@ func (c *campaign) checkpoint() {
 // records) is quarantined under its own name so future rounds skip it;
 // a single pathological mutant is stored under a round-scoped key, so
 // the artifact is kept but the seed stays fuzzable.
-func reportHeapExhaustion(sup *harness.Supervisor, seed corpus.Seed, taskKey string, round int, fr *FuzzResult) *harness.Fault {
-	id := taskKey
+func reportHeapExhaustion(sup *harness.Supervisor, seed corpus.Seed, round int, fr *FuzzResult) *harness.Fault {
+	id := fmt.Sprintf("%s#r%d", seed.Name, round)
 	if len(fr.Records) == 0 {
 		id = seed.Name
 	}
@@ -685,207 +756,4 @@ func reportHeapExhaustion(sup *harness.Supervisor, seed corpus.Seed, taskKey str
 		Message:  fmt.Sprintf("%d execution(s) exhausted the heap-allocation budget", fr.HeapExhaustions),
 		Source:   src,
 	})
-}
-
-// campaignState is the campaign-owned slice of a checkpoint: what
-// restore reads to continue a run with byte-identical results, each
-// fact once. The task cursor and the execution count live in the
-// harness envelope, which DecodeCheckpoint validates; the seeds-fuzzed
-// count is len(FinalDeltas) and the seen-bug set is the findings' bug
-// IDs. The schedule block is present exactly when the campaign runs the
-// power schedule, and the generate block exactly when the generator
-// subsystem is on, so a feature left off leaves no trace in the
-// snapshot.
-type campaignState struct {
-	RoundProgressed    bool                  `json:"round_progressed"`
-	SkippedQuarantined int                   `json:"skipped_quarantined,omitempty"`
-	FinalDeltas        []float64             `json:"final_deltas,omitempty"`
-	SeedErrors         []SeedError           `json:"seed_errors,omitempty"`
-	Findings           []findingSnapshot     `json:"findings,omitempty"`
-	Faults             []*harness.Fault      `json:"faults,omitempty"`
-	Schedule           *corpus.ScheduleState `json:"schedule,omitempty"`
-	Generate           *generate.State       `json:"generate,omitempty"`
-}
-
-// findingSnapshot is the JSON form of a Finding: bugs by catalog ID,
-// programs as source text, both re-resolved on restore. It carries the
-// provenance block (cursor, round), the OBV, and the divergence site;
-// plan provenance (plan_id and the divergence's plan pair) is omitted
-// when empty.
-type findingSnapshot struct {
-	BugID         string              `json:"bug_id"`
-	Oracle        string              `json:"oracle"`
-	SeedName      string              `json:"seed_name"`
-	TargetImpl    string              `json:"target_impl"`
-	TargetVersion int                 `json:"target_version"`
-	AtExecution   int                 `json:"at_execution"`
-	Mutators      []string            `json:"mutators,omitempty"`
-	Program       string              `json:"program,omitempty"`
-	Cursor        int                 `json:"cursor,omitempty"`
-	Round         int                 `json:"round,omitempty"`
-	OBV           []int64             `json:"obv,omitempty"`
-	Divergence    *divergenceSnapshot `json:"divergence,omitempty"`
-	PlanID        string              `json:"plan_id,omitempty"`
-	GeneratorID   string              `json:"generator_id,omitempty"`
-}
-
-// divergenceSnapshot serializes a jvm.Divergence by spec name, the same
-// rendering the wire protocol and CLIs use. Plan differentials add the
-// plan pair (spec differentials leave it empty).
-type divergenceSnapshot struct {
-	Modal         string `json:"modal"`
-	Divergent     string `json:"divergent"`
-	Index         int    `json:"index"`
-	ModalPlan     string `json:"modal_plan,omitempty"`
-	DivergentPlan string `json:"divergent_plan,omitempty"`
-}
-
-// save writes the checkpoint: the harness envelope around the
-// campaign-owned state.
-func (c *campaign) save() error {
-	st := campaignState{
-		RoundProgressed:    c.roundProgressed,
-		SkippedQuarantined: c.res.SkippedQuarantined,
-		FinalDeltas:        c.res.FinalDeltas,
-		SeedErrors:         c.res.SeedErrors,
-		Faults:             c.res.Faults,
-		Schedule:           c.sched.State(),
-		Generate:           c.gen.state(),
-	}
-	for _, f := range c.res.Findings {
-		fs := findingSnapshot{
-			BugID:         f.Bug.ID,
-			Oracle:        f.Oracle,
-			SeedName:      f.SeedName,
-			TargetImpl:    string(f.Target.Impl),
-			TargetVersion: f.Target.Version,
-			AtExecution:   f.AtExecution,
-			Mutators:      f.Mutators,
-			Cursor:        f.Cursor,
-			Round:         f.Round,
-			PlanID:        f.PlanID,
-			GeneratorID:   f.GeneratorID,
-		}
-		if f.OBV.Total() > 0 {
-			fs.OBV = f.OBV.Slice()
-		}
-		if f.Divergence != nil {
-			fs.Divergence = &divergenceSnapshot{
-				Modal:         f.Divergence.Modal.Name(),
-				Divergent:     f.Divergence.Divergent.Name(),
-				Index:         f.Divergence.Index,
-				ModalPlan:     f.Divergence.ModalPlan,
-				DivergentPlan: f.Divergence.DivergentPlan,
-			}
-		}
-		if f.Program != nil {
-			fs.Program = lang.Format(f.Program)
-		}
-		st.Findings = append(st.Findings, fs)
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	ck := &harness.Checkpoint{
-		TaskCursor:  c.cursor,
-		Executions:  c.res.Executions,
-		Quarantined: c.sup.Q.IDs(),
-		State:       raw,
-	}
-	return ck.Save(c.hcfg.CheckpointPath)
-}
-
-// restore loads a decoded checkpoint into the campaign newCampaign
-// prepared, after it replayed the generator overlay and refused a
-// checkpoint whose features differ from the config.
-func (c *campaign) restore(ck *harness.Checkpoint, st *campaignState) error {
-	// A nil block under power means the interrupted run stopped before
-	// planning its first round — a fresh scheduler continues it
-	// byte-identically.
-	if err := c.sched.Restore(st.Schedule); err != nil {
-		return fmt.Errorf("core: resume: %w", err)
-	}
-	for i, f := range st.Faults {
-		if f == nil {
-			return fmt.Errorf("core: resume: checkpoint fault %d is null", i)
-		}
-	}
-	c.cursor, c.roundProgressed = ck.TaskCursor, st.RoundProgressed
-	c.res.Resumed = true
-	c.res.Executions = ck.Executions
-	c.res.SeedsFuzzed = len(st.FinalDeltas)
-	c.res.SkippedQuarantined = st.SkippedQuarantined
-	c.res.FinalDeltas = st.FinalDeltas
-	c.res.SeedErrors = st.SeedErrors
-	c.res.Faults = st.Faults
-	for _, fs := range st.Findings {
-		bug := buginject.ByID(fs.BugID)
-		if bug == nil {
-			return fmt.Errorf("core: resume: unknown bug %s in checkpoint", fs.BugID)
-		}
-		f := Finding{
-			Bug:         bug,
-			Oracle:      fs.Oracle,
-			SeedName:    fs.SeedName,
-			Target:      jvm.Spec{Impl: buginject.Impl(fs.TargetImpl), Version: fs.TargetVersion},
-			AtExecution: fs.AtExecution,
-			Mutators:    fs.Mutators,
-			Cursor:      fs.Cursor,
-			Round:       fs.Round,
-			PlanID:      fs.PlanID,
-			GeneratorID: fs.GeneratorID,
-		}
-		if fs.OBV != nil {
-			obv, err := profile.OBVFromSlice(fs.OBV)
-			if err != nil {
-				return fmt.Errorf("core: resume: finding %s OBV: %w", fs.BugID, err)
-			}
-			f.OBV = obv
-		}
-		if fs.Divergence != nil {
-			modal, err := jvm.ParseSpec(fs.Divergence.Modal)
-			if err != nil {
-				return fmt.Errorf("core: resume: finding %s divergence: %w", fs.BugID, err)
-			}
-			divergent, err := jvm.ParseSpec(fs.Divergence.Divergent)
-			if err != nil {
-				return fmt.Errorf("core: resume: finding %s divergence: %w", fs.BugID, err)
-			}
-			f.Divergence = &jvm.Divergence{
-				Modal: modal, Divergent: divergent, Index: fs.Divergence.Index,
-				ModalPlan: fs.Divergence.ModalPlan, DivergentPlan: fs.Divergence.DivergentPlan,
-			}
-		}
-		if fs.Program != "" {
-			p, err := lang.Parse(fs.Program)
-			if err != nil {
-				// The snapshotted program no longer parses (corrupt
-				// checkpoint, grammar drift). The finding itself is still
-				// valid — restore it without the program, but say so
-				// instead of silently dropping the reproducer.
-				c.res.SeedErrors = append(c.res.SeedErrors, SeedError{
-					SeedName: fs.SeedName,
-					Round:    -1, // resume-time, not a fuzzing round
-					Err:      fmt.Sprintf("resume: snapshotted program for finding %s did not re-parse: %v", fs.BugID, err),
-				})
-			} else {
-				f.Program = p
-			}
-		}
-		c.seen[bug.ID] = true
-		c.res.Findings = append(c.res.Findings, f)
-	}
-	// Re-arm skip semantics for quarantined IDs whose artifacts are not
-	// on disk (memory-only quarantine in the interrupted run).
-	for _, id := range ck.Quarantined {
-		if !c.sup.Q.Has(id) {
-			c.sup.Report(&harness.Fault{
-				Class:   harness.FaultHarness,
-				TaskID:  id,
-				Message: "quarantined in a previous run (artifact not persisted)",
-			})
-		}
-	}
-	return nil
 }

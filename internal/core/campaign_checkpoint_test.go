@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/buginject"
@@ -59,61 +58,6 @@ func TestCampaignCheckpointErrorsZeroOnHealthyPath(t *testing.T) {
 	}
 	if res.CheckpointErrors != 0 {
 		t.Errorf("CheckpointErrors = %d (last: %s), want 0", res.CheckpointErrors, res.LastCheckpointError)
-	}
-}
-
-// TestResumeNotesUnparseableSnapshotProgram: a finding whose
-// snapshotted reproducer no longer parses must still be restored (sans
-// program) with a resume-time SeedError note, instead of the program
-// being dropped silently.
-func TestResumeNotesUnparseableSnapshotProgram(t *testing.T) {
-	bug := buginject.Catalog[0]
-	st := campaignState{
-		Findings: []findingSnapshot{{
-			BugID:         bug.ID,
-			Oracle:        "crash",
-			SeedName:      "Seed0",
-			TargetImpl:    string(bug.Impl),
-			TargetVersion: 17,
-			AtExecution:   120,
-			Program:       "class Broken {", // does not re-parse
-		}},
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	ck := &harness.Checkpoint{TaskCursor: 4, Executions: 200, State: raw}
-	if err := ck.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig(jvm.Spec{Impl: buginject.HotSpot, Version: 17})
-	cfg.DiffSpecs = nil
-	res, err := RunCampaignContext(context.Background(), CampaignConfig{
-		Seeds:  corpus.DefaultPool(2, 3),
-		Budget: 100, // already exhausted by the restored executions
-		Fuzz:   cfg,
-		Seed:   3,
-	}, harness.Config{ResumePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) != 1 {
-		t.Fatalf("finding was dropped: %d findings", len(res.Findings))
-	}
-	if res.Findings[0].Program != nil {
-		t.Error("unparseable program should restore as nil")
-	}
-	found := false
-	for _, se := range res.SeedErrors {
-		if se.Round == -1 && strings.Contains(se.Err, "did not re-parse") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no resume-time note about the unparseable program: %+v", res.SeedErrors)
 	}
 }
 
@@ -198,42 +142,39 @@ func TestCheckpointFindingProvenanceRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointDivergenceRoundTrip: a differential finding's divergence
-// site is restored spec-for-spec from the snapshot.
+// site is restored spec-for-spec from its log record, and the fold
+// stamps the record's cursor on it.
 func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 	bug := buginject.Catalog[0]
-	st := campaignState{
-		Findings: []findingSnapshot{{
-			BugID:         bug.ID,
-			Oracle:        "differential",
-			SeedName:      "Seed0",
-			TargetImpl:    string(bug.Impl),
-			TargetVersion: 17,
-			AtExecution:   40,
-			Mutators:      []string{"a", "b", "c", "d"},
-			Cursor:        1,
-			Round:         0,
-			OBV:           []int64{3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-			Divergence:    &divergenceSnapshot{Modal: "openjdk-8", Divergent: "openjdk-21", Index: 3},
-		}},
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	ck := &harness.Checkpoint{TaskCursor: 2, Executions: 50, State: raw}
-	if err := ck.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := DefaultConfig(jvm.Spec{Impl: buginject.HotSpot, Version: 17})
 	cfg.DiffSpecs = nil
-	res, err := RunCampaignContext(context.Background(), CampaignConfig{
+	ccfg := CampaignConfig{
 		Seeds:  corpus.DefaultPool(2, 3),
 		Budget: 50,
 		Fuzz:   cfg,
 		Seed:   3,
-	}, harness.Config{ResumePath: path})
+	}
+	// A campaign with no budget writes the header alone.
+	path := filepath.Join(t.TempDir(), "ck.json")
+	empty := ccfg
+	empty.Budget = 0
+	if _, err := RunCampaignContext(context.Background(), empty, harness.Config{CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := harness.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Records = append(ck.Records,
+		json.RawMessage(`{"executions":10,"delta":0}`),
+		json.RawMessage(`{"executions":40,"delta":1.5,"bugs":1,"findings":[{"bug_id":"`+bug.ID+`","oracle":"differential",`+
+			`"mutators":["a","b","c","d"],"divergence":{"modal":"openjdk-8","divergent":"openjdk-21","index":3}}],`+
+			`"obv":[3,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := RunCampaignContext(context.Background(), ccfg, harness.Config{ResumePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +190,8 @@ func TestCheckpointDivergenceRoundTrip(t *testing.T) {
 	if *f.Divergence != want {
 		t.Errorf("divergence = %+v, want %+v", *f.Divergence, want)
 	}
-	if len(f.Mutators) != 4 || f.Cursor != 1 || f.OBV[0] != 3 {
-		t.Errorf("provenance = cursor %d chain %d obv[0] %d, want 1/4/3", f.Cursor, len(f.Mutators), f.OBV[0])
+	if len(f.Mutators) != 4 || f.Cursor != 1 || f.OBV[0] != 3 || f.AtExecution != 50 {
+		t.Errorf("provenance = cursor %d chain %d obv[0] %d at %d, want 1/4/3 at 50",
+			f.Cursor, len(f.Mutators), f.OBV[0], f.AtExecution)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/buginject"
@@ -118,5 +120,91 @@ func checkpointGoldenCases() []checkpointGoldenCase {
 			Seed:         52,
 			SeedSchedule: corpus.SchedulePower,
 		}},
+	}
+}
+
+// TestResumeFromEveryCut cuts each uninterrupted golden log at every
+// byte offset. DecodeCheckpoint must return exactly the whole records
+// before the cut, or an error; it errs only when the header line is
+// torn. Then a campaign resumes from the cut at each line end and from
+// one cut inside each line; it must either fail with an error, only
+// when the header line is torn, or finish with the golden log and the
+// uninterrupted result. The interrupted golden must be a prefix of the
+// uninterrupted one.
+func TestResumeFromEveryCut(t *testing.T) {
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", "checkpoint-"+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.HasPrefix(read("feature"), read("feature-interrupted")) {
+		t.Error("the interrupted feature log is not a prefix of the uninterrupted one")
+	}
+	for _, tc := range checkpointGoldenCases() {
+		if tc.cancelAt > 0 {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			golden := read(tc.name)
+			lines := bytes.SplitAfter(golden, []byte{'\n'})
+			lines = lines[:len(lines)-1] // the empty string after the last newline
+			for n := 0; n <= len(golden); n++ {
+				ck, err := harness.DecodeCheckpoint(golden[:n])
+				if err != nil {
+					if n >= len(lines[0]) {
+						t.Fatalf("cut at %d, after the header: %v", n, err)
+					}
+					continue
+				}
+				whole := bytes.Count(golden[:n], []byte{'\n'}) - 1
+				if len(ck.Records) != whole {
+					t.Fatalf("cut at %d: %d records, want the %d whole ones", n, len(ck.Records), whole)
+				}
+				for i, rec := range ck.Records {
+					if !bytes.Equal(append(rec, '\n'), lines[i+1]) {
+						t.Fatalf("cut at %d: record %d is %s, want %s", n, i+1, rec, lines[i+1])
+					}
+				}
+			}
+
+			// Resumes share one score cache: it never changes results.
+			dir := t.TempDir()
+			tc.cfg.ScoreCachePath = filepath.Join(dir, "scores.json")
+			want, err := RunCampaignContext(context.Background(), tc.cfg, harness.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+			start := 0
+			for _, ln := range lines {
+				end := start + len(ln)
+				for _, n := range []int{start + len(ln)/2, end} {
+					if err := os.WriteFile(in, golden[:n], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					res, err := RunCampaignContext(context.Background(), tc.cfg, harness.Config{ResumePath: in, CheckpointPath: out})
+					if err != nil {
+						if n >= len(lines[0]) {
+							t.Fatalf("resumed from a cut at %d, after the header: %v", n, err)
+						}
+						continue
+					}
+					got, err := os.ReadFile(out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, golden) {
+						t.Fatalf("resumed from a cut at %d: the log differs from the golden:\n got %s\nwant %s", n, got, golden)
+					}
+					if res.Executions != want.Executions || !slices.Equal(res.FinalDeltas, want.FinalDeltas) ||
+						!maps.Equal(res.BugIDs(), want.BugIDs()) || len(res.Faults) != len(want.Faults) {
+						t.Fatalf("resumed from a cut at %d: result differs from the uninterrupted run", n)
+					}
+				}
+				start = end
+			}
+		})
 	}
 }

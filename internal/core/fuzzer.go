@@ -21,47 +21,50 @@ import (
 const maxStmts = 600
 
 // Config tunes a Fuzzer. The defaults mirror the paper's §4.1 settings.
+// Its JSON form is the fuzz settings of a checkpoint header, which
+// resume compares: a field that can change a result is serialized, and
+// the per-task, backend and instrumentation fields are not.
 type Config struct {
-	MaxIterations int  // mutations per seed (paper: 50)
-	Guided        bool // profile-data-based mutator weighting (§3.4)
-	FixedMP       bool // iterate on one mutation point (false = MopFuzzer_r)
-	Target        jvm.Spec
-	DiffSpecs     []jvm.Spec // differential-testing targets for the final mutant
-	Flags         profile.FlagSet
-	MaxSteps      int64
+	MaxIterations int             `json:"max_iterations"` // mutations per seed (paper: 50)
+	Guided        bool            `json:"guided"`         // profile-data-based mutator weighting (§3.4)
+	FixedMP       bool            `json:"fixed_mp"`       // iterate on one mutation point (false = MopFuzzer_r)
+	Target        jvm.Spec        `json:"-"`
+	DiffSpecs     []jvm.Spec      `json:"diff_specs,omitempty"` // differential-testing targets for the final mutant
+	Flags         profile.FlagSet `json:"flags"`
+	MaxSteps      int64           `json:"max_steps"`
 	// MaxHeapUnits caps per-execution heap allocation (0 = VM default,
 	// negative = uncapped); exhausting it marks the mutant a dead end.
-	MaxHeapUnits int64
-	Seed         int64
+	MaxHeapUnits int64 `json:"max_heap_units,omitempty"`
+	Seed         int64 `json:"-"`
 	// CompileHook, when non-nil, observes every JIT compilation event
 	// on the fuzzing target (test seam for fault injection).
-	CompileHook jit.Hook
+	CompileHook jit.Hook `json:"-"`
 	// Coverage, when non-nil, accumulates VM line coverage across every
 	// execution (the Figure 2 instrumentation).
-	Coverage *coverage.Tracker
+	Coverage *coverage.Tracker `json:"-"`
 	// DisableBugs runs against bug-free VMs — used when measuring Δ
 	// distributions so crashes don't truncate runs.
-	DisableBugs bool
+	DisableBugs bool `json:"disable_bugs,omitempty"`
 	// ExtendedMutators adds the alternative evoking-mutator
 	// implementations (the paper's future-work extension).
-	ExtendedMutators bool
+	ExtendedMutators bool `json:"extended_mutators,omitempty"`
 	// StructuredOBV profiles via the counter fast path instead of
 	// regex-scanning log text (see jvm.Options.StructuredOBV); it is on
 	// in DefaultConfig. Guidance depends only on OBV values, which the
 	// equivalence tests pin to the regex oracle, so results are
 	// unchanged; false keeps the regex path as the tests' reference.
-	StructuredOBV bool
+	StructuredOBV bool `json:"-"`
 	// CompileCache, when non-nil, reuses JIT compilations across the
 	// legs of the final mutant's spec and plan differentials; single
 	// runs of fresh mutants have nothing to hit and skip it. A cache hit
 	// is byte-equivalent to recompiling.
-	CompileCache *jit.Cache
+	CompileCache *jit.Cache `json:"-"`
 	// Executor selects the execution backend. Nil runs in-process
 	// (byte-identical to calling jvm.Run, the deterministic default); the
 	// pool executor isolates every target execution in a child process
 	// whose death is classified by the harness instead of killing the
 	// fuzzer.
-	Executor exec.Executor
+	Executor exec.Executor `json:"-"`
 	// PlanFuzz turns the compilation plan into a fuzz dimension (ROADMAP
 	// item 3). The zero value (and jit.PlanDefault) keeps every execution
 	// on the fixed pipeline — byte-identical to the pre-plan fuzzer.
@@ -69,7 +72,7 @@ type Config struct {
 	// plans, rotate them across iterations so the OBV weight update
 	// operates over (program, plan) pairs, and run a plan-vs-plan
 	// differential on the final mutant — the ordering-sensitivity oracle.
-	PlanFuzz jit.PlanMode
+	PlanFuzz jit.PlanMode `json:"plan_fuzz"`
 }
 
 // DefaultConfig returns the paper's configuration against the given

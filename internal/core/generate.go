@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/corpus"
 	"repro/internal/generate"
@@ -35,18 +34,20 @@ func mutatorFillers() []generate.StmtFiller {
 }
 
 // genRuntime is the campaign-side generator subsystem state: the built
-// generator set plus the checkpointed emission counts and pool-slot
-// overlay (the checkpoint's generate block). A nil *genRuntime is the
-// subsystem switched off: the pool stays static.
+// generator set, the emission counts and the last refreshed round. A nil
+// *genRuntime is the subsystem switched off: the pool stays static.
 type genRuntime struct {
-	gens  []generate.Generator
-	st    *generate.State
-	quota int // pool slots refreshed per round boundary
+	gens []generate.Generator
+	// emitted counts lifetime emissions per generator ID; the next
+	// emission from generator g draws index emitted[g].
+	emitted   map[string]int
+	lastRound int // the highest round whose boundary refresh has run
+	quota     int // pool slots refreshed per round boundary
 }
 
 // newGenRuntime builds the configured generator set over the campaign's
 // (post-distill) pool. extras are the pinned template-mining extras —
-// cfg.TemplateExtras on a fresh run, the checkpointed set on resume.
+// cfg.TemplateExtras on a fresh run, the checkpoint header's on resume.
 // newCampaign calls it only when generate.Normalize found the subsystem
 // on, so Build returns a non-empty set.
 func newGenRuntime(cfg CampaignConfig, extras []string) (*genRuntime, error) {
@@ -61,9 +62,9 @@ func newGenRuntime(cfg CampaignConfig, extras []string) (*genRuntime, error) {
 		return nil, err
 	}
 	return &genRuntime{
-		gens:  gens,
-		st:    &generate.State{Emitted: map[string]int{}, Extras: append([]string(nil), extras...)},
-		quota: max(1, len(cfg.Seeds)/4),
+		gens:    gens,
+		emitted: map[string]int{},
+		quota:   max(1, len(cfg.Seeds)/4),
 	}, nil
 }
 
@@ -86,16 +87,13 @@ func (g *genRuntime) byID(id string) generate.Generator {
 	return nil
 }
 
-// generated reports cumulative emissions (the Progress/metrics gauge).
+// generated reports cumulative emissions (the Progress/metrics gauge):
+// each refreshed round emits quota seeds.
 func (g *genRuntime) generated() int {
 	if g == nil {
 		return 0
 	}
-	n := 0
-	for _, c := range g.st.Emitted {
-		n += c
-	}
-	return n
+	return g.lastRound * g.quota
 }
 
 // refreshPool runs the corpus refresh of every round up to round not
@@ -103,15 +101,16 @@ func (g *genRuntime) generated() int {
 // generator emissions, rotating through slot indices across rounds so
 // every position eventually cycles. With a power schedule the generator
 // for each slot is the gen-arm bandit's pick and the slot's (seed,
-// plan-mode) arms are renamed and reset; with a nil sched, generators
+// plan-mode) arms are reset; with a nil sched, generators
 // rotate round-robin. Runs on the campaign goroutine before the round's
 // first task dispatch, and everything derives from (campaign seed,
-// emission counts), so resume and fleet handoff replay it exactly.
+// emission counts, merged yields), so resume and fleet handoff, which
+// replay the merged tasks, rebuild the pool exactly.
 func (g *genRuntime) refreshPool(round int, seeds []corpus.Seed, campaignSeed int64, sched *corpus.Scheduler) {
 	if g == nil {
 		return
 	}
-	for r := g.st.LastRound + 1; r <= round; r++ {
+	for r := g.lastRound + 1; r <= round; r++ {
 		for k := 0; k < g.quota; k++ {
 			slot := (r-1)*g.quota + k
 			idx := slot % len(seeds)
@@ -120,35 +119,12 @@ func (g *genRuntime) refreshPool(round int, seeds []corpus.Seed, campaignSeed in
 				gen = g.gens[slot%len(g.gens)]
 			}
 			id := gen.ID()
-			seq := g.st.Emitted[id]
+			seq := g.emitted[id]
 			s := gen.Generate(campaignSeed, seq, 1)[0]
-			g.st.Emitted[id] = seq + 1
+			g.emitted[id] = seq + 1
 			seeds[idx] = s
-			sched.ReplaceSeed(idx, s.Name)
-			g.setSlot(idx, s)
+			sched.ReplaceSeed(idx)
 		}
-		g.st.LastRound = r
+		g.lastRound = r
 	}
-}
-
-// setSlot upserts the slot overlay entry for a pool index, keeping the
-// overlay sorted by index for stable checkpoint bytes.
-func (g *genRuntime) setSlot(idx int, s corpus.Seed) {
-	sl := generate.Slot{Index: idx, Name: s.Name, Source: s.Source, Gen: s.Gen}
-	for i := range g.st.Slots {
-		if g.st.Slots[i].Index == idx {
-			g.st.Slots[i] = sl
-			return
-		}
-	}
-	g.st.Slots = append(g.st.Slots, sl)
-	sort.Slice(g.st.Slots, func(i, j int) bool { return g.st.Slots[i].Index < g.st.Slots[j].Index })
-}
-
-// state snapshots the runtime for a checkpoint (nil-safe).
-func (g *genRuntime) state() *generate.State {
-	if g == nil {
-		return nil
-	}
-	return g.st.Clone()
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/buginject"
@@ -24,24 +24,10 @@ func genCampaignCfg(seed int64) CampaignConfig {
 	}
 }
 
-// generateBlockOf decodes the generate block of a raw checkpoint.
-func generateBlockOf(t *testing.T, data []byte) *campaignState {
-	t.Helper()
-	var ck harness.Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		t.Fatal(err)
-	}
-	var st campaignState
-	if err := json.Unmarshal(ck.State, &st); err != nil {
-		t.Fatal(err)
-	}
-	return &st
-}
-
 // TestGeneratorsOffMatchesBaseline pins the acceptance criterion: a
 // campaign that names only the baseline generator is the subsystem-off
-// campaign — byte-identical results and checkpoint (no generate block)
-// against a config that never heard of generators.
+// campaign — byte-identical results and checkpoint log (no generators
+// in its header) against a config that never heard of generators.
 func TestGeneratorsOffMatchesBaseline(t *testing.T) {
 	base := CampaignConfig{
 		Seeds:   corpus.DefaultPool(3, 41),
@@ -62,16 +48,15 @@ func TestGeneratorsOffMatchesBaseline(t *testing.T) {
 	if v := checkpointVersionOf(t, offCkpt); v != harness.CheckpointVersion {
 		t.Errorf("randprog-only checkpoint version = %d, want %d", v, harness.CheckpointVersion)
 	}
-	if st := generateBlockOf(t, offCkpt); st.Generate != nil {
-		t.Error("randprog-only checkpoint carries a generate block")
+	if h := headerOf(t, offCkpt); h.Config.Generators != nil {
+		t.Errorf("randprog-only checkpoint header names generators %v", h.Config.Generators)
 	}
 }
 
 // TestGeneratorCampaignDeterministic: generator emissions and the
 // round-boundary pool refresh are pure functions of the campaign seed
-// and emission counts, so two identical runs agree byte-for-byte —
-// and the final checkpoint carries the generate block with the
-// refreshed slot overlay.
+// and emission counts, so two identical runs agree byte-for-byte — and
+// folding the final log rebuilds the refreshed pool.
 func TestGeneratorCampaignDeterministic(t *testing.T) {
 	ccfg := genCampaignCfg(42)
 	a, aCkpt := runForCheckpoint(t, ccfg, 1)
@@ -83,27 +68,26 @@ func TestGeneratorCampaignDeterministic(t *testing.T) {
 	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersion {
 		t.Errorf("checkpoint version = %d, want %d", v, harness.CheckpointVersion)
 	}
-	st := generateBlockOf(t, aCkpt)
-	if st.Generate == nil {
-		t.Fatal("checkpoint has no generate block")
+	c := foldLog(t, ccfg, aCkpt)
+	var slots []corpus.Seed
+	for _, s := range c.cfg.Seeds {
+		if s.Gen != "" {
+			slots = append(slots, s)
+		}
 	}
-	if st.Generate.LastRound == 0 || len(st.Generate.Slots) == 0 {
-		t.Fatalf("no pool refresh happened: LastRound=%d, %d slots (budget too small?)",
-			st.Generate.LastRound, len(st.Generate.Slots))
+	if c.gen.lastRound == 0 || len(slots) == 0 {
+		t.Fatalf("no pool refresh happened: last round %d, %d generated slots (budget too small?)",
+			c.gen.lastRound, len(slots))
 	}
-	total := 0
-	for _, n := range st.Generate.Emitted {
-		total += n
+	if c.gen.emitted["template"] == 0 {
+		t.Errorf("emissions %v: the template generator emitted nothing", c.gen.emitted)
 	}
-	if st.Generate.Emitted["template"] == 0 {
-		t.Errorf("emissions %v: the template generator emitted nothing", st.Generate.Emitted)
+	if total := c.gen.generated(); total < len(slots) {
+		t.Errorf("emission counts (%d) inconsistent with the generated slots (%d)", total, len(slots))
 	}
-	if total < len(st.Generate.Slots) {
-		t.Errorf("emission counts (%d) inconsistent with slot overlay (%d)", total, len(st.Generate.Slots))
-	}
-	for _, sl := range st.Generate.Slots {
-		if sl.Gen == "" || sl.Name == "" || sl.Source == "" {
-			t.Errorf("slot %d missing provenance: %+v", sl.Index, sl)
+	for _, sl := range slots {
+		if sl.Name == "" || sl.Source == "" {
+			t.Errorf("generated slot missing provenance: %+v", sl)
 		}
 	}
 }
@@ -126,9 +110,8 @@ func TestGeneratorParallelMatchesSequential(t *testing.T) {
 
 // TestGeneratorCheckpointResumeEquivalence: an interrupted generator
 // campaign resumed from its checkpoint must equal the uninterrupted
-// run — the slot overlay restores the refreshed pool, the emission
-// counts pin the generator streams, and the schedule's renamed and
-// generator arms restore in place.
+// run — folding the log replays the pool refreshes, the emission
+// counts and the schedule's renamed and generator arms.
 func TestGeneratorCheckpointResumeEquivalence(t *testing.T) {
 	ccfg := genCampaignCfg(44)
 	ccfg.SeedSchedule = corpus.SchedulePower
@@ -140,7 +123,7 @@ func TestGeneratorCheckpointResumeEquivalence(t *testing.T) {
 	partial, err := RunCampaignContext(ctx, ccfg, harness.Config{
 		CheckpointPath: ckpt,
 		OnTask: func(done int) {
-			if done == 6 { // past the first refresh: the overlay must restore, not replay
+			if done == 6 { // past the first refresh: the fold must replay it
 				cancel()
 			}
 		},
@@ -169,10 +152,10 @@ func TestGeneratorCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestGeneratorResumeConfigMismatch: a generator checkpoint refuses to resume
-// into a generator-free config (the pool overlay would be silently
-// dropped), and a generator config refuses a checkpoint without
-// generator state (the pool would silently diverge from the
-// interrupted run).
+// into a generator-free config (the pool refreshes would be silently
+// dropped), and a generator config refuses a checkpoint written without
+// generators (the pool would silently diverge from the interrupted
+// run).
 func TestGeneratorResumeConfigMismatch(t *testing.T) {
 	ccfg := genCampaignCfg(45)
 	ccfg.Budget = 120
@@ -208,10 +191,12 @@ func TestGeneratorFindingsCarryProvenance(t *testing.T) {
 	if generated == 0 {
 		t.Error("Progress.GeneratedSeeds never rose above zero")
 	}
-	st := generateBlockOf(t, ckpt)
+	c := foldLog(t, ccfg, ckpt)
 	bySlot := map[string]string{}
-	for _, sl := range st.Generate.Slots {
-		bySlot[sl.Name] = sl.Gen
+	for _, s := range c.cfg.Seeds {
+		if s.Gen != "" {
+			bySlot[s.Name] = s.Gen
+		}
 	}
 	for i, f := range res.Findings {
 		if gen, ok := bySlot[f.SeedName]; ok && f.GeneratorID != gen {
@@ -219,9 +204,9 @@ func TestGeneratorFindingsCarryProvenance(t *testing.T) {
 				i, f.SeedName, f.GeneratorID, gen)
 		}
 	}
-	for _, fs := range st.Findings {
-		if gen, ok := bySlot[fs.SeedName]; ok && fs.GeneratorID != gen {
-			t.Errorf("snapshot finding on %s: generator_id=%q, slot says %q", fs.SeedName, fs.GeneratorID, gen)
-		}
+	if !slices.EqualFunc(c.res.Findings, res.Findings, func(a, b Finding) bool {
+		return a.Bug == b.Bug && a.SeedName == b.SeedName && a.GeneratorID == b.GeneratorID
+	}) {
+		t.Error("the folded log's findings differ from the run's")
 	}
 }

@@ -20,11 +20,10 @@ import (
 )
 
 // runForCheckpoint runs a campaign to completion with checkpointing on
-// and returns the result plus the final checkpoint bytes — the
-// strongest equality witness we have, since the snapshot serializes
-// executions, findings, deltas, faults, seed errors, counters,
-// schedule and generator state, the quarantine index, and the task
-// cursor.
+// and returns the result plus the final checkpoint log — the strongest
+// equality witness we have, since the log holds the task-stream config
+// and what every merged task changed: executions, deltas, faults, seed
+// errors, new findings and schedule yields.
 func runForCheckpoint(t *testing.T, ccfg CampaignConfig, workers int) (*CampaignResult, []byte) {
 	t.Helper()
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt.json")
@@ -41,34 +40,67 @@ func runForCheckpoint(t *testing.T, ccfg CampaignConfig, workers int) (*Campaign
 }
 
 // normalizeCheckpoint blanks the Go stack text inside contained-panic
-// faults before comparing checkpoints: a panic contained on a worker
-// goroutine unavoidably records a different goroutine id and engine
-// call path than one contained inline, while every semantic fault
-// field (class, task, seed, round, message, component, source) is
-// asserted identical separately.
+// faults before comparing logs: a panic contained on a worker goroutine
+// unavoidably records a different goroutine id and engine call path
+// than one contained inline, while every semantic fault field (class,
+// task, seed, round, message, component, source) is asserted identical
+// separately.
 func normalizeCheckpoint(t *testing.T, data []byte) string {
 	t.Helper()
-	var ck harness.Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		t.Fatal(err)
-	}
-	var st campaignState
-	if err := json.Unmarshal(ck.State, &st); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range st.Faults {
-		f.Stack = ""
-	}
-	raw, err := json.Marshal(st)
+	ck, err := harness.DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.State = raw
-	out, err := json.Marshal(ck)
+	for i, raw := range ck.Records {
+		var rec map[string]any
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := rec["fault"].(map[string]any); ok {
+			delete(f, "stack")
+		}
+		if ck.Records[i], err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "normalized.json")
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// foldLog resumes ccfg from a checkpoint log without running a task and
+// returns the prepared campaign: the state the log's records fold into.
+func foldLog(t *testing.T, ccfg CampaignConfig, data []byte) *campaign {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fold.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := newCampaign(context.Background(), ccfg, harness.Config{ResumePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// headerOf decodes the campaign header of a checkpoint log.
+func headerOf(t *testing.T, data []byte) logHeader {
+	t.Helper()
+	ck, err := harness.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h logHeader
+	if err := json.Unmarshal(ck.Header, &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestParallelCampaignMatchesSequential is the tentpole acceptance

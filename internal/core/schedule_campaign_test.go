@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,21 +13,22 @@ import (
 	"repro/internal/jvm"
 )
 
-// checkpointVersionOf decodes just the envelope version of a raw
-// checkpoint file.
+// checkpointVersionOf decodes just the version of a checkpoint log's
+// header line.
 func checkpointVersionOf(t *testing.T, data []byte) int {
 	t.Helper()
-	var ck harness.Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
+	head, _, _ := bytes.Cut(data, []byte{'\n'})
+	var h struct{ Version int }
+	if err := json.Unmarshal(head, &h); err != nil {
 		t.Fatal(err)
 	}
-	return ck.Version
+	return h.Version
 }
 
 // TestScheduleOffMatchesUnscheduled pins the satellite guarantee:
 // -schedule=off reproduces the pre-scheduling campaign byte-identically,
-// including the final checkpoint — same envelope, no schedule block,
-// same findings, same everything. A campaign config
+// including the final checkpoint log — same header, schedule off, same
+// records, same everything. A campaign config
 // that never heard of scheduling and one that explicitly asks for off
 // must be indistinguishable.
 func TestScheduleOffMatchesUnscheduled(t *testing.T) {
@@ -50,15 +51,15 @@ func TestScheduleOffMatchesUnscheduled(t *testing.T) {
 	if v := checkpointVersionOf(t, offCkpt); v != harness.CheckpointVersion {
 		t.Errorf("off-mode checkpoint version = %d, want %d", v, harness.CheckpointVersion)
 	}
-	if st := generateBlockOf(t, offCkpt); st.Schedule != nil {
-		t.Error("off-mode checkpoint carries a schedule block")
+	if h := headerOf(t, offCkpt); h.Config.Schedule != string(corpus.ScheduleOff) {
+		t.Errorf("off-mode checkpoint header says schedule %q", h.Config.Schedule)
 	}
 }
 
 // TestPowerCampaignDeterministic: the power schedule is a pure function
 // of the campaign seed and the merged observation prefix, so two
 // identical runs must agree byte-for-byte — results and final
-// checkpoint, which carries the schedule block.
+// checkpoint log, whose records carry the schedule's yields.
 func TestPowerCampaignDeterministic(t *testing.T) {
 	ccfg := CampaignConfig{
 		Seeds:        corpus.DefaultPool(3, 32),
@@ -77,8 +78,8 @@ func TestPowerCampaignDeterministic(t *testing.T) {
 	if v := checkpointVersionOf(t, aCkpt); v != harness.CheckpointVersion {
 		t.Errorf("power checkpoint version = %d, want %d", v, harness.CheckpointVersion)
 	}
-	if st := generateBlockOf(t, aCkpt); st.Schedule == nil {
-		t.Error("power checkpoint has no schedule block")
+	if h := headerOf(t, aCkpt); h.Config.Schedule != string(corpus.SchedulePower) {
+		t.Errorf("power checkpoint header says schedule %q", h.Config.Schedule)
 	}
 }
 
@@ -103,9 +104,9 @@ func TestPowerParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPowerCheckpointResumeEquivalence: interrupt a power campaign
-// mid-flight and resume it; the restored arm statistics and the
-// persisted round plan must continue the schedule exactly where it
-// stopped, reproducing the uninterrupted run byte-identically.
+// mid-flight and resume it; the arm statistics and the round plan the
+// log's records fold back into must continue the schedule exactly where
+// it stopped, reproducing the uninterrupted run byte-identically.
 func TestPowerCheckpointResumeEquivalence(t *testing.T) {
 	ccfg := CampaignConfig{
 		Seeds:        corpus.DefaultPool(3, 34),
@@ -153,9 +154,9 @@ func TestPowerCheckpointResumeEquivalence(t *testing.T) {
 
 // TestPowerRetiresQuarantinedSeeds: a seed quarantined under its own
 // name — its task panicked, or its unmutated baseline exhausted the heap
-// — must stop winning budget. The per-task checkpoints show every arm
-// of that seed retired from the merge that quarantined it on, and no
-// plan of a later round schedules it.
+// — must stop winning budget. Folding the campaign's log record by
+// record, no plan of a round after the one that quarantined it
+// schedules it.
 func TestPowerRetiresQuarantinedSeeds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -169,54 +170,47 @@ func TestPowerRetiresQuarantinedSeeds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fcfg := testCampaignCfg(37)
 			tc.tune(&fcfg)
-			ckpt := filepath.Join(t.TempDir(), "campaign.ckpt.json")
-			// OnProgress runs after a task merges and before its
-			// checkpoint is written, so each read sees the previous
-			// task's snapshot; the last one is read after the run.
-			var snaps []*campaignState
-			snap := func() {
-				if data, err := os.ReadFile(ckpt); err == nil {
-					snaps = append(snaps, generateBlockOf(t, data))
-				}
-			}
-			_, err := RunCampaignContext(context.Background(), CampaignConfig{
+			ccfg := CampaignConfig{
 				Seeds:        append(corpus.DefaultPool(2, 37), tc.seed),
 				Budget:       150,
 				Targets:      []jvm.Spec{{Impl: buginject.HotSpot, Version: 17}},
 				Fuzz:         fcfg,
 				Seed:         37,
 				SeedSchedule: corpus.SchedulePower,
-				OnProgress:   func(Progress) { snap() },
-			}, harness.Config{CheckpointPath: ckpt})
+			}
+			_, data := runForCheckpoint(t, ccfg, 1)
+			ck, err := harness.DecodeCheckpoint(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap()
-
+			// Fold the records one at a time, as resume does, and look
+			// at each round's plan once its first record is in.
+			path := filepath.Join(t.TempDir(), "header.json")
+			if err := (&harness.Checkpoint{Header: ck.Header}).Save(path); err != nil {
+				t.Fatal(err)
+			}
+			c, err := newCampaign(context.Background(), ccfg, harness.Config{ResumePath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, quarantined := len(ccfg.Seeds), len(ccfg.Seeds)-1
 			faultRound, laterPlans := -1, 0
-			for k, st := range snaps {
-				if faultRound < 0 {
-					for _, f := range st.Faults {
-						if f.TaskID == tc.seed.Name {
-							faultRound = f.Round
+			for _, raw := range ck.Records {
+				if err := c.replay(raw); err != nil {
+					t.Fatal(err)
+				}
+				first := c.cursor - 1
+				if round := first / n; faultRound >= 0 && round > faultRound && first%n == 0 {
+					laterPlans++
+					for slot := 0; slot < n; slot++ {
+						if seedIdx, _ := c.sched.ArmFor(first + slot); seedIdx == quarantined {
+							t.Errorf("round %d slot %d schedules quarantined seed %s", round, slot, tc.seed.Name)
 						}
 					}
-					if faultRound < 0 {
-						continue
-					}
 				}
-				for i, a := range st.Schedule.Arms {
-					if a.Seed == tc.seed.Name && !a.Retired {
-						t.Errorf("snapshot %d: arm %d (%s/%s) not retired after the seed was quarantined", k, i, a.Seed, a.PlanMode)
-					}
-				}
-				if st.Schedule.Round <= faultRound {
-					continue
-				}
-				laterPlans++
-				for slot, arm := range st.Schedule.Plan {
-					if st.Schedule.Arms[arm].Seed == tc.seed.Name {
-						t.Errorf("round %d slot %d schedules quarantined seed %s", st.Schedule.Round, slot, tc.seed.Name)
+				for _, f := range c.res.Faults {
+					if faultRound < 0 && f.TaskID == tc.seed.Name {
+						faultRound = f.Round
 					}
 				}
 			}

@@ -161,9 +161,8 @@ func TestDistillShrinks(t *testing.T) {
 }
 
 func schedulerFixture(seed int64) *Scheduler {
-	names := []string{"A", "B", "C", "D"}
 	div := []float64{0.1, 0.4, 0.2, 0.3}
-	return NewScheduler(names, div, PlanModesFor(jit.PlanFull), seed)
+	return NewScheduler(div, PlanModesFor(jit.PlanFull), seed)
 }
 
 // playRounds drives a scheduler through n rounds with a deterministic
@@ -216,74 +215,52 @@ func TestSchedulerCoverageFloor(t *testing.T) {
 	}
 }
 
+// TestSchedulerStateRoundTrip: a scheduler's state round-trips through
+// the calls that built it. Resume rebuilds the schedule by replaying
+// the merged tasks' round starts, retirements and observations, so a
+// scheduler fed the same calls, stopped mid-round, must plan the same
+// futures as the one it replays.
 func TestSchedulerStateRoundTrip(t *testing.T) {
+	type call struct {
+		round, cursor int
+		retire        bool
+	}
+	var calls []call
+	play := func(s *Scheduler, from, to int) {
+		for cursor := from; cursor < to; cursor++ {
+			s.StartRound(cursor / 4)
+			seedIdx, _ := s.ArmFor(cursor)
+			retire := cursor == 5
+			if retire {
+				s.RetireSeed(seedIdx)
+			}
+			s.Observe(cursor, float64(seedIdx), seedIdx%2)
+			calls = append(calls, call{cursor / 4, cursor, retire})
+		}
+	}
 	a := schedulerFixture(7)
-	playRounds(a, 3)
-	st := a.State()
-	if st == nil {
-		t.Fatal("State() nil after planning")
-	}
-	// JSON round-trip, as the checkpoint does.
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ScheduleState
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-
+	play(a, 0, 14) // three rounds and half of the fourth
 	b := schedulerFixture(7)
-	if err := b.Restore(&back); err != nil {
-		t.Fatal(err)
+	for _, c := range calls {
+		b.StartRound(c.round)
+		seedIdx, _ := b.ArmFor(c.cursor)
+		if c.retire {
+			b.RetireSeed(seedIdx)
+		}
+		b.Observe(c.cursor, float64(seedIdx), seedIdx%2)
+	}
+	if !reflect.DeepEqual(a.plan, b.plan) || a.TotalEnergy() != b.TotalEnergy() {
+		t.Fatalf("replayed scheduler differs: plan %v vs %v, energy %g vs %g", a.plan, b.plan, a.TotalEnergy(), b.TotalEnergy())
 	}
 	// Both schedulers must plan identical futures.
-	for r := 3; r < 6; r++ {
-		a.StartRound(r)
-		b.StartRound(r)
+	for cursor := 14; cursor < 24; cursor++ {
+		a.StartRound(cursor / 4)
+		b.StartRound(cursor / 4)
 		if !reflect.DeepEqual(a.plan, b.plan) {
-			t.Fatalf("round %d plans diverge after restore: %v vs %v", r, a.plan, b.plan)
+			t.Fatalf("round %d plans diverge after the replay: %v vs %v", cursor/4, a.plan, b.plan)
 		}
-		for i := 0; i < 4; i++ {
-			a.Observe(r*4+i, 1, 0)
-			b.Observe(r*4+i, 1, 0)
-		}
-	}
-}
-
-func TestSchedulerRestoreValidation(t *testing.T) {
-	a := schedulerFixture(7)
-	playRounds(a, 2)
-	good := a.State()
-
-	wrongArms := *good
-	wrongArms.Arms = good.Arms[:len(good.Arms)-1]
-	if err := schedulerFixture(7).Restore(&wrongArms); err == nil {
-		t.Error("arm-count mismatch accepted")
-	}
-
-	wrongName := *good
-	wrongName.Arms = append([]ArmStats(nil), good.Arms...)
-	wrongName.Arms[0].Seed = "Z"
-	if err := schedulerFixture(7).Restore(&wrongName); err == nil {
-		t.Error("arm seed-name mismatch accepted")
-	}
-
-	wrongPlan := *good
-	wrongPlan.Plan = []int{0}
-	if err := schedulerFixture(7).Restore(&wrongPlan); err == nil {
-		t.Error("plan-length mismatch accepted")
-	}
-
-	badIdx := *good
-	badIdx.Plan = append([]int(nil), good.Plan...)
-	badIdx.Plan[0] = 999
-	if err := schedulerFixture(7).Restore(&badIdx); err == nil {
-		t.Error("out-of-range plan index accepted")
-	}
-
-	if err := schedulerFixture(7).Restore(nil); err != nil {
-		t.Errorf("nil state should be a no-op, got %v", err)
+		a.Observe(cursor, 1, 0)
+		b.Observe(cursor, 1, 0)
 	}
 }
 

@@ -115,33 +115,30 @@ type genArm struct {
 //
 // A nil *Scheduler is the schedule switched off: StartRound, Observe,
 // ObserveGen, RetireSeed and ReplaceSeed do nothing, and PickGen,
-// ArmCount, TotalEnergy and State return zero values.
+// ArmCount and TotalEnergy return zero values.
 type Scheduler struct {
 	seed  int64
-	names []string
-	div   []float64
+	div   []float64 // diversity prior per seed of the pool
 	modes []jit.PlanMode
 	arms  []armState
 	round int
-	plan  []int // arm index per slot; len == len(names) once planned
+	plan  []int // arm index per slot; len == len(div) once planned
 	plays int
 	// Generator arms (nil without the generator subsystem).
 	gens     []genArm
 	genPlays int
 }
 
-// NewScheduler builds a scheduler over the seed pool. names and
-// diversity are parallel (DiversityScores output); modes is the plan
-// axis (PlanModesFor).
-func NewScheduler(names []string, diversity []float64, modes []jit.PlanMode, seed int64) *Scheduler {
+// NewScheduler builds a scheduler over the seed pool, one diversity
+// score per seed (DiversityScores output); modes is the plan axis
+// (PlanModesFor).
+func NewScheduler(diversity []float64, modes []jit.PlanMode, seed int64) *Scheduler {
 	if len(modes) == 0 {
 		modes = []jit.PlanMode{jit.PlanDefault}
 	}
-	s := &Scheduler{seed: seed, names: names, modes: modes}
-	s.div = make([]float64, len(names))
-	copy(s.div, diversity)
-	s.arms = make([]armState, 0, len(names)*len(modes))
-	for i := range names {
+	s := &Scheduler{seed: seed, div: append([]float64(nil), diversity...), modes: modes}
+	s.arms = make([]armState, 0, len(s.div)*len(modes))
+	for i := range s.div {
 		for _, m := range modes {
 			s.arms = append(s.arms, armState{seed: i, mode: m})
 		}
@@ -158,10 +155,9 @@ func (s *Scheduler) energy(a *armState) float64 {
 
 // StartRound makes round r's slot plan current. Crossing round
 // boundaries decays every arm's yields once per round. Idempotent for
-// the current round, including a plan restored from a checkpoint —
-// which is exactly what makes mid-round resume byte-identical: the
-// interrupted run's plan continues instead of being recomputed from
-// mid-round statistics.
+// the current round: the plan is computed once, at the round's first
+// task, from the statistics the previous rounds left, which is what
+// lets resume rebuild it by replaying the merged tasks in order.
 func (s *Scheduler) StartRound(r int) {
 	if s == nil || s.plan != nil && r == s.round {
 		return
@@ -222,7 +218,7 @@ func (s *Scheduler) ObserveGen(id string, delta float64, findings int) {
 // drained round-robin (k indexes into them, so a multi-slot refresh
 // spreads cold arms across slots instead of stacking one), then the arm
 // with the best decayed yield x UCB score wins. Deterministic (argmax,
-// no RNG draw) so refresh decisions replay identically from restored
+// no RNG draw) so refresh decisions replay identically from replayed
 // statistics.
 func (s *Scheduler) PickGen(k int) string {
 	if s == nil {
@@ -252,15 +248,14 @@ func (s *Scheduler) PickGen(k int) string {
 	return s.gens[best].id
 }
 
-// ReplaceSeed renames seed index's arms to a refreshed (generated) seed
-// and resets their statistics: a new program is a cold arm, and a
-// quarantined slot comes back alive. The slot keeps its diversity prior
-// (generated seeds are not re-scored mid-campaign).
-func (s *Scheduler) ReplaceSeed(seedIndex int, name string) {
+// ReplaceSeed resets the statistics of seed index's arms when a
+// refreshed (generated) seed takes the slot: a new program is a cold
+// arm, and a quarantined slot comes back alive. The slot keeps its
+// diversity prior (generated seeds are not re-scored mid-campaign).
+func (s *Scheduler) ReplaceSeed(seedIndex int) {
 	if s == nil {
 		return
 	}
-	s.names[seedIndex] = name
 	for i := range s.arms {
 		if s.arms[i].seed == seedIndex {
 			a := &s.arms[i]
@@ -289,13 +284,13 @@ func (s *Scheduler) computePlan(round int) []int {
 		total += e
 	}
 	var live []int // seed indices with at least one unretired arm
-	for i := range s.names {
+	for i := range s.div {
 		if !s.arms[i*len(s.modes)].retired {
 			live = append(live, i)
 		}
 	}
 	topMode := len(s.modes) - 1
-	plan := make([]int, len(s.names))
+	plan := make([]int, len(s.div))
 	nCov := (len(plan) + coverageStride - 1) / coverageStride
 	cov := 0
 	for slot := range plan {
@@ -338,7 +333,7 @@ func (s *Scheduler) armAt(cursor int) *armState {
 	if s.plan == nil {
 		panic("corpus: Scheduler.armAt before StartRound")
 	}
-	return &s.arms[s.plan[cursor%len(s.names)]]
+	return &s.arms[s.plan[cursor%len(s.div)]]
 }
 
 // ArmFor resolves a cursor position to its scheduled seed index and
@@ -400,121 +395,4 @@ func (s *Scheduler) TotalEnergy() float64 {
 		total += s.energy(&s.arms[i])
 	}
 	return total
-}
-
-// ArmStats is one arm's serialized statistics.
-type ArmStats struct {
-	Seed         string  `json:"seed"`
-	PlanMode     string  `json:"plan_mode"`
-	Plays        int     `json:"plays,omitempty"`
-	DeltaYield   float64 `json:"delta_yield,omitempty"`
-	FindingYield float64 `json:"finding_yield,omitempty"`
-	Retired      bool    `json:"retired,omitempty"`
-}
-
-// ScheduleState is the scheduler's checkpoint block: the current round,
-// its already-sampled slot plan, and every arm's statistics. Restoring
-// it continues the schedule byte-identically; the RNG needs no state
-// (round planning reseeds from the campaign seed and round number).
-type ScheduleState struct {
-	Round int        `json:"round"`
-	Plays int        `json:"plays,omitempty"`
-	Plan  []int      `json:"plan"`
-	Arms  []ArmStats `json:"arms"`
-	// Generator arms; omitted without the generator subsystem.
-	GenArms  []GenArmStats `json:"gen_arms,omitempty"`
-	GenPlays int           `json:"gen_plays,omitempty"`
-}
-
-// GenArmStats is one generator arm's serialized statistics.
-type GenArmStats struct {
-	ID           string  `json:"id"`
-	Plays        int     `json:"plays,omitempty"`
-	DeltaYield   float64 `json:"delta_yield,omitempty"`
-	FindingYield float64 `json:"finding_yield,omitempty"`
-}
-
-// State snapshots the scheduler, or nil if no round was planned yet.
-func (s *Scheduler) State() *ScheduleState {
-	if s == nil || s.plan == nil {
-		return nil
-	}
-	st := &ScheduleState{
-		Round: s.round,
-		Plays: s.plays,
-		Plan:  append([]int(nil), s.plan...),
-	}
-	for i := range s.arms {
-		a := &s.arms[i]
-		st.Arms = append(st.Arms, ArmStats{
-			Seed:         s.names[a.seed],
-			PlanMode:     string(a.mode),
-			Plays:        a.plays,
-			DeltaYield:   a.deltaY,
-			FindingYield: a.findY,
-			Retired:      a.retired,
-		})
-	}
-	for i := range s.gens {
-		a := &s.gens[i]
-		st.GenArms = append(st.GenArms, GenArmStats{
-			ID:           a.id,
-			Plays:        a.plays,
-			DeltaYield:   a.deltaY,
-			FindingYield: a.findY,
-		})
-	}
-	st.GenPlays = s.genPlays
-	return st
-}
-
-// Restore loads a checkpointed schedule. The arm space must match the
-// current configuration exactly — a changed seed pool or plan-fuzz
-// mode makes the persisted statistics meaningless, so mismatches are
-// errors, not silent drift.
-func (s *Scheduler) Restore(st *ScheduleState) error {
-	if st == nil {
-		return nil
-	}
-	if len(st.Arms) != len(s.arms) {
-		return fmt.Errorf("corpus: schedule state has %d arms, config builds %d (seed pool or plan-fuzz mode changed)", len(st.Arms), len(s.arms))
-	}
-	for i := range st.Arms {
-		a, as := &s.arms[i], &st.Arms[i]
-		if as.Seed != s.names[a.seed] || as.PlanMode != string(a.mode) {
-			return fmt.Errorf("corpus: schedule state arm %d is %s/%s, config expects %s/%s",
-				i, as.Seed, as.PlanMode, s.names[a.seed], a.mode)
-		}
-	}
-	if len(st.Plan) != len(s.names) {
-		return fmt.Errorf("corpus: schedule state plan has %d slots, want %d", len(st.Plan), len(s.names))
-	}
-	for _, p := range st.Plan {
-		if p < 0 || p >= len(s.arms) {
-			return fmt.Errorf("corpus: schedule state plan references arm %d of %d", p, len(s.arms))
-		}
-	}
-	if st.GenArms != nil {
-		if len(st.GenArms) != len(s.gens) {
-			return fmt.Errorf("corpus: schedule state has %d generator arms, config builds %d (generator set changed)", len(st.GenArms), len(s.gens))
-		}
-		for i := range st.GenArms {
-			if st.GenArms[i].ID != s.gens[i].id {
-				return fmt.Errorf("corpus: schedule state generator arm %d is %s, config expects %s", i, st.GenArms[i].ID, s.gens[i].id)
-			}
-		}
-	}
-	for i := range st.Arms {
-		a, as := &s.arms[i], &st.Arms[i]
-		a.plays, a.deltaY, a.findY, a.retired = as.Plays, as.DeltaYield, as.FindingYield, as.Retired
-	}
-	for i := range st.GenArms {
-		a, as := &s.gens[i], &st.GenArms[i]
-		a.plays, a.deltaY, a.findY = as.Plays, as.DeltaYield, as.FindingYield
-	}
-	s.round = st.Round
-	s.plays = st.Plays
-	s.genPlays = st.GenPlays
-	s.plan = append([]int(nil), st.Plan...)
-	return nil
 }

@@ -316,17 +316,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // landCheckpoint verifies and atomically installs an uploaded campaign
 // checkpoint into the job's state directory. A checksum or decode
-// failure rejects the upload and keeps the previously landed snapshot —
+// failure rejects the upload and keeps the previously landed log —
 // resume correctness beats freshness.
 func (c *Coordinator) landCheckpoint(jobID string, data []byte, sum string) {
 	if Checksum(data) != sum {
 		c.metrics.handoffRejects.Inc()
-		c.logf("fleet: job %s: checkpoint upload checksum mismatch, keeping previous snapshot", jobID)
+		c.logf("fleet: job %s: checkpoint upload checksum mismatch, keeping previous checkpoint", jobID)
 		return
 	}
 	if _, err := harness.DecodeCheckpoint(data); err != nil {
 		c.metrics.handoffRejects.Inc()
-		c.logf("fleet: job %s: checkpoint upload undecodable, keeping previous snapshot: %v", jobID, err)
+		c.logf("fleet: job %s: checkpoint upload undecodable, keeping previous checkpoint: %v", jobID, err)
 		return
 	}
 	if err := harness.WriteFileAtomic(c.cfg.Sched.Store().CheckpointPath(jobID), data); err != nil {

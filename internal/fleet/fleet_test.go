@@ -185,7 +185,14 @@ func fleetSpec() core.JobSpec { return core.JobSpec{SeedCount: 3, Budget: 150, S
 // returns its terminal view plus the triage report signature keys.
 func localBaseline(t *testing.T, spec core.JobSpec) (service.JobView, []string) {
 	t.Helper()
-	sched, err := service.NewScheduler(service.Config{Dir: t.TempDir(), Logf: t.Logf})
+	return localBaselineIn(t, t.TempDir(), spec)
+}
+
+// localBaselineIn is localBaseline with the scheduler's state directory
+// at dir, which keeps the job's final checkpoint log.
+func localBaselineIn(t *testing.T, dir string, spec core.JobSpec) (service.JobView, []string) {
+	t.Helper()
+	sched, err := service.NewScheduler(service.Config{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +344,59 @@ func TestWorkerKilledMidTaskResumesOnOtherWorker(t *testing.T) {
 	}
 	if metricValue(t, text, "mopfuzzd_fleet_leases_expired_total") == "0" {
 		t.Errorf("lease expiry counter not incremented:\n%s", text)
+	}
+}
+
+// TestTornHandoffResumesOnOtherWorker: the coordinator lands a log
+// whose tail is torn mid-record, as a crash mid-append leaves one, and
+// a worker that resumes it drops the torn record, runs that task again
+// and finishes with the uninterrupted standalone run's result.
+func TestTornHandoffResumesOnOtherWorker(t *testing.T) {
+	spec := fleetSpec()
+	dir := t.TempDir()
+	want, _ := localBaselineIn(t, dir, spec)
+	store, err := service.OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(store.CheckpointPath(want.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the header and three records, then half of the fourth.
+	cut := 0
+	for i := 0; i < 4; i++ {
+		cut += bytes.IndexByte(full[cut:], '\n') + 1
+	}
+	next := bytes.IndexByte(full[cut:], '\n')
+	if next < 2 {
+		t.Fatalf("the baseline's log has too few records:\n%s", full)
+	}
+	torn := full[:cut+next/2]
+
+	e := newEnv(t, envOpts{workers: 1})
+	e.waitLive(1)
+	id := service.FormatID(1)
+	if err := os.MkdirAll(e.sched.Store().JobDir(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e.coord.landCheckpoint(id, torn, Checksum(torn))
+	if landed, err := os.ReadFile(e.sched.Store().CheckpointPath(id)); err != nil || !bytes.Equal(landed, torn) {
+		t.Fatalf("the coordinator did not land the torn log: %v", err)
+	}
+	j, err := e.sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != id {
+		t.Fatalf("job %s, want %s", j.ID(), id)
+	}
+	v := waitDone(t, e.sched, id, 5*time.Minute)
+	if v.Worker != "w1" || v.Resumes < 1 {
+		t.Errorf("job ran on %q with %d resumes, want a resume on w1", v.Worker, v.Resumes)
+	}
+	if got, wantB := resultJSON(t, v), resultJSON(t, want); !bytes.Equal(got, wantB) {
+		t.Errorf("result resumed from a torn log differs from the uninterrupted local run:\ngot  %s\nwant %s", got, wantB)
 	}
 }
 

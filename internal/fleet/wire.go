@@ -44,8 +44,8 @@ const WireVersion = 2
 
 // Checksum returns the sha256 hex digest guarding checkpoint bytes in
 // transit. An upload whose digest does not match is rejected and the
-// previously landed checkpoint kept — a torn or tampered snapshot must
-// never replace a good one.
+// previously landed checkpoint kept — a tampered log must never
+// replace a good one.
 func Checksum(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
@@ -120,7 +120,8 @@ type Heartbeat struct {
 
 	Executions int `json:"executions,omitempty"`
 
-	// Checkpoint is the campaign's latest snapshot (optional; sum-guarded).
+	// Checkpoint is the whole lines of the campaign's task log (optional;
+	// sum-guarded).
 	Checkpoint    []byte `json:"checkpoint,omitempty"`
 	CheckpointSum string `json:"checkpoint_sum,omitempty"`
 

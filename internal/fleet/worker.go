@@ -232,9 +232,6 @@ func (w *Worker) stageAssignment(asg Assignment) error {
 		return fmt.Errorf("scratch: %v", err)
 	}
 	if len(asg.Checkpoint) > 0 {
-		if _, err := harness.DecodeCheckpoint(asg.Checkpoint); err != nil {
-			return fmt.Errorf("resume checkpoint: %v", err)
-		}
 		if err := os.WriteFile(w.store.CheckpointPath(asg.Job), asg.Checkpoint, 0o644); err != nil {
 			return fmt.Errorf("stage checkpoint: %v", err)
 		}
@@ -398,14 +395,18 @@ func (w *Worker) campaign(jctx context.Context, asg Assignment) (*core.CampaignR
 // scratch that stageAssignment resets and completion removes.
 func (w *Worker) scoreCachePath() string { return filepath.Join(w.store.Dir(), "scores.json") }
 
-// handoff reads the assignment's latest checkpoint (with its checksum)
-// and cumulative triage log for upload; missing files are left empty.
+// handoff reads the assignment's latest checkpoint log (with its
+// checksum) and cumulative triage log for upload; missing files are left
+// empty. Both logs grow by appends the campaign may be making while a
+// heartbeat reads them, so only their whole lines ship, and the
+// checksum covers exactly those bytes.
 func (w *Worker) handoff(job string) (ckpt []byte, sum string, triageLog []byte) {
 	if data, err := os.ReadFile(w.store.CheckpointPath(job)); err == nil {
-		ckpt, sum = data, Checksum(data)
+		ckpt = harness.WholeLines(data)
+		sum = Checksum(ckpt)
 	}
 	if data, err := os.ReadFile(triage.LogPath(w.store.TriageDir(job))); err == nil {
-		triageLog = data
+		triageLog = harness.WholeLines(data)
 	}
 	return ckpt, sum, triageLog
 }

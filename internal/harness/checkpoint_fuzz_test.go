@@ -4,31 +4,35 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// FuzzDecodeCheckpoint: DecodeCheckpoint never panics, and a snapshot it
-// accepts survives Save/LoadCheckpoint — the envelope comes back
-// unchanged and saving it again writes the same bytes. The seed corpus
-// lives in testdata/fuzz/FuzzDecodeCheckpoint.
+// FuzzDecodeCheckpoint: DecodeCheckpoint never panics, it accepts only
+// the whole lines of a log, and a log it accepts survives
+// Save/LoadCheckpoint: the records come back unchanged and saving them
+// again writes the same bytes. The seed corpus lives in
+// testdata/fuzz/FuzzDecodeCheckpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(data)
 		if err != nil {
 			return
 		}
+		if lines := bytes.Count(WholeLines(data), []byte{'\n'}); len(ck.Records) != lines-1 {
+			t.Fatalf("%d records from %d whole lines", len(ck.Records), lines)
+		}
 		dir := t.TempDir()
 		first := filepath.Join(dir, "first.json")
 		if err := ck.Save(first); err != nil {
-			t.Fatalf("accepted snapshot failed to save: %v", err)
+			t.Fatalf("accepted log failed to save: %v", err)
 		}
 		back, err := LoadCheckpoint(first)
 		if err != nil {
-			t.Fatalf("saved snapshot failed to load: %v", err)
+			t.Fatalf("saved log failed to load: %v", err)
 		}
-		if back.Version != ck.Version || back.TaskCursor != ck.TaskCursor || back.Executions != ck.Executions ||
-			len(back.Quarantined) != len(ck.Quarantined) {
-			t.Fatalf("envelope changed across Save/Load: %+v -> %+v", ck, back)
+		if !reflect.DeepEqual(back.Records, ck.Records) {
+			t.Fatalf("records changed across Save/Load: %q -> %q", ck.Records, back.Records)
 		}
 		second := filepath.Join(dir, "second.json")
 		if err := back.Save(second); err != nil {
@@ -37,7 +41,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		a, _ := os.ReadFile(first)
 		b, _ := os.ReadFile(second)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("re-saved snapshot differs:\n%s\n---\n%s", a, b)
+			t.Fatalf("re-saved log differs:\n%s\n---\n%s", a, b)
 		}
 	})
 }

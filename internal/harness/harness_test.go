@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -84,8 +85,8 @@ func TestQuarantineReloadAcrossProcesses(t *testing.T) {
 	if f.Class != FaultHeapExhausted || f.Source != "class T {}" {
 		t.Errorf("reloaded fault = %+v", f)
 	}
-	if got := q2.IDs(); len(got) != 1 || got[0] != "Test0001#r2" {
-		t.Errorf("IDs = %v", got)
+	if n := q2.Len(); n != 1 {
+		t.Errorf("reopened quarantine holds %d entries, want 1", n)
 	}
 }
 
@@ -183,10 +184,8 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	in := &Checkpoint{
-		TaskCursor:  17,
-		Executions:  912,
-		Quarantined: []string{"Test0007"},
-		State:       json.RawMessage(`{"final_deltas":[1.5,2.25]}`),
+		Header:  json.RawMessage(`{"config":{"seed":3}}`),
+		Records: []json.RawMessage{json.RawMessage(`{"executions":912,"delta":1.5}`), json.RawMessage(`{"skipped":true}`)},
 	}
 	if err := in.Save(path); err != nil {
 		t.Fatal(err)
@@ -198,55 +197,139 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.TaskCursor != 17 || out.Executions != 912 || len(out.Quarantined) != 1 {
-		t.Errorf("loaded = %+v", out)
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("loaded = %s, want %s", out.Records, in.Records)
 	}
-	var inState, outState map[string]any
-	if err := json.Unmarshal(in.State, &inState); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(out.State, &outState); err != nil {
-		t.Fatalf("state round-trip not JSON: %v", err)
-	}
-	if len(outState["final_deltas"].([]any)) != 2 {
-		t.Errorf("state round-trip lost data: %s", out.State)
+	raw, _ := os.ReadFile(path)
+	want := fmt.Sprintf("{\"version\":%d,\"header\":{\"config\":{\"seed\":3}}}\n{\"executions\":912,\"delta\":1.5}\n{\"skipped\":true}\n", CheckpointVersion)
+	if string(raw) != want {
+		t.Fatalf("saved log:\n%s\nwant:\n%s", raw, want)
 	}
 
-	// A wrong version is rejected, not misread.
-	raw, _ := os.ReadFile(path)
-	if !strings.Contains(string(raw), fmt.Sprintf(`"version": %d`, CheckpointVersion)) {
-		t.Fatalf("saved snapshot does not carry version %d:\n%s", CheckpointVersion, raw)
+	// A torn last record is not part of the log; a bad whole one is an
+	// error, and so is a wrong version.
+	torn, err := DecodeCheckpoint(append(raw, `{"executions":7`...))
+	if err != nil || len(torn.Records) != 2 {
+		t.Errorf("torn tail: %v records, error %v; want the 2 whole ones", torn, err)
 	}
-	bad := strings.Replace(string(raw), fmt.Sprintf(`"version": %d`, CheckpointVersion), `"version": 999`, 1)
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := DecodeCheckpoint(append(raw, "{\"executions\":7\n"...)); err == nil || !strings.Contains(err.Error(), "record 3") {
+		t.Errorf("a whole record that is not JSON: error %v, want one naming record 3", err)
 	}
-	if _, err := LoadCheckpoint(path); err == nil {
+	bad := strings.Replace(string(raw), fmt.Sprintf(`"version":%d`, CheckpointVersion), `"version":999`, 1)
+	if _, err := DecodeCheckpoint([]byte(bad)); err == nil {
 		t.Error("version mismatch accepted")
+	}
+	for _, rec := range []string{"", "{}\n{}"} {
+		ck := &Checkpoint{Header: in.Header, Records: []json.RawMessage{json.RawMessage(rec)}}
+		if err := ck.Save(path); err == nil {
+			t.Errorf("record %q saved, want an error: a record is one line", rec)
+		}
 	}
 }
 
 // TestCheckpointRejectsOlderVersions: snapshots from builds that
-// stamped v2, v3 or v4 are refused with an error that says what to do,
-// and Save stamps the one live version whatever the caller set.
+// stamped v2 to v5, compact or indented, and log headers that carry an
+// older version are refused with an error that says what to do.
 func TestCheckpointRejectsOlderVersions(t *testing.T) {
-	for _, v := range []int{2, 3, 4} {
-		_, err := DecodeCheckpoint([]byte(fmt.Sprintf(`{"version":%d,"task_cursor":1,"executions":2}`, v)))
-		if err == nil || !strings.Contains(err.Error(), "older build; start a fresh campaign") {
-			t.Errorf("v%d snapshot: want an older-build error, got %v", v, err)
+	for v := 2; v < CheckpointVersion; v++ {
+		for _, data := range []string{
+			fmt.Sprintf(`{"version":%d,"task_cursor":1,"executions":2}`, v),
+			fmt.Sprintf("{\n  \"version\": %d,\n  \"task_cursor\": 1,\n  \"executions\": 2\n}", v),
+			fmt.Sprintf("{\"version\":%d,\"header\":{}}\n{}\n", v),
+		} {
+			_, err := DecodeCheckpoint([]byte(data))
+			if err == nil || !strings.Contains(err.Error(), "older build; start a fresh campaign") {
+				t.Errorf("v%d checkpoint %q: want an older-build error, got %v", v, data, err)
+			}
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := (&Checkpoint{Version: 2, TaskCursor: 3}).Save(path); err != nil {
+}
+
+// TestCheckpointLogAppends: the first flush writes the base log whole,
+// later ones append the queued records, and a failed append keeps its
+// record queued and leaves no gap or torn bytes once it is retried.
+func TestCheckpointLogAppends(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	path := filepath.Join(dir, "ck.json")
+	base := &Checkpoint{Header: json.RawMessage(`{"seed":1}`), Records: []json.RawMessage{json.RawMessage(`{"n":0}`)}}
+	l := NewCheckpointLog(path, base)
+	defer l.Close()
+	l.Add([]byte(`{"n":1}`))
+	if err := l.Flush(); err == nil {
+		t.Fatal("flush into a missing directory succeeded")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	l.Add([]byte(`{"n":2}`))
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	head := fmt.Sprintf("{\"version\":%d,\"header\":{\"seed\":1}}\n", CheckpointVersion)
+	check := func(want string) {
+		t.Helper()
+		if got, _ := os.ReadFile(path); string(got) != head+want {
+			t.Fatalf("log:\n%s\nwant:\n%s", got, head+want)
+		}
+	}
+	check("{\"n\":0}\n{\"n\":1}\n{\"n\":2}\n")
+
+	// An append that fails part-way: the handle cannot write, and the
+	// failed write left stray bytes behind.
+	good := l.f
+	ro, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Version != CheckpointVersion {
-		t.Errorf("saved version = %d, want %d", ck.Version, CheckpointVersion)
+	defer ro.Close()
+	l.f = ro
+	l.Add([]byte(`{"n":3}`))
+	if err := l.Flush(); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
 	}
+	if _, err := good.Write([]byte(`{"n":`)); err != nil {
+		t.Fatal(err)
+	}
+	l.f = good
+	l.Add([]byte(`{"n":4}`))
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("{\"n\":0}\n{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n{\"n\":4}\n")
+}
+
+// TestOpenLogTrimsTornTail: OpenLog replays only the whole lines, cuts
+// a torn tail off so appends start on a clean line, and leaves the file
+// alone when the replay fails.
+func TestOpenLogTrimsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	if err := os.WriteFile(path, []byte("a\nb\nc"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(path, func([]byte) error { return errors.New("refused") }); err == nil {
+		t.Fatal("a failed replay opened the log")
+	}
+	if got, _ := os.ReadFile(path); string(got) != "a\nb\nc" {
+		t.Fatalf("a failed replay changed the log to %q", got)
+	}
+	var replayed string
+	f, err := OpenLog(path, func(whole []byte) error { replayed = string(whole); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte("d\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); replayed != "a\nb\n" || string(got) != "a\nb\nd\n" {
+		t.Errorf("replayed %q, log %q; want \"a\\nb\\n\" and \"a\\nb\\nd\\n\"", replayed, got)
+	}
+	missing := filepath.Join(t.TempDir(), "new.jsonl")
+	g, err := OpenLog(missing, func(whole []byte) error { replayed = string(whole); return nil })
+	if err != nil || replayed != "" {
+		t.Fatalf("missing log: replayed %q, error %v", replayed, err)
+	}
+	g.Close()
 }
 
 func TestComponentFromStack(t *testing.T) {

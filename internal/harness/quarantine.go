@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -18,7 +17,7 @@ import (
 //
 // Layout: one JSON file per fault under Dir, named after the sanitized
 // task ID. Opening a quarantine re-reads the directory, so the index
-// survives process restarts (the resume path relies on this).
+// survives process restarts.
 // Safe for concurrent use: parallel workers pre-check Get while the
 // merge stage Adds entries for earlier tasks.
 type Quarantine struct {
@@ -86,26 +85,23 @@ func (q *Quarantine) Get(id string) *Fault {
 	return q.index[id]
 }
 
-// Has reports whether the task ID is quarantined.
-func (q *Quarantine) Has(id string) bool { return q.Get(id) != nil }
+// Mark indexes f under its task ID, unless that ID is quarantined
+// already, without writing anything: resume rebuilds the index of the
+// faults its log merged this way, since a run without a quarantine
+// directory kept them in memory only.
+func (q *Quarantine) Mark(f *Fault) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.index[f.TaskID] == nil {
+		q.index[f.TaskID] = f
+	}
+}
 
 // Len reports the number of quarantined entries.
 func (q *Quarantine) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.index)
-}
-
-// IDs returns the quarantined task IDs, sorted for determinism.
-func (q *Quarantine) IDs() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]string, 0, len(q.index))
-	for id := range q.index {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dir exposes the backing directory ("" when memory-only).

@@ -40,11 +40,11 @@ type Config struct {
 	// QuarantineDir persists pathological mutants; "" keeps the
 	// quarantine in memory for the run only.
 	QuarantineDir string
-	// CheckpointPath enables a campaign snapshot after every task; ""
-	// disables.
+	// CheckpointPath enables the campaign's task log, appended after
+	// every merged task; "" disables.
 	CheckpointPath string
-	// ResumePath, when set, restores campaign state from a snapshot
-	// before the first task.
+	// ResumePath, when set, replays the task log there before the first
+	// task.
 	ResumePath string
 	// OnTask, when set, observes the count of supervised tasks after
 	// each one completes (progress reporting; tests use it to trigger

@@ -39,6 +39,16 @@ func (s Spec) Name() string {
 	return "openjdk-" + v
 }
 
+// MarshalText renders the spec by its Name, as the CLIs and the exec
+// wire do.
+func (s Spec) MarshalText() ([]byte, error) { return []byte(s.Name()), nil }
+
+// UnmarshalText parses a spec Name (see ParseSpec).
+func (s *Spec) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseSpec(string(text))
+	return err
+}
+
 // HotSpotLTSAndMainline returns the OpenJDK test targets (§4.1).
 func HotSpotLTSAndMainline() []Spec {
 	return []Spec{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strconv"
 	"sync"
 	"syscall"
 	"testing"
@@ -71,12 +72,23 @@ func resultJSON(t *testing.T, v JobView) []byte {
 func testDaemonRestartResume(t *testing.T, backend string, drain func(stop context.CancelFunc)) {
 	spec := resumeSpec(backend)
 	want := resultJSON(t, runJobToCompletion(t, t.TempDir(), spec))
+	_, _, v := drainAndRestart(t, spec, drain)
+	if got := resultJSON(t, v); string(got) != string(want) {
+		t.Errorf("resumed result differs from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
 
+// drainAndRestart runs spec on a daemon over a fresh state dir, drains
+// it once the job has completed two tasks, and finishes the job on a
+// second daemon over the same dir. It returns both daemons and the
+// finished job's view.
+func drainAndRestart(t *testing.T, spec core.JobSpec, drain func(stop context.CancelFunc)) (s, s2 *Scheduler, v JobView) {
+	t.Helper()
 	dir := t.TempDir()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	var once sync.Once
-	s := newTestScheduler(t, Config{
+	s = newTestScheduler(t, Config{
 		Dir:  dir,
 		Exec: exec.Backend{Minijvm: minijvmPath},
 		OnTask: func(id string, done int) {
@@ -113,7 +125,7 @@ func testDaemonRestartResume(t *testing.T, backend string, drain func(stop conte
 
 	// "Restart the daemon": a new scheduler over the same state dir
 	// re-queues the interrupted job and resumes it from the checkpoint.
-	s2 := newTestScheduler(t, Config{Dir: dir, Exec: exec.Backend{Minijvm: minijvmPath}})
+	s2 = newTestScheduler(t, Config{Dir: dir, Exec: exec.Backend{Minijvm: minijvmPath}})
 	j2 := s2.Get(id)
 	if j2 == nil {
 		t.Fatal("restarted daemon lost the job")
@@ -124,7 +136,7 @@ func testDaemonRestartResume(t *testing.T, backend string, drain func(stop conte
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	s2.Start(ctx2)
-	v := waitTerminal(t, s2, id, 5*time.Minute)
+	v = waitTerminal(t, s2, id, 5*time.Minute)
 	cancel2()
 	s2.Wait()
 
@@ -134,9 +146,26 @@ func testDaemonRestartResume(t *testing.T, backend string, drain func(stop conte
 	if v.Resumes != 1 {
 		t.Errorf("Resumes = %d, want 1", v.Resumes)
 	}
-	got := resultJSON(t, v)
-	if string(got) != string(want) {
-		t.Errorf("resumed result differs from uninterrupted run:\n got %s\nwant %s", got, want)
+	return s, s2, v
+}
+
+// TestResumedJobCountsOwnExecutions: mopfuzzd_executions_total counts
+// the executions a daemon ran itself. The executions a resumed job
+// folds back from its checkpoint log were counted by the daemon that
+// ran them, so the two daemons' counters add up to the job's total.
+func TestResumedJobCountsOwnExecutions(t *testing.T) {
+	s, s2, v := drainAndRestart(t, resumeSpec(""), func(stop context.CancelFunc) { stop() })
+	count := func(s *Scheduler) int {
+		n, err := strconv.Atoi(metricValue(render(s.Metrics()), "mopfuzzd_executions_total"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	first, second := count(s), count(s2)
+	if first <= 0 || second <= 0 || first+second != v.Result.Executions {
+		t.Errorf("executions_total: %d before the restart and %d after, want two positive counts adding up to the job's %d",
+			first, second, v.Result.Executions)
 	}
 }
 

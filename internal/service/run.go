@@ -13,11 +13,11 @@ import (
 )
 
 // Paths locates one campaign's on-disk state. An empty field turns its
-// piece off: no snapshots, no resume, no score cache, no triage, or
+// piece off: no task log, no resume, no score cache, no triage, or
 // in-memory quarantine.
 type Paths struct {
-	Checkpoint string // campaign snapshot, written after every task
-	Resume     string // snapshot restored before fuzzing
+	Checkpoint string // campaign task log, appended after every task
+	Resume     string // task log replayed before fuzzing
 	ScoreCache string // seed feature vectors
 	Triage     string // triage store directory
 	Quarantine string // pathological mutants

@@ -196,7 +196,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 }
 
 // quarantineBadCheckpoint validates a restartable job's campaign
-// checkpoint. A corrupt or truncated snapshot moves to
+// checkpoint. A corrupt checkpoint log moves to
 // checkpoint.json.corrupt and flips the job to StateQuarantined —
 // counted in /metrics — so startup proceeds and every healthy job still
 // resumes.
@@ -695,18 +695,12 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	s.logf("job %s: running (budget %d, %d generated + %d user seeds, resumes %d)",
 		id, spec.Budget, spec.SeedCount, len(spec.Seeds), rec.Resumes)
 
-	lastExec := 0
-	if paths.Resume != "" {
-		if ck, err := harness.LoadCheckpoint(paths.Resume); err == nil {
-			// Restored executions are prior work, not new throughput.
-			lastExec = ck.Executions
-		}
-	}
 	// Both hooks run on the campaign goroutine in cursor order, so the
 	// metric stream and the SSE stream are deterministic per job.
-	// Generated-seed counts restored from a checkpoint are prior work;
-	// baseline on the first callback (-1 sentinel) so only fresh
-	// emissions move the gauge.
+	// Restored executions and generated-seed counts are prior work: the
+	// executions counter takes each task's own, and the generated-seed
+	// gauge baselines on the first callback (-1 sentinel) so only fresh
+	// emissions move it.
 	lastGen := -1
 	run := Run{
 		Spec:        spec,
@@ -718,8 +712,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 		Logf:        func(format string, args ...any) { s.logf("job %s: "+format, append([]any{id}, args...)...) },
 		Live:        liveJob{&s.reportMu, j},
 		OnProgress: func(p core.Progress) {
-			s.m.executions.Add(p.Executions - lastExec)
-			lastExec = p.Executions
+			s.m.executions.Add(p.TaskExecutions)
 			if lastGen < 0 {
 				lastGen = p.GeneratedSeeds
 			} else if p.GeneratedSeeds > lastGen {

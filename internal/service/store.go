@@ -162,7 +162,7 @@ func (st *JobStore) quarantineJobDir(id string) error {
 
 // QuarantineCheckpoint sets a job's corrupt campaign checkpoint aside
 // as checkpoint.json.corrupt, so the record itself survives (marked
-// quarantined by the scheduler) and the bad snapshot is preserved for
+// quarantined by the scheduler) and the bad log is preserved for
 // inspection instead of being retried on every restart.
 func (st *JobStore) QuarantineCheckpoint(id string) error {
 	path := st.CheckpointPath(id)

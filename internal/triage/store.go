@@ -103,30 +103,29 @@ type table struct {
 	order   []string // keys in first-seen order
 }
 
-// replayLog decodes a log into a fresh table. Only the newline-terminated
-// prefix counts: a crash mid-append leaves a partial trailing record,
-// which is skipped, and n is the prefix's length. Every record must
-// decode, carry storeVersion and pass apply's checks; the first that
-// does not fails the replay, named by its line number.
-func replayLog(data []byte) (t *table, n int, err error) {
-	n = bytes.LastIndexByte(data, '\n') + 1
-	t = &table{entries: map[string]*Entry{}}
-	for i, ln := range bytes.Split(data[:n], []byte{'\n'}) {
+// replayLog decodes a log into a fresh table. Only the log's whole
+// lines count (harness.WholeLines): a crash mid-append leaves a partial
+// trailing record, which is skipped. Every record must decode, carry
+// storeVersion and pass apply's checks; the first that does not fails
+// the replay, named by its line number.
+func replayLog(data []byte) (*table, error) {
+	t := &table{entries: map[string]*Entry{}}
+	for i, ln := range bytes.Split(harness.WholeLines(data), []byte{'\n'}) {
 		if len(bytes.TrimSpace(ln)) == 0 {
 			continue
 		}
 		var rec record
 		if err := json.Unmarshal(ln, &rec); err != nil {
-			return nil, 0, fmt.Errorf("triage: store log record %d corrupt: %w", i+1, err)
+			return nil, fmt.Errorf("triage: store log record %d corrupt: %w", i+1, err)
 		}
 		if rec.V != storeVersion {
-			return nil, 0, fmt.Errorf("triage: store log record %d has version %d, want %d", i+1, rec.V, storeVersion)
+			return nil, fmt.Errorf("triage: store log record %d has version %d, want %d", i+1, rec.V, storeVersion)
 		}
 		if err := t.apply(&rec); err != nil {
-			return nil, 0, fmt.Errorf("triage: store log record %d: %w", i+1, err)
+			return nil, fmt.Errorf("triage: store log record %d: %w", i+1, err)
 		}
 	}
-	return t, n, nil
+	return t, nil
 }
 
 // Store is the persistent findings database: an append-only JSONL log,
@@ -148,25 +147,13 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("triage: open store: %w", err)
 	}
-	path := LogPath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("triage: read store log: %w", err)
-	}
-	t, n, err := replayLog(data)
+	var t *table
+	f, err := harness.OpenLog(LogPath(dir), func(whole []byte) (err error) {
+		t, err = replayLog(whole)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if n < len(data) {
-		// A crash left a partial trailing record; drop it so the next
-		// append starts on a clean line instead of corrupting it further.
-		if err := os.Truncate(path, int64(n)); err != nil {
-			return nil, fmt.Errorf("triage: trim partial record: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("triage: open store log: %w", err)
 	}
 	return &Store{dir: dir, f: f, table: *t}, nil
 }
@@ -378,7 +365,7 @@ func (s *Store) Compact() error {
 // when this store lacks one — the minimized reproducer. Returns the
 // number of novel signatures added.
 func (s *Store) MergeLog(data []byte) (added int, err error) {
-	src, _, err := replayLog(data)
+	src, err := replayLog(data)
 	if err != nil {
 		return 0, err
 	}
