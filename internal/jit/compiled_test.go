@@ -205,7 +205,7 @@ func TestExecutorNullCheckThrows(t *testing.T) {
 		t.Fatal("null check did not throw")
 	}
 	obj := m.NewObject("T")
-	if v, err := c.Invoke([]vm.Value{obj}); err != nil || v.Obj() != obj.Obj() {
+	if v, err := c.Invoke([]vm.Value{obj}); err != nil || v != obj {
 		t.Fatalf("non-null pass-through broken: %v %v", v, err)
 	}
 }

@@ -15,9 +15,11 @@ import (
 // FuzzCompiledAgreesWithInterpreter is the differential oracle with the
 // seeded bugs disarmed: a program that parses and checks must print the
 // same under the pure interpreter, with every method forced to C1 and
-// no further, and with every method forced through C1 to C2, unless a
-// leg ran out of steps or heap (compiled code charges fuel per IR node,
-// not per instruction, so its budgets run out elsewhere). Every method
+// no further, and with every method forced through C1 to C2, the last
+// a second time with a collection after every allocation, so a
+// reference the collector's roots miss shows up as a reused handle;
+// unless a leg ran out of steps or heap (compiled code charges fuel per
+// IR node, not per instruction, so its budgets run out elsewhere). Every method
 // the JIT emits must pass the bytecode verifier. The seed corpus under
 // testdata/fuzz holds the golden programs.
 func FuzzCompiledAgreesWithInterpreter(f *testing.F) {
@@ -37,6 +39,7 @@ func FuzzCompiledAgreesWithInterpreter(f *testing.F) {
 			{"interpreter", vm.Config{}},
 			{"c1", vm.Config{C1Threshold: 1, C2Threshold: math.MaxInt}},
 			{"c2", vm.Config{CompileEager: true}},
+			{"c2 collecting after every allocation", vm.Config{CompileEager: true, GCEvery: 1}},
 		}
 		var ref *vm.Result
 		for i, leg := range legs {

@@ -32,6 +32,8 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 	f.traps = traps
 	if traps == nil {
 		m.frames = append(m.frames, f)
+	} else {
+		m.compiled = append(m.compiled, f)
 	}
 	defer m.popFrame(f)
 
@@ -65,7 +67,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			stack[sp] = constVal(fn, ins)
 			sp++
 		case bytecode.ConstStr:
-			stack[sp] = StrVal(fn.Strs[ins.A])
+			stack[sp] = m.strVal(fn.Strs[ins.A])
 			sp++
 		case bytecode.ConstBool:
 			stack[sp] = BoolVal(ins.A != 0)
@@ -192,24 +194,23 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			stack[sp-1] = m.NewArray(stack[sp-1].I)
 
 		case bytecode.GetField:
-			v, t := getFieldOf(stack[sp-1], fn.Fields[ins.A].Name)
-			if t != nil {
-				thr = t
+			recv := stack[sp-1]
+			if recv.Kind != KObj {
+				thr = &Thrown{Code: bytecode.ExcNullPointer}
 				goto throw
 			}
-			stack[sp-1] = v
+			stack[sp-1] = m.Heap.Field(recv.cell(), fn.Fields[ins.A].Name)
 		case bytecode.PutField:
 			sp -= 2
 			recv, val := stack[sp], stack[sp+1]
-			o := recv.Obj()
-			if recv.Kind != KObj || o == nil {
+			if recv.Kind != KObj {
 				thr = &Thrown{Code: bytecode.ExcNullPointer}
 				goto throw
 			}
 			if val.IsRef() && f.traps == nil {
 				m.trace("gc.barriers")
 			}
-			o.SetField(fn.Fields[ins.A].Name, val)
+			m.Heap.SetField(recv.cell(), fn.Fields[ins.A].Name, val)
 		case bytecode.GetStatic:
 			m.trace("runtime.statics")
 			stack[sp] = m.statics[fn.Fields[ins.A].Slot]
@@ -220,7 +221,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 
 		case bytecode.ALoad:
 			sp--
-			v, t := arrayLoad(stack[sp-1], stack[sp].I)
+			v, t := m.Heap.arrayLoad(stack[sp-1], stack[sp].I)
 			if t != nil {
 				thr = t
 				goto throw
@@ -228,7 +229,7 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			stack[sp-1] = v
 		case bytecode.AStore:
 			sp -= 3
-			if t := arrayStore(stack[sp], stack[sp+1].I, stack[sp+2].I); t != nil {
+			if t := m.Heap.arrayStore(stack[sp], stack[sp+1].I, stack[sp+2].I); t != nil {
 				thr = t
 				goto throw
 			}
@@ -240,12 +241,11 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 			stack[sp-1] = m.NewBox(stack[sp-1].I)
 		case bytecode.UnboxOp:
 			v := stack[sp-1]
-			b := v.Obj()
-			if v.Kind != KBox || b == nil {
+			if v.Kind != KBox {
 				thr = &Thrown{Code: bytecode.ExcNullPointer}
 				goto throw
 			}
-			stack[sp-1] = IntVal(b.BoxVal)
+			stack[sp-1] = IntVal(m.Heap.cells[v.I].at)
 
 		case bytecode.Invoke, bytecode.InvokeReflect:
 			// The receiver, if any, sits below the arguments, so the
@@ -301,36 +301,31 @@ func (m *Machine) interpret(fn *bytecode.Function, prof *MethodProfile, args []V
 				stack[sp] = m.statics[ref.Slot]
 				sp++
 			} else {
-				v, t := getFieldOf(stack[sp-1], ref.Name)
-				if t != nil {
-					thr = t
+				recv := stack[sp-1]
+				if recv.Kind != KObj {
+					thr = &Thrown{Code: bytecode.ExcNullPointer}
 					goto throw
 				}
-				stack[sp-1] = v
+				stack[sp-1] = m.Heap.Field(recv.cell(), ref.Name)
 			}
 
 		case bytecode.MonitorEnter:
 			sp--
 			v := stack[sp]
-			mon := m.monitorOf(v)
-			if mon == nil {
+			id := m.monitorOf(v)
+			if id < 0 {
 				thr = &Thrown{Code: bytecode.ExcNullPointer}
 				goto throw
 			}
-			m.trace("runtime.monitors")
-			if mon.Depth > 0 {
-				m.trace("runtime.monitors.nested")
-			}
-			mon.Depth++
-			m.heldMonitors++
-			f.mons = append(f.mons, monEntry{mon: mon, v: v, leak: ins.A != 0})
+			m.enter(id)
+			f.mons = append(f.mons, monEntry{cell: id, v: v, leak: ins.A != 0})
 		case bytecode.MonitorExit:
 			sp--
-			mon := m.monitorOf(stack[sp])
-			if mon == nil || mon.Depth == 0 || len(f.mons) == 0 {
+			id := m.monitorOf(stack[sp])
+			if id < 0 || m.Heap.cells[id].depth == 0 || len(f.mons) == 0 {
 				return Value{}, ErrIllegalMonitor
 			}
-			mon.Depth--
+			m.Heap.cells[id].depth--
 			m.heldMonitors--
 			f.mons = f.mons[:len(f.mons)-1]
 
@@ -440,6 +435,7 @@ func (m *Machine) popFrame(f *frame) {
 		m.frames = m.frames[:len(m.frames)-1]
 	} else {
 		m.exitMonitors(f, 0, false)
+		m.compiled = m.compiled[:len(m.compiled)-1]
 	}
 	f.fn, f.traps = nil, nil
 	clear(f.locals)
@@ -489,39 +485,31 @@ func (m *Machine) exitMonitors(f *frame, depth int, keepLeaks bool) {
 		if keepLeaks && me.leak {
 			continue
 		}
-		me.mon.Depth--
+		m.Heap.cells[me.cell].depth--
 		m.heldMonitors--
 	}
 }
 
-func getFieldOf(recv Value, name string) (Value, *Thrown) {
-	o := recv.Obj()
-	if recv.Kind != KObj || o == nil {
+func (h *Heap) arrayLoad(arr Value, idx int64) (Value, *Thrown) {
+	if arr.Kind != KArr {
 		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	return o.Field(name), nil
-}
-
-func arrayLoad(arr Value, idx int64) (Value, *Thrown) {
-	a := arr.Arr()
-	if a == nil {
-		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
-	}
-	if idx < 0 || idx >= int64(len(a.Elems)) {
+	c := &h.cells[arr.I]
+	if idx < 0 || idx >= int64(c.n) {
 		return Value{}, &Thrown{Code: bytecode.ExcArrayBounds}
 	}
-	return IntVal(a.Elems[idx]), nil
+	return IntVal(h.elems[c.at+idx]), nil
 }
 
-func arrayStore(arr Value, idx, val int64) *Thrown {
-	a := arr.Arr()
-	if a == nil {
+func (h *Heap) arrayStore(arr Value, idx, val int64) *Thrown {
+	if arr.Kind != KArr {
 		return &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	if idx < 0 || idx >= int64(len(a.Elems)) {
+	c := &h.cells[arr.I]
+	if idx < 0 || idx >= int64(c.n) {
 		return &Thrown{Code: bytecode.ExcArrayBounds}
 	}
-	a.Elems[idx] = int64(int32(val))
+	h.elems[c.at+idx] = int64(int32(val))
 	return nil
 }
 

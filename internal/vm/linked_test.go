@@ -138,14 +138,23 @@ func TestStaticSlots(t *testing.T) {
 		}
 	}`)
 	var live, freed int
-	m := NewMachine(img, Config{GCEvery: 3, OnGC: func(l, f int) { live, freed = l, f }})
+	var m *Machine
+	var survivors []Value
+	m = NewMachine(img, Config{GCEvery: 3, OnGC: func(l, f int) {
+		live, freed = l, f
+		for i, c := range m.Heap.cells {
+			if c.flags&listed != 0 {
+				survivors = append(survivors, refVal(KObj, int32(i)))
+			}
+		}
+	}})
 	wantOutput(t, m.Run(), "0", "null", "7")
 	// The third allocation collects before its cell is rooted anywhere.
 	if m.Heap.GCCycles != 1 || live != 2 || freed != 1 {
 		t.Fatalf("GC cycles %d, live %d, freed %d; want 1, 2, 1", m.Heap.GCCycles, live, freed)
 	}
-	for i, o := range m.Heap.objects {
-		if m.statics[img.StaticSlot("T", []string{"ref", "other"}[i])].Obj() != o {
+	for i, o := range survivors {
+		if m.statics[img.StaticSlot("T", []string{"ref", "other"}[i])] != o {
 			t.Errorf("survivor %d is not the static's object", i)
 		}
 	}

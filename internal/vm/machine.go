@@ -131,9 +131,7 @@ type Machine struct {
 	Heap    *Heap
 	heapCap int64 // MaxHeapUnits, or MaxInt64 when uncapped
 
-	statics   []Value // one slot per Image.Statics entry
-	strMons   map[string]*Object
-	classMons map[string]*Object
+	statics []Value // one slot per Image.Statics entry
 
 	output []string
 	steps  int64
@@ -145,6 +143,7 @@ type Machine struct {
 
 	heldMonitors int
 	frames       []*frame // interpreted frames, the collector's roots
+	compiled     []*frame // compiled frames, roots for reclaim only
 	free         []*frame // ended frames, for reuse (newFrame)
 	// compiledProf absorbs the backedges of compiled frames, which
 	// feed no method's profile.
@@ -152,8 +151,6 @@ type Machine struct {
 
 	argBufs  [][]Value // LIFO freelist of call-argument buffers
 	rootsBuf []Value   // reused GC root scratch
-
-	layouts map[string]*Layout // per-class instance fields (fieldLayout)
 }
 
 // fnState is one function's runtime state. The interpreter reaches it
@@ -215,11 +212,9 @@ func (m *Machine) newFrame(fn *bytecode.Function) *frame {
 	return f
 }
 
-// releaseFrames returns the machine's kept frames to framePool, their
-// stacks cleared so the pool pins no dead heap objects between runs.
+// releaseFrames returns the machine's kept frames to framePool.
 func (m *Machine) releaseFrames() {
 	for _, f := range m.free {
-		clear(f.stack[:cap(f.stack)])
 		framePool.Put(f)
 	}
 	m.free = nil
@@ -250,8 +245,8 @@ func (m *Machine) putArgs(buf []Value) {
 }
 
 type monEntry struct {
-	mon *Monitor
-	v   Value
+	cell int32 // the monitor's cell (monitorOf(v))
+	v    Value
 	// leak marks a region of compiled code whose exception path keeps
 	// the monitor (a seeded defect): a throw routed out of the region
 	// drops the entry without releasing it.
@@ -305,6 +300,7 @@ func (m *Machine) Run() *Result {
 		_, err = m.CallFunction(entry, nil)
 	}
 	m.releaseFrames()
+	m.Heap.release()
 	res := &Result{
 		Output:       m.output,
 		Steps:        m.steps,
@@ -380,7 +376,7 @@ func (m *Machine) CallFunction(fn *bytecode.Function, args []Value) (Value, erro
 		if fn.HasReceiver {
 			syncVal = args[0]
 		} else {
-			syncVal = ObjVal(m.classMonitor(fn.Class))
+			syncVal = refVal(KObj, m.classMonitor(fn.Class))
 		}
 		if err := m.MonitorEnter(syncVal); err != nil {
 			return Value{}, err
@@ -450,26 +446,29 @@ func (m *Machine) tierUp(fn *bytecode.Function, st *fnState) error {
 	return nil
 }
 
-func (m *Machine) classMonitor(class string) *Object {
-	o := m.classMons[class]
-	if o == nil {
-		if m.classMons == nil {
-			m.classMons = map[string]*Object{}
+// classMonitor returns the cell whose monitor a static synchronized
+// method of class locks.
+func (m *Machine) classMonitor(class string) int32 {
+	h := m.Heap
+	id, ok := h.clsMons[class]
+	if !ok {
+		if h.clsMons == nil {
+			h.clsMons = map[string]int32{}
 		}
-		o = &Object{layout: &Layout{Class: class + "$Class"}}
-		m.classMons[class] = o
+		id = h.monitorCell(h.addLayout(&Layout{Class: class + "$Class"}))
+		h.clsMons[class] = id
 	}
-	return o
+	return id
 }
 
 // --- Runtime services for the interpreter loop and the JIT ---
 
 // NewObject allocates a class instance with zeroed fields.
 func (m *Machine) NewObject(class string) Value {
-	v := ObjVal(m.Heap.NewObject(m.fieldLayout(class)))
+	v := refVal(KObj, m.Heap.NewObject(m.fieldLayout(class)))
 	m.trace("runtime.objects")
 	m.trace("gc.alloc.fast")
-	m.allocated()
+	m.allocated(v)
 	return v
 }
 
@@ -478,12 +477,13 @@ func (m *Machine) NewObject(class string) Value {
 // Unknown classes get a name-only layout. A name declared twice gets
 // one slot whose zero is the last declaration's, as if each object's
 // fields were a map filled in declaration order.
-func (m *Machine) fieldLayout(class string) *Layout {
-	if l, ok := m.layouts[class]; ok {
-		return l
+func (m *Machine) fieldLayout(class string) int32 {
+	h := m.Heap
+	if id, ok := h.classes[class]; ok {
+		return id
 	}
-	if m.layouts == nil {
-		m.layouts = map[string]*Layout{}
+	if h.classes == nil {
+		h.classes = map[string]int32{}
 	}
 	l := &Layout{Class: class}
 	if cf := m.img.Class(class); cf != nil {
@@ -503,123 +503,169 @@ func (m *Machine) fieldLayout(class string) *Layout {
 			l.Zeros = append(l.Zeros, zero)
 		}
 	}
-	m.layouts[class] = l
-	return l
+	id := h.addLayout(l)
+	h.classes[class] = id
+	return id
 }
 
 // NewBox allocates an Integer box.
 func (m *Machine) NewBox(v int64) Value {
-	b := BoxVal(m.Heap.NewBox(v))
+	b := refVal(KBox, m.Heap.NewBox(v))
 	m.trace("runtime.boxing")
 	m.trace("gc.alloc.fast")
-	m.allocated()
+	m.allocated(b)
 	return b
 }
 
 // NewArray allocates an int array.
 func (m *Machine) NewArray(n int64) Value {
-	a := ArrVal(m.Heap.NewArray(n))
+	a := refVal(KArr, m.Heap.NewArray(n))
 	m.trace("runtime.arrays")
 	m.trace("gc.alloc.fast")
 	if n > 1000 {
 		m.trace("gc.large")
 	}
-	m.allocated()
+	m.allocated(a)
 	return a
 }
 
-// allocated does the bookkeeping every allocation owes. Allocation
-// sites have no error channel, so crossing the heap cap lowers the step
-// limit to the current step count: the next step fails, from
-// interpreted and compiled code alike. Then a collection runs if one is
-// due.
-func (m *Machine) allocated() {
+// allocated does the bookkeeping every allocation owes; v is the new
+// cell. Allocation sites have no error channel, so crossing the heap
+// cap lowers the step limit to the current step count: the next step
+// fails, from interpreted and compiled code alike. Then a collection
+// runs if one is due, and reclaim with it, or reclaim alone if the
+// heap's tables have outgrown their goal.
+func (m *Machine) allocated(v Value) {
 	if m.Heap.Units > m.heapCap {
 		m.limit = min(m.limit, m.steps)
 	}
-	if !m.Heap.NeedsGC() {
-		return
+	if m.Heap.NeedsGC() {
+		m.trace("gc.alloc.slow")
+		m.trace("gc.mark")
+		m.trace("gc.sweep")
+		m.trace("gc.roots.statics")
+		if len(m.frames) > 0 {
+			m.trace("gc.roots.frames")
+		}
+		roots := m.roots()
+		m.Heap.Collect(roots)
+		m.reclaim(roots, v)
+	} else if m.Heap.overGoal() {
+		m.reclaim(m.roots(), v)
 	}
-	m.trace("gc.alloc.slow")
-	m.trace("gc.mark")
-	m.trace("gc.sweep")
-	m.trace("gc.roots.statics")
-	if len(m.frames) > 0 {
-		m.trace("gc.roots.frames")
-	}
+}
+
+// roots returns the collector's roots: the statics, each interpreted
+// frame's locals, operand stack and monitor operands, and the string
+// monitors.
+func (m *Machine) roots() []Value {
 	roots := append(m.rootsBuf[:0], m.statics...)
 	for _, f := range m.frames {
-		roots = append(roots, f.locals...)
-		roots = append(roots, f.stack[:f.sp]...)
-		for _, me := range f.mons {
-			roots = append(roots, me.v)
+		roots = appendFrame(roots, f)
+	}
+	for _, id := range m.Heap.strMons {
+		if id != 0 {
+			roots = append(roots, refVal(KObj, id-1))
 		}
 	}
-	for _, o := range m.strMons {
-		roots = append(roots, ObjVal(o))
+	m.rootsBuf = roots
+	return roots
+}
+
+// appendFrame appends f's roots: its locals, its live operand stack
+// and the operands of the monitors it holds.
+func appendFrame(roots []Value, f *frame) []Value {
+	roots = append(roots, f.locals...)
+	roots = append(roots, f.stack[:f.sp]...)
+	for _, me := range f.mons {
+		roots = append(roots, me.v)
 	}
-	m.Heap.Collect(roots)
+	return roots
+}
+
+// reclaim frees every cell the machine can no longer reach. Its roots
+// are the collector's (roots) and what else the machine holds a
+// reference in: compiled frames, the class monitors, fresh (the cell
+// whose allocation started this, which no frame holds yet) and, added
+// by Heap.reclaim, every cell whose monitor is held, such as the
+// receiver of a running synchronized method.
+func (m *Machine) reclaim(roots []Value, fresh Value) {
+	for _, f := range m.compiled {
+		roots = appendFrame(roots, f)
+	}
+	for _, id := range m.Heap.clsMons {
+		roots = append(roots, refVal(KObj, id))
+	}
+	roots = append(roots, fresh)
+	m.Heap.reclaim(roots)
 	m.rootsBuf = roots
 }
 
-// StringMonitor interns the shared lock object for a string literal.
-func (m *Machine) StringMonitor(s string) *Object {
-	o := m.strMons[s]
-	if o == nil {
-		if m.strMons == nil {
-			m.strMons = map[string]*Object{}
-		}
-		o = &Object{layout: stringLayout}
-		m.strMons[s] = o
+// strVal returns the KStr value of text s.
+func (m *Machine) strVal(s string) Value {
+	return Value{Kind: KStr, I: int64(m.Heap.intern(s))}
+}
+
+// stringMonitor returns the cell of the shared lock object of the
+// string with KStr index i.
+func (m *Machine) stringMonitor(i int64) int32 {
+	h := m.Heap
+	if id := h.strMons[i]; id != 0 {
+		return id - 1
 	}
-	return o
+	id := h.monitorCell(stringLayoutID)
+	h.strMons[i] = id + 1
+	return id
 }
 
 // MonitorEnter enters the monitor of a reference value; CallFunction
 // enters a synchronized method's monitor with it. Enter and Exit return
 // ErrIllegalMonitor on imbalance.
 func (m *Machine) MonitorEnter(v Value) error {
-	mon := m.monitorOf(v)
-	if mon == nil {
+	id := m.monitorOf(v)
+	if id < 0 {
 		return &Thrown{Code: bytecode.ExcNullPointer}
 	}
+	m.enter(id)
+	return nil
+}
+
+// enter takes the monitor of cell id once more.
+func (m *Machine) enter(id int32) {
 	m.trace("runtime.monitors")
-	if mon.Depth > 0 {
+	c := &m.Heap.cells[id]
+	if c.depth > 0 {
 		m.trace("runtime.monitors.nested")
 	}
-	mon.Depth++
+	c.depth++
 	m.heldMonitors++
-	return nil
 }
 
 // MonitorExit exits the monitor of a reference value.
 func (m *Machine) MonitorExit(v Value) error {
-	mon := m.monitorOf(v)
-	if mon == nil {
+	id := m.monitorOf(v)
+	if id < 0 {
 		return &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	if mon.Depth == 0 {
+	c := &m.Heap.cells[id]
+	if c.depth == 0 {
 		return ErrIllegalMonitor
 	}
-	mon.Depth--
+	c.depth--
 	m.heldMonitors--
 	return nil
 }
 
-func (m *Machine) monitorOf(v Value) *Monitor {
+// monitorOf returns the cell whose monitor v locks, or -1 when v is no
+// reference to one.
+func (m *Machine) monitorOf(v Value) int32 {
 	switch v.Kind {
-	case KObj, KBox:
-		if o := v.Obj(); o != nil {
-			return &o.Mon
-		}
-	case KArr:
-		if a := v.Arr(); a != nil {
-			return &a.Mon
-		}
+	case KObj, KBox, KArr:
+		return v.cell()
 	case KStr:
-		return &m.StringMonitor(v.Str()).Mon
+		return m.stringMonitor(v.I)
 	}
-	return nil
+	return -1
 }
 
 // HeldMonitors reports the number of currently held monitor entries.
@@ -627,7 +673,7 @@ func (m *Machine) HeldMonitors() int { return m.heldMonitors }
 
 // Print appends a value to the program output channel.
 func (m *Machine) Print(v Value) {
-	m.output = append(m.output, v.String())
+	m.output = append(m.output, m.format(v))
 }
 
 // Step consumes one unit of fuel; it returns ErrTimeout when the budget

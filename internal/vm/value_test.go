@@ -7,73 +7,93 @@ import (
 	"unsafe"
 )
 
-// TestValueLayout pins the register-sized representation: three words,
-// of which exactly one holds a pointer.
+// TestValueLayout pins the pointer-free representation: a Value is
+// two words, and neither it nor an element of the heap's cell, slot
+// and element tables holds a pointer, so the Go collector has nothing
+// to scan in them and stores into them pay no write barrier.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
-	typ := reflect.TypeOf(Value{})
-	var ptrs []string
-	for i := 0; i < typ.NumField(); i++ {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
-			reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
-			ptrs = append(ptrs, f.Name)
-		case reflect.Array, reflect.Struct:
-			t.Errorf("field %s is a %s; the pointer check covers scalar fields only", f.Name, f.Type.Kind())
+	if got := unsafe.Sizeof(cell{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(cell{}) = %d, want 24", got)
+	}
+	var tb tables
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(Value{}),
+		reflect.TypeOf(tb.cells).Elem(),
+		reflect.TypeOf(tb.slots).Elem(),
+		reflect.TypeOf(tb.elems).Elem(),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("%s holds a pointer", typ)
 		}
-	}
-	if len(ptrs) != 1 {
-		t.Errorf("pointer-holding fields = %v, want exactly one", ptrs)
 	}
 }
 
-// TestValueAccessors round-trips every constructor through its accessor
-// and checks that accessors for the wrong kind give nil or "".
+// hasPointers reports whether values of type t hold pointers.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	}
+	return false
+}
+
+// TestValueAccessors round-trips every kind of reference through its
+// cell: an instance, a box and an array render as the output channel
+// prints them, and a string's text comes back from its index.
 func TestValueAccessors(t *testing.T) {
-	o, b, a := &Object{layout: &Layout{Class: "T"}}, &Object{layout: integerLayout, BoxVal: 7}, &Array{Elems: make([]int64, 3)}
-	if got := ObjVal(o); got.Kind != KObj || got.Obj() != o || got.Arr() != nil || got.Str() != "" {
-		t.Errorf("ObjVal: kind %v obj %p arr %p str %q", got.Kind, got.Obj(), got.Arr(), got.Str())
+	m := NewMachine(compileForBench(t, pairSrc), Config{})
+	if got := m.NewObject("P"); got.Kind != KObj || m.format(got) != "P@obj" {
+		t.Errorf("NewObject: kind %v, %s", got.Kind, m.format(got))
 	}
-	if got := BoxVal(b); got.Kind != KBox || got.Obj() != b || got.Arr() != nil || got.String() != "7" {
-		t.Errorf("BoxVal: kind %v obj %p arr %p %s", got.Kind, got.Obj(), got.Arr(), got)
+	if got := m.NewBox(-7); got.Kind != KBox || m.format(got) != "-7" {
+		t.Errorf("NewBox: kind %v, %s", got.Kind, m.format(got))
 	}
-	if got := ArrVal(a); got.Kind != KArr || got.Arr() != a || got.Obj() != nil || got.Str() != "" {
-		t.Errorf("ArrVal: kind %v arr %p obj %p str %q", got.Kind, got.Arr(), got.Obj(), got.Str())
+	if got := m.NewArray(3); got.Kind != KArr || m.format(got) != "int[3]" || len(m.Heap.elemsOf(got.cell())) != 3 {
+		t.Errorf("NewArray: kind %v, %s", got.Kind, m.format(got))
 	}
 	for _, s := range []string{"", "T.class", "héllo"} {
-		if got := StrVal(s); got.Kind != KStr || got.Str() != s || got.String() != s || got.Obj() != nil || got.Arr() != nil {
-			t.Errorf("StrVal(%q): kind %v str %q obj %p arr %p", s, got.Kind, got.Str(), got.Obj(), got.Arr())
+		if got := m.strVal(s); got.Kind != KStr || m.format(got) != s {
+			t.Errorf("strVal(%q): kind %v, %q", s, got.Kind, m.format(got))
 		}
 	}
-	for _, v := range []Value{IntVal(3), LongVal(3), BoolVal(true), NullVal(), {}} {
-		if v.Obj() != nil || v.Arr() != nil || v.Str() != "" {
-			t.Errorf("%v value: obj %p arr %p str %q, want nil, nil, \"\"", v.Kind, v.Obj(), v.Arr(), v.Str())
+	for v, want := range map[Value]string{IntVal(3): "3", LongVal(-3): "-3", BoolVal(true): "true", NullVal(): "null", {}: "<invalid>"} {
+		if got := m.format(v); got != want {
+			t.Errorf("%v value renders %q, want %q", v.Kind, got, want)
 		}
-	}
-	if BoxVal(nil).Obj() != nil || BoxVal(nil).String() != "null" {
-		t.Errorf("BoxVal(nil) = %p %s", BoxVal(nil).Obj(), BoxVal(nil))
 	}
 }
 
-// TestStrValAllocs pins string values as allocation-free: the text is
-// referenced in place, never copied or boxed.
+// TestStrValAllocs pins string values as allocation-free once their
+// text is interned: a value is the text's index, and reading the text
+// back, comparing and rendering copy nothing.
 func TestStrValAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	m := NewMachine(compileForBench(t, pairSrc), Config{})
 	s, other := "T.class", strings.Clone("T.class")
+	m.strVal(s)
 	var sink Value
 	var text string
 	var same bool
 	if n := testing.AllocsPerRun(100, func() {
-		sink = StrVal(s)
-		text = sink.Str()
-		same = SameRef(sink, StrVal(other))
-		text = sink.String()
+		sink = m.strVal(s)
+		same = SameRef(sink, m.strVal(other))
+		text = m.format(sink)
 	}); n != 0 {
-		t.Errorf("StrVal/Str/SameRef/String allocate %v times per run, want 0", n)
+		t.Errorf("strVal/SameRef/format allocate %v times per run, want 0", n)
 	}
 	if text != s || !same {
 		t.Errorf("text %q same %v", text, same)
@@ -88,15 +108,15 @@ func TestStringValuesCompareByText(t *testing.T) {
 	if unsafe.StringData(a) == unsafe.StringData(b) {
 		t.Fatal("strings.Clone shared the backing bytes")
 	}
-	va, vb := StrVal(a), StrVal(b)
-	if !SameRef(va, vb) {
+	m := NewMachine(compileForBench(t, `class T { static void main() { print(1); } }`), Config{})
+	va, vb := m.strVal(a), m.strVal(b)
+	if !SameRef(va, vb) || va != vb {
 		t.Error("equal texts are not SameRef")
 	}
-	if SameRef(va, StrVal("other")) {
+	if SameRef(va, m.strVal("other")) {
 		t.Error("different texts are SameRef")
 	}
-	m := NewMachine(compileForBench(t, `class T { static void main() { print(1); } }`), Config{})
-	if m.StringMonitor(va.Str()) != m.StringMonitor(vb.Str()) {
+	if m.monitorOf(va) != m.monitorOf(vb) {
 		t.Error("equal texts got different monitors")
 	}
 	if err := m.MonitorEnter(va); err != nil {

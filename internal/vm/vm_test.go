@@ -364,14 +364,15 @@ func TestValueHelpers(t *testing.T) {
 	if !BoolVal(true).Bool() || BoolVal(false).Bool() {
 		t.Error("BoolVal broken")
 	}
-	if NullVal().String() != "null" {
+	m := NewMachine(compileForBench(t, pairSrc), Config{})
+	if m.format(NullVal()) != "null" {
 		t.Error("null renders wrong")
 	}
-	o := &Object{layout: &Layout{Class: "T"}}
-	if !SameRef(ObjVal(o), ObjVal(o)) {
-		t.Error("SameRef should match identical objects")
+	o, p := m.NewObject("P"), m.NewObject("P")
+	if !SameRef(o, o) || SameRef(o, p) {
+		t.Error("SameRef should match identical objects only")
 	}
-	if SameRef(ObjVal(o), NullVal()) {
+	if SameRef(o, NullVal()) {
 		t.Error("SameRef object vs null")
 	}
 	if !SameRef(NullVal(), NullVal()) {
@@ -379,29 +380,34 @@ func TestValueHelpers(t *testing.T) {
 	}
 }
 
+// TestHeapMarkSweep pins the collector's counts: a cell the roots
+// reach, directly or through a field, stays listed; the rest are freed
+// once; and reclaim, run after, keeps the survivors' fields and
+// elements where their handles find them.
 func TestHeapMarkSweep(t *testing.T) {
 	h := NewHeap(0)
-	t1 := &Layout{Class: "T"}
-	a := h.NewObject(&Layout{Class: "T", Names: []string{"x"}, Zeros: []Value{NullVal()}})
+	t1 := h.addLayout(&Layout{Class: "T"})
+	a := h.NewObject(h.addLayout(&Layout{Class: "T", Names: []string{"x"}, Zeros: []Value{NullVal()}}))
 	b := h.NewObject(t1)
-	a.SetField("x", ObjVal(b))
-	c := h.NewObject(t1) // garbage
-	_ = c
+	h.SetField(a, "x", refVal(KObj, b))
+	h.NewObject(t1) // garbage
+	h.NewArray(5)   // garbage
 	arr := h.NewArray(3)
-	live, freed := h.Collect([]Value{ObjVal(a), ArrVal(arr)})
-	if freed != 1 {
-		t.Errorf("freed = %d, want 1", freed)
+	h.elemsOf(arr)[2] = 42
+	roots := []Value{refVal(KObj, a), refVal(KArr, arr)}
+	live, freed := h.Collect(roots)
+	if freed != 2 || live != 3 {
+		t.Errorf("live, freed = %d, %d; want 3, 2", live, freed)
 	}
-	if live != 3 {
-		t.Errorf("live = %d, want 3", live)
+	if live, freed := h.Collect(roots); freed != 0 || live != 3 {
+		t.Errorf("second cycle: live, freed = %d, %d; want 3, 0", live, freed)
 	}
-	// Survivors are compacted in place in allocation order, and the
-	// vacated tail no longer references the dead object.
-	if len(h.objects) != 2 || h.objects[0] != a || h.objects[1] != b {
-		t.Errorf("survivors = %v, want [a b]", h.objects)
+	h.reclaim(roots)
+	if len(h.free) != 2 || len(h.elems) != 4 || h.elemsOf(arr)[2] != 42 || h.Field(a, "x") != refVal(KObj, b) {
+		t.Errorf("after reclaim: %d free handles, elems %v, a.x %v", len(h.free), h.elems, h.Field(a, "x"))
 	}
-	if tail := h.objects[:cap(h.objects)][2]; tail != nil {
-		t.Errorf("dead object still pinned in the survivor slice")
+	if c := h.NewObject(t1); c != 3 && c != 2 {
+		t.Errorf("new cell got handle %d, want a reclaimed one", c)
 	}
 }
 
@@ -410,25 +416,26 @@ func TestHeapMarkSweep(t *testing.T) {
 func TestNewObjectSharedLayout(t *testing.T) {
 	img := compileForBench(t, `class T { int n; T next; static int s; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
-	a, b := m.NewObject("T"), m.NewObject("T")
-	if a.Obj().layout != b.Obj().layout {
+	h := m.Heap
+	a, b := m.NewObject("T").cell(), m.NewObject("T").cell()
+	if h.cells[a].layout != h.cells[b].layout {
 		t.Errorf("objects of one class got different layouts")
 	}
-	if got := a.Obj().layout.Names; !reflect.DeepEqual(got, []string{"n", "next"}) {
+	if got := h.layouts[h.cells[a].layout].Names; !reflect.DeepEqual(got, []string{"n", "next"}) {
 		t.Fatalf("layout = %v, want [n next] (statics excluded)", got)
 	}
-	if a.Obj().Field("n") != IntVal(0) || a.Obj().Field("next") != NullVal() {
-		t.Fatalf("zero fields = %v, %v", a.Obj().Field("n"), a.Obj().Field("next"))
+	if h.Field(a, "n") != IntVal(0) || h.Field(a, "next") != NullVal() {
+		t.Fatalf("zero fields = %v, %v", h.Field(a, "n"), h.Field(a, "next"))
 	}
-	a.Obj().SetField("n", IntVal(5))
-	if a.Obj().Field("n") != IntVal(5) {
-		t.Errorf("write not readable: %v", a.Obj().Field("n"))
+	h.SetField(a, "n", IntVal(5))
+	if h.Field(a, "n") != IntVal(5) {
+		t.Errorf("write not readable: %v", h.Field(a, "n"))
 	}
-	if b.Obj().Field("n") != IntVal(0) {
+	if h.Field(b, "n") != IntVal(0) {
 		t.Errorf("objects share slots")
 	}
-	if u := m.NewObject("Unknown"); len(u.Obj().slots()) != 0 || u.Obj().layout.extra != nil {
-		t.Errorf("unknown class got fields %v %v", u.Obj().slots(), u.Obj().layout.extra)
+	if u := m.NewObject("Unknown").cell(); h.cells[u].n != 0 || h.layouts[h.cells[u].layout].extra != nil {
+		t.Errorf("unknown class got fields %d %v", h.cells[u].n, h.layouts[h.cells[u].layout].extra)
 	}
 }
 
@@ -436,52 +443,66 @@ func TestNewObjectSharedLayout(t *testing.T) {
 // zero is the last declaration's, as with the old per-object map.
 func TestNewObjectDuplicateField(t *testing.T) {
 	img := compileForBench(t, `class T { int f; T f; static void main() { return; } }`)
-	o := NewMachine(img, Config{}).NewObject("T").Obj()
-	if len(o.slots()) != 1 || o.Field("f") != NullVal() {
-		t.Fatalf("slots = %v, want one null field", o.slots())
+	m := NewMachine(img, Config{})
+	o := m.NewObject("T").cell()
+	if m.Heap.cells[o].n != 1 || m.Heap.Field(o, "f") != NullVal() {
+		t.Fatalf("%d slots, f = %v; want one null field", m.Heap.cells[o].n, m.Heap.Field(o, "f"))
 	}
 }
 
 // TestObjectUndeclaredField: a name outside the layout behaves like a
 // map entry — zero until written, readable after, and traced by the
-// collector — for class instances and for monitor objects, whose
-// layouts name a class but declare no fields.
+// collector and by reclaim — for class instances and for monitor
+// cells, whose layouts name a class but declare no fields.
 func TestObjectUndeclaredField(t *testing.T) {
 	img := compileForBench(t, `class T { int n; static void main() { return; } }`)
 	m := NewMachine(img, Config{})
-	objs := map[string]*Object{
-		"instance":       m.NewObject("T").Obj(),
-		"string monitor": m.StringMonitor("lock"),
+	h := m.Heap
+	objs := map[string]int32{
+		"instance":       m.NewObject("T").cell(),
+		"string monitor": m.monitorOf(m.strVal("lock")),
 		"class monitor":  m.classMonitor("T"),
 	}
-	for name, o := range objs {
-		if got := o.Field("ghost"); got != (Value{}) {
+	for _, name := range []string{"instance", "string monitor", "class monitor"} {
+		o := objs[name]
+		if got := h.Field(o, "ghost"); got != (Value{}) {
 			t.Errorf("%s: undeclared read = %v, want Value{}", name, got)
 		}
-		h := NewHeap(0)
-		t1 := &Layout{Class: "T"}
-		target := h.NewObject(t1)
-		h.NewObject(t1) // garbage
-		o.SetField("ghost", ObjVal(target))
-		if got := o.Field("ghost"); got.Obj() != target {
+		target := m.NewObject("T")
+		garbage := m.NewObject("T")
+		h.SetField(o, "ghost", target)
+		if got := h.Field(o, "ghost"); got != target {
 			t.Errorf("%s: undeclared write not readable: %v", name, got)
 		}
-		if _, freed := h.Collect([]Value{ObjVal(o)}); freed != 1 || len(h.objects) != 1 || h.objects[0] != target {
-			t.Errorf("%s: freed %d, survivors %v; want the referenced object to survive", name, freed, h.objects)
+		h.SetField(garbage.cell(), "n", IntVal(1))
+		if name == "instance" {
+			// The instance is listed; the monitor cells never are.
+			if _, freed := h.Collect([]Value{refVal(KObj, o)}); freed != 1 {
+				t.Errorf("%s: freed %d; want only the garbage object", name, freed)
+			}
+		}
+		var roots []Value
+		for _, o := range objs {
+			roots = append(roots, refVal(KObj, o))
+		}
+		h.reclaim(roots)
+		if h.cells[target.cell()].flags&freeCell != 0 || h.cells[garbage.cell()].flags&freeCell == 0 {
+			t.Errorf("%s: reclaim freed the referenced object or kept the garbage", name)
 		}
 	}
-	if n := objs["instance"].Field("n"); n != IntVal(0) {
+	if n := h.Field(objs["instance"], "n"); n != IntVal(0) {
 		t.Errorf("declared field disturbed by undeclared write: %v", n)
 	}
 	// The undeclared fields went to object-private layouts: the shared
 	// ones, and fresh objects built from them, hold none.
-	if l := m.fieldLayout("T"); l.extra != nil || objs["instance"].layout == l || objs["instance"].Class() != "T" {
+	shared := m.fieldLayout("T")
+	if h.layouts[shared].extra != nil || h.cells[objs["instance"]].layout == shared || h.classOf(objs["instance"]) != "T" {
 		t.Errorf("undeclared write reached the shared layout of T")
 	}
-	if fresh := m.NewObject("T").Obj(); fresh.Field("ghost") != (Value{}) || fresh.Field("n") != IntVal(0) {
+	if fresh := m.NewObject("T").cell(); h.Field(fresh, "ghost") != (Value{}) || h.Field(fresh, "n") != IntVal(0) {
 		t.Errorf("fresh object sees another object's undeclared field")
 	}
-	if stringLayout.extra != nil || m.StringMonitor("other").Field("ghost") != (Value{}) {
+	if stringLayout.extra != nil || h.Field(m.monitorOf(m.strVal("other")), "ghost") != (Value{}) {
 		t.Errorf("undeclared write reached the shared String layout")
 	}
 }
