@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,6 +29,72 @@ func TestValueLayout(t *testing.T) {
 		if hasPointers(typ) {
 			t.Errorf("%s holds a pointer", typ)
 		}
+	}
+}
+
+// TestHeapCellLayout pins how a cell's data sits in the tables: an
+// instance's slots and an array's elements are one run each, right
+// behind a word holding the cell's handle (reclaim slides the runs and
+// finds their owners by it), and a box keeps its value in the header.
+// The class name stays in the shared layout, which a slot write never
+// reaches.
+func TestHeapCellLayout(t *testing.T) {
+	h := NewHeap(0)
+	defer h.release()
+	for n := 0; n <= 20; n++ {
+		l := &Layout{Class: "C"}
+		for i := 0; i < n; i++ {
+			l.Names = append(l.Names, fmt.Sprintf("f%d", i))
+			l.Zeros = append(l.Zeros, IntVal(int64(i)))
+		}
+		id := h.NewObject(h.addLayout(l))
+		c := h.cells[id]
+		if h.classOf(id) != "C" || int(c.n) != n || c.flags != listed {
+			t.Fatalf("%d fields: class %q, %d slots, flags %b", n, h.classOf(id), c.n, c.flags)
+		}
+		if n > 0 && h.slots[c.at-1] != (Value{I: int64(id)}) {
+			t.Errorf("%d fields: the word before the slots is %v, want handle %d", n, h.slots[c.at-1], id)
+		}
+		for i := 0; i < n; i++ {
+			if got := h.Field(id, l.Names[i]); got != IntVal(int64(i)) || h.slots[c.at+int64(i)] != got {
+				t.Errorf("%d fields: slot %d = %v, want its zero %d", n, i, got, i)
+			}
+		}
+		if n > 0 {
+			h.SetField(id, l.Names[n-1], IntVal(99))
+			if l.Zeros[n-1] != IntVal(int64(n-1)) {
+				t.Errorf("%d fields: a write reached the shared layout", n)
+			}
+			if h.Field(id, l.Names[n-1]) != IntVal(99) || (n > 1 && h.Field(id, l.Names[n-2]) != IntVal(int64(n-2))) {
+				t.Errorf("%d fields: a write to the last slot did not land there alone", n)
+			}
+		}
+	}
+	dirty := make([]int64, 21)
+	for i := range dirty {
+		dirty[i] = -1
+	}
+	for n := int64(0); n <= 20; n++ {
+		// Dirty the arena past its end: a new array must clear its run.
+		h.elems = append(h.elems, dirty...)[:len(h.elems)]
+		id := h.NewArray(n)
+		c := h.cells[id]
+		if c.layout != arrayLayout || int64(c.n) != n || len(h.elemsOf(id)) != int(n) {
+			t.Fatalf("array %d: layout %d, length %d, %d elements", n, c.layout, c.n, len(h.elemsOf(id)))
+		}
+		if n > 0 && h.elems[c.at-1] != int64(id) {
+			t.Errorf("array %d: the word before the elements is %d, want handle %d", n, h.elems[c.at-1], id)
+		}
+		for i, e := range h.elemsOf(id) {
+			if e != 0 {
+				t.Errorf("array %d: element %d = %d, want 0", n, i, e)
+			}
+		}
+	}
+	a, b := h.NewBox(7), h.NewBox(-8)
+	if h.classOf(a) != "Integer" || h.cells[a].layout != h.cells[b].layout || h.cells[a].at != 7 || h.cells[b].at != -8 {
+		t.Errorf("boxes: classes %q/%q, layouts %d/%d, values %d/%d, want one Integer layout holding 7 and -8",
+			h.classOf(a), h.classOf(b), h.cells[a].layout, h.cells[b].layout, h.cells[a].at, h.cells[b].at)
 	}
 }
 
